@@ -53,8 +53,10 @@ RUN OPTIONS:
                       analysis cannot certify the rewrite — see W030/W031)
 
 EXIT CODES:
-  0   success (including --all walks truncated by --max-models)
-  1   failure (bad program, missing file, evaluation error)
+  0   success (including --all walks truncated by --max-models, and a
+      reader closing the pipe early: `idlog run ... | head`)
+  1   failure (bad program, missing file, evaluation error, output that
+      could not be written)
   2   usage error
   3   a resource limit tripped (--timeout, --max-rounds, --max-tuples)
   130 interrupted (Ctrl-C)

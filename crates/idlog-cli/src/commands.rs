@@ -1,12 +1,15 @@
 //! Subcommand implementations.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use idlog_analyze::{analyze, render_all, render_json, Options};
 use idlog_core::{EvalError, Interner, LimitKind, StopReason, ValidatedProgram};
 
 use crate::args::RunOpts;
-use crate::{default_budget, limits_for, load, options_for, oracle_for, signal, CliError};
+use crate::{
+    default_budget, limits_for, load, options_for, oracle_for, output_result, signal, CliError,
+};
 
 /// `idlog check`: validate and report predicates, sorts, and strata.
 ///
@@ -402,7 +405,13 @@ pub fn explain(
 /// [`CliError::cancelled`] (exit 130). With `--all`, the enumeration
 /// budgets (`--max-models`) merely truncate the walk — still exit 0 — while
 /// governor ceilings exit 3.
-pub fn run_query(opts: &RunOpts) -> Result<(), CliError> {
+///
+/// Everything meant for standard output — answer rows, the `--profile`
+/// table, `--profile-json -` — goes to `out` in that order and is flushed
+/// before returning; `main` passes the locked, buffered stdout. A reader
+/// that closes the pipe ends the output quietly; any other write error is
+/// an [`idlog_core::ErrorCode::Io`] failure (see [`output_result`]).
+pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
     let loaded = load(&opts.program, opts.facts.as_deref(), &opts.output)?;
     let interner = loaded.query.interner().clone();
     let want_profile = opts.profile || opts.profile_json.is_some() || opts.stats;
@@ -431,14 +440,19 @@ pub fn run_query(opts: &RunOpts) -> Result<(), CliError> {
             None => String::new(),
             Some(reason) => format!(" ({reason}; incomplete)"),
         };
-        println!(
-            "{} distinct answer(s) from {} perfect model(s){note}:",
-            answers.len(),
-            answers.models_explored(),
-        );
-        for (i, answer) in answers.to_sorted_strings(&interner).iter().enumerate() {
-            println!("answer #{i}: {{{}}}", answer.join(", "));
-        }
+        let mut emit = || -> io::Result<()> {
+            writeln!(
+                out,
+                "{} distinct answer(s) from {} perfect model(s){note}:",
+                answers.len(),
+                answers.models_explored(),
+            )?;
+            for (i, answer) in answers.to_sorted_strings(&interner).iter().enumerate() {
+                writeln!(out, "answer #{i}: {{{}}}", answer.join(", "))?;
+            }
+            out.flush()
+        };
+        output_result(emit())?;
         // Enumeration budgets bound an intentionally bounded walk — exit 0.
         // Governor ceilings and Ctrl-C are real stops — exit 3 / 130.
         return match answers.stopped() {
@@ -479,23 +493,35 @@ pub fn run_query(opts: &RunOpts) -> Result<(), CliError> {
             stop.message()
         );
     }
-    let output = &opts.output;
-    for t in result.relation.sorted_canonical(&interner) {
-        println!("{output}{}", t.display(&interner));
-    }
-    if opts.profile {
-        let profile = require_profile(&result)?;
-        print!("{}", profile.render_table(opts.profile_time));
-    }
+    let table = if opts.profile {
+        Some(require_profile(&result)?.render_table(opts.profile_time))
+    } else {
+        None
+    };
+    let mut json_to_stdout = None;
     if let Some(path) = &opts.profile_json {
         let json = require_profile(&result)?.to_json(opts.profile_time);
         if path == "-" {
-            println!("{json}");
+            json_to_stdout = Some(json);
         } else {
             std::fs::write(path, json.as_bytes())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
     }
+    let mut emit = || -> io::Result<()> {
+        result
+            .relation
+            .canonical_view(&interner)
+            .write_facts(&opts.output, out)?;
+        if let Some(table) = &table {
+            out.write_all(table.as_bytes())?;
+        }
+        if let Some(json) = &json_to_stdout {
+            writeln!(out, "{json}")?;
+        }
+        out.flush()
+    };
+    output_result(emit())?;
     if opts.stats {
         eprintln!("-- {}", result.stats.display_with(result.profile.as_ref()));
     }

@@ -140,10 +140,11 @@ pub fn run(args: Args) -> Result<(), CliError> {
             output,
             suggest_prune,
         } => commands::optimize(&program, &output, suggest_prune).map_err(CliError::from),
-        Command::Repl => {
-            repl::run(&mut std::io::stdin().lock(), &mut std::io::stdout()).map_err(CliError::from)
-        }
-        Command::Run(opts) => commands::run_query(&opts),
+        Command::Repl => repl::run(&mut std::io::stdin().lock(), &mut std::io::stdout()),
+        Command::Run(opts) => commands::run_query(
+            &opts,
+            &mut std::io::BufWriter::new(std::io::stdout().lock()),
+        ),
         Command::Serve {
             listen,
             workers,
@@ -165,6 +166,21 @@ pub fn run(args: Args) -> Result<(), CliError> {
             retries,
             backoff_ms,
         } => commands::client(&addr, &request, retries, backoff_ms),
+    }
+}
+
+/// What a finished (written and flushed) output stream means for the exit
+/// code. A closed pipe (`idlog run … | head`) is the reader saying it has
+/// seen enough: the output simply ends, with success. Any other write error
+/// (a full disk) is an [`ErrorCode::Io`] failure — never a panic.
+pub fn output_result(written: std::io::Result<()>) -> Result<(), CliError> {
+    match written {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        Err(e) => Err(CliError::new(
+            ErrorCode::Io,
+            format!("cannot write output: {e}"),
+        )),
+        Ok(()) => Ok(()),
     }
 }
 

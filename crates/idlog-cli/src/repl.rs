@@ -13,7 +13,7 @@
 //! The REPL is generic over reader/writer so tests can drive it with
 //! strings.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +21,7 @@ use idlog_core::{BackendKind, EnumBudget, Interner, Query, Strategy, ValidatedPr
 use idlog_storage::Database;
 
 use crate::args::{parse_backend_name, parse_duration, parse_strategy_name};
-use crate::{options_for, oracle_for, signal};
+use crate::{options_for, oracle_for, output_result, signal, CliError};
 
 /// REPL state: accumulated rule sources and the fact database.
 ///
@@ -41,8 +41,10 @@ struct Session {
     strategy: Strategy,
 }
 
-/// Run the REPL until `:quit` or end of input.
-pub fn run(input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), String> {
+/// Run the REPL until `:quit` or end of input. A closed output pipe ends
+/// the session quietly; any other i/o error is an
+/// [`idlog_core::ErrorCode::Io`] failure (see [`output_result`]).
+pub fn run(input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), CliError> {
     let interner = Arc::new(Interner::new());
     let mut session = Session {
         db: Database::with_interner(Arc::clone(&interner)),
@@ -55,31 +57,7 @@ pub fn run(input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), String> {
         backend: BackendKind::default(),
         strategy: Strategy::default(),
     };
-    let io = |e: std::io::Error| format!("i/o error: {e}");
-
-    writeln!(out, "idlog interactive session — :help for commands").map_err(io)?;
-    loop {
-        write!(out, "idlog> ").map_err(io)?;
-        out.flush().map_err(io)?;
-        let mut line = String::new();
-        if input.read_line(&mut line).map_err(io)? == 0 {
-            writeln!(out).map_err(io)?;
-            return Ok(());
-        }
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('%') {
-            continue;
-        }
-        match session.step(line) {
-            Ok(Reply::Quit) => return Ok(()),
-            Ok(Reply::Text(t)) => {
-                if !t.is_empty() {
-                    writeln!(out, "{t}").map_err(io)?;
-                }
-            }
-            Err(msg) => writeln!(out, "error: {msg}").map_err(io)?,
-        }
-    }
+    output_result(session.serve(input, out))
 }
 
 enum Reply {
@@ -111,6 +89,33 @@ const HELP: &str = "\
   :quit              leave";
 
 impl Session {
+    /// The read–eval–print loop; returns on `:quit`, end of input, or the
+    /// first i/o error.
+    fn serve(&mut self, input: &mut dyn BufRead, out: &mut dyn Write) -> io::Result<()> {
+        writeln!(out, "idlog interactive session — :help for commands")?;
+        loop {
+            write!(out, "idlog> ")?;
+            out.flush()?;
+            let mut line = String::new();
+            if input.read_line(&mut line)? == 0 {
+                return writeln!(out);
+            }
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('%') {
+                continue;
+            }
+            match self.step(line) {
+                Ok(Reply::Quit) => return Ok(()),
+                Ok(Reply::Text(t)) => {
+                    if !t.is_empty() {
+                        writeln!(out, "{t}")?;
+                    }
+                }
+                Err(msg) => writeln!(out, "error: {msg}")?,
+            }
+        }
+    }
+
     fn step(&mut self, line: &str) -> Result<Reply, String> {
         if let Some(cmd) = line.strip_prefix(':') {
             return self.command(cmd.trim());
@@ -370,8 +375,9 @@ impl Session {
             if result.relation.is_empty() {
                 text.push_str("(empty)\n");
             }
-            for t in result.relation.sorted_canonical(&self.interner) {
-                text.push_str(&format!("{pred}{}\n", t.display(&self.interner)));
+            let view = result.relation.canonical_view(&self.interner);
+            for row in 0..view.len() {
+                view.render_fact(row, pred, &mut text);
             }
             if let Some(profile) = &result.profile {
                 text.push_str(&profile.render_table(false));
@@ -616,6 +622,42 @@ mod tests {
              :quit\n",
         );
         assert!(out.contains("error:"), "{out}");
+    }
+
+    /// A writer that accepts `budget` bytes, then fails every write.
+    struct Closing {
+        budget: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Write for Closing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.budget {
+                return Err(io::Error::new(self.kind, "injected"));
+            }
+            self.budget -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn closed_output_ends_the_session_quietly_other_errors_are_io_failures() {
+        let script = "item(a).\nitem(b).\nall(X) :- item(X).\n?- all.\n:quit\n";
+        let session = |kind| {
+            let mut input = std::io::Cursor::new(script.to_string());
+            // Room for the banner and a few prompts: the output closes
+            // mid-session.
+            let mut out = Closing { budget: 80, kind };
+            run(&mut input, &mut out)
+        };
+        session(io::ErrorKind::BrokenPipe).unwrap();
+        let err = session(io::ErrorKind::Other).unwrap_err();
+        assert_eq!(err.code(), idlog_core::ErrorCode::Io, "{err:?}");
+        assert_eq!(err.exit_code(), 1);
     }
 
     #[test]

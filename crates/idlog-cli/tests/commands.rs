@@ -79,21 +79,21 @@ fn run_query_end_to_end() {
     let mut one = RunOpts::new(&program, "two");
     one.facts = Some(facts.clone());
     one.stats = true;
-    commands::run_query(&one).unwrap();
+    commands::run_query(&one, &mut std::io::sink()).unwrap();
     // All answers.
     let mut all = RunOpts::new(&program, "two");
     all.facts = Some(facts.clone());
     all.all = true;
     all.max_models = Some(100);
     all.threads = Some(2);
-    commands::run_query(&all).unwrap();
+    commands::run_query(&all, &mut std::io::sink()).unwrap();
     // Seeded, with the profile table.
     let mut seeded = RunOpts::new(&program, "two");
     seeded.facts = Some(facts.clone());
     seeded.seed = Some(7);
     seeded.threads = Some(1);
     seeded.profile = true;
-    commands::run_query(&seeded).unwrap();
+    commands::run_query(&seeded, &mut std::io::sink()).unwrap();
 }
 
 #[test]
@@ -105,14 +105,14 @@ fn run_query_limit_trip_maps_to_limit_exit_class() {
     // limit trip (exit 3), not an ordinary failure, and names the flag.
     let mut rounds = RunOpts::new(&program, "count");
     rounds.max_rounds = Some(5);
-    let err = commands::run_query(&rounds).unwrap_err();
+    let err = commands::run_query(&rounds, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
 
     // Same for a tuple ceiling.
     let mut tuples = RunOpts::new(&program, "count");
     tuples.max_tuples = Some(10);
-    let err = commands::run_query(&tuples).unwrap_err();
+    let err = commands::run_query(&tuples, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-tuples"), "{err:?}");
 
@@ -124,7 +124,7 @@ fn run_query_limit_trip_maps_to_limit_exit_class() {
     ok.max_rounds = Some(1_000);
     ok.max_tuples = Some(1_000_000);
     ok.timeout = Some(std::time::Duration::from_secs(60));
-    commands::run_query(&ok).unwrap();
+    commands::run_query(&ok, &mut std::io::sink()).unwrap();
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     let mut opts = RunOpts::new(&program, "q");
     opts.facts = Some(facts.clone());
     opts.strategy = Some(idlog_core::Strategy::Magic);
-    commands::run_query(&opts).unwrap();
+    commands::run_query(&opts, &mut std::io::sink()).unwrap();
 
     // A choice site in the related region refuses with a witness (exit 1).
     let blocked = s.file(
@@ -157,7 +157,7 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     let mut opts = RunOpts::new(&blocked, "q");
     opts.facts = Some(likes);
     opts.strategy = Some(idlog_core::Strategy::Magic);
-    let err = commands::run_query(&opts).unwrap_err();
+    let err = commands::run_query(&opts, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 1, "{err:?}");
     assert!(err.message().contains("choice site"), "{err:?}");
     assert!(err.message().contains("witness"), "{err:?}");
@@ -167,7 +167,7 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     tripped.facts = Some(facts);
     tripped.strategy = Some(idlog_core::Strategy::Magic);
     tripped.max_rounds = Some(1);
-    let err = commands::run_query(&tripped).unwrap_err();
+    let err = commands::run_query(&tripped, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
 }
@@ -181,7 +181,7 @@ fn run_query_writes_profile_json() {
     let mut opts = RunOpts::new(&program, "two");
     opts.facts = Some(facts);
     opts.profile_json = Some(json_path.clone());
-    commands::run_query(&opts).unwrap();
+    commands::run_query(&opts, &mut std::io::sink()).unwrap();
     let json = std::fs::read_to_string(&json_path).unwrap();
     assert!(json.contains("\"schema\":\"idlog-profile/1\""), "{json}");
     assert!(json.contains("\"rules\":["), "{json}");
@@ -317,4 +317,136 @@ fn client_retries_until_the_service_appears() {
     commands::client(&addr, r#"{"op":"ping"}"#, 8, 40).unwrap();
     commands::client(&addr, r#"{"op":"shutdown"}"#, 0, 10).unwrap();
     handle.join().unwrap();
+}
+
+/// `run_query` with its standard output captured.
+fn run_captured(opts: &RunOpts) -> (Result<(), idlog_cli::CliError>, String) {
+    let mut out: Vec<u8> = Vec::new();
+    let result = commands::run_query(opts, &mut out);
+    (result, String::from_utf8(out).unwrap())
+}
+
+#[test]
+fn run_query_stdout_is_exact_canonical_rows_then_profile() {
+    let s = Scratch::new("stdout");
+    let program = s.file("p.idl", "r(X, N) :- e(X, N).\nz :- e(zoe, 7).");
+    // Names interned in reverse lexicographic order, ints out of order.
+    let facts = s.file("f.idl", "e(zoe, 7). e(zoe, 10). e(bob, 9). e(amy, 30).");
+    let mut opts = RunOpts::new(&program, "r");
+    opts.facts = Some(facts.clone());
+    let rows = "r(amy, 30)\nr(bob, 9)\nr(zoe, 7)\nr(zoe, 10)\n";
+    let (result, out) = run_captured(&opts);
+    result.unwrap();
+    assert_eq!(out, rows);
+
+    // A 0-ary answer is one `z()` row.
+    let mut unit = RunOpts::new(&program, "z");
+    unit.facts = Some(facts);
+    let (result, out) = run_captured(&unit);
+    result.unwrap();
+    assert_eq!(out, "z()\n");
+
+    // Rows, then the profile table, then the `--profile-json -` object: one
+    // stream, in that order.
+    opts.profile = true;
+    opts.profile_json = Some("-".into());
+    let (result, out) = run_captured(&opts);
+    result.unwrap();
+    let rest = out.strip_prefix(rows).expect("rows come first");
+    assert!(
+        rest.starts_with("evaluation profile (worst rules first)\n"),
+        "{rest}"
+    );
+    let json = rest.lines().last().unwrap();
+    assert!(
+        json.starts_with("{\"schema\":\"idlog-profile/1\""),
+        "{json}"
+    );
+}
+
+#[test]
+fn run_query_limit_trip_still_writes_the_partial_rows() {
+    let s = Scratch::new("partial");
+    let program = s.file("p.idl", "count(0). count(M) :- count(N), plus(N, 1, M).");
+    let mut opts = RunOpts::new(&program, "count");
+    opts.max_rounds = Some(4);
+    let (result, out) = run_captured(&opts);
+    assert_eq!(result.unwrap_err().exit_code(), 3);
+    // Four completed rounds: the fact plus three increments, in int order.
+    assert_eq!(out, "count(0)\ncount(1)\ncount(2)\ncount(3)\n");
+}
+
+/// A writer whose every write fails with the given error kind.
+struct FailingWriter(std::io::ErrorKind);
+
+impl std::io::Write for FailingWriter {
+    fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::Error::new(self.0, "injected"))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn run_query_write_errors_never_panic() {
+    let s = Scratch::new("write-errors");
+    let program = s.file("p.idl", "r(X) :- e(X).");
+    let facts = s.file("f.idl", "e(a). e(b).");
+    let mut opts = RunOpts::new(&program, "r");
+    opts.facts = Some(facts);
+    for all in [false, true] {
+        opts.all = all;
+        // A reader that went away is not a failure of the query.
+        commands::run_query(&opts, &mut FailingWriter(std::io::ErrorKind::BrokenPipe)).unwrap();
+        // Anything else (a full disk) is an i/o failure: exit 1.
+        let err =
+            commands::run_query(&opts, &mut FailingWriter(std::io::ErrorKind::Other)).unwrap_err();
+        assert_eq!(err.code(), idlog_core::ErrorCode::Io, "{err:?}");
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.message().contains("cannot write output"), "{err:?}");
+    }
+}
+
+/// `idlog run … | head -1`: the reader takes one line and closes the pipe
+/// while the child still has megabytes to write. The child must stop
+/// quietly with exit 0 — no panic, nothing on stderr.
+#[test]
+fn closed_pipe_ends_output_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+
+    let s = Scratch::new("closed-pipe");
+    let program = s.file(
+        "anc.idl",
+        "ancestor(X, Y) :- parent(X, Y).\nancestor(X, Z) :- ancestor(X, Y), parent(Y, Z).",
+    );
+    // 400 edges -> 80 200 rows, ~1.7 MB: far past the 64 KiB pipe buffer, so
+    // the child is still writing when the reader goes away.
+    let chain: String = (0..400)
+        .map(|n| format!("parent(n{n}, n{}).\n", n + 1))
+        .collect();
+    let facts = s.file("chain.facts", &chain);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_idlog"))
+        .args(["run", &program, "--facts", &facts, "--output", "ancestor"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert_eq!(first, "ancestor(n0, n1)\n");
+    drop(stdout);
+    let status = child.wait().unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert_eq!(status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(stderr, "");
 }

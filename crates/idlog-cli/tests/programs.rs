@@ -28,13 +28,13 @@ fn shipped_programs_validate() {
 fn sampling_program_runs() {
     let mut one = idlog_cli::RunOpts::new(path("sampling.idl"), "select_two_emp");
     one.facts = Some(path("company.facts"));
-    idlog_cli::commands::run_query(&one).unwrap();
+    idlog_cli::commands::run_query(&one, &mut std::io::sink()).unwrap();
     let mut all = idlog_cli::RunOpts::new(path("sampling.idl"), "select_two_emp");
     all.facts = Some(path("company.facts"));
     all.all = true;
     all.max_models = Some(10_000);
     all.threads = Some(2);
-    idlog_cli::commands::run_query(&all).unwrap();
+    idlog_cli::commands::run_query(&all, &mut std::io::sink()).unwrap();
 }
 
 #[test]
@@ -137,7 +137,89 @@ fn diverge_program_lints_clean_and_trips_limits() {
     // class (exit code 3), carrying the partial result to stdout.
     let mut opts = idlog_cli::RunOpts::new(path("diverge.idl"), "count");
     opts.max_rounds = Some(50);
-    let err = idlog_cli::commands::run_query(&opts).unwrap_err();
+    let err = idlog_cli::commands::run_query(&opts, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
+}
+
+/// What `idlog run` prints for every derived predicate of a shipped
+/// program, each under a `% --output <pred>` header, predicates in name
+/// order. Diverging programs run under `--max-rounds 50` and print the
+/// partial result.
+fn corpus_output(
+    case: &idlog_suite::Case,
+    threads: usize,
+    backend: idlog_core::BackendKind,
+) -> Option<String> {
+    let src = std::fs::read_to_string(path(&case.program)).unwrap();
+    let interner = std::sync::Arc::new(idlog_core::Interner::new());
+    // DATALOG^C programs are translated, not run.
+    let options = idlog_analyze::Options {
+        lints: false,
+        redundancy: false,
+    };
+    if idlog_analyze::analyze(&src, &interner, &options).dialect == idlog_analyze::Dialect::Choice {
+        return None;
+    }
+    let program = idlog_core::ValidatedProgram::parse(&src, interner.clone()).unwrap();
+    let diverges = idlog_core::analyze_termination(program.ast())
+        .growth_witness()
+        .is_some();
+    let mut outputs: Vec<String> = program.idb().iter().map(|&p| interner.resolve(p)).collect();
+    outputs.sort();
+    let mut printed: Vec<u8> = Vec::new();
+    for output in outputs {
+        printed.extend_from_slice(format!("% --output {output}\n").as_bytes());
+        let mut opts = idlog_cli::RunOpts::new(path(&case.program), &output);
+        opts.facts = case.facts.as_deref().map(path);
+        opts.threads = Some(threads);
+        opts.backend = Some(backend);
+        opts.max_rounds = diverges.then_some(50);
+        let result = idlog_cli::commands::run_query(&opts, &mut printed);
+        match (diverges, result) {
+            (false, Ok(())) => {}
+            (true, Err(e)) if e.exit_code() == 3 => {}
+            (_, other) => panic!("{} --output {output}: {other:?}", case.program),
+        }
+    }
+    Some(String::from_utf8(printed).unwrap())
+}
+
+/// Golden outputs (`programs/golden/<stem>.out`, first written by the
+/// pre-view `sorted_canonical` + `println!` path): the result path's bytes
+/// depend on neither the thread count nor the storage backend, and changing
+/// them is a deliberate act — a mismatch leaves the new bytes in the temp
+/// dir for review.
+#[test]
+fn shipped_programs_print_their_golden_output_in_every_configuration() {
+    let mut checked = 0;
+    for case in idlog_suite::corpus(&programs_dir()).unwrap() {
+        let stem = case.program.trim_end_matches(".idl");
+        let golden_path = programs_dir().join("golden").join(format!("{stem}.out"));
+        for backend in [
+            idlog_core::BackendKind::Hash,
+            idlog_core::BackendKind::Columnar,
+        ] {
+            for threads in [1usize, 2, 4] {
+                let Some(printed) = corpus_output(&case, threads, backend) else {
+                    assert!(!golden_path.exists(), "{stem}: golden without a run");
+                    continue;
+                };
+                let golden = std::fs::read_to_string(&golden_path)
+                    .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+                if printed != golden {
+                    let actual = std::env::temp_dir().join(format!("{stem}.out.actual"));
+                    std::fs::write(&actual, &printed).unwrap();
+                    panic!(
+                        "{stem} at --threads {threads} --backend {backend} differs from {}; \
+                         the new output is in {}",
+                        golden_path.display(),
+                        actual.display()
+                    );
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 7 * 6, "corpus shrank: {checked} comparisons");
 }

@@ -62,6 +62,11 @@ impl EvalState {
         self.rels.get(key)
     }
 
+    /// Remove a relation, handing it to the caller.
+    pub(crate) fn take(&mut self, key: &PredKey) -> Option<Relation> {
+        self.rels.remove(key)
+    }
+
     /// True when the key has been installed (even if empty).
     pub fn has(&self, key: &PredKey) -> bool {
         self.rels.contains_key(key)
@@ -117,6 +122,18 @@ struct WorkItem<'a> {
 }
 
 impl WorkItem<'_> {
+    /// Tuples this item feeds through its rule body: the delta shard it
+    /// replays, or — for a full (round 0, naive) item — the relation its
+    /// first step scans. A function of the round's input sizes only, never
+    /// of the thread count.
+    fn estimated_work(&self, state: &EvalState) -> usize {
+        match (self.delta, self.plan.steps.first()) {
+            (Some((_, shard)), _) => shard.len(),
+            (None, Some(Step::Atom(first))) => state.get(&first.key).map_or(0, Relation::len),
+            (None, _) => 1,
+        }
+    }
+
     /// The profile record for this item's execution.
     fn record(&self, out_len: usize, stats: EvalStats, wall_nanos: u64) -> ItemRec {
         ItemRec {
@@ -139,10 +156,16 @@ const MAX_DELTA_SHARDS: usize = 8;
 /// delta only buys scheduling overhead.
 const SHARD_MIN_TUPLES: usize = 64;
 
-/// Estimated round work (in delta tuples) below which the round runs on the
-/// calling thread. Thread-count-independent, so it only affects scheduling,
-/// never results.
-const PARALLEL_MIN_WORK: usize = 256;
+/// Estimated round work (in tuples fed to rule bodies, see
+/// [`WorkItem::estimated_work`]) below which the round runs on the calling
+/// thread. Thread-count-independent, so it only affects scheduling, never
+/// results. Measured (EXPERIMENTS.md, "fan-out threshold"): spawning and
+/// joining a round's workers costs about 70 µs and a delta tuple about
+/// 0.3–0.5 µs of join and insert work, so from 4096 tuples up the fan-out
+/// overhead stays under ~5 % of the round; at the former 256, the 1001
+/// rounds of a 1000-edge chain (≤ 999 tuples each) all paid it and ran
+/// 40 % slower than on one thread.
+const PARALLEL_MIN_WORK: usize = 4096;
 
 /// Number of shards for a delta of `n` tuples.
 ///
@@ -206,17 +229,29 @@ fn run_round(
     threads: usize,
     governor: &Governor,
     stats: &mut EvalStats,
+    recs: Option<&mut Vec<ItemRec>>,
+) -> CoreResult<Vec<(SymbolId, Tuple)>> {
+    // Estimate the round's work to skip thread spawn for small rounds. The
+    // estimate uses no thread-dependent input, so the serial/parallel
+    // decision is the same for a given round regardless of `threads` — and
+    // either path computes the same result.
+    let est: usize = items.iter().map(|it| it.estimated_work(state)).sum();
+    let workers = if est < PARALLEL_MIN_WORK { 1 } else { threads };
+    run_items(state, items, workers, governor, stats, recs)
+}
+
+/// [`run_round`] after the scheduling decision: `workers <= 1` (or a single
+/// item) runs on the calling thread, anything else on a scoped pool of at
+/// most `workers` threads.
+fn run_items(
+    state: &EvalState,
+    items: &[WorkItem<'_>],
+    workers: usize,
+    governor: &Governor,
+    stats: &mut EvalStats,
     mut recs: Option<&mut Vec<ItemRec>>,
 ) -> CoreResult<Vec<(SymbolId, Tuple)>> {
-    // Estimate the round's work to skip thread spawn for tiny rounds. Full
-    // (round 0) items count as heavy; the estimate uses no thread-dependent
-    // input, so the serial/parallel decision is the same for a given round
-    // regardless of `threads` — and either path computes the same result.
-    let est: usize = items
-        .iter()
-        .map(|it| it.delta.map_or(PARALLEL_MIN_WORK, |(_, d)| d.len()))
-        .sum();
-    if threads <= 1 || items.len() <= 1 || est < PARALLEL_MIN_WORK {
+    if workers <= 1 || items.len() <= 1 {
         if let Some(recs) = recs {
             // Profiled serial path: per-item local stats so counters can be
             // attributed, merged into `stats` exactly as the parallel path
@@ -245,7 +280,7 @@ fn run_round(
     type Slot = Option<CoreResult<(Vec<(SymbolId, Tuple)>, EvalStats, u64)>>;
     let profiling = recs.is_some();
     let mut slots: Vec<Slot> = items.iter().map(|_| None).collect();
-    let chunk = items.len().div_ceil(threads.min(items.len()));
+    let chunk = items.len().div_ceil(workers.min(items.len()));
     std::thread::scope(|scope| {
         for (item_chunk, slot_chunk) in items.chunks(chunk).zip(slots.chunks_mut(chunk)) {
             scope.spawn(move || {
@@ -807,5 +842,111 @@ mod tests {
         assert_eq!(cloned_rel.len(), 2);
         let key: Tuple = vec![Value::Sym(i.intern("a"))].into();
         assert_eq!(cloned_rel.probe(&[0], &key).len(), 1);
+    }
+
+    /// A small multi-rule program over a 40-edge ring with chords, its
+    /// installed state, and (via the returned program) its plans.
+    fn ring_fixture() -> (crate::ValidatedProgram, EvalState) {
+        let program = crate::ValidatedProgram::parse(
+            "tc(X, Y) :- e(X, Y).
+             tc(X, Z) :- e(X, Y), e(Y, Z).
+             hop(X, Z) :- e(X, Y), e(Y, Z), not e(X, Z).
+             far(X, M) :- e(X, Y), d(Y, N), plus(N, 1, M).",
+            std::sync::Arc::new(Interner::new()),
+        )
+        .unwrap();
+        let mut db = idlog_storage::Database::with_interner(program.interner().clone());
+        let mut facts = String::new();
+        for n in 0..40 {
+            facts.push_str(&format!("e(v{n}, v{}). d(v{n}, {n}).\n", (n + 1) % 40));
+            if n % 3 == 0 {
+                facts.push_str(&format!("e(v{n}, v{}).\n", (n + 7) % 40));
+            }
+        }
+        crate::load_facts(&facts, &mut db).unwrap();
+        let mut state = EvalState::new();
+        crate::eval::install_for_enumeration(&program, &db, &mut state, Default::default())
+            .unwrap();
+        (program, state)
+    }
+
+    /// The scoped pool merges worker output in work-item order, so at any
+    /// worker count the derivations, statistics and profile records equal
+    /// the serial path's. Driven through [`run_items`] because rounds this
+    /// small never reach the pool through [`run_round`]'s threshold.
+    #[test]
+    fn pooled_rounds_merge_exactly_like_the_serial_path() {
+        let (program, mut state) = ring_fixture();
+        let plans: Vec<&RulePlan> = program.plans().iter().collect();
+        state.ensure_indexes(&plans);
+        let e = program.interner().get("e").unwrap();
+        let edges: Vec<Tuple> = state
+            .get(&PredKey::Ordinary(e))
+            .unwrap()
+            .iter()
+            .cloned()
+            .collect();
+        // Full items for every plan, then every e-step of every plan
+        // replayed against four uneven shards of the edge list.
+        let mut items: Vec<WorkItem> = plans
+            .iter()
+            .map(|&plan| WorkItem { plan, delta: None })
+            .collect();
+        for &plan in &plans {
+            for si in plan.atom_steps_on(e) {
+                for shard in [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]] {
+                    items.push(WorkItem {
+                        plan,
+                        delta: Some((si, shard)),
+                    });
+                }
+            }
+        }
+        let governor = Governor::new(crate::govern::Limits::none(), None);
+        let run = |workers: usize| {
+            let mut stats = EvalStats::default();
+            let mut recs = Vec::new();
+            let out = run_items(
+                &state,
+                &items,
+                workers,
+                &governor,
+                &mut stats,
+                Some(&mut recs),
+            )
+            .unwrap();
+            let recs: Vec<_> = recs
+                .iter()
+                .map(|r| (r.clause, r.delta_step, r.delta_tuples, r.out_len, r.stats))
+                .collect();
+            (out, stats, recs)
+        };
+        let serial = run(1);
+        assert!(serial.0.len() > 100, "fixture derives too little");
+        for workers in [2usize, 3, 7, 64] {
+            assert_eq!(run(workers), serial, "{workers} workers");
+        }
+        // The unprofiled pool agrees too.
+        let mut stats = EvalStats::default();
+        let out = run_items(&state, &items, 3, &governor, &mut stats, None).unwrap();
+        assert_eq!((out, stats), (serial.0, serial.1));
+    }
+
+    /// A round's work estimate is the tuples it feeds to rule bodies: a full
+    /// item counts the relation its first step scans, a delta item its shard.
+    #[test]
+    fn work_estimate_follows_input_sizes() {
+        let (program, state) = ring_fixture();
+        let e = program.interner().get("e").unwrap();
+        let edges = state.get(&PredKey::Ordinary(e)).unwrap().len();
+        let plan = &program.plans()[0];
+        let full = WorkItem { plan, delta: None };
+        assert_eq!(full.estimated_work(&state), edges);
+        let shard = vec![Tuple::empty(); 3];
+        let delta = WorkItem {
+            plan,
+            delta: Some((0, &shard)),
+        };
+        assert_eq!(delta.estimated_work(&state), 3);
     }
 }

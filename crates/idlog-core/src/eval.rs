@@ -41,6 +41,15 @@ impl EvalOutput {
         self.state.get(&PredKey::Ordinary(id))
     }
 
+    /// Move the relation computed for `name` out of this output (a later
+    /// [`EvalOutput::relation`] for it returns `None`). For callers that
+    /// own the output and keep one relation: moving skips the copy of the
+    /// tuple store and its indexes that cloning would make.
+    pub fn take_relation(&mut self, name: &str) -> Option<Relation> {
+        let id = self.interner.get(name)?;
+        self.state.take(&PredKey::Ordinary(id))
+    }
+
     /// A materialized ID-relation `name[grouping]` (0-based grouping), if the
     /// program used it.
     pub fn id_relation(&self, name: &str, grouping: &[usize]) -> Option<&Relation> {

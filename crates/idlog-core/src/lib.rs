@@ -71,8 +71,8 @@ pub use relevance::{
     RefusalReason, RelevanceAnalysis, RelevanceRefusal, RelevanceStep, MAGIC_PREFIX,
 };
 pub use service::{
-    negotiate_schema, render_answers, render_tuple, FactValue, Request, Response, RunRequest,
-    ServeMode, SERVICE_SCHEMA, SUPPORTED_SCHEMAS,
+    negotiate_schema, render_answers, FactValue, Request, Response, RunRequest, ServeMode,
+    SERVICE_SCHEMA, SUPPORTED_SCHEMAS,
 };
 pub use stats::EvalStats;
 pub use taint::{analyze_taint, choice_free_occurrence, TaintAnalysis, TaintStep};

@@ -420,8 +420,7 @@ impl Query {
         }
         let mut out = evaluate_governed(&self.related, db, oracle, &options, cancel)?;
         let rel = out
-            .relation(&self.output)
-            .cloned()
+            .take_relation(&self.output)
             .expect("output predicate exists in the related program");
         Ok(EvalResult {
             relation: rel,
@@ -456,8 +455,7 @@ impl Query {
         let mut stats = out.stats();
         stats.tuples_pruned = crate::relevance::magic_tuples_pruned(magic, db, &out);
         let rel = out
-            .relation(&self.output)
-            .cloned()
+            .take_relation(&self.output)
             .expect("the rewrite keeps the output predicate's name");
         let mut profile = out.take_profile();
         if let Some(p) = profile.as_mut() {

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use idlog_common::{Interner, Json, Tuple, Value};
+use idlog_common::{Interner, Json, Value};
 use idlog_storage::{BackendKind, Relation};
 
 use crate::error::ErrorCode;
@@ -624,19 +624,17 @@ impl Response {
 /// evaluated, on either backend, at any thread count — render byte-
 /// identically.
 pub fn render_answers(rel: &Relation, interner: &Interner) -> Vec<String> {
-    rel.sorted_canonical(interner)
-        .iter()
-        .map(|t| render_tuple(t, interner))
+    let view = rel.canonical_view(interner);
+    // Render into one scratch buffer; each answer is then a single
+    // exact-size allocation.
+    let mut scratch = String::new();
+    (0..view.len())
+        .map(|row| {
+            scratch.clear();
+            view.render_row(row, ",", &mut scratch);
+            scratch.clone()
+        })
         .collect()
-}
-
-/// One tuple as a comma-joined value string.
-pub fn render_tuple(t: &Tuple, interner: &Interner) -> String {
-    t.values()
-        .iter()
-        .map(|v| v.display(interner).to_string())
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]

@@ -37,10 +37,12 @@ fn setup(src: &str, facts: &[(&str, &[&str])]) -> (ValidatedProgram, Database) {
     (program, db)
 }
 
-/// A two-layer tree: root → 16 middle nodes → 16 leaves each. Transitive
-/// closure runs few rounds, but the deltas (272, then 256 tuples) are large
-/// enough to cross the engine's parallel-round threshold and shard.
-fn two_layer_tree() -> (ValidatedProgram, Database) {
+/// root → 64 sources → one hub → 64 sinks. The closure's third round
+/// replays a delta holding all 64 × 64 source→sink paths — 4097 tuples from
+/// only 192 edges, enough to cross the engine's parallel-round threshold
+/// (4096) and shard — and derives every root→sink path 64 times over, so
+/// the pooled round's merge and dedup do real work.
+fn fan_in_fan_out() -> (ValidatedProgram, Database) {
     let interner = Arc::new(Interner::new());
     let program = ValidatedProgram::parse(
         "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
@@ -48,12 +50,10 @@ fn two_layer_tree() -> (ValidatedProgram, Database) {
     )
     .unwrap();
     let mut db = Database::with_interner(interner);
-    for m in 0..16 {
-        db.insert_syms("e", &["root", &format!("m{m}")]).unwrap();
-        for l in 0..16 {
-            db.insert_syms("e", &[&format!("m{m}"), &format!("l{m}_{l}")])
-                .unwrap();
-        }
+    for n in 0..64 {
+        db.insert_syms("e", &["root", &format!("src{n}")]).unwrap();
+        db.insert_syms("e", &[&format!("src{n}"), "hub"]).unwrap();
+        db.insert_syms("e", &["hub", &format!("sink{n}")]).unwrap();
     }
     (program, db)
 }
@@ -167,9 +167,9 @@ fn seeded_oracle_is_call_order_independent() {
 
 #[test]
 fn thread_count_changes_nothing_on_recursion() {
-    // Deltas of 272 and 256 tuples exceed the parallel-round threshold, so
-    // the scoped-pool path really runs (sharded) at 2 and 8 threads.
-    let (program, db) = two_layer_tree();
+    // The 4097-tuple delta reaches the parallel-round threshold, so the
+    // scoped-pool path really runs (sharded) at 2 and 8 threads.
+    let (program, db) = fan_in_fan_out();
     for backend in BACKENDS {
         let baseline = evaluate_with_options(
             &program,
@@ -178,10 +178,10 @@ fn thread_count_changes_nothing_on_recursion() {
             &EvalOptions::serial().backend(backend),
         )
         .unwrap();
-        // 272 edges + 256 root→leaf paths.
+        // 192 edges + root→hub + 4096 source→sink + 64 root→sink paths.
         assert_eq!(
             baseline.relation("tc").unwrap().len(),
-            528,
+            4353,
             "fixture sanity"
         );
         for threads in [2usize, 8] {
@@ -205,7 +205,9 @@ fn thread_count_changes_nothing_on_recursion() {
 #[test]
 fn thread_count_changes_nothing_on_multi_rule_strata() {
     // Several rules per stratum + negation + ID-literals: round 0 fans out
-    // across plans, delta rounds across (plan, step) items.
+    // across plans, delta rounds across (plan, step) items. The 2100 extra
+    // start nodes lift the recursive stratum's rounds (2 rules × 2100
+    // tuples) over the parallel-round threshold.
     let src = "
         reach(X) :- start(X).
         reach(Y) :- reach(X), e(X, Y).
@@ -227,7 +229,10 @@ fn thread_count_changes_nothing_on_multi_rule_strata() {
     let rels = ["reach", "alt", "dead", "pick"];
     for strategy in [Strategy::SemiNaive, Strategy::Naive] {
         for backend in BACKENDS {
-            let (program, db) = setup(src, facts);
+            let (program, mut db) = setup(src, facts);
+            for s in 0..2100 {
+                db.insert_syms("start", &[&format!("s{s}")]).unwrap();
+            }
             let baseline = evaluate_with_options(
                 &program,
                 &db,
@@ -298,7 +303,7 @@ fn backends_agree_on_relations_and_stats() {
     // `programs/*.idl` corpus.)
     type Fixture = fn() -> (ValidatedProgram, Database);
     let cases: [(&str, Fixture, &[&str]); 2] = [
-        ("two_layer_tree", two_layer_tree, &["tc"]),
+        ("fan_in_fan_out", fan_in_fan_out, &["tc"]),
         (
             "multi_id",
             || setup(MULTI_ID_SRC, MULTI_ID_FACTS),
@@ -339,7 +344,7 @@ fn profile_is_identical_across_thread_counts() {
     // Deltas large enough that the sharded parallel path actually runs;
     // the profile (JSON and table, wall time excluded) must still be
     // byte-identical at every thread count.
-    let (program, db) = two_layer_tree();
+    let (program, db) = fan_in_fan_out();
     let run = |threads: usize| {
         evaluate_with_options(
             &program,
@@ -379,7 +384,7 @@ fn profile_is_identical_across_thread_counts() {
 
 #[test]
 fn profiling_does_not_change_results() {
-    let (program, db) = two_layer_tree();
+    let (program, db) = fan_in_fan_out();
     let plain =
         evaluate_with_options(&program, &db, &mut CanonicalOracle, &EvalOptions::new()).unwrap();
     let profiled = evaluate_with_options(
@@ -393,8 +398,8 @@ fn profiling_does_not_change_results() {
     assert_same_output(&plain, &profiled, &["tc"], "profiling on vs off");
 }
 
-/// A program whose round-0 delta is ~300 tuples per rule — enough to cross
-/// the parallel-round threshold and shard — and whose `plus` instances
+/// A program whose round 0 scans 4200 tuples — enough to cross the
+/// parallel-round threshold — and whose `plus` instances
 /// overflow for some pairs. The overflow error itself must be
 /// deterministic: parallel rounds report the first failing work item in
 /// work-item order, so every thread count sees the serial path's error.
@@ -404,7 +409,7 @@ fn overflow_fixture() -> (idlog_core::Query, Database) {
     let q = idlog_core::Query::parse(src, "sum").unwrap();
     let mut db = q.new_database();
     let mut facts = String::from("b(9223372036854775707).\n");
-    for i in 0..300 {
+    for i in 0..4200 {
         facts.push_str(&format!("a({i}).\n"));
     }
     idlog_core::load_facts(&facts, &mut db).unwrap();

@@ -31,11 +31,16 @@ fn with_failpoints<T>(spec: &str, f: impl FnOnce() -> T) -> T {
 
 const TC: &str = "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).";
 
+/// A 12-edge chain hanging off a 2100-leaf star: the chain gives the
+/// fixpoint its rounds, the star makes round 0 (two rules scanning 2112
+/// edges each) cross the engine's parallel-round threshold, so faults at
+/// `threads > 1` really fire inside the scoped pool.
 fn tc_query() -> (Query, idlog_core::Database) {
     let q = Query::parse(TC, "tc").unwrap();
     let mut db = q.new_database();
     let chain: String = (0..12).map(|i| format!("e({i}, {}).\n", i + 1)).collect();
-    idlog_core::load_facts(&chain, &mut db).unwrap();
+    let star: String = (100..2200).map(|i| format!("e(99, {i}).\n")).collect();
+    idlog_core::load_facts(&(chain + &star), &mut db).unwrap();
     (q, db)
 }
 

@@ -5,49 +5,9 @@
 //! have the same value on each attribute in s." ID-functions are chosen per
 //! sub-relation, so grouping is the first step of every tid assignment.
 
-use idlog_common::{FxHashMap, Interner, SymbolId, Tuple, Value};
+use idlog_common::{FxHashMap, Interner, Tuple};
 
 use crate::relation::Relation;
-
-/// Rank every symbol occurring in `tuples` by name: `ranks[sym]` is the
-/// symbol's position in name order. One interner pass per call, so sorting
-/// by [`canonical_key`] needs no further interner access.
-pub(crate) fn symbol_ranks<'a>(
-    tuples: impl Iterator<Item = &'a Tuple>,
-    interner: &Interner,
-) -> FxHashMap<SymbolId, u32> {
-    let mut syms: Vec<SymbolId> = Vec::new();
-    let mut seen: FxHashMap<SymbolId, ()> = FxHashMap::default();
-    for t in tuples {
-        for v in t.values() {
-            if let Value::Sym(s) = v {
-                if seen.insert(*s, ()).is_none() {
-                    syms.push(*s);
-                }
-            }
-        }
-    }
-    let mut named: Vec<(String, SymbolId)> =
-        syms.into_iter().map(|s| (interner.resolve(s), s)).collect();
-    named.sort();
-    named
-        .into_iter()
-        .enumerate()
-        .map(|(rank, (_, s))| (s, rank as u32))
-        .collect()
-}
-
-/// A cheap, canonical sort key for one tuple under a [`symbol_ranks`] map:
-/// integers order before symbols (matching [`idlog_common::Value::cmp_canonical`]).
-pub(crate) fn canonical_key(t: &Tuple, ranks: &FxHashMap<SymbolId, u32>) -> Vec<(u8, i64)> {
-    t.values()
-        .iter()
-        .map(|v| match v {
-            Value::Int(n) => (0u8, *n),
-            Value::Sym(s) => (1u8, i64::from(ranks[s])),
-        })
-        .collect()
-}
 
 /// A relation partitioned into sub-relations by a grouping attribute set.
 ///

@@ -31,7 +31,7 @@ pub use group::{group_by, Grouping};
 pub use idrel::TidOrder;
 pub use idrel::{make_id_relation, IdAssignment};
 pub use index::Index;
-pub use relation::Relation;
+pub use relation::{CanonicalView, Relation};
 pub use storage::{
     estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend, Probe,
     ScanIter, Storage,

@@ -1,6 +1,12 @@
 //! Typed finite relations over a pluggable storage backend.
 
-use idlog_common::{CommonError, CommonResult, FxHashSet, Interner, RelType, Sort, Tuple, Value};
+use std::fmt::Write as _;
+use std::io;
+
+use idlog_common::{
+    CommonError, CommonResult, FxHashMap, FxHashSet, Interner, RelType, Sort, SymbolId, Tuple,
+    Value,
+};
 
 use crate::storage::{
     estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, Probe, ScanIter, Storage,
@@ -37,7 +43,7 @@ macro_rules! dispatch_mut {
 /// The tuple store is one of the [`crate::storage`] backends (hash by
 /// default; see [`Relation::new_in`] / [`Relation::to_backend`]); this type
 /// layers the declared [`RelType`] and sort checking on top.
-/// [`Relation::sorted_canonical`] materializes a canonical order when one is
+/// [`Relation::canonical_view`] gives a canonical order when one is
 /// needed (display, canonical tid assignment).
 #[derive(Clone, Debug)]
 pub struct Relation {
@@ -243,17 +249,18 @@ impl Relation {
         dispatch!(self, b => b.scan())
     }
 
-    /// All tuples in canonical (name-based) order. Deterministic across runs
-    /// and interning orders.
-    ///
-    /// Implementation note: comparing through [`Tuple::cmp_canonical`] locks
-    /// the interner per comparison; instead symbols are ranked by name once
-    /// per call and tuples sorted by cheap integer keys.
+    /// A borrowed view of this relation in canonical (name-based) order —
+    /// the one ordering every consumer shares. See [`CanonicalView`].
+    pub fn canonical_view<'a>(&'a self, interner: &Interner) -> CanonicalView<'a> {
+        CanonicalView::new(self.arity(), self.iter().collect(), interner)
+    }
+
+    /// All tuples in canonical (name-based) order, as owned copies.
+    /// Deterministic across runs and interning orders. Callers that only
+    /// read or print the tuples should use [`Relation::canonical_view`],
+    /// which clones nothing.
     pub fn sorted_canonical(&self, interner: &Interner) -> Vec<Tuple> {
-        let ranks = crate::group::symbol_ranks(self.iter(), interner);
-        let mut v: Vec<Tuple> = self.iter().cloned().collect();
-        v.sort_by_cached_key(|t| crate::group::canonical_key(t, &ranks));
-        v
+        self.canonical_view(interner).iter().cloned().collect()
     }
 
     /// Set-equality with another relation (types must match too). Works
@@ -267,7 +274,7 @@ impl Relation {
     /// All symbols appearing in a column of declared sort `u`. Columns of
     /// sort `i` are skipped even if (through unchecked inserts) they held a
     /// symbol.
-    pub fn u_constants(&self) -> FxHashSet<idlog_common::SymbolId> {
+    pub fn u_constants(&self) -> FxHashSet<SymbolId> {
         let mut out = FxHashSet::default();
         for t in self.iter() {
             for (i, v) in t.values().iter().enumerate() {
@@ -299,6 +306,143 @@ impl PartialEq for Relation {
 }
 
 impl Eq for Relation {}
+
+/// One column of a canonical sort key: integers (tag 0, by value) order
+/// before symbols (tag 1, by name rank), matching
+/// [`Value::cmp_canonical`].
+type KeyPart = (u8, i64);
+
+/// A relation's tuples in canonical (name-based) order, borrowed: the
+/// order is a permutation over the backend's scan order, so no tuple is
+/// cloned and nothing is allocated per tuple.
+///
+/// Building the view ranks the relation's distinct symbols by name and
+/// resolves each name once; sorting compares flat integer keys and
+/// rendering reads the rank → name table, so neither touches the interner
+/// again. Canonical order is a function of relation *content* only — any
+/// two relations holding the same set, on either backend, iterate and
+/// render identically.
+pub struct CanonicalView<'a> {
+    arity: usize,
+    /// The tuples in scan order.
+    tuples: Vec<&'a Tuple>,
+    /// Sort keys in scan order, flat: tuple `i` owns
+    /// `keys[i * arity..][..arity]`.
+    keys: Vec<KeyPart>,
+    /// Canonical position → scan position.
+    perm: Vec<u32>,
+    /// Symbol rank → name.
+    names: Vec<Box<str>>,
+}
+
+impl<'a> CanonicalView<'a> {
+    fn new(arity: usize, tuples: Vec<&'a Tuple>, interner: &Interner) -> Self {
+        assert!(
+            u32::try_from(tuples.len()).is_ok(),
+            "relation exceeds the u32 offset range of the tuple stores"
+        );
+        let mut ranks: FxHashMap<SymbolId, u32> = FxHashMap::default();
+        for t in &tuples {
+            for v in t.values() {
+                if let Value::Sym(s) = v {
+                    ranks.entry(*s).or_insert(0);
+                }
+            }
+        }
+        // Distinct symbols have distinct names, so the sorted order (and
+        // with it every rank) is independent of the map's iteration order.
+        let mut named: Vec<(Box<str>, SymbolId)> = ranks
+            .keys()
+            .map(|&s| (interner.with_resolved(s, |name| Box::from(name)), s))
+            .collect();
+        named.sort_unstable();
+        let mut names = Vec::with_capacity(named.len());
+        for (rank, (name, s)) in named.into_iter().enumerate() {
+            ranks.insert(s, rank as u32);
+            names.push(name);
+        }
+
+        let mut keys: Vec<KeyPart> = Vec::with_capacity(tuples.len() * arity);
+        for t in &tuples {
+            debug_assert_eq!(t.arity(), arity, "ill-typed tuple in relation");
+            keys.extend(t.values().iter().map(|v| match v {
+                Value::Int(n) => (0u8, *n),
+                Value::Sym(s) => (1u8, i64::from(ranks[s])),
+            }));
+        }
+        let key = |i: u32| &keys[i as usize * arity..][..arity];
+        let mut perm: Vec<u32> = (0..tuples.len() as u32).collect();
+        // A relation is a set: distinct tuples have distinct keys, so the
+        // unstable sort has no ties to reorder.
+        perm.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        CanonicalView {
+            arity,
+            tuples,
+            keys,
+            perm,
+            names,
+        }
+    }
+
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.perm.len()
+    }
+
+    /// True when the relation holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.perm.is_empty()
+    }
+
+    /// The tuples in canonical order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Tuple> + '_ {
+        self.perm.iter().map(|&i| self.tuples[i as usize])
+    }
+
+    /// Append the values of the tuple at canonical position `row` to
+    /// `buf`, joined by `sep` (`v1,v2` on the wire). Panics when `row` is
+    /// out of range.
+    pub fn render_row(&self, row: usize, sep: &str, buf: &mut String) {
+        let start = self.perm[row] as usize * self.arity;
+        for (i, &(tag, n)) in self.keys[start..][..self.arity].iter().enumerate() {
+            if i > 0 {
+                buf.push_str(sep);
+            }
+            if tag == 0 {
+                // Writing to a `String` cannot fail.
+                let _ = write!(buf, "{n}");
+            } else {
+                buf.push_str(&self.names[n as usize]);
+            }
+        }
+    }
+
+    /// Append the tuple at canonical position `row` to `buf` as one
+    /// `prefix(v1, v2)` line — `prefix` followed by [`Tuple::display`] and a
+    /// newline. Panics when `row` is out of range.
+    pub fn render_fact(&self, row: usize, prefix: &str, buf: &mut String) {
+        buf.push_str(prefix);
+        buf.push('(');
+        self.render_row(row, ", ", buf);
+        buf.push_str(")\n");
+    }
+
+    /// Write every tuple to `out` as [`CanonicalView::render_fact`] lines in
+    /// canonical order, in large chunks: the cost per row is formatting,
+    /// never a system call, whatever buffering `out` has.
+    pub fn write_facts(&self, prefix: &str, out: &mut impl io::Write) -> io::Result<()> {
+        const CHUNK: usize = 64 * 1024;
+        let mut buf = String::with_capacity(CHUNK + 256);
+        for row in 0..self.len() {
+            self.render_fact(row, prefix, &mut buf);
+            if buf.len() >= CHUNK {
+                out.write_all(buf.as_bytes())?;
+                buf.clear();
+            }
+        }
+        out.write_all(buf.as_bytes())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -351,6 +495,35 @@ mod tests {
             .map(|t| t[0].as_sym().map(|s| i.resolve(s)).unwrap())
             .collect();
         assert_eq!(names, ["ant", "mid", "zoo"]);
+    }
+
+    #[test]
+    fn write_facts_chunks_large_outputs_without_losing_rows() {
+        /// Records each `write` call's size.
+        struct Chunks(Vec<u8>, Vec<usize>);
+        impl io::Write for Chunks {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let i = Interner::new();
+        let mut r = Relation::new(RelType::new(vec![Sort::I, Sort::U]));
+        for n in (0..9000).rev() {
+            r.insert(vec![Value::Int(n), sym(&i, "row")].into())
+                .unwrap();
+        }
+        let view = r.canonical_view(&i);
+        let mut out = Chunks(Vec::new(), Vec::new());
+        view.write_facts("p", &mut out).unwrap();
+        let expected: String = (0..9000).map(|n| format!("p({n}, row)\n")).collect();
+        assert_eq!(String::from_utf8(out.0).unwrap(), expected);
+        // ~120 KB leaves in a few large writes, not one per row.
+        assert!((2..=4).contains(&out.1.len()), "{:?}", out.1);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 
-use idlog_common::{Interner, Tuple, Value};
+use idlog_common::{Interner, RelType, Sort, Tuple, Value};
 use idlog_storage::{
-    count_bounded_assignments, count_id_functions, group_by, make_id_relation,
+    count_bounded_assignments, count_id_functions, group_by, make_id_relation, BackendKind,
     BoundedAssignmentIter, IdAssignment, IdAssignmentIter, Relation,
 };
 
@@ -26,7 +26,97 @@ fn arb_relation() -> impl Strategy<Value = (Interner, Relation)> {
     })
 }
 
+/// Symbol names whose order by name disagrees with their order by length,
+/// by case and — interned last to first — by interning order.
+const NAMES: [&str; 7] = ["B", "a", "a_1", "ab", "b", "b0", "zz"];
+
+/// A random relation of arity 0–4 whose columns mix both sorts, built on
+/// `kind` by point inserts in random order (duplicates included). Ints
+/// straddle zero and include multi-digit values so numeric and textual
+/// order disagree.
+fn arb_mixed_relation() -> impl Strategy<Value = (Interner, Relation)> {
+    (
+        0usize..5,
+        proptest::collection::vec(any::<bool>(), 4),
+        proptest::collection::vec(proptest::collection::vec(0usize..7, 4), 0..14),
+        any::<bool>(),
+    )
+        .prop_map(|(arity, int_column, rows, columnar)| {
+            let interner = Interner::new();
+            for name in NAMES.iter().rev() {
+                interner.intern(name);
+            }
+            let sorts: Vec<Sort> = int_column[..arity]
+                .iter()
+                .map(|&int| if int { Sort::I } else { Sort::U })
+                .collect();
+            let kind = if columnar {
+                BackendKind::Columnar
+            } else {
+                BackendKind::Hash
+            };
+            let mut rel = Relation::new_in(RelType::new(sorts.clone()), kind);
+            for row in rows {
+                let t: Tuple = sorts
+                    .iter()
+                    .zip(row)
+                    .map(|(sort, k)| match sort {
+                        Sort::I => Value::Int([-3, 0, 2, 9, 10, 100, i64::MAX][k]),
+                        Sort::U => Value::Sym(interner.intern(NAMES[k])),
+                    })
+                    .collect();
+                rel.insert(t).unwrap();
+            }
+            (interner, rel)
+        })
+}
+
 proptest! {
+    /// The canonical view is the relation sorted by `Tuple::cmp_canonical`,
+    /// and its renderers print exactly what `Tuple::display` prints — on
+    /// both backends, for every arity (the 0-ary tuple included) and any
+    /// mix of sorts.
+    #[test]
+    fn canonical_view_orders_and_renders_like_the_tuple_methods(
+        (interner, rel) in arb_mixed_relation(),
+    ) {
+        let mut expected: Vec<Tuple> = rel.iter().cloned().collect();
+        expected.sort_by(|a, b| a.cmp_canonical(b, &interner));
+        let view = rel.canonical_view(&interner);
+        prop_assert_eq!(view.len(), rel.len());
+        prop_assert_eq!(view.is_empty(), rel.is_empty());
+        prop_assert_eq!(view.iter().cloned().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(rel.sorted_canonical(&interner), expected.clone());
+
+        let mut facts = String::new();
+        for (row, t) in expected.iter().enumerate() {
+            let mut fact = String::new();
+            view.render_fact(row, "p", &mut fact);
+            prop_assert_eq!(&fact, &format!("p{}\n", t.display(&interner)));
+            facts.push_str(&fact);
+
+            let mut wire = String::new();
+            view.render_row(row, ",", &mut wire);
+            let joined: Vec<String> = t
+                .values()
+                .iter()
+                .map(|v| v.display(&interner).to_string())
+                .collect();
+            prop_assert_eq!(wire, joined.join(","));
+        }
+        let mut written: Vec<u8> = Vec::new();
+        view.write_facts("p", &mut written).unwrap();
+        prop_assert_eq!(String::from_utf8(written).unwrap(), facts);
+
+        // The order is a function of content, not of backend or history.
+        let other = match rel.backend_kind() {
+            BackendKind::Hash => BackendKind::Columnar,
+            BackendKind::Columnar => BackendKind::Hash,
+        };
+        let moved = rel.clone().to_backend(other);
+        prop_assert_eq!(moved.sorted_canonical(&interner), expected);
+    }
+
     /// Grouping is a partition: every tuple in exactly one group, keys match.
     #[test]
     fn grouping_partitions((interner, rel) in arb_relation(), by_first in any::<bool>()) {
