@@ -922,8 +922,8 @@ fn e20(r: &Report) {
     );
 
     // (a) Overhead on a terminating fixture: transitive closure on the
-    // 16x16 grid (the parallel_scaling bench workload), ungoverned vs
-    // under generous ceilings, best-of-5 each to shed scheduler noise.
+    // 16x16 grid (wide per-round deltas), ungoverned vs under generous
+    // ceilings, best-of-5 each to shed scheduler noise.
     let interner = Arc::new(Interner::new());
     let db = idlog_bench::grid_db(&interner, 16, 16);
     let q = Query::parse_with_interner(
@@ -1022,9 +1022,9 @@ fn e20(r: &Report) {
         format!("{} tuple(s), identical = {identical}", partials[0].0.len()),
     );
 
-    // The overhead bound in DESIGN.md is < 2% on the criterion bench; a
-    // single best-of-5 in a shared CI runner is noisier, so the hard gate
-    // here is looser while the functional claims stay exact.
+    // DESIGN.md states the overhead as < 2%; a single best-of-5 in a shared
+    // CI runner is noisier than that, so the hard gate here is looser while
+    // the functional claims stay exact.
     let ok = ratio < 1.25 && deadline_ok && identical && stop_elapsed.as_secs() < 30;
     r.verdict(
         ok,

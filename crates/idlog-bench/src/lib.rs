@@ -1,12 +1,12 @@
 //! Shared workload generators and experiment plumbing for the IDLOG
-//! reproduction benchmarks.
+//! reproduction's `experiments` report.
 //!
 //! The paper (SIGMOD 1991) is a language paper without an empirical
 //! section; the workloads here are synthesized from its quantitative
 //! *claims* (see `DESIGN.md`'s experiment index E1–E14): employee/department
 //! grouping for the sampling queries, key/fanout/witness joins for the
-//! existential-argument optimization, chains and trees for the recursive
-//! engine baselines.
+//! existential-argument optimization, grids for the recursive engine
+//! baselines.
 
 #![warn(missing_docs)]
 
@@ -44,16 +44,6 @@ pub fn zy_db(interner: &Arc<Interner>, keys: usize, fanout: usize, witnesses: us
     db
 }
 
-/// A linear edge chain `e(v0, v1), …, e(v{n-1}, v{n})`.
-pub fn chain_db(interner: &Arc<Interner>, n: usize) -> Database {
-    let mut db = Database::with_interner(Arc::clone(interner));
-    for k in 0..n {
-        db.insert_syms("e", &[&format!("v{k}"), &format!("v{}", k + 1)])
-            .expect("facts");
-    }
-    db
-}
-
 /// A `w × h` grid graph. Node `(i, j)` gets `e` edges to `(i+1, j)` and
 /// `(i, j+1)`, matching `par(child, parent)` edges pointing back toward the
 /// origin, and a `person` fact. Unlike a chain, transitive closure and
@@ -78,21 +68,6 @@ pub fn grid_db(interner: &Arc<Interner>, w: usize, h: usize) -> Database {
                     .expect("facts");
             }
         }
-    }
-    db
-}
-
-/// A complete binary tree with `levels` levels: `par(child, parent)` and
-/// `person(node)` facts.
-pub fn tree_db(interner: &Arc<Interner>, levels: u32) -> Database {
-    let mut db = Database::with_interner(Arc::clone(interner));
-    let n = (1u32 << levels) - 1;
-    db.insert_syms("person", &["v1"]).expect("facts");
-    for child in 2..=n {
-        db.insert_syms("par", &[&format!("v{child}"), &format!("v{}", child / 2)])
-            .expect("facts");
-        db.insert_syms("person", &[&format!("v{child}")])
-            .expect("facts");
     }
     db
 }
@@ -137,15 +112,11 @@ mod tests {
     fn generators_have_expected_sizes() {
         let i = Arc::new(Interner::new());
         assert_eq!(emp_db(&i, 3, 4).relation("emp").unwrap().len(), 12);
-        assert_eq!(chain_db(&i, 5).relation("e").unwrap().len(), 5);
         let g = grid_db(&i, 3, 4);
         assert_eq!(g.relation("person").unwrap().len(), 12);
         // (w-1)·h right edges + w·(h-1) down edges.
         assert_eq!(g.relation("e").unwrap().len(), 2 * 4 + 3 * 3);
         assert_eq!(g.relation("par").unwrap().len(), 2 * 4 + 3 * 3);
-        let t = tree_db(&i, 3);
-        assert_eq!(t.relation("person").unwrap().len(), 7);
-        assert_eq!(t.relation("par").unwrap().len(), 6);
         let z = zy_db(&i, 2, 3, 4);
         assert_eq!(z.relation("q").unwrap().len(), 2);
         assert_eq!(z.relation("z").unwrap().len(), 6);
@@ -165,7 +136,7 @@ mod tests {
         assert_eq!(src.matches("!=").count(), 3);
     }
 
-    /// Memory side of the `index_maintenance` before/after check: the
+    /// Why relations index by offset (DESIGN.md decision 12): the
     /// legacy [`idlog_storage::Index`] clones every tuple (plus a projected
     /// key per distinct key) into its per-key vectors, while backend
     /// indexes store one `u32` offset per tuple.

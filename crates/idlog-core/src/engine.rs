@@ -9,6 +9,15 @@
 //! positive same-stratum atom step replayed against the newly derived tuples
 //! — until no new facts appear.
 //!
+//! **One executor, two views.** `run_rule` is the only code that executes
+//! a [`Step`]: generic (monomorphised, no `dyn`) over a `ReadView`, with a
+//! `Drive` naming the step a change set feeds. [`EvalState`] is the view
+//! that hides nothing and adds nothing — the fixpoint rounds, the model
+//! checker and DRed's rederive/insert phases read it; DRed's overdeletion
+//! reads the *old* state through `maintain::OldView`. The paper gives a rule
+//! body one meaning, and "incremental ≡ recompute" holds because that
+//! meaning is coded in one place.
+//!
 //! Rounds execute shared-nothing parallel: the work list (one item per rule
 //! in round 0; one item per (plan, delta step, delta shard) afterwards) is
 //! built in a deterministic order, fanned out over a [`std::thread::scope`]
@@ -81,28 +90,21 @@ impl EvalState {
     /// Ready every index the given plans will probe: each probing atom step
     /// gets [`Relation::ensure_index`] on its bound positions. A no-op once
     /// the index exists — backends maintain indexes incrementally from then
-    /// on.
-    fn ensure_indexes(&mut self, plans: &[&RulePlan]) {
+    /// on. Every caller of [`run_rule`] does this first; probing without it
+    /// stays correct but degrades to a filtered scan.
+    pub(crate) fn ensure_indexes(&mut self, plans: &[&RulePlan]) {
         for plan in plans {
             for step in &plan.steps {
                 if let Step::Atom(a) = step {
                     if a.probe.is_empty() {
                         continue;
                     }
-                    let positions: Vec<usize> = a.probe.iter().map(|&(p, _)| p).collect();
                     if let Some(rel) = self.rels.get_mut(&a.key) {
-                        rel.ensure_index(&positions);
+                        rel.ensure_index(a.probe_positions());
                     }
                 }
             }
         }
-    }
-
-    /// Ready every index the given plans probe (public entry point for
-    /// read-only consumers like the model checker; evaluation calls the
-    /// internal version per iteration).
-    pub fn rebuild_indexes_for(&mut self, plans: &[&RulePlan]) {
-        self.ensure_indexes(plans);
     }
 
     /// Rough, deterministic estimate of the bytes held by every stored
@@ -114,11 +116,64 @@ impl EvalState {
     }
 }
 
-/// One unit of round work: a rule plan, optionally restricted to replaying
-/// one atom step against a shard of the round's delta.
+/// What an executing rule body sees of the stored relations: the viewed
+/// contents of `key` are the stored tuples that are not hidden plus the
+/// extras (disjoint parts). "Which state does a read see" is decided by the
+/// implementor and nowhere else.
+pub(crate) trait ReadView {
+    /// The stored relation behind `key` (scanned or probed by atom steps).
+    fn relation(&self, key: &PredKey) -> Option<&Relation>;
+
+    /// True when a stored tuple is not part of the viewed state.
+    fn hides(&self, key: &PredKey, t: &Tuple) -> bool;
+
+    /// Viewed tuples that are not stored. Atom steps replay them after the
+    /// stored matches, verifying probe positions per tuple.
+    fn extras(&self, key: &PredKey) -> &[Tuple];
+
+    /// Membership in the viewed state (negation steps).
+    fn contains(&self, key: &PredKey, t: &Tuple) -> bool;
+}
+
+/// The state as stored: nothing hidden, nothing extra — monomorphised, the
+/// executor over an `EvalState` is the plain scan/probe loop.
+impl ReadView for EvalState {
+    fn relation(&self, key: &PredKey) -> Option<&Relation> {
+        self.get(key)
+    }
+
+    fn hides(&self, _: &PredKey, _: &Tuple) -> bool {
+        false
+    }
+
+    fn extras(&self, _: &PredKey) -> &[Tuple] {
+        &[]
+    }
+
+    fn contains(&self, key: &PredKey, t: &Tuple) -> bool {
+        self.get(key).is_some_and(|rel| rel.contains(t))
+    }
+}
+
+/// Which step of a rule body, if any, is driven by a change set instead of
+/// reading the view.
+#[derive(Clone, Copy)]
+pub(crate) enum Drive<'a> {
+    /// Every step reads the view.
+    Full,
+    /// Atom step `.0` replays these tuples (a semi-naive delta shard or a
+    /// maintenance change set), verifying its probe positions per tuple.
+    Atom(usize, &'a [Tuple]),
+    /// Negation step `.0` passes exactly when its ground tuple is in the
+    /// set: the instantiations whose negated literal flipped because the
+    /// relation it tests changed by these tuples.
+    Negation(usize, &'a FxHashSet<Tuple>),
+}
+
+/// One unit of round work: a rule plan and what drives it.
 struct WorkItem<'a> {
     plan: &'a RulePlan,
-    delta: Option<(usize, &'a [Tuple])>,
+    drive: Drive<'a>,
 }
 
 impl WorkItem<'_> {
@@ -127,19 +182,23 @@ impl WorkItem<'_> {
     /// first step scans. A function of the round's input sizes only, never
     /// of the thread count.
     fn estimated_work(&self, state: &EvalState) -> usize {
-        match (self.delta, self.plan.steps.first()) {
-            (Some((_, shard)), _) => shard.len(),
-            (None, Some(Step::Atom(first))) => state.get(&first.key).map_or(0, Relation::len),
-            (None, _) => 1,
+        match (self.drive, self.plan.steps.first()) {
+            (Drive::Atom(_, shard), _) => shard.len(),
+            (_, Some(Step::Atom(first))) => state.get(&first.key).map_or(0, Relation::len),
+            _ => 1,
         }
     }
 
     /// The profile record for this item's execution.
     fn record(&self, out_len: usize, stats: EvalStats, wall_nanos: u64) -> ItemRec {
+        let (delta_step, delta_tuples) = match self.drive {
+            Drive::Atom(si, shard) => (Some(si), shard.len() as u64),
+            _ => (None, 0),
+        };
         ItemRec {
             clause: self.plan.clause_idx,
-            delta_step: self.delta.map(|(si, _)| si),
-            delta_tuples: self.delta.map_or(0, |(_, d)| d.len() as u64),
+            delta_step,
+            delta_tuples,
             out_len,
             stats,
             wall_nanos,
@@ -198,7 +257,7 @@ fn run_item(
             clause: Some(item.plan.clause_idx),
             message,
         })?;
-        run_rule(state, item.plan, item.delta, out, stats)
+        run_rule(state, item.plan, item.drive, out, stats)
     }))
     .unwrap_or_else(|payload| {
         Err(CoreError::Internal {
@@ -333,6 +392,12 @@ fn run_items(
     Ok(merged)
 }
 
+/// One full (undriven) item per rule: round 0 and every naive round.
+fn full_work_list<'a>(plans: &[&'a RulePlan]) -> Vec<WorkItem<'a>> {
+    let drive = Drive::Full;
+    plans.iter().map(|&plan| WorkItem { plan, drive }).collect()
+}
+
 /// Build the delta round's work list in deterministic (plan, step, shard)
 /// order. Only positive ordinary atom steps on same-stratum predicates with
 /// a non-empty delta contribute items.
@@ -359,7 +424,7 @@ fn delta_work_list<'a>(
             for shard in d.chunks(per_shard) {
                 items.push(WorkItem {
                     plan,
-                    delta: Some((si, shard)),
+                    drive: Drive::Atom(si, shard),
                 });
             }
         }
@@ -382,13 +447,7 @@ pub fn eval_stratum_naive(
     let mut round = 0usize;
     loop {
         state.ensure_indexes(plans);
-        let items: Vec<WorkItem> = plans
-            .iter()
-            .map(|p| WorkItem {
-                plan: p,
-                delta: None,
-            })
-            .collect();
+        let items = full_work_list(plans);
         let mut recs = prof.as_ref().map(|_| Vec::new());
         let out = run_round(state, &items, threads, governor, stats, recs.as_mut())?;
         let delta = absorb_contained(state, out, stats, recs.as_mut())?;
@@ -424,13 +483,7 @@ pub fn eval_stratum(
 ) -> CoreResult<()> {
     // Round 0: full evaluation of every rule.
     state.ensure_indexes(plans);
-    let full: Vec<WorkItem> = plans
-        .iter()
-        .map(|p| WorkItem {
-            plan: p,
-            delta: None,
-        })
-        .collect();
+    let full = full_work_list(plans);
     let mut recs = prof.as_ref().map(|_| Vec::new());
     let out = run_round(state, &full, threads, governor, stats, recs.as_mut())?;
     let mut delta = absorb_contained(state, out, stats, recs.as_mut())?;
@@ -494,7 +547,7 @@ fn absorb_contained(
 /// boundaries identifies the owner. Flags are computed per predicate but
 /// walked in global derivation order, so the attribution is identical to
 /// the former tuple-at-a-time insertion.
-fn absorb(
+pub(crate) fn absorb(
     state: &mut EvalState,
     out: Vec<(SymbolId, Tuple)>,
     stats: &mut EvalStats,
@@ -554,18 +607,27 @@ fn absorb(
     delta
 }
 
-/// Execute one rule, optionally replaying step `delta.0` against the delta
-/// tuples `delta.1` (a slice so callers can shard) instead of the stored
-/// relation.
-pub fn run_rule(
-    state: &EvalState,
+/// Execute one rule body over `view`, `drive` naming the step (if any) that
+/// a change set feeds. The only interpreter of a [`Step`] in the workspace:
+/// the fixpoint rounds, the model checker and every DRed phase come through
+/// here, differing only in the view they read and the step they drive.
+pub(crate) fn run_rule<V: ReadView>(
+    view: &V,
     plan: &RulePlan,
-    delta: Option<(usize, &[Tuple])>,
+    drive: Drive<'_>,
     out: &mut Vec<(SymbolId, Tuple)>,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
-    let mut bindings: Vec<Option<Value>> = vec![None; plan.n_vars];
-    exec(state, plan, 0, delta, &mut bindings, out, stats)
+    let bindings = vec![None; plan.n_vars];
+    RuleRun {
+        view,
+        plan,
+        drive,
+        bindings,
+        out,
+        stats,
+    }
+    .exec(0)
 }
 
 fn resolve(pat: TermPat, bindings: &[Option<Value>]) -> Value {
@@ -575,206 +637,196 @@ fn resolve(pat: TermPat, bindings: &[Option<Value>]) -> Value {
     }
 }
 
-fn exec(
-    state: &EvalState,
-    plan: &RulePlan,
-    si: usize,
-    delta: Option<(usize, &[Tuple])>,
-    bindings: &mut Vec<Option<Value>>,
-    out: &mut Vec<(SymbolId, Tuple)>,
-    stats: &mut EvalStats,
-) -> CoreResult<()> {
-    if si == plan.steps.len() {
-        stats.instantiations += 1;
-        let head: Tuple = plan.head.iter().map(|&p| resolve(p, bindings)).collect();
-        out.push((plan.head_pred, head));
-        return Ok(());
-    }
-    match &plan.steps[si] {
-        Step::Atom(astep) => {
-            let is_delta_step = delta.is_some_and(|(di, _)| di == si);
-            if is_delta_step {
-                let (_, dtuples) = delta.expect("delta step implies delta");
-                // Scan the (small) delta shard, re-checking probe positions.
-                for t in dtuples {
-                    stats.probes += 1;
-                    try_tuple(state, plan, si, astep, t, true, delta, bindings, out, stats)?;
-                }
-            } else if astep.probe.is_empty() {
-                let Some(rel) = state.get(&astep.key) else {
-                    return Ok(());
-                };
-                for t in rel.iter() {
-                    stats.probes += 1;
-                    try_tuple(
-                        state, plan, si, astep, t, false, delta, bindings, out, stats,
-                    )?;
-                }
-            } else {
-                let positions: Vec<usize> = astep.probe.iter().map(|&(p, _)| p).collect();
-                let key_tuple: Tuple = astep
-                    .probe
-                    .iter()
-                    .map(|&(_, pat)| resolve(pat, bindings))
-                    .collect();
-                let Some(rel) = state.get(&astep.key) else {
-                    // No relation installed → no matches.
-                    return Ok(());
-                };
-                for t in rel.probe(&positions, &key_tuple).iter() {
-                    stats.probes += 1;
-                    // Probe positions already match; only bind/check remain.
-                    try_tuple(
-                        state, plan, si, astep, t, false, delta, bindings, out, stats,
-                    )?;
-                }
-            }
-            Ok(())
-        }
-        Step::Negation { key, terms } => {
-            let t: Tuple = terms.iter().map(|&p| resolve(p, bindings)).collect();
-            stats.probes += 1;
-            let holds = state.get(key).is_some_and(|rel| rel.contains(&t));
-            if !holds {
-                exec(state, plan, si + 1, delta, bindings, out, stats)?;
-            }
-            Ok(())
-        }
-        Step::Builtin { op, args, bound } => {
-            stats.builtin_evals += 1;
-            exec_builtin(
-                state, plan, si, *op, args, bound, delta, bindings, out, stats,
-            )
-        }
-    }
+/// One rule execution in flight: what every level of the recursion shares.
+struct RuleRun<'a, V> {
+    view: &'a V,
+    plan: &'a RulePlan,
+    drive: Drive<'a>,
+    bindings: Vec<Option<Value>>,
+    out: &'a mut Vec<(SymbolId, Tuple)>,
+    stats: &'a mut EvalStats,
 }
 
-/// Match one candidate tuple against an atom step: verify probe positions
-/// (needed for delta scans), bind new variables, check repeats, recurse.
-#[allow(clippy::too_many_arguments)]
-fn try_tuple(
-    state: &EvalState,
-    plan: &RulePlan,
-    si: usize,
-    astep: &AtomStep,
-    t: &Tuple,
-    verify_probe: bool,
-    delta: Option<(usize, &[Tuple])>,
-    bindings: &mut Vec<Option<Value>>,
-    out: &mut Vec<(SymbolId, Tuple)>,
-    stats: &mut EvalStats,
-) -> CoreResult<()> {
-    if verify_probe {
-        for &(pos, pat) in &astep.probe {
-            if t[pos] != resolve(pat, bindings) {
-                return Ok(());
-            }
-        }
-    }
-    for &(pos, v) in &astep.bind {
-        bindings[v] = Some(t[pos]);
-    }
-    let checks_ok = astep
-        .check
-        .iter()
-        .all(|&(pos, v)| bindings[v].expect("bound earlier in step") == t[pos]);
-    if checks_ok {
-        exec(state, plan, si + 1, delta, bindings, out, stats)?;
-    }
-    for &(_, v) in &astep.bind {
-        bindings[v] = None;
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_builtin(
-    state: &EvalState,
-    plan: &RulePlan,
-    si: usize,
-    op: Builtin,
-    args: &[TermPat],
-    bound: &[bool],
-    delta: Option<(usize, &[Tuple])>,
-    bindings: &mut Vec<Option<Value>>,
-    out: &mut Vec<(SymbolId, Tuple)>,
-    stats: &mut EvalStats,
-) -> CoreResult<()> {
-    // `=` and `!=` work on both sorts; handle them on Values directly.
-    if matches!(op, Builtin::Eq | Builtin::Ne) {
-        let vals: Vec<Option<Value>> = args
-            .iter()
-            .zip(bound)
-            .map(|(&a, &b)| if b { Some(resolve(a, bindings)) } else { None })
-            .collect();
-        match (vals[0], vals[1]) {
-            (Some(a), Some(b)) => {
-                if builtins::eq_check(op, a, b) {
-                    exec(state, plan, si + 1, delta, bindings, out, stats)?;
-                }
-            }
-            (Some(known), None) | (None, Some(known)) => {
-                debug_assert_eq!(op, Builtin::Eq, "Ne requires both sides bound");
-                let free = if vals[0].is_none() { args[0] } else { args[1] };
-                let TermPat::Var(v) = free else {
-                    unreachable!("free side is a variable")
-                };
-                bindings[v] = Some(known);
-                exec(state, plan, si + 1, delta, bindings, out, stats)?;
-                bindings[v] = None;
-            }
-            (None, None) => unreachable!("mode table requires one bound side"),
-        }
-        return Ok(());
-    }
-
-    // Arithmetic: integer-only.
-    let mut ints: Vec<Option<i64>> = Vec::with_capacity(args.len());
-    for (&a, &b) in args.iter().zip(bound) {
-        if b {
-            match resolve(a, bindings) {
-                Value::Int(n) => ints.push(Some(n)),
-                Value::Sym(_) => return Ok(()), // wrong sort: no solutions
-            }
-        } else {
-            ints.push(None);
-        }
-    }
-    for sol in builtins::solve(op, &ints)? {
-        // Walk arguments: bind free vars, check everything else.
-        let mut newly: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (k, &a) in args.iter().enumerate() {
-            let want = Value::Int(sol[k]);
-            match a {
-                TermPat::Const(c) => {
-                    if c != want {
-                        ok = false;
-                        break;
+impl<V: ReadView> RuleRun<'_, V> {
+    /// Execute the body from step `si` on under the current bindings.
+    fn exec(&mut self, si: usize) -> CoreResult<()> {
+        let (view, plan) = (self.view, self.plan);
+        let Some(step) = plan.steps.get(si) else {
+            self.stats.instantiations += 1;
+            let head = plan.head.iter().map(|&p| resolve(p, &self.bindings));
+            self.out.push((plan.head_pred, head.collect()));
+            return Ok(());
+        };
+        match step {
+            Step::Atom(astep) => {
+                if let Drive::Atom(di, dtuples) = self.drive {
+                    if di == si {
+                        // Scan the (small) change set, re-checking probe positions.
+                        for t in dtuples {
+                            self.try_tuple(si, astep, t, true)?;
+                        }
+                        return Ok(());
                     }
                 }
-                TermPat::Var(v) => match bindings[v] {
-                    Some(cur) => {
-                        if cur != want {
+                // No relation installed → no stored matches.
+                if let Some(rel) = view.relation(&astep.key) {
+                    if astep.probe.is_empty() {
+                        for t in rel.iter() {
+                            if !view.hides(&astep.key, t) {
+                                self.try_tuple(si, astep, t, false)?;
+                            }
+                        }
+                    } else {
+                        let key_tuple: Tuple = astep
+                            .probe
+                            .iter()
+                            .map(|&(_, pat)| resolve(pat, &self.bindings))
+                            .collect();
+                        for t in rel.probe(astep.probe_positions(), &key_tuple).iter() {
+                            // Probe positions already match; only bind/check remain.
+                            if !view.hides(&astep.key, t) {
+                                self.try_tuple(si, astep, t, false)?;
+                            }
+                        }
+                    }
+                }
+                for t in view.extras(&astep.key) {
+                    self.try_tuple(si, astep, t, true)?;
+                }
+                Ok(())
+            }
+            Step::Negation { key, terms } => {
+                let t: Tuple = terms.iter().map(|&p| resolve(p, &self.bindings)).collect();
+                self.stats.probes += 1;
+                let passes = match self.drive {
+                    Drive::Negation(di, flipped) if di == si => flipped.contains(&t),
+                    _ => !view.contains(key, &t),
+                };
+                if passes {
+                    self.exec(si + 1)?;
+                }
+                Ok(())
+            }
+            Step::Builtin { op, args, bound } => {
+                self.stats.builtin_evals += 1;
+                self.exec_builtin(si, *op, args, bound)
+            }
+        }
+    }
+
+    /// Match one candidate tuple against an atom step: verify probe positions
+    /// (needed for change-set and extras scans), bind new variables, check
+    /// repeats, recurse.
+    fn try_tuple(
+        &mut self,
+        si: usize,
+        astep: &AtomStep,
+        t: &Tuple,
+        verify_probe: bool,
+    ) -> CoreResult<()> {
+        self.stats.probes += 1;
+        if verify_probe {
+            for &(pos, pat) in &astep.probe {
+                if t[pos] != resolve(pat, &self.bindings) {
+                    return Ok(());
+                }
+            }
+        }
+        for &(pos, v) in &astep.bind {
+            self.bindings[v] = Some(t[pos]);
+        }
+        let checks_ok = astep
+            .check
+            .iter()
+            .all(|&(pos, v)| self.bindings[v].expect("bound earlier in step") == t[pos]);
+        if checks_ok {
+            self.exec(si + 1)?;
+        }
+        for &(_, v) in &astep.bind {
+            self.bindings[v] = None;
+        }
+        Ok(())
+    }
+
+    fn exec_builtin(
+        &mut self,
+        si: usize,
+        op: Builtin,
+        args: &[TermPat],
+        bound: &[bool],
+    ) -> CoreResult<()> {
+        // `=` and `!=` work on both sorts; handle them on Values directly.
+        if matches!(op, Builtin::Eq | Builtin::Ne) {
+            let val = |k: usize| bound[k].then(|| resolve(args[k], &self.bindings));
+            match (val(0), val(1)) {
+                (Some(a), Some(b)) => {
+                    if builtins::eq_check(op, a, b) {
+                        self.exec(si + 1)?;
+                    }
+                }
+                (Some(known), None) | (None, Some(known)) => {
+                    debug_assert_eq!(op, Builtin::Eq, "Ne requires both sides bound");
+                    let free = if bound[0] { args[1] } else { args[0] };
+                    let TermPat::Var(v) = free else {
+                        unreachable!("free side is a variable")
+                    };
+                    self.bindings[v] = Some(known);
+                    self.exec(si + 1)?;
+                    self.bindings[v] = None;
+                }
+                (None, None) => unreachable!("mode table requires one bound side"),
+            }
+            return Ok(());
+        }
+
+        // Arithmetic: integer-only.
+        let mut ints: Vec<Option<i64>> = Vec::with_capacity(args.len());
+        for (&a, &b) in args.iter().zip(bound) {
+            if b {
+                match resolve(a, &self.bindings) {
+                    Value::Int(n) => ints.push(Some(n)),
+                    Value::Sym(_) => return Ok(()), // wrong sort: no solutions
+                }
+            } else {
+                ints.push(None);
+            }
+        }
+        for sol in builtins::solve(op, &ints)? {
+            // Walk arguments: bind free vars, check everything else.
+            let mut newly: Vec<usize> = Vec::new();
+            let mut ok = true;
+            for (k, &a) in args.iter().enumerate() {
+                let want = Value::Int(sol[k]);
+                match a {
+                    TermPat::Const(c) => {
+                        if c != want {
                             ok = false;
                             break;
                         }
                     }
-                    None => {
-                        bindings[v] = Some(want);
-                        newly.push(v);
-                    }
-                },
+                    TermPat::Var(v) => match self.bindings[v] {
+                        Some(cur) => {
+                            if cur != want {
+                                ok = false;
+                                break;
+                            }
+                        }
+                        None => {
+                            self.bindings[v] = Some(want);
+                            newly.push(v);
+                        }
+                    },
+                }
+            }
+            if ok {
+                self.exec(si + 1)?;
+            }
+            for v in newly {
+                self.bindings[v] = None;
             }
         }
-        if ok {
-            exec(state, plan, si + 1, delta, bindings, out, stats)?;
-        }
-        for v in newly {
-            bindings[v] = None;
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -888,16 +940,13 @@ mod tests {
             .collect();
         // Full items for every plan, then every e-step of every plan
         // replayed against four uneven shards of the edge list.
-        let mut items: Vec<WorkItem> = plans
-            .iter()
-            .map(|&plan| WorkItem { plan, delta: None })
-            .collect();
+        let mut items = full_work_list(&plans);
         for &plan in &plans {
             for si in plan.atom_steps_on(e) {
                 for shard in [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]] {
                     items.push(WorkItem {
                         plan,
-                        delta: Some((si, shard)),
+                        drive: Drive::Atom(si, shard),
                     });
                 }
             }
@@ -940,12 +989,15 @@ mod tests {
         let e = program.interner().get("e").unwrap();
         let edges = state.get(&PredKey::Ordinary(e)).unwrap().len();
         let plan = &program.plans()[0];
-        let full = WorkItem { plan, delta: None };
+        let full = WorkItem {
+            plan,
+            drive: Drive::Full,
+        };
         assert_eq!(full.estimated_work(&state), edges);
         let shard = vec![Tuple::empty(); 3];
         let delta = WorkItem {
             plan,
-            delta: Some((0, &shard)),
+            drive: Drive::Atom(0, &shard),
         };
         assert_eq!(delta.estimated_work(&state), 3);
     }

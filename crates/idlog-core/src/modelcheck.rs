@@ -10,7 +10,7 @@
 use idlog_common::{SymbolId, Tuple};
 use idlog_storage::Database;
 
-use crate::engine::{run_rule, EvalState};
+use crate::engine::{run_rule, Drive, EvalState};
 use crate::error::{CoreError, CoreResult};
 use crate::eval::EvalOutput;
 use crate::pred::PredKey;
@@ -84,7 +84,7 @@ pub fn verify_model(
     }
 
     let plans = program.plans().clone();
-    state.rebuild_indexes_for(&plans.iter().collect::<Vec<_>>());
+    state.ensure_indexes(&plans.iter().collect::<Vec<_>>());
 
     let mut violations = Vec::new();
     let mut stats = EvalStats::default();
@@ -102,7 +102,7 @@ pub fn verify_model(
                 ),
             })?;
         let mut derived: Vec<(SymbolId, Tuple)> = Vec::new();
-        run_rule(&state, plan, None, &mut derived, &mut stats)?;
+        run_rule(&state, plan, Drive::Full, &mut derived, &mut stats)?;
         for (pred, t) in derived {
             if !head_rel.contains(&t) {
                 violations.push(ModelViolation { pred, tuple: t });

@@ -35,6 +35,17 @@ pub struct AtomStep {
     /// Positions that must equal a variable bound earlier *in this step*
     /// (repeated variable, e.g. `p(X, X)` with `X` free on entry).
     pub check: Vec<(usize, usize)>,
+    /// The positions of `probe`, stated once by the planner: the index
+    /// [`idlog_storage::Relation::ensure_index`] readies is the one
+    /// [`idlog_storage::Relation::probe`] is asked for.
+    positions: Vec<usize>,
+}
+
+impl AtomStep {
+    /// The argument positions bound on entry (the probe key's columns).
+    pub(crate) fn probe_positions(&self) -> &[usize] {
+        &self.positions
+    }
 }
 
 /// One executable step of a rule body.
@@ -164,6 +175,7 @@ fn compile_clause(
                 }
                 steps.push(Step::Atom(AtomStep {
                     key,
+                    positions: probe.iter().map(|&(pos, _)| pos).collect(),
                     probe,
                     bind,
                     check,
@@ -256,6 +268,7 @@ mod tests {
         };
         assert_eq!(a1.probe.len(), 1);
         assert_eq!(a1.probe[0].0, 0);
+        assert_eq!(a1.probe_positions(), [0]);
         assert_eq!(a1.key, PredKey::Ordinary(i.get("r").unwrap()));
     }
 
@@ -303,6 +316,7 @@ mod tests {
         };
         // Positions 1 (male) and 2 (tid 1) are constants.
         assert_eq!(a.probe.len(), 2);
+        assert_eq!(a.probe_positions(), [1, 2]);
         assert_eq!(a.bind.len(), 1);
         assert_eq!(a.bind[0].0, 0);
     }
