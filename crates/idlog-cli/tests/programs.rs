@@ -142,6 +142,58 @@ fn diverge_program_lints_clean_and_trips_limits() {
     assert!(err.message().contains("max-rounds"), "{err:?}");
 }
 
+/// The seeded oracle's stream is part of the interface: `--seed 7` must keep
+/// printing these bytes, recorded from the build before tid-bounded
+/// materialization. A bounded ID-relation draws every group's *full*
+/// permutation and then drops tids — a cheaper partial shuffle would move
+/// every sample here.
+#[test]
+fn seeded_samples_are_pinned_in_every_configuration() {
+    let two_id_literals =
+        std::env::temp_dir().join(format!("idlog-seeded-pin-{}.idl", std::process::id()));
+    std::fs::write(
+        &two_id_literals,
+        "mix(N, M) :- emp[2](N, _D, 0), emp[](M, _E, T), T < 3.\n",
+    )
+    .unwrap();
+    let cases = [
+        (
+            path("sampling.idl"),
+            "select_two_emp",
+            "select_two_emp(ann)\nselect_two_emp(bob)\nselect_two_emp(eve)\n\
+             select_two_emp(fred)\nselect_two_emp(gil)\nselect_two_emp(hana)\n",
+        ),
+        (
+            two_id_literals.to_string_lossy().into_owned(),
+            "mix",
+            "mix(bob, ann)\nmix(bob, eve)\nmix(bob, gil)\nmix(eve, ann)\nmix(eve, eve)\n\
+             mix(eve, gil)\nmix(gil, ann)\nmix(gil, eve)\nmix(gil, gil)\n",
+        ),
+    ];
+    for (program, output, pinned) in &cases {
+        for backend in [
+            idlog_core::BackendKind::Hash,
+            idlog_core::BackendKind::Columnar,
+        ] {
+            for threads in [1usize, 4] {
+                let mut opts = idlog_cli::RunOpts::new(program.clone(), *output);
+                opts.facts = Some(path("company.facts"));
+                opts.seed = Some(7);
+                opts.threads = Some(threads);
+                opts.backend = Some(backend);
+                let mut printed: Vec<u8> = Vec::new();
+                idlog_cli::commands::run_query(&opts, &mut printed).unwrap();
+                assert_eq!(
+                    String::from_utf8(printed).unwrap(),
+                    *pinned,
+                    "{output} --seed 7 --threads {threads} --backend {backend}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&two_id_literals);
+}
+
 /// What `idlog run` prints for every derived predicate of a shipped
 /// program, each under a `% --output <pred>` header, predicates in name
 /// order. Diverging programs run under `--max-rounds 50` and print the

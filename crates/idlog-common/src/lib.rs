@@ -16,6 +16,7 @@ pub mod crc32;
 pub mod error;
 pub mod failpoint;
 pub mod fxhash;
+pub mod idtable;
 pub mod json;
 pub mod sort;
 pub mod symbol;
@@ -24,6 +25,7 @@ pub mod value;
 
 pub use error::{CommonError, CommonResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use idtable::IdTable;
 pub use json::Json;
 pub use sort::{RelType, Sort};
 pub use symbol::{Interner, SymbolId};

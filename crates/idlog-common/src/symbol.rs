@@ -7,9 +7,11 @@
 //! programs, databases, and answers can all reference one symbol table.
 
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::Mutex;
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
+use crate::idtable::IdTable;
 
 /// An interned string: an index into an [`Interner`].
 ///
@@ -34,10 +36,18 @@ impl fmt::Debug for SymbolId {
     }
 }
 
+/// Each name is stored once, in `names`; `ids` finds a name's index from
+/// its hash and never holds the string.
 #[derive(Default)]
 struct InternerState {
     names: Vec<Box<str>>,
-    ids: FxHashMap<Box<str>, SymbolId>,
+    ids: IdTable,
+}
+
+fn hash_name(name: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(name.as_bytes());
+    h.finish()
 }
 
 /// A shared string interner.
@@ -57,24 +67,29 @@ impl Interner {
 
     /// Intern `name`, returning its stable id. Idempotent.
     pub fn intern(&self, name: &str) -> SymbolId {
-        let mut st = self.state.lock().expect("interner poisoned");
-        if let Some(&id) = st.ids.get(name) {
-            return id;
-        }
-        let id = SymbolId(u32::try_from(st.names.len()).expect("too many symbols"));
-        st.names.push(name.into());
-        st.ids.insert(name.into(), id);
-        id
+        self.intern_hashed(name, hash_name(name))
     }
 
     /// Look up a previously interned name without interning it.
     pub fn get(&self, name: &str) -> Option<SymbolId> {
-        self.state
-            .lock()
-            .expect("interner poisoned")
-            .ids
-            .get(name)
-            .copied()
+        self.get_hashed(name, hash_name(name))
+    }
+
+    fn intern_hashed(&self, name: &str, hash: u64) -> SymbolId {
+        let mut st = self.state.lock().expect("interner poisoned");
+        let InternerState { names, ids } = &mut *st;
+        let (id, new) = ids.find_or_push(hash, |id| &*names[id as usize] == name);
+        if new {
+            names.push(name.into());
+        }
+        SymbolId(id)
+    }
+
+    fn get_hashed(&self, name: &str, hash: u64) -> Option<SymbolId> {
+        let st = self.state.lock().expect("interner poisoned");
+        st.ids
+            .find(hash, |id| &*st.names[id as usize] == name)
+            .map(SymbolId)
     }
 
     /// Resolve `id` to its string. Panics if `id` came from another interner.
@@ -157,6 +172,39 @@ mod tests {
         assert_eq!(i.cmp_by_name(a, z), std::cmp::Ordering::Less);
         assert_eq!(i.cmp_by_name(z, a), std::cmp::Ordering::Greater);
         assert_eq!(i.cmp_by_name(a, a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn many_short_sequential_names_get_dense_ids_and_resolve_back() {
+        // The shape of a generated fact file: names that differ only in
+        // their last characters.
+        let i = Interner::new();
+        for n in 0..200_000u32 {
+            assert_eq!(i.intern(&format!("n{n}")), SymbolId(n));
+        }
+        assert_eq!(i.len(), 200_000);
+        for n in (0..200_000u32).step_by(997) {
+            assert_eq!(i.resolve(SymbolId(n)), format!("n{n}"));
+            assert_eq!(i.get(&format!("n{n}")), Some(SymbolId(n)));
+            assert_eq!(i.intern(&format!("n{n}")), SymbolId(n));
+        }
+    }
+
+    #[test]
+    fn names_forced_onto_one_key_both_resolve() {
+        let i = Interner::new();
+        let a = i.intern_hashed("left", 42);
+        let b = i.intern_hashed("right", 42);
+        assert_ne!(a, b);
+        assert_eq!(i.intern_hashed("left", 42), a);
+        assert_eq!(i.intern_hashed("right", 42), b);
+        assert_eq!(i.get_hashed("right", 42), Some(b));
+        assert_eq!(i.get_hashed("absent", 42), None);
+        assert_eq!(
+            (i.resolve(a), i.resolve(b)),
+            ("left".into(), "right".into())
+        );
+        assert_eq!(i.len(), 2);
     }
 
     #[test]

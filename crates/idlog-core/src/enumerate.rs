@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Tuple};
+use idlog_common::{FxHashSet, Interner, SymbolId, Tuple};
 use idlog_storage::{
     make_id_relation, BoundedAssignmentIter, Database, IdAssignmentIter, Relation,
 };
@@ -29,7 +29,7 @@ use crate::pred::PredKey;
 use crate::program::ValidatedProgram;
 use crate::stats::EvalStats;
 use crate::tid::CanonicalOracle;
-use crate::tidbound::tid_bounds;
+use crate::tidbound::TidBounds;
 
 /// Bounds on enumeration work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,7 +356,7 @@ fn enumerate_impl(
 
     // Footnote 6/7 optimization: ID-uses whose tids are provably bounded
     // enumerate k-prefix arrangements instead of full permutations.
-    let bounds = tid_bounds(&restricted);
+    let bounds = restricted.tid_bounds();
 
     let shared = Shared {
         budget: *budget,
@@ -369,7 +369,7 @@ fn enumerate_impl(
         interner: &interner,
         output: output_id,
         shared: &shared,
-        bounds: &bounds,
+        bounds,
         governor,
     };
     // Cap the fan-out: beyond a small pool the branch chunks stop amortizing
@@ -411,7 +411,7 @@ struct Cx<'a> {
     interner: &'a Arc<Interner>,
     output: SymbolId,
     shared: &'a Shared,
-    bounds: &'a FxHashMap<(SymbolId, Vec<usize>), usize>,
+    bounds: &'a TidBounds,
     governor: &'a Governor,
 }
 

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
-use idlog_storage::{make_id_relation, BackendKind, Database, Relation};
+use idlog_common::{FxHashSet, Interner, SymbolId};
+use idlog_storage::{BackendKind, Database, Relation};
 
 use crate::config::EvalOptions;
 use crate::engine::{eval_stratum, eval_stratum_naive, EvalState};
@@ -35,7 +35,9 @@ pub struct EvalOutput {
 
 impl EvalOutput {
     /// The relation computed for `name` (input, IDB, or — via
-    /// [`EvalOutput::id_relation`] — an ID-relation).
+    /// [`EvalOutput::id_relation`] — an ID-relation). An input relation the
+    /// program reads *only* through ID-literals is never copied out of the
+    /// database: it answers `None` here, and the database still has it.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         let id = self.interner.get(name)?;
         self.state.get(&PredKey::Ordinary(id))
@@ -51,7 +53,9 @@ impl EvalOutput {
     }
 
     /// A materialized ID-relation `name[grouping]` (0-based grouping), if the
-    /// program used it.
+    /// program used it. When every occurrence of the ID-literal bounds its
+    /// tid below some `k` ([`ValidatedProgram::tid_bounds`]), this is the
+    /// restriction to `tid < k` — the other tuples were never built.
     pub fn id_relation(&self, name: &str, grouping: &[usize]) -> Option<&Relation> {
         let id = self.interner.get(name)?;
         self.state.get(&PredKey::Id(id, grouping.to_vec()))
@@ -177,7 +181,20 @@ pub fn evaluate_governed(
     let mut state = EvalState::new();
     let mut profile = options.profile.then(|| Profile::for_program(program));
 
-    install_inputs(program, db, &mut state, options.backend).map_err(EvalError::Core)?;
+    // An input relation no rule reads except through ID-literals needs no
+    // working copy: its ID-relations are built straight from the database.
+    let scanned: FxHashSet<SymbolId> = plans
+        .iter()
+        .flat_map(|plan| &plan.steps)
+        .filter_map(|step| match step.reads() {
+            Some(PredKey::Ordinary(pred)) => Some(*pred),
+            _ => None,
+        })
+        .collect();
+    install_inputs(program, db, &mut state, options.backend, |pred| {
+        scanned.contains(&pred)
+    })
+    .map_err(EvalError::Core)?;
     install_idb(
         program,
         &refine_sorts(program, db).map_err(EvalError::Core)?,
@@ -205,9 +222,11 @@ pub fn evaluate_governed(
             let mut sp = profile.as_ref().map(|_| StratumProfile::new(k));
             materialize_id_relations(
                 &stratum_plans,
+                program,
+                db,
+                options.backend,
                 &mut state,
                 oracle,
-                &interner,
                 &mut stats,
                 sp.as_mut(),
             )?;
@@ -280,7 +299,7 @@ pub(crate) fn install_for_enumeration(
                 .into(),
         });
     }
-    install_inputs(program, db, state, backend)?;
+    install_inputs(program, db, state, backend, |_| true)?;
     install_idb(program, &refine_sorts(program, db)?, db, state, backend)?;
     Ok(())
 }
@@ -314,11 +333,14 @@ fn refine_sorts(program: &ValidatedProgram, db: &Database) -> CoreResult<SortMap
 /// Copy input relations from the database (or create empty ones), checking
 /// arity and constrained sorts. The working copies are converted to the
 /// requested storage backend in bulk — the database itself stays untouched.
+/// A stored relation is checked but not copied when `needs_copy` says no
+/// rule scans it.
 fn install_inputs(
     program: &ValidatedProgram,
     db: &Database,
     state: &mut EvalState,
     backend: BackendKind,
+    needs_copy: impl Fn(SymbolId) -> bool,
 ) -> CoreResult<()> {
     let interner = program.interner();
     for &pred in program.inputs() {
@@ -347,7 +369,9 @@ fn install_inputs(
                         }
                     }
                 }
-                state.put(PredKey::Ordinary(pred), rel.clone().to_backend(backend));
+                if needs_copy(pred) {
+                    state.put(PredKey::Ordinary(pred), rel.clone().to_backend(backend));
+                }
             }
             None => {
                 let rtype = program
@@ -393,51 +417,58 @@ fn install_idb(
 
 /// Materialize every ID-relation the given plans read that is not yet
 /// present. Lower strata are complete, so the base relations are final.
+/// An ID-use whose tid the program bounds below `k`
+/// ([`ValidatedProgram::tid_bounds`]) is materialized for tids `0..k` only.
 ///
 /// The oracle is consulted in sorted (base name, grouping) order. Iterating
 /// the collection map directly would consult it in hash order — fine for
 /// [`crate::tid::CanonicalOracle`], but any oracle with call-order-dependent
 /// state would then produce different perfect models run-to-run.
+#[allow(clippy::too_many_arguments)]
 fn materialize_id_relations(
     plans: &[&RulePlan],
+    program: &ValidatedProgram,
+    db: &Database,
+    backend: BackendKind,
     state: &mut EvalState,
     oracle: &mut dyn TidOracle,
-    interner: &Interner,
     stats: &mut EvalStats,
     mut prof: Option<&mut StratumProfile>,
 ) -> CoreResult<()> {
-    // Collect first: borrow juggling (state is read and written).
-    let mut needed: FxHashMap<PredKey, (SymbolId, Vec<usize>)> = FxHashMap::default();
+    let interner = program.interner();
+    let mut needed: FxHashSet<(SymbolId, Vec<usize>)> = FxHashSet::default();
     for plan in plans {
         for step in &plan.steps {
-            if let Some(PredKey::Id(base, grouping)) = step.reads() {
-                let key = PredKey::Id(*base, grouping.clone());
-                if !state.has(&key) {
-                    needed.insert(key, (*base, grouping.clone()));
+            if let Some(key @ PredKey::Id(base, grouping)) = step.reads() {
+                if !state.has(key) {
+                    needed.insert((*base, grouping.clone()));
                 }
             }
         }
     }
-    let mut needed: Vec<(PredKey, (SymbolId, Vec<usize>))> = needed.into_iter().collect();
-    needed.sort_by_key(|(_, (base, grouping))| (interner.resolve(*base), grouping.clone()));
-    for (key, (base, grouping)) in needed {
+    let mut needed: Vec<(SymbolId, Vec<usize>)> = needed.into_iter().collect();
+    needed.sort_by_cached_key(|(base, grouping)| (interner.resolve(*base), grouping.clone()));
+    for (base, grouping) in needed {
+        // The working copy, or — for an input only ID-literals read — the
+        // stored relation itself.
         let rel = state
             .get(&PredKey::Ordinary(base))
-            .cloned()
+            .or_else(|| db.relation_by_id(base))
             .ok_or_else(|| CoreError::Eval {
                 message: format!(
                     "ID-relation of {} requested before its base relation exists",
                     interner.resolve(base)
                 ),
             })?;
+        let bound = program.tid_bounds().get(&(base, grouping.clone())).copied();
         // The oracle is third-party code (trait object); contain its panics.
         // The failpoint sits inside the contained region so an injected
         // `panic` action exercises the same unwind path an oracle bug would.
-        let assignment =
+        let built =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<_, String> {
                 #[cfg(feature = "failpoints")]
                 idlog_common::failpoint::hit("oracle.assign")?;
-                Ok(oracle.assign(base, &grouping, &rel, interner))
+                Ok(oracle.id_relation(base, &grouping, rel, interner, bound))
             }))
             .map_err(|payload| CoreError::Internal {
                 clause: None,
@@ -450,25 +481,25 @@ fn materialize_id_relations(
             .map_err(|message| CoreError::Internal {
                 clause: None,
                 message,
+            })?
+            .map_err(|e| CoreError::Internal {
+                clause: None,
+                message: format!("ID-oracle assignment for {}: {e}", interner.resolve(base)),
             })?;
         if let Some(p) = prof.as_deref_mut() {
-            // Each group gets exactly one tid-0 tuple, so counting them
-            // counts the groups.
-            let groups = rel.iter().filter(|t| assignment.tid(t) == Some(0)).count() as u64;
             p.id_relations.push(IdRelationProfile {
                 name: interner.resolve(base),
                 grouping: grouping.clone(),
-                groups,
+                groups: built.groups as u64,
                 tuples: rel.len() as u64,
             });
         }
-        let id_rel = make_id_relation(&rel, &assignment).map_err(|e| CoreError::Internal {
-            clause: None,
-            message: format!("ID-oracle assignment for {}: {e}", interner.resolve(base)),
-        })?;
-        // `make_id_relation` builds on the (cheap-to-append) hash backend;
-        // convert in bulk so the ID-relation lives where its base does.
-        state.put(key, id_rel.to_backend(rel.backend_kind()));
+        // The oracles build on the (cheap-to-append) hash backend; convert
+        // in bulk so the ID-relation lives where the evaluation's relations do.
+        state.put(
+            PredKey::Id(base, grouping),
+            built.relation.to_backend(backend),
+        );
         stats.id_relations += 1;
     }
     Ok(())

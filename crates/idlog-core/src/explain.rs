@@ -16,7 +16,6 @@ use idlog_parser::Literal;
 use crate::error::CoreResult;
 use crate::profile::Profile;
 use crate::program::ValidatedProgram;
-use crate::tidbound::tid_bounds;
 
 /// Render an evaluation plan for `program`.
 pub fn explain(program: &ValidatedProgram) -> CoreResult<String> {
@@ -35,7 +34,7 @@ pub fn explain_analyze(program: &ValidatedProgram, profile: &Profile) -> CoreRes
 fn render(program: &ValidatedProgram, profile: Option<&Profile>) -> CoreResult<String> {
     let interner = program.interner();
     let strat = program.stratification();
-    let bounds = tid_bounds(program);
+    let bounds = program.tid_bounds();
     let mut out = String::new();
 
     // Measured per-clause totals, when analyzing.
@@ -92,11 +91,15 @@ fn render(program: &ValidatedProgram, profile: Option<&Profile>) -> CoreResult<S
                         let name = interner.resolve(*base);
                         let attrs: Vec<String> =
                             grouping.iter().map(|g| (g + 1).to_string()).collect();
-                        let bound = bounds
-                            .get(&(*base, grouping.clone()))
-                            .map_or("unbounded (full permutation walk)".to_string(), |k| {
-                                format!("tids < {k} observable (k-prefix walk)")
-                            });
+                        let bound = bounds.get(&(*base, grouping.clone())).map_or(
+                            "unbounded (full permutation walk)".to_string(),
+                            |k| {
+                                format!(
+                                    "tids < {k} observable (k-prefix walk; evaluation \
+                                     materializes at most {k} tuple(s) per group)"
+                                )
+                            },
+                        );
                         let _ = writeln!(
                             out,
                             "    reads ID-relation {name}[{}]: {bound}",
@@ -159,7 +162,13 @@ mod tests {
         assert!(text.contains("stratum 1:"), "{text}");
         assert!(text.contains("stratum 2:"), "{text}");
         assert!(text.contains("reads ID-relation reach[]"), "{text}");
-        assert!(text.contains("tids < 2 observable"), "{text}");
+        assert!(
+            text.contains(
+                "tids < 2 observable (k-prefix walk; evaluation materializes at most \
+                 2 tuple(s) per group)"
+            ),
+            "{text}"
+        );
         assert!(text.contains("order:"), "{text}");
         assert!(!text.contains("measured:"), "{text}");
         assert!(!text.contains("totals:"), "{text}");

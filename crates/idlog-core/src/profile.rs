@@ -110,7 +110,8 @@ pub struct IdRelationProfile {
     pub grouping: Vec<usize>,
     /// Number of groups the oracle assigned tids within.
     pub groups: u64,
-    /// Tuples in the materialized ID-relation.
+    /// Tuples of the base relation the tids were assigned over (a
+    /// tid-bounded use materializes at most `k` of them per group).
     pub tuples: u64,
 }
 

@@ -10,6 +10,7 @@ use crate::plan::RulePlan;
 use crate::safety::{order_clause, ClauseOrder};
 use crate::sorts::{infer, SortMap};
 use crate::stratify::Stratification;
+use crate::tidbound::{tid_bounds_ast, TidBounds};
 
 /// A structurally validated IDLOG program: arities are consistent, heads are
 /// single positive ordinary atoms, sorts are inferred, and every clause has a
@@ -24,6 +25,7 @@ pub struct ValidatedProgram {
     idb: FxHashSet<SymbolId>,
     inputs: FxHashSet<SymbolId>,
     id_uses: FxHashSet<(SymbolId, Vec<usize>)>,
+    tid_bounds: TidBounds,
     strat: Stratification,
     plans: Arc<Vec<RulePlan>>,
 }
@@ -148,6 +150,7 @@ impl ValidatedProgram {
         // compute once here (also surfacing stratification errors at
         // validation time) and reuse across evaluations.
         let strat = crate::stratify::stratify(&ast, &interner)?;
+        let tid_bounds = tid_bounds_ast(&ast);
         let mut vp = ValidatedProgram {
             interner,
             ast,
@@ -157,6 +160,7 @@ impl ValidatedProgram {
             idb,
             inputs,
             id_uses,
+            tid_bounds,
             strat,
             plans: Arc::new(Vec::new()),
         };
@@ -227,6 +231,15 @@ impl ValidatedProgram {
     /// reads.
     pub fn id_uses(&self) -> &FxHashSet<(SymbolId, Vec<usize>)> {
         &self.id_uses
+    }
+
+    /// For every ID-use whose tid is provably bounded in *all* occurrences,
+    /// the number of distinguishable tids `k` (see [`crate::tidbound`]).
+    /// Evaluation materializes only tids `0..k` of such an ID-relation,
+    /// all-answers enumeration walks k-prefix arrangements, and `explain`
+    /// prints the bound — all from this one analysis.
+    pub fn tid_bounds(&self) -> &TidBounds {
+        &self.tid_bounds
     }
 
     /// The (cached) stratification.

@@ -2,7 +2,7 @@
 //!
 //! An IDLOG interpretation assigns to each ID-predicate `p[s]` an ID-relation
 //! of `pᴵ` on `s`. Operationally, once the engine has fully computed `p`, it
-//! asks a [`TidOracle`] for an [`IdAssignment`] — one permutation per
+//! asks a [`TidOracle`] for that ID-relation — one ID-function per
 //! sub-relation. Different oracles give different perfect models:
 //!
 //! * [`CanonicalOracle`] — deterministic: tids follow the canonical
@@ -12,14 +12,22 @@
 //!   does not perturb the others.
 //! * [`ExplicitOracle`] — test fixture: explicit permutations per predicate,
 //!   falling back to canonical.
+//!
+//! An oracle only has to say how it [assigns](TidOracle::assign) tids; the
+//! engine calls [`TidOracle::id_relation`], which by default builds the
+//! ID-relation from that assignment and which the canonical and seeded
+//! oracles override with a one-pass construction.
 
 use std::hash::{Hash, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use idlog_common::{FxHashMap, FxHasher, Interner, SymbolId};
-use idlog_storage::{group_by, IdAssignment, Relation};
+use idlog_common::{CommonResult, FxHashMap, FxHasher, Interner, SymbolId, Tuple, Value};
+use idlog_storage::{
+    canonical_id_relation, group_by, make_id_relation, random_id_relation, IdAssignment,
+    IdRelationBuild, Relation,
+};
 
 /// Chooses ID-functions for materializing ID-relations.
 pub trait TidOracle {
@@ -32,6 +40,43 @@ pub trait TidOracle {
         rel: &Relation,
         interner: &Interner,
     ) -> IdAssignment;
+
+    /// The ID-relation of `pred`'s relation `rel` on `grouping` under this
+    /// oracle's ID-functions, restricted to `tid < bound` when the program
+    /// can observe no other tid ([`crate::ValidatedProgram::tid_bounds`];
+    /// the paper's footnotes 6–7). This is what evaluation calls, once per
+    /// ID-use.
+    ///
+    /// The default is the definition: [`TidOracle::assign`], then
+    /// [`make_id_relation`], then drop the tuples at or above the bound. An
+    /// override must return the same relation — the bound may only save
+    /// work, never change which ID-functions are chosen.
+    fn id_relation(
+        &mut self,
+        pred: SymbolId,
+        grouping: &[usize],
+        rel: &Relation,
+        interner: &Interner,
+        bound: Option<usize>,
+    ) -> CommonResult<IdRelationBuild> {
+        let assignment = self.assign(pred, grouping, rel, interner);
+        let full = make_id_relation(rel, &assignment)?;
+        let tid_of = |t: &Tuple| t.get(rel.arity()).and_then(Value::as_int);
+        // Each group holds exactly one tid-0 tuple.
+        let groups = full.iter().filter(|t| tid_of(t) == Some(0)).count();
+        let relation = match bound {
+            None => full,
+            Some(k) => {
+                let k = i64::try_from(k).unwrap_or(i64::MAX);
+                let mut kept = Relation::new(full.rtype().clone());
+                for t in full.iter().filter(|t| tid_of(t).is_some_and(|tid| tid < k)) {
+                    kept.insert_unchecked(t.clone());
+                }
+                kept
+            }
+        };
+        Ok(IdRelationBuild { relation, groups })
+    }
 }
 
 /// Deterministic oracle: canonical tid order.
@@ -48,6 +93,17 @@ impl TidOracle for CanonicalOracle {
     ) -> IdAssignment {
         IdAssignment::canonical(rel, grouping, interner)
     }
+
+    fn id_relation(
+        &mut self,
+        _pred: SymbolId,
+        grouping: &[usize],
+        rel: &Relation,
+        interner: &Interner,
+        bound: Option<usize>,
+    ) -> CommonResult<IdRelationBuild> {
+        Ok(canonical_id_relation(rel, grouping, interner, bound))
+    }
 }
 
 /// Seeded pseudo-random oracle.
@@ -61,6 +117,17 @@ impl SeededOracle {
     pub fn new(seed: u64) -> Self {
         SeededOracle { seed }
     }
+
+    /// An independent stream per (pred name, grouping), so the permutation
+    /// of one predicate does not depend on evaluation order. Hashes the
+    /// *name*, not the raw id, for interning-order independence.
+    fn stream(&self, pred: SymbolId, grouping: &[usize], interner: &Interner) -> SmallRng {
+        let mut h = FxHasher::default();
+        interner.with_resolved(pred, |name| name.hash(&mut h));
+        grouping.hash(&mut h);
+        self.seed.hash(&mut h);
+        SmallRng::seed_from_u64(h.finish())
+    }
 }
 
 impl TidOracle for SeededOracle {
@@ -71,15 +138,20 @@ impl TidOracle for SeededOracle {
         rel: &Relation,
         interner: &Interner,
     ) -> IdAssignment {
-        // Derive an independent stream per (pred name, grouping) so the
-        // permutation of one predicate does not depend on evaluation order.
-        // Hash the *name*, not the raw id, for interning-order independence.
-        let mut h = FxHasher::default();
-        interner.with_resolved(pred, |name| name.hash(&mut h));
-        grouping.hash(&mut h);
-        self.seed.hash(&mut h);
-        let mut rng = SmallRng::seed_from_u64(h.finish());
+        let mut rng = self.stream(pred, grouping, interner);
         IdAssignment::random(rel, grouping, interner, &mut rng)
+    }
+
+    fn id_relation(
+        &mut self,
+        pred: SymbolId,
+        grouping: &[usize],
+        rel: &Relation,
+        interner: &Interner,
+        bound: Option<usize>,
+    ) -> CommonResult<IdRelationBuild> {
+        let mut rng = self.stream(pred, grouping, interner);
+        Ok(random_id_relation(rel, grouping, interner, &mut rng, bound))
     }
 }
 
@@ -128,7 +200,6 @@ impl TidOracle for ExplicitOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idlog_common::{Tuple, Value};
 
     fn rel(i: &Interner, pairs: &[(&str, &str)]) -> Relation {
         let mut r = Relation::elementary(2);

@@ -15,18 +15,17 @@
 use idlog_common::{FxHashMap, SymbolId};
 use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
 
-use crate::program::ValidatedProgram;
+/// `(base predicate, grouping)` of an ID-use → the number `k` of tids its
+/// occurrences can tell apart (they observe tids `0..k` only). ID-uses
+/// with an occurrence that leaks its tid have no entry.
+pub type TidBounds = FxHashMap<(SymbolId, Vec<usize>), usize>;
 
 /// For every ID-use whose tid is provably bounded in *all* occurrences, the
-/// number of distinguishable tids `k` (observe tids `0..k` only).
-pub fn tid_bounds(program: &ValidatedProgram) -> FxHashMap<(SymbolId, Vec<usize>), usize> {
-    tid_bounds_ast(program.ast())
-}
-
-/// AST-level variant of [`tid_bounds`], usable before full validation (the
-/// analysis only reads clause syntax) — e.g. by lint passes that want to
-/// surface the optimization as a hint.
-pub fn tid_bounds_ast(program: &Program) -> FxHashMap<(SymbolId, Vec<usize>), usize> {
+/// number of distinguishable tids. The analysis only reads clause syntax,
+/// so it runs before validation too (lint passes surface the optimization
+/// as a hint); [`crate::ValidatedProgram::tid_bounds`] holds the result for
+/// a validated program.
+pub fn tid_bounds_ast(program: &Program) -> TidBounds {
     let mut bounds: FxHashMap<(SymbolId, Vec<usize>), Option<usize>> = FxHashMap::default();
     for clause in &program.clauses {
         for (li, lit) in clause.body.iter().enumerate() {
@@ -145,15 +144,16 @@ fn comparison_bound(op: Builtin, args: &[Term], v: &str) -> ComparisonUse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::ValidatedProgram;
     use idlog_common::Interner;
     use std::sync::Arc;
 
     fn bounds_of(src: &str) -> FxHashMap<(String, Vec<usize>), usize> {
         let interner = Arc::new(Interner::new());
         let p = ValidatedProgram::parse(src, Arc::clone(&interner)).unwrap();
-        tid_bounds(&p)
-            .into_iter()
-            .map(|((s, g), b)| ((interner.resolve(s), g), b))
+        p.tid_bounds()
+            .iter()
+            .map(|((s, g), &b)| ((interner.resolve(*s), g.clone()), b))
             .collect()
     }
 

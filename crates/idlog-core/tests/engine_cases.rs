@@ -244,3 +244,156 @@ fn id_relation_over_recursive_idb() {
         assert_eq!(rel.len(), 2, "one spokesman per source");
     }
 }
+
+/// A 50-department `emp` of 2 000 rows with uneven departments (sizes 1 and
+/// 2 included), and the department sizes.
+fn uneven_emp(interner: &Arc<Interner>) -> (Database, Vec<usize>) {
+    let mut db = Database::with_interner(Arc::clone(interner));
+    // Sizes 1..=50 sum to 1 275; the first 29 departments get 25 more each.
+    let sizes: Vec<usize> = (1..=50).map(|d| if d <= 29 { d + 25 } else { d }).collect();
+    assert_eq!(sizes.iter().sum::<usize>(), 2000);
+    // Employees round-robin over the departments that still have room, so a
+    // department's rows are spread through the scan order.
+    let mut placed = vec![0usize; sizes.len()];
+    let mut n = 0;
+    while n < 2000 {
+        for (d, &size) in sizes.iter().enumerate() {
+            if placed[d] < size {
+                db.insert_syms("emp", &[&format!("e{n}"), &format!("d{d}")])
+                    .unwrap();
+                placed[d] += 1;
+                n += 1;
+            }
+        }
+    }
+    (db, sizes)
+}
+
+/// Footnotes 6–7 as a work bound: a tid-bounded ID-literal makes the engine
+/// touch `min(k, size)` tuples per group, whichever oracle numbers them —
+/// and a program that leaks the tid still gets every tuple.
+#[test]
+fn tid_bounded_id_literals_touch_k_tuples_per_group() {
+    use idlog_core::{CanonicalOracle, SeededOracle};
+
+    let two = Query::parse(
+        "select_two_emp(N) :- emp[2](N, _D, T), T < 2.",
+        "select_two_emp",
+    )
+    .unwrap();
+    let (db, sizes) = uneven_emp(two.interner());
+    let expected: u64 = sizes.iter().map(|&s| s.min(2) as u64).sum();
+    let run = two.session(&db).run_with(&mut CanonicalOracle).unwrap();
+    assert_eq!(run.stats.probes, expected);
+    assert_eq!(run.stats.builtin_evals, expected);
+    assert_eq!(run.relation.len() as u64, expected);
+    // The canonical sample: each department's two name-smallest employees.
+    let mut want: Vec<String> = Vec::new();
+    let emp = db.relation("emp").unwrap();
+    for d in 0..sizes.len() {
+        let dept = Value::Sym(two.interner().intern(&format!("d{d}")));
+        let mut names: Vec<String> = emp
+            .iter()
+            .filter(|t| t[1] == dept)
+            .map(|t| two.interner().resolve(t[0].as_sym().unwrap()))
+            .collect();
+        names.sort();
+        want.extend(names.into_iter().take(2).map(|n| format!("({n})")));
+    }
+    want.sort();
+    assert_eq!(rows(&two, &run.relation), want);
+    // A seeded sample differs in who, never in how many or how much work.
+    let seeded = two
+        .session(&db)
+        .run_with(&mut SeededOracle::new(7))
+        .unwrap();
+    assert_eq!(seeded.stats, run.stats);
+    assert_eq!(seeded.relation.len() as u64, expected);
+
+    let depts = Query::parse("all_depts(D) :- emp[2](_N, D, 0).", "all_depts").unwrap();
+    let (db, sizes) = uneven_emp(depts.interner());
+    let run = depts.session(&db).run().unwrap();
+    assert_eq!(run.stats.probes, sizes.len() as u64);
+    assert_eq!(run.relation.len(), sizes.len());
+
+    // The tid reaches the head: nothing bounds it, all 2 000 rows exist.
+    let leaky = Query::parse("pick(N, T) :- emp[2](N, _D, T), T < 5.", "pick").unwrap();
+    let (db, sizes) = uneven_emp(leaky.interner());
+    assert!(leaky.related_program().tid_bounds().is_empty());
+    let run = leaky.session(&db).run().unwrap();
+    assert_eq!(run.stats.probes, 2000);
+    let expected: usize = sizes.iter().map(|&s| s.min(5)).sum();
+    assert_eq!(run.relation.len(), expected);
+}
+
+/// An oracle that only says how it assigns tids — reversed canonical ranks,
+/// or a panic — goes through [`TidOracle::id_relation`]'s provided default.
+struct ReversedRanks {
+    panics: bool,
+}
+
+impl idlog_core::TidOracle for ReversedRanks {
+    fn assign(
+        &mut self,
+        _pred: idlog_core::SymbolId,
+        grouping: &[usize],
+        rel: &idlog_core::Relation,
+        interner: &Interner,
+    ) -> idlog_storage::IdAssignment {
+        assert!(!self.panics, "no tids today");
+        let groups = idlog_storage::group_by(rel, grouping, interner);
+        let perms: Vec<Vec<i64>> = groups
+            .group_sizes()
+            .iter()
+            .map(|&n| (0..n as i64).rev().collect())
+            .collect();
+        idlog_storage::IdAssignment::from_permutations(&groups, &perms)
+    }
+}
+
+#[test]
+fn assign_only_oracles_get_bounded_relations_and_contained_panics() {
+    let q = Query::parse("last(N, D) :- emp[2](N, D, 0).", "last").unwrap();
+    let db = db_from(
+        q.interner(),
+        &[
+            ("emp", &["ann", "sales"]),
+            ("emp", &["bob", "sales"]),
+            ("emp", &["cay", "sales"]),
+            ("emp", &["dan", "dev"]),
+        ],
+    );
+    let program = q.related_program();
+    let emp = q.interner().get("emp").unwrap();
+    assert_eq!(program.tid_bounds().get(&(emp, vec![1])), Some(&1));
+    let out = idlog_core::evaluate_with_options(
+        program,
+        &db,
+        &mut ReversedRanks { panics: false },
+        &idlog_core::EvalOptions::default(),
+    )
+    .unwrap();
+    // Reversed ranks: the canonically *last* member of each group holds tid 0.
+    assert_eq!(
+        rows(&q, out.relation("last").unwrap()),
+        ["(cay, sales)", "(dan, dev)"]
+    );
+    // Only the observable tuples were kept, one per group ...
+    assert_eq!(out.id_relation("emp", &[1]).unwrap().len(), 2);
+    // ... and `emp`, read through the ID-literal only, was never copied.
+    assert!(out.relation("emp").is_none());
+
+    let err = idlog_core::evaluate_with_options(
+        program,
+        &db,
+        &mut ReversedRanks { panics: true },
+        &idlog_core::EvalOptions::default(),
+    )
+    .unwrap_err();
+    assert_eq!(err.code(), idlog_core::ErrorCode::Internal);
+    let message = err.to_string();
+    assert!(
+        message.contains("ID-oracle panicked for emp: no tids today"),
+        "{message}"
+    );
+}

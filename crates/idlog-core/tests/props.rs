@@ -340,3 +340,82 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------- the ID-relation contract
+
+/// Names whose interning order (as listed) is the reverse of their name
+/// order, so raw symbol ids and canonical ranks disagree.
+const NAMES: [&str; 6] = ["zeta", "yam", "x1", "mid", "beta", "alpha"];
+
+/// A relation of the given column sorts (`true` = symbols) from small codes,
+/// and the interner its symbols live in.
+fn coded_relation(symbolic: &[bool], rows: &[Vec<usize>]) -> (Interner, idlog_core::Relation) {
+    use idlog_core::{RelType, Sort, Tuple, Value};
+    let interner = Interner::new();
+    for name in NAMES {
+        interner.intern(name);
+    }
+    let sorts = symbolic.iter().map(|&s| if s { Sort::U } else { Sort::I });
+    let mut rel = idlog_core::Relation::new(RelType::new(sorts.collect()));
+    for row in rows {
+        let values = symbolic.iter().zip(row).map(|(&s, &code)| match s {
+            true => Value::Sym(interner.intern(NAMES[code % NAMES.len()])),
+            false => Value::Int(code as i64),
+        });
+        rel.insert(Tuple::new(values.collect::<Vec<_>>())).unwrap();
+    }
+    (interner, rel)
+}
+
+proptest! {
+    /// For every oracle, `id_relation` under a bound `k` is the ID-relation
+    /// of the oracle's own assignment filtered to `tid < k` — same tuples,
+    /// same scan order, same group count; `k = 0` is the empty relation of
+    /// the ID type.
+    #[test]
+    fn bounded_id_relation_is_the_full_one_filtered(
+        symbolic in proptest::collection::vec(any::<bool>(), 1..=3),
+        rows in proptest::collection::vec(proptest::collection::vec(0usize..6, 3), 0..40),
+        grouping_bits in 0usize..8,
+        k in prop_oneof![Just(None), (0usize..=4).prop_map(Some), Just(Some(17))],
+        seed in 0u64..4,
+    ) {
+        use idlog_core::{ExplicitOracle, TidOracle};
+        use idlog_storage::{group_by, make_id_relation};
+
+        let (interner, rel) = coded_relation(&symbolic, &rows);
+        let arity = symbolic.len();
+        // Any subset of the columns: `[]` up to all of them.
+        let grouping: Vec<usize> = (0..arity).filter(|c| grouping_bits >> c & 1 == 1).collect();
+        let groups = group_by(&rel, &grouping, &interner);
+        let pred = interner.intern("r");
+
+        let mut explicit = ExplicitOracle::new();
+        let rotated = |n: usize| (0..n as i64).map(|r| (r + 1) % n as i64).collect();
+        let perms = groups.group_sizes().into_iter().map(rotated).collect();
+        explicit.set("r", grouping.clone(), perms);
+        let oracles: [(&str, Box<dyn TidOracle>); 3] = [
+            ("canonical", Box::new(CanonicalOracle)),
+            ("seeded", Box::new(SeededOracle::new(seed))),
+            ("explicit", Box::new(explicit)),
+        ];
+        for (name, mut oracle) in oracles {
+            let assignment = oracle.assign(pred, &grouping, &rel, &interner);
+            let full = make_id_relation(&rel, &assignment).unwrap();
+            let limit = k.map_or(i64::MAX, |k| k as i64);
+            let expected: Vec<_> = full
+                .iter()
+                .filter(|t| t[arity].as_int().unwrap() < limit)
+                .cloned()
+                .collect();
+            let built = oracle.id_relation(pred, &grouping, &rel, &interner, k).unwrap();
+            prop_assert_eq!(built.relation.rtype(), full.rtype(), "{}", name);
+            prop_assert_eq!(built.groups, groups.group_count(), "{}", name);
+            let got: Vec<_> = built.relation.iter().cloned().collect();
+            prop_assert_eq!(&got, &expected, "{} under bound {:?}", name, k);
+            if k == Some(0) {
+                prop_assert!(built.relation.is_empty(), "{}", name);
+            }
+        }
+    }
+}

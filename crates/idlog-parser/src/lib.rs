@@ -40,6 +40,7 @@ pub mod token;
 
 pub use ast::{Atom, Builtin, Clause, HeadAtom, Literal, PredicateRef, Program, Term};
 pub use error::{ParseError, ParseResult};
-pub use parser::{parse_clause, parse_program, parse_program_with_spans};
+pub use lexer::Lexer;
+pub use parser::{parse_clause, parse_clause_from, parse_program, parse_program_with_spans};
 pub use span::{AtomSpans, ClauseSpans, LiteralSpans, Span, SpanMap};
 pub use token::Pos;

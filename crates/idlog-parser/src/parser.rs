@@ -4,7 +4,7 @@ use idlog_common::Interner;
 
 use crate::ast::{Atom, Builtin, Clause, HeadAtom, Literal, Program, Term};
 use crate::error::{ParseError, ParseResult};
-use crate::lexer::lex;
+use crate::lexer::{lex, Lexer};
 use crate::span::{AtomSpans, ClauseSpans, LiteralSpans, Span, SpanMap};
 use crate::token::{Pos, Spanned, Token};
 
@@ -37,8 +37,37 @@ pub fn parse_clause(src: &str, interner: &Interner) -> ParseResult<Clause> {
     Ok(c)
 }
 
+/// Parse the next clause off `lexer`, leaving it just past the clause's
+/// `.`: the streaming fact loader's way into the clause grammar. A lexical
+/// error anywhere up to that `.` is reported before any syntax error of the
+/// clause (the clause is lexed, then parsed), and nothing beyond the `.` is
+/// looked at.
+pub fn parse_clause_from(lexer: &mut Lexer<'_>, interner: &Interner) -> ParseResult<Clause> {
+    let mut tokens = Vec::new();
+    loop {
+        let t = lexer.next_token()?;
+        tokens.push(t);
+        match t.token {
+            Token::Eof => break,
+            Token::Dot => {
+                // No rule reads past a clause's `.`; the parser still wants
+                // its `Eof` sentinel.
+                tokens.push(Spanned {
+                    token: Token::Eof,
+                    pos: t.end,
+                    end: t.end,
+                });
+                break;
+            }
+            _ => {}
+        }
+    }
+    Parser::over(tokens, interner).clause().map(|(c, _)| c)
+}
+
 struct Parser<'a> {
-    tokens: Vec<Spanned>,
+    /// Never empty; ends with [`Token::Eof`].
+    tokens: Vec<Spanned<'a>>,
     at: usize,
     /// End position of the most recently consumed token.
     last_end: Pos,
@@ -46,22 +75,26 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &str, interner: &'a Interner) -> ParseResult<Parser<'a>> {
-        Ok(Parser {
-            tokens: lex(src)?,
+    fn new(src: &'a str, interner: &'a Interner) -> ParseResult<Parser<'a>> {
+        Ok(Parser::over(lex(src)?, interner))
+    }
+
+    fn over(tokens: Vec<Spanned<'a>>, interner: &'a Interner) -> Parser<'a> {
+        Parser {
+            tokens,
             at: 0,
             last_end: Pos { line: 1, col: 1 },
             interner,
-        })
+        }
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.at].token
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.at].token
     }
 
-    fn peek2(&self) -> &Token {
+    fn peek2(&self) -> Token<'a> {
         let idx = (self.at + 1).min(self.tokens.len() - 1);
-        &self.tokens[idx].token
+        self.tokens[idx].token
     }
 
     fn pos(&self) -> Pos {
@@ -79,8 +112,8 @@ impl<'a> Parser<'a> {
         self.last_end
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at].token.clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.tokens[self.at].token;
         self.last_end = self.tokens[self.at].end;
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
@@ -92,7 +125,7 @@ impl<'a> Parser<'a> {
         matches!(self.peek(), Token::Eof)
     }
 
-    fn expect(&mut self, want: &Token) -> ParseResult<()> {
+    fn expect(&mut self, want: Token<'_>) -> ParseResult<()> {
         if self.peek() == want {
             self.bump();
             Ok(())
@@ -120,7 +153,7 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Token::Amp | Token::Pipe) {
             disjunctive = matches!(self.peek(), Token::Pipe);
             let sep = if disjunctive { Token::Pipe } else { Token::Amp };
-            while self.peek() == &sep {
+            while self.peek() == sep {
                 self.bump();
                 let (atom, spans) = self.head_atom()?;
                 head.push(atom);
@@ -149,7 +182,7 @@ impl<'a> Parser<'a> {
         } else {
             Vec::new()
         };
-        self.expect(&Token::Dot)?;
+        self.expect(Token::Dot)?;
         Ok((
             Clause {
                 head,
@@ -202,15 +235,15 @@ impl<'a> Parser<'a> {
                 let start = self.pos();
                 let name = self.token_span();
                 self.bump();
-                self.expect(&Token::LParen)?;
-                self.expect(&Token::LParen)?;
-                let (grouped, mut term_spans) = self.term_list(&Token::RParen)?;
-                self.expect(&Token::RParen)?;
-                self.expect(&Token::Comma)?;
-                self.expect(&Token::LParen)?;
-                let (chosen, chosen_spans) = self.term_list(&Token::RParen)?;
-                self.expect(&Token::RParen)?;
-                self.expect(&Token::RParen)?;
+                self.expect(Token::LParen)?;
+                self.expect(Token::LParen)?;
+                let (grouped, mut term_spans) = self.term_list(Token::RParen)?;
+                self.expect(Token::RParen)?;
+                self.expect(Token::Comma)?;
+                self.expect(Token::LParen)?;
+                let (chosen, chosen_spans) = self.term_list(Token::RParen)?;
+                self.expect(Token::RParen)?;
+                self.expect(Token::RParen)?;
                 term_spans.extend(chosen_spans);
                 let span = Span::new(start, self.prev_end());
                 Ok((
@@ -295,7 +328,7 @@ impl<'a> Parser<'a> {
         self.interner.resolve(atom.pred.base())
     }
 
-    fn is_cmp(&self, t: &Token) -> bool {
+    fn is_cmp(&self, t: Token<'_>) -> bool {
         matches!(
             t,
             Token::Lt | Token::Le | Token::Gt | Token::Ge | Token::Eq | Token::Ne
@@ -349,7 +382,7 @@ impl<'a> Parser<'a> {
                 ))
             }
         };
-        let pred = self.interner.intern(&name);
+        let pred = self.interner.intern(name);
 
         // Optional ID-version grouping `[2]`, `[1,2]`, `[]` (1-based in source).
         let grouping = if matches!(self.peek(), Token::LBracket) {
@@ -380,7 +413,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            self.expect(&Token::RBracket)?;
+            self.expect(Token::RBracket)?;
             Some(grouping)
         } else {
             None
@@ -388,8 +421,8 @@ impl<'a> Parser<'a> {
 
         let (terms, term_spans) = if matches!(self.peek(), Token::LParen) {
             self.bump();
-            let (terms, spans) = self.term_list(&Token::RParen)?;
-            self.expect(&Token::RParen)?;
+            let (terms, spans) = self.term_list(Token::RParen)?;
+            self.expect(Token::RParen)?;
             (terms, spans)
         } else {
             (Vec::new(), Vec::new())
@@ -425,7 +458,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn term_list(&mut self, close: &Token) -> ParseResult<(Vec<Term>, Vec<Span>)> {
+    fn term_list(&mut self, close: Token<'_>) -> ParseResult<(Vec<Term>, Vec<Span>)> {
         let mut terms = Vec::new();
         let mut spans = Vec::new();
         if self.peek() == close {
@@ -448,8 +481,8 @@ impl<'a> Parser<'a> {
         let pos = self.pos();
         let span = self.token_span();
         match self.bump() {
-            Token::Var(v) => Ok((Term::Var(v), span)),
-            Token::Ident(s) => Ok((Term::Sym(self.interner.intern(&s)), span)),
+            Token::Var(v) => Ok((Term::Var(v.to_string()), span)),
+            Token::Ident(s) => Ok((Term::Sym(self.interner.intern(s)), span)),
             Token::Int(n) => Ok((Term::Int(n), span)),
             other => Err(ParseError::new(
                 pos,

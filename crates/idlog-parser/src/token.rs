@@ -17,13 +17,14 @@ impl fmt::Display for Pos {
     }
 }
 
-/// Lexical tokens.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Token {
+/// Lexical tokens. Names borrow from the source text: an identifier is the
+/// slice it was read from, a quoted atom the slice between its quotes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Token<'a> {
     /// Lowercase-initial identifier (predicate or constant), or quoted atom.
-    Ident(String),
+    Ident(&'a str),
     /// Uppercase- or `_`-initial identifier.
-    Var(String),
+    Var(&'a str),
     /// Non-negative integer literal.
     Int(i64),
     /// `(`
@@ -66,7 +67,7 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "identifier `{s}`"),
@@ -96,10 +97,10 @@ impl fmt::Display for Token {
 }
 
 /// A token with its source position.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Spanned {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Where it starts.
     pub pos: Pos,
     /// One past where it ends (the position of the following character).

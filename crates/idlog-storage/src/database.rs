@@ -65,13 +65,18 @@ impl Database {
     /// type from the tuple's sorts.
     pub fn insert(&mut self, name: &str, tuple: Tuple) -> CommonResult<()> {
         let id = self.interner.intern(name);
-        let rel = self.relations.entry(id).or_insert_with(|| {
-            Relation::new(RelType::new(
-                tuple.values().iter().map(|v| v.sort()).collect(),
-            ))
-        });
-        rel.insert(tuple)?;
+        self.relation_for_insert(id, tuple.values()).insert(tuple)?;
         Ok(())
+    }
+
+    /// The relation of predicate `pred`, declared on first use with the
+    /// type `first`'s sorts imply: the handle a bulk loader keeps while the
+    /// predicate repeats, instead of a lookup by name per fact.
+    /// [`Relation::insert`] still checks every tuple against that type.
+    pub fn relation_for_insert(&mut self, pred: SymbolId, first: &[Value]) -> &mut Relation {
+        self.relations.entry(pred).or_insert_with(|| {
+            Relation::new(RelType::new(first.iter().map(|v| v.sort()).collect()))
+        })
     }
 
     /// Convenience: insert a fact whose columns are all uninterpreted

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use idlog_common::{CommonError, CommonResult, FxHashMap, Interner, Tuple, Value};
 
-use crate::group::{group_by, Grouping};
+use crate::group::{kept, Grouping, RowGroups};
 use crate::relation::Relation;
 
 /// How tids are drawn within each sub-relation.
@@ -22,6 +22,16 @@ pub enum TidOrder {
     Canonical,
     /// A uniformly random permutation per group, drawn from the provided RNG.
     Random,
+}
+
+/// A uniformly random permutation of `0..size`: the draw behind
+/// [`TidOrder::Random`], one per sub-relation in canonical key order.
+fn shuffled<R: Rng>(rng: &mut R) -> impl FnMut(usize) -> Vec<i64> + '_ {
+    move |size| {
+        let mut perm: Vec<i64> = (0..size as i64).collect();
+        perm.shuffle(rng);
+        perm
+    }
 }
 
 /// A concrete choice of ID-functions: a map from each tuple of the base
@@ -36,8 +46,9 @@ impl IdAssignment {
     /// Canonical assignment: within each group, tuples get tids in canonical
     /// order (tid 0 = canonically smallest).
     pub fn canonical(rel: &Relation, positions: &[usize], interner: &Interner) -> Self {
-        let grouping = group_by(rel, positions, interner);
-        Self::from_grouping_ranks(&grouping, |size| (0..size as i64).collect())
+        let mut groups = RowGroups::new(rel, positions, interner);
+        let tids = groups.canonical_tids(None);
+        Self::from_row_tids(&groups, &tids)
     }
 
     /// Random assignment: an independent uniform permutation per group.
@@ -47,12 +58,9 @@ impl IdAssignment {
         interner: &Interner,
         rng: &mut R,
     ) -> Self {
-        let grouping = group_by(rel, positions, interner);
-        Self::from_grouping_ranks(&grouping, |size| {
-            let mut perm: Vec<i64> = (0..size as i64).collect();
-            perm.shuffle(rng);
-            perm
-        })
+        let mut groups = RowGroups::new(rel, positions, interner);
+        let tids = groups.permuted_tids(shuffled(rng), None);
+        Self::from_row_tids(&groups, &tids)
     }
 
     /// Build from an explicit permutation per group: `perms[g][k]` is the tid
@@ -83,18 +91,13 @@ impl IdAssignment {
         }
     }
 
-    fn from_grouping_ranks(grouping: &Grouping, mut ranks: impl FnMut(usize) -> Vec<i64>) -> Self {
-        let mut tids = FxHashMap::default();
-        for g in 0..grouping.group_count() {
-            let members = grouping.group(g);
-            let perm = ranks(members.len());
-            for (k, t) in members.iter().enumerate() {
-                tids.insert(t.clone(), perm[k]);
-            }
-        }
+    fn from_row_tids(groups: &RowGroups<'_>, tids: &[i64]) -> Self {
+        let tuples = groups.tuples();
+        let mut map = FxHashMap::with_capacity_and_hasher(tuples.len(), Default::default());
+        map.extend(kept(tids).map(|(row, tid)| (tuples[row].clone(), tid)));
         IdAssignment {
-            positions: grouping.positions().to_vec(),
-            tids,
+            positions: groups.positions().to_vec(),
+            tids: map,
         }
     }
 
@@ -139,9 +142,66 @@ pub fn make_id_relation(rel: &Relation, assignment: &IdAssignment) -> CommonResu
     Ok(out)
 }
 
+/// An ID-relation built in one pass over its base relation, by
+/// [`canonical_id_relation`] or [`random_id_relation`].
+#[derive(Debug, Clone)]
+pub struct IdRelationBuild {
+    /// The ID-relation, restricted to `tid < bound` when a bound was given.
+    /// Its scan order is the base relation's.
+    pub relation: Relation,
+    /// Number of sub-relations of the base relation (whatever the bound).
+    pub groups: usize,
+}
+
+/// The ID-relation of `rel` on `positions` under the canonical ID-functions,
+/// restricted to `tid < bound`: [`make_id_relation`] of
+/// [`IdAssignment::canonical`] with the rows at or above the bound left out —
+/// and never built. Each group keeps its `bound` canonically smallest
+/// members; no tuple of `rel` is cloned or hashed on the way.
+pub fn canonical_id_relation(
+    rel: &Relation,
+    positions: &[usize],
+    interner: &Interner,
+    bound: Option<usize>,
+) -> IdRelationBuild {
+    let mut groups = RowGroups::new(rel, positions, interner);
+    let tids = groups.canonical_tids(bound);
+    build(rel, &groups, &tids)
+}
+
+/// [`canonical_id_relation`] under an independent uniform permutation per
+/// group. The bound does not change what is drawn: every group, in canonical
+/// key order, takes a full permutation of its size from `rng`, exactly as
+/// [`IdAssignment::random`] does, and then the tids at or above the bound
+/// are dropped — so a bounded sample is the unbounded one, filtered.
+pub fn random_id_relation<R: Rng>(
+    rel: &Relation,
+    positions: &[usize],
+    interner: &Interner,
+    rng: &mut R,
+    bound: Option<usize>,
+) -> IdRelationBuild {
+    let mut groups = RowGroups::new(rel, positions, interner);
+    let tids = groups.permuted_tids(shuffled(rng), bound);
+    build(rel, &groups, &tids)
+}
+
+fn build(rel: &Relation, groups: &RowGroups<'_>, tids: &[i64]) -> IdRelationBuild {
+    let tuples = groups.tuples();
+    let mut relation = Relation::new(rel.rtype().id_version());
+    for (row, tid) in kept(tids) {
+        relation.insert_unchecked(tuples[row].with_appended(Value::Int(tid)));
+    }
+    IdRelationBuild {
+        relation,
+        groups: groups.group_count(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::group_by;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -29,7 +29,9 @@ pub use enumerate::{
 };
 pub use group::{group_by, Grouping};
 pub use idrel::TidOrder;
-pub use idrel::{make_id_relation, IdAssignment};
+pub use idrel::{
+    canonical_id_relation, make_id_relation, random_id_relation, IdAssignment, IdRelationBuild,
+};
 pub use index::Index;
 pub use relation::{CanonicalView, Relation};
 pub use storage::{

@@ -4,8 +4,7 @@ use std::fmt::Write as _;
 use std::io;
 
 use idlog_common::{
-    CommonError, CommonResult, FxHashMap, FxHashSet, Interner, RelType, Sort, SymbolId, Tuple,
-    Value,
+    CommonError, CommonResult, FxHashSet, Interner, RelType, Sort, SymbolId, Tuple, Value,
 };
 
 use crate::storage::{
@@ -252,7 +251,12 @@ impl Relation {
     /// A borrowed view of this relation in canonical (name-based) order —
     /// the one ordering every consumer shares. See [`CanonicalView`].
     pub fn canonical_view<'a>(&'a self, interner: &Interner) -> CanonicalView<'a> {
-        CanonicalView::new(self.arity(), self.iter().collect(), interner)
+        CanonicalView::new(self.rank_keys(interner))
+    }
+
+    /// This relation's tuples with their canonical sort keys, unsorted.
+    pub(crate) fn rank_keys<'a>(&'a self, interner: &Interner) -> RankKeys<'a> {
+        RankKeys::new(self.arity(), self.iter().collect(), interner)
     }
 
     /// All tuples in canonical (name-based) order, as owned copies.
@@ -310,7 +314,128 @@ impl Eq for Relation {}
 /// One column of a canonical sort key: integers (tag 0, by value) order
 /// before symbols (tag 1, by name rank), matching
 /// [`Value::cmp_canonical`].
-type KeyPart = (u8, i64);
+pub(crate) type KeyPart = (u8, i64);
+
+/// A relation's tuples, borrowed in scan order, each with a flat integer
+/// sort key: the one implementation of "canonical order" in the workspace.
+/// Comparing two keys compares the tuples canonically.
+///
+/// Building the keys ranks the relation's distinct symbols by name and
+/// resolves each name once; whoever sorts ([`CanonicalView`], the
+/// sub-relation grouping in [`crate::group`]) compares integers and never
+/// touches the interner again.
+pub(crate) struct RankKeys<'a> {
+    arity: usize,
+    /// The tuples in scan order; a tuple's index here is its *row id*.
+    tuples: Vec<&'a Tuple>,
+    /// Sort keys in scan order, flat: row `i` owns
+    /// `keys[i * arity..][..arity]`.
+    keys: Vec<KeyPart>,
+    /// Symbol rank → where its name sits in `text`.
+    names: Vec<std::ops::Range<u32>>,
+    /// Every distinct symbol's name, back to back: one allocation.
+    text: String,
+}
+
+impl<'a> RankKeys<'a> {
+    fn new(arity: usize, tuples: Vec<&'a Tuple>, interner: &Interner) -> Self {
+        assert!(
+            u32::try_from(tuples.len()).is_ok(),
+            "relation exceeds the u32 offset range of the tuple stores"
+        );
+        // One pass over the values: number the distinct symbols as they
+        // come and key each symbol column by that number for now.
+        // Symbol ids are dense indexes into the interner, so a flat table
+        // (0 = not seen yet) does for a map.
+        let mut numbers: Vec<u32> = vec![0; interner.len()];
+        let mut symbols: Vec<SymbolId> = Vec::new();
+        let mut keys: Vec<KeyPart> = Vec::with_capacity(tuples.len() * arity);
+        for t in &tuples {
+            debug_assert_eq!(t.arity(), arity, "ill-typed tuple in relation");
+            keys.extend(t.values().iter().map(|v| match v {
+                Value::Int(n) => (0u8, *n),
+                Value::Sym(s) => {
+                    let number = &mut numbers[s.index()];
+                    if *number == 0 {
+                        symbols.push(*s);
+                        *number = symbols.len() as u32;
+                    }
+                    (1u8, i64::from(*number - 1))
+                }
+            }));
+        }
+        drop(numbers);
+
+        // Resolve each name once, then rank the symbols by name. Most
+        // comparisons end at the names' first eight bytes, held as one
+        // big-endian integer beside the symbol's number.
+        let mut text = String::new();
+        let mut spans: Vec<std::ops::Range<u32>> = Vec::with_capacity(symbols.len());
+        let mut by_name: Vec<(u64, u32)> = Vec::with_capacity(symbols.len());
+        for (number, &s) in symbols.iter().enumerate() {
+            interner.with_resolved(s, |name| {
+                let mut prefix = [0u8; 8];
+                let n = name.len().min(8);
+                prefix[..n].copy_from_slice(&name.as_bytes()[..n]);
+                by_name.push((u64::from_be_bytes(prefix), number as u32));
+                let start = text.len();
+                text.push_str(name);
+                spans.push(start as u32..text.len() as u32);
+            });
+        }
+        assert!(
+            u32::try_from(text.len()).is_ok(),
+            "symbol names exceed the u32 offset range"
+        );
+        let name_of = |number: u32| span_of(&text, &spans[number as usize]);
+        // Distinct symbols have distinct names: no ties to reorder.
+        by_name.sort_unstable_by(|&(pa, a), &(pb, b)| {
+            pa.cmp(&pb).then_with(|| name_of(a).cmp(name_of(b)))
+        });
+        let mut rank_of = vec![0u32; symbols.len()];
+        let mut names = Vec::with_capacity(symbols.len());
+        for (rank, &(_, number)) in by_name.iter().enumerate() {
+            rank_of[number as usize] = rank as u32;
+            names.push(spans[number as usize].clone());
+        }
+        for part in &mut keys {
+            if part.0 == 1 {
+                part.1 = i64::from(rank_of[part.1 as usize]);
+            }
+        }
+        RankKeys {
+            arity,
+            tuples,
+            keys,
+            names,
+            text,
+        }
+    }
+
+    /// The name of the symbol of rank `rank`.
+    fn name(&self, rank: i64) -> &str {
+        span_of(&self.text, &self.names[rank as usize])
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// The tuples in scan order (index = row id).
+    pub(crate) fn tuples(&self) -> &[&'a Tuple] {
+        &self.tuples
+    }
+
+    /// The sort key of row `row`.
+    pub(crate) fn key(&self, row: u32) -> &[KeyPart] {
+        &self.keys[row as usize * self.arity..][..self.arity]
+    }
+}
+
+fn span_of<'t>(text: &'t str, span: &std::ops::Range<u32>) -> &'t str {
+    &text[span.start as usize..span.end as usize]
+}
 
 /// A relation's tuples in canonical (name-based) order, borrowed: the
 /// order is a permutation over the backend's scan order, so no tuple is
@@ -319,69 +444,23 @@ type KeyPart = (u8, i64);
 /// Building the view ranks the relation's distinct symbols by name and
 /// resolves each name once; sorting compares flat integer keys and
 /// rendering reads the rank → name table, so neither touches the interner
-/// again. Canonical order is a function of relation *content* only — any
-/// two relations holding the same set, on either backend, iterate and
-/// render identically.
+/// again.
+/// Canonical order is a function of relation *content* only — any two
+/// relations holding the same set, on either backend, iterate and render
+/// identically.
 pub struct CanonicalView<'a> {
-    arity: usize,
-    /// The tuples in scan order.
-    tuples: Vec<&'a Tuple>,
-    /// Sort keys in scan order, flat: tuple `i` owns
-    /// `keys[i * arity..][..arity]`.
-    keys: Vec<KeyPart>,
-    /// Canonical position → scan position.
+    ranked: RankKeys<'a>,
+    /// Canonical position → row id.
     perm: Vec<u32>,
-    /// Symbol rank → name.
-    names: Vec<Box<str>>,
 }
 
 impl<'a> CanonicalView<'a> {
-    fn new(arity: usize, tuples: Vec<&'a Tuple>, interner: &Interner) -> Self {
-        assert!(
-            u32::try_from(tuples.len()).is_ok(),
-            "relation exceeds the u32 offset range of the tuple stores"
-        );
-        let mut ranks: FxHashMap<SymbolId, u32> = FxHashMap::default();
-        for t in &tuples {
-            for v in t.values() {
-                if let Value::Sym(s) = v {
-                    ranks.entry(*s).or_insert(0);
-                }
-            }
-        }
-        // Distinct symbols have distinct names, so the sorted order (and
-        // with it every rank) is independent of the map's iteration order.
-        let mut named: Vec<(Box<str>, SymbolId)> = ranks
-            .keys()
-            .map(|&s| (interner.with_resolved(s, |name| Box::from(name)), s))
-            .collect();
-        named.sort_unstable();
-        let mut names = Vec::with_capacity(named.len());
-        for (rank, (name, s)) in named.into_iter().enumerate() {
-            ranks.insert(s, rank as u32);
-            names.push(name);
-        }
-
-        let mut keys: Vec<KeyPart> = Vec::with_capacity(tuples.len() * arity);
-        for t in &tuples {
-            debug_assert_eq!(t.arity(), arity, "ill-typed tuple in relation");
-            keys.extend(t.values().iter().map(|v| match v {
-                Value::Int(n) => (0u8, *n),
-                Value::Sym(s) => (1u8, i64::from(ranks[s])),
-            }));
-        }
-        let key = |i: u32| &keys[i as usize * arity..][..arity];
-        let mut perm: Vec<u32> = (0..tuples.len() as u32).collect();
+    fn new(ranked: RankKeys<'a>) -> Self {
+        let mut perm: Vec<u32> = (0..ranked.len() as u32).collect();
         // A relation is a set: distinct tuples have distinct keys, so the
         // unstable sort has no ties to reorder.
-        perm.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        CanonicalView {
-            arity,
-            tuples,
-            keys,
-            perm,
-            names,
-        }
+        perm.sort_unstable_by(|&a, &b| ranked.key(a).cmp(ranked.key(b)));
+        CanonicalView { ranked, perm }
     }
 
     /// Number of tuples.
@@ -396,15 +475,14 @@ impl<'a> CanonicalView<'a> {
 
     /// The tuples in canonical order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Tuple> + '_ {
-        self.perm.iter().map(|&i| self.tuples[i as usize])
+        self.perm.iter().map(|&i| self.ranked.tuples[i as usize])
     }
 
     /// Append the values of the tuple at canonical position `row` to
     /// `buf`, joined by `sep` (`v1,v2` on the wire). Panics when `row` is
     /// out of range.
     pub fn render_row(&self, row: usize, sep: &str, buf: &mut String) {
-        let start = self.perm[row] as usize * self.arity;
-        for (i, &(tag, n)) in self.keys[start..][..self.arity].iter().enumerate() {
+        for (i, &(tag, n)) in self.ranked.key(self.perm[row]).iter().enumerate() {
             if i > 0 {
                 buf.push_str(sep);
             }
@@ -412,7 +490,7 @@ impl<'a> CanonicalView<'a> {
                 // Writing to a `String` cannot fail.
                 let _ = write!(buf, "{n}");
             } else {
-                buf.push_str(&self.names[n as usize]);
+                buf.push_str(self.ranked.name(n));
             }
         }
     }

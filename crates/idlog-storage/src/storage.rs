@@ -22,7 +22,7 @@
 //! byte-identical at any `--threads` value per backend — and the derived
 //! *sets* (and therefore all engine counters) are identical across backends.
 
-use idlog_common::{FxHashMap, FxHashSet, RelType, Sort, Tuple};
+use idlog_common::{FxHashMap, FxHashSet, IdTable, RelType, Sort, Tuple};
 
 /// Which [`Storage`] implementation a relation uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -264,16 +264,17 @@ fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
 /// maintained offset indexes.
 ///
 /// `store` holds every tuple exactly once, in insertion order (which the
-/// engine makes deterministic). `seen` maps a tuple's hash to the store
-/// offsets carrying that hash — membership verifies equality against the
-/// store, so collisions are handled and no second copy of any tuple exists.
+/// engine makes deterministic). `seen` finds a tuple's store offset from
+/// its hash — offsets are the table's dense ids, membership verifies
+/// equality against the store, so collisions are handled, no second copy
+/// of any tuple exists and an insert allocates nothing beyond the tuple.
 /// Each index maps a projection key to store offsets and is updated on
 /// every insert, fixing the former `Index::build`-per-round churn (full
 /// rebuild + per-key tuple clones each round).
 #[derive(Clone, Debug, Default)]
 pub struct HashBackend {
     store: Vec<Tuple>,
-    seen: FxHashMap<u64, Vec<u32>>,
+    seen: IdTable,
     indexes: FxHashMap<Vec<usize>, FxHashMap<Tuple, Vec<u32>>>,
 }
 
@@ -295,26 +296,29 @@ impl HashBackend {
 
     /// Offset the tuple is stored at, when present.
     fn find(&self, t: &Tuple) -> Option<u32> {
-        let bucket = self.seen.get(&fx_hash(t))?;
-        bucket
-            .iter()
-            .copied()
-            .find(|&o| self.store[o as usize] == *t)
+        self.seen
+            .find(fx_hash(t), |off| self.store[off as usize] == *t)
     }
 
-    /// Record a tuple known to be absent. Returns its offset.
-    fn commit(&mut self, t: Tuple, hash: u64) -> u32 {
+    /// Register `t` as the next tuple of the store unless it is there
+    /// already (one hash, one table walk either way). On `true` the caller
+    /// pushes it.
+    fn claim(&mut self, t: &Tuple) -> bool {
         debug_assert!(
             self.store.len() < u32::MAX as usize,
             "store offset overflow"
         );
-        let off = self.store.len() as u32;
-        self.seen.entry(hash).or_default().push(off);
-        for (positions, map) in &mut self.indexes {
-            map.entry(t.project(positions)).or_default().push(off);
+        let store = &self.store;
+        let (off, new) = self
+            .seen
+            .find_or_push(fx_hash(t), |off| store[off as usize] == *t);
+        if new {
+            debug_assert_eq!(off as usize, self.store.len(), "offsets are dense");
+            for (positions, map) in &mut self.indexes {
+                map.entry(t.project(positions)).or_default().push(off);
+            }
         }
-        self.store.push(t);
-        off
+        new
     }
 }
 
@@ -328,25 +332,22 @@ impl Storage for HashBackend {
     }
 
     fn insert(&mut self, t: Tuple) -> bool {
-        if self.find(&t).is_some() {
-            return false;
+        let new = self.claim(&t);
+        if new {
+            self.store.push(t);
         }
-        let hash = fx_hash(&t);
-        self.commit(t, hash);
-        true
+        new
     }
 
     fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
         batch
             .iter()
             .map(|&t| {
-                if self.find(t).is_some() {
-                    false
-                } else {
-                    let hash = fx_hash(t);
-                    self.commit(t.clone(), hash);
-                    true
+                let new = self.claim(t);
+                if new {
+                    self.store.push(t.clone());
                 }
+                new
             })
             .collect()
     }
