@@ -166,9 +166,10 @@ mod tests {
             .sum();
         assert_eq!(cloned, rel.len(), "legacy index duplicates every tuple");
 
-        // Per-entry heap cost, in bytes: a cloned arity-2 tuple vs a u32
-        // offset into the tuple store.
-        let legacy = std::mem::size_of::<Tuple>() + 2 * std::mem::size_of::<Value>();
+        // Per-entry cost, in bytes: a cloned arity-2 tuple (its values sit
+        // inline, so the tuple is the whole entry) vs a u32 offset into the
+        // tuple store.
+        let legacy = std::mem::size_of::<Tuple>();
         let offset = std::mem::size_of::<u32>();
         assert!(
             legacy >= 4 * offset,

@@ -1,73 +1,103 @@
 //! Ground tuples.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
 
 use crate::symbol::Interner;
 use crate::value::Value;
 
+/// Widest tuple stored inline. Three covers every relation the shipped
+/// `programs/` and the benchmark workloads build (binary edges and closures,
+/// `emp[2]`'s name–department–tid rows), and with 16-byte [`Value`]s it is
+/// the widest that keeps `size_of::<Tuple>()` within the 64 bytes a boxed
+/// binary tuple used to cost (fat pointer + heap block).
+const INLINE: usize = 3;
+
+/// Fills the unused slots of an inline tuple; never observable.
+const PAD: Value = Value::Int(0);
+
 /// An immutable ground tuple of [`Value`]s.
 ///
-/// Stored as a boxed slice: two words on the stack, one allocation, no spare
-/// capacity — relations hold millions of these during evaluation.
-/// The derived `Ord` (like [`Value`]'s) follows interning order and is meant
-/// for intra-run canonicalization; use [`Tuple::cmp_canonical`] for
+/// Tuples of up to three columns live inline — no heap allocation, so a
+/// `Vec<Tuple>` of them is one flat block that clones with one copy and
+/// drops with one `free`. Wider tuples are a boxed slice.
+/// Equality, order and hash are those of [`Tuple::values`], whatever the
+/// representation. `Ord` (like [`Value`]'s) follows interning order and is
+/// meant for intra-run canonicalization; use [`Tuple::cmp_canonical`] for
 /// interner-independent ordering.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Tuple(Box<[Value]>);
+#[derive(Clone, Debug)]
+pub struct Tuple(Repr);
+
+#[derive(Clone, Debug)]
+enum Repr {
+    /// `vals[..len]` are the columns, the rest is [`PAD`].
+    Inline { len: u8, vals: [Value; INLINE] },
+    /// More than [`INLINE`] columns.
+    Boxed(Box<[Value]>),
+}
 
 impl Tuple {
     /// Build from values.
     pub fn new(values: impl Into<Box<[Value]>>) -> Self {
-        Tuple(values.into())
+        let values: Box<[Value]> = values.into();
+        if values.len() <= INLINE {
+            values.iter().copied().collect()
+        } else {
+            Tuple(Repr::Boxed(values))
+        }
     }
 
     /// The empty (0-ary) tuple — used for propositional predicates.
     pub fn empty() -> Self {
-        Tuple(Box::new([]))
+        Tuple(Repr::Inline {
+            len: 0,
+            vals: [PAD; INLINE],
+        })
     }
 
     /// Number of columns.
     #[inline]
     pub fn arity(&self) -> usize {
-        self.0.len()
+        self.values().len()
     }
 
     /// Column values.
     #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, vals } => &vals[..usize::from(*len)],
+            Repr::Boxed(values) => values,
+        }
     }
 
     /// Value at 0-based position `i`, if in range.
     #[inline]
     pub fn get(&self, i: usize) -> Option<Value> {
-        self.0.get(i).copied()
+        self.values().get(i).copied()
     }
 
     /// Project onto the given 0-based positions (in the order given).
     pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple(positions.iter().map(|&i| self.0[i]).collect())
+        let values = self.values();
+        positions.iter().map(|&i| values[i]).collect()
     }
 
     /// This tuple extended with one extra trailing value (used to build
     /// ID-relation tuples: base tuple + tid).
     pub fn with_appended(&self, v: Value) -> Tuple {
-        let mut vals = Vec::with_capacity(self.0.len() + 1);
-        vals.extend_from_slice(&self.0);
-        vals.push(v);
-        Tuple(vals.into())
+        self.values().iter().copied().chain([v]).collect()
     }
 
     /// Canonical (interner-name-based) ordering between equal-arity tuples.
     pub fn cmp_canonical(&self, other: &Tuple, interner: &Interner) -> std::cmp::Ordering {
-        for (a, b) in self.0.iter().zip(other.0.iter()) {
+        for (a, b) in self.values().iter().zip(other.values()) {
             let ord = a.cmp_canonical(*b, interner);
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
         }
-        self.0.len().cmp(&other.0.len())
+        self.arity().cmp(&other.arity())
     }
 
     /// Render using `interner` for symbol names, as `(v1, v2, ...)`.
@@ -79,23 +109,78 @@ impl Tuple {
     }
 }
 
+impl PartialEq for Tuple {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Tuple {}
+
+impl PartialOrd for Tuple {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tuple {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl Hash for Tuple {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
 impl Index<usize> for Tuple {
     type Output = Value;
 
+    #[inline]
     fn index(&self, i: usize) -> &Value {
-        &self.0[i]
+        &self.values()[i]
     }
 }
 
 impl FromIterator<Value> for Tuple {
+    /// Collects without allocating while the tuple stays within the inline
+    /// width (the join kernel builds every head and probe key this way).
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Tuple(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let mut vals = [PAD; INLINE];
+        let mut len = 0usize;
+        for v in iter.by_ref() {
+            if len == INLINE {
+                let mut wide = Vec::with_capacity(INLINE + 1 + iter.size_hint().0);
+                wide.extend_from_slice(&vals);
+                wide.push(v);
+                wide.extend(iter);
+                return Tuple(Repr::Boxed(wide.into()));
+            }
+            vals[len] = v;
+            len += 1;
+        }
+        Tuple(Repr::Inline {
+            len: len as u8,
+            vals,
+        })
     }
 }
 
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Self {
-        Tuple(v.into())
+        if v.len() <= INLINE {
+            // No detour through a right-sized box.
+            v.into_iter().collect()
+        } else {
+            Tuple(Repr::Boxed(v.into()))
+        }
     }
 }
 

@@ -82,6 +82,67 @@ proptest! {
         prop_assert_eq!(h.hash_one(&t), h.hash_one(&t2));
     }
 
+    /// A tuple is its value slice, whichever way it is stored: up to three
+    /// columns inline, more behind a box. Arity 0–6 crosses that boundary,
+    /// and across it every constructor, comparison, hash and derived tuple
+    /// agrees with the plain `Vec<Value>` it was built from.
+    #[test]
+    fn tuple_agrees_with_a_vec_model_across_the_inline_boundary(
+        a in proptest::collection::vec(arb_value(), 0..=6),
+        b in proptest::collection::vec(arb_value(), 0..=6),
+        v in arb_value(),
+        seed in any::<u64>(),
+    ) {
+        use std::hash::BuildHasher;
+        let h = FxBuildHasher::default();
+        let built = |model: &Vec<Value>| -> [Tuple; 4] {
+            [
+                Tuple::from(model.clone()),
+                model.iter().copied().collect(),
+                Tuple::new(model.clone()),
+                Tuple::new(model.as_slice()),
+            ]
+        };
+        // One value whatever the constructor.
+        let (ta, tb) = (built(&a), built(&b));
+        for t in &ta {
+            prop_assert_eq!(t.values(), a.as_slice());
+            prop_assert_eq!(t.arity(), a.len());
+            prop_assert_eq!(t, &ta[0]);
+            prop_assert_eq!(h.hash_one(t), h.hash_one(a.as_slice()));
+            prop_assert_eq!(t.clone(), ta[0].clone());
+            for i in 0..=a.len() {
+                prop_assert_eq!(t.get(i), a.get(i).copied());
+            }
+        }
+        let (ta, tb) = (&ta[0], &tb[0]);
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(ta.cmp(tb), a.cmp(&b));
+        prop_assert_eq!(ta.partial_cmp(tb), a.partial_cmp(&b));
+
+        let interner = Interner::new();
+        for n in 0..64 { interner.intern(&format!("s{}", 63 - n)); }
+        let by_name = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| x.cmp_canonical(*y, &interner))
+            .find(|o| o.is_ne())
+            .unwrap_or(a.len().cmp(&b.len()));
+        prop_assert_eq!(ta.cmp_canonical(tb, &interner), by_name);
+
+        // Derived tuples land on whichever side of the boundary they belong.
+        let mut longer = a.clone();
+        longer.push(v);
+        prop_assert_eq!(ta.with_appended(v), Tuple::from(longer));
+        if !a.is_empty() {
+            let positions: Vec<usize> =
+                (0..8).map(|k| ((seed >> (8 * k)) as usize) % a.len()).take(seed as usize % 8).collect();
+            let projected: Vec<Value> = positions.iter().map(|&p| a[p]).collect();
+            prop_assert_eq!(ta.project(&positions), Tuple::from(projected));
+        }
+        prop_assert!(std::mem::size_of::<Tuple>() <= 64);
+    }
+
     /// Canonical tuple comparison is a total order consistent with equality.
     #[test]
     fn cmp_canonical_is_consistent(a in arb_tuple(4), b in arb_tuple(4)) {

@@ -236,6 +236,98 @@ fn shard_count(n: usize) -> usize {
     (n / SHARD_MIN_TUPLES).clamp(1, MAX_DELTA_SHARDS)
 }
 
+/// The head tuples a sequence of rule runs derived, back to back in run
+/// order. A rule has one head, so a run's output is one predicate's tuples:
+/// nothing is tagged, hashed or grouped per tuple. The buffers (and the
+/// executor's binding scratch) keep their capacity across
+/// [`Derived::clear`], so a fixpoint reuses its buffers — one, plus one per
+/// pool worker — for all its rounds.
+#[derive(Debug, Default)]
+pub(crate) struct Derived {
+    tuples: Vec<Tuple>,
+    /// Per run, in run order: the head predicate and where the run's tuples
+    /// end in `tuples` (they start where the previous run's end).
+    runs: Vec<(SymbolId, usize)>,
+    /// Variable bindings of the run in flight.
+    bindings: Vec<Option<Value>>,
+}
+
+impl Derived {
+    /// Execute one rule body over `view`, `drive` naming the step (if any)
+    /// that a change set feeds, and append the derived head tuples as one
+    /// run. The only interpreter of a [`Step`] in the workspace: the
+    /// fixpoint rounds, the model checker and every DRed phase come through
+    /// here, differing only in the view they read and the step they drive.
+    pub(crate) fn run_rule<V: ReadView>(
+        &mut self,
+        view: &V,
+        plan: &RulePlan,
+        drive: Drive<'_>,
+        stats: &mut EvalStats,
+    ) -> CoreResult<()> {
+        self.bindings.clear();
+        self.bindings.resize(plan.n_vars, None);
+        RuleRun {
+            view,
+            plan,
+            drive,
+            bindings: &mut self.bindings,
+            out: &mut self.tuples,
+            stats,
+        }
+        .exec(0)?;
+        self.runs.push((plan.head_pred, self.tuples.len()));
+        Ok(())
+    }
+
+    /// True when no run derived anything.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tuples.is_empty()
+    }
+
+    /// Forget every run, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.tuples.clear();
+        self.runs.clear();
+    }
+
+    /// Where run `ri`'s tuples sit in `tuples`.
+    fn span(&self, ri: usize) -> std::ops::Range<usize> {
+        let start = ri.checked_sub(1).map_or(0, |prev| self.runs[prev].1);
+        start..self.runs[ri].1
+    }
+
+    /// The non-empty runs in run order: head predicate and tuples.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (SymbolId, &[Tuple])> {
+        (0..self.runs.len())
+            .map(|ri| (self.runs[ri].0, &self.tuples[self.span(ri)]))
+            .filter(|(_, tuples)| !tuples.is_empty())
+    }
+
+    /// Keep only the derivations `keep` accepts, in order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(SymbolId, &Tuple) -> bool) {
+        let runs = &mut self.runs;
+        // `ri` is the run of the tuple being visited, `end` where that run
+        // ended before the compaction.
+        let (mut ri, mut visited, mut kept) = (0usize, 0usize, 0usize);
+        let mut end = runs.first().map_or(0, |r| r.1);
+        self.tuples.retain(|t| {
+            while visited == end {
+                runs[ri].1 = kept;
+                ri += 1;
+                end = runs[ri].1;
+            }
+            visited += 1;
+            let keeps = keep(runs[ri].0, t);
+            kept += usize::from(keeps);
+            keeps
+        });
+        for run in &mut runs[ri..] {
+            run.1 = kept;
+        }
+    }
+}
+
 /// Run one work item with panic containment: a panic inside rule execution
 /// (a buggy builtin, a storage fault, an injected failpoint) surfaces as
 /// [`CoreError::Internal`] carrying the rule's clause index instead of
@@ -245,7 +337,7 @@ fn shard_count(n: usize) -> usize {
 fn run_item(
     state: &EvalState,
     item: &WorkItem<'_>,
-    out: &mut Vec<(SymbolId, Tuple)>,
+    out: &mut Derived,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -257,7 +349,7 @@ fn run_item(
             clause: Some(item.plan.clause_idx),
             message,
         })?;
-        run_rule(state, item.plan, item.drive, out, stats)
+        out.run_rule(state, item.plan, item.drive, stats)
     }))
     .unwrap_or_else(|payload| {
         Err(CoreError::Internal {
@@ -268,8 +360,11 @@ fn run_item(
 }
 
 /// Execute one round's work items, serially or over a scoped thread pool,
-/// returning the concatenated derivations **in work-item order**. The merged
-/// `out` and the statistics are identical for every `threads` value.
+/// leaving one run per item in `bufs` **in work-item order**: the serial
+/// path fills `bufs[0]`, the pool one buffer per worker, each its chunk of
+/// the work list. The buffers are grown on demand and must come in empty.
+/// Read back to back, they and the statistics are identical for every
+/// `threads` value.
 ///
 /// The governor is polled between work items on every path, so a deadline
 /// or cancellation stops all workers promptly; the caller discards the
@@ -289,14 +384,15 @@ fn run_round(
     governor: &Governor,
     stats: &mut EvalStats,
     recs: Option<&mut Vec<ItemRec>>,
-) -> CoreResult<Vec<(SymbolId, Tuple)>> {
+    bufs: &mut Vec<Derived>,
+) -> CoreResult<()> {
     // Estimate the round's work to skip thread spawn for small rounds. The
     // estimate uses no thread-dependent input, so the serial/parallel
     // decision is the same for a given round regardless of `threads` — and
     // either path computes the same result.
     let est: usize = items.iter().map(|it| it.estimated_work(state)).sum();
     let workers = if est < PARALLEL_MIN_WORK { 1 } else { threads };
-    run_items(state, items, workers, governor, stats, recs)
+    run_items(state, items, workers, governor, stats, recs, bufs)
 }
 
 /// [`run_round`] after the scheduling decision: `workers <= 1` (or a single
@@ -309,50 +405,55 @@ fn run_items(
     governor: &Governor,
     stats: &mut EvalStats,
     mut recs: Option<&mut Vec<ItemRec>>,
-) -> CoreResult<Vec<(SymbolId, Tuple)>> {
-    if workers <= 1 || items.len() <= 1 {
-        if let Some(recs) = recs {
-            // Profiled serial path: per-item local stats so counters can be
-            // attributed, merged into `stats` exactly as the parallel path
-            // does.
-            let mut out: Vec<(SymbolId, Tuple)> = Vec::new();
-            for item in items {
-                governor.poll()?;
-                let before = out.len();
-                let started = std::time::Instant::now();
-                let mut local = EvalStats::default();
-                run_item(state, item, &mut out, &mut local)?;
-                let nanos = started.elapsed().as_nanos() as u64;
-                recs.push(item.record(out.len() - before, local, nanos));
-                *stats += local;
-            }
-            return Ok(out);
-        }
-        let mut out: Vec<(SymbolId, Tuple)> = Vec::new();
+    bufs: &mut Vec<Derived>,
+) -> CoreResult<()> {
+    let chunk = match workers.min(items.len()) {
+        0 | 1 => items.len().max(1),
+        pool => items.len().div_ceil(pool),
+    };
+    let chunks = items.len().div_ceil(chunk).max(1);
+    if bufs.len() < chunks {
+        bufs.resize_with(chunks, Derived::default);
+    }
+    if chunks == 1 {
+        let out = &mut bufs[0];
         for item in items {
             governor.poll()?;
-            run_item(state, item, &mut out, stats)?;
+            let Some(recs) = recs.as_deref_mut() else {
+                run_item(state, item, out, stats)?;
+                continue;
+            };
+            // Profiled: per-item local stats so counters can be attributed,
+            // merged into `stats` exactly as the parallel path does.
+            let before = out.tuples.len();
+            let started = std::time::Instant::now();
+            let mut local = EvalStats::default();
+            run_item(state, item, out, &mut local)?;
+            let nanos = started.elapsed().as_nanos() as u64;
+            recs.push(item.record(out.tuples.len() - before, local, nanos));
+            *stats += local;
         }
-        return Ok(out);
+        return Ok(());
     }
 
-    type Slot = Option<CoreResult<(Vec<(SymbolId, Tuple)>, EvalStats, u64)>>;
+    // One output buffer per worker (its chunk's runs back to back), one
+    // slot per item for what is attributed per item.
+    type Slot = Option<CoreResult<(EvalStats, u64)>>;
     let profiling = recs.is_some();
     let mut slots: Vec<Slot> = items.iter().map(|_| None).collect();
-    let chunk = items.len().div_ceil(workers.min(items.len()));
     std::thread::scope(|scope| {
-        for (item_chunk, slot_chunk) in items.chunks(chunk).zip(slots.chunks_mut(chunk)) {
+        let chunks = items.chunks(chunk).zip(slots.chunks_mut(chunk));
+        for ((item_chunk, slot_chunk), out) in chunks.zip(bufs.iter_mut()) {
             scope.spawn(move || {
                 for (item, slot) in item_chunk.iter().zip(slot_chunk.iter_mut()) {
                     let started = profiling.then(std::time::Instant::now);
-                    let mut out: Vec<(SymbolId, Tuple)> = Vec::new();
                     let mut local = EvalStats::default();
                     let res = governor
                         .poll()
-                        .and_then(|()| run_item(state, item, &mut out, &mut local));
+                        .and_then(|()| run_item(state, item, out, &mut local));
                     let nanos = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     let failed = res.is_err();
-                    *slot = Some(res.map(|()| (out, local, nanos)));
+                    *slot = Some(res.map(|()| (local, nanos)));
                     if failed {
                         // The round is doomed; don't burn time on the rest
                         // of the chunk. Later slots stay `None`.
@@ -378,18 +479,17 @@ fn run_items(
             message: "round worker left no result and no error".to_string(),
         });
     }
-    let mut merged: Vec<(SymbolId, Tuple)> = Vec::new();
-    for (item, slot) in items.iter().zip(slots) {
-        let Some(Ok((out, local, nanos))) = slot else {
+    for (i, (item, slot)) in items.iter().zip(slots).enumerate() {
+        let Some(Ok((local, nanos))) = slot else {
             continue; // unreachable: the all-Ok scan above returned otherwise
         };
         if let Some(recs) = recs.as_deref_mut() {
-            recs.push(item.record(out.len(), local, nanos));
+            let out_len = bufs[i / chunk].span(i % chunk).len();
+            recs.push(item.record(out_len, local, nanos));
         }
-        merged.extend(out);
         *stats += local;
     }
-    Ok(merged)
+    Ok(())
 }
 
 /// One full (undriven) item per rule: round 0 and every naive round.
@@ -404,7 +504,7 @@ fn full_work_list<'a>(plans: &[&'a RulePlan]) -> Vec<WorkItem<'a>> {
 fn delta_work_list<'a>(
     plans: &[&'a RulePlan],
     same_stratum: &FxHashSet<SymbolId>,
-    delta: &'a FxHashMap<SymbolId, Vec<Tuple>>,
+    delta: &'a Delta,
 ) -> Vec<WorkItem<'a>> {
     let mut items: Vec<WorkItem<'a>> = Vec::new();
     for plan in plans {
@@ -432,6 +532,11 @@ fn delta_work_list<'a>(
     items
 }
 
+/// The new facts of one round per head predicate, in derivation order. The
+/// map and its vectors are reused from round to round, so a predicate that
+/// gained nothing this round may linger with an empty vector.
+pub(crate) type Delta = FxHashMap<SymbolId, Vec<Tuple>>;
+
 /// Evaluate one stratum to fixpoint **naively**: every round re-runs every
 /// rule in full until nothing new is derived. Exists as the ablation
 /// baseline for the semi-naive strategy ([`eval_stratum`]); results are
@@ -444,19 +549,28 @@ pub fn eval_stratum_naive(
     governor: &Governor,
     mut prof: Option<&mut StratumProfile>,
 ) -> CoreResult<()> {
+    let (mut bufs, mut delta) = (Vec::new(), Delta::default());
     let mut round = 0usize;
     loop {
         state.ensure_indexes(plans);
         let items = full_work_list(plans);
         let mut recs = prof.as_ref().map(|_| Vec::new());
-        let out = run_round(state, &items, threads, governor, stats, recs.as_mut())?;
-        let delta = absorb_contained(state, out, stats, recs.as_mut())?;
+        run_round(
+            state,
+            &items,
+            threads,
+            governor,
+            stats,
+            recs.as_mut(),
+            &mut bufs,
+        )?;
+        let grew = absorb_contained(state, &mut bufs, stats, recs.as_mut(), &mut delta)?;
         if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
             p.rounds.push(RoundProfile::from_items(round, recs));
         }
         stats.iterations += 1;
         round += 1;
-        if delta.is_empty() {
+        if !grew {
             return Ok(());
         }
         // Another round is coming: a deterministic barrier, where merged
@@ -481,38 +595,44 @@ pub fn eval_stratum(
     governor: &Governor,
     mut prof: Option<&mut StratumProfile>,
 ) -> CoreResult<()> {
-    // Round 0: full evaluation of every rule.
-    state.ensure_indexes(plans);
-    let full = full_work_list(plans);
-    let mut recs = prof.as_ref().map(|_| Vec::new());
-    let out = run_round(state, &full, threads, governor, stats, recs.as_mut())?;
-    let mut delta = absorb_contained(state, out, stats, recs.as_mut())?;
-    if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
-        p.rounds.push(RoundProfile::from_items(0, recs));
-    }
-    stats.iterations += 1;
-
-    // Delta rounds.
-    let mut round = 1usize;
-    while !delta.is_empty() {
+    // The same output buffers and delta map serve every round.
+    let (mut bufs, mut delta) = (Vec::new(), Delta::default());
+    let mut round = 0usize;
+    loop {
+        state.ensure_indexes(plans);
+        // Round 0: full evaluation of every rule; then delta rounds.
+        let items = if round == 0 {
+            full_work_list(plans)
+        } else {
+            delta_work_list(plans, same_stratum, &delta)
+        };
+        let mut recs = prof.as_ref().map(|_| Vec::new());
+        run_round(
+            state,
+            &items,
+            threads,
+            governor,
+            stats,
+            recs.as_mut(),
+            &mut bufs,
+        )?;
+        drop(items);
+        let grew = absorb_contained(state, &mut bufs, stats, recs.as_mut(), &mut delta)?;
+        if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
+            p.rounds.push(RoundProfile::from_items(round, recs));
+        }
+        stats.iterations += 1;
+        round += 1;
+        if !grew {
+            return Ok(());
+        }
         // Deterministic barrier: merged state and stats are identical at
         // any thread count here, so *whether* and *which* ceiling trips —
         // and the partial output it leaves behind — are too. An evaluation
         // that reaches fixpoint never gets here, so completing runs are
         // never reported as tripped.
         governor.check_barrier(stats, || state.estimated_bytes())?;
-        state.ensure_indexes(plans);
-        let items = delta_work_list(plans, same_stratum, &delta);
-        let mut recs = prof.as_ref().map(|_| Vec::new());
-        let out = run_round(state, &items, threads, governor, stats, recs.as_mut())?;
-        delta = absorb_contained(state, out, stats, recs.as_mut())?;
-        if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
-            p.rounds.push(RoundProfile::from_items(round, recs));
-        }
-        stats.iterations += 1;
-        round += 1;
     }
-    Ok(())
 }
 
 /// Run [`absorb`] with panic containment: a fault in the storage layer
@@ -521,12 +641,13 @@ pub fn eval_stratum(
 /// so the partially absorbed round is never observed as a barrier state.
 fn absorb_contained(
     state: &mut EvalState,
-    out: Vec<(SymbolId, Tuple)>,
+    outs: &mut [Derived],
     stats: &mut EvalStats,
     recs: Option<&mut Vec<ItemRec>>,
-) -> CoreResult<FxHashMap<SymbolId, Vec<Tuple>>> {
+    delta: &mut Delta,
+) -> CoreResult<bool> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        absorb(state, out, stats, recs)
+        absorb(state, outs, stats, recs, delta)
     }))
     .map_err(|payload| CoreError::Internal {
         clause: None,
@@ -534,100 +655,79 @@ fn absorb_contained(
     })
 }
 
-/// Insert derived tuples as **per-predicate batches** through
-/// [`Relation::delta_batch_insert`]; return the per-predicate delta of new
-/// facts, in derivation order. Duplicates cost one membership check and no
-/// allocation; the delta holds the already-owned tuple, so a new fact is
-/// cloned exactly once (into the stored relation). Batching is what lets
-/// the columnar backend turn a round's derivations into one sorted run.
+/// Insert the derived tuples of `outs` — the round's runs, read buffer
+/// after buffer; all left empty — as **one batch per head predicate**
+/// through [`Relation::delta_batch_insert`], and refill `delta` with the
+/// new facts per predicate, in derivation order; true when there are any.
+/// Duplicates cost one membership check; a new fact is copied once into the
+/// stored relation and moved into the delta. Batching is what lets the
+/// columnar backend turn a round's derivations into one sorted run.
 ///
-/// With `recs`, `derived`/`inserted` are also attributed to the work item
-/// that produced each tuple: `out` is the concatenation of per-item output
-/// segments in record order, so a cursor over the records' `out_len`
-/// boundaries identifies the owner. Flags are computed per predicate but
-/// walked in global derivation order, so the attribution is identical to
-/// the former tuple-at-a-time insertion.
+/// The work per tuple is the insert and the move: predicates are looked up
+/// once per run, never per tuple, and a round allocates the run list plus
+/// a batch and its flags per predicate, whatever it derives.
+///
+/// With `recs` — one record per run, in run order — `derived` and
+/// `inserted` are also attributed to the work item that produced each
+/// tuple. First occurrence wins within a predicate's batch, which is in run
+/// order, so the attribution is that of tuple-at-a-time insertion.
 pub(crate) fn absorb(
     state: &mut EvalState,
-    out: Vec<(SymbolId, Tuple)>,
+    outs: &mut [Derived],
     stats: &mut EvalStats,
-    recs: Option<&mut Vec<ItemRec>>,
-) -> FxHashMap<SymbolId, Vec<Tuple>> {
-    // Group derivation positions per predicate, in first-seen order.
-    let mut pred_slot: FxHashMap<SymbolId, usize> = FxHashMap::default();
-    let mut groups: Vec<(SymbolId, Vec<usize>)> = Vec::new();
-    for (i, (pred, _)) in out.iter().enumerate() {
-        let slot = *pred_slot.entry(*pred).or_insert_with(|| {
-            groups.push((*pred, Vec::new()));
-            groups.len() - 1
-        });
-        groups[slot].1.push(i);
+    mut recs: Option<&mut Vec<ItemRec>>,
+    delta: &mut Delta,
+) -> bool {
+    for fresh in delta.values_mut() {
+        fresh.clear();
     }
-    // One batch insert per predicate; flags flow back to global positions.
-    let mut flags: Vec<bool> = vec![false; out.len()];
-    for (pred, positions) in &groups {
-        let batch: Vec<&Tuple> = positions.iter().map(|&i| &out[i].1).collect();
+    let inserted_before = stats.inserted;
+    // Every run in work-item order: its predicate, buffer and span there.
+    let runs: Vec<(SymbolId, usize, std::ops::Range<usize>)> = outs
+        .iter()
+        .enumerate()
+        .flat_map(|(b, out)| (0..out.runs.len()).map(move |ri| (out.runs[ri].0, b, out.span(ri))))
+        .collect();
+    // Head predicates in first-seen order; a stratum has a handful.
+    let mut batched: Vec<SymbolId> = Vec::new();
+    for (first, (pred, _, span)) in runs.iter().enumerate() {
+        if span.is_empty() || batched.contains(pred) {
+            continue;
+        }
+        batched.push(*pred);
+        let of_pred = || {
+            runs.iter()
+                .enumerate()
+                .skip(first)
+                .filter(|(_, run)| run.0 == *pred)
+        };
+        let batch: Vec<&Tuple> = of_pred()
+            .flat_map(|(_, (_, b, span))| &outs[*b].tuples[span.clone()])
+            .collect();
         let rel = state
             .rels
             .get_mut(&PredKey::Ordinary(*pred))
             .expect("IDB relation installed before evaluation");
-        let batch_flags = rel.delta_batch_insert(&batch);
-        for (&i, f) in positions.iter().zip(batch_flags) {
-            flags[i] = f;
-        }
-    }
-    // Walk the derivations in global order: statistics, attribution, delta.
-    let mut delta: FxHashMap<SymbolId, Vec<Tuple>> = FxHashMap::default();
-    let Some(recs) = recs else {
-        for (new, (pred, t)) in flags.into_iter().zip(out) {
-            stats.derived += 1;
-            if new {
-                stats.inserted += 1;
-                delta.entry(pred).or_default().push(t);
+        let mut flags = rel.delta_batch_insert(&batch).into_iter();
+        let fresh = delta.entry(*pred).or_default();
+        for (ri, (_, b, span)) in of_pred() {
+            let before = fresh.len();
+            for (t, new) in outs[*b].tuples[span.clone()].iter_mut().zip(&mut flags) {
+                if new {
+                    fresh.push(std::mem::replace(t, Tuple::empty()));
+                }
+            }
+            let (derived, inserted) = (span.len() as u64, (fresh.len() - before) as u64);
+            stats.derived += derived;
+            stats.inserted += inserted;
+            if let Some(recs) = recs.as_deref_mut() {
+                recs[ri].stats.derived += derived;
+                recs[ri].stats.inserted += inserted;
             }
         }
-        return delta;
-    };
-    let mut ri = 0usize;
-    let mut remaining = recs.first().map_or(0, |r| r.out_len);
-    for (new, (pred, t)) in flags.into_iter().zip(out) {
-        while remaining == 0 {
-            ri += 1;
-            remaining = recs[ri].out_len;
-        }
-        stats.derived += 1;
-        recs[ri].stats.derived += 1;
-        if new {
-            stats.inserted += 1;
-            recs[ri].stats.inserted += 1;
-            delta.entry(pred).or_default().push(t);
-        }
-        remaining -= 1;
     }
-    delta
-}
-
-/// Execute one rule body over `view`, `drive` naming the step (if any) that
-/// a change set feeds. The only interpreter of a [`Step`] in the workspace:
-/// the fixpoint rounds, the model checker and every DRed phase come through
-/// here, differing only in the view they read and the step they drive.
-pub(crate) fn run_rule<V: ReadView>(
-    view: &V,
-    plan: &RulePlan,
-    drive: Drive<'_>,
-    out: &mut Vec<(SymbolId, Tuple)>,
-    stats: &mut EvalStats,
-) -> CoreResult<()> {
-    let bindings = vec![None; plan.n_vars];
-    RuleRun {
-        view,
-        plan,
-        drive,
-        bindings,
-        out,
-        stats,
-    }
-    .exec(0)
+    outs.iter_mut().for_each(Derived::clear);
+    stats.inserted != inserted_before
 }
 
 fn resolve(pat: TermPat, bindings: &[Option<Value>]) -> Value {
@@ -642,8 +742,8 @@ struct RuleRun<'a, V> {
     view: &'a V,
     plan: &'a RulePlan,
     drive: Drive<'a>,
-    bindings: Vec<Option<Value>>,
-    out: &'a mut Vec<(SymbolId, Tuple)>,
+    bindings: &'a mut [Option<Value>],
+    out: &'a mut Vec<Tuple>,
     stats: &'a mut EvalStats,
 }
 
@@ -653,8 +753,8 @@ impl<V: ReadView> RuleRun<'_, V> {
         let (view, plan) = (self.view, self.plan);
         let Some(step) = plan.steps.get(si) else {
             self.stats.instantiations += 1;
-            let head = plan.head.iter().map(|&p| resolve(p, &self.bindings));
-            self.out.push((plan.head_pred, head.collect()));
+            let head = plan.head.iter().map(|&p| resolve(p, self.bindings));
+            self.out.push(head.collect());
             return Ok(());
         };
         match step {
@@ -680,7 +780,7 @@ impl<V: ReadView> RuleRun<'_, V> {
                         let key_tuple: Tuple = astep
                             .probe
                             .iter()
-                            .map(|&(_, pat)| resolve(pat, &self.bindings))
+                            .map(|&(_, pat)| resolve(pat, self.bindings))
                             .collect();
                         for t in rel.probe(astep.probe_positions(), &key_tuple).iter() {
                             // Probe positions already match; only bind/check remain.
@@ -696,7 +796,7 @@ impl<V: ReadView> RuleRun<'_, V> {
                 Ok(())
             }
             Step::Negation { key, terms } => {
-                let t: Tuple = terms.iter().map(|&p| resolve(p, &self.bindings)).collect();
+                let t: Tuple = terms.iter().map(|&p| resolve(p, self.bindings)).collect();
                 self.stats.probes += 1;
                 let passes = match self.drive {
                     Drive::Negation(di, flipped) if di == si => flipped.contains(&t),
@@ -727,7 +827,7 @@ impl<V: ReadView> RuleRun<'_, V> {
         self.stats.probes += 1;
         if verify_probe {
             for &(pos, pat) in &astep.probe {
-                if t[pos] != resolve(pat, &self.bindings) {
+                if t[pos] != resolve(pat, self.bindings) {
                     return Ok(());
                 }
             }
@@ -757,7 +857,7 @@ impl<V: ReadView> RuleRun<'_, V> {
     ) -> CoreResult<()> {
         // `=` and `!=` work on both sorts; handle them on Values directly.
         if matches!(op, Builtin::Eq | Builtin::Ne) {
-            let val = |k: usize| bound[k].then(|| resolve(args[k], &self.bindings));
+            let val = |k: usize| bound[k].then(|| resolve(args[k], self.bindings));
             match (val(0), val(1)) {
                 (Some(a), Some(b)) => {
                     if builtins::eq_check(op, a, b) {
@@ -783,7 +883,7 @@ impl<V: ReadView> RuleRun<'_, V> {
         let mut ints: Vec<Option<i64>> = Vec::with_capacity(args.len());
         for (&a, &b) in args.iter().zip(bound) {
             if b {
-                match resolve(a, &self.bindings) {
+                match resolve(a, self.bindings) {
                     Value::Int(n) => ints.push(Some(n)),
                     Value::Sym(_) => return Ok(()), // wrong sort: no solutions
                 }
@@ -952,32 +1052,41 @@ mod tests {
             }
         }
         let governor = Governor::new(crate::govern::Limits::none(), None);
-        let run = |workers: usize| {
+        let run = |workers: usize, profiled: bool| {
             let mut stats = EvalStats::default();
             let mut recs = Vec::new();
-            let out = run_items(
+            let mut bufs = Vec::new();
+            run_items(
                 &state,
                 &items,
                 workers,
                 &governor,
                 &mut stats,
-                Some(&mut recs),
+                profiled.then_some(&mut recs),
+                &mut bufs,
             )
             .unwrap();
+            // The buffers read back to back: every run's predicate and tuples.
+            let out: Vec<(SymbolId, Vec<Tuple>)> = bufs
+                .iter()
+                .flat_map(|out| (0..out.runs.len()).map(move |ri| (out, ri)))
+                .map(|(out, ri)| (out.runs[ri].0, out.tuples[out.span(ri)].to_vec()))
+                .collect();
             let recs: Vec<_> = recs
                 .iter()
                 .map(|r| (r.clause, r.delta_step, r.delta_tuples, r.out_len, r.stats))
                 .collect();
             (out, stats, recs)
         };
-        let serial = run(1);
-        assert!(serial.0.len() > 100, "fixture derives too little");
+        let serial = run(1, true);
+        let derived: usize = serial.0.iter().map(|(_, tuples)| tuples.len()).sum();
+        assert!(derived > 100, "fixture derives too little");
+        assert_eq!(serial.0.len(), items.len(), "one run per item");
         for workers in [2usize, 3, 7, 64] {
-            assert_eq!(run(workers), serial, "{workers} workers");
+            assert_eq!(run(workers, true), serial, "{workers} workers");
         }
         // The unprofiled pool agrees too.
-        let mut stats = EvalStats::default();
-        let out = run_items(&state, &items, 3, &governor, &mut stats, None).unwrap();
+        let (out, stats, _) = run(3, false);
         assert_eq!((out, stats), (serial.0, serial.1));
     }
 

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use idlog_common::{Interner, SymbolId, Tuple, Value};
+use idlog_common::{Interner, SymbolId, Value};
 use idlog_parser::token::Token;
 use idlog_parser::{parse_clause_from, Clause, Lexer, ParseResult, Term};
 use idlog_storage::{Database, Relation};
@@ -43,7 +43,7 @@ pub fn load_facts(src: &str, db: &mut Database) -> CoreResult<()> {
                     current = Some((name, db.relation_for_insert(pred, &values)));
                 }
                 let (_, rel) = current.as_mut().expect("a fact names its predicate");
-                rel.insert(Tuple::new(values.as_slice()))?;
+                rel.insert(values.iter().copied().collect())?;
             }
             Plain::Other => {
                 current = None;

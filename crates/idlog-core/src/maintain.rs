@@ -53,7 +53,7 @@ use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Tuple};
 use idlog_storage::{Database, Relation};
 
 use crate::config::EvalOptions;
-use crate::engine::{absorb, run_rule, Drive, EvalState, ReadView};
+use crate::engine::{absorb, Delta, Derived, Drive, EvalState, ReadView};
 use crate::error::CoreResult;
 use crate::eval::evaluate_with_options;
 use crate::plan::{RulePlan, Step};
@@ -390,7 +390,7 @@ impl Materialized {
         // the overdeleted set; tuples stay physically present so old reads
         // of this stratum see them.
         let mut deleted: NetMap = NetMap::default();
-        let mut cand: Vec<(SymbolId, Tuple)> = Vec::new();
+        let mut cand = Derived::default();
         let view = OldView {
             state: &self.state,
             net_ins,
@@ -398,12 +398,16 @@ impl Materialized {
         };
         replay_nets(&view, splans, net_del, net_ins, &mut cand, stats)?;
         loop {
-            let mut next: FxHashMap<SymbolId, Vec<Tuple>> = FxHashMap::default();
-            for (p, t) in cand.drain(..) {
-                if deleted.entry(p).or_default().add(t.clone()) {
-                    next.entry(p).or_default().push(t);
+            let mut next = Delta::default();
+            for (p, tuples) in cand.runs() {
+                let gone = deleted.entry(p).or_default();
+                for t in tuples {
+                    if gone.add(t.clone()) {
+                        next.entry(p).or_default().push(t.clone());
+                    }
                 }
             }
+            cand.clear();
             if next.is_empty() {
                 break;
             }
@@ -427,19 +431,25 @@ impl Materialized {
                 .filter(|p| deleted.contains_key(&p.head_pred))
                 .copied()
                 .collect();
-            let mut out: Vec<(SymbolId, Tuple)> = Vec::new();
+            let (mut out, mut reinserted) = (Derived::default(), Delta::default());
             for plan in &red_plans {
-                run_rule(&self.state, plan, Drive::Full, &mut out, stats)?;
+                out.run_rule(&self.state, plan, Drive::Full, stats)?;
             }
             loop {
                 // A tuple leaves `deleted` at most once and is physically
                 // absent until then, so what survives the filter is distinct
                 // and new.
-                out.retain(|(p, t)| deleted.get_mut(p).is_some_and(|n| n.remove(t)));
+                out.retain(|p, t| deleted.get_mut(&p).is_some_and(|n| n.remove(t)));
                 if out.is_empty() {
                     break;
                 }
-                let reinserted = absorb(&mut self.state, std::mem::take(&mut out), stats, None);
+                absorb(
+                    &mut self.state,
+                    std::slice::from_mut(&mut out),
+                    stats,
+                    None,
+                    &mut reinserted,
+                );
                 replay_round(&self.state, &red_plans, &reinserted, &mut out, stats)?;
             }
         }
@@ -447,11 +457,11 @@ impl Materialized {
         // Phase 4 — insert: semi-naive rounds seeded by the lower strata's
         // net inserts (positive atoms) and net deletes (negated literals).
         let mut stratum_ins: NetMap = NetMap::default();
-        let mut out: Vec<(SymbolId, Tuple)> = Vec::new();
+        let (mut out, mut fresh) = (Derived::default(), Delta::default());
         replay_nets(&self.state, splans, net_ins, net_del, &mut out, stats)?;
         loop {
-            let fresh = absorb(&mut self.state, std::mem::take(&mut out), stats, None);
-            if fresh.is_empty() {
+            let outs = std::slice::from_mut(&mut out);
+            if !absorb(&mut self.state, outs, stats, None, &mut fresh) {
                 break;
             }
             for (p, tuples) in &fresh {
@@ -514,7 +524,7 @@ fn replay_nets<V: ReadView>(
     plans: &[&RulePlan],
     atoms: &NetMap,
     flips: &NetMap,
-    out: &mut Vec<(SymbolId, Tuple)>,
+    out: &mut Derived,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
     for plan in plans {
@@ -527,7 +537,7 @@ fn replay_nets<V: ReadView>(
                 Step::Builtin { .. } => None,
             };
             if let Some(drive) = drive {
-                run_rule(view, plan, drive, out, stats)?;
+                out.run_rule(view, plan, drive, stats)?;
             }
         }
     }
@@ -540,8 +550,8 @@ fn replay_nets<V: ReadView>(
 fn replay_round<V: ReadView>(
     view: &V,
     plans: &[&RulePlan],
-    delta: &FxHashMap<SymbolId, Vec<Tuple>>,
-    out: &mut Vec<(SymbolId, Tuple)>,
+    delta: &Delta,
+    out: &mut Derived,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
     for plan in plans {
@@ -550,8 +560,9 @@ fn replay_round<V: ReadView>(
             let PredKey::Ordinary(p) = &a.key else {
                 continue;
             };
-            if let Some(d) = delta.get(p) {
-                run_rule(view, plan, Drive::Atom(si, d), out, stats)?;
+            // A reused delta map keeps predicates that gained nothing.
+            if let Some(d) = delta.get(p).filter(|d| !d.is_empty()) {
+                out.run_rule(view, plan, Drive::Atom(si, d), stats)?;
             }
         }
     }

@@ -10,7 +10,7 @@
 use idlog_common::{SymbolId, Tuple};
 use idlog_storage::Database;
 
-use crate::engine::{run_rule, Drive, EvalState};
+use crate::engine::{Derived, Drive, EvalState};
 use crate::error::{CoreError, CoreResult};
 use crate::eval::EvalOutput;
 use crate::pred::PredKey;
@@ -101,11 +101,14 @@ pub fn verify_model(
                     interner.resolve(plan.head_pred)
                 ),
             })?;
-        let mut derived: Vec<(SymbolId, Tuple)> = Vec::new();
-        run_rule(&state, plan, Drive::Full, &mut derived, &mut stats)?;
-        for (pred, t) in derived {
-            if !head_rel.contains(&t) {
-                violations.push(ModelViolation { pred, tuple: t });
+        let mut derived = Derived::default();
+        derived.run_rule(&state, plan, Drive::Full, &mut stats)?;
+        for (pred, tuples) in derived.runs() {
+            for t in tuples.iter().filter(|t| !head_rel.contains(t)) {
+                violations.push(ModelViolation {
+                    pred,
+                    tuple: t.clone(),
+                });
             }
         }
     }

@@ -257,20 +257,35 @@ impl TerminationCert {
         if !self.bounded {
             return None;
         }
-        // Value ceiling: the largest natural any evaluation can derive.
-        // In a certified (acyclic) flow graph a derivation chain passes
-        // each expanding occurrence at most once, so iterating them all
-        // `len` times dominates every chain.
+        // One pass over the database: the largest natural stored, and how
+        // many distinct values there are — symbols ticked off in a bitmap
+        // over the interner's dense ids, only the integers hashed.
         let mut vstar: u64 = self.max_const.max(0) as u64;
-        for rel in db.iter().map(|(_, r)| r) {
+        let mut sym_seen = vec![0u64; db.interner().len().div_ceil(64)];
+        let mut ints: FxHashSet<i64> = FxHashSet::default();
+        let mut pool: u64 = 0;
+        for (_, rel) in db.iter() {
             for t in rel.iter() {
                 for v in t.values() {
-                    if let Value::Int(n) = v {
-                        vstar = vstar.max((*n).max(0) as u64);
+                    match v {
+                        Value::Int(n) => {
+                            vstar = vstar.max((*n).max(0) as u64);
+                            pool += u64::from(ints.insert(*n));
+                        }
+                        Value::Sym(s) => {
+                            let (word, bit) =
+                                (&mut sym_seen[s.index() / 64], 1 << (s.index() % 64));
+                            pool += u64::from(*word & bit == 0);
+                            *word |= bit;
+                        }
                     }
                 }
             }
         }
+        // Value ceiling: the largest natural any evaluation can derive.
+        // In a certified (acyclic) flow graph a derivation chain passes
+        // each expanding occurrence at most once, so iterating them all
+        // `len` times dominates every chain.
         for _ in 0..self.expanding_ops.len() + 1 {
             for op in &self.expanding_ops {
                 vstar = match op {
@@ -281,14 +296,7 @@ impl TerminationCert {
                 };
             }
         }
-        // Distinct values stored anywhere in the database.
-        let mut pool: FxHashSet<Value> = FxHashSet::default();
-        for (_, rel) in db.iter() {
-            for t in rel.iter() {
-                pool.extend(t.values().iter().copied());
-            }
-        }
-        let base_domain = (pool.len() as u64)
+        let base_domain = pool
             .saturating_add(self.const_count)
             .saturating_add(vstar)
             .saturating_add(1);
@@ -1023,6 +1031,27 @@ mod tests {
             .unwrap();
         let b = c.round_bound(&db).expect("bounded");
         assert!(b >= 2, "at least one derivation round plus fixpoint check");
+    }
+
+    #[test]
+    fn round_bound_counts_each_distinct_value_once() {
+        let (c, i) = cert(
+            "tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).
+             big(N) :- w(X, N), tc(X, X).",
+        );
+        let mut db = Database::with_interner(Arc::clone(&i));
+        for (x, y) in [("a", "b"), ("b", "a"), ("b", "c")] {
+            db.insert_syms("e", &[x, y]).unwrap();
+        }
+        // Repeated symbols, repeated and negative integers: the pool is
+        // {a, b, c} and {-4, 2, 9}, and the largest natural is 9.
+        for (x, n) in [("a", 2), ("b", 2), ("c", 9), ("a", -4)] {
+            let t = vec![Value::Sym(i.intern(x)), Value::Int(n)];
+            db.insert("w", t.into()).unwrap();
+        }
+        // D = 6 values + V* 9 + 1 = 16; tc reads e (3 tuples): 19² = 361;
+        // big = |w| · |tc| = 4 · 361; plus the one stratum and 2.
+        assert_eq!(c.round_bound(&db), Some(361 + 4 * 361 + 1 + 2));
     }
 
     #[test]

@@ -1,0 +1,104 @@
+//! Allocation budget of the join kernel and the tuple store.
+//!
+//! A counting global allocator (per-thread counters, so libtest's other
+//! threads do not leak in) measures what a semi-naive fixpoint and a
+//! relation clone ask the allocator for. Tuples of up to three columns live
+//! inline, probes and inserts allocate nothing per tuple and round buffers
+//! are reused, so a fixpoint's allocations grow with its *rounds* (plus the
+//! logarithmic growth of the stores), not with the tuples it touches.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use idlog_core::{
+    evaluate_with_options, CanonicalOracle, EvalOptions, Interner, RelType, Relation, Tuple,
+    ValidatedProgram, Value,
+};
+use idlog_storage::Database;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell` without a destructor, so touching it
+// neither allocates nor runs during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes while `f` runs.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let value = f();
+    (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn a_fixpoint_allocates_per_round_not_per_tuple() {
+    const EDGES: u64 = 300;
+    let interner = Arc::new(Interner::new());
+    let program = ValidatedProgram::parse(
+        "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).",
+        Arc::clone(&interner),
+    )
+    .unwrap();
+    let mut db = Database::with_interner(interner);
+    for n in 0..EDGES {
+        db.insert_syms("e", &[&format!("n{n}"), &format!("n{}", n + 1)])
+            .unwrap();
+    }
+    let options = EvalOptions::serial();
+    let (out, allocations) = allocations_during(|| {
+        evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap()
+    });
+    let stats = out.stats();
+    // A chain's closure: one round per path length, plus the empty last one.
+    assert_eq!(stats.iterations, EDGES + 1);
+    assert_eq!(stats.inserted, EDGES * (EDGES + 1) / 2);
+    assert_eq!(out.relation("t").unwrap().len() as u64, stats.inserted);
+    // O(rounds): a work list, a batch and its flags per round, and the
+    // doubling growth of the store, its membership table and the buffers.
+    assert!(
+        allocations <= 12 * stats.iterations,
+        "{allocations} allocations in {} rounds",
+        stats.iterations
+    );
+    assert!(
+        (allocations as f64) < 0.1 * stats.inserted as f64,
+        "{allocations} allocations for {} inserted tuples",
+        stats.inserted
+    );
+}
+
+#[test]
+fn cloning_a_relation_of_small_tuples_is_a_handful_of_copies() {
+    let mut rel = Relation::new(RelType::new(vec![idlog_core::Sort::I; 2]));
+    for n in 0..10_000i64 {
+        let t: Tuple = [Value::Int(n), Value::Int(n / 7)].into_iter().collect();
+        rel.insert(t).unwrap();
+    }
+    let (copy, allocations) = allocations_during(|| rel.clone());
+    assert_eq!(copy.len(), 10_000);
+    // The store, the membership table's two arrays and the relation type:
+    // nothing per row.
+    assert!(allocations <= 8, "{allocations} allocations");
+}

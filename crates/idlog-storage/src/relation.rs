@@ -251,12 +251,19 @@ impl Relation {
     /// A borrowed view of this relation in canonical (name-based) order —
     /// the one ordering every consumer shares. See [`CanonicalView`].
     pub fn canonical_view<'a>(&'a self, interner: &Interner) -> CanonicalView<'a> {
-        CanonicalView::new(self.rank_keys(interner))
+        CanonicalView::new(self.ranked(interner))
+    }
+
+    /// This relation's tuples with their symbols ranked by name.
+    fn ranked<'a>(&'a self, interner: &Interner) -> Ranked<'a> {
+        Ranked::new(self.arity(), self.iter().collect(), interner)
     }
 
     /// This relation's tuples with their canonical sort keys, unsorted.
     pub(crate) fn rank_keys<'a>(&'a self, interner: &Interner) -> RankKeys<'a> {
-        RankKeys::new(self.arity(), self.iter().collect(), interner)
+        let ranked = self.ranked(interner);
+        let keys = ranked.key_parts();
+        RankKeys { ranked, keys }
     }
 
     /// All tuples in canonical (name-based) order, as owned copies.
@@ -316,55 +323,59 @@ impl Eq for Relation {}
 /// [`Value::cmp_canonical`].
 pub(crate) type KeyPart = (u8, i64);
 
-/// A relation's tuples, borrowed in scan order, each with a flat integer
-/// sort key: the one implementation of "canonical order" in the workspace.
-/// Comparing two keys compares the tuples canonically.
-///
-/// Building the keys ranks the relation's distinct symbols by name and
-/// resolves each name once; whoever sorts ([`CanonicalView`], the
-/// sub-relation grouping in [`crate::group`]) compares integers and never
-/// touches the interner again.
-pub(crate) struct RankKeys<'a> {
+/// A relation's tuples, borrowed in scan order, with what canonical order
+/// needs to know about their values: every distinct symbol ranked by name
+/// (each name resolved once — nothing downstream touches the interner
+/// again) and the integer range of every column. Sort keys are built from
+/// this in one more pass over the tuples, in whichever shape the consumer
+/// sorts: [`Ranked::key_parts`] or the packed keys of [`CanonicalView`].
+pub(crate) struct Ranked<'a> {
     arity: usize,
     /// The tuples in scan order; a tuple's index here is its *row id*.
     tuples: Vec<&'a Tuple>,
-    /// Sort keys in scan order, flat: row `i` owns
-    /// `keys[i * arity..][..arity]`.
-    keys: Vec<KeyPart>,
+    /// Interner index → the symbol's name rank among this relation's
+    /// symbols (meaningless for symbols the relation does not hold).
+    rank_of: Vec<u32>,
     /// Symbol rank → where its name sits in `text`.
     names: Vec<std::ops::Range<u32>>,
     /// Every distinct symbol's name, back to back: one allocation.
     text: String,
+    /// Per column: the least and greatest integer, and whether it holds
+    /// any symbol.
+    cols: Vec<(Option<(i64, i64)>, bool)>,
 }
 
-impl<'a> RankKeys<'a> {
+impl<'a> Ranked<'a> {
     fn new(arity: usize, tuples: Vec<&'a Tuple>, interner: &Interner) -> Self {
         assert!(
             u32::try_from(tuples.len()).is_ok(),
             "relation exceeds the u32 offset range of the tuple stores"
         );
         // One pass over the values: number the distinct symbols as they
-        // come and key each symbol column by that number for now.
-        // Symbol ids are dense indexes into the interner, so a flat table
-        // (0 = not seen yet) does for a map.
+        // come. Symbol ids are dense indexes into the interner, so a flat
+        // table (0 = not seen yet) does for a map.
         let mut numbers: Vec<u32> = vec![0; interner.len()];
         let mut symbols: Vec<SymbolId> = Vec::new();
-        let mut keys: Vec<KeyPart> = Vec::with_capacity(tuples.len() * arity);
+        let mut cols: Vec<(Option<(i64, i64)>, bool)> = vec![(None, false); arity];
         for t in &tuples {
             debug_assert_eq!(t.arity(), arity, "ill-typed tuple in relation");
-            keys.extend(t.values().iter().map(|v| match v {
-                Value::Int(n) => (0u8, *n),
-                Value::Sym(s) => {
-                    let number = &mut numbers[s.index()];
-                    if *number == 0 {
-                        symbols.push(*s);
-                        *number = symbols.len() as u32;
+            for (v, (ints, has_sym)) in t.values().iter().zip(&mut cols) {
+                match v {
+                    Value::Int(n) => {
+                        let (lo, hi) = ints.unwrap_or((*n, *n));
+                        *ints = Some((lo.min(*n), hi.max(*n)));
                     }
-                    (1u8, i64::from(*number - 1))
+                    Value::Sym(s) => {
+                        *has_sym = true;
+                        let number = &mut numbers[s.index()];
+                        if *number == 0 {
+                            symbols.push(*s);
+                            *number = symbols.len() as u32;
+                        }
+                    }
                 }
-            }));
+            }
         }
-        drop(numbers);
 
         // Resolve each name once, then rank the symbols by name. Most
         // comparisons end at the names' first eight bytes, held as one
@@ -392,24 +403,26 @@ impl<'a> RankKeys<'a> {
         by_name.sort_unstable_by(|&(pa, a), &(pb, b)| {
             pa.cmp(&pb).then_with(|| name_of(a).cmp(name_of(b)))
         });
-        let mut rank_of = vec![0u32; symbols.len()];
+        // The numbering has served; the table now maps ids to ranks.
+        let mut rank_of = numbers;
         let mut names = Vec::with_capacity(symbols.len());
         for (rank, &(_, number)) in by_name.iter().enumerate() {
-            rank_of[number as usize] = rank as u32;
+            rank_of[symbols[number as usize].index()] = rank as u32;
             names.push(spans[number as usize].clone());
         }
-        for part in &mut keys {
-            if part.0 == 1 {
-                part.1 = i64::from(rank_of[part.1 as usize]);
-            }
-        }
-        RankKeys {
+        Ranked {
             arity,
             tuples,
-            keys,
+            rank_of,
             names,
             text,
+            cols,
         }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.tuples.len()
     }
 
     /// The name of the symbol of rank `rank`.
@@ -417,19 +430,46 @@ impl<'a> RankKeys<'a> {
         span_of(&self.text, &self.names[rank as usize])
     }
 
+    /// One value's key part.
+    fn part(&self, v: &Value) -> KeyPart {
+        match v {
+            Value::Int(n) => (0, *n),
+            Value::Sym(s) => (1, i64::from(self.rank_of[s.index()])),
+        }
+    }
+
+    /// Flat sort keys in scan order: row `i` owns `[i * arity..][..arity]`,
+    /// and comparing two rows' keys compares the tuples canonically.
+    fn key_parts(&self) -> Vec<KeyPart> {
+        let mut keys = Vec::with_capacity(self.len() * self.arity);
+        for t in &self.tuples {
+            keys.extend(t.values().iter().map(|v| self.part(v)));
+        }
+        keys
+    }
+}
+
+/// [`Ranked`] tuples with their flat [`KeyPart`] keys: what the
+/// sub-relation grouping in [`crate::group`] hashes and compares.
+pub(crate) struct RankKeys<'a> {
+    ranked: Ranked<'a>,
+    keys: Vec<KeyPart>,
+}
+
+impl<'a> RankKeys<'a> {
     /// Number of rows.
     pub(crate) fn len(&self) -> usize {
-        self.tuples.len()
+        self.ranked.len()
     }
 
     /// The tuples in scan order (index = row id).
     pub(crate) fn tuples(&self) -> &[&'a Tuple] {
-        &self.tuples
+        &self.ranked.tuples
     }
 
     /// The sort key of row `row`.
     pub(crate) fn key(&self, row: u32) -> &[KeyPart] {
-        &self.keys[row as usize * self.arity..][..self.arity]
+        &self.keys[row as usize * self.ranked.arity..][..self.ranked.arity]
     }
 }
 
@@ -437,60 +477,172 @@ fn span_of<'t>(text: &'t str, span: &std::ops::Range<u32>) -> &'t str {
     &text[span.start as usize..span.end as usize]
 }
 
+/// Bits needed to tell `codes` values apart.
+fn width_of(codes: u128) -> u32 {
+    128 - codes.saturating_sub(1).leading_zeros()
+}
+
+/// A mask of the `bits` lowest bits.
+fn low_bits(bits: u32) -> u64 {
+    1u64.checked_shl(bits).map_or(u64::MAX, |b| b - 1)
+}
+
+/// Where one column sits in a packed key, and how its codes read: the
+/// column's integers come first (`n - int_min`), then its symbols
+/// (`int_codes + rank`) — integers before symbols, as in [`KeyPart`] order.
+struct PackedCol {
+    shift: u32,
+    mask: u64,
+    int_min: i64,
+    int_codes: u64,
+}
+
+/// The canonical order itself, in one of two shapes.
+enum Order {
+    /// One integer per row, ascending: `key << row bits | row id`, the key
+    /// being the columns' codes side by side, first column highest. Sorting
+    /// the integers sorts the relation; each one still names its row and
+    /// decodes back into its key parts.
+    Packed {
+        sorted: Vec<u64>,
+        cols: Vec<PackedCol>,
+        row_mask: u64,
+    },
+    /// Keys that do not fit beside a row id in 64 bits: [`KeyPart`] keys
+    /// in scan order and a permutation sorted by comparing them.
+    Wide { keys: Vec<KeyPart>, perm: Vec<u32> },
+}
+
 /// A relation's tuples in canonical (name-based) order, borrowed: the
 /// order is a permutation over the backend's scan order, so no tuple is
 /// cloned and nothing is allocated per tuple.
 ///
 /// Building the view ranks the relation's distinct symbols by name and
-/// resolves each name once; sorting compares flat integer keys and
-/// rendering reads the rank → name table, so neither touches the interner
-/// again.
+/// resolves each name once; sorting compares integers — whole rows packed
+/// into one `u64` each whenever the columns' value ranges allow, which is
+/// also all the view then keeps per row — and rendering reads the rank →
+/// name table, so neither touches the interner again.
 /// Canonical order is a function of relation *content* only — any two
 /// relations holding the same set, on either backend, iterate and render
 /// identically.
 pub struct CanonicalView<'a> {
-    ranked: RankKeys<'a>,
-    /// Canonical position → row id.
-    perm: Vec<u32>,
+    ranked: Ranked<'a>,
+    order: Order,
 }
 
 impl<'a> CanonicalView<'a> {
-    fn new(ranked: RankKeys<'a>) -> Self {
+    fn new(ranked: Ranked<'a>) -> Self {
+        let order = Self::packed(&ranked).unwrap_or_else(|| Self::wide(&ranked));
+        CanonicalView { ranked, order }
+    }
+
+    /// The packed order, when every row's key fits beside its row id.
+    fn packed(ranked: &Ranked<'_>) -> Option<Order> {
+        // Lay the columns out from the last (lowest) to the first, above
+        // the row id.
+        let row_bits = width_of(ranked.len() as u128);
+        let mut used = row_bits;
+        let mut cols = Vec::with_capacity(ranked.arity);
+        for &(ints, has_sym) in ranked.cols.iter().rev() {
+            let int_codes = ints.map_or(0, |(lo, hi)| hi.abs_diff(lo) as u128 + 1);
+            let sym_codes = if has_sym { ranked.names.len() } else { 0 };
+            let width = width_of(int_codes + sym_codes as u128);
+            cols.push(PackedCol {
+                // A column of one value takes no bits, wherever it sits.
+                shift: if width == 0 { 0 } else { used },
+                mask: low_bits(width),
+                int_min: ints.map_or(0, |(lo, _)| lo),
+                int_codes: int_codes as u64,
+            });
+            used = used.checked_add(width).filter(|&bits| bits <= 64)?;
+        }
+        cols.reverse();
+        let mut sorted: Vec<u64> = Vec::with_capacity(ranked.len());
+        for (row, t) in ranked.tuples.iter().enumerate() {
+            let mut packed = row as u64;
+            for (v, col) in t.values().iter().zip(&cols) {
+                let code = match ranked.part(v) {
+                    (0, n) => n.wrapping_sub(col.int_min) as u64,
+                    (_, rank) => col.int_codes + rank as u64,
+                };
+                packed |= code << col.shift;
+            }
+            sorted.push(packed);
+        }
+        // A relation is a set: distinct tuples have distinct keys, and the
+        // row id below the key never decides.
+        sorted.sort_unstable();
+        Some(Order::Packed {
+            sorted,
+            cols,
+            row_mask: low_bits(row_bits),
+        })
+    }
+
+    /// The comparator order: any keys, at 16 bytes per value.
+    fn wide(ranked: &Ranked<'_>) -> Order {
+        let keys = ranked.key_parts();
+        let key = |row: u32| &keys[row as usize * ranked.arity..][..ranked.arity];
         let mut perm: Vec<u32> = (0..ranked.len() as u32).collect();
-        // A relation is a set: distinct tuples have distinct keys, so the
-        // unstable sort has no ties to reorder.
-        perm.sort_unstable_by(|&a, &b| ranked.key(a).cmp(ranked.key(b)));
-        CanonicalView { ranked, perm }
+        // Distinct keys again: the unstable sort has no ties to reorder.
+        perm.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        Order::Wide { keys, perm }
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.perm.len()
+        self.ranked.len()
     }
 
     /// True when the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
+        self.len() == 0
+    }
+
+    /// Row id of the tuple at canonical position `pos`.
+    fn row(&self, pos: usize) -> usize {
+        match &self.order {
+            Order::Packed {
+                sorted, row_mask, ..
+            } => (sorted[pos] & row_mask) as usize,
+            Order::Wide { perm, .. } => perm[pos] as usize,
+        }
+    }
+
+    /// Key part of column `col` of the tuple at canonical position `pos`.
+    fn part(&self, pos: usize, col: usize) -> KeyPart {
+        match &self.order {
+            Order::Packed { sorted, cols, .. } => {
+                let col = &cols[col];
+                let code = (sorted[pos] >> col.shift) & col.mask;
+                match code.checked_sub(col.int_codes) {
+                    None => (0, col.int_min.wrapping_add(code as i64)),
+                    Some(rank) => (1, rank as i64),
+                }
+            }
+            Order::Wide { keys, perm } => keys[perm[pos] as usize * self.ranked.arity + col],
+        }
     }
 
     /// The tuples in canonical order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Tuple> + '_ {
-        self.perm.iter().map(|&i| self.ranked.tuples[i as usize])
+        (0..self.len()).map(|pos| self.ranked.tuples[self.row(pos)])
     }
 
     /// Append the values of the tuple at canonical position `row` to
     /// `buf`, joined by `sep` (`v1,v2` on the wire). Panics when `row` is
     /// out of range.
     pub fn render_row(&self, row: usize, sep: &str, buf: &mut String) {
-        for (i, &(tag, n)) in self.ranked.key(self.perm[row]).iter().enumerate() {
-            if i > 0 {
+        for col in 0..self.ranked.arity {
+            if col > 0 {
                 buf.push_str(sep);
             }
-            if tag == 0 {
-                // Writing to a `String` cannot fail.
-                let _ = write!(buf, "{n}");
-            } else {
-                buf.push_str(self.ranked.name(n));
+            match self.part(row, col) {
+                (0, n) => {
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(buf, "{n}");
+                }
+                (_, rank) => buf.push_str(self.ranked.name(rank)),
             }
         }
     }
@@ -602,6 +754,79 @@ mod tests {
         assert_eq!(String::from_utf8(out.0).unwrap(), expected);
         // ~120 KB leaves in a few large writes, not one per row.
         assert!((2..=4).contains(&out.1.len()), "{:?}", out.1);
+    }
+
+    /// The two shapes of the canonical order — packed integers, and the
+    /// key comparator they fall back to — agree on every relation both can
+    /// sort: same permutation, same rendered rows. Arity 0–4, both sorts per
+    /// column, negative and extreme ints; a column spanning `i64::MIN` to
+    /// `i64::MAX` is too wide to pack and must say so.
+    mod packed_order {
+        use super::*;
+        use proptest::prelude::*;
+
+        const INTS: [i64; 8] = [i64::MIN, -7, -1, 0, 3, 10, 100, i64::MAX];
+
+        fn rendered(view: &CanonicalView<'_>) -> (Vec<Tuple>, String) {
+            let mut facts: Vec<u8> = Vec::new();
+            view.write_facts("p", &mut facts).unwrap();
+            let facts = String::from_utf8(facts).unwrap();
+            (view.iter().cloned().collect(), facts)
+        }
+
+        proptest! {
+            #[test]
+            fn packed_keys_sort_like_the_comparator(
+                arity in 0usize..5,
+                int_column in proptest::collection::vec(any::<bool>(), 4),
+                rows in proptest::collection::vec(proptest::collection::vec(0usize..8, 4), 0..20),
+                narrow in any::<bool>(),
+            ) {
+                let i = Interner::new();
+                for name in ["zz", "b0", "b", "ab", "a_1", "a", "B", ""] {
+                    i.intern(name);
+                }
+                let sorts: Vec<Sort> =
+                    int_column[..arity].iter().map(|&int| if int { Sort::I } else { Sort::U }).collect();
+                let mut rel = Relation::new(RelType::new(sorts.clone()));
+                for row in rows {
+                    let t: Tuple = sorts
+                        .iter()
+                        .zip(row)
+                        .map(|(sort, k)| match sort {
+                            // Half the cases keep clear of the extremes: a
+                            // few bits per column, which must pack.
+                            Sort::I => Value::Int(INTS[if narrow { 1 + k % 6 } else { k }]),
+                            Sort::U => Value::Sym(SymbolId(k as u32)),
+                        })
+                        .collect();
+                    rel.insert(t).unwrap();
+                }
+                let spans_all = |col: usize| {
+                    let has = |n: i64| rel.iter().any(|t| t[col] == Value::Int(n));
+                    has(i64::MIN) && has(i64::MAX)
+                };
+                let too_wide = (0..arity).any(spans_all);
+
+                let ranked = rel.ranked(&i);
+                let order = CanonicalView::wide(&ranked);
+                let wide = CanonicalView { ranked, order };
+                let mut expected: Vec<Tuple> = rel.iter().cloned().collect();
+                expected.sort_by(|a, b| a.cmp_canonical(b, &i));
+                prop_assert_eq!(&rendered(&wide).0, &expected);
+
+                let ranked = rel.ranked(&i);
+                match CanonicalView::packed(&ranked) {
+                    Some(order) => {
+                        prop_assert!(!too_wide, "64-bit column packed");
+                        let packed = CanonicalView { ranked, order };
+                        prop_assert_eq!(rendered(&packed), rendered(&wide));
+                    }
+                    // Two columns reaching one extreme each overflow too.
+                    None => prop_assert!(!narrow, "narrow key not packed"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! indexed `probe`, `delta_batch_insert`, and membership — so the concrete
 //! representation is swappable. Two backends ship:
 //!
-//! * [`HashBackend`] (the default): an append-only tuple store with a
-//!   hash-based membership table and **incrementally maintained** hash
-//!   indexes. Indexes map projection keys to offsets into the store, so
-//!   index maintenance costs one `u32` per (index, new tuple) instead of a
-//!   full tuple clone, and nothing is ever rebuilt from scratch.
+//! * [`HashBackend`] (the default): a flat tuple store (small tuples sit
+//!   inline in the `Vec`, see [`Tuple`]) with a hash-based membership table
+//!   and **incrementally maintained** hash indexes. Indexes map projection
+//!   keys to offsets into the store, so index maintenance costs one `u32`
+//!   per (index, new tuple), and inserts, membership tests and indexed
+//!   probes allocate nothing per tuple. Only a removal rebuilds the table
+//!   and the indexes, over the store compacted in place.
 //! * [`ColumnarBackend`]: sorted runs with merge-based semi-naive deltas.
 //!   Every delta batch becomes one sorted, deduplicated run; probes and
 //!   scans merge across runs; runs are compacted into one once too many
@@ -74,11 +76,15 @@ pub fn estimated_value_bytes(sort: Sort) -> u64 {
     }
 }
 
-/// Deterministic per-tuple size estimate: a boxed-slice header plus
+/// Per-tuple overhead charged by [`estimated_tuple_bytes`]. A documented
+/// constant (DESIGN.md decision 12), not `size_of::<Tuple>()`: the round at
+/// which `max_bytes` trips must not move when the tuple layout does.
+const TUPLE_HEADER_BYTES: u64 = 16;
+
+/// Deterministic per-tuple size estimate: a 16-byte header plus
 /// [`estimated_value_bytes`] per declared column.
 pub fn estimated_tuple_bytes(rtype: &RelType) -> u64 {
-    let header = std::mem::size_of::<Tuple>() as u64;
-    header
+    TUPLE_HEADER_BYTES
         + rtype
             .sorts()
             .iter()
@@ -169,10 +175,18 @@ impl<'a> Iterator for ScanIter<'a> {
 
 /// The result of an indexed [`Storage::probe`]: the matching tuples, as up
 /// to one segment per physical partition (one for hash, one per run for
-/// columnar). Borrowed from the backend; no tuples are cloned.
+/// columnar). Borrowed from the backend; no tuples are cloned, and a probe
+/// that touches one partition allocates nothing.
 pub struct Probe<'a> {
-    segments: Vec<ProbeSeg<'a>>,
+    segments: Segments<'a>,
     len: usize,
+}
+
+enum Segments<'a> {
+    /// At most one segment, held in place.
+    One(Option<ProbeSeg<'a>>),
+    /// One per matching run of a multi-run columnar relation.
+    Many(Vec<ProbeSeg<'a>>),
 }
 
 enum ProbeSeg<'a> {
@@ -186,12 +200,39 @@ enum ProbeSeg<'a> {
     Owned(Vec<&'a Tuple>),
 }
 
+impl<'a> ProbeSeg<'a> {
+    fn len(&self) -> usize {
+        match self {
+            ProbeSeg::Offsets { offsets, .. } => offsets.len(),
+            ProbeSeg::Owned(v) => v.len(),
+        }
+    }
+
+    /// The tuples of `store` matching `key` on `positions`, by filtered scan.
+    fn filtered(store: &'a [Tuple], positions: &[usize], key: &Tuple) -> Self {
+        ProbeSeg::Owned(
+            store
+                .iter()
+                .filter(|t| proj_matches(t, positions, key))
+                .collect(),
+        )
+    }
+}
+
 impl<'a> Probe<'a> {
     /// A probe with no matches.
     pub fn empty() -> Self {
         Probe {
-            segments: Vec::new(),
+            segments: Segments::One(None),
             len: 0,
+        }
+    }
+
+    /// A probe over one partition.
+    fn single(seg: ProbeSeg<'a>) -> Self {
+        Probe {
+            len: seg.len(),
+            segments: Segments::One(Some(seg)),
         }
     }
 
@@ -207,7 +248,11 @@ impl<'a> Probe<'a> {
 
     /// Iterate the matches in segment order.
     pub fn iter<'p>(&'p self) -> impl Iterator<Item = &'a Tuple> + 'p {
-        self.segments.iter().flat_map(|seg| match seg {
+        let segments = match &self.segments {
+            Segments::One(seg) => seg.as_slice(),
+            Segments::Many(segs) => segs,
+        };
+        segments.iter().flat_map(|seg| match seg {
             ProbeSeg::Offsets { offsets, store } => SegIter::Offsets {
                 offsets: offsets.iter(),
                 store,
@@ -260,17 +305,27 @@ fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
     cmp_proj(t, positions, key) == std::cmp::Ordering::Equal
 }
 
-/// Append-only tuple store with hash membership and incrementally
-/// maintained offset indexes.
+/// Enter every tuple of `store` into `map` under its projection on
+/// `positions`.
+fn fill_index(map: &mut FxHashMap<Tuple, Vec<u32>>, positions: &[usize], store: &[Tuple]) {
+    for (off, t) in store.iter().enumerate() {
+        map.entry(t.project(positions))
+            .or_default()
+            .push(off as u32);
+    }
+}
+
+/// Flat tuple store with hash membership and incrementally maintained
+/// offset indexes.
 ///
 /// `store` holds every tuple exactly once, in insertion order (which the
-/// engine makes deterministic). `seen` finds a tuple's store offset from
-/// its hash — offsets are the table's dense ids, membership verifies
-/// equality against the store, so collisions are handled, no second copy
-/// of any tuple exists and an insert allocates nothing beyond the tuple.
-/// Each index maps a projection key to store offsets and is updated on
-/// every insert, fixing the former `Index::build`-per-round churn (full
-/// rebuild + per-key tuple clones each round).
+/// engine makes deterministic); tuples of up to three columns sit inline in
+/// it, so cloning the backend copies one block and dropping it frees one.
+/// `seen` finds a tuple's store offset from its hash — offsets are the
+/// table's dense ids, membership verifies equality against the store, so
+/// collisions are handled, no second copy of any tuple exists and an insert
+/// allocates nothing per tuple. Each index maps a projection key to store
+/// offsets and is updated on every insert.
 #[derive(Clone, Debug, Default)]
 pub struct HashBackend {
     store: Vec<Tuple>,
@@ -353,25 +408,34 @@ impl Storage for HashBackend {
     }
 
     fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
-        let mut victims: FxHashSet<&Tuple> = FxHashSet::default();
+        let mut victims: FxHashSet<u32> = FxHashSet::default();
         let flags: Vec<bool> = batch
             .iter()
-            .map(|&t| self.find(t).is_some() && victims.insert(t))
+            .map(|&t| self.find(t).is_some_and(|off| victims.insert(off)))
             .collect();
         if victims.is_empty() {
             return flags;
         }
         // Removal is rare relative to inserts (maintenance only), so the
-        // simple deterministic plan is to keep the survivors in their
-        // existing order and rebuild the membership table and indexes.
-        let survivors: Vec<Tuple> = std::mem::take(&mut self.store)
-            .into_iter()
-            .filter(|t| !victims.contains(t))
-            .collect();
-        let index_keys: Vec<Vec<usize>> = self.indexes.keys().cloned().collect();
-        *self = HashBackend::from_tuples(survivors);
-        for positions in index_keys {
-            self.ensure_index(&positions);
+        // simple deterministic plan is to compact the store in place — the
+        // survivors keep their order, and no second store ever exists —
+        // and re-derive the membership table and the indexes from it.
+        let mut doomed: Vec<u32> = victims.into_iter().collect();
+        doomed.sort_unstable();
+        let (mut off, mut next) = (0u32, doomed.iter().copied().peekable());
+        self.store.retain(|_| {
+            let dies = next.next_if_eq(&off).is_some();
+            off += 1;
+            !dies
+        });
+        self.seen = IdTable::new();
+        for t in &self.store {
+            // Distinct tuples: the closure only ever sees hash collisions.
+            self.seen.find_or_push(fx_hash(t), |_| false);
+        }
+        for (positions, map) in &mut self.indexes {
+            map.clear();
+            fill_index(map, positions, &self.store);
         }
         flags
     }
@@ -384,41 +448,20 @@ impl Storage for HashBackend {
         if self.indexes.contains_key(positions) {
             return;
         }
-        let mut map: FxHashMap<Tuple, Vec<u32>> = FxHashMap::default();
-        for (off, t) in self.store.iter().enumerate() {
-            map.entry(t.project(positions))
-                .or_default()
-                .push(off as u32);
-        }
+        let mut map = FxHashMap::default();
+        fill_index(&mut map, positions, &self.store);
         self.indexes.insert(positions.to_vec(), map);
     }
 
     fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
-        if let Some(map) = self.indexes.get(positions) {
-            match map.get(key) {
-                Some(offsets) => Probe {
-                    len: offsets.len(),
-                    segments: vec![ProbeSeg::Offsets {
-                        offsets,
-                        store: &self.store,
-                    }],
-                },
-                None => Probe::empty(),
-            }
-        } else {
-            let v: Vec<&Tuple> = self
-                .store
-                .iter()
-                .filter(|t| proj_matches(t, positions, key))
-                .collect();
-            Probe {
-                len: v.len(),
-                segments: if v.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![ProbeSeg::Owned(v)]
-                },
-            }
+        match self.indexes.get(positions) {
+            Some(map) => map.get(key).map_or_else(Probe::empty, |offsets| {
+                Probe::single(ProbeSeg::Offsets {
+                    offsets,
+                    store: &self.store,
+                })
+            }),
+            None => Probe::single(ProbeSeg::filtered(&self.store, positions, key)),
         }
     }
 
@@ -621,33 +664,29 @@ impl Storage for ColumnarBackend {
         let mut segments = Vec::new();
         let mut len = 0usize;
         for run in &self.runs {
-            if let Some(perm) = run.perms.get(positions) {
+            let seg = if let Some(perm) = run.perms.get(positions) {
                 let lo = perm.partition_point(|&i| {
                     cmp_proj(&run.tuples[i as usize], positions, key).is_lt()
                 });
                 let hi = perm.partition_point(|&i| {
                     !cmp_proj(&run.tuples[i as usize], positions, key).is_gt()
                 });
-                if lo < hi {
-                    len += hi - lo;
-                    segments.push(ProbeSeg::Offsets {
-                        offsets: &perm[lo..hi],
-                        store: &run.tuples,
-                    });
+                ProbeSeg::Offsets {
+                    offsets: &perm[lo..hi],
+                    store: &run.tuples,
                 }
             } else {
-                let v: Vec<&Tuple> = run
-                    .tuples
-                    .iter()
-                    .filter(|t| proj_matches(t, positions, key))
-                    .collect();
-                if !v.is_empty() {
-                    len += v.len();
-                    segments.push(ProbeSeg::Owned(v));
-                }
+                ProbeSeg::filtered(&run.tuples, positions, key)
+            };
+            if seg.len() > 0 {
+                len += seg.len();
+                segments.push(seg);
             }
         }
-        Probe { segments, len }
+        Probe {
+            segments: Segments::Many(segments),
+            len,
+        }
     }
 
     fn into_tuple_vec(self) -> Vec<Tuple> {
@@ -662,7 +701,7 @@ impl Storage for ColumnarBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idlog_common::{Interner, Value};
+    use idlog_common::Value;
 
     fn t(vals: &[i64]) -> Tuple {
         vals.iter().map(|&n| Value::Int(n)).collect()
@@ -843,9 +882,11 @@ mod tests {
         let u2 = RelType::new(vec![Sort::U, Sort::U]);
         let i2 = RelType::new(vec![Sort::I, Sort::I]);
         assert!(estimated_tuple_bytes(&u2) > estimated_tuple_bytes(&i2));
-        // Pure function of the type: independent of any stored data.
-        assert_eq!(estimated_tuple_bytes(&u2), estimated_tuple_bytes(&u2));
-        let _ = Interner::new(); // sorts, not symbols, drive the estimate
+        // Pure function of the type — header 16, `u` 48, `i` 16 — and of
+        // nothing else: not of stored data, not of the tuple layout.
+        assert_eq!(estimated_tuple_bytes(&u2), 16 + 2 * 48);
+        assert_eq!(estimated_tuple_bytes(&i2), 16 + 2 * 16);
+        assert_eq!(estimated_tuple_bytes(&RelType::new(Vec::new())), 16);
     }
 
     #[test]
