@@ -46,8 +46,8 @@ RUN OPTIONS:
   --max-tuples <n>    cap on newly derived tuples (deterministic)
   --backend <name>    storage backend: hash (default) or columnar; results
                       and statistics are identical across backends
-  --strategy <name>   evaluation strategy: seminaive (default), naive, or
-                      magic (goal-directed: rewrite with magic sets seeded
+  --strategy <name>   evaluation strategy: seminaive (default) or magic
+                      (goal-directed: rewrite with magic sets seeded
                       from query constants and derive only relevant facts;
                       refused with a witness walk when the relevance
                       analysis cannot certify the rewrite — see W030/W031)
@@ -90,12 +90,11 @@ SERVE OPTIONS:
                       retry_after_ms hint instead of unbounded queueing
                       (default 64)
 
-  The service speaks the idlog-service/2 line protocol (idlog-service/1
-  clients negotiate down via ping): one JSON request per line in, one JSON
-  response per line out (see LANGUAGE.md §Service). `idlog client` sends a
-  single raw request line and prints the response; its process exit code
-  mirrors the response's \"exit\" field, which uses the same 0/1/2/3/130
-  convention as `idlog run`.
+  The service speaks the idlog-service/2 line protocol: one JSON request
+  per line in, one JSON response per line out (see LANGUAGE.md §Service).
+  `idlog client` sends a single raw request line and prints the response;
+  its process exit code mirrors the response's \"exit\" field, which uses
+  the same 0/1/2/3/130 convention as `idlog run`.
 
 CLIENT OPTIONS:
   --retries <n>       retry budget for connection refusals and
@@ -550,7 +549,7 @@ fn parse_backend<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<Backen
 /// Parse and validate a `--strategy` value (shared by `run` and the REPL).
 pub fn parse_strategy_name(name: &str) -> Result<Strategy, String> {
     Strategy::parse(name)
-        .ok_or_else(|| format!("unknown strategy {name:?} (expected seminaive, naive, or magic)"))
+        .ok_or_else(|| format!("unknown strategy {name:?} (expected seminaive or magic)"))
 }
 
 fn parse_strategy<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<Strategy, String> {
@@ -731,17 +730,16 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(run.strategy, Some(Strategy::Magic));
-        for (name, want) in [
-            ("seminaive", Strategy::SemiNaive),
-            ("naive", Strategy::Naive),
-        ] {
-            let args = parse(&["run", "p.idl", "--output", "q", "--strategy", name]).unwrap();
-            let Command::Run(run) = args.command else {
-                panic!("expected run");
-            };
-            assert_eq!(run.strategy, Some(want));
+        let args = parse(&["run", "p.idl", "--output", "q", "--strategy", "seminaive"]).unwrap();
+        let Command::Run(run) = args.command else {
+            panic!("expected run");
+        };
+        assert_eq!(run.strategy, Some(Strategy::SemiNaive));
+        // Naive evaluation is a test oracle, not a user-facing strategy.
+        for refused in ["naive", "earley"] {
+            let err = parse(&["run", "p.idl", "--output", "q", "--strategy", refused]).unwrap_err();
+            assert!(err.contains("expected seminaive or magic"), "{err}");
         }
-        assert!(parse(&["run", "p.idl", "--output", "q", "--strategy", "earley"]).is_err());
         assert!(parse(&["run", "p.idl", "--output", "q", "--strategy"]).is_err());
         let args = parse(&["run", "p.idl", "--output", "q"]).unwrap();
         let Command::Run(run) = args.command else {

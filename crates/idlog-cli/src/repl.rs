@@ -76,8 +76,8 @@ const HELP: &str = "\
   :profile on|off    print the per-rule evaluation profile after ?- queries
   :backend <name>    storage backend: hash (default) or columnar; answers
                      and statistics never depend on it
-  :strategy <name>   evaluation strategy: seminaive (default), naive, or
-                     magic (goal-directed; refused with a witness when the
+  :strategy <name>   evaluation strategy: seminaive (default) or magic
+                     (goal-directed; refused with a witness when the
                      relevance analysis cannot certify the query)
   :timeout <dur>     wall-clock budget per query, e.g. 500ms, 2s
                      (\":timeout off\" to lift it); Ctrl-C also stops a
@@ -452,6 +452,7 @@ mod tests {
              q(Y) :- anc(a, Y).\n\
              :strategy magic\n\
              ?- q.\n\
+             :strategy naive\n\
              :strategy\n\
              :strategy seminaive\n\
              :strategy earley\n\
@@ -461,8 +462,18 @@ mod tests {
         assert!(out.contains("q(b)") && out.contains("q(c)"), "{out}");
         assert!(!out.contains("q(y)"), "irrelevant fact derived: {out}");
         assert!(out.contains("strategy: seminaive"), "{out}");
-        assert!(out.contains("error: :strategy:"), "{out}");
-        // The bare `:strategy` after switching reports the current value.
+        // Naive evaluation is a test oracle, not a session strategy.
+        assert!(
+            out.contains(
+                "error: :strategy: unknown strategy \"naive\" (expected seminaive or magic)"
+            ),
+            "{out}"
+        );
+        assert!(
+            out.contains("error: :strategy: unknown strategy \"earley\""),
+            "{out}"
+        );
+        // The bare `:strategy` after the refused switch still reports magic.
         assert_eq!(out.matches("strategy: magic").count(), 2, "{out}");
     }
 

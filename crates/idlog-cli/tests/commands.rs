@@ -409,6 +409,26 @@ fn run_query_write_errors_never_panic() {
     }
 }
 
+/// Naive evaluation is the engine's test oracle, not a user-facing strategy:
+/// `--strategy naive` is a usage error (exit 2) naming what is accepted.
+#[test]
+fn run_strategy_naive_is_a_usage_error() {
+    let s = Scratch::new("strategy-naive");
+    let program = s.file("p.idl", "q(a).");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_idlog"))
+        .args(["run", &program, "--output", "q", "--strategy", "naive"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.starts_with("error: unknown strategy \"naive\" (expected seminaive or magic)\n"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
 /// `idlog run … | head -1`: the reader takes one line and closes the pipe
 /// while the child still has megabytes to write. The child must stop
 /// quietly with exit 0 — no panic, nothing on stderr.

@@ -194,6 +194,30 @@ fn seeded_samples_are_pinned_in_every_configuration() {
     let _ = std::fs::remove_file(&two_id_literals);
 }
 
+/// The round ceiling the corpus's diverging programs (`diverge.idl`) run
+/// under.
+const DIVERGING_ROUNDS: u64 = 50;
+
+/// A shipped program parsed for evaluation, with its termination
+/// certificate; `None` for DATALOG^C programs, which are translated, not
+/// run.
+fn corpus_program(
+    case: &idlog_suite::Case,
+) -> Option<(idlog_core::ValidatedProgram, idlog_core::TerminationCert)> {
+    let src = std::fs::read_to_string(path(&case.program)).unwrap();
+    let interner = std::sync::Arc::new(idlog_core::Interner::new());
+    let options = idlog_analyze::Options {
+        lints: false,
+        redundancy: false,
+    };
+    if idlog_analyze::analyze(&src, &interner, &options).dialect == idlog_analyze::Dialect::Choice {
+        return None;
+    }
+    let program = idlog_core::ValidatedProgram::parse(&src, interner).unwrap();
+    let cert = idlog_core::analyze_termination(program.ast());
+    Some((program, cert))
+}
+
 /// What `idlog run` prints for every derived predicate of a shipped
 /// program, each under a `% --output <pred>` header, predicates in name
 /// order. Diverging programs run under `--max-rounds 50` and print the
@@ -203,21 +227,13 @@ fn corpus_output(
     threads: usize,
     backend: idlog_core::BackendKind,
 ) -> Option<String> {
-    let src = std::fs::read_to_string(path(&case.program)).unwrap();
-    let interner = std::sync::Arc::new(idlog_core::Interner::new());
-    // DATALOG^C programs are translated, not run.
-    let options = idlog_analyze::Options {
-        lints: false,
-        redundancy: false,
-    };
-    if idlog_analyze::analyze(&src, &interner, &options).dialect == idlog_analyze::Dialect::Choice {
-        return None;
-    }
-    let program = idlog_core::ValidatedProgram::parse(&src, interner.clone()).unwrap();
-    let diverges = idlog_core::analyze_termination(program.ast())
-        .growth_witness()
-        .is_some();
-    let mut outputs: Vec<String> = program.idb().iter().map(|&p| interner.resolve(p)).collect();
+    let (program, cert) = corpus_program(case)?;
+    let diverges = cert.growth_witness().is_some();
+    let mut outputs: Vec<String> = program
+        .idb()
+        .iter()
+        .map(|&p| program.interner().resolve(p))
+        .collect();
     outputs.sort();
     let mut printed: Vec<u8> = Vec::new();
     for output in outputs {
@@ -226,7 +242,7 @@ fn corpus_output(
         opts.facts = case.facts.as_deref().map(path);
         opts.threads = Some(threads);
         opts.backend = Some(backend);
-        opts.max_rounds = diverges.then_some(50);
+        opts.max_rounds = diverges.then_some(DIVERGING_ROUNDS);
         let result = idlog_cli::commands::run_query(&opts, &mut printed);
         match (diverges, result) {
             (false, Ok(())) => {}
@@ -274,4 +290,90 @@ fn shipped_programs_print_their_golden_output_in_every_configuration() {
         }
     }
     assert!(checked >= 7 * 6, "corpus shrank: {checked} comparisons");
+}
+
+/// `(iterations, inserted)` of each shipped program's canonical evaluation
+/// of all its rules. Diverging programs have no entry: they trip.
+const CORPUS_COUNTERS: [(&str, u64, u64); 6] = [
+    ("all_depts.idl", 3, 3),
+    ("ancestor.idl", 21, 589),
+    ("coloring.idl", 7, 17),
+    ("dept_sizes.idl", 4, 3),
+    ("parity.idl", 12, 15),
+    ("sampling.idl", 3, 6),
+];
+
+/// The engine's counters are functions of the database contents, never of
+/// the thread count, the storage backend or the strategy: every shipped
+/// program derives the same `(iterations, inserted)` in every
+/// configuration, within its certified round bound, and the diverging one
+/// trips its round ceiling in every configuration.
+#[test]
+fn corpus_counters_agree_across_threads_backends_and_strategies() {
+    use idlog_core::{BackendKind, CoreError, EvalOptions, LimitKind, Strategy};
+
+    let mut checked = 0;
+    for case in idlog_suite::corpus(&programs_dir()).unwrap() {
+        let Some((program, cert)) = corpus_program(&case) else {
+            continue;
+        };
+        let mut db = idlog_core::Database::with_interner(program.interner().clone());
+        if let Some(facts) = &case.facts {
+            idlog_core::load_facts(&std::fs::read_to_string(path(facts)).unwrap(), &mut db)
+                .unwrap();
+        }
+        let diverges = cert.growth_witness().is_some();
+        let bound = cert.round_bound(&db);
+        let pinned = CORPUS_COUNTERS
+            .iter()
+            .find(|(p, ..)| *p == case.program)
+            .map(|&(_, iterations, inserted)| (iterations, inserted));
+        assert_eq!(
+            pinned.is_none(),
+            diverges,
+            "{}: pin its counters in CORPUS_COUNTERS",
+            case.program
+        );
+        for backend in [BackendKind::Hash, BackendKind::Columnar] {
+            for strategy in [Strategy::SemiNaive, Strategy::Naive] {
+                for threads in [1usize, 2, 4] {
+                    let mut options = EvalOptions::new()
+                        .backend(backend)
+                        .strategy(strategy)
+                        .threads(threads);
+                    if diverges {
+                        options = options.max_rounds(DIVERGING_ROUNDS);
+                    }
+                    let config = format!(
+                        "{} --threads {threads} --backend {backend} --strategy {strategy}",
+                        case.program
+                    );
+                    let outcome = idlog_core::evaluate_with_options(
+                        &program,
+                        &db,
+                        &mut idlog_core::CanonicalOracle,
+                        &options,
+                    );
+                    match (pinned, outcome) {
+                        (Some(want), Ok(out)) => {
+                            let stats = out.stats();
+                            assert_eq!((stats.iterations, stats.inserted), want, "{config}");
+                            if let Some(bound) = bound {
+                                assert!(stats.iterations <= bound, "{config}: bound {bound}");
+                            }
+                        }
+                        (
+                            None,
+                            Err(CoreError::LimitExceeded {
+                                limit: LimitKind::Rounds,
+                            }),
+                        ) => {}
+                        (_, other) => panic!("{config}: {other:?}"),
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked >= 7 * 12, "corpus shrank: {checked} runs");
 }

@@ -46,10 +46,9 @@ use crate::stats::EvalStats;
 /// evaluation.
 ///
 /// Indexes live *inside* each relation's storage backend and are maintained
-/// incrementally on insert — there is no per-state index cache to rebuild
-/// (the former `Index::build`-per-round churn), and cloning the state (once
-/// per enumeration branch) carries the indexes along, so branches never
-/// rebuild them either.
+/// incrementally on insert — there is no per-state index cache to rebuild,
+/// and cloning the state (once per enumeration branch) carries the indexes
+/// along, so branches never rebuild them either.
 #[derive(Debug, Default, Clone)]
 pub struct EvalState {
     rels: FxHashMap<PredKey, Relation>,

@@ -95,8 +95,11 @@ pub enum Strategy {
     /// Delta-driven semi-naive evaluation (the default).
     #[default]
     SemiNaive,
-    /// Re-run every rule in full each round — the ablation baseline the
-    /// `seminaive_ablation` bench compares against.
+    /// Re-run every rule in full each round. Reachable only through
+    /// [`EvalOptions::strategy`](crate::EvalOptions): it is the differential
+    /// oracle the determinism and random-program suites hold semi-naive
+    /// evaluation to, not a user-facing option ([`Strategy::parse`] refuses
+    /// it).
     Naive,
     /// Goal-directed evaluation: [`crate::query::Query`] rewrites the
     /// program with magic sets ([`crate::relevance`]) before evaluation,
@@ -107,11 +110,11 @@ pub enum Strategy {
 
 impl Strategy {
     /// Parse a strategy name as accepted by `idlog run --strategy`, the
-    /// REPL `:strategy` command, and the service protocol.
+    /// REPL `:strategy` command, and the service protocol: `seminaive` or
+    /// `magic`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "seminaive" => Some(Strategy::SemiNaive),
-            "naive" => Some(Strategy::Naive),
             "magic" => Some(Strategy::Magic),
             _ => None,
         }

@@ -23,16 +23,16 @@ use crate::govern::Limits;
 
 /// Current protocol schema identifier, reported by `ping`.
 ///
-/// Schema 2 (this PR's durability release) adds the `overloaded` error
-/// code with its `retry_after_ms` hint, the optional `schema` field on
-/// `ping` for version negotiation, and the `version` field on `stats`
-/// responses. Every schema-1 request remains a valid schema-2 request.
+/// Schema 2 added the `overloaded` error code with its `retry_after_ms`
+/// hint, the optional `schema` field on `ping` for version negotiation,
+/// and the `version` field on `stats` responses.
 pub const SERVICE_SCHEMA: &str = "idlog-service/2";
 
 /// Every schema this server speaks, newest last. A `ping` carrying one of
-/// these is answered with the same identifier; anything else is a protocol
-/// error naming the supported set.
-pub const SUPPORTED_SCHEMAS: &[&str] = &["idlog-service/1", "idlog-service/2"];
+/// these is answered with the same identifier; anything else — including
+/// the retired `idlog-service/1` — is a protocol error naming the
+/// supported set.
+pub const SUPPORTED_SCHEMAS: &[&str] = &["idlog-service/2"];
 
 /// Negotiate a protocol schema: `None` (a bare `ping`) selects the newest,
 /// a supported identifier selects itself, anything else is refused with a
@@ -162,10 +162,9 @@ impl RunRequest {
     /// True when the request can be served from (and maintained in) a
     /// canonical materialized model: one canonical answer, no per-request
     /// resource ceilings that a cached read could misreport, and no
-    /// evaluation-strategy override (a `magic` or `naive` request asks for
-    /// a specific evaluation, so it runs fresh — where a `magic` refusal
-    /// surfaces with its witness instead of being papered over by a cached
-    /// full model).
+    /// evaluation-strategy override (a `magic` request asks for a specific
+    /// evaluation, so it runs fresh — where a refusal surfaces with its
+    /// witness instead of being papered over by a cached full model).
     pub fn wants_materialized(&self) -> bool {
         !self.all
             && self.seed.is_none()
@@ -723,12 +722,16 @@ mod tests {
     #[test]
     fn schema_negotiation_accepts_supported_and_refuses_unknown() {
         assert_eq!(negotiate_schema(None), Ok(SERVICE_SCHEMA));
-        for s in SUPPORTED_SCHEMAS {
-            assert_eq!(negotiate_schema(Some(s)), Ok(*s));
+        assert_eq!(SUPPORTED_SCHEMAS, [SERVICE_SCHEMA]);
+        assert_eq!(negotiate_schema(Some(SERVICE_SCHEMA)), Ok(SERVICE_SCHEMA));
+        for refused in ["idlog-service/1", "idlog-service/99"] {
+            let err = negotiate_schema(Some(refused)).unwrap_err();
+            assert!(err.contains(refused), "{err}");
+            assert!(
+                err.ends_with("this server speaks: idlog-service/2"),
+                "{err}"
+            );
         }
-        let err = negotiate_schema(Some("idlog-service/99")).unwrap_err();
-        assert!(err.contains("idlog-service/2"), "{err}");
-        assert!(SUPPORTED_SCHEMAS.contains(&SERVICE_SCHEMA));
     }
 
     #[test]
@@ -775,11 +778,9 @@ mod tests {
             seminaive.wants_materialized(),
             "an explicit seminaive request is the default evaluation"
         );
-        for s in [Strategy::Magic, Strategy::Naive] {
-            let mut r = plain.clone();
-            r.strategy = Some(s);
-            assert!(!r.wants_materialized(), "{s} must evaluate fresh");
-        }
+        let mut magic = plain.clone();
+        magic.strategy = Some(Strategy::Magic);
+        assert!(!magic.wants_materialized(), "magic must evaluate fresh");
     }
 
     #[test]

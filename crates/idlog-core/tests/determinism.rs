@@ -299,8 +299,9 @@ fn enumeration_is_identical_across_thread_counts() {
 fn backends_agree_on_relations_and_stats() {
     // The third reproducibility axis: hash and columnar storage hold the
     // same sets, so every run produces the same relations and EvalStats —
-    // at every thread count. (idlog-suite asserts the same over the
-    // `programs/*.idl` corpus.)
+    // at every thread count. (idlog-cli's
+    // `corpus_counters_agree_across_threads_backends_and_strategies` holds
+    // the `programs/*.idl` corpus to the same.)
     type Fixture = fn() -> (ValidatedProgram, Database);
     let cases: [(&str, Fixture, &[&str]); 2] = [
         ("fan_in_fan_out", fan_in_fan_out, &["tc"]),

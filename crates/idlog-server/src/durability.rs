@@ -862,6 +862,19 @@ mod tests {
         let mut store = store;
         assert_eq!(store.append(&b).unwrap(), 3);
         fs::remove_dir_all(&dir).unwrap();
+
+        // Every fsync policy appends and recovers the same records.
+        for policy in [SyncPolicy::Always, SyncPolicy::Batch, SyncPolicy::Never] {
+            let dir = temp_dir(policy.name());
+            let (mut store, _) = TenantStore::open(&dir, policy).unwrap();
+            for record in [&a, &b, &r] {
+                store.append(record).unwrap();
+            }
+            drop(store);
+            let (_, recovery) = TenantStore::open(&dir, policy).unwrap();
+            assert_eq!(recovery.ops, vec![a.clone(), b.clone(), r.clone()]);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -1319,15 +1319,12 @@ mod tests {
         let reg = Registry::new();
         let ok = reg.handle(Request::Ping { schema: None });
         assert_eq!(ok.schema.as_deref(), Some("idlog-service/2"));
-        let v1 = reg.handle(Request::Ping {
-            schema: Some("idlog-service/1".into()),
-        });
-        assert_eq!(v1.exit, 0);
-        assert_eq!(v1.schema.as_deref(), Some("idlog-service/1"));
-        let bad = reg.handle(Request::Ping {
-            schema: Some("idlog-service/99".into()),
-        });
-        assert_ne!(bad.exit, 0);
-        assert!(bad.error.unwrap().contains("idlog-service/2"));
+        for retired in ["idlog-service/1", "idlog-service/99"] {
+            let bad = reg.handle(Request::Ping {
+                schema: Some(retired.into()),
+            });
+            assert_eq!(bad.code, Some(ErrorCode::Protocol), "{retired}");
+            assert!(bad.error.unwrap().contains("idlog-service/2"));
+        }
     }
 }

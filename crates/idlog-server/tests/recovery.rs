@@ -226,6 +226,16 @@ fn checkpoints_truncate_the_wal_without_losing_writes() {
         .expect("stats");
     assert_eq!(stats.facts, Some(10));
     assert_eq!(stats.version, Some(10), "checkpoint + tail replay");
+    let nodes: Vec<String> = (0..=10).map(|i| format!("n{i}")).collect();
+    let edges: Vec<(&str, &str)> = nodes
+        .windows(2)
+        .map(|w| (w[0].as_str(), w[1].as_str()))
+        .collect();
+    assert_eq!(
+        served_answers(&mut c, "t"),
+        direct_answers(&edges, BackendKind::Hash),
+        "recovery from the checkpoint serves every acknowledged write"
+    );
     shutdown(addr, handle);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -236,28 +246,24 @@ fn schema_negotiation_over_the_wire() {
     let mut c = client(addr);
     let modern = c.request(&Request::Ping { schema: None }).expect("ping");
     assert_eq!(modern.schema.as_deref(), Some("idlog-service/2"));
-    let legacy = c
-        .request(&Request::Ping {
-            schema: Some("idlog-service/1".into()),
-        })
-        .expect("ping");
-    assert_eq!(legacy.exit, 0);
-    assert_eq!(legacy.schema.as_deref(), Some("idlog-service/1"));
-    let unknown = c
-        .request(&Request::Ping {
-            schema: Some("idlog-service/99".into()),
-        })
-        .expect("ping");
-    assert_eq!(unknown.code, Some(ErrorCode::Protocol));
-    assert!(
-        unknown
-            .error
-            .as_deref()
-            .unwrap_or("")
-            .contains("idlog-service/2"),
-        "refusal lists what the server speaks: {:?}",
-        unknown.error
-    );
+    // Schema 1 is retired: it is refused like any unknown schema.
+    for retired in ["idlog-service/1", "idlog-service/99"] {
+        let refused = c
+            .request(&Request::Ping {
+                schema: Some(retired.into()),
+            })
+            .expect("ping");
+        assert_eq!(refused.code, Some(ErrorCode::Protocol), "{retired}");
+        assert!(
+            refused
+                .error
+                .as_deref()
+                .unwrap_or("")
+                .contains("this server speaks: idlog-service/2"),
+            "refusal lists what the server speaks: {:?}",
+            refused.error
+        );
+    }
     shutdown(addr, handle);
 }
 

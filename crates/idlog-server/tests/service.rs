@@ -311,6 +311,23 @@ fn error_codes_cover_protocol_compile_and_input_failures() {
     let resp = Response::parse(&raw).expect("parse");
     assert_eq!(resp.code, Some(ErrorCode::Protocol));
 
+    // The naive strategy is the engine's test oracle, not a wire option.
+    let raw = c
+        .request_raw(
+            r#"{"op":"run","tenant":"err","program":"t(a).","output":"t","strategy":"naive"}"#,
+        )
+        .expect("raw");
+    let resp = Response::parse(&raw).expect("parse");
+    assert_eq!(resp.code, Some(ErrorCode::Protocol));
+    assert!(
+        resp.error
+            .as_deref()
+            .unwrap_or("")
+            .contains("unknown strategy"),
+        "{:?}",
+        resp.error
+    );
+
     // A malformed program reports the library's parse code.
     let bad = c
         .request(&Request::Run(RunRequest::new("err", "t(X :-", "t")))

@@ -19,7 +19,6 @@ pub mod database;
 pub mod enumerate;
 pub mod group;
 pub mod idrel;
-pub mod index;
 pub mod relation;
 pub mod storage;
 
@@ -32,7 +31,6 @@ pub use idrel::TidOrder;
 pub use idrel::{
     canonical_id_relation, make_id_relation, random_id_relation, IdAssignment, IdRelationBuild,
 };
-pub use index::Index;
 pub use relation::{CanonicalView, Relation};
 pub use storage::{
     estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend, Probe,
