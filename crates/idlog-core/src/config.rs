@@ -61,7 +61,9 @@ pub struct EvalOptions {
     /// rounds, tuples, bytes). Unlimited by default.
     pub limits: Limits,
     /// Storage backend for the relations the evaluation materializes
-    /// (IDB relations, ID-relations, and the working copies of the EDB).
+    /// (IDB relations and ID-relations). Inputs are read from the database
+    /// in place when it stores them on this backend, and from a converted
+    /// copy otherwise.
     /// Results and statistics are identical across backends; wall time and
     /// memory layout are not.
     pub backend: BackendKind,

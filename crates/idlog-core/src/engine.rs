@@ -1,13 +1,15 @@
 //! Semi-naive bottom-up execution of rule plans.
 //!
-//! [`EvalState`] stores one [`Relation`] per [`PredKey`] (ordinary predicates
-//! and materialized ID-relations). Each relation carries its own pluggable
-//! storage backend ([`idlog_storage::Storage`]): the engine talks to it only
-//! through scan / indexed probe / `delta_batch_insert`, so hash and columnar
-//! relations evaluate through identical code. A stratum is evaluated by
-//! running every rule once in full, then iterating delta variants — each
-//! positive same-stratum atom step replayed against the newly derived tuples
-//! — until no new facts appear.
+//! [`EvalState`] holds one [`Relation`] per [`PredKey`]: the input
+//! relations, shared with the database they come from, and the IDB
+//! relations and materialized ID-relations the evaluation owns. Each
+//! relation carries its own pluggable storage backend
+//! ([`idlog_storage::Storage`]): the engine talks to it only through scan /
+//! indexed probe / `delta_batch_insert`, so hash and columnar relations
+//! evaluate through identical code. A stratum is evaluated by running every
+//! rule once in full, then iterating delta variants — each positive
+//! same-stratum atom step replayed against the newly derived tuples — until
+//! no new facts appear.
 //!
 //! **One executor, two views.** `run_rule` is the only code that executes
 //! a [`Step`]: generic (monomorphised, no `dyn`) over a `ReadView`, with a
@@ -18,21 +20,30 @@
 //! body one meaning, and "incremental ≡ recompute" holds because that
 //! meaning is coded in one place.
 //!
+//! **Sources resolved per round.** Before a round, `Resolved` looks up the
+//! relation every atom step reads and readies the index it probes
+//! ([`Relation::ensure_index`], through a shared reference: an index built
+//! on an input stays with the database's relation for every later
+//! evaluation). A step then reads its `Source` directly — no predicate
+//! lookup and no search for the index per probe — and the round itself is
+//! pure reads.
+//!
 //! Rounds execute shared-nothing parallel: the work list (one item per rule
 //! in round 0; one item per (plan, delta step, delta shard) afterwards) is
 //! built in a deterministic order, fanned out over a [`std::thread::scope`]
-//! pool against the read-only state (indexes are readied *before* the round
-//! via [`Relation::ensure_index`], so a round is pure reads), and each
-//! worker's local `out` sink and local [`EvalStats`] are merged at the round
-//! barrier **in work-item order**. Delta shards are a function of the delta
-//! size only — never of the thread count — so answer relations and
-//! statistics are identical for any `threads` value. And because every
-//! engine counter is a function of relation *contents* (never of scan
-//! order), they are identical across backends too.
+//! pool against the read-only state, and each worker's local `out` sink and
+//! local [`EvalStats`] are merged at the round barrier **in work-item
+//! order**. Delta shards are a function of the delta size only — never of
+//! the thread count — so answer relations and statistics are identical for
+//! any `threads` value. And because every engine counter is a function of
+//! relation *contents* (never of scan order), they are identical across
+//! backends too.
+
+use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, SymbolId, Tuple, Value};
 use idlog_parser::Builtin;
-use idlog_storage::Relation;
+use idlog_storage::{IndexHandle, Relation};
 
 use crate::builtins;
 use crate::error::{CoreError, CoreResult};
@@ -45,13 +56,16 @@ use crate::stats::EvalStats;
 /// All relations (EDB, IDB, and materialized ID-relations) during one
 /// evaluation.
 ///
-/// Indexes live *inside* each relation's storage backend and are maintained
-/// incrementally on insert — there is no per-state index cache to rebuild,
-/// and cloning the state (once per enumeration branch) carries the indexes
-/// along, so branches never rebuild them either.
+/// Every relation sits behind an [`Arc`]. An input relation is the
+/// database's own ([`EvalState::share`]); the others start owned. A write
+/// goes through [`Arc::make_mut`], so the first write to a relation someone
+/// else still holds copies it once, and later writes change it in place.
+/// Cloning the state (once per enumeration branch) copies pointers, and
+/// indexes live inside each relation's backend, so branches share both the
+/// tuples and the indexes of everything they have not written.
 #[derive(Debug, Default, Clone)]
 pub struct EvalState {
-    rels: FxHashMap<PredKey, Relation>,
+    rels: FxHashMap<PredKey, Arc<Relation>>,
 }
 
 impl EvalState {
@@ -62,17 +76,23 @@ impl EvalState {
 
     /// Install (or replace) a relation.
     pub fn put(&mut self, key: PredKey, rel: Relation) {
+        self.rels.insert(key, Arc::new(rel));
+    }
+
+    /// Install (or replace) a relation shared with its owner, not copied.
+    pub(crate) fn share(&mut self, key: PredKey, rel: Arc<Relation>) {
         self.rels.insert(key, rel);
     }
 
     /// Read a relation.
     pub fn get(&self, key: &PredKey) -> Option<&Relation> {
-        self.rels.get(key)
+        self.rels.get(key).map(|r| &**r)
     }
 
-    /// Remove a relation, handing it to the caller.
+    /// Remove a relation, handing it to the caller: moved out when no one
+    /// else holds it, copied otherwise.
     pub(crate) fn take(&mut self, key: &PredKey) -> Option<Relation> {
-        self.rels.remove(key)
+        self.rels.remove(key).map(Arc::unwrap_or_clone)
     }
 
     /// True when the key has been installed (even if empty).
@@ -81,37 +101,79 @@ impl EvalState {
     }
 
     /// Mutable access to a relation (incremental maintenance applies
-    /// inserts and removals in place).
+    /// inserts and removals in place), copying it first if it is shared.
     pub(crate) fn get_mut(&mut self, key: &PredKey) -> Option<&mut Relation> {
-        self.rels.get_mut(key)
-    }
-
-    /// Ready every index the given plans will probe: each probing atom step
-    /// gets [`Relation::ensure_index`] on its bound positions. A no-op once
-    /// the index exists — backends maintain indexes incrementally from then
-    /// on. Every caller of [`run_rule`] does this first; probing without it
-    /// stays correct but degrades to a filtered scan.
-    pub(crate) fn ensure_indexes(&mut self, plans: &[&RulePlan]) {
-        for plan in plans {
-            for step in &plan.steps {
-                if let Step::Atom(a) = step {
-                    if a.probe.is_empty() {
-                        continue;
-                    }
-                    if let Some(rel) = self.rels.get_mut(&a.key) {
-                        rel.ensure_index(a.probe_positions());
-                    }
-                }
-            }
-        }
+        self.rels.get_mut(key).map(Arc::make_mut)
     }
 
     /// Rough, deterministic estimate of the bytes held by every stored
-    /// relation (indexes are derived data and excluded). A pure function of
-    /// relation sizes and types, so the governor's `max_bytes` ceiling
-    /// trips at the same round at any thread count, on any backend.
+    /// relation, shared inputs included (indexes are derived data and
+    /// excluded). A pure function of relation sizes and types, so the
+    /// governor's `max_bytes` ceiling trips at the same round at any thread
+    /// count, on any backend.
     pub fn estimated_bytes(&self) -> u64 {
-        self.rels.values().map(Relation::estimated_bytes).sum()
+        self.rels.values().map(|r| r.estimated_bytes()).sum()
+    }
+}
+
+/// Where an atom step reads its stored matches, resolved once per round.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// No relation is installed under the step's predicate, or the step
+    /// is not an atom step.
+    Absent,
+    /// Every stored tuple of the relation, scanned.
+    Scan(&'a Relation),
+    /// The readied index on the step's bound positions, probed.
+    Probe(IndexHandle<'a>),
+}
+
+/// A rule plan with the [`Source`] of each of its steps (same indexes).
+#[derive(Clone, Copy)]
+pub(crate) struct Rule<'a> {
+    pub(crate) plan: &'a RulePlan,
+    sources: &'a [Source<'a>],
+}
+
+/// Plans with their steps' sources resolved against one view: built before
+/// a round (or a maintenance pass) and dropped before the state is written
+/// again — the borrow checker holds every caller to that.
+pub(crate) struct Resolved<'a> {
+    plans: &'a [&'a RulePlan],
+    /// Every plan's step sources, back to back in plan order.
+    sources: Vec<Source<'a>>,
+}
+
+impl<'a> Resolved<'a> {
+    /// Look up the relation of every atom step of `plans` in `view`,
+    /// readying the index each probing step needs.
+    pub(crate) fn new<V: ReadView>(view: &'a V, plans: &'a [&'a RulePlan]) -> Self {
+        let sources = plans
+            .iter()
+            .flat_map(|plan| &plan.steps)
+            .map(|step| {
+                let Step::Atom(a) = step else {
+                    return Source::Absent;
+                };
+                match view.relation(&a.key) {
+                    None => Source::Absent,
+                    Some(rel) if a.probe.is_empty() => Source::Scan(rel),
+                    Some(rel) => Source::Probe(rel.ensure_index(a.probe_positions())),
+                }
+            })
+            .collect();
+        Resolved { plans, sources }
+    }
+
+    /// The plans, in order, each with its sources.
+    pub(crate) fn rules(&self) -> impl Iterator<Item = Rule<'_>> {
+        let mut start = 0;
+        self.plans.iter().map(move |&plan| {
+            let end = start + plan.steps.len();
+            let sources = &self.sources[start..end];
+            start = end;
+            Rule { plan, sources }
+        })
     }
 }
 
@@ -169,9 +231,9 @@ pub(crate) enum Drive<'a> {
     Negation(usize, &'a FxHashSet<Tuple>),
 }
 
-/// One unit of round work: a rule plan and what drives it.
+/// One unit of round work: a rule and what drives it.
 struct WorkItem<'a> {
-    plan: &'a RulePlan,
+    rule: Rule<'a>,
     drive: Drive<'a>,
 }
 
@@ -181,7 +243,7 @@ impl WorkItem<'_> {
     /// first step scans. A function of the round's input sizes only, never
     /// of the thread count.
     fn estimated_work(&self, state: &EvalState) -> usize {
-        match (self.drive, self.plan.steps.first()) {
+        match (self.drive, self.rule.plan.steps.first()) {
             (Drive::Atom(_, shard), _) => shard.len(),
             (_, Some(Step::Atom(first))) => state.get(&first.key).map_or(0, Relation::len),
             _ => 1,
@@ -195,7 +257,7 @@ impl WorkItem<'_> {
             _ => (None, 0),
         };
         ItemRec {
-            clause: self.plan.clause_idx,
+            clause: self.rule.plan.clause_idx,
             delta_step,
             delta_tuples,
             out_len,
@@ -252,7 +314,8 @@ pub(crate) struct Derived {
 }
 
 impl Derived {
-    /// Execute one rule body over `view`, `drive` naming the step (if any)
+    /// Execute one rule body over `view` — whose sources `rule` was
+    /// [resolved](Resolved) against — `drive` naming the step (if any)
     /// that a change set feeds, and append the derived head tuples as one
     /// run. The only interpreter of a [`Step`] in the workspace: the
     /// fixpoint rounds, the model checker and every DRed phase come through
@@ -260,15 +323,17 @@ impl Derived {
     pub(crate) fn run_rule<V: ReadView>(
         &mut self,
         view: &V,
-        plan: &RulePlan,
+        rule: Rule<'_>,
         drive: Drive<'_>,
         stats: &mut EvalStats,
     ) -> CoreResult<()> {
+        let plan = rule.plan;
         self.bindings.clear();
         self.bindings.resize(plan.n_vars, None);
         RuleRun {
             view,
             plan,
+            sources: rule.sources,
             drive,
             bindings: &mut self.bindings,
             out: &mut self.tuples,
@@ -345,14 +410,14 @@ fn run_item(
         // fault would.
         #[cfg(feature = "failpoints")]
         idlog_common::failpoint::hit("eval.worker").map_err(|message| CoreError::Internal {
-            clause: Some(item.plan.clause_idx),
+            clause: Some(item.rule.plan.clause_idx),
             message,
         })?;
-        out.run_rule(state, item.plan, item.drive, stats)
+        out.run_rule(state, item.rule, item.drive, stats)
     }))
     .unwrap_or_else(|payload| {
         Err(CoreError::Internal {
-            clause: Some(item.plan.clause_idx),
+            clause: Some(item.rule.plan.clause_idx),
             message: format!("rule evaluation panicked: {}", panic_message(payload)),
         })
     })
@@ -492,22 +557,25 @@ fn run_items(
 }
 
 /// One full (undriven) item per rule: round 0 and every naive round.
-fn full_work_list<'a>(plans: &[&'a RulePlan]) -> Vec<WorkItem<'a>> {
+fn full_work_list<'a>(resolved: &'a Resolved<'_>) -> Vec<WorkItem<'a>> {
     let drive = Drive::Full;
-    plans.iter().map(|&plan| WorkItem { plan, drive }).collect()
+    resolved
+        .rules()
+        .map(|rule| WorkItem { rule, drive })
+        .collect()
 }
 
 /// Build the delta round's work list in deterministic (plan, step, shard)
 /// order. Only positive ordinary atom steps on same-stratum predicates with
 /// a non-empty delta contribute items.
 fn delta_work_list<'a>(
-    plans: &[&'a RulePlan],
+    resolved: &'a Resolved<'_>,
     same_stratum: &FxHashSet<SymbolId>,
     delta: &'a Delta,
 ) -> Vec<WorkItem<'a>> {
     let mut items: Vec<WorkItem<'a>> = Vec::new();
-    for plan in plans {
-        for (si, step) in plan.steps.iter().enumerate() {
+    for rule in resolved.rules() {
+        for (si, step) in rule.plan.steps.iter().enumerate() {
             let Step::Atom(astep) = step else { continue };
             let PredKey::Ordinary(pred) = &astep.key else {
                 continue;
@@ -522,7 +590,7 @@ fn delta_work_list<'a>(
             let per_shard = d.len().div_ceil(shard_count(d.len()));
             for shard in d.chunks(per_shard) {
                 items.push(WorkItem {
-                    plan,
+                    rule,
                     drive: Drive::Atom(si, shard),
                 });
             }
@@ -551,8 +619,8 @@ pub fn eval_stratum_naive(
     let (mut bufs, mut delta) = (Vec::new(), Delta::default());
     let mut round = 0usize;
     loop {
-        state.ensure_indexes(plans);
-        let items = full_work_list(plans);
+        let resolved = Resolved::new(&*state, plans);
+        let items = full_work_list(&resolved);
         let mut recs = prof.as_ref().map(|_| Vec::new());
         run_round(
             state,
@@ -563,6 +631,8 @@ pub fn eval_stratum_naive(
             recs.as_mut(),
             &mut bufs,
         )?;
+        drop(items);
+        drop(resolved);
         let grew = absorb_contained(state, &mut bufs, stats, recs.as_mut(), &mut delta)?;
         if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
             p.rounds.push(RoundProfile::from_items(round, recs));
@@ -598,12 +668,12 @@ pub fn eval_stratum(
     let (mut bufs, mut delta) = (Vec::new(), Delta::default());
     let mut round = 0usize;
     loop {
-        state.ensure_indexes(plans);
+        let resolved = Resolved::new(&*state, plans);
         // Round 0: full evaluation of every rule; then delta rounds.
         let items = if round == 0 {
-            full_work_list(plans)
+            full_work_list(&resolved)
         } else {
-            delta_work_list(plans, same_stratum, &delta)
+            delta_work_list(&resolved, same_stratum, &delta)
         };
         let mut recs = prof.as_ref().map(|_| Vec::new());
         run_round(
@@ -616,6 +686,7 @@ pub fn eval_stratum(
             &mut bufs,
         )?;
         drop(items);
+        drop(resolved);
         let grew = absorb_contained(state, &mut bufs, stats, recs.as_mut(), &mut delta)?;
         if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
             p.rounds.push(RoundProfile::from_items(round, recs));
@@ -704,7 +775,6 @@ pub(crate) fn absorb(
             .flat_map(|(_, (_, b, span))| &outs[*b].tuples[span.clone()])
             .collect();
         let rel = state
-            .rels
             .get_mut(&PredKey::Ordinary(*pred))
             .expect("IDB relation installed before evaluation");
         let mut flags = rel.delta_batch_insert(&batch).into_iter();
@@ -740,6 +810,7 @@ fn resolve(pat: TermPat, bindings: &[Option<Value>]) -> Value {
 struct RuleRun<'a, V> {
     view: &'a V,
     plan: &'a RulePlan,
+    sources: &'a [Source<'a>],
     drive: Drive<'a>,
     bindings: &'a mut [Option<Value>],
     out: &'a mut Vec<Tuple>,
@@ -767,21 +838,23 @@ impl<V: ReadView> RuleRun<'_, V> {
                         return Ok(());
                     }
                 }
-                // No relation installed → no stored matches.
-                if let Some(rel) = view.relation(&astep.key) {
-                    if astep.probe.is_empty() {
+                match self.sources[si] {
+                    // No relation installed → no stored matches.
+                    Source::Absent => {}
+                    Source::Scan(rel) => {
                         for t in rel.iter() {
                             if !view.hides(&astep.key, t) {
                                 self.try_tuple(si, astep, t, false)?;
                             }
                         }
-                    } else {
+                    }
+                    Source::Probe(index) => {
                         let key_tuple: Tuple = astep
                             .probe
                             .iter()
                             .map(|&(_, pat)| resolve(pat, self.bindings))
                             .collect();
-                        for t in rel.probe(astep.probe_positions(), &key_tuple).iter() {
+                        for t in index.probe(&key_tuple).iter() {
                             // Probe positions already match; only bind/check remain.
                             if !view.hides(&astep.key, t) {
                                 self.try_tuple(si, astep, t, false)?;
@@ -950,8 +1023,7 @@ mod tests {
         state.put(PredKey::Ordinary(p), rel(&i, &["a"]));
         assert!(state.has(&PredKey::Ordinary(p)));
         assert_eq!(state.get(&PredKey::Ordinary(p)).unwrap().len(), 1);
-        // Replacing bumps the version (observable through index staleness,
-        // checked below) and swaps the relation.
+        // Replacing swaps the relation.
         state.put(PredKey::Ordinary(p), rel(&i, &["a", "b"]));
         assert_eq!(state.get(&PredKey::Ordinary(p)).unwrap().len(), 2);
     }
@@ -980,19 +1052,30 @@ mod tests {
     #[test]
     fn clone_keeps_relations_and_their_indexes() {
         let i = Interner::new();
-        let p = i.intern("p");
+        let key = PredKey::Ordinary(i.intern("p"));
         let mut state = EvalState::new();
-        state.put(PredKey::Ordinary(p), rel(&i, &["a", "b"]));
-        // Indexes now live inside each relation's backend and travel with
-        // the clone (enumeration branches reuse them instead of rebuilding).
-        if let Some(r) = state.rels.get_mut(&PredKey::Ordinary(p)) {
-            r.ensure_index(&[0]);
-        }
-        let cloned = state.clone();
-        let cloned_rel = cloned.get(&PredKey::Ordinary(p)).unwrap();
-        assert_eq!(cloned_rel.len(), 2);
-        let key: Tuple = vec![Value::Sym(i.intern("a"))].into();
-        assert_eq!(cloned_rel.probe(&[0], &key).len(), 1);
+        state.put(key.clone(), rel(&i, &["a", "b"]));
+        // Indexes live inside each relation's backend, and a clone shares
+        // the relation: enumeration branches reuse both, copying nothing.
+        state.get(&key).unwrap().ensure_index(&[0]);
+        let mut cloned = state.clone();
+        assert!(std::ptr::eq(
+            state.get(&key).unwrap(),
+            cloned.get(&key).unwrap()
+        ));
+        let a: Tuple = vec![Value::Sym(i.intern("a"))].into();
+        assert_eq!(cloned.get(&key).unwrap().probe(&[0], &a).len(), 1);
+        // The first write copies the relation, index and all; the original
+        // keeps its contents.
+        let c: Tuple = vec![Value::Sym(i.intern("c"))].into();
+        cloned.get_mut(&key).unwrap().insert(c.clone()).unwrap();
+        assert!(!std::ptr::eq(
+            state.get(&key).unwrap(),
+            cloned.get(&key).unwrap()
+        ));
+        assert_eq!(cloned.get(&key).unwrap().probe(&[0], &c).len(), 1);
+        assert_eq!(state.get(&key).unwrap().probe(&[0], &c).len(), 0);
+        assert_eq!(state.get(&key).unwrap().len(), 2);
     }
 
     /// A small multi-rule program over a 40-edge ring with chords, its
@@ -1027,9 +1110,9 @@ mod tests {
     /// small never reach the pool through [`run_round`]'s threshold.
     #[test]
     fn pooled_rounds_merge_exactly_like_the_serial_path() {
-        let (program, mut state) = ring_fixture();
+        let (program, state) = ring_fixture();
         let plans: Vec<&RulePlan> = program.plans().iter().collect();
-        state.ensure_indexes(&plans);
+        let resolved = Resolved::new(&state, &plans);
         let e = program.interner().get("e").unwrap();
         let edges: Vec<Tuple> = state
             .get(&PredKey::Ordinary(e))
@@ -1039,12 +1122,12 @@ mod tests {
             .collect();
         // Full items for every plan, then every e-step of every plan
         // replayed against four uneven shards of the edge list.
-        let mut items = full_work_list(&plans);
-        for &plan in &plans {
-            for si in plan.atom_steps_on(e) {
+        let mut items = full_work_list(&resolved);
+        for rule in resolved.rules() {
+            for si in rule.plan.atom_steps_on(e) {
                 for shard in [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]] {
                     items.push(WorkItem {
-                        plan,
+                        rule,
                         drive: Drive::Atom(si, shard),
                     });
                 }
@@ -1096,15 +1179,17 @@ mod tests {
         let (program, state) = ring_fixture();
         let e = program.interner().get("e").unwrap();
         let edges = state.get(&PredKey::Ordinary(e)).unwrap().len();
-        let plan = &program.plans()[0];
+        let plans = [&program.plans()[0]];
+        let resolved = Resolved::new(&state, &plans);
+        let rule = resolved.rules().next().unwrap();
         let full = WorkItem {
-            plan,
+            rule,
             drive: Drive::Full,
         };
         assert_eq!(full.estimated_work(&state), edges);
         let shard = vec![Tuple::empty(); 3];
         let delta = WorkItem {
-            plan,
+            rule,
             drive: Drive::Atom(0, &shard),
         };
         assert_eq!(delta.estimated_work(&state), 3);

@@ -35,9 +35,9 @@ pub struct EvalOutput {
 
 impl EvalOutput {
     /// The relation computed for `name` (input, IDB, or — via
-    /// [`EvalOutput::id_relation`] — an ID-relation). An input relation the
-    /// program reads *only* through ID-literals is never copied out of the
-    /// database: it answers `None` here, and the database still has it.
+    /// [`EvalOutput::id_relation`] — an ID-relation). An input relation is
+    /// the database's own, shared rather than copied (on the default hash
+    /// backend; a columnar evaluation reads a converted copy).
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         let id = self.interner.get(name)?;
         self.state.get(&PredKey::Ordinary(id))
@@ -184,20 +184,7 @@ pub fn evaluate_governed(
     let mut state = EvalState::new();
     let mut profile = options.profile.then(|| Profile::for_program(program));
 
-    // An input relation no rule reads except through ID-literals needs no
-    // working copy: its ID-relations are built straight from the database.
-    let scanned: FxHashSet<SymbolId> = plans
-        .iter()
-        .flat_map(|plan| &plan.steps)
-        .filter_map(|step| match step.reads() {
-            Some(PredKey::Ordinary(pred)) => Some(*pred),
-            _ => None,
-        })
-        .collect();
-    install_inputs(program, db, &mut state, options.backend, |pred| {
-        scanned.contains(&pred)
-    })
-    .map_err(EvalError::Core)?;
+    install_inputs(program, db, &mut state, options.backend).map_err(EvalError::Core)?;
     install_idb(
         program,
         &refine_sorts(program, db).map_err(EvalError::Core)?,
@@ -226,7 +213,6 @@ pub fn evaluate_governed(
             materialize_id_relations(
                 &stratum_plans,
                 program,
-                db,
                 options.backend,
                 &mut state,
                 oracle,
@@ -288,7 +274,7 @@ pub fn evaluate_governed(
 }
 
 /// Set up an [`EvalState`] for enumeration: interner check, input relations
-/// copied, IDB relations created empty.
+/// shared, IDB relations created empty.
 pub(crate) fn install_for_enumeration(
     program: &ValidatedProgram,
     db: &Database,
@@ -302,7 +288,7 @@ pub(crate) fn install_for_enumeration(
                 .into(),
         });
     }
-    install_inputs(program, db, state, backend, |_| true)?;
+    install_inputs(program, db, state, backend)?;
     install_idb(program, &refine_sorts(program, db)?, db, state, backend)?;
     Ok(())
 }
@@ -333,22 +319,21 @@ fn refine_sorts(program: &ValidatedProgram, db: &Database) -> CoreResult<SortMap
     })
 }
 
-/// Copy input relations from the database (or create empty ones), checking
-/// arity and constrained sorts. The working copies are converted to the
-/// requested storage backend in bulk — the database itself stays untouched.
-/// A stored relation is checked but not copied when `needs_copy` says no
-/// rule scans it.
+/// Share the input relations of the database with `state` (or create empty
+/// ones), checking arity and constrained sorts. The evaluation reads the
+/// stored relations themselves, and the indexes it readies on them stay
+/// there for the next one. An evaluation on another backend reads a copy
+/// converted in bulk — the database itself never changes.
 fn install_inputs(
     program: &ValidatedProgram,
     db: &Database,
     state: &mut EvalState,
     backend: BackendKind,
-    needs_copy: impl Fn(SymbolId) -> bool,
 ) -> CoreResult<()> {
     let interner = program.interner();
     for &pred in program.inputs() {
         let arity = program.arity(pred).expect("input predicate has an arity");
-        match db.relation_by_id(pred) {
+        match db.share(pred) {
             Some(rel) => {
                 if rel.arity() != arity {
                     return Err(CoreError::Input {
@@ -372,8 +357,11 @@ fn install_inputs(
                         }
                     }
                 }
-                if needs_copy(pred) {
-                    state.put(PredKey::Ordinary(pred), rel.clone().to_backend(backend));
+                if rel.backend_kind() == backend {
+                    state.share(PredKey::Ordinary(pred), rel);
+                } else {
+                    let converted = Arc::unwrap_or_clone(rel).to_backend(backend);
+                    state.put(PredKey::Ordinary(pred), converted);
                 }
             }
             None => {
@@ -431,7 +419,6 @@ fn install_idb(
 fn materialize_id_relations(
     plans: &[&RulePlan],
     program: &ValidatedProgram,
-    db: &Database,
     backend: BackendKind,
     state: &mut EvalState,
     oracle: &mut dyn TidOracle,
@@ -452,11 +439,8 @@ fn materialize_id_relations(
     let mut needed: Vec<(SymbolId, Vec<usize>)> = needed.into_iter().collect();
     needed.sort_by_cached_key(|(base, grouping)| (interner.resolve(*base), grouping.clone()));
     for (base, grouping) in needed {
-        // The working copy, or — for an input only ID-literals read — the
-        // stored relation itself.
         let rel = state
             .get(&PredKey::Ordinary(base))
-            .or_else(|| db.relation_by_id(base))
             .ok_or_else(|| CoreError::Eval {
                 message: format!(
                     "ID-relation of {} requested before its base relation exists",

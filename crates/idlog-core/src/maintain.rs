@@ -34,7 +34,12 @@
 //! (inserts) of the relation it reads, a negation step by the net inserts
 //! (deletes) of the relation it tests — `Drive::Atom` and
 //! `Drive::Negation`. Every read, old-state or not, probes the same
-//! indexes, readied once per stratum.
+//! indexes, resolved once per pass.
+//!
+//! **Inputs are shared.** The view's input relations are the database's
+//! own (see [`crate::engine::EvalState`]): the first change a batch applies
+//! to one copies it once — the database already holds the new version —
+//! and later changes apply in place.
 //!
 //! **Applicability.** ID-relations are materialized from a *complete* base
 //! relation through a [`crate::tid::TidOracle`]; there is no meaningful
@@ -53,7 +58,7 @@ use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Tuple};
 use idlog_storage::{Database, Relation};
 
 use crate::config::EvalOptions;
-use crate::engine::{absorb, Delta, Derived, Drive, EvalState, ReadView};
+use crate::engine::{absorb, Delta, Derived, Drive, EvalState, ReadView, Resolved};
 use crate::error::CoreResult;
 use crate::eval::evaluate_with_options;
 use crate::plan::{RulePlan, Step};
@@ -279,7 +284,7 @@ impl Materialized {
         delta: &FactDelta,
     ) -> CoreResult<(MaintainOutcome, EvalStats)> {
         let untouched = |outcome| Ok((outcome, EvalStats::default()));
-        // 1. Apply the EDB delta to the working input copies, recording the
+        // 1. Apply the EDB delta to the view's input relations, recording the
         //    per-predicate net change. Flags from the storage layer filter
         //    no-ops (re-inserting a present fact, retracting an absent one).
         let mut net_ins: NetMap = NetMap::default();
@@ -365,7 +370,7 @@ impl Materialized {
         }
         match self.state.get(&PredKey::Ordinary(pred)) {
             Some(rel) if rel.check_tuple(t).is_ok() => EdbFate::Apply,
-            // Arity/sort mismatch against the working copy (e.g. a relation
+            // Arity/sort mismatch against the view's input (e.g. a relation
             // first populated after the build refined different sorts):
             // recompute from the database, the source of truth.
             _ => EdbFate::Fallback,
@@ -382,10 +387,6 @@ impl Materialized {
         net_del: &mut NetMap,
         stats: &mut EvalStats,
     ) -> CoreResult<()> {
-        // Every phase probes, old-state reads included; the indexes survive
-        // the removals and inserts below.
-        self.state.ensure_indexes(splans);
-
         // Phase 1 — overdelete, under old-state semantics. `deleted` holds
         // the overdeleted set; tuples stay physically present so old reads
         // of this stratum see them.
@@ -396,7 +397,9 @@ impl Materialized {
             net_ins,
             net_del,
         };
-        replay_nets(&view, splans, net_del, net_ins, &mut cand, stats)?;
+        // Phase 1 writes nothing: one resolution serves all its rounds.
+        let resolved = Resolved::new(&view, splans);
+        replay_nets(&view, &resolved, net_del, net_ins, &mut cand, stats)?;
         loop {
             let mut next = Delta::default();
             for (p, tuples) in cand.runs() {
@@ -411,8 +414,9 @@ impl Materialized {
             if next.is_empty() {
                 break;
             }
-            replay_round(&view, splans, &next, &mut cand, stats)?;
+            replay_round(&view, &resolved, &next, &mut cand, stats)?;
         }
+        drop(resolved);
 
         // Phase 2 — physically remove the overdeleted tuples.
         for (p, nc) in &deleted {
@@ -432,8 +436,8 @@ impl Materialized {
                 .copied()
                 .collect();
             let (mut out, mut reinserted) = (Derived::default(), Delta::default());
-            for plan in &red_plans {
-                out.run_rule(&self.state, plan, Drive::Full, stats)?;
+            for rule in Resolved::new(&self.state, &red_plans).rules() {
+                out.run_rule(&self.state, rule, Drive::Full, stats)?;
             }
             loop {
                 // A tuple leaves `deleted` at most once and is physically
@@ -450,7 +454,8 @@ impl Materialized {
                     None,
                     &mut reinserted,
                 );
-                replay_round(&self.state, &red_plans, &reinserted, &mut out, stats)?;
+                let resolved = Resolved::new(&self.state, &red_plans);
+                replay_round(&self.state, &resolved, &reinserted, &mut out, stats)?;
             }
         }
 
@@ -458,7 +463,9 @@ impl Materialized {
         // net inserts (positive atoms) and net deletes (negated literals).
         let mut stratum_ins: NetMap = NetMap::default();
         let (mut out, mut fresh) = (Derived::default(), Delta::default());
-        replay_nets(&self.state, splans, net_ins, net_del, &mut out, stats)?;
+        let resolved = Resolved::new(&self.state, splans);
+        replay_nets(&self.state, &resolved, net_ins, net_del, &mut out, stats)?;
+        drop(resolved);
         loop {
             let outs = std::slice::from_mut(&mut out);
             if !absorb(&mut self.state, outs, stats, None, &mut fresh) {
@@ -474,7 +481,8 @@ impl Materialized {
                     }
                 }
             }
-            replay_round(&self.state, splans, &fresh, &mut out, stats)?;
+            let resolved = Resolved::new(&self.state, splans);
+            replay_round(&self.state, &resolved, &fresh, &mut out, stats)?;
         }
 
         // Publish this stratum's nets for the strata above.
@@ -521,14 +529,14 @@ fn affected_closure(plans: &[RulePlan], changed: &FxHashSet<SymbolId>) -> FxHash
 /// old view; insertion passes (inserts, deletes) and reads the state.
 fn replay_nets<V: ReadView>(
     view: &V,
-    plans: &[&RulePlan],
+    resolved: &Resolved<'_>,
     atoms: &NetMap,
     flips: &NetMap,
     out: &mut Derived,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
-    for plan in plans {
-        for (si, step) in plan.steps.iter().enumerate() {
+    for rule in resolved.rules() {
+        for (si, step) in rule.plan.steps.iter().enumerate() {
             let drive = match step {
                 Step::Atom(a) => net_of(atoms, &a.key).map(|n| Drive::Atom(si, n.order())),
                 Step::Negation { key, .. } => {
@@ -537,7 +545,7 @@ fn replay_nets<V: ReadView>(
                 Step::Builtin { .. } => None,
             };
             if let Some(drive) = drive {
-                out.run_rule(view, plan, drive, stats)?;
+                out.run_rule(view, rule, drive, stats)?;
             }
         }
     }
@@ -549,20 +557,20 @@ fn replay_nets<V: ReadView>(
 /// positive atom step that reads them.
 fn replay_round<V: ReadView>(
     view: &V,
-    plans: &[&RulePlan],
+    resolved: &Resolved<'_>,
     delta: &Delta,
     out: &mut Derived,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
-    for plan in plans {
-        for (si, step) in plan.steps.iter().enumerate() {
+    for rule in resolved.rules() {
+        for (si, step) in rule.plan.steps.iter().enumerate() {
             let Step::Atom(a) = step else { continue };
             let PredKey::Ordinary(p) = &a.key else {
                 continue;
             };
             // A reused delta map keeps predicates that gained nothing.
             if let Some(d) = delta.get(p).filter(|d| !d.is_empty()) {
-                out.run_rule(view, plan, Drive::Atom(si, d), stats)?;
+                out.run_rule(view, rule, Drive::Atom(si, d), stats)?;
             }
         }
     }

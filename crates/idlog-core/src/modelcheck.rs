@@ -10,7 +10,7 @@
 use idlog_common::{SymbolId, Tuple};
 use idlog_storage::Database;
 
-use crate::engine::{Derived, Drive, EvalState};
+use crate::engine::{Derived, Drive, EvalState, Resolved};
 use crate::error::{CoreError, CoreResult};
 use crate::eval::EvalOutput;
 use crate::pred::PredKey;
@@ -83,18 +83,18 @@ pub fn verify_model(
         }
     }
 
-    let plans = program.plans().clone();
-    state.ensure_indexes(&plans.iter().collect::<Vec<_>>());
+    let plans: Vec<_> = program.plans().iter().collect();
+    let resolved = Resolved::new(&state, &plans);
 
     let mut violations = Vec::new();
     let mut stats = EvalStats::default();
-    for plan in plans.iter() {
+    for rule in resolved.rules() {
+        let plan = rule.plan;
         if skip_preds.contains(&plan.head_pred) {
             continue;
         }
         let head_rel = state
             .get(&PredKey::Ordinary(plan.head_pred))
-            .cloned()
             .ok_or_else(|| CoreError::Eval {
                 message: format!(
                     "relation {} missing from the checked state",
@@ -102,7 +102,7 @@ pub fn verify_model(
                 ),
             })?;
         let mut derived = Derived::default();
-        derived.run_rule(&state, plan, Drive::Full, &mut stats)?;
+        derived.run_rule(&state, rule, Drive::Full, &mut stats)?;
         for (pred, tuples) in derived.runs() {
             for t in tuples.iter().filter(|t| !head_rel.contains(t)) {
                 violations.push(ModelViolation {

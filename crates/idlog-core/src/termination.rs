@@ -30,7 +30,7 @@
 //!    which the engine installs as an automatic `max_rounds` limit, so even
 //!    a buggy certificate trips deterministically instead of hanging.
 
-use idlog_common::{FxHashMap, FxHashSet, SymbolId, Value};
+use idlog_common::{FxHashMap, FxHashSet, SymbolId};
 use idlog_parser::{Builtin, Literal, Program, Term};
 use idlog_storage::Database;
 
@@ -257,31 +257,12 @@ impl TerminationCert {
         if !self.bounded {
             return None;
         }
-        // One pass over the database: the largest natural stored, and how
-        // many distinct values there are — symbols ticked off in a bitmap
-        // over the interner's dense ids, only the integers hashed.
-        let mut vstar: u64 = self.max_const.max(0) as u64;
-        let mut sym_seen = vec![0u64; db.interner().len().div_ceil(64)];
-        let mut ints: FxHashSet<i64> = FxHashSet::default();
-        let mut pool: u64 = 0;
-        for (_, rel) in db.iter() {
-            for t in rel.iter() {
-                for v in t.values() {
-                    match v {
-                        Value::Int(n) => {
-                            vstar = vstar.max((*n).max(0) as u64);
-                            pool += u64::from(ints.insert(*n));
-                        }
-                        Value::Sym(s) => {
-                            let (word, bit) =
-                                (&mut sym_seen[s.index() / 64], 1 << (s.index() % 64));
-                            pool += u64::from(*word & bit == 0);
-                            *word |= bit;
-                        }
-                    }
-                }
-            }
-        }
+        // What the data contributes — the largest natural stored and how
+        // many distinct values there are — is one pass over the database,
+        // made once per database version and cached there.
+        let data = db.value_summary();
+        let mut vstar: u64 = (self.max_const.max(0) as u64).max(data.max_natural);
+        let pool = data.distinct;
         // Value ceiling: the largest natural any evaluation can derive.
         // In a certified (acyclic) flow graph a derivation chain passes
         // each expanding occurrence at most once, so iterating them all
@@ -954,6 +935,7 @@ fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idlog_common::Value;
     use std::sync::Arc;
 
     use idlog_common::Interner;

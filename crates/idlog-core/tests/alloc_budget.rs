@@ -5,15 +5,17 @@
 //! relation clone ask the allocator for. Tuples of up to three columns live
 //! inline, probes and inserts allocate nothing per tuple and round buffers
 //! are reused, so a fixpoint's allocations grow with its *rounds* (plus the
-//! logarithmic growth of the stores), not with the tuples it touches.
+//! logarithmic growth of the stores), not with the tuples it touches. And
+//! inputs are read by reference, with the indexes built on them kept, so a
+//! repeated query allocates nothing per stored row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use idlog_core::{
-    evaluate_with_options, CanonicalOracle, EvalOptions, Interner, RelType, Relation, Tuple,
-    ValidatedProgram, Value,
+    evaluate_with_options, CanonicalOracle, EvalOptions, Interner, Query, RelType, Relation,
+    Strategy, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
 
@@ -101,4 +103,73 @@ fn cloning_a_relation_of_small_tuples_is_a_handful_of_copies() {
     // The store, the membership table's two arrays and the relation type:
     // nothing per row.
     assert!(allocations <= 8, "{allocations} allocations");
+}
+
+/// The ancestor point query the served workload asks, goal-directed.
+const ANCESTOR: &str = "anc(X, Y) :- parent(X, Y).
+                        anc(X, Z) :- anc(X, Y), parent(Y, Z).
+                        q(Y) :- anc(c0n0, Y).";
+
+/// `parent` as chains of 100 nodes, `c{k}n0` → … → `c{k}n99`.
+fn chains(query: &Query, rows: usize) -> Database {
+    let mut db = query.new_database();
+    for k in 0..rows / 100 {
+        for n in 0..100 {
+            let (from, to) = (format!("c{k}n{n}"), format!("c{k}n{}", n + 1));
+            db.insert_syms("parent", &[&from, &to]).unwrap();
+        }
+    }
+    db
+}
+
+/// Inputs are read by reference and the index a query readies on one stays
+/// with the stored relation: after a first magic point query, the next one
+/// copies and indexes nothing, so what it allocates does not depend on how
+/// large `parent` is — only on its answer. A write after that is seen by
+/// the next answer through the maintained index.
+#[test]
+fn a_repeated_point_query_allocates_nothing_per_stored_row() {
+    let query = Query::parse(ANCESTOR, "q").unwrap();
+    let ask = |db: &Database| {
+        query
+            .session(db)
+            .threads(1)
+            .strategy(Strategy::Magic)
+            .run()
+            .unwrap()
+            .relation
+    };
+    let second_query = |rows: usize| {
+        let db = chains(&query, rows);
+        assert_eq!(ask(&db).len(), 100, "warm-up");
+        let (answer, allocations) = allocations_during(|| ask(&db));
+        assert_eq!(answer.len(), 100);
+        allocations
+    };
+    let small = second_query(2_000);
+    let large = second_query(20_000);
+    assert_eq!(small, large, "allocations grew with the stored rows");
+
+    let mut db = chains(&query, 20_000);
+    ask(&db);
+    db.insert_syms("parent", &["c0n100", "late"]).unwrap();
+    let late: Tuple = [Value::Sym(query.interner().intern("late"))]
+        .into_iter()
+        .collect();
+    assert!(ask(&db).contains(&late), "the index missed a later write");
+}
+
+/// The database pass behind every termination round bound is made once per
+/// database version: asked again, it allocates nothing.
+#[test]
+fn the_value_summary_is_computed_once_per_database_version() {
+    let query = Query::parse(ANCESTOR, "q").unwrap();
+    let mut db = chains(&query, 2_000);
+    let (first, _) = allocations_during(|| db.value_summary());
+    let (again, allocations) = allocations_during(|| db.value_summary());
+    assert_eq!((first, allocations), (again, 0));
+    let snapshot = db.clone();
+    assert_eq!(allocations_during(|| snapshot.value_summary()).1, 0);
+    db.insert_syms("parent", &["x", "y"]).unwrap();
+    assert_eq!(db.value_summary().distinct, first.distinct + 2);
 }

@@ -369,7 +369,7 @@ impl Tenant {
                         }
                     }
                     Err(e) => {
-                        // apply() may have mutated the view's input copies
+                        // apply() may have mutated the view's own inputs
                         // before failing (e.g. builtin overflow mid-
                         // propagation); keeping it would make the next
                         // delta replay a no-op against stale IDB state and
@@ -654,7 +654,8 @@ impl Registry {
         }
         // Fresh evaluation: snapshot the database and release the tenant so
         // a slow or deadline-bound request can't block writers or other
-        // readers of this tenant.
+        // readers of this tenant. The snapshot shares every relation (one
+        // pointer per predicate); a write copies one only while it is held.
         let db = t.db.clone();
         drop(t);
         let mut resp = Self::run_fresh(&query, &db, &r);
@@ -1024,7 +1025,7 @@ mod tests {
         assert_eq!(first.mode, Some(ServeMode::Recomputed));
 
         // i64::MAX + 2 overflows `plus` during incremental propagation;
-        // apply() fails after already mutating the view's input copies.
+        // apply() fails after already mutating the view's own inputs.
         int_change(&reg, "a", i64::MAX, true);
         let failed = run(&reg, SUM, "sum");
         assert_ne!(failed.exit, 0, "overflow must surface as an error");

@@ -6,7 +6,7 @@ use std::net::SocketAddr;
 use std::thread;
 
 use idlog_core::service::{render_answers, FactValue, Request, Response, RunRequest, ServeMode};
-use idlog_core::{ErrorCode, LimitKind, Query};
+use idlog_core::{ErrorCode, LimitKind, Query, Strategy, Tuple, Value};
 use idlog_server::{Client, Server, DEFAULT_WORKERS};
 use idlog_storage::{BackendKind, Database};
 
@@ -379,4 +379,78 @@ fn seeded_and_enumerating_requests_take_the_fresh_path() {
     let models = resp.models.expect("models");
     assert_eq!(models.len(), 1);
     shutdown(addr, handle);
+}
+
+/// A fresh request snapshots the tenant database (`Database::clone`: one
+/// pointer per predicate, no tuple copied) and evaluates the snapshot after
+/// releasing the tenant. Writes that land meanwhile copy the relation they
+/// change and leave the snapshot reading the version it was taken from: its
+/// scans, its probes — through the index an earlier query readied on the
+/// shared relation — and its answers. The database answers the new state.
+#[test]
+fn a_fresh_snapshot_answers_from_its_version_while_writes_land() {
+    const ANC: &str = "anc(X, Y) :- parent(X, Y).\n\
+                       anc(X, Z) :- anc(X, Y), parent(Y, Z).\n\
+                       q(Y) :- anc(p0, Y).";
+    let query = Query::parse(ANC, "q").expect("parse");
+    let node = |n: usize| format!("p{n}");
+    let mut db = Database::with_interner(query.interner().clone());
+    for n in 0..50 {
+        db.insert_syms("parent", &[&node(n), &node(n + 1)])
+            .expect("insert");
+    }
+    let answers = |db: &Database, strategy: Strategy| {
+        let out = query.session(db).threads(1).strategy(strategy).run();
+        render_answers(&out.expect("run").relation, query.interner())
+    };
+    let descendants = |last: usize| -> Vec<String> {
+        let mut names: Vec<String> = (1..=last).map(node).collect();
+        names.sort();
+        names
+    };
+    // The magic query probes `parent` on its first column: the index it
+    // readies stays with the stored relation the snapshot then shares.
+    let before = answers(&db, Strategy::Magic);
+    assert_eq!(before, descendants(50));
+    let snapshot = db.clone();
+    let parent = |db: &Database| -> Vec<Tuple> {
+        db.relation("parent")
+            .expect("parent")
+            .iter()
+            .cloned()
+            .collect()
+    };
+    let scanned = parent(&snapshot);
+
+    thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            for _ in 0..10 {
+                assert_eq!(answers(&snapshot, Strategy::Magic), before);
+                assert_eq!(answers(&snapshot, Strategy::SemiNaive), before);
+            }
+        });
+        for n in 50..60 {
+            db.insert_syms("parent", &[&node(n), &node(n + 1)])
+                .expect("insert");
+        }
+        db.retract_syms("parent", &[&node(59), &node(60)])
+            .expect("retract");
+        reader.join().expect("reader");
+    });
+
+    assert_eq!(parent(&snapshot), scanned, "the snapshot's scan moved");
+    let key = |n: usize| -> Tuple {
+        [Value::Sym(query.interner().intern(&node(n)))]
+            .into_iter()
+            .collect()
+    };
+    let probe = |db: &Database, n: usize| {
+        let rel = db.relation("parent").expect("parent");
+        rel.ensure_index(&[0]).probe(&key(n)).len()
+    };
+    assert_eq!((probe(&snapshot, 49), probe(&snapshot, 50)), (1, 0));
+    assert_eq!((probe(&db, 50), probe(&db, 59)), (1, 0));
+    assert_eq!(answers(&snapshot, Strategy::Magic), before);
+    assert_eq!(answers(&db, Strategy::Magic), descendants(59));
+    assert_eq!(answers(&db, Strategy::SemiNaive), descendants(59));
 }

@@ -22,7 +22,7 @@ pub mod idrel;
 pub mod relation;
 pub mod storage;
 
-pub use database::Database;
+pub use database::{Database, ValueSummary};
 pub use enumerate::{
     count_bounded_assignments, count_id_functions, BoundedAssignmentIter, IdAssignmentIter,
 };
@@ -33,6 +33,6 @@ pub use idrel::{
 };
 pub use relation::{CanonicalView, Relation};
 pub use storage::{
-    estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend, Probe,
-    ScanIter, Storage,
+    estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend,
+    IndexHandle, Probe, ScanIter, Storage,
 };

@@ -8,7 +8,8 @@ use idlog_common::{
 };
 
 use crate::storage::{
-    estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, Probe, ScanIter, Storage,
+    estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, IndexHandle, Probe, ScanIter,
+    Storage,
 };
 
 /// Which concrete backend a relation delegates to. Static dispatch: every
@@ -209,12 +210,14 @@ impl Relation {
         dispatch_mut!(self, b => b.remove_batch(batch))
     }
 
-    /// Make subsequent [`Relation::probe`] calls on `positions` indexed.
-    /// The engine calls this at round barriers so rounds themselves are
-    /// pure reads; indexes are maintained incrementally by inserts from
-    /// then on.
-    pub fn ensure_index(&mut self, positions: &[usize]) {
-        dispatch_mut!(self, b => b.ensure_index(positions))
+    /// The index on `positions`, built on the first request — through a
+    /// shared reference, so a relation a database shares with its
+    /// snapshots and evaluations is indexed once for all of them — and kept
+    /// from then on: inserts and removals maintain it, clones carry it.
+    /// The returned handle probes it directly; [`Relation::probe`] on
+    /// `positions` is indexed from then on too.
+    pub fn ensure_index(&self, positions: &[usize]) -> IndexHandle<'_> {
+        dispatch!(self, b => b.ensure_index(positions))
     }
 
     /// All tuples whose projection on `positions` equals `key` (one value
@@ -927,7 +930,7 @@ mod tests {
         for (x, y) in [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("a", "e")] {
             hash.insert(vec![sym(&i, x), sym(&i, y)].into()).unwrap();
         }
-        let mut columnar = hash.clone().to_backend(BackendKind::Columnar);
+        let columnar = hash.clone().to_backend(BackendKind::Columnar);
         hash.ensure_index(&[0]);
         columnar.ensure_index(&[0]);
         let key: Tuple = vec![sym(&i, "a")].into();

@@ -17,12 +17,23 @@
 //!   accumulate. Ordered probes come from per-run sorted permutations
 //!   (an LSM-style layout, kept fully in memory here).
 //!
+//! **Indexes are built through a shared reference.** A relation may be
+//! shared — by a database, its snapshots and every evaluation reading it —
+//! so [`Storage::ensure_index`] takes `&self`: it builds the index once, in
+//! a slot that is set once and never moves, and returns an [`IndexHandle`]
+//! that probes it directly. The index then stays with the relation, and
+//! every later write keeps it up to date.
+//!
 //! Both backends are deterministic: iteration order is a pure function of
 //! the *sequence of batches applied*, never of hash-map iteration order or
-//! thread count. Since the engine applies batches in round/work-item order,
-//! which is itself thread-count-invariant, results and statistics stay
-//! byte-identical at any `--threads` value per backend — and the derived
-//! *sets* (and therefore all engine counters) are identical across backends.
+//! thread count, nor of when an index was built (an index lists a key's
+//! tuples in store order however it came to exist). Since the engine
+//! applies batches in round/work-item order, which is itself
+//! thread-count-invariant, results and statistics stay byte-identical at
+//! any `--threads` value per backend — and the derived *sets* (and
+//! therefore all engine counters) are identical across backends.
+
+use std::sync::OnceLock;
 
 use idlog_common::{FxHashMap, FxHashSet, IdTable, RelType, Sort, Tuple};
 
@@ -129,10 +140,14 @@ pub trait Storage {
     /// order: insertion order for hash, run-then-sorted order for columnar.
     fn scan(&self) -> ScanIter<'_>;
 
-    /// Make subsequent [`Storage::probe`] calls on `positions` indexed.
-    /// Called by the engine before each (read-only) round; probing without
-    /// it stays correct but degrades to a filtered scan.
-    fn ensure_index(&mut self, positions: &[usize]);
+    /// The index on `positions`, built on the first request and kept from
+    /// then on: later inserts and removals maintain it, and clones carry
+    /// it. Works through a shared reference, so a relation shared by a
+    /// database and the evaluations reading it gains the index once, for
+    /// all of them. [`Storage::probe`] on `positions` is indexed from then
+    /// on; without it, probing stays correct but degrades to a filtered
+    /// scan.
+    fn ensure_index(&self, positions: &[usize]) -> IndexHandle<'_>;
 
     /// All tuples whose projection on `positions` equals `key`.
     fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a>;
@@ -281,6 +296,105 @@ impl<'a> Iterator for SegIter<'a, '_> {
     }
 }
 
+/// A readied index, resolved: a probe through it goes straight to the
+/// index, without searching the relation's indexes by positions. Borrowed
+/// from the relation, so no write can happen while it is held.
+#[derive(Clone, Copy)]
+pub struct IndexHandle<'a>(HandleInner<'a>);
+
+#[derive(Clone, Copy)]
+enum HandleInner<'a> {
+    Hash {
+        map: &'a KeyIndex,
+        store: &'a [Tuple],
+    },
+    Columnar {
+        backend: &'a ColumnarBackend,
+        positions: &'a [usize],
+    },
+}
+
+impl<'a> IndexHandle<'a> {
+    /// All tuples whose projection on the index's positions equals `key`
+    /// (one value per position, in position order).
+    pub fn probe(self, key: &Tuple) -> Probe<'a> {
+        match self.0 {
+            HandleInner::Hash { map, store } => map.get(key).map_or_else(Probe::empty, |offsets| {
+                Probe::single(ProbeSeg::Offsets { offsets, store })
+            }),
+            HandleInner::Columnar { backend, positions } => backend.probe(positions, key),
+        }
+    }
+}
+
+/// Indexes keyed by the positions they project, each built on its first
+/// request through a shared reference: an append-only list whose links are
+/// set once ([`OnceLock`]), so a built index never moves and a reader holds
+/// it without a lock. Two evaluations asking for the same index at once
+/// build it once; asking for different ones, they append both. A relation
+/// carries a handful of indexes, so a search walks a handful of links.
+#[derive(Clone, Debug)]
+struct Indexes<T> {
+    head: OnceLock<Box<IndexNode<T>>>,
+}
+
+#[derive(Clone, Debug)]
+struct IndexNode<T> {
+    positions: Box<[usize]>,
+    index: T,
+    next: Indexes<T>,
+}
+
+impl<T> Default for Indexes<T> {
+    fn default() -> Self {
+        Indexes {
+            head: OnceLock::new(),
+        }
+    }
+}
+
+impl<T> Indexes<T> {
+    /// The nodes in the order they were built.
+    fn nodes(&self) -> impl Iterator<Item = &IndexNode<T>> {
+        std::iter::successors(self.head.get(), |node| node.next.head.get()).map(|b| &**b)
+    }
+
+    /// The index on `positions`, if built.
+    fn get(&self, positions: &[usize]) -> Option<&T> {
+        self.nodes()
+            .find(|node| *node.positions == *positions)
+            .map(|node| &node.index)
+    }
+
+    /// The index on `positions`, built by `build` if no one has yet; with
+    /// the positions as the list stores them.
+    fn get_or_build(&self, positions: &[usize], build: impl Fn() -> T) -> (&[usize], &T) {
+        let mut link = self;
+        loop {
+            let node = link.head.get_or_init(|| {
+                Box::new(IndexNode {
+                    positions: positions.into(),
+                    index: build(),
+                    next: Indexes::default(),
+                })
+            });
+            if *node.positions == *positions {
+                return (&node.positions, &node.index);
+            }
+            link = &node.next;
+        }
+    }
+
+    /// Visit every index mutably (writes maintain them).
+    fn for_each_mut(&mut self, mut f: impl FnMut(&[usize], &mut T)) {
+        let mut link = self;
+        while let Some(node) = link.head.get_mut() {
+            f(&node.positions, &mut node.index);
+            link = &mut node.next;
+        }
+    }
+}
+
 /// Hash the full tuple with the workspace `FxHasher`.
 fn fx_hash(t: &Tuple) -> u64 {
     use std::hash::{Hash, Hasher};
@@ -305,14 +419,18 @@ fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
     cmp_proj(t, positions, key) == std::cmp::Ordering::Equal
 }
 
-/// Enter every tuple of `store` into `map` under its projection on
-/// `positions`.
-fn fill_index(map: &mut FxHashMap<Tuple, Vec<u32>>, positions: &[usize], store: &[Tuple]) {
+/// A hash index: projection key → offsets into the store, ascending.
+type KeyIndex = FxHashMap<Tuple, Vec<u32>>;
+
+/// The index of `store` on `positions`: every tuple under its projection.
+fn key_index(positions: &[usize], store: &[Tuple]) -> KeyIndex {
+    let mut map = KeyIndex::default();
     for (off, t) in store.iter().enumerate() {
         map.entry(t.project(positions))
             .or_default()
             .push(off as u32);
     }
+    map
 }
 
 /// Flat tuple store with hash membership and incrementally maintained
@@ -330,7 +448,7 @@ fn fill_index(map: &mut FxHashMap<Tuple, Vec<u32>>, positions: &[usize], store: 
 pub struct HashBackend {
     store: Vec<Tuple>,
     seen: IdTable,
-    indexes: FxHashMap<Vec<usize>, FxHashMap<Tuple, Vec<u32>>>,
+    indexes: Indexes<KeyIndex>,
 }
 
 impl HashBackend {
@@ -369,9 +487,9 @@ impl HashBackend {
             .find_or_push(fx_hash(t), |off| store[off as usize] == *t);
         if new {
             debug_assert_eq!(off as usize, self.store.len(), "offsets are dense");
-            for (positions, map) in &mut self.indexes {
+            self.indexes.for_each_mut(|positions, map| {
                 map.entry(t.project(positions)).or_default().push(off);
-            }
+            });
         }
         new
     }
@@ -433,10 +551,9 @@ impl Storage for HashBackend {
             // Distinct tuples: the closure only ever sees hash collisions.
             self.seen.find_or_push(fx_hash(t), |_| false);
         }
-        for (positions, map) in &mut self.indexes {
-            map.clear();
-            fill_index(map, positions, &self.store);
-        }
+        let store = &self.store;
+        self.indexes
+            .for_each_mut(|positions, map| *map = key_index(positions, store));
         flags
     }
 
@@ -444,23 +561,23 @@ impl Storage for HashBackend {
         ScanIter(ScanInner::Slice(self.store.iter()))
     }
 
-    fn ensure_index(&mut self, positions: &[usize]) {
-        if self.indexes.contains_key(positions) {
-            return;
-        }
-        let mut map = FxHashMap::default();
-        fill_index(&mut map, positions, &self.store);
-        self.indexes.insert(positions.to_vec(), map);
+    fn ensure_index(&self, positions: &[usize]) -> IndexHandle<'_> {
+        let (_, map) = self
+            .indexes
+            .get_or_build(positions, || key_index(positions, &self.store));
+        IndexHandle(HandleInner::Hash {
+            map,
+            store: &self.store,
+        })
     }
 
     fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
         match self.indexes.get(positions) {
-            Some(map) => map.get(key).map_or_else(Probe::empty, |offsets| {
-                Probe::single(ProbeSeg::Offsets {
-                    offsets,
-                    store: &self.store,
-                })
-            }),
+            Some(map) => IndexHandle(HandleInner::Hash {
+                map,
+                store: &self.store,
+            })
+            .probe(key),
             None => Probe::single(ProbeSeg::filtered(&self.store, positions, key)),
         }
     }
@@ -476,43 +593,49 @@ impl Storage for HashBackend {
 const MAX_RUNS: usize = 8;
 
 /// One sorted, deduplicated batch of tuples plus its per-index sorted
-/// permutations. Runs are immutable once built, so a permutation can never
-/// go stale.
+/// permutations. A run's tuples only change by removal, which rebuilds its
+/// permutations, so a permutation never goes stale.
 #[derive(Clone, Debug)]
 struct Run {
     /// Sorted by the derived (interning-order) `Ord` on [`Tuple`].
     tuples: Vec<Tuple>,
     /// For each indexed position set: offsets into `tuples`, ordered by the
     /// tuples' projection on those positions (ties in store order).
-    perms: FxHashMap<Vec<usize>, Vec<u32>>,
+    perms: Indexes<Vec<u32>>,
+}
+
+/// Offsets into `tuples`, ordered by their projection on `positions`
+/// (a stable sort: ties stay in store order).
+fn sorted_perm(tuples: &[Tuple], positions: &[usize]) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..tuples.len() as u32).collect();
+    perm.sort_by(|&a, &b| {
+        let (ta, tb) = (&tuples[a as usize], &tuples[b as usize]);
+        positions
+            .iter()
+            .map(|&p| ta[p].cmp(&tb[p]))
+            .find(|o| *o != std::cmp::Ordering::Equal)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    perm
 }
 
 impl Run {
-    fn from_sorted(tuples: Vec<Tuple>, indexed: &FxHashSet<Vec<usize>>) -> Self {
-        let mut run = Run {
+    fn from_sorted(tuples: Vec<Tuple>, indexed: &Indexes<()>) -> Self {
+        let run = Run {
             tuples,
-            perms: FxHashMap::default(),
+            perms: Indexes::default(),
         };
-        for positions in indexed {
-            run.build_perm(positions);
+        for node in indexed.nodes() {
+            run.perm(&node.positions);
         }
         run
     }
 
-    fn build_perm(&mut self, positions: &[usize]) {
-        if self.perms.contains_key(positions) {
-            return;
-        }
-        let mut perm: Vec<u32> = (0..self.tuples.len() as u32).collect();
-        perm.sort_by(|&a, &b| {
-            let (ta, tb) = (&self.tuples[a as usize], &self.tuples[b as usize]);
-            positions
-                .iter()
-                .map(|&p| ta[p].cmp(&tb[p]))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        self.perms.insert(positions.to_vec(), perm);
+    /// The permutation on `positions`, built on first request.
+    fn perm(&self, positions: &[usize]) -> &[u32] {
+        self.perms
+            .get_or_build(positions, || sorted_perm(&self.tuples, positions))
+            .1
     }
 }
 
@@ -530,7 +653,9 @@ impl Run {
 pub struct ColumnarBackend {
     runs: Vec<Run>,
     len: usize,
-    indexed: FxHashSet<Vec<usize>>,
+    /// The indexed position sets: every run, new ones included, carries a
+    /// permutation for each.
+    indexed: Indexes<()>,
 }
 
 impl ColumnarBackend {
@@ -633,11 +758,9 @@ impl Storage for ColumnarBackend {
                 removed += before - run.tuples.len();
                 // A run's permutations index into its tuple vector; rebuild
                 // them against the surviving (still sorted) tuples.
-                let keys: Vec<Vec<usize>> = run.perms.keys().cloned().collect();
-                run.perms.clear();
-                for positions in &keys {
-                    run.build_perm(positions);
-                }
+                let tuples = &run.tuples;
+                run.perms
+                    .for_each_mut(|positions, perm| *perm = sorted_perm(tuples, positions));
             }
         }
         self.runs.retain(|run| !run.tuples.is_empty());
@@ -652,12 +775,15 @@ impl Storage for ColumnarBackend {
         })
     }
 
-    fn ensure_index(&mut self, positions: &[usize]) {
-        if self.indexed.insert(positions.to_vec()) {
-            for run in &mut self.runs {
-                run.build_perm(positions);
-            }
+    fn ensure_index(&self, positions: &[usize]) -> IndexHandle<'_> {
+        let (positions, ()) = self.indexed.get_or_build(positions, || ());
+        for run in &self.runs {
+            run.perm(positions);
         }
+        IndexHandle(HandleInner::Columnar {
+            backend: self,
+            positions,
+        })
     }
 
     fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
@@ -860,6 +986,49 @@ mod tests {
         before.sort_unstable();
         after.sort_unstable();
         assert_eq!(before, after);
+    }
+
+    /// Indexes are built through `&self`: threads asking at once for the
+    /// same index build it once, for different ones build each, and the
+    /// probes agree with a filtered scan. Later writes maintain all of them.
+    fn concurrent_ensure_index<S: Storage + Default + Sync>() {
+        let mut s = S::default();
+        let batch: Vec<Tuple> = (0..200).map(|i| t(&[i % 7, i % 5, i])).collect();
+        s.delta_batch_insert(&batch.iter().collect::<Vec<_>>());
+        let shared = &s;
+        std::thread::scope(|scope| {
+            for positions in [&[0usize][..], &[1], &[0], &[0, 1], &[1]] {
+                scope.spawn(move || {
+                    let key = t(&vec![3; positions.len()]);
+                    let indexed = shared.ensure_index(positions).probe(&key).len();
+                    let scanned = shared.scan().filter(|x| proj_matches(x, positions, &key));
+                    assert_eq!(indexed, scanned.count(), "{positions:?}");
+                });
+            }
+        });
+        s.insert(t(&[3, 3, 1000]));
+        for positions in [&[0usize][..], &[1], &[0, 1]] {
+            let key = t(&vec![3; positions.len()]);
+            let scanned = s
+                .scan()
+                .filter(|x| proj_matches(x, positions, &key))
+                .count();
+            assert_eq!(s.probe(positions, &key).len(), scanned, "{positions:?}");
+        }
+    }
+
+    #[test]
+    fn indexes_build_once_through_shared_references() {
+        concurrent_ensure_index::<HashBackend>();
+        concurrent_ensure_index::<ColumnarBackend>();
+        let s = HashBackend::from_tuples((0..10).map(|i| t(&[i % 2])).collect());
+        s.ensure_index(&[0]);
+        s.ensure_index(&[0]);
+        assert_eq!(
+            s.indexes.nodes().count(),
+            1,
+            "a second request builds nothing"
+        );
     }
 
     #[test]

@@ -5,8 +5,28 @@ use proptest::prelude::*;
 use idlog_common::{Interner, RelType, Sort, Tuple, Value};
 use idlog_storage::{
     count_bounded_assignments, count_id_functions, group_by, make_id_relation, BackendKind,
-    BoundedAssignmentIter, IdAssignment, IdAssignmentIter, Relation,
+    BoundedAssignmentIter, Database, IdAssignment, IdAssignmentIter, Relation, ValueSummary,
 };
+
+/// [`Database::value_summary`] computed from scratch, the obvious way.
+fn summary_by_hand(db: &Database) -> ValueSummary {
+    let values: std::collections::HashSet<Value> = db
+        .iter()
+        .flat_map(|(_, rel)| rel.iter().flat_map(|t| t.values().to_vec()))
+        .collect();
+    let max_natural = values
+        .iter()
+        .filter_map(|v| match v {
+            Value::Int(n) => Some((*n).max(0) as u64),
+            Value::Sym(_) => None,
+        })
+        .max()
+        .unwrap_or(0);
+    ValueSummary {
+        max_natural,
+        distinct: values.len() as u64,
+    }
+}
 
 /// A random small binary relation over a tiny symbolic domain (so groups of
 /// interesting sizes appear).
@@ -181,6 +201,42 @@ proptest! {
             let mut expected = survivors.clone();
             expected.push(back.clone());
             agrees_with_rebuild(&rel, &expected);
+        }
+    }
+
+    /// The cached value summary is the uncached one: asked at random points
+    /// of a random insert/retract/snapshot stream, on the database and on
+    /// snapshots taken along the way (which share the cache until the
+    /// database's next write), it always equals a pass made from scratch.
+    #[test]
+    fn cached_value_summary_equals_a_fresh_pass(
+        ops in proptest::collection::vec((0u8..5, 0usize..3, -3i64..9), 0..40),
+    ) {
+        let mut db = Database::new();
+        let mut snapshots: Vec<(Database, ValueSummary)> = Vec::new();
+        for (op, pred, n) in ops {
+            let name = ["p", "q", "r"][pred];
+            // `p` holds integers, `q` symbols, `r` both.
+            let t: Tuple = match pred {
+                0 => vec![Value::Int(n)].into(),
+                1 => vec![Value::Sym(db.interner().intern(&format!("s{}", n.rem_euclid(4))))].into(),
+                _ => vec![Value::Sym(db.interner().intern("s0")), Value::Int(n % 3)].into(),
+            };
+            match op {
+                0 | 1 => db.insert(name, t).unwrap(),
+                2 => {
+                    let _ = db.retract(name, &t);
+                }
+                3 => {
+                    let truth = summary_by_hand(&db);
+                    snapshots.push((db.clone(), truth));
+                }
+                _ => prop_assert_eq!(db.value_summary(), summary_by_hand(&db)),
+            }
+        }
+        prop_assert_eq!(db.value_summary(), summary_by_hand(&db));
+        for (snapshot, truth) in &snapshots {
+            prop_assert_eq!(snapshot.value_summary(), *truth);
         }
     }
 
