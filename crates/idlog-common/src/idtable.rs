@@ -6,7 +6,10 @@
 //! hash form a chain, and the caller's equality closure picks the right
 //! link. The [`crate::Interner`] keeps its names this way (one allocation
 //! per symbol, growth rehashes integers instead of strings), and
-//! `idlog-storage` partitions relation rows into sub-relations with it.
+//! `idlog-storage` partitions relation rows into sub-relations with it and
+//! finds a stored tuple's offset with it. A caller that removes a key by
+//! moving its last key into the hole tells the table with
+//! [`IdTable::swap_remove`], so ids stay dense without a rebuild.
 
 use crate::fxhash::FxHashMap;
 
@@ -81,6 +84,52 @@ impl IdTable {
         self.next.push(NONE);
         (new, true)
     }
+
+    /// Drop `id`, registered under `hash`, and give the last id — registered
+    /// under `last_hash` — the number `id`: the table's half of the caller
+    /// moving its last key into the hole `id` leaves (`Vec::swap_remove`).
+    /// Ids stay dense, and the work is a walk of the two chains.
+    pub fn swap_remove(&mut self, id: u32, hash: u64, last_hash: u64) {
+        let last = self.next.len().checked_sub(1).expect("a table with ids") as u32;
+        assert!(id <= last, "id {id} was never handed out");
+        let after = self.next[id as usize];
+        let key = spread(hash);
+        let head = *self
+            .heads
+            .get(&key)
+            .expect("`id` is registered under `hash`");
+        if head != id {
+            *self.link_after(head, id) = after;
+        } else if after == NONE {
+            self.heads.remove(&key);
+        } else {
+            self.heads.insert(key, after);
+        }
+        if id != last {
+            let key = spread(last_hash);
+            let head = *self
+                .heads
+                .get(&key)
+                .expect("the last id is registered under `last_hash`");
+            if head == last {
+                self.heads.insert(key, id);
+            } else {
+                *self.link_after(head, last) = id;
+            }
+            self.next[id as usize] = self.next[last as usize];
+        }
+        self.next.pop();
+    }
+
+    /// The `next` slot that points at `id`, walking its chain from `head`.
+    fn link_after(&mut self, head: u32, id: u32) -> &mut u32 {
+        let mut at = head;
+        while self.next[at as usize] != id {
+            at = self.next[at as usize];
+            assert_ne!(at, NONE, "id {id} is not on the chain");
+        }
+        &mut self.next[at as usize]
+    }
 }
 
 #[cfg(test)]
@@ -128,5 +177,123 @@ mod tests {
             );
         }
         assert_eq!(t.find(7, |_| false), None);
+    }
+
+    /// Keys stored densely beside a table, removed the way a store does it:
+    /// `Vec::swap_remove` plus [`IdTable::swap_remove`].
+    struct Dense {
+        table: IdTable,
+        keys: Vec<u64>,
+        hash: fn(u64) -> u64,
+    }
+
+    impl Dense {
+        fn new(keys: impl IntoIterator<Item = u64>, hash: fn(u64) -> u64) -> Self {
+            let mut d = Dense {
+                table: IdTable::new(),
+                keys: Vec::new(),
+                hash,
+            };
+            for k in keys {
+                let (_, new) = d.table.find_or_push(hash(k), |id| d.keys[id as usize] == k);
+                assert!(new);
+                d.keys.push(k);
+            }
+            d
+        }
+
+        fn find(&self, k: u64) -> Option<u32> {
+            self.table
+                .find((self.hash)(k), |id| self.keys[id as usize] == k)
+        }
+
+        fn remove(&mut self, k: u64) {
+            let id = self.find(k).expect("stored");
+            let last = *self.keys.last().unwrap();
+            self.table
+                .swap_remove(id, (self.hash)(k), (self.hash)(last));
+            self.keys.swap_remove(id as usize);
+        }
+
+        /// Every stored key resolves to its own index, every removed one
+        /// to nothing, and the ids are exactly the indexes.
+        fn check(&self, removed: &[u64]) {
+            assert_eq!(self.table.len(), self.keys.len());
+            for (id, &k) in self.keys.iter().enumerate() {
+                assert_eq!(self.find(k), Some(id as u32), "key {k}");
+            }
+            for &k in removed {
+                assert_eq!(self.find(k), None, "removed key {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn swap_remove_keeps_ids_dense_on_one_chain() {
+        // One constant hash: all keys share a chain, so every removal
+        // unlinks from it and renames on it. Head, middle, tail, the last
+        // id itself, and down to empty.
+        for order in [[0u64, 2, 4, 1, 3], [4, 3, 2, 1, 0], [2, 0, 4, 3, 1]] {
+            let mut d = Dense::new(0..5, |_| 7);
+            let mut removed = Vec::new();
+            for k in order {
+                d.remove(k);
+                removed.push(k);
+                d.check(&removed);
+            }
+            assert!(d.table.is_empty());
+            // An emptied chain takes keys again.
+            let (id, new) = d.table.find_or_push(7, |_| false);
+            assert_eq!((id, new), (0, true));
+        }
+    }
+
+    #[test]
+    fn swap_remove_renames_the_last_id_across_chains() {
+        // Hash = key mod 3: three interleaved chains, ids ascending on each.
+        let mut d = Dense::new(0..12, |k| k % 3);
+        let mut removed = Vec::new();
+        // The head of chain 0 (key 0, id 0): key 11 — chain 2's tail —
+        // becomes id 0 and heads nothing; its chain's link is renamed.
+        d.remove(0);
+        removed.push(0);
+        d.check(&removed);
+        assert_eq!(d.find(11), Some(0));
+        // A middle link (key 4 on chain 1), then a tail (key 9 on chain 0).
+        for k in [4, 9] {
+            d.remove(k);
+            removed.push(k);
+            d.check(&removed);
+        }
+        // The last id itself: nothing is renamed.
+        let last = *d.keys.last().unwrap();
+        d.remove(last);
+        removed.push(last);
+        d.check(&removed);
+        // Removed keys come back as the newest ids.
+        for &k in &removed {
+            let (id, new) = d.table.find_or_push(k % 3, |id| d.keys[id as usize] == k);
+            assert!(new);
+            assert_eq!(id as usize, d.keys.len());
+            d.keys.push(k);
+        }
+        d.check(&[]);
+    }
+
+    #[test]
+    fn swap_remove_of_a_chain_head_whose_successor_is_last() {
+        // The removed head's chain goes on; the last id heads a chain of
+        // its own and takes the freed number there.
+        let mut d = Dense::new([10, 20, 30], |k| if k == 30 { 1 } else { 0 });
+        d.remove(10);
+        d.check(&[10]);
+        assert_eq!(d.find(30), Some(0));
+        assert_eq!(d.find(20), Some(1));
+        // The removed head's successor is the last id: it becomes the head
+        // and is renamed in the same step.
+        let mut d = Dense::new([10, 20], |_| 0);
+        d.remove(10);
+        d.check(&[10]);
+        assert_eq!(d.find(20), Some(0));
     }
 }

@@ -7,18 +7,21 @@
 //! ([`idlog_storage::Storage`]): the engine talks to it only through scan /
 //! indexed probe / `delta_batch_insert`, so hash and columnar relations
 //! evaluate through identical code. A stratum is evaluated by running every
-//! rule once in full, then iterating delta variants — each positive
-//! same-stratum atom step replayed against the newly derived tuples — until
-//! no new facts appear.
+//! rule once in full, then delta rounds until no new facts appear: each
+//! positive same-stratum atom step with new tuples drives the rule's
+//! variant with that step first (`RulePlan::driven_by`), which reads the
+//! new tuples and probes the rest of the body on what they bind.
 //!
-//! **One executor, two views.** `run_rule` is the only code that executes
-//! a [`Step`]: generic (monomorphised, no `dyn`) over a `ReadView`, with a
-//! `Drive` naming the step a change set feeds. [`EvalState`] is the view
-//! that hides nothing and adds nothing — the fixpoint rounds, the model
-//! checker and DRed's rederive/insert phases read it; DRed's overdeletion
-//! reads the *old* state through `maintain::OldView`. The paper gives a rule
-//! body one meaning, and "incremental ≡ recompute" holds because that
-//! meaning is coded in one place.
+//! **One executor, three views.** `run_rule` is the only code that
+//! executes a [`Step`]: generic (monomorphised, no `dyn`) over a
+//! `ReadView`, with a `Drive` saying whether the first step reads the view
+//! or a change set. [`EvalState`] is the view that hides nothing and adds
+//! nothing — the fixpoint rounds, the model checker and DRed's insert phase
+//! read it; DRed's overdeletion reads the *old* state through
+//! `maintain::OldView`, and its rederivation the surviving state through
+//! `maintain::Surviving`. The paper gives a rule body one meaning, and
+//! "incremental ≡ recompute" holds because that meaning is coded in one
+//! place.
 //!
 //! **Sources resolved per round.** Before a round, `Resolved` looks up the
 //! relation every atom step reads and readies the index it probes
@@ -26,7 +29,9 @@
 //! on an input stays with the database's relation for every later
 //! evaluation). A step then reads its `Source` directly — no predicate
 //! lookup and no search for the index per probe — and the round itself is
-//! pure reads.
+//! pure reads. A step whose every position is bound tests membership
+//! instead of building an index keyed by whole tuples, and a delta round
+//! resolves only the variants its delta drives.
 //!
 //! Rounds execute shared-nothing parallel: the work list (one item per rule
 //! in round 0; one item per (plan, delta step, delta shard) afterwards) is
@@ -119,13 +124,17 @@ impl EvalState {
 /// Where an atom step reads its stored matches, resolved once per round.
 #[derive(Clone, Copy)]
 pub(crate) enum Source<'a> {
-    /// No relation is installed under the step's predicate, or the step
-    /// is not an atom step.
+    /// No relation is installed under the step's predicate, the step is not
+    /// an atom step, or it is a driven variant's first step (which reads
+    /// its change set).
     Absent,
     /// Every stored tuple of the relation, scanned.
     Scan(&'a Relation),
     /// The readied index on the step's bound positions, probed.
     Probe(IndexHandle<'a>),
+    /// Every position is bound: a membership test through the view, which
+    /// counts a hit as one probe, as a one-candidate index probe does.
+    Member,
 }
 
 /// A rule plan with the [`Source`] of each of its steps (same indexes).
@@ -139,27 +148,49 @@ pub(crate) struct Rule<'a> {
 /// a round (or a maintenance pass) and dropped before the state is written
 /// again — the borrow checker holds every caller to that.
 pub(crate) struct Resolved<'a> {
-    plans: &'a [&'a RulePlan],
+    plans: Vec<&'a RulePlan>,
     /// Every plan's step sources, back to back in plan order.
     sources: Vec<Source<'a>>,
 }
 
 impl<'a> Resolved<'a> {
     /// Look up the relation of every atom step of `plans` in `view`,
-    /// readying the index each probing step needs.
-    pub(crate) fn new<V: ReadView>(view: &'a V, plans: &'a [&'a RulePlan]) -> Self {
+    /// readying the index each probing step needs: for rules run in full.
+    pub(crate) fn new<V: ReadView>(
+        view: &'a V,
+        plans: impl IntoIterator<Item = &'a RulePlan>,
+    ) -> Self {
+        Self::resolve(view, plans, 0)
+    }
+
+    /// [`Resolved::new`] for driven variants ([`RulePlan::driven_by`],
+    /// [`RulePlan::head_bound`]): their first step reads a change set, so
+    /// no index is built over the relation it stands for.
+    pub(crate) fn driven<V: ReadView>(
+        view: &'a V,
+        variants: impl IntoIterator<Item = &'a RulePlan>,
+    ) -> Self {
+        Self::resolve(view, variants, 1)
+    }
+
+    /// Resolve every step from step `from` of each plan on.
+    fn resolve<V: ReadView>(
+        view: &'a V,
+        plans: impl IntoIterator<Item = &'a RulePlan>,
+        from: usize,
+    ) -> Self {
+        let plans: Vec<&RulePlan> = plans.into_iter().collect();
         let sources = plans
             .iter()
-            .flat_map(|plan| &plan.steps)
-            .map(|step| {
-                let Step::Atom(a) = step else {
-                    return Source::Absent;
-                };
-                match view.relation(&a.key) {
+            .flat_map(|plan| plan.steps.iter().enumerate())
+            .map(|(si, step)| match step {
+                Step::Atom(a) if si >= from => match view.relation(&a.key) {
                     None => Source::Absent,
                     Some(rel) if a.probe.is_empty() => Source::Scan(rel),
+                    Some(_) if a.fully_bound() => Source::Member,
                     Some(rel) => Source::Probe(rel.ensure_index(a.probe_positions())),
-                }
+                },
+                _ => Source::Absent,
             })
             .collect();
         Resolved { plans, sources }
@@ -216,19 +247,19 @@ impl ReadView for EvalState {
     }
 }
 
-/// Which step of a rule body, if any, is driven by a change set instead of
-/// reading the view.
+/// Whether a rule body's first step reads the view or a change set.
 #[derive(Clone, Copy)]
 pub(crate) enum Drive<'a> {
     /// Every step reads the view.
     Full,
-    /// Atom step `.0` replays these tuples (a semi-naive delta shard or a
-    /// maintenance change set), verifying its probe positions per tuple.
-    Atom(usize, &'a [Tuple]),
-    /// Negation step `.0` passes exactly when its ground tuple is in the
-    /// set: the instantiations whose negated literal flipped because the
-    /// relation it tests changed by these tuples.
-    Negation(usize, &'a FxHashSet<Tuple>),
+    /// The first step replays these tuples instead — a semi-naive delta
+    /// shard, a maintenance net change, the tuples whose negated membership
+    /// flipped, or the head tuples to rederive — checking its constants and
+    /// repeated variables per tuple. Only variants are run this way
+    /// ([`RulePlan::driven_by`], [`RulePlan::head_bound`]): their first step
+    /// stands for the literal the change drives, so nothing before it runs
+    /// once per changed tuple, and no step past the first is ever driven.
+    First(&'a [Tuple]),
 }
 
 /// One unit of round work: a rule and what drives it.
@@ -244,7 +275,7 @@ impl WorkItem<'_> {
     /// of the thread count.
     fn estimated_work(&self, state: &EvalState) -> usize {
         match (self.drive, self.rule.plan.steps.first()) {
-            (Drive::Atom(_, shard), _) => shard.len(),
+            (Drive::First(shard), _) => shard.len(),
             (_, Some(Step::Atom(first))) => state.get(&first.key).map_or(0, Relation::len),
             _ => 1,
         }
@@ -253,8 +284,8 @@ impl WorkItem<'_> {
     /// The profile record for this item's execution.
     fn record(&self, out_len: usize, stats: EvalStats, wall_nanos: u64) -> ItemRec {
         let (delta_step, delta_tuples) = match self.drive {
-            Drive::Atom(si, shard) => (Some(si), shard.len() as u64),
-            _ => (None, 0),
+            Drive::First(shard) => (Some(self.rule.plan.driven_step()), shard.len() as u64),
+            Drive::Full => (None, 0),
         };
         ItemRec {
             clause: self.rule.plan.clause_idx,
@@ -289,10 +320,10 @@ const PARALLEL_MIN_WORK: usize = 4096;
 
 /// Number of shards for a delta of `n` tuples.
 ///
-/// Deliberately a function of `n` **only**: when the delta step is not the
-/// plan's first step, the steps before it re-run once per shard, so
-/// `EvalStats.probes` depends on the shard count. Deriving it from the
-/// thread count would make statistics vary across `--threads` values.
+/// A function of `n` only, so the work list — and with it the profile's
+/// items — is the same at every `--threads` value. A delta item runs its
+/// driven variant, whose first step reads the shard, so the work a delta
+/// tuple causes does not depend on which shard it lands in.
 fn shard_count(n: usize) -> usize {
     (n / SHARD_MIN_TUPLES).clamp(1, MAX_DELTA_SHARDS)
 }
@@ -315,11 +346,11 @@ pub(crate) struct Derived {
 
 impl Derived {
     /// Execute one rule body over `view` — whose sources `rule` was
-    /// [resolved](Resolved) against — `drive` naming the step (if any)
-    /// that a change set feeds, and append the derived head tuples as one
-    /// run. The only interpreter of a [`Step`] in the workspace: the
-    /// fixpoint rounds, the model checker and every DRed phase come through
-    /// here, differing only in the view they read and the step they drive.
+    /// [resolved](Resolved) against — `drive` saying whether its first step
+    /// reads a change set, and append the derived head tuples as one run.
+    /// The only interpreter of a [`Step`] in the workspace: the fixpoint
+    /// rounds, the model checker and every DRed phase come through here,
+    /// differing only in the view they read and the variant they drive.
     pub(crate) fn run_rule<V: ReadView>(
         &mut self,
         view: &V,
@@ -558,24 +589,31 @@ fn run_items(
 
 /// One full (undriven) item per rule: round 0 and every naive round.
 fn full_work_list<'a>(resolved: &'a Resolved<'_>) -> Vec<WorkItem<'a>> {
-    let drive = Drive::Full;
     resolved
         .rules()
-        .map(|rule| WorkItem { rule, drive })
+        .map(|rule| WorkItem {
+            rule,
+            drive: Drive::Full,
+        })
         .collect()
 }
 
-/// Build the delta round's work list in deterministic (plan, step, shard)
-/// order. Only positive ordinary atom steps on same-stratum predicates with
-/// a non-empty delta contribute items.
-fn delta_work_list<'a>(
-    resolved: &'a Resolved<'_>,
+/// A driven variant and the change set its first step reads.
+pub(crate) type Driven<'a> = (&'a RulePlan, &'a [Tuple]);
+
+/// What a delta round drives, in deterministic (plan, step) order: every
+/// positive ordinary atom step on a same-stratum predicate with a non-empty
+/// delta, as the variant with that step first. Only these variants are
+/// resolved, so a round builds no index that only an undriven variant
+/// would probe.
+pub(crate) fn delta_drives<'a>(
+    plans: &[&'a RulePlan],
     same_stratum: &FxHashSet<SymbolId>,
     delta: &'a Delta,
-) -> Vec<WorkItem<'a>> {
-    let mut items: Vec<WorkItem<'a>> = Vec::new();
-    for rule in resolved.rules() {
-        for (si, step) in rule.plan.steps.iter().enumerate() {
+) -> Vec<Driven<'a>> {
+    let mut drives = Vec::new();
+    for plan in plans {
+        for (si, step) in plan.steps.iter().enumerate() {
             let Step::Atom(astep) = step else { continue };
             let PredKey::Ordinary(pred) = &astep.key else {
                 continue;
@@ -583,17 +621,26 @@ fn delta_work_list<'a>(
             if !same_stratum.contains(pred) {
                 continue;
             }
-            let Some(d) = delta.get(pred) else { continue };
-            if d.is_empty() {
-                continue;
+            // A reused delta map keeps predicates that gained nothing.
+            if let Some(d) = delta.get(pred).filter(|d| !d.is_empty()) {
+                drives.push((plan.driven_by(si), d.as_slice()));
             }
-            let per_shard = d.len().div_ceil(shard_count(d.len()));
-            for shard in d.chunks(per_shard) {
-                items.push(WorkItem {
-                    rule,
-                    drive: Drive::Atom(si, shard),
-                });
-            }
+        }
+    }
+    drives
+}
+
+/// The delta round's work list: each driven variant (resolved in
+/// [`delta_drives`] order) once per shard of its delta.
+fn delta_work_list<'a>(resolved: &'a Resolved<'_>, drives: &[Driven<'a>]) -> Vec<WorkItem<'a>> {
+    let mut items: Vec<WorkItem<'a>> = Vec::new();
+    for (rule, &(_, d)) in resolved.rules().zip(drives) {
+        let per_shard = d.len().div_ceil(shard_count(d.len()));
+        for shard in d.chunks(per_shard) {
+            items.push(WorkItem {
+                rule,
+                drive: Drive::First(shard),
+            });
         }
     }
     items
@@ -619,7 +666,7 @@ pub fn eval_stratum_naive(
     let (mut bufs, mut delta) = (Vec::new(), Delta::default());
     let mut round = 0usize;
     loop {
-        let resolved = Resolved::new(&*state, plans);
+        let resolved = Resolved::new(&*state, plans.iter().copied());
         let items = full_work_list(&resolved);
         let mut recs = prof.as_ref().map(|_| Vec::new());
         run_round(
@@ -668,12 +715,16 @@ pub fn eval_stratum(
     let (mut bufs, mut delta) = (Vec::new(), Delta::default());
     let mut round = 0usize;
     loop {
-        let resolved = Resolved::new(&*state, plans);
-        // Round 0: full evaluation of every rule; then delta rounds.
-        let items = if round == 0 {
-            full_work_list(&resolved)
-        } else {
-            delta_work_list(&resolved, same_stratum, &delta)
+        // Round 0: full evaluation of every rule; then delta rounds, each
+        // running the variants its delta drives.
+        let drives = (round > 0).then(|| delta_drives(plans, same_stratum, &delta));
+        let resolved = match &drives {
+            None => Resolved::new(&*state, plans.iter().copied()),
+            Some(drives) => Resolved::driven(&*state, drives.iter().map(|d| d.0)),
+        };
+        let items = match &drives {
+            None => full_work_list(&resolved),
+            Some(drives) => delta_work_list(&resolved, drives),
         };
         let mut recs = prof.as_ref().map(|_| Vec::new());
         run_round(
@@ -687,6 +738,7 @@ pub fn eval_stratum(
         )?;
         drop(items);
         drop(resolved);
+        drop(drives);
         let grew = absorb_contained(state, &mut bufs, stats, recs.as_mut(), &mut delta)?;
         if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
             p.rounds.push(RoundProfile::from_items(round, recs));
@@ -829,14 +881,12 @@ impl<V: ReadView> RuleRun<'_, V> {
         };
         match step {
             Step::Atom(astep) => {
-                if let Drive::Atom(di, dtuples) = self.drive {
-                    if di == si {
-                        // Scan the (small) change set, re-checking probe positions.
-                        for t in dtuples {
-                            self.try_tuple(si, astep, t, true)?;
-                        }
-                        return Ok(());
+                if let (0, Drive::First(changed)) = (si, self.drive) {
+                    // Scan the (small) change set, checking its constants.
+                    for t in changed {
+                        self.try_tuple(si, astep, t, true)?;
                     }
+                    return Ok(());
                 }
                 match self.sources[si] {
                     // No relation installed → no stored matches.
@@ -849,17 +899,21 @@ impl<V: ReadView> RuleRun<'_, V> {
                         }
                     }
                     Source::Probe(index) => {
-                        let key_tuple: Tuple = astep
-                            .probe
-                            .iter()
-                            .map(|&(_, pat)| resolve(pat, self.bindings))
-                            .collect();
-                        for t in index.probe(&key_tuple).iter() {
+                        for t in index.probe(&self.probe_key(astep)).iter() {
                             // Probe positions already match; only bind/check remain.
                             if !view.hides(&astep.key, t) {
                                 self.try_tuple(si, astep, t, false)?;
                             }
                         }
+                    }
+                    Source::Member => {
+                        // The key is the whole tuple; the view's membership
+                        // covers what it hides and adds.
+                        let t = self.probe_key(astep);
+                        if view.contains(&astep.key, &t) {
+                            self.try_tuple(si, astep, &t, false)?;
+                        }
+                        return Ok(());
                     }
                 }
                 for t in view.extras(&astep.key) {
@@ -870,11 +924,7 @@ impl<V: ReadView> RuleRun<'_, V> {
             Step::Negation { key, terms } => {
                 let t: Tuple = terms.iter().map(|&p| resolve(p, self.bindings)).collect();
                 self.stats.probes += 1;
-                let passes = match self.drive {
-                    Drive::Negation(di, flipped) if di == si => flipped.contains(&t),
-                    _ => !view.contains(key, &t),
-                };
-                if passes {
+                if !view.contains(key, &t) {
                     self.exec(si + 1)?;
                 }
                 Ok(())
@@ -884,6 +934,15 @@ impl<V: ReadView> RuleRun<'_, V> {
                 self.exec_builtin(si, *op, args, bound)
             }
         }
+    }
+
+    /// The values of `astep`'s bound positions under the current bindings.
+    fn probe_key(&self, astep: &AtomStep) -> Tuple {
+        astep
+            .probe
+            .iter()
+            .map(|&(_, pat)| resolve(pat, self.bindings))
+            .collect()
     }
 
     /// Match one candidate tuple against an atom step: verify probe positions
@@ -1111,8 +1170,7 @@ mod tests {
     #[test]
     fn pooled_rounds_merge_exactly_like_the_serial_path() {
         let (program, state) = ring_fixture();
-        let plans: Vec<&RulePlan> = program.plans().iter().collect();
-        let resolved = Resolved::new(&state, &plans);
+        let resolved = Resolved::new(&state, program.plans().iter());
         let e = program.interner().get("e").unwrap();
         let edges: Vec<Tuple> = state
             .get(&PredKey::Ordinary(e))
@@ -1120,17 +1178,21 @@ mod tests {
             .iter()
             .cloned()
             .collect();
-        // Full items for every plan, then every e-step of every plan
-        // replayed against four uneven shards of the edge list.
+        // Full items for every plan, then the variant of every e-step of
+        // every plan driven by four uneven shards of the edge list.
+        let variants = program.plans().iter().flat_map(|plan| {
+            plan.atom_steps_on(e)
+                .into_iter()
+                .map(|si| plan.driven_by(si))
+        });
+        let driven = Resolved::driven(&state, variants);
         let mut items = full_work_list(&resolved);
-        for rule in resolved.rules() {
-            for si in rule.plan.atom_steps_on(e) {
-                for shard in [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]] {
-                    items.push(WorkItem {
-                        rule,
-                        drive: Drive::Atom(si, shard),
-                    });
-                }
+        for rule in driven.rules() {
+            for shard in [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]] {
+                items.push(WorkItem {
+                    rule,
+                    drive: Drive::First(shard),
+                });
             }
         }
         let governor = Governor::new(crate::govern::Limits::none(), None);
@@ -1179,8 +1241,7 @@ mod tests {
         let (program, state) = ring_fixture();
         let e = program.interner().get("e").unwrap();
         let edges = state.get(&PredKey::Ordinary(e)).unwrap().len();
-        let plans = [&program.plans()[0]];
-        let resolved = Resolved::new(&state, &plans);
+        let resolved = Resolved::new(&state, [&program.plans()[0]]);
         let rule = resolved.rules().next().unwrap();
         let full = WorkItem {
             rule,
@@ -1190,7 +1251,7 @@ mod tests {
         let shard = vec![Tuple::empty(); 3];
         let delta = WorkItem {
             rule,
-            drive: Drive::Atom(0, &shard),
+            drive: Drive::First(&shard),
         };
         assert_eq!(delta.estimated_work(&state), 3);
     }

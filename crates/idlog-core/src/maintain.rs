@@ -12,10 +12,15 @@
 //!    deleted body fact still counts present, an inserted one absent);
 //!    within a stratum this iterates to fixpoint, since deleting a head
 //!    tuple can unsupport further tuples of the same stratum.
-//! 2. **Remove** — physically retract the overdeleted tuples.
-//! 3. **Rederive** — reinsert overdeleted tuples that still have a
-//!    derivation from the surviving state (iterated: a rederived tuple can
-//!    resupport another).
+//! 2. **Rederive over the surviving view** — while the overdeleted tuples
+//!    are still stored, each rule runs with its head bound to them
+//!    (`RulePlan::head_bound`), reading a view that hides whatever is still
+//!    overdeleted; a tuple that fires leaves the overdeleted set, iterated
+//!    so a rederived tuple can resupport another.
+//! 3. **Remove net deletions** — only what stayed overdeleted is
+//!    physically retracted, so nothing rederived is removed and stored
+//!    again, and each removal costs what it removes (the hash backend
+//!    swap-removes).
 //! 4. **Insert** — semi-naive insertion rounds: positive deltas replay
 //!    inserted tuples; a negated literal whose relation lost tuples is
 //!    driven by the net-deleted set (sound because net deletions are, by
@@ -25,16 +30,18 @@
 //! The net per-predicate insert/delete sets of each stratum seed the next,
 //! so changes propagate bottom-up exactly as the original evaluation did.
 //!
-//! **One executor, two views.** No phase interprets a rule body itself:
-//! all four call [`crate::engine`]'s `run_rule`, the executor the fixpoint
-//! uses, and differ only in the read view and the driven step. Phase 1
-//! reads the old state through `OldView` (stored − net inserts + net
-//! deletes); phases 3 and 4 read the [`EvalState`] as stored. Phases 1 and
-//! 4 are mirror images: a positive step is driven by the net deletes
-//! (inserts) of the relation it reads, a negation step by the net inserts
-//! (deletes) of the relation it tests — `Drive::Atom` and
-//! `Drive::Negation`. Every read, old-state or not, probes the same
-//! indexes, resolved once per pass.
+//! **One executor, three views.** No phase interprets a rule body itself:
+//! all of them call [`crate::engine`]'s `run_rule`, the executor the
+//! fixpoint uses, and differ only in the read view and the change set the
+//! first step reads. Phase 1 reads the old state through `OldView` (stored
+//! − net inserts + net deletes), phase 2 the surviving state through
+//! `Surviving` (stored − still overdeleted), phase 4 the [`EvalState`] as
+//! stored. Phases 1 and 4 are mirror images: a positive literal is driven
+//! by the net deletes (inserts) of the relation it reads, a negated one by
+//! the net inserts (deletes) of the relation it tests. Every change drives
+//! the rule's variant with the changed literal first
+//! (`RulePlan::driven_by`), so a write's work is what it changes: nothing
+//! scans a relation to reach the step a change binds.
 //!
 //! **Inputs are shared.** The view's input relations are the database's
 //! own (see [`crate::engine::EvalState`]): the first change a batch applies
@@ -58,7 +65,9 @@ use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Tuple};
 use idlog_storage::{Database, Relation};
 
 use crate::config::EvalOptions;
-use crate::engine::{absorb, Delta, Derived, Drive, EvalState, ReadView, Resolved};
+use crate::engine::{
+    absorb, delta_drives, Delta, Derived, Drive, Driven, EvalState, ReadView, Resolved,
+};
 use crate::error::CoreResult;
 use crate::eval::evaluate_with_options;
 use crate::plan::{RulePlan, Step};
@@ -387,6 +396,8 @@ impl Materialized {
         net_del: &mut NetMap,
         stats: &mut EvalStats,
     ) -> CoreResult<()> {
+        // Every round inside a phase changes the stratum's own relations.
+        let heads: FxHashSet<SymbolId> = splans.iter().map(|p| p.head_pred).collect();
         // Phase 1 — overdelete, under old-state semantics. `deleted` holds
         // the overdeleted set; tuples stay physically present so old reads
         // of this stratum see them.
@@ -397,9 +408,12 @@ impl Materialized {
             net_ins,
             net_del,
         };
-        // Phase 1 writes nothing: one resolution serves all its rounds.
-        let resolved = Resolved::new(&view, splans);
-        replay_nets(&view, &resolved, net_del, net_ins, &mut cand, stats)?;
+        run_drives(
+            &view,
+            &net_drives(splans, net_del, net_ins),
+            &mut cand,
+            stats,
+        )?;
         loop {
             let mut next = Delta::default();
             for (p, tuples) in cand.runs() {
@@ -414,48 +428,67 @@ impl Materialized {
             if next.is_empty() {
                 break;
             }
-            replay_round(&view, &resolved, &next, &mut cand, stats)?;
-        }
-        drop(resolved);
-
-        // Phase 2 — physically remove the overdeleted tuples.
-        for (p, nc) in &deleted {
-            self.state
-                .get_mut(&PredKey::Ordinary(*p))
-                .expect("stratum head installed")
-                .remove_batch(&nc.order().iter().collect::<Vec<_>>());
+            run_drives(
+                &view,
+                &delta_drives(splans, &heads, &next),
+                &mut cand,
+                stats,
+            )?;
         }
 
-        // Phase 3 — rederive: overdeleted tuples still derivable from the
-        // surviving state come back, iterated so a rederived tuple can
-        // resupport another. Only rules whose head lost tuples can help.
+        // Phase 2 — rederive, before anything is removed: each overdeleted
+        // tuple whose head-bound rule still fires over the surviving state
+        // leaves `deleted`, iterated so a rederived tuple can resupport
+        // another. It never left storage, so nothing is stored again.
         if !deleted.is_empty() {
-            let red_plans: Vec<&RulePlan> = splans
+            let (mut out, mut rederived) = (Derived::default(), Delta::default());
+            let bound: Vec<Driven<'_>> = splans
                 .iter()
-                .filter(|p| deleted.contains_key(&p.head_pred))
-                .copied()
+                .filter_map(|plan| {
+                    let gone = deleted.get(&plan.head_pred)?;
+                    Some((plan.head_bound(), gone.order()))
+                })
                 .collect();
-            let (mut out, mut reinserted) = (Derived::default(), Delta::default());
-            for rule in Resolved::new(&self.state, &red_plans).rules() {
-                out.run_rule(&self.state, rule, Drive::Full, stats)?;
-            }
+            let view = Surviving {
+                state: &self.state,
+                overdeleted: &deleted,
+            };
+            run_drives(&view, &bound, &mut out, stats)?;
             loop {
-                // A tuple leaves `deleted` at most once and is physically
-                // absent until then, so what survives the filter is distinct
-                // and new.
+                // A tuple leaves `deleted` at most once, so what survives
+                // the filter is distinct.
                 out.retain(|p, t| deleted.get_mut(&p).is_some_and(|n| n.remove(t)));
                 if out.is_empty() {
                     break;
                 }
-                absorb(
-                    &mut self.state,
-                    std::slice::from_mut(&mut out),
+                for fresh in rederived.values_mut() {
+                    fresh.clear();
+                }
+                for (p, tuples) in out.runs() {
+                    rederived.entry(p).or_default().extend_from_slice(tuples);
+                }
+                out.clear();
+                let view = Surviving {
+                    state: &self.state,
+                    overdeleted: &deleted,
+                };
+                run_drives(
+                    &view,
+                    &delta_drives(splans, &heads, &rederived),
+                    &mut out,
                     stats,
-                    None,
-                    &mut reinserted,
-                );
-                let resolved = Resolved::new(&self.state, &red_plans);
-                replay_round(&self.state, &resolved, &reinserted, &mut out, stats)?;
+                )?;
+            }
+        }
+
+        // Phase 3 — remove what stayed overdeleted: the net deletions.
+        for (p, nc) in &mut deleted {
+            nc.compact();
+            if !nc.is_empty() {
+                self.state
+                    .get_mut(&PredKey::Ordinary(*p))
+                    .expect("stratum head installed")
+                    .remove_batch(&nc.order().iter().collect::<Vec<_>>());
             }
         }
 
@@ -463,9 +496,12 @@ impl Materialized {
         // net inserts (positive atoms) and net deletes (negated literals).
         let mut stratum_ins: NetMap = NetMap::default();
         let (mut out, mut fresh) = (Derived::default(), Delta::default());
-        let resolved = Resolved::new(&self.state, splans);
-        replay_nets(&self.state, &resolved, net_ins, net_del, &mut out, stats)?;
-        drop(resolved);
+        run_drives(
+            &self.state,
+            &net_drives(splans, net_ins, net_del),
+            &mut out,
+            stats,
+        )?;
         loop {
             let outs = std::slice::from_mut(&mut out);
             if !absorb(&mut self.state, outs, stats, None, &mut fresh) {
@@ -473,16 +509,20 @@ impl Materialized {
             }
             for (p, tuples) in &fresh {
                 for t in tuples {
-                    // A tuple that was overdeleted and now reappears through
-                    // new support nets out: physically back, no net change.
+                    // A tuple deleted above that reappears through new
+                    // support nets out: physically back, no net change.
                     let was_deleted = deleted.get_mut(p).is_some_and(|n| n.remove(t));
                     if !was_deleted {
                         stratum_ins.entry(*p).or_default().add(t.clone());
                     }
                 }
             }
-            let resolved = Resolved::new(&self.state, splans);
-            replay_round(&self.state, &resolved, &fresh, &mut out, stats)?;
+            run_drives(
+                &self.state,
+                &delta_drives(splans, &heads, &fresh),
+                &mut out,
+                stats,
+            )?;
         }
 
         // Publish this stratum's nets for the strata above.
@@ -522,57 +562,44 @@ fn affected_closure(plans: &[RulePlan], changed: &FxHashSet<SymbolId>) -> FxHash
     }
 }
 
-/// Seed a phase from the changes below this stratum: every positive atom
-/// step over a relation with a net change in `atoms` replays those tuples,
-/// every negated literal over a relation with a net change in `flips` is
-/// driven by that set. Overdeletion passes (deletes, inserts) and reads the
-/// old view; insertion passes (inserts, deletes) and reads the state.
-fn replay_nets<V: ReadView>(
-    view: &V,
-    resolved: &Resolved<'_>,
-    atoms: &NetMap,
-    flips: &NetMap,
-    out: &mut Derived,
-    stats: &mut EvalStats,
-) -> CoreResult<()> {
-    for rule in resolved.rules() {
-        for (si, step) in rule.plan.steps.iter().enumerate() {
-            let drive = match step {
-                Step::Atom(a) => net_of(atoms, &a.key).map(|n| Drive::Atom(si, n.order())),
-                Step::Negation { key, .. } => {
-                    net_of(flips, key).map(|n| Drive::Negation(si, &n.set))
-                }
+/// What seeds a phase from the changes below this stratum: every positive
+/// atom step over a relation with a net change in `atoms` drives its
+/// variant with those tuples, every negated literal over a relation with a
+/// net change in `flips` drives its variant with that set. Overdeletion
+/// passes (deletes, inserts) and reads the old view; insertion passes
+/// (inserts, deletes) and reads the state.
+fn net_drives<'a>(
+    splans: &[&'a RulePlan],
+    atoms: &'a NetMap,
+    flips: &'a NetMap,
+) -> Vec<Driven<'a>> {
+    let mut drives = Vec::new();
+    for plan in splans {
+        for (si, step) in plan.steps.iter().enumerate() {
+            let net = match step {
+                Step::Atom(a) => net_of(atoms, &a.key),
+                Step::Negation { key, .. } => net_of(flips, key),
                 Step::Builtin { .. } => None,
             };
-            if let Some(drive) = drive {
-                out.run_rule(view, rule, drive, stats)?;
+            if let Some(net) = net {
+                drives.push((plan.driven_by(si), net.order()));
             }
         }
     }
-    Ok(())
+    drives
 }
 
-/// One semi-naive round inside a phase: replay the tuples the previous
-/// round changed (always head predicates of the stratum) through every
-/// positive atom step that reads them.
-fn replay_round<V: ReadView>(
+/// Run each variant once over `view`, its first step reading its change
+/// set; the variants are resolved once for the list.
+fn run_drives<V: ReadView>(
     view: &V,
-    resolved: &Resolved<'_>,
-    delta: &Delta,
+    drives: &[Driven<'_>],
     out: &mut Derived,
     stats: &mut EvalStats,
 ) -> CoreResult<()> {
-    for rule in resolved.rules() {
-        for (si, step) in rule.plan.steps.iter().enumerate() {
-            let Step::Atom(a) = step else { continue };
-            let PredKey::Ordinary(p) = &a.key else {
-                continue;
-            };
-            // A reused delta map keeps predicates that gained nothing.
-            if let Some(d) = delta.get(p).filter(|d| !d.is_empty()) {
-                out.run_rule(view, rule, Drive::Atom(si, d), stats)?;
-            }
-        }
+    let resolved = Resolved::driven(view, drives.iter().map(|d| d.0));
+    for (rule, &(_, changed)) in resolved.rules().zip(drives) {
+        out.run_rule(view, rule, Drive::First(changed), stats)?;
     }
     Ok(())
 }
@@ -605,6 +632,33 @@ impl ReadView for OldView<'_> {
     fn contains(&self, key: &PredKey, t: &Tuple) -> bool {
         (self.state.contains(key, t) && !self.hides(key, t))
             || net_of(self.net_del, key).is_some_and(|n| n.set.contains(t))
+    }
+}
+
+/// The state with the tuples still overdeleted hidden: what rederivation
+/// reads. Lower strata are stored as they now are, and this stratum's
+/// tuples stay stored until rederivation ends, so each one it brings back
+/// only has to leave `overdeleted`.
+struct Surviving<'a> {
+    state: &'a EvalState,
+    overdeleted: &'a NetMap,
+}
+
+impl ReadView for Surviving<'_> {
+    fn relation(&self, key: &PredKey) -> Option<&Relation> {
+        self.state.get(key)
+    }
+
+    fn hides(&self, key: &PredKey, t: &Tuple) -> bool {
+        net_of(self.overdeleted, key).is_some_and(|n| n.set.contains(t))
+    }
+
+    fn extras(&self, _: &PredKey) -> &[Tuple] {
+        &[]
+    }
+
+    fn contains(&self, key: &PredKey, t: &Tuple) -> bool {
+        self.state.contains(key, t) && !self.hides(key, t)
     }
 }
 
@@ -867,21 +921,72 @@ mod tests {
             // v1 → v2 was v1's only way out and v2's only way in.
             assert_eq!(mat.relation("t").unwrap().len(), N * N - 447);
 
-            // Deterministic work bound, pinned from the measured 171 309
-            // probes (7.6 × the closure, identical on both backends): the
-            // `e` seed of the recursive rule reads `t` once (2 × 22 500),
-            // each overdeleted tuple probes `e` on its bound column
-            // (≈ 3.3 each, the old view's one extra included) and each
-            // rederived one does the same against the state (≈ 2.3 each).
-            // When overdeletion scanned instead of probing, phase 1 alone
-            // needed more than |overdeleted| × |e| = 22 500 × 200 ≈ 4 × 10⁶.
+            // Deterministic work bound, pinned from the measured 201 310
+            // probes (8.9 × the closure, identical on both backends). The
+            // retract overdeletes all 22 500 tuples: phase 1 replays each
+            // through `e` on its bound column (75 002, ≈ 3.3 each, the old
+            // view's one extra included); rederivation binds each one's
+            // head (2 rules × 22 500) and probes `e` on the head's second
+            // column (75 049 with that), then replays the 22 053 it brings
+            // back forward (51 259). When overdeletion scanned instead of
+            // probing, phase 1 alone needed more than
+            // |overdeleted| × |e| = 22 500 × 200 ≈ 4 × 10⁶.
             assert!(
-                stats.probes < 8 * (N * N) as u64,
+                stats.probes < 9 * (N * N) as u64,
                 "{backend:?}: {} probes for a closure of {}",
                 stats.probes,
                 N * N
             );
         }
+    }
+
+    /// A write costs what it changes, held by a counter rather than a
+    /// clock: on a chain `v0 → v1 → … → v(n−1)` with a pendant edge
+    /// `v0 → p`, only `t(v0, p)` depends on the pendant edge, and
+    /// retracting it — or inserting it back — makes the same number of
+    /// probes at 300 nodes as at 600, and on columnar. (When the
+    /// `e`-driven replay of the recursive rule ran in the written order,
+    /// it scanned all of `t` before reaching `e`: the count grew with the
+    /// closure.)
+    #[test]
+    fn pendant_edge_writes_cost_the_same_on_any_chain() {
+        let src = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).";
+        let probes = |n: usize, backend: BackendKind| {
+            let q = Query::parse(src, "t").unwrap();
+            let interner = Arc::clone(q.interner());
+            let mut db = q.new_database();
+            for i in 1..n {
+                db.insert_syms("e", &[&format!("v{}", i - 1), &format!("v{i}")])
+                    .unwrap();
+            }
+            db.insert_syms("e", &["v0", "p"]).unwrap();
+            let options = EvalOptions::new().backend(backend);
+            let mut mat = Materialized::build(q.related_program(), &db, &options).unwrap();
+            assert_eq!(mat.relation("t").unwrap().len(), n * (n - 1) / 2 + 1);
+            let pendant: Tuple = ["v0", "p"]
+                .iter()
+                .map(|s| Value::Sym(interner.intern(s)))
+                .collect();
+            let e = interner.intern("e");
+            db.retract("e", &pendant).unwrap();
+            let (outcome, retract) = mat
+                .apply_counted(&db, &FactDelta::retract(e, pendant.clone()))
+                .unwrap();
+            assert_eq!(outcome, MaintainOutcome::Incremental);
+            assert_eq!(mat.relation("t").unwrap().len(), n * (n - 1) / 2);
+            db.insert("e", pendant.clone()).unwrap();
+            let (outcome, insert) = mat
+                .apply_counted(&db, &FactDelta::insert(e, pendant))
+                .unwrap();
+            assert_eq!(outcome, MaintainOutcome::Incremental);
+            assert_eq!(mat.relation("t").unwrap().len(), n * (n - 1) / 2 + 1);
+            (retract.probes, insert.probes)
+        };
+        let hash = probes(300, BackendKind::Hash);
+        assert_eq!(probes(600, BackendKind::Hash), hash);
+        // Columnar builds a long chain slowly in a debug build: shorter ones.
+        assert_eq!(probes(100, BackendKind::Columnar), hash);
+        assert_eq!(probes(200, BackendKind::Columnar), hash);
     }
 
     #[test]

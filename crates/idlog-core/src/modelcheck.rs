@@ -83,8 +83,7 @@ pub fn verify_model(
         }
     }
 
-    let plans: Vec<_> = program.plans().iter().collect();
-    let resolved = Resolved::new(&state, &plans);
+    let resolved = Resolved::new(&state, program.plans().iter());
 
     let mut violations = Vec::new();
     let mut stats = EvalStats::default();

@@ -198,10 +198,11 @@ impl Relation {
 
     /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
     /// present and removed (first occurrence wins for intra-batch
-    /// duplicates). Scan order of the survivors stays a deterministic
-    /// function of the batch sequence on both backends; indexes are
-    /// rebuilt. Used by incremental maintenance — the engine proper never
-    /// removes.
+    /// duplicates). Scan order stays a deterministic function of the batch
+    /// sequence on both backends, though survivors may move (hash fills each
+    /// hole with its last tuple), and every index stays in step. Used by
+    /// incremental maintenance and database retracts — the engine proper
+    /// never removes.
     pub fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
         debug_assert!(
             batch.iter().all(|t| self.check_tuple(t).is_ok()),

@@ -9,8 +9,10 @@
 //!   and **incrementally maintained** hash indexes. Indexes map projection
 //!   keys to offsets into the store, so index maintenance costs one `u32`
 //!   per (index, new tuple), and inserts, membership tests and indexed
-//!   probes allocate nothing per tuple. Only a removal rebuilds the table
-//!   and the indexes, over the store compacted in place.
+//!   probes allocate nothing per tuple. A removal swap-removes: the last
+//!   tuple moves into the hole, and the membership table and each index are
+//!   patched at those two offsets, so removing costs in proportion to what
+//!   is removed, never to what stays.
 //! * [`ColumnarBackend`]: sorted runs with merge-based semi-naive deltas.
 //!   Every delta batch becomes one sorted, deduplicated run; probes and
 //!   scans merge across runs; runs are compacted into one once too many
@@ -131,9 +133,12 @@ pub trait Storage {
 
     /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
     /// present and removed (first occurrence wins for intra-batch
-    /// duplicates). Determinism contract: the post-removal scan order is a
-    /// pure function of the sequence of batches applied, exactly as for
-    /// inserts — incremental maintenance relies on it.
+    /// duplicates). Every index is kept, and a probe still lists exactly
+    /// what a filtered scan finds. Determinism contract: the post-removal
+    /// scan order is a pure function of the sequence of batches applied,
+    /// exactly as for inserts — incremental maintenance relies on it. The
+    /// survivors need not keep their relative order: the hash backend moves
+    /// its last tuple into each hole, so a removal costs what it removes.
     fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool>;
 
     /// Iterate every tuple in the backend's canonical (deterministic)
@@ -437,13 +442,14 @@ fn key_index(positions: &[usize], store: &[Tuple]) -> KeyIndex {
 /// offset indexes.
 ///
 /// `store` holds every tuple exactly once, in insertion order (which the
-/// engine makes deterministic); tuples of up to three columns sit inline in
+/// engine makes deterministic) except that a removal moves the last tuple
+/// into the hole it leaves; tuples of up to three columns sit inline in
 /// it, so cloning the backend copies one block and dropping it frees one.
 /// `seen` finds a tuple's store offset from its hash — offsets are the
 /// table's dense ids, membership verifies equality against the store, so
 /// collisions are handled, no second copy of any tuple exists and an insert
 /// allocates nothing per tuple. Each index maps a projection key to store
-/// offsets and is updated on every insert.
+/// offsets, ascending, and is updated on every insert and removal.
 #[derive(Clone, Debug, Default)]
 pub struct HashBackend {
     store: Vec<Tuple>,
@@ -493,6 +499,40 @@ impl HashBackend {
         }
         new
     }
+
+    /// Remove the tuple at `off` by moving the last tuple into its place,
+    /// patching the membership table and, per index, the two offset lists
+    /// involved — kept ascending, so a probe still lists a key's tuples in
+    /// store order. Costs the victim's and the mover's index entries,
+    /// whatever the relation's size.
+    fn swap_remove(&mut self, off: u32) {
+        let last = self.store.len() as u32 - 1;
+        let (victim, moved) = (&self.store[off as usize], &self.store[last as usize]);
+        self.seen.swap_remove(off, fx_hash(victim), fx_hash(moved));
+        self.indexes.for_each_mut(|positions, map| {
+            // A stored tuple is listed under its key, and `last`, the
+            // greatest offset, ends its list.
+            let key = victim.project(positions);
+            if let Some(offsets) = map.get_mut(&key) {
+                if let Ok(at) = offsets.binary_search(&off) {
+                    offsets.remove(at);
+                }
+                if offsets.is_empty() {
+                    map.remove(&key);
+                }
+            }
+            if off == last {
+                return;
+            }
+            if let Some(offsets) = map.get_mut(&moved.project(positions)) {
+                debug_assert_eq!(offsets.last(), Some(&last));
+                offsets.pop();
+                let at = offsets.partition_point(|&o| o < off);
+                offsets.insert(at, off);
+            }
+        });
+        self.store.swap_remove(off as usize);
+    }
 }
 
 impl Storage for HashBackend {
@@ -526,35 +566,12 @@ impl Storage for HashBackend {
     }
 
     fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
-        let mut victims: FxHashSet<u32> = FxHashSet::default();
-        let flags: Vec<bool> = batch
+        // In batch order, so the store's order after the batch is a function
+        // of the batch sequence; a repeat finds its tuple already gone.
+        batch
             .iter()
-            .map(|&t| self.find(t).is_some_and(|off| victims.insert(off)))
-            .collect();
-        if victims.is_empty() {
-            return flags;
-        }
-        // Removal is rare relative to inserts (maintenance only), so the
-        // simple deterministic plan is to compact the store in place — the
-        // survivors keep their order, and no second store ever exists —
-        // and re-derive the membership table and the indexes from it.
-        let mut doomed: Vec<u32> = victims.into_iter().collect();
-        doomed.sort_unstable();
-        let (mut off, mut next) = (0u32, doomed.iter().copied().peekable());
-        self.store.retain(|_| {
-            let dies = next.next_if_eq(&off).is_some();
-            off += 1;
-            !dies
-        });
-        self.seen = IdTable::new();
-        for t in &self.store {
-            // Distinct tuples: the closure only ever sees hash collisions.
-            self.seen.find_or_push(fx_hash(t), |_| false);
-        }
-        let store = &self.store;
-        self.indexes
-            .for_each_mut(|positions, map| *map = key_index(positions, store));
-        flags
+            .map(|&t| self.find(t).map(|off| self.swap_remove(off)).is_some())
+            .collect()
     }
 
     fn scan(&self) -> ScanIter<'_> {
@@ -915,6 +932,45 @@ mod tests {
     fn columnar_backend_satisfies_the_trait_contract() {
         exercise::<ColumnarBackend>();
         exercise_removal::<ColumnarBackend>();
+    }
+
+    /// Swap-removal patches the membership table and every index in place:
+    /// after each batch — front, middle and tail offsets, repeats, absent
+    /// tuples, down to empty — every index is exactly the one a build over
+    /// the store gives (offsets ascending, so probes list a key's tuples in
+    /// store order) and every stored tuple is found at its own offset.
+    #[test]
+    fn hash_removal_keeps_indexes_ascending_and_exact() {
+        let tuples: Vec<Tuple> = (0..60).map(|i| t(&[i % 5, i % 7, i])).collect();
+        let mut s = HashBackend::new();
+        s.delta_batch_insert(&tuples.iter().collect::<Vec<_>>());
+        let indexes: [&[usize]; 4] = [&[0], &[1], &[0, 1], &[0, 1, 2]];
+        for positions in indexes {
+            s.ensure_index(positions);
+        }
+        let absent = t(&[9, 9, 9]);
+        let mut left = tuples.len();
+        for stride in [7, 5, 3, 2, 1] {
+            let owned: Vec<Tuple> = s.store.iter().step_by(stride).cloned().collect();
+            let mut doomed: Vec<&Tuple> = owned.iter().collect();
+            doomed.extend([&absent, &owned[0]]);
+            let flags = s.remove_batch(&doomed);
+            assert_eq!(flags.iter().filter(|&&f| f).count(), owned.len());
+            left -= owned.len();
+            assert_eq!(s.len(), left);
+            for node in s.indexes.nodes() {
+                assert_eq!(node.index, key_index(&node.positions, &s.store));
+                assert!(node
+                    .index
+                    .values()
+                    .all(|o| o.windows(2).all(|w| w[0] < w[1])));
+            }
+            for (off, x) in s.store.iter().enumerate() {
+                assert_eq!(s.find(x), Some(off as u32));
+            }
+            assert!(owned.iter().all(|x| !s.contains(x)));
+        }
+        assert!(s.is_empty());
     }
 
     #[test]

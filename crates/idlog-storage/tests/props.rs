@@ -139,10 +139,12 @@ proptest! {
         prop_assert_eq!(moved.sorted_canonical(&interner), expected);
     }
 
-    /// Removal compacts in place: on both backends the survivors keep their
-    /// scan order, and membership and every indexed probe are those of a
-    /// relation rebuilt from the survivors — also after a removed tuple
-    /// comes back.
+    /// Removal keeps the storage contract on both backends: what remains is
+    /// the set a rebuild from the survivors holds, every indexed probe lists
+    /// exactly what a filtered scan finds (in scan order), and the scan
+    /// order is a pure function of the batch sequence — replaying the same
+    /// inserts and removals gives the same order, though survivors may move.
+    /// Also after a removed tuple comes back and a second removal follows.
     #[test]
     fn removal_leaves_what_a_rebuild_from_the_survivors_holds(
         batches in proptest::collection::vec(
@@ -153,55 +155,79 @@ proptest! {
         let pair = |&(a, b): &(i64, i64)| -> Tuple { vec![Value::Int(a), Value::Int(b)].into() };
         let kind = if columnar { BackendKind::Columnar } else { BackendKind::Hash };
         let indexes: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
-        let mut rel = Relation::new_in(RelType::new(vec![Sort::I, Sort::I]), kind);
-        for positions in indexes {
-            rel.ensure_index(positions);
-        }
-        for batch in &batches {
-            let batch: Vec<Tuple> = batch.iter().map(pair).collect();
-            rel.delta_batch_insert(&batch.iter().collect::<Vec<_>>());
-        }
-        let before: Vec<Tuple> = rel.iter().cloned().collect();
+        let doomed: Vec<Tuple> = doomed.iter().map(pair).collect();
+        let back = |before: &[Tuple]| doomed.iter().find(|t| before.contains(t)).cloned();
+        let domain: Vec<Tuple> =
+            (0..6).flat_map(|a| (0..7).map(move |b| pair(&(a, b)))).collect();
+        // The scan order after a step, once every indexed probe on every
+        // key of the domain has listed exactly what a filtered scan finds.
+        let scan = |rel: &Relation| {
+            for t in &domain {
+                for positions in indexes {
+                    let key = t.project(positions);
+                    let probed: Vec<&Tuple> = rel.probe(positions, &key).iter().collect();
+                    let scanned: Vec<&Tuple> =
+                        rel.iter().filter(|x| x.project(positions) == key).collect();
+                    assert_eq!(probed, scanned, "{positions:?} {key:?}");
+                }
+            }
+            rel.iter().cloned().collect::<Vec<Tuple>>()
+        };
+        // The whole sequence: inserts, the removal, a removed tuple's
+        // return and a removal of every other row. Each step's scan order.
+        let replay = || {
+            let mut rel = Relation::new_in(RelType::new(vec![Sort::I, Sort::I]), kind);
+            for positions in indexes {
+                rel.ensure_index(positions);
+            }
+            for batch in &batches {
+                let batch: Vec<Tuple> = batch.iter().map(pair).collect();
+                rel.delta_batch_insert(&batch.iter().collect::<Vec<_>>());
+            }
+            let mut orders = vec![scan(&rel)];
+            let flags = rel.remove_batch(&doomed.iter().collect::<Vec<_>>());
+            orders.push(scan(&rel));
+            if let Some(back) = back(&orders[0]) {
+                assert!(rel.insert(back).unwrap());
+            }
+            orders.push(scan(&rel));
+            let halved: Vec<Tuple> = rel.iter().step_by(2).cloned().collect();
+            rel.remove_batch(&halved.iter().collect::<Vec<_>>());
+            orders.push(scan(&rel));
+            (rel, flags, orders)
+        };
+        let (rel, flags, orders) = replay();
+        let before = &orders[0];
 
         // The batch may name absent tuples and repeat itself: a flag is set
         // for the first mention of a stored tuple only.
-        let doomed: Vec<Tuple> = doomed.iter().map(pair).collect();
-        let flags = rel.remove_batch(&doomed.iter().collect::<Vec<_>>());
         for (i, (t, flag)) in doomed.iter().zip(&flags).enumerate() {
             prop_assert_eq!(*flag, before.contains(t) && !doomed[..i].contains(t));
         }
+        let holds = |scanned: &[Tuple], expected: &[Tuple]| {
+            let sorted = |ts: &[Tuple]| {
+                let mut ts = ts.to_vec();
+                ts.sort();
+                ts
+            };
+            assert_eq!(sorted(scanned), sorted(expected));
+        };
         let survivors: Vec<Tuple> =
             before.iter().filter(|t| !doomed.contains(t)).cloned().collect();
-        let agrees_with_rebuild = |rel: &Relation, expected: &[Tuple]| {
-            let mut rebuilt = Relation::new_in(rel.rtype().clone(), kind);
-            rebuilt.delta_batch_insert(&expected.iter().collect::<Vec<_>>());
-            assert_eq!(rel.iter().cloned().collect::<Vec<_>>(), expected);
-            assert_eq!(rel.len(), rebuilt.len());
-            for t in before.iter().chain(&doomed) {
-                assert_eq!(rel.contains(t), rebuilt.contains(t), "{t:?}");
-                for positions in indexes {
-                    rebuilt.ensure_index(positions);
-                    let key = t.project(positions);
-                    let sorted = |r: &Relation| {
-                        let probe = r.probe(positions, &key);
-                        let mut hits: Vec<Tuple> = probe.iter().cloned().collect();
-                        assert_eq!(probe.len(), hits.len());
-                        hits.sort();
-                        hits
-                    };
-                    assert_eq!(sorted(rel), sorted(&rebuilt), "{positions:?} {key:?}");
-                }
-            }
-        };
-        agrees_with_rebuild(&rel, &survivors);
+        holds(&orders[1], &survivors);
+        let mut returned = survivors.clone();
+        returned.extend(back(before));
+        holds(&orders[2], &returned);
+        let halved: Vec<&Tuple> = orders[2].iter().step_by(2).collect();
+        let rest: Vec<Tuple> =
+            orders[2].iter().filter(|t| !halved.contains(t)).cloned().collect();
+        holds(&orders[3], &rest);
 
-        // A removed tuple can come back, as the newest row.
-        if let Some(back) = doomed.iter().find(|t| before.contains(t)) {
-            prop_assert!(rel.insert(back.clone()).unwrap());
-            let mut expected = survivors.clone();
-            expected.push(back.clone());
-            agrees_with_rebuild(&rel, &expected);
+        prop_assert_eq!(rel.len(), rest.len());
+        for t in &domain {
+            prop_assert_eq!(rel.contains(t), rest.contains(t));
         }
+        prop_assert_eq!(replay().2, orders, "the same sequence, another order");
     }
 
     /// The cached value summary is the uncached one: asked at random points
