@@ -103,6 +103,14 @@ impl Interner {
         f(&st.names[id.index()])
     }
 
+    /// Run `f` with every interned name readable through [`Names`], under
+    /// one hold of the lock: what a caller resolving many symbols at once
+    /// uses instead of one [`Interner::with_resolved`] per symbol.
+    pub fn with_names<R>(&self, f: impl FnOnce(Names<'_>) -> R) -> R {
+        let st = self.state.lock().expect("interner poisoned");
+        f(Names(&st.names))
+    }
+
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
         self.state.lock().expect("interner poisoned").names.len()
@@ -121,6 +129,18 @@ impl Interner {
         }
         let st = self.state.lock().expect("interner poisoned");
         st.names[a.index()].cmp(&st.names[b.index()])
+    }
+}
+
+/// An [`Interner`]'s names, borrowed while its lock is held
+/// ([`Interner::with_names`]).
+#[derive(Clone, Copy)]
+pub struct Names<'a>(&'a [Box<str>]);
+
+impl<'a> Names<'a> {
+    /// The name of `id`. Panics if `id` came from another interner.
+    pub fn resolve(self, id: SymbolId) -> &'a str {
+        &self.0[id.index()]
     }
 }
 
@@ -150,6 +170,11 @@ mod tests {
         let id = i.intern("engineering");
         assert_eq!(i.resolve(id), "engineering");
         i.with_resolved(id, |s| assert_eq!(s, "engineering"));
+        let other = i.intern("sales");
+        i.with_names(|names| {
+            assert_eq!(names.resolve(id), "engineering");
+            assert_eq!(names.resolve(other), "sales");
+        });
     }
 
     #[test]

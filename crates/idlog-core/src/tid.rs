@@ -16,7 +16,8 @@
 //! An oracle only has to say how it [assigns](TidOracle::assign) tids; the
 //! engine calls [`TidOracle::id_relation`], which by default builds the
 //! ID-relation from that assignment and which the canonical and seeded
-//! oracles override with a one-pass construction.
+//! oracles override with a construction read off the base relation's group
+//! index.
 
 use std::hash::{Hash, Hasher};
 
@@ -51,6 +52,14 @@ pub trait TidOracle {
     /// [`make_id_relation`], then drop the tuples at or above the bound. An
     /// override must return the same relation — the bound may only save
     /// work, never change which ID-functions are chosen.
+    ///
+    /// Every grouping behind it — the canonical and seeded overrides, the
+    /// default's [`IdAssignment`] and [`ExplicitOracle`]'s `group_by` —
+    /// reads `rel`'s group index, which `rel` builds on the first request
+    /// and keeps until its next write. On an input unchanged since an
+    /// earlier evaluation, the canonical override costs `O(groups × bound)`
+    /// and the seeded one a permutation per group: neither regroups nor
+    /// re-ranks `rel`.
     fn id_relation(
         &mut self,
         pred: SymbolId,

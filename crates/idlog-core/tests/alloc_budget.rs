@@ -6,8 +6,8 @@
 //! inline, probes and inserts allocate nothing per tuple and round buffers
 //! are reused, so a fixpoint's allocations grow with its *rounds* (plus the
 //! logarithmic growth of the stores), not with the tuples it touches. And
-//! inputs are read by reference, with the indexes built on them kept, so a
-//! repeated query allocates nothing per stored row.
+//! inputs are read by reference, with the indexes and groupings built on
+//! them kept, so a repeated query allocates nothing per stored row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use idlog_core::{
     evaluate_with_options, CanonicalOracle, EvalOptions, Interner, Query, RelType, Relation,
-    Strategy, Tuple, ValidatedProgram, Value,
+    SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
 
@@ -157,6 +157,36 @@ fn a_repeated_point_query_allocates_nothing_per_stored_row() {
         .into_iter()
         .collect();
     assert!(ask(&db).contains(&late), "the index missed a later write");
+}
+
+/// A seeded sample reads the group index of `emp` that the first sample
+/// left with the stored relation: the next one neither regroups nor
+/// re-ranks, so what it allocates does not depend on how many rows `emp`
+/// holds — only on its 200 groups and the 400 rows it keeps.
+#[test]
+fn a_repeated_seeded_sample_allocates_nothing_per_stored_row() {
+    let query = Query::parse("pick(N) :- emp[2](N, D, T), T < 2.", "pick").unwrap();
+    let second_sample = |rows: usize| {
+        let mut db = query.new_database();
+        for n in 0..rows {
+            db.insert_syms("emp", &[&format!("e{n}"), &format!("d{}", n % 200)])
+                .unwrap();
+        }
+        let ask = |seed: u64| {
+            let session = query.session(&db).threads(1);
+            session
+                .run_with(&mut SeededOracle::new(seed))
+                .unwrap()
+                .relation
+        };
+        assert_eq!(ask(1).len(), 400, "warm-up");
+        let (answer, allocations) = allocations_during(|| ask(2));
+        assert_eq!(answer.len(), 400);
+        allocations
+    };
+    let small = second_sample(2_000);
+    let large = second_sample(20_000);
+    assert_eq!(small, large, "allocations grew with the stored rows");
 }
 
 /// The database pass behind every termination round bound is made once per

@@ -6,7 +6,7 @@ use std::net::SocketAddr;
 use std::thread;
 
 use idlog_core::service::{render_answers, FactValue, Request, Response, RunRequest, ServeMode};
-use idlog_core::{ErrorCode, LimitKind, Query, Strategy, Tuple, Value};
+use idlog_core::{ErrorCode, LimitKind, Query, SeededOracle, Strategy, Tuple, Value};
 use idlog_server::{Client, Server, DEFAULT_WORKERS};
 use idlog_storage::{BackendKind, Database};
 
@@ -453,4 +453,64 @@ fn a_fresh_snapshot_answers_from_its_version_while_writes_land() {
     assert_eq!(answers(&snapshot, Strategy::Magic), before);
     assert_eq!(answers(&db, Strategy::Magic), descendants(59));
     assert_eq!(answers(&db, Strategy::SemiNaive), descendants(59));
+}
+
+/// A seeded sample reads the group index the tenant's stored `emp` keeps
+/// between requests. An insert that lands while samples are answered copies
+/// the relation, and only the copy groups again: every answer is the sample
+/// of one version — before the insert or after it, never a mix — and the
+/// first request after the insert's ack answers the new version.
+#[test]
+fn a_seeded_sample_answers_one_version_while_an_emp_insert_lands() {
+    const SAMPLE: &str = "pick(N) :- emp[2](N, D, T), T < 2.";
+    let emp: Vec<[String; 2]> = (0..60)
+        .map(|n| [format!("e{n}"), format!("d{}", n % 6)])
+        .collect();
+    let late = ["late".to_string(), "dnew".to_string()];
+    let direct = |rows: &[[String; 2]]| {
+        let query = Query::parse(SAMPLE, "pick").expect("parse");
+        let mut db = Database::with_interner(query.interner().clone());
+        for [name, dept] in rows {
+            db.insert_syms("emp", &[name, dept]).expect("insert");
+        }
+        let out = query
+            .session(&db)
+            .threads(1)
+            .run_with(&mut SeededOracle::new(7));
+        render_answers(&out.expect("run").relation, query.interner())
+    };
+    let before = direct(&emp);
+    let after = direct(&[emp.clone(), vec![late.clone()]].concat());
+    // `late` is alone in its department, so every sample picks it.
+    assert!(!before.contains(&late[0]) && after.contains(&late[0]));
+
+    let (addr, handle) = start();
+    let mut c = client(addr);
+    for [name, dept] in &emp {
+        assert_eq!(insert(&mut c, "s", "emp", &[name, dept]).exit, 0);
+    }
+    let sample = |c: &mut Client| {
+        let mut r = RunRequest::new("s", SAMPLE, "pick");
+        r.seed = Some(7);
+        let resp = c.request(&Request::Run(r)).expect("run");
+        assert_eq!(resp.mode, Some(ServeMode::Fresh));
+        resp.answers.expect("answers")
+    };
+    assert_eq!(sample(&mut c), before);
+    let started = std::sync::Barrier::new(2);
+    thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut c = client(addr);
+            started.wait();
+            for _ in 0..20 {
+                let got = sample(&mut c);
+                assert!(got == before || got == after, "a mixed sample: {got:?}");
+            }
+        });
+        started.wait();
+        assert_eq!(insert(&mut c, "s", "emp", &[&late[0], &late[1]]).exit, 0);
+        reader.join().expect("reader");
+    });
+    assert_eq!(sample(&mut c), after);
+    shutdown(addr, handle);
 }

@@ -4,12 +4,17 @@
 //! attributes of r is a subset of r that contains all the tuples in r which
 //! have the same value on each attribute in s." ID-functions are chosen per
 //! sub-relation, so grouping is the first step of every tid assignment.
+//!
+//! A relation's grouping on `s` is a `GroupIndex`. It is a function of the
+//! relation's content and its symbols' names, which never change once
+//! interned, so a relation builds it once per version and keeps it
+//! (`Relation::group_index`): every ID-relation build, canonical or seeded,
+//! and every [`group_by`] on an unchanged relation reads the same index,
+//! and none of them regroups or re-ranks. A write drops it.
 
-use std::hash::Hasher;
+use idlog_common::{Interner, Tuple};
 
-use idlog_common::{FxHasher, IdTable, Interner, Tuple};
-
-use crate::relation::{RankKeys, Relation};
+use crate::relation::Relation;
 
 /// A relation partitioned into sub-relations by a grouping attribute set.
 ///
@@ -55,198 +60,73 @@ impl Grouping {
 ///
 /// Positions are deduplicated and sorted; an empty position set yields a
 /// single group containing the whole relation (the paper's most primitive
-/// ID-predicate `p[∅]`).
+/// ID-predicate `p[∅]`). Reads the relation's `GroupIndex`.
 pub fn group_by(rel: &Relation, positions: &[usize], interner: &Interner) -> Grouping {
-    let mut rows = RowGroups::new(rel, positions, interner);
-    let order = rows.canonical_order();
-    for &g in &order {
-        rows.sort_members(g);
-    }
-    let tuples = rows.tuples();
-    let groups = order
-        .into_iter()
-        .map(|g| {
-            let members = rows.members(g);
-            let key = tuples[members[0] as usize].project(&rows.positions);
+    let (positions, index) = rel.group_index(positions, interner);
+    let tuples: Vec<&Tuple> = rel.iter().collect();
+    let groups = index
+        .groups()
+        .map(|members| {
+            let key = tuples[members[0] as usize].project(positions);
             let members = members.iter().map(|&r| tuples[r as usize].clone());
             (key, members.collect())
         })
         .collect();
     Grouping {
-        positions: rows.positions,
+        positions: positions.to_vec(),
         groups,
     }
 }
 
-/// Tid of a row that gets none: its tid would be at or above the bound.
-const DROPPED: i64 = -1;
-
-/// The grouping core: a relation's *row ids* (positions in scan order)
-/// partitioned into sub-relations. No tuple is cloned, hashed or compared —
-/// rows are told apart by the integer keys of [`RankKeys`], the ranking
-/// [`crate::CanonicalView`] sorts by.
-pub(crate) struct RowGroups<'a> {
-    ranked: RankKeys<'a>,
-    /// 0-based grouping positions, ascending.
-    positions: Vec<usize>,
+/// A relation's sub-relations on one grouping set, as *row ids* (positions
+/// in scan order): groups in canonical key order, each group's members in
+/// canonical order. Nothing else is stored — no tuple is cloned, and no
+/// name or key is kept once the order is known.
+#[derive(Clone, Debug)]
+pub(crate) struct GroupIndex {
     /// Row ids bucketed by group; group `g` owns
-    /// `rows[starts[g]..starts[g + 1]]`, in scan order until sorted.
+    /// `rows[starts[g]..starts[g + 1]]`.
     rows: Vec<u32>,
     starts: Vec<u32>,
 }
 
-impl<'a> RowGroups<'a> {
-    pub(crate) fn new(rel: &'a Relation, positions: &[usize], interner: &Interner) -> Self {
-        let mut positions: Vec<usize> = positions.to_vec();
-        positions.sort_unstable();
-        positions.dedup();
-        let ranked = rel.rank_keys(interner);
-
-        // Number the groups in first-seen order: `first[g]` is the row that
-        // stands for group `g`'s key.
-        let n = ranked.len() as u32;
-        let mut groups = IdTable::new();
-        let mut first: Vec<u32> = Vec::new();
-        let mut group_of: Vec<u32> = Vec::with_capacity(ranked.len());
-        for row in 0..n {
-            let key = ranked.key(row);
-            let mut h = FxHasher::default();
-            for &p in &positions {
-                h.write_u8(key[p].0);
-                h.write_u64(key[p].1 as u64);
+impl GroupIndex {
+    /// Sort the rows on the grouping columns first and then on the others
+    /// in column order — the keys' canonical order and, within a key, the
+    /// members' — with the packed integer keys of [`crate::CanonicalView`].
+    /// A group is then a run of rows with equal grouping columns.
+    pub(crate) fn build(rel: &Relation, positions: &[usize], interner: &Interner) -> Self {
+        let rest = (0..rel.arity()).filter(|c| !positions.contains(c));
+        let columns: Vec<usize> = positions.iter().copied().chain(rest).collect();
+        let view = rel.view_by(&columns, interner);
+        let mut rows = Vec::with_capacity(view.len());
+        let mut starts = Vec::new();
+        for pos in 0..view.len() {
+            let same_key = pos > 0
+                && positions
+                    .iter()
+                    .all(|&p| view.part(pos, p) == view.part(pos - 1, p));
+            if !same_key {
+                starts.push(pos as u32);
             }
-            let (g, new) = groups.find_or_push(h.finish(), |g| {
-                let other = ranked.key(first[g as usize]);
-                positions.iter().all(|&p| other[p] == key[p])
-            });
-            if new {
-                first.push(row);
-            }
-            group_of.push(g);
+            rows.push(view.row(pos) as u32);
         }
-
-        // Counting sort of the row ids by group.
-        let mut starts = vec![0u32; first.len() + 1];
-        for &g in &group_of {
-            starts[g as usize + 1] += 1;
-        }
-        for g in 0..first.len() {
-            starts[g + 1] += starts[g];
-        }
-        let mut fill = starts.clone();
-        let mut rows = vec![0u32; ranked.len()];
-        for (row, &g) in group_of.iter().enumerate() {
-            rows[fill[g as usize] as usize] = row as u32;
-            fill[g as usize] += 1;
-        }
-        RowGroups {
-            ranked,
-            positions,
-            rows,
-            starts,
-        }
+        starts.push(rows.len() as u32);
+        GroupIndex { rows, starts }
     }
 
     /// Number of sub-relations.
-    pub(crate) fn group_count(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.starts.len() - 1
     }
 
-    /// The tuples in scan order (index = row id).
-    pub(crate) fn tuples(&self) -> &[&'a Tuple] {
-        self.ranked.tuples()
+    /// Each group's member row ids: groups in canonical key order, members
+    /// in canonical order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| &self.rows[w[0] as usize..w[1] as usize])
     }
-
-    /// The grouping positions (0-based, ascending).
-    pub(crate) fn positions(&self) -> &[usize] {
-        &self.positions
-    }
-
-    /// Where group `g`'s members sit in `rows`.
-    fn span(&self, g: usize) -> std::ops::Range<usize> {
-        self.starts[g] as usize..self.starts[g + 1] as usize
-    }
-
-    fn members(&self, g: usize) -> &[u32] {
-        &self.rows[self.span(g)]
-    }
-
-    /// Put group `g`'s members in canonical order.
-    fn sort_members(&mut self, g: usize) {
-        let (span, ranked) = (self.span(g), &self.ranked);
-        self.rows[span].sort_unstable_by(|&a, &b| ranked.key(a).cmp(ranked.key(b)));
-    }
-
-    /// The group indices in canonical order of their keys.
-    fn canonical_order(&self) -> Vec<usize> {
-        let key_of = |g: usize| {
-            let key = self.ranked.key(self.members(g)[0]);
-            self.positions.iter().map(move |&p| key[p])
-        };
-        let mut order: Vec<usize> = (0..self.group_count()).collect();
-        order.sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)));
-        order
-    }
-
-    /// Tid per row id under the canonical ID-functions — a member's tid is
-    /// its canonical rank in its group — keeping only tids below `bound`.
-    /// A bounded group is not sorted: its `bound` smallest members are
-    /// selected (for `bound` 1, a running minimum) and only they are ranked.
-    pub(crate) fn canonical_tids(&mut self, bound: Option<usize>) -> Vec<i64> {
-        let mut tids = vec![DROPPED; self.rows.len()];
-        for g in 0..self.group_count() {
-            let (span, ranked) = (self.span(g), &self.ranked);
-            let by_key = |a: &u32, b: &u32| ranked.key(*a).cmp(ranked.key(*b));
-            let members = &mut self.rows[span];
-            let keep = bound.map_or(members.len(), |k| k.min(members.len()));
-            if keep == 0 {
-                continue;
-            }
-            if keep < members.len() {
-                members.select_nth_unstable_by(keep - 1, by_key);
-            }
-            members[..keep].sort_unstable_by(by_key);
-            for (rank, &row) in members[..keep].iter().enumerate() {
-                tids[row as usize] = rank as i64;
-            }
-        }
-        tids
-    }
-
-    /// Tid per row id when `perm_of(size)[k]` is the tid of a group's `k`-th
-    /// canonical member, keeping only tids below `bound`. `perm_of` is
-    /// called once per group in canonical key order, whatever the bound, so
-    /// a stateful source (a seeded generator) hands every group the
-    /// permutation it would get unbounded.
-    pub(crate) fn permuted_tids(
-        &mut self,
-        mut perm_of: impl FnMut(usize) -> Vec<i64>,
-        bound: Option<usize>,
-    ) -> Vec<i64> {
-        let mut tids = vec![DROPPED; self.rows.len()];
-        let limit = bound.map_or(i64::MAX, |k| i64::try_from(k).unwrap_or(i64::MAX));
-        for g in self.canonical_order() {
-            self.sort_members(g);
-            let members = self.members(g);
-            let perm = perm_of(members.len());
-            debug_assert_eq!(perm.len(), members.len(), "one tid per member");
-            for (&row, &tid) in members.iter().zip(&perm) {
-                if tid < limit {
-                    tids[row as usize] = tid;
-                }
-            }
-        }
-        tids
-    }
-}
-
-/// The rows of `tids` (see [`RowGroups::canonical_tids`]) that kept a tid,
-/// in scan order.
-pub(crate) fn kept(tids: &[i64]) -> impl Iterator<Item = (usize, i64)> + '_ {
-    tids.iter()
-        .enumerate()
-        .filter(|&(_, &tid)| tid != DROPPED)
-        .map(|(row, &tid)| (row, tid))
 }
 
 #[cfg(test)]

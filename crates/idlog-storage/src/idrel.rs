@@ -5,13 +5,20 @@
 //! `t ∈ r` with the tid its sub-relation's ID-function assigns it (\[She90b\]
 //! §2.1, Example 1). Choosing the ID-functions is the engine's only source of
 //! non-determinism.
+//!
+//! Every construction here — [`canonical_id_relation`],
+//! [`random_id_relation`] and the [`IdAssignment`]s — reads the base
+//! relation's group index ([`crate::group`]), which the relation builds once
+//! per version. What is left per build is the choice itself: the first `k`
+//! members of each group for a canonical `tid < k`, one permutation per group
+//! for a seeded draw, and the rows that keep a tid.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use idlog_common::{CommonError, CommonResult, FxHashMap, Interner, Tuple, Value};
 
-use crate::group::{kept, Grouping, RowGroups};
+use crate::group::{GroupIndex, Grouping};
 use crate::relation::Relation;
 
 /// How tids are drawn within each sub-relation.
@@ -24,14 +31,55 @@ pub enum TidOrder {
     Random,
 }
 
-/// A uniformly random permutation of `0..size`: the draw behind
-/// [`TidOrder::Random`], one per sub-relation in canonical key order.
-fn shuffled<R: Rng>(rng: &mut R) -> impl FnMut(usize) -> Vec<i64> + '_ {
-    move |size| {
-        let mut perm: Vec<i64> = (0..size as i64).collect();
+/// `(row id, tid)` for every row that keeps a tid.
+type RowTids = Vec<(u32, i64)>;
+
+/// The canonical ID-functions: a member's tid is its canonical rank in its
+/// group. Only tids below `bound` are kept, and only the members that keep
+/// one are visited: `O(groups × bound)`.
+fn canonical_tids(index: &GroupIndex, bound: Option<usize>) -> RowTids {
+    index
+        .groups()
+        .flat_map(|members| {
+            let keep = bound.map_or(members.len(), |k| k.min(members.len()));
+            let ranked = members[..keep].iter().enumerate();
+            ranked.map(|(rank, &row)| (row, rank as i64))
+        })
+        .collect()
+}
+
+/// An independent uniform permutation per group, drawn from `rng` in
+/// canonical key order: the `k`-th slot of a group's permutation is the tid
+/// of its `k`-th canonical member. Every group draws its full permutation
+/// whatever the bound, so the stream — and with it a bounded sample — is
+/// the unbounded one, with the tids at or above `bound` left out.
+fn random_tids<R: Rng>(index: &GroupIndex, rng: &mut R, bound: Option<usize>) -> RowTids {
+    let limit = bound.map_or(i64::MAX, |k| i64::try_from(k).unwrap_or(i64::MAX));
+    // One buffer for every group, sized once: a build allocates the same
+    // whatever the group sizes.
+    let largest = index.groups().map(<[u32]>::len).max().unwrap_or(0);
+    let mut perm: Vec<i64> = Vec::with_capacity(largest);
+    let mut kept = RowTids::new();
+    for members in index.groups() {
+        perm.clear();
+        perm.extend(0..members.len() as i64);
         perm.shuffle(rng);
-        perm
+        let tids = members.iter().zip(&perm).filter(|&(_, &tid)| tid < limit);
+        kept.extend(tids.map(|(&row, &tid)| (row, tid)));
     }
+    kept
+}
+
+/// The tuples of `rel` at the rows of `kept`, with their tids, in scan
+/// order: one forward walk of the scan that skips to each row.
+fn in_scan_order(rel: &Relation, mut kept: RowTids) -> impl Iterator<Item = (&Tuple, i64)> {
+    kept.sort_unstable_by_key(|&(row, _)| row);
+    let (mut scan, mut next) = (rel.iter(), 0);
+    kept.into_iter().filter_map(move |(row, tid)| {
+        let t = scan.nth(row as usize - next)?;
+        next = row as usize + 1;
+        Some((t, tid))
+    })
 }
 
 /// A concrete choice of ID-functions: a map from each tuple of the base
@@ -46,9 +94,8 @@ impl IdAssignment {
     /// Canonical assignment: within each group, tuples get tids in canonical
     /// order (tid 0 = canonically smallest).
     pub fn canonical(rel: &Relation, positions: &[usize], interner: &Interner) -> Self {
-        let mut groups = RowGroups::new(rel, positions, interner);
-        let tids = groups.canonical_tids(None);
-        Self::from_row_tids(&groups, &tids)
+        let (positions, index) = rel.group_index(positions, interner);
+        Self::from_row_tids(rel, positions, canonical_tids(index, None))
     }
 
     /// Random assignment: an independent uniform permutation per group.
@@ -58,9 +105,8 @@ impl IdAssignment {
         interner: &Interner,
         rng: &mut R,
     ) -> Self {
-        let mut groups = RowGroups::new(rel, positions, interner);
-        let tids = groups.permuted_tids(shuffled(rng), None);
-        Self::from_row_tids(&groups, &tids)
+        let (positions, index) = rel.group_index(positions, interner);
+        Self::from_row_tids(rel, positions, random_tids(index, rng, None))
     }
 
     /// Build from an explicit permutation per group: `perms[g][k]` is the tid
@@ -91,13 +137,11 @@ impl IdAssignment {
         }
     }
 
-    fn from_row_tids(groups: &RowGroups<'_>, tids: &[i64]) -> Self {
-        let tuples = groups.tuples();
-        let mut map = FxHashMap::with_capacity_and_hasher(tuples.len(), Default::default());
-        map.extend(kept(tids).map(|(row, tid)| (tuples[row].clone(), tid)));
+    fn from_row_tids(rel: &Relation, positions: &[usize], tids: RowTids) -> Self {
+        let tids = in_scan_order(rel, tids).map(|(t, tid)| (t.clone(), tid));
         IdAssignment {
-            positions: groups.positions().to_vec(),
-            tids: map,
+            positions: positions.to_vec(),
+            tids: tids.collect(),
         }
     }
 
@@ -157,16 +201,16 @@ pub struct IdRelationBuild {
 /// restricted to `tid < bound`: [`make_id_relation`] of
 /// [`IdAssignment::canonical`] with the rows at or above the bound left out —
 /// and never built. Each group keeps its `bound` canonically smallest
-/// members; no tuple of `rel` is cloned or hashed on the way.
+/// members, read off the relation's group index: on a relation grouped
+/// before, this costs `O(groups × bound)`.
 pub fn canonical_id_relation(
     rel: &Relation,
     positions: &[usize],
     interner: &Interner,
     bound: Option<usize>,
 ) -> IdRelationBuild {
-    let mut groups = RowGroups::new(rel, positions, interner);
-    let tids = groups.canonical_tids(bound);
-    build(rel, &groups, &tids)
+    let (_, index) = rel.group_index(positions, interner);
+    build(rel, index, canonical_tids(index, bound))
 }
 
 /// [`canonical_id_relation`] under an independent uniform permutation per
@@ -181,20 +225,18 @@ pub fn random_id_relation<R: Rng>(
     rng: &mut R,
     bound: Option<usize>,
 ) -> IdRelationBuild {
-    let mut groups = RowGroups::new(rel, positions, interner);
-    let tids = groups.permuted_tids(shuffled(rng), bound);
-    build(rel, &groups, &tids)
+    let (_, index) = rel.group_index(positions, interner);
+    build(rel, index, random_tids(index, rng, bound))
 }
 
-fn build(rel: &Relation, groups: &RowGroups<'_>, tids: &[i64]) -> IdRelationBuild {
-    let tuples = groups.tuples();
+fn build(rel: &Relation, index: &GroupIndex, tids: RowTids) -> IdRelationBuild {
     let mut relation = Relation::new(rel.rtype().id_version());
-    for (row, tid) in kept(tids) {
-        relation.insert_unchecked(tuples[row].with_appended(Value::Int(tid)));
+    for (t, tid) in in_scan_order(rel, tids) {
+        relation.insert_unchecked(t.with_appended(Value::Int(tid)));
     }
     IdRelationBuild {
         relation,
-        groups: groups.group_count(),
+        groups: index.len(),
     }
 }
 
@@ -289,6 +331,41 @@ mod tests {
             .unwrap();
         let err = make_id_relation(&bigger, &a).unwrap_err();
         assert!(err.to_string().contains("invariant"), "{err}");
+    }
+
+    /// A relation shared copy-on-write keeps the group index a build left
+    /// on it. A write through `Arc::make_mut` copies the relation and drops
+    /// the copy's index: the old version still answers from its own index,
+    /// and the written one groups again and sees the write.
+    #[test]
+    fn a_write_through_make_mut_regroups_the_copy_only() {
+        let i = Interner::new();
+        let t = |x: &str, y: &str, tid: i64| -> Tuple {
+            vec![
+                Value::Sym(i.intern(x)),
+                Value::Sym(i.intern(y)),
+                Value::Int(tid),
+            ]
+            .into()
+        };
+        let first = |r: &Relation| canonical_id_relation(r, &[0], &i, Some(1)).relation;
+        let mut shared = std::sync::Arc::new(example1_relation(&i));
+        let old = std::sync::Arc::clone(&shared);
+        let before = first(&shared);
+        assert!(before.contains(&t("a", "c", 0)));
+        let index: *const GroupIndex = old.group_index(&[0], &i).1;
+
+        let ab: Tuple = vec![Value::Sym(i.intern("a")), Value::Sym(i.intern("b"))].into();
+        std::sync::Arc::make_mut(&mut shared).insert(ab).unwrap();
+        assert!(std::ptr::eq(old.group_index(&[0], &i).1, index));
+        assert_eq!(
+            first(&old).iter().collect::<Vec<_>>(),
+            before.iter().collect::<Vec<_>>()
+        );
+        let after = first(&shared);
+        assert!(!std::ptr::eq(shared.group_index(&[0], &i).1, index));
+        assert!(after.contains(&t("a", "b", 0)) && !after.contains(&t("a", "c", 0)));
+        assert_eq!(after.len(), 2);
     }
 
     #[test]

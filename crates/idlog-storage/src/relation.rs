@@ -7,9 +7,10 @@ use idlog_common::{
     CommonError, CommonResult, FxHashSet, Interner, RelType, Sort, SymbolId, Tuple, Value,
 };
 
+use crate::group::GroupIndex;
 use crate::storage::{
-    estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, IndexHandle, Probe, ScanIter,
-    Storage,
+    estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, IndexHandle, Indexes, Probe,
+    ScanIter, Storage,
 };
 
 /// Which concrete backend a relation delegates to. Static dispatch: every
@@ -29,13 +30,16 @@ macro_rules! dispatch {
     };
 }
 
+/// [`dispatch!`] for a write, which drops the group indexes: they are not
+/// maintained.
 macro_rules! dispatch_mut {
-    ($self:expr, $b:ident => $e:expr) => {
+    ($self:expr, $b:ident => $e:expr) => {{
+        $self.groups = Indexes::default();
         match &mut $self.backend {
             BackendImpl::Hash($b) => $e,
             BackendImpl::Columnar($b) => $e,
         }
-    };
+    }};
 }
 
 /// A finite relation: a set of equal-arity, sort-consistent tuples.
@@ -49,6 +53,9 @@ macro_rules! dispatch_mut {
 pub struct Relation {
     rtype: RelType,
     backend: BackendImpl,
+    /// The sub-relations on each grouping set asked for so far
+    /// ([`Relation::group_index`]); every write drops them.
+    groups: Indexes<GroupIndex>,
 }
 
 impl Relation {
@@ -63,7 +70,11 @@ impl Relation {
             BackendKind::Hash => BackendImpl::Hash(HashBackend::new()),
             BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::new()),
         };
-        Relation { rtype, backend }
+        Relation {
+            rtype,
+            backend,
+            groups: Indexes::default(),
+        }
     }
 
     /// An empty relation with all-uninterpreted columns.
@@ -100,7 +111,8 @@ impl Relation {
         if self.backend_kind() == kind {
             return self;
         }
-        let Relation { rtype, backend } = self;
+        // The scan order changes, so no group index comes along.
+        let Relation { rtype, backend, .. } = self;
         let tuples = match backend {
             BackendImpl::Hash(b) => b.into_tuple_vec(),
             BackendImpl::Columnar(b) => b.into_tuple_vec(),
@@ -109,7 +121,11 @@ impl Relation {
             BackendKind::Hash => BackendImpl::Hash(HashBackend::from_tuples(tuples)),
             BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::from_tuples(tuples)),
         };
-        Relation { rtype, backend }
+        Relation {
+            rtype,
+            backend,
+            groups: Indexes::default(),
+        }
     }
 
     /// The relation's declared type.
@@ -221,6 +237,24 @@ impl Relation {
         dispatch!(self, b => b.ensure_index(positions))
     }
 
+    /// The sub-relations on `positions` (deduplicated and sorted; returned
+    /// as stored) in canonical order, built on the first request through a
+    /// shared reference as [`Relation::ensure_index`] builds, and kept until
+    /// the next write, which drops it; clones carry it. `interner` must be
+    /// the one this relation's symbols come from: the order reads their
+    /// names, which never change once interned.
+    pub(crate) fn group_index(
+        &self,
+        positions: &[usize],
+        interner: &Interner,
+    ) -> (&[usize], &GroupIndex) {
+        let mut positions = positions.to_vec();
+        positions.sort_unstable();
+        positions.dedup();
+        self.groups
+            .get_or_build(&positions, || GroupIndex::build(self, &positions, interner))
+    }
+
     /// All tuples whose projection on `positions` equals `key` (one value
     /// per position, in position order). Indexed when
     /// [`Relation::ensure_index`] ran for `positions`; a correct (but
@@ -255,19 +289,23 @@ impl Relation {
     /// A borrowed view of this relation in canonical (name-based) order —
     /// the one ordering every consumer shares. See [`CanonicalView`].
     pub fn canonical_view<'a>(&'a self, interner: &Interner) -> CanonicalView<'a> {
-        CanonicalView::new(self.ranked(interner))
+        let columns: Vec<usize> = (0..self.arity()).collect();
+        self.view_by(&columns, interner)
+    }
+
+    /// [`Relation::canonical_view`] with the columns compared in the order
+    /// `columns` lists them, a permutation of `0..arity`.
+    pub(crate) fn view_by<'a>(
+        &'a self,
+        columns: &[usize],
+        interner: &Interner,
+    ) -> CanonicalView<'a> {
+        CanonicalView::new(self.ranked(interner), columns)
     }
 
     /// This relation's tuples with their symbols ranked by name.
     fn ranked<'a>(&'a self, interner: &Interner) -> Ranked<'a> {
         Ranked::new(self.arity(), self.iter().collect(), interner)
-    }
-
-    /// This relation's tuples with their canonical sort keys, unsorted.
-    pub(crate) fn rank_keys<'a>(&'a self, interner: &Interner) -> RankKeys<'a> {
-        let ranked = self.ranked(interner);
-        let keys = ranked.key_parts();
-        RankKeys { ranked, keys }
     }
 
     /// All tuples in canonical (name-based) order, as owned copies.
@@ -381,14 +419,16 @@ impl<'a> Ranked<'a> {
             }
         }
 
-        // Resolve each name once, then rank the symbols by name. Most
-        // comparisons end at the names' first eight bytes, held as one
-        // big-endian integer beside the symbol's number.
+        // Resolve each name once, all under one hold of the interner's
+        // lock, then rank the symbols by name. Most comparisons end at the
+        // names' first eight bytes, held as one big-endian integer beside
+        // the symbol's number.
         let mut text = String::new();
         let mut spans: Vec<std::ops::Range<u32>> = Vec::with_capacity(symbols.len());
         let mut by_name: Vec<(u64, u32)> = Vec::with_capacity(symbols.len());
-        for (number, &s) in symbols.iter().enumerate() {
-            interner.with_resolved(s, |name| {
+        interner.with_names(|names| {
+            for (number, &s) in symbols.iter().enumerate() {
+                let name = names.resolve(s);
                 let mut prefix = [0u8; 8];
                 let n = name.len().min(8);
                 prefix[..n].copy_from_slice(&name.as_bytes()[..n]);
@@ -396,8 +436,8 @@ impl<'a> Ranked<'a> {
                 let start = text.len();
                 text.push_str(name);
                 spans.push(start as u32..text.len() as u32);
-            });
-        }
+            }
+        });
         assert!(
             u32::try_from(text.len()).is_ok(),
             "symbol names exceed the u32 offset range"
@@ -450,30 +490,6 @@ impl<'a> Ranked<'a> {
             keys.extend(t.values().iter().map(|v| self.part(v)));
         }
         keys
-    }
-}
-
-/// [`Ranked`] tuples with their flat [`KeyPart`] keys: what the
-/// sub-relation grouping in [`crate::group`] hashes and compares.
-pub(crate) struct RankKeys<'a> {
-    ranked: Ranked<'a>,
-    keys: Vec<KeyPart>,
-}
-
-impl<'a> RankKeys<'a> {
-    /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
-        self.ranked.len()
-    }
-
-    /// The tuples in scan order (index = row id).
-    pub(crate) fn tuples(&self) -> &[&'a Tuple] {
-        &self.ranked.tuples
-    }
-
-    /// The sort key of row `row`.
-    pub(crate) fn key(&self, row: u32) -> &[KeyPart] {
-        &self.keys[row as usize * self.ranked.arity..][..self.ranked.arity]
     }
 }
 
@@ -535,32 +551,41 @@ pub struct CanonicalView<'a> {
 }
 
 impl<'a> CanonicalView<'a> {
-    fn new(ranked: Ranked<'a>) -> Self {
-        let order = Self::packed(&ranked).unwrap_or_else(|| Self::wide(&ranked));
+    /// The view comparing columns in the order `columns` lists them.
+    fn new(ranked: Ranked<'a>, columns: &[usize]) -> Self {
+        debug_assert!(
+            columns.len() == ranked.arity && (0..ranked.arity).all(|c| columns.contains(&c)),
+            "columns must permute 0..arity"
+        );
+        let order = Self::packed(&ranked, columns).unwrap_or_else(|| Self::wide(&ranked, columns));
         CanonicalView { ranked, order }
     }
 
     /// The packed order, when every row's key fits beside its row id.
-    fn packed(ranked: &Ranked<'_>) -> Option<Order> {
-        // Lay the columns out from the last (lowest) to the first, above
-        // the row id.
-        let row_bits = width_of(ranked.len() as u128);
-        let mut used = row_bits;
+    fn packed(ranked: &Ranked<'_>, columns: &[usize]) -> Option<Order> {
         let mut cols = Vec::with_capacity(ranked.arity);
-        for &(ints, has_sym) in ranked.cols.iter().rev() {
+        for &(ints, has_sym) in &ranked.cols {
             let int_codes = ints.map_or(0, |(lo, hi)| hi.abs_diff(lo) as u128 + 1);
             let sym_codes = if has_sym { ranked.names.len() } else { 0 };
-            let width = width_of(int_codes + sym_codes as u128);
             cols.push(PackedCol {
-                // A column of one value takes no bits, wherever it sits.
-                shift: if width == 0 { 0 } else { used },
-                mask: low_bits(width),
+                shift: 0,
+                mask: low_bits(width_of(int_codes + sym_codes as u128)),
                 int_min: ints.map_or(0, |(lo, _)| lo),
                 int_codes: int_codes as u64,
             });
+        }
+        // Lay the columns out from the last compared (lowest) to the first,
+        // above the row id.
+        let row_bits = width_of(ranked.len() as u128);
+        let mut used = row_bits;
+        for &c in columns.iter().rev() {
+            let width = cols[c].mask.count_ones();
+            // A column of one value takes no bits, wherever it sits.
+            if width > 0 {
+                cols[c].shift = used;
+            }
             used = used.checked_add(width).filter(|&bits| bits <= 64)?;
         }
-        cols.reverse();
         let mut sorted: Vec<u64> = Vec::with_capacity(ranked.len());
         for (row, t) in ranked.tuples.iter().enumerate() {
             let mut packed = row as u64;
@@ -584,9 +609,12 @@ impl<'a> CanonicalView<'a> {
     }
 
     /// The comparator order: any keys, at 16 bytes per value.
-    fn wide(ranked: &Ranked<'_>) -> Order {
+    fn wide(ranked: &Ranked<'_>, columns: &[usize]) -> Order {
         let keys = ranked.key_parts();
-        let key = |row: u32| &keys[row as usize * ranked.arity..][..ranked.arity];
+        let key = |row: u32| {
+            let key = &keys[row as usize * ranked.arity..][..ranked.arity];
+            columns.iter().map(move |&c| key[c])
+        };
         let mut perm: Vec<u32> = (0..ranked.len() as u32).collect();
         // Distinct keys again: the unstable sort has no ties to reorder.
         perm.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
@@ -604,7 +632,7 @@ impl<'a> CanonicalView<'a> {
     }
 
     /// Row id of the tuple at canonical position `pos`.
-    fn row(&self, pos: usize) -> usize {
+    pub(crate) fn row(&self, pos: usize) -> usize {
         match &self.order {
             Order::Packed {
                 sorted, row_mask, ..
@@ -614,7 +642,7 @@ impl<'a> CanonicalView<'a> {
     }
 
     /// Key part of column `col` of the tuple at canonical position `pos`.
-    fn part(&self, pos: usize, col: usize) -> KeyPart {
+    pub(crate) fn part(&self, pos: usize, col: usize) -> KeyPart {
         match &self.order {
             Order::Packed { sorted, cols, .. } => {
                 let col = &cols[col];
@@ -762,9 +790,10 @@ mod tests {
 
     /// The two shapes of the canonical order — packed integers, and the
     /// key comparator they fall back to — agree on every relation both can
-    /// sort: same permutation, same rendered rows. Arity 0–4, both sorts per
-    /// column, negative and extreme ints; a column spanning `i64::MIN` to
-    /// `i64::MAX` is too wide to pack and must say so.
+    /// sort, whichever column is compared first: same permutation, same
+    /// rendered rows. Arity 0–4, both sorts per column, negative and extreme
+    /// ints; a column spanning `i64::MIN` to `i64::MAX` is too wide to pack
+    /// and must say so.
     mod packed_order {
         use super::*;
         use proptest::prelude::*;
@@ -785,6 +814,7 @@ mod tests {
                 int_column in proptest::collection::vec(any::<bool>(), 4),
                 rows in proptest::collection::vec(proptest::collection::vec(0usize..8, 4), 0..20),
                 narrow in any::<bool>(),
+                rotation in 0usize..4,
             ) {
                 let i = Interner::new();
                 for name in ["zz", "b0", "b", "ab", "a_1", "a", "B", ""] {
@@ -811,16 +841,19 @@ mod tests {
                     has(i64::MIN) && has(i64::MAX)
                 };
                 let too_wide = (0..arity).any(spans_all);
+                // The columns compared in a rotated order: a group index
+                // compares its grouping columns first.
+                let columns: Vec<usize> = (0..arity).map(|c| (c + rotation) % arity.max(1)).collect();
 
                 let ranked = rel.ranked(&i);
-                let order = CanonicalView::wide(&ranked);
+                let order = CanonicalView::wide(&ranked, &columns);
                 let wide = CanonicalView { ranked, order };
                 let mut expected: Vec<Tuple> = rel.iter().cloned().collect();
-                expected.sort_by(|a, b| a.cmp_canonical(b, &i));
+                expected.sort_by(|a, b| a.project(&columns).cmp_canonical(&b.project(&columns), &i));
                 prop_assert_eq!(&rendered(&wide).0, &expected);
 
                 let ranked = rel.ranked(&i);
-                match CanonicalView::packed(&ranked) {
+                match CanonicalView::packed(&ranked, &columns) {
                     Some(order) => {
                         prop_assert!(!too_wide, "64-bit column packed");
                         let packed = CanonicalView { ranked, order };
@@ -831,6 +864,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Threads asking for the same group index at once, through a shared
+    /// reference, build it once and all read that one; a write drops it.
+    #[test]
+    fn threads_asking_at_once_build_one_group_index() {
+        let i = Interner::new();
+        let mut r = Relation::elementary(2);
+        for n in 0..2_000 {
+            r.insert(vec![sym(&i, &format!("g{}", n % 20)), sym(&i, &format!("m{n}"))].into())
+                .unwrap();
+        }
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<usize> = std::thread::scope(|scope| {
+            let asks: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let (_, index) = r.group_index(&[0], &i);
+                        assert_eq!(index.len(), 20);
+                        index as *const GroupIndex as usize
+                    })
+                })
+                .collect();
+            asks.into_iter().map(|a| a.join().unwrap()).collect()
+        });
+        assert!(built.windows(2).all(|w| w[0] == w[1]), "{built:?}");
+        assert_eq!(r.groups.nodes().count(), 1, "one index built");
+        r.insert(vec![sym(&i, "g0"), sym(&i, "late")].into())
+            .unwrap();
+        assert_eq!(r.groups.nodes().count(), 0, "the write dropped it");
     }
 
     #[test]

@@ -191,6 +191,21 @@ impl<'a> Iterator for ScanIter<'a> {
             },
         }
     }
+
+    /// Skips whole runs and slices, so walking forward to sparse row ids
+    /// costs the rows visited, not the rows passed.
+    fn nth(&mut self, mut n: usize) -> Option<&'a Tuple> {
+        match &mut self.0 {
+            ScanInner::Slice(it) => it.nth(n),
+            ScanInner::Runs { rest, cur } => loop {
+                if n < cur.len() {
+                    return cur.nth(n);
+                }
+                n -= cur.len();
+                *cur = rest.next()?.tuples.iter();
+            },
+        }
+    }
 }
 
 /// The result of an indexed [`Storage::probe`]: the matching tuples, as up
@@ -339,12 +354,12 @@ impl<'a> IndexHandle<'a> {
 /// build it once; asking for different ones, they append both. A relation
 /// carries a handful of indexes, so a search walks a handful of links.
 #[derive(Clone, Debug)]
-struct Indexes<T> {
+pub(crate) struct Indexes<T> {
     head: OnceLock<Box<IndexNode<T>>>,
 }
 
 #[derive(Clone, Debug)]
-struct IndexNode<T> {
+pub(crate) struct IndexNode<T> {
     positions: Box<[usize]>,
     index: T,
     next: Indexes<T>,
@@ -360,7 +375,7 @@ impl<T> Default for Indexes<T> {
 
 impl<T> Indexes<T> {
     /// The nodes in the order they were built.
-    fn nodes(&self) -> impl Iterator<Item = &IndexNode<T>> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = &IndexNode<T>> {
         std::iter::successors(self.head.get(), |node| node.next.head.get()).map(|b| &**b)
     }
 
@@ -373,7 +388,11 @@ impl<T> Indexes<T> {
 
     /// The index on `positions`, built by `build` if no one has yet; with
     /// the positions as the list stores them.
-    fn get_or_build(&self, positions: &[usize], build: impl Fn() -> T) -> (&[usize], &T) {
+    pub(crate) fn get_or_build(
+        &self,
+        positions: &[usize],
+        build: impl Fn() -> T,
+    ) -> (&[usize], &T) {
         let mut link = self;
         loop {
             let node = link.head.get_or_init(|| {

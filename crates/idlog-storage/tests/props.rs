@@ -1,11 +1,14 @@
 //! Property-based tests for relations, grouping, and ID-relations.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use idlog_common::{Interner, RelType, Sort, Tuple, Value};
 use idlog_storage::{
-    count_bounded_assignments, count_id_functions, group_by, make_id_relation, BackendKind,
-    BoundedAssignmentIter, Database, IdAssignment, IdAssignmentIter, Relation, ValueSummary,
+    canonical_id_relation, count_bounded_assignments, count_id_functions, group_by,
+    make_id_relation, random_id_relation, BackendKind, BoundedAssignmentIter, Database,
+    IdAssignment, IdAssignmentIter, Relation, ValueSummary,
 };
 
 /// [`Database::value_summary`] computed from scratch, the obvious way.
@@ -263,6 +266,109 @@ proptest! {
         prop_assert_eq!(db.value_summary(), summary_by_hand(&db));
         for (snapshot, truth) in &snapshots {
             prop_assert_eq!(snapshot.value_summary(), *truth);
+        }
+    }
+
+    /// A relation keeps its group index from one ID-relation build to the
+    /// next and every write drops it: on both backends, after any sequence
+    /// of insert and remove batches, every build — canonical at bounds
+    /// none, 1, 2 and one above every group; seeded on two seeds — and
+    /// every `group_by` equals the same on a fresh relation that replays
+    /// the batches and has never been grouped: the same set in the same scan
+    /// order. So does each build on a clone taken once the index existed,
+    /// then and after later writes to the original.
+    #[test]
+    fn cached_id_relations_equal_builds_on_a_fresh_relation(
+        steps in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0usize..3, 0usize..6), 0..6)), 1..12),
+        columnar in any::<bool>(),
+        by_member in any::<bool>(),
+    ) {
+        let interner = Interner::new();
+        for name in NAMES.iter().rev() {
+            interner.intern(name);
+        }
+        let kind = if columnar { BackendKind::Columnar } else { BackendKind::Hash };
+        let positions: &[usize] = if by_member { &[1] } else { &[0] };
+        let tuple = |&(g, m): &(usize, usize)| -> Tuple {
+            vec![
+                Value::Sym(interner.intern(NAMES[g])),
+                Value::Sym(interner.intern(NAMES[m + 1])),
+            ]
+            .into()
+        };
+        let replay = |log: &[(bool, Vec<Tuple>)]| {
+            let mut rel = Relation::new_in(RelType::elementary(2), kind);
+            for (insert, batch) in log {
+                let batch: Vec<&Tuple> = batch.iter().collect();
+                if *insert {
+                    rel.delta_batch_insert(&batch);
+                } else {
+                    rel.remove_batch(&batch);
+                }
+            }
+            rel
+        };
+        // Every build, twice over on `rel` — the second reads the index
+        // the first left — against one on a fresh replay each.
+        let agree = |rel: &Relation, log: &[(bool, Vec<Tuple>)]| {
+            let scan = |r: &Relation| r.iter().cloned().collect::<Vec<Tuple>>();
+            let canonical = |r: &Relation, bound| {
+                let built = canonical_id_relation(r, positions, &interner, bound);
+                (built.groups, scan(&built.relation))
+            };
+            let seeded = |r: &Relation, seed, bound| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let built = random_id_relation(r, positions, &interner, &mut rng, bound);
+                (built.groups, scan(&built.relation))
+            };
+            let groups = |r: &Relation| {
+                let g = group_by(r, positions, &interner);
+                g.iter().map(|(k, ms)| (k.clone(), ms.to_vec())).collect::<Vec<_>>()
+            };
+            for _ in 0..2 {
+                for bound in [None, Some(1), Some(2), Some(7)] {
+                    assert_eq!(canonical(rel, bound), canonical(&replay(log), bound));
+                }
+                for seed in [3, 11] {
+                    for bound in [None, Some(2)] {
+                        assert_eq!(seeded(rel, seed, bound), seeded(&replay(log), seed, bound));
+                    }
+                }
+                assert_eq!(groups(rel), groups(&replay(log)));
+                assert_eq!(
+                    IdAssignment::canonical(rel, positions, &interner),
+                    IdAssignment::canonical(&replay(log), positions, &interner)
+                );
+            }
+        };
+        let mut rel = Relation::new_in(RelType::elementary(2), kind);
+        let mut log: Vec<(bool, Vec<Tuple>)> = Vec::new();
+        let mut clones: Vec<(Relation, usize)> = Vec::new();
+        for (op, batch) in steps {
+            let batch: Vec<Tuple> = batch.iter().map(tuple).collect();
+            let refs: Vec<&Tuple> = batch.iter().collect();
+            match op {
+                0 => {
+                    rel.delta_batch_insert(&refs);
+                    log.push((true, batch));
+                }
+                1 => {
+                    rel.remove_batch(&refs);
+                    log.push((false, batch));
+                }
+                2 => agree(&rel, &log),
+                _ => {
+                    agree(&rel, &log);
+                    let clone = rel.clone();
+                    agree(&clone, &log);
+                    clones.push((clone, log.len()));
+                }
+            }
+        }
+        agree(&rel, &log);
+        for (clone, version) in &clones {
+            agree(clone, &log[..*version]);
         }
     }
 
