@@ -4,8 +4,8 @@
 //! out (`0, 1, 2, …` in first-insert order); the table keeps one `u32` per
 //! id and one map entry per distinct hash. Ids whose keys share a 64-bit
 //! hash form a chain, and the caller's equality closure picks the right
-//! link. The [`crate::Interner`] keeps its names this way (one allocation
-//! per symbol, growth rehashes integers instead of strings), and
+//! link. The [`crate::Interner`] keeps its names this way (the names sit
+//! in one arena, growth rehashes integers instead of strings), and
 //! `idlog-storage` partitions relation rows into sub-relations with it and
 //! finds a stored tuple's offset with it. A caller that removes a key by
 //! moving its last key into the hole tells the table with

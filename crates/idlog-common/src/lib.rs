@@ -28,6 +28,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use idtable::IdTable;
 pub use json::Json;
 pub use sort::{RelType, Sort};
-pub use symbol::{Interner, Names, SymbolId};
+pub use symbol::{Interner, InternerGuard, Names, SymbolId};
 pub use tuple::Tuple;
 pub use value::Value;

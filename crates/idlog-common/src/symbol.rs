@@ -5,10 +5,16 @@
 //! we intern their names once and pass around 4-byte [`SymbolId`]s. The
 //! interner is shared (`&self` interning behind a mutex) so that parsed
 //! programs, databases, and answers can all reference one symbol table.
+//!
+//! The names live in one append-only arena: a `String` holding every name
+//! back to back and a `u32` end offset per id. Interning a new name appends
+//! its bytes; a symbol costs no allocation of its own, and dropping the
+//! interner frees two buffers and the hash table. Ids are dense in
+//! first-intern order, as they were when each name had its own box.
 
 use std::fmt;
 use std::hash::Hasher;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::fxhash::FxHasher;
 use crate::idtable::IdTable;
@@ -36,12 +42,36 @@ impl fmt::Debug for SymbolId {
     }
 }
 
-/// Each name is stored once, in `names`; `ids` finds a name's index from
-/// its hash and never holds the string.
+/// Each name is stored once, back to back with the others in `bytes`:
+/// name `id` ends at `ends[id]` and starts where name `id - 1` ends. `ids`
+/// finds a name's id from its hash and never holds the string.
 #[derive(Default)]
 struct InternerState {
-    names: Vec<Box<str>>,
+    bytes: String,
+    ends: Vec<u32>,
     ids: IdTable,
+}
+
+impl InternerState {
+    fn names(&self) -> Names<'_> {
+        Names {
+            bytes: &self.bytes,
+            ends: &self.ends,
+        }
+    }
+
+    fn intern(&mut self, name: &str, hash: u64) -> SymbolId {
+        let InternerState { bytes, ends, ids } = self;
+        let names = Names { bytes, ends };
+        let (id, new) = ids.find_or_push(hash, |id| names.resolve(SymbolId(id)) == name);
+        if new {
+            let end = u32::try_from(bytes.len() + name.len())
+                .expect("symbol arena exceeds u32::MAX bytes");
+            bytes.push_str(name);
+            ends.push(end);
+        }
+        SymbolId(id)
+    }
 }
 
 fn hash_name(name: &str) -> u64 {
@@ -53,7 +83,9 @@ fn hash_name(name: &str) -> u64 {
 /// A shared string interner.
 ///
 /// Interning and resolution take `&self`; the interner can sit in an `Arc`
-/// and be shared between the parser, the engine, and report printers.
+/// and be shared between the parser, the engine, and report printers. A
+/// caller interning many names in a row holds the lock once through
+/// [`Interner::lock`].
 #[derive(Default)]
 pub struct Interner {
     state: Mutex<InternerState>,
@@ -67,7 +99,7 @@ impl Interner {
 
     /// Intern `name`, returning its stable id. Idempotent.
     pub fn intern(&self, name: &str) -> SymbolId {
-        self.intern_hashed(name, hash_name(name))
+        self.lock().intern(name)
     }
 
     /// Look up a previously interned name without interning it.
@@ -75,32 +107,29 @@ impl Interner {
         self.get_hashed(name, hash_name(name))
     }
 
-    fn intern_hashed(&self, name: &str, hash: u64) -> SymbolId {
-        let mut st = self.state.lock().expect("interner poisoned");
-        let InternerState { names, ids } = &mut *st;
-        let (id, new) = ids.find_or_push(hash, |id| &*names[id as usize] == name);
-        if new {
-            names.push(name.into());
-        }
-        SymbolId(id)
+    /// Hold the lock until the guard drops, interning through it without
+    /// taking the lock per name. Every other method of this interner
+    /// blocks — on this thread, deadlocks — while the guard lives.
+    pub fn lock(&self) -> InternerGuard<'_> {
+        InternerGuard(self.state.lock().expect("interner poisoned"))
     }
 
     fn get_hashed(&self, name: &str, hash: u64) -> Option<SymbolId> {
         let st = self.state.lock().expect("interner poisoned");
+        let names = st.names();
         st.ids
-            .find(hash, |id| &*st.names[id as usize] == name)
+            .find(hash, |id| names.resolve(SymbolId(id)) == name)
             .map(SymbolId)
     }
 
     /// Resolve `id` to its string. Panics if `id` came from another interner.
     pub fn resolve(&self, id: SymbolId) -> String {
-        self.state.lock().expect("interner poisoned").names[id.index()].to_string()
+        self.with_resolved(id, str::to_string)
     }
 
     /// Run `f` on the resolved string without allocating a copy.
     pub fn with_resolved<R>(&self, id: SymbolId, f: impl FnOnce(&str) -> R) -> R {
-        let st = self.state.lock().expect("interner poisoned");
-        f(&st.names[id.index()])
+        self.with_names(|names| f(names.resolve(id)))
     }
 
     /// Run `f` with every interned name readable through [`Names`], under
@@ -108,12 +137,12 @@ impl Interner {
     /// uses instead of one [`Interner::with_resolved`] per symbol.
     pub fn with_names<R>(&self, f: impl FnOnce(Names<'_>) -> R) -> R {
         let st = self.state.lock().expect("interner poisoned");
-        f(Names(&st.names))
+        f(st.names())
     }
 
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("interner poisoned").names.len()
+        self.state.lock().expect("interner poisoned").ends.len()
     }
 
     /// True if nothing has been interned.
@@ -127,20 +156,33 @@ impl Interner {
         if a == b {
             return std::cmp::Ordering::Equal;
         }
-        let st = self.state.lock().expect("interner poisoned");
-        st.names[a.index()].cmp(&st.names[b.index()])
+        self.with_names(|names| names.resolve(a).cmp(names.resolve(b)))
+    }
+}
+
+/// An [`Interner`] held locked ([`Interner::lock`]).
+pub struct InternerGuard<'a>(MutexGuard<'a, InternerState>);
+
+impl InternerGuard<'_> {
+    /// [`Interner::intern`] under the lock this guard holds.
+    pub fn intern(&mut self, name: &str) -> SymbolId {
+        self.0.intern(name, hash_name(name))
     }
 }
 
 /// An [`Interner`]'s names, borrowed while its lock is held
 /// ([`Interner::with_names`]).
 #[derive(Clone, Copy)]
-pub struct Names<'a>(&'a [Box<str>]);
+pub struct Names<'a> {
+    bytes: &'a str,
+    ends: &'a [u32],
+}
 
 impl<'a> Names<'a> {
     /// The name of `id`. Panics if `id` came from another interner.
     pub fn resolve(self, id: SymbolId) -> &'a str {
-        &self.0[id.index()]
+        let start = id.index().checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.bytes[start as usize..self.ends[id.index()] as usize]
     }
 }
 
@@ -175,6 +217,21 @@ mod tests {
             assert_eq!(names.resolve(id), "engineering");
             assert_eq!(names.resolve(other), "sales");
         });
+    }
+
+    #[test]
+    fn a_held_lock_interns_like_intern() {
+        let (one, held) = (Interner::new(), Interner::new());
+        let names = ["b", "a", "", "b", "Ω", "a", "ab"];
+        let want: Vec<_> = names.iter().map(|n| one.intern(n)).collect();
+        let mut guard = held.lock();
+        let got: Vec<_> = names.iter().map(|n| guard.intern(n)).collect();
+        drop(guard);
+        assert_eq!(got, want);
+        assert_eq!(held.len(), 5);
+        for (name, id) in names.iter().zip(got) {
+            assert_eq!(held.resolve(id), *name);
+        }
     }
 
     #[test]
@@ -218,11 +275,12 @@ mod tests {
     #[test]
     fn names_forced_onto_one_key_both_resolve() {
         let i = Interner::new();
-        let a = i.intern_hashed("left", 42);
-        let b = i.intern_hashed("right", 42);
+        let intern = |name| i.lock().0.intern(name, 42);
+        let a = intern("left");
+        let b = intern("right");
         assert_ne!(a, b);
-        assert_eq!(i.intern_hashed("left", 42), a);
-        assert_eq!(i.intern_hashed("right", 42), b);
+        assert_eq!(intern("left"), a);
+        assert_eq!(intern("right"), b);
         assert_eq!(i.get_hashed("right", 42), Some(b));
         assert_eq!(i.get_hashed("absent", 42), None);
         assert_eq!(

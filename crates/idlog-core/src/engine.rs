@@ -62,7 +62,7 @@ use crate::stats::EvalStats;
 /// evaluation.
 ///
 /// Every relation sits behind an [`Arc`]. An input relation is the
-/// database's own ([`EvalState::share`]); the others start owned. A write
+/// database's own, shared rather than copied; the others start owned. A write
 /// goes through [`Arc::make_mut`], so the first write to a relation someone
 /// else still holds copies it once, and later writes change it in place.
 /// Cloning the state (once per enumeration branch) copies pointers, and
@@ -282,7 +282,7 @@ impl WorkItem<'_> {
     }
 
     /// The profile record for this item's execution.
-    fn record(&self, out_len: usize, stats: EvalStats, wall_nanos: u64) -> ItemRec {
+    fn record(&self, stats: EvalStats, wall_nanos: u64) -> ItemRec {
         let (delta_step, delta_tuples) = match self.drive {
             Drive::First(shard) => (Some(self.rule.plan.driven_step()), shard.len() as u64),
             Drive::Full => (None, 0),
@@ -291,7 +291,6 @@ impl WorkItem<'_> {
             clause: self.rule.plan.clause_idx,
             delta_step,
             delta_tuples,
-            out_len,
             stats,
             wall_nanos,
         }
@@ -334,14 +333,36 @@ fn shard_count(n: usize) -> usize {
 /// executor's binding scratch) keep their capacity across
 /// [`Derived::clear`], so a fixpoint reuses its buffers — one, plus one per
 /// pool worker — for all its rounds.
+///
+/// A run does not buffer a head tuple equal to the one it emitted just
+/// before; it counts it in its run's `suppressed`. That tuple would have
+/// been a duplicate within the run, and [`absorb`] keeps the first
+/// occurrence of a tuple in run order, so relations, deltas and `inserted`
+/// are what buffering it gave. `absorb` counts `derived` as the run's
+/// tuples plus its suppressed ones. This is what keeps an existential tail
+/// (paper §4's `p(X) :- q(X, Z), z(Z, Y), y(W).`, whose innermost steps
+/// bind no head variable) from buffering one tuple per instantiation.
+/// Every other reader of the runs takes them as sets and counts nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Derived {
     tuples: Vec<Tuple>,
-    /// Per run, in run order: the head predicate and where the run's tuples
-    /// end in `tuples` (they start where the previous run's end).
-    runs: Vec<(SymbolId, usize)>,
+    /// Per run, in run order.
+    runs: Vec<Run>,
     /// Variable bindings of the run in flight.
     bindings: Vec<Option<Value>>,
+}
+
+/// One run of a [`Derived`].
+#[derive(Debug)]
+struct Run {
+    /// The head predicate.
+    pred: SymbolId,
+    /// Where the run's tuples end in `tuples`; they start where the previous
+    /// run's end.
+    end: usize,
+    /// Head tuples the run emitted but did not buffer, each equal to the
+    /// one before it.
+    suppressed: u64,
 }
 
 impl Derived {
@@ -361,17 +382,24 @@ impl Derived {
         let plan = rule.plan;
         self.bindings.clear();
         self.bindings.resize(plan.n_vars, None);
-        RuleRun {
+        let mut run = RuleRun {
             view,
             plan,
             sources: rule.sources,
             drive,
             bindings: &mut self.bindings,
+            start: self.tuples.len(),
             out: &mut self.tuples,
+            suppressed: 0,
             stats,
-        }
-        .exec(0)?;
-        self.runs.push((plan.head_pred, self.tuples.len()));
+        };
+        run.exec(0)?;
+        let suppressed = run.suppressed;
+        self.runs.push(Run {
+            pred: plan.head_pred,
+            end: self.tuples.len(),
+            suppressed,
+        });
         Ok(())
     }
 
@@ -388,14 +416,14 @@ impl Derived {
 
     /// Where run `ri`'s tuples sit in `tuples`.
     fn span(&self, ri: usize) -> std::ops::Range<usize> {
-        let start = ri.checked_sub(1).map_or(0, |prev| self.runs[prev].1);
-        start..self.runs[ri].1
+        let start = ri.checked_sub(1).map_or(0, |prev| self.runs[prev].end);
+        start..self.runs[ri].end
     }
 
     /// The non-empty runs in run order: head predicate and tuples.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (SymbolId, &[Tuple])> {
         (0..self.runs.len())
-            .map(|ri| (self.runs[ri].0, &self.tuples[self.span(ri)]))
+            .map(|ri| (self.runs[ri].pred, &self.tuples[self.span(ri)]))
             .filter(|(_, tuples)| !tuples.is_empty())
     }
 
@@ -405,20 +433,20 @@ impl Derived {
         // `ri` is the run of the tuple being visited, `end` where that run
         // ended before the compaction.
         let (mut ri, mut visited, mut kept) = (0usize, 0usize, 0usize);
-        let mut end = runs.first().map_or(0, |r| r.1);
+        let mut end = runs.first().map_or(0, |r| r.end);
         self.tuples.retain(|t| {
             while visited == end {
-                runs[ri].1 = kept;
+                runs[ri].end = kept;
                 ri += 1;
-                end = runs[ri].1;
+                end = runs[ri].end;
             }
             visited += 1;
-            let keeps = keep(runs[ri].0, t);
+            let keeps = keep(runs[ri].pred, t);
             kept += usize::from(keeps);
             keeps
         });
         for run in &mut runs[ri..] {
-            run.1 = kept;
+            run.end = kept;
         }
     }
 }
@@ -520,12 +548,11 @@ fn run_items(
             };
             // Profiled: per-item local stats so counters can be attributed,
             // merged into `stats` exactly as the parallel path does.
-            let before = out.tuples.len();
             let started = std::time::Instant::now();
             let mut local = EvalStats::default();
             run_item(state, item, out, &mut local)?;
             let nanos = started.elapsed().as_nanos() as u64;
-            recs.push(item.record(out.tuples.len() - before, local, nanos));
+            recs.push(item.record(local, nanos));
             *stats += local;
         }
         return Ok(());
@@ -574,13 +601,12 @@ fn run_items(
             message: "round worker left no result and no error".to_string(),
         });
     }
-    for (i, (item, slot)) in items.iter().zip(slots).enumerate() {
+    for (item, slot) in items.iter().zip(slots) {
         let Some(Ok((local, nanos))) = slot else {
             continue; // unreachable: the all-Ok scan above returned otherwise
         };
         if let Some(recs) = recs.as_deref_mut() {
-            let out_len = bufs[i / chunk].span(i % chunk).len();
-            recs.push(item.record(out_len, local, nanos));
+            recs.push(item.record(local, nanos));
         }
         *stats += local;
     }
@@ -804,15 +830,19 @@ pub(crate) fn absorb(
         fresh.clear();
     }
     let inserted_before = stats.inserted;
-    // Every run in work-item order: its predicate, buffer and span there.
-    let runs: Vec<(SymbolId, usize, std::ops::Range<usize>)> = outs
+    // Every run in work-item order: its predicate, buffer, span there and
+    // suppressed tuples.
+    let runs: Vec<(SymbolId, usize, std::ops::Range<usize>, u64)> = outs
         .iter()
         .enumerate()
-        .flat_map(|(b, out)| (0..out.runs.len()).map(move |ri| (out.runs[ri].0, b, out.span(ri))))
+        .flat_map(|(b, out)| {
+            (out.runs.iter().enumerate())
+                .map(move |(ri, run)| (run.pred, b, out.span(ri), run.suppressed))
+        })
         .collect();
     // Head predicates in first-seen order; a stratum has a handful.
     let mut batched: Vec<SymbolId> = Vec::new();
-    for (first, (pred, _, span)) in runs.iter().enumerate() {
+    for (first, (pred, _, span, _)) in runs.iter().enumerate() {
         if span.is_empty() || batched.contains(pred) {
             continue;
         }
@@ -824,21 +854,22 @@ pub(crate) fn absorb(
                 .filter(|(_, run)| run.0 == *pred)
         };
         let batch: Vec<&Tuple> = of_pred()
-            .flat_map(|(_, (_, b, span))| &outs[*b].tuples[span.clone()])
+            .flat_map(|(_, (_, b, span, _))| &outs[*b].tuples[span.clone()])
             .collect();
         let rel = state
             .get_mut(&PredKey::Ordinary(*pred))
             .expect("IDB relation installed before evaluation");
         let mut flags = rel.delta_batch_insert(&batch).into_iter();
         let fresh = delta.entry(*pred).or_default();
-        for (ri, (_, b, span)) in of_pred() {
+        for (ri, (_, b, span, suppressed)) in of_pred() {
             let before = fresh.len();
             for (t, new) in outs[*b].tuples[span.clone()].iter_mut().zip(&mut flags) {
                 if new {
                     fresh.push(std::mem::replace(t, Tuple::empty()));
                 }
             }
-            let (derived, inserted) = (span.len() as u64, (fresh.len() - before) as u64);
+            let derived = span.len() as u64 + suppressed;
+            let inserted = (fresh.len() - before) as u64;
             stats.derived += derived;
             stats.inserted += inserted;
             if let Some(recs) = recs.as_deref_mut() {
@@ -865,7 +896,11 @@ struct RuleRun<'a, V> {
     sources: &'a [Source<'a>],
     drive: Drive<'a>,
     bindings: &'a mut [Option<Value>],
+    /// Where this run's tuples start in `out`.
+    start: usize,
     out: &'a mut Vec<Tuple>,
+    /// Head tuples emitted but not buffered (see [`Derived`]).
+    suppressed: u64,
     stats: &'a mut EvalStats,
 }
 
@@ -875,8 +910,16 @@ impl<V: ReadView> RuleRun<'_, V> {
         let (view, plan) = (self.view, self.plan);
         let Some(step) = plan.steps.get(si) else {
             self.stats.instantiations += 1;
-            let head = plan.head.iter().map(|&p| resolve(p, self.bindings));
-            self.out.push(head.collect());
+            let head: Tuple = plan
+                .head
+                .iter()
+                .map(|&p| resolve(p, self.bindings))
+                .collect();
+            if self.out[self.start..].last() == Some(&head) {
+                self.suppressed += 1;
+            } else {
+                self.out.push(head);
+            }
             return Ok(());
         };
         match step {
@@ -1210,20 +1253,23 @@ mod tests {
                 &mut bufs,
             )
             .unwrap();
-            // The buffers read back to back: every run's predicate and tuples.
-            let out: Vec<(SymbolId, Vec<Tuple>)> = bufs
+            // The buffers read back to back: every run's predicate, tuples
+            // and suppressed count.
+            let out: Vec<(SymbolId, Vec<Tuple>, u64)> = bufs
                 .iter()
-                .flat_map(|out| (0..out.runs.len()).map(move |ri| (out, ri)))
-                .map(|(out, ri)| (out.runs[ri].0, out.tuples[out.span(ri)].to_vec()))
+                .flat_map(|out| out.runs.iter().enumerate().map(move |ri| (out, ri)))
+                .map(|(out, (ri, run))| {
+                    (run.pred, out.tuples[out.span(ri)].to_vec(), run.suppressed)
+                })
                 .collect();
             let recs: Vec<_> = recs
                 .iter()
-                .map(|r| (r.clause, r.delta_step, r.delta_tuples, r.out_len, r.stats))
+                .map(|r| (r.clause, r.delta_step, r.delta_tuples, r.stats))
                 .collect();
             (out, stats, recs)
         };
         let serial = run(1, true);
-        let derived: usize = serial.0.iter().map(|(_, tuples)| tuples.len()).sum();
+        let derived: usize = serial.0.iter().map(|(_, tuples, _)| tuples.len()).sum();
         assert!(derived > 100, "fixture derives too little");
         assert_eq!(serial.0.len(), items.len(), "one run per item");
         for workers in [2usize, 3, 7, 64] {

@@ -4,10 +4,16 @@
 //! empty-body ground clauses: `emp(ann, sales). level(ann, 3).` This is the
 //! format the `idlog` CLI's `--facts` option reads, and a convenient way to
 //! ship test fixtures.
+//!
+//! A fact file costs what its facts cost: the lexer reads ASCII by bytes,
+//! a run of plain facts interns under one hold of the interner's lock into
+//! the interner's one name arena, and a fact's tuple goes straight into its
+//! relation. The tests hold [`load_facts`] to the whole-file parser it
+//! replaced — symbol ids, relations and the first defect in file order.
 
 use std::sync::Arc;
 
-use idlog_common::{Interner, SymbolId, Value};
+use idlog_common::{InternerGuard, SymbolId, Value};
 use idlog_parser::token::Token;
 use idlog_parser::{parse_clause_from, Clause, Lexer, ParseResult, Term};
 use idlog_storage::{Database, Relation};
@@ -25,6 +31,10 @@ use crate::error::{CoreError, CoreResult};
 /// the index of the clause it is in, and the facts before it stay
 /// inserted. Symbols are interned predicate first, then arguments left to
 /// right, clause by clause.
+///
+/// The token loop holds the interner's lock across each run of plain
+/// facts, so a symbol costs no lock of its own. It lets go before a clause
+/// goes to the clause parser, which interns through the shared interner.
 pub fn load_facts(src: &str, db: &mut Database) -> CoreResult<()> {
     let interner = Arc::clone(db.interner());
     let mut lexer = Lexer::new(src);
@@ -32,11 +42,13 @@ pub fn load_facts(src: &str, db: &mut Database) -> CoreResult<()> {
     // The relation being filled and the name it goes by in the file; kept
     // while the predicate repeats.
     let mut current: Option<(&str, &mut Relation)> = None;
+    let mut locked: Option<InternerGuard<'_>> = None;
     for index in 0.. {
         let clause_start = lexer.clone();
         values.clear();
         let known = current.as_ref().map(|(name, _)| *name);
-        match plain_fact(&mut lexer, &interner, known, &mut values)? {
+        let guard = locked.get_or_insert_with(|| interner.lock());
+        match plain_fact(&mut lexer, guard, known, &mut values)? {
             Plain::End => break,
             Plain::Fact(name, pred) => {
                 if let Some(pred) = pred {
@@ -46,6 +58,7 @@ pub fn load_facts(src: &str, db: &mut Database) -> CoreResult<()> {
                 rel.insert(values.iter().copied().collect())?;
             }
             Plain::Other => {
+                locked = None;
                 current = None;
                 lexer = clause_start;
                 let clause = parse_clause_from(&mut lexer, &interner)?;
@@ -74,7 +87,7 @@ enum Plain<'a> {
 /// the clause parser repeats no-ops.
 fn plain_fact<'a>(
     lexer: &mut Lexer<'a>,
-    interner: &Interner,
+    interner: &mut InternerGuard<'_>,
     known: Option<&str>,
     values: &mut Vec<Value>,
 ) -> ParseResult<Plain<'a>> {

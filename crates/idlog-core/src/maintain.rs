@@ -1133,4 +1133,58 @@ mod tests {
         let fresh = q.session(&db).run().unwrap();
         assert!(mat.relation("tc").unwrap().set_eq(&fresh.relation));
     }
+
+    /// A view over paper §4's existential tail, recursive so that the
+    /// insert and the retract both run phases that buffer derivations:
+    /// each write reports the counters full buffering gave, pinned.
+    #[test]
+    fn existential_tails_maintain_with_the_same_counters() {
+        let src = "p(X) :- q(X, Z), z(Z, Y), y(W). p(X) :- p(V), e(V, X), y(W).";
+        let q = Query::parse(src, "p").unwrap();
+        let mut db = q.new_database();
+        for k in 0..20 {
+            let (x, zk) = (format!("x{k}"), format!("zk{k}"));
+            db.insert_syms("q", &[&x, &zk]).unwrap();
+            for f in 0..3 {
+                db.insert_syms("z", &[&zk, &format!("y{f}")]).unwrap();
+            }
+            db.insert_syms("e", &[&x, "c0"]).unwrap();
+        }
+        for c in 0..6 {
+            db.insert_syms("e", &[&format!("c{c}"), &format!("c{}", c + 1)])
+                .unwrap();
+        }
+        for w in 0..30 {
+            db.insert_syms("y", &[&format!("w{w}")]).unwrap();
+        }
+        let mut mat = Materialized::build(q.related_program(), &db, &EvalOptions::new()).unwrap();
+        let tuple = |cols: [&str; 2]| -> Tuple {
+            cols.iter()
+                .map(|s| Value::Sym(q.interner().intern(s)))
+                .collect()
+        };
+        let pred = q.interner().intern("q");
+        let counters = |instantiations, derived, inserted, probes| EvalStats {
+            instantiations,
+            derived,
+            inserted,
+            probes,
+            ..EvalStats::default()
+        };
+
+        db.insert_syms("q", &["x20", "zk0"]).unwrap();
+        let insert = FactDelta::insert(pred, tuple(["x20", "zk0"]));
+        let (outcome, stats) = mat.apply_counted(&db, &insert).unwrap();
+        assert_eq!(outcome, MaintainOutcome::Incremental);
+        assert_eq!(stats, counters(90, 90, 1, 95), "insert");
+
+        db.retract("q", &tuple(["x0", "zk0"])).unwrap();
+        let retract = FactDelta::retract(pred, tuple(["x0", "zk0"]));
+        let (outcome, stats) = mat.apply_counted(&db, &retract).unwrap();
+        assert_eq!(outcome, MaintainOutcome::Incremental);
+        assert_eq!(stats, counters(1050, 0, 0, 1904), "retract");
+
+        let fresh = q.session(&db).run().unwrap();
+        assert!(mat.relation("p").unwrap().set_eq(&fresh.relation));
+    }
 }

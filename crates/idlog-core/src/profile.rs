@@ -34,9 +34,6 @@ pub struct ItemRec {
     pub delta_step: Option<usize>,
     /// Tuples in this item's delta shard.
     pub delta_tuples: u64,
-    /// Tuples this item contributed to the round's merged output (used to
-    /// attribute `derived`/`inserted` during absorption).
-    pub out_len: usize,
     /// Counters local to this item.
     pub stats: EvalStats,
     /// Wall time of this item (non-deterministic; excluded from default
@@ -450,7 +447,6 @@ mod tests {
             clause,
             delta_step,
             delta_tuples: 10,
-            out_len: 0,
             stats: EvalStats {
                 probes,
                 ..Default::default()

@@ -14,8 +14,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use idlog_core::{
-    evaluate_with_options, CanonicalOracle, EvalOptions, Interner, Query, RelType, Relation,
-    SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
+    evaluate_with_options, load_facts, CanonicalOracle, EvalOptions, Interner, Query, RelType,
+    Relation, SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
 
@@ -23,14 +23,20 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// const-initialised thread-local `Cell` without a destructor, so touching it
-// neither allocates nor runs during thread teardown.
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s without a destructor, so touching
+// them neither allocates nor runs during thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -39,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,6 +58,14 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let value = f();
     (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Bytes this thread asks the allocator for (a reallocation counts its new
+/// size) while `f` runs.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let value = f();
+    (value, BYTES.with(Cell::get) - before)
 }
 
 #[test]
@@ -202,4 +216,62 @@ fn the_value_summary_is_computed_once_per_database_version() {
     assert_eq!(allocations_during(|| snapshot.value_summary()).1, 0);
     db.insert_syms("parent", &["x", "y"]).unwrap();
     assert_eq!(db.value_summary().distinct, first.distinct + 2);
+}
+
+/// Paper §4's rule before its ID-literal rewrite makes `keys × fanout ×
+/// witnesses` instantiations of `keys` head tuples. Each instantiation
+/// after a key's first repeats the head tuple just emitted, and the engine
+/// counts it without buffering it: what evaluation allocates does not grow
+/// with the witnesses, though the instantiations do tenfold.
+#[test]
+fn an_existential_tail_allocates_nothing_per_witness() {
+    let program =
+        ValidatedProgram::parse("p(X) :- q(X, Z), z(Z, Y), y(W).", Arc::new(Interner::new()))
+            .unwrap();
+    let evaluate = |witnesses: usize| {
+        let mut db = Database::with_interner(Arc::clone(program.interner()));
+        for k in 0..40 {
+            db.insert_syms("q", &[&format!("x{k}"), &format!("zk{k}")])
+                .unwrap();
+            for f in 0..3 {
+                db.insert_syms("z", &[&format!("zk{k}"), &format!("y{f}")])
+                    .unwrap();
+            }
+        }
+        for w in 0..witnesses {
+            db.insert_syms("y", &[&format!("w{w}")]).unwrap();
+        }
+        let options = EvalOptions::serial();
+        let (out, bytes) = bytes_during(|| {
+            evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap()
+        });
+        let stats = out.stats();
+        assert_eq!(stats.instantiations, 40 * 3 * witnesses as u64);
+        assert_eq!(stats.derived, stats.instantiations);
+        assert_eq!(stats.inserted, 40);
+        bytes
+    };
+    let (few, many) = (evaluate(50), evaluate(500));
+    assert_eq!(few, many, "evaluation bytes grew with the witnesses");
+}
+
+/// A fact file's symbols go into the interner's one arena, under one hold
+/// of its lock per run of plain facts, and its tuples straight into their
+/// relation: loading allocates for the growth of a few buffers, never per
+/// fact or per new symbol.
+#[test]
+fn loading_plain_facts_allocates_nothing_per_fact() {
+    for facts in [20_000usize, 100_000] {
+        let src: String = (0..facts)
+            .map(|n| format!("emp(n{n}, dept{}).\n", n % 500))
+            .collect();
+        let mut db = Database::with_interner(Arc::new(Interner::new()));
+        let ((), allocations) = allocations_during(|| load_facts(&src, &mut db).unwrap());
+        assert_eq!(db.relation("emp").unwrap().len(), facts);
+        assert_eq!(db.interner().len(), facts + 500 + 1);
+        assert!(
+            (allocations as f64) < 0.01 * facts as f64,
+            "{allocations} allocations for {facts} facts"
+        );
+    }
 }

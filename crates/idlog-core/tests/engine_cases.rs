@@ -401,3 +401,95 @@ fn assign_only_oracles_get_bounded_relations_and_contained_panics() {
         "{message}"
     );
 }
+
+/// Paper §4's rule before its ID-literal rewrite, and the same existential
+/// tail under recursion (`e` chains every key `x{k}` into `c0 → c1 → …`).
+const SECTION4: &str = "p(X) :- q(X, Z), z(Z, Y), y(W).";
+const SECTION4_RECURSIVE: &str = "p(X) :- q(X, Z), z(Z, Y), y(W). p(X) :- p(V), e(V, X), y(W).";
+
+/// The §4 family: `q(x{k}, zk{k})` for `keys` keys, every tenth dangling
+/// (no `z` rows), `fanout` `z` rows per other key, `witnesses` `y` rows,
+/// and a 12-link `e` chain out of every key.
+fn zy_database(interner: &Arc<Interner>, keys: usize, fanout: usize, witnesses: usize) -> Database {
+    let mut db = Database::with_interner(Arc::clone(interner));
+    for k in 0..keys {
+        db.insert_syms("q", &[&format!("x{k}"), &format!("zk{k}")])
+            .unwrap();
+        if k % 10 != 9 {
+            for f in 0..fanout {
+                db.insert_syms("z", &[&format!("zk{k}"), &format!("y{f}")])
+                    .unwrap();
+            }
+        }
+        db.insert_syms("e", &[&format!("x{k}"), "c0"]).unwrap();
+    }
+    for c in 0..12 {
+        db.insert_syms("e", &[&format!("c{c}"), &format!("c{}", c + 1)])
+            .unwrap();
+    }
+    for w in 0..witnesses {
+        db.insert_syms("y", &[&format!("w{w}")]).unwrap();
+    }
+    db
+}
+
+/// Every instantiation of an existential tail produces the head tuple the
+/// one before it produced; the engine counts such a tuple without buffering
+/// it. Every counter — `derived` included — and the profile's per-rule
+/// `derived` and `redundant` columns stay what full buffering gave, pinned
+/// here, at every thread count.
+#[test]
+fn existential_tails_count_every_derivation() {
+    use idlog_core::{evaluate_with_options, CanonicalOracle, EvalOptions, EvalStats};
+
+    // The profile's `(clause, derived, redundant)` per rule.
+    type Columns = [(usize, u64, u64)];
+    let cases: [(&str, EvalStats, &Columns); 2] = [
+        (
+            SECTION4,
+            EvalStats {
+                instantiations: 5400,
+                derived: 5400,
+                inserted: 36,
+                probes: 5548,
+                builtin_evals: 0,
+                iterations: 2,
+                id_relations: 0,
+                tuples_pruned: 0,
+            },
+            &[(0, 5400, 5364)],
+        ),
+        (
+            SECTION4_RECURSIVE,
+            EvalStats {
+                instantiations: 7800,
+                derived: 7800,
+                inserted: 49,
+                probes: 8045,
+                builtin_evals: 0,
+                iterations: 15,
+                id_relations: 0,
+                tuples_pruned: 0,
+            },
+            &[(0, 5400, 5364), (1, 2400, 2387)],
+        ),
+    ];
+    for (src, want, per_rule) in cases {
+        let interner = Arc::new(Interner::new());
+        let program = idlog_core::ValidatedProgram::parse(src, Arc::clone(&interner)).unwrap();
+        let db = zy_database(&interner, 40, 3, 50);
+        for threads in [1, 4] {
+            let options = EvalOptions::new().threads(threads).profile(true);
+            let out = evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap();
+            assert_eq!(out.stats(), want, "{src} at {threads} threads");
+            let columns: Vec<(usize, u64, u64)> = out
+                .profile()
+                .expect("profiled")
+                .per_rule_totals()
+                .iter()
+                .map(|t| (t.clause, t.stats.derived, t.redundant()))
+                .collect();
+            assert_eq!(columns, per_rule, "{src} at {threads} threads");
+        }
+    }
+}

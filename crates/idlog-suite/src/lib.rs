@@ -24,6 +24,7 @@ fn facts_for(stem: &str) -> Option<&'static str> {
         "all_depts" | "dept_sizes" | "sampling" => Some("company.facts"),
         "ancestor" => Some("ancestor.facts"),
         "coloring" => Some("cycle.facts"),
+        "existential" => Some("zy.facts"),
         "parity" => Some("people.facts"),
         _ => None,
     }
