@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use idlog_choice::{collect_violations, ChoiceViolation};
 use idlog_common::{FxHashMap, Interner, SymbolId};
-use idlog_core::{safety, stratify};
+use idlog_core::safety;
+use idlog_core::stratify::{self, DepGraph, Stratification};
 use idlog_parser::{
     parse_program_with_spans, Builtin, Literal, PredicateRef, Program, Span, SpanMap, Term,
 };
@@ -112,34 +113,35 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
         Dialect::Idlog
     };
 
+    let graph = Arc::new(DepGraph::new(&program));
     let mut diags = Vec::new();
     check_structure(&program, &spans, interner, dialect, &mut diags);
     let arities = check_arities(&program, &spans, interner, &mut diags);
     check_grouping(&program, &spans, &arities, interner, &mut diags);
     sorts::check(&program, &spans, &arities, interner, &mut diags);
     check_safety(&program, &spans, &mut diags);
-    check_stratification(&program, &spans, interner, &mut diags);
+    check_stratification(&graph, &spans, interner, &mut diags);
     if dialect == Dialect::Choice {
-        check_choice(&program, &spans, interner, &mut diags);
+        check_choice(&program, &graph, &spans, interner, &mut diags);
     }
 
     let has_errors = diags.iter().any(|d| d.severity == crate::Severity::Error);
     if options.lints {
-        lints::unused_predicates(&program, &spans, interner, &mut diags);
+        lints::unused_predicates(&program, &graph, &spans, interner, &mut diags);
         lints::underivable_predicates(&program, &spans, interner, &mut diags);
         lints::singleton_variables(&program, &spans, &mut diags);
         lints::degenerate_id_groups(&program, &spans, interner, &mut diags);
         if !has_errors && dialect == Dialect::Idlog {
-            let flow = Dataflow::of(&program, interner);
+            let flow = Dataflow::of(&program, &graph, interner);
             determinism::possibly_nondeterministic_outputs(
                 &program, &spans, &flow, interner, &mut diags,
             );
             determinism::tid_value_columns(&program, &spans, &flow, interner, &mut diags);
             lints::tid_bound_hints(&program, &spans, interner, &mut diags);
-            termination::termination_lints(&program, &spans, interner, &mut diags);
+            termination::termination_lints(&program, &graph, &spans, interner, &mut diags);
             relevance::relevance_lints(&program, &spans, interner, &mut diags);
             if options.redundancy {
-                lints::redundant_clauses(&program, &spans, interner, &mut diags);
+                lints::redundant_clauses(&program, &graph, &spans, interner, &mut diags);
             }
         }
     }
@@ -388,12 +390,12 @@ fn head_var_span(
 
 /// Stratification (E011): report the actual cycle, edge by edge.
 fn check_stratification(
-    program: &Program,
+    graph: &Arc<DepGraph>,
     spans: &SpanMap,
     interner: &Interner,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let Err(cycle) = stratify::stratify_check(program) else {
+    let Err(cycle) = Stratification::of(Arc::clone(graph)) else {
         return;
     };
     let names = stratify::cycle_names(&cycle, interner);
@@ -431,11 +433,12 @@ fn check_stratification(
 /// The paper's choice conditions (E012 C1, E013 C2, E014 recursion).
 fn check_choice(
     program: &Program,
+    graph: &DepGraph,
     spans: &SpanMap,
     interner: &Interner,
     diags: &mut Vec<Diagnostic>,
 ) {
-    for v in collect_violations(program) {
+    for v in collect_violations(program, graph) {
         match v {
             ChoiceViolation::C1 { clause, literals } => {
                 let primary = literals

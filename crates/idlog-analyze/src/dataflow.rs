@@ -7,7 +7,8 @@
 //! *sinks* (the output predicates: heads no body literal reads), which is
 //! where non-determinism becomes observable.
 
-use idlog_common::{FxHashSet, Interner, SymbolId};
+use idlog_common::{Interner, SymbolId};
+use idlog_core::stratify::DepGraph;
 use idlog_core::taint::{analyze_taint, TaintAnalysis};
 use idlog_parser::Program;
 
@@ -21,15 +22,11 @@ pub(crate) struct Dataflow {
 }
 
 impl Dataflow {
-    /// Run the fixpoint and collect the program's sinks.
-    pub fn of(program: &Program, interner: &Interner) -> Dataflow {
+    /// Run the fixpoint over `program`, whose dependency graph is `graph`,
+    /// and collect its sinks.
+    pub fn of(program: &Program, graph: &DepGraph, interner: &Interner) -> Dataflow {
         let taint = analyze_taint(program);
-        let read: FxHashSet<SymbolId> = program.body_predicates();
-        let mut sinks: Vec<SymbolId> = program
-            .head_predicates()
-            .into_iter()
-            .filter(|p| !read.contains(p))
-            .collect();
+        let mut sinks = graph.sinks().to_vec();
         sinks.sort_by_key(|p| interner.resolve(*p));
         Dataflow { taint, sinks }
     }

@@ -31,6 +31,14 @@
 //! `W030`/`W031` goal-directed-relevance refusals backed by the
 //! binding-pattern adornment analysis in [`idlog_core::relevance`], and
 //! `H001`/`H010`/`H020` optimization, bounded-depth, and point-query hints.
+//!
+//! The predicate-level questions come from the engine's one dependency
+//! graph, [`idlog_core::stratify::DepGraph`], which [`analyze`] builds
+//! once per run and hands to every pass that asks one: E011's cycle is its
+//! witness walk, E013/E014 read its `P/q` cones, W001 is its output cone
+//! (a multi-head clause feeds every head), the program's sinks, where W010
+//! reports and W005 compares, are its sinks, and the termination lints
+//! classify its components.
 
 #![warn(missing_docs)]
 

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
+use idlog_core::stratify::DepGraph;
 use idlog_core::{tidbound, EnumBudget, ValidatedProgram};
 use idlog_parser::{Literal, PredicateRef, Program, Span, SpanMap, Term};
 use idlog_storage::Database;
@@ -14,45 +15,16 @@ use idlog_storage::Database;
 use crate::analyzer::body_term_spans;
 use crate::diagnostic::Diagnostic;
 
-/// Predicates that (transitively) contribute to some sink — a sink being a
-/// head predicate no body ever reads, i.e. an output of the program.
-fn contributing(program: &Program) -> FxHashSet<SymbolId> {
-    let heads = program.head_predicates();
-    let bodies = program.body_predicates();
-    let mut wanted: FxHashSet<SymbolId> = heads
-        .iter()
-        .copied()
-        .filter(|p| !bodies.contains(p))
-        .collect();
-    loop {
-        let mut changed = false;
-        for clause in &program.clauses {
-            if clause
-                .head
-                .iter()
-                .any(|h| wanted.contains(&h.atom.pred.base()))
-            {
-                for lit in &clause.body {
-                    if let Some(a) = lit.atom() {
-                        changed |= wanted.insert(a.pred.base());
-                    }
-                }
-            }
-        }
-        if !changed {
-            return wanted;
-        }
-    }
-}
-
 /// W001: a defined predicate that contributes to no output.
 pub fn unused_predicates(
     program: &Program,
+    graph: &DepGraph,
     spans: &SpanMap,
     interner: &Interner,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let cone = contributing(program);
+    // A multi-head clause feeds every one of its heads.
+    let cone = graph.output_cone();
     let mut reported: FxHashSet<SymbolId> = FxHashSet::default();
     for (ci, clause) in program.clauses.iter().enumerate() {
         for (hi, h) in clause.head.iter().enumerate() {
@@ -280,6 +252,7 @@ fn combos<'a>(domain: &[&'a str], arity: usize) -> Vec<Vec<&'a str>> {
 /// (deterministic empty + full, plus a randomized family).
 pub fn redundant_clauses(
     program: &Program,
+    graph: &DepGraph,
     spans: &SpanMap,
     interner: &Arc<Interner>,
     diags: &mut Vec<Diagnostic>,
@@ -287,13 +260,7 @@ pub fn redundant_clauses(
     let Ok(validated) = ValidatedProgram::new(program.clone(), Arc::clone(interner)) else {
         return;
     };
-    let heads = program.head_predicates();
-    let bodies = program.body_predicates();
-    let mut sinks: Vec<String> = heads
-        .iter()
-        .filter(|p| !bodies.contains(p))
-        .map(|&p| interner.resolve(p))
-        .collect();
+    let mut sinks: Vec<String> = graph.sinks().iter().map(|&p| interner.resolve(p)).collect();
     sinks.sort();
     if sinks.is_empty() {
         return;
@@ -365,7 +332,7 @@ pub fn redundant_clauses(
         0xD1CE,
     ));
 
-    let cone = contributing(program);
+    let cone = graph.output_cone();
     let budget = EnumBudget::default();
     let mut removable: Option<FxHashSet<usize>> = None;
     for sink in &sinks {

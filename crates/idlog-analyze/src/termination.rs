@@ -1,6 +1,6 @@
 //! Termination certification lints (W020, W021, H010).
 //!
-//! Backed by [`idlog_core::termination::analyze_termination`]. Theorem 3
+//! Backed by [`idlog_core::termination::analyze_termination_in`]. Theorem 3
 //! makes exact termination undecidable, so W020 is a *possibly*-diverging
 //! warning — its absence on a choice-free stratified program is a
 //! certificate (H010), its presence is not a conviction. Intentionally
@@ -8,6 +8,7 @@
 //! `--timeout`/`--max-rounds` or suppress with `idlog lint --allow W020`.
 
 use idlog_common::{FxHashSet, Interner, SymbolId};
+use idlog_core::stratify::DepGraph;
 use idlog_core::termination::{FlowNode, TerminationCert};
 use idlog_parser::{Program, SpanMap};
 
@@ -27,11 +28,12 @@ fn node_name(node: FlowNode, interner: &Interner) -> String {
 /// (bounded-depth certificate) as applicable.
 pub(crate) fn termination_lints(
     program: &Program,
+    graph: &DepGraph,
     spans: &SpanMap,
     interner: &Interner,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let cert = idlog_core::termination::analyze_termination(program);
+    let cert = idlog_core::termination::analyze_termination_in(program, graph);
     possibly_diverging_recursion(&cert, spans, interner, diags);
     unbounded_id_materialization(&cert, spans, interner, diags);
     bounded_depth_hint(program, &cert, spans, diags);

@@ -12,35 +12,11 @@
 //! direct semantics and the Theorem 2 translation need this exclusion to be
 //! well-defined.
 
-use idlog_common::{FxHashSet, Interner, SymbolId};
+use idlog_common::{Interner, SymbolId};
+use idlog_core::stratify::DepGraph;
 use idlog_parser::{Literal, Program};
 
 use crate::error::{ChoiceError, ChoiceResult};
-
-/// Predicates that (transitively) contribute to `q`: the heads of `P/q`.
-fn reachable(program: &Program, q: SymbolId) -> FxHashSet<SymbolId> {
-    let mut wanted: FxHashSet<SymbolId> = FxHashSet::default();
-    wanted.insert(q);
-    loop {
-        let mut changed = false;
-        for clause in &program.clauses {
-            let head = clause.head[0].atom.pred.base();
-            if wanted.contains(&head) {
-                for lit in &clause.body {
-                    if let Some(a) = lit.atom() {
-                        changed |= wanted.insert(a.pred.base());
-                    }
-                    if let Literal::Choice { .. } = lit {
-                        // Choice has no predicate.
-                    }
-                }
-            }
-        }
-        if !changed {
-            return wanted;
-        }
-    }
-}
 
 /// One structured violation of the paper's choice conditions, with clause
 /// (and where meaningful, literal) anchors for diagnostics.
@@ -74,9 +50,10 @@ pub enum ChoiceViolation {
 
 /// Collect *every* violation of C1, C2, and the no-self-recursion condition
 /// (single positive heads assumed — the parser accepts more, the caller's
-/// engine validates that part). Violations come out grouped in that order,
-/// so the first element reproduces the historical fail-fast error.
-pub fn collect_violations(program: &Program) -> Vec<ChoiceViolation> {
+/// engine validates that part). `graph` is `program`'s dependency graph.
+/// Violations come out grouped in that order, so the first element
+/// reproduces the historical fail-fast error.
+pub fn collect_violations(program: &Program, graph: &DepGraph) -> Vec<ChoiceViolation> {
     let mut violations = Vec::new();
 
     // C1 plus collect choice clauses.
@@ -107,7 +84,7 @@ pub fn collect_violations(program: &Program) -> Vec<ChoiceViolation> {
             if pi == pj {
                 continue;
             }
-            if reachable(program, pj).contains(&pi) {
+            if graph.upstream([pj]).contains(&pi) {
                 violations.push(ChoiceViolation::C2 {
                     first: (ci, pi),
                     second: (cj, pj),
@@ -133,7 +110,7 @@ pub fn collect_violations(program: &Program) -> Vec<ChoiceViolation> {
     for &(ci, head) in &choice_clauses {
         for (li, lit) in program.clauses[ci].body.iter().enumerate() {
             if let Some(a) = lit.atom() {
-                if reachable(program, a.pred.base()).contains(&head) {
+                if graph.upstream([a.pred.base()]).contains(&head) {
                     violations.push(ChoiceViolation::Recursion {
                         clause: ci,
                         pred: head,
@@ -150,7 +127,10 @@ pub fn collect_violations(program: &Program) -> Vec<ChoiceViolation> {
 /// Check C1, C2, and the no-self-recursion condition, failing on the first
 /// violation found.
 pub fn check_conditions(program: &Program, interner: &Interner) -> ChoiceResult<()> {
-    match collect_violations(program).into_iter().next() {
+    match collect_violations(program, &DepGraph::new(program))
+        .into_iter()
+        .next()
+    {
         None => Ok(()),
         Some(ChoiceViolation::C1 { clause, .. }) => Err(ChoiceError::C1Violation { clause }),
         Some(ChoiceViolation::C2 {
@@ -238,7 +218,7 @@ mod tests {
             &i,
         )
         .unwrap();
-        let vs = collect_violations(&p);
+        let vs = collect_violations(&p, &DepGraph::new(&p));
         assert!(vs.iter().any(
             |v| matches!(v, ChoiceViolation::C1 { clause: 0, literals } if literals == &vec![1, 2])
         ));

@@ -86,7 +86,7 @@ pub fn check(program_path: &str) -> Result<(), String> {
         }
     }
     println!("  termination:");
-    let cert = idlog_core::analyze_termination(program.ast());
+    let cert = idlog_core::analyze_termination_in(program.ast(), program.stratification().graph());
     if cert.bounded() {
         println!(
             "    certified bounded: derivation depth polynomial (degree <= {}) in EDB size",
@@ -324,7 +324,7 @@ pub fn explain(
     }
     // Termination footer: whether the run above was protected by an
     // automatic round ceiling derived from the certificate.
-    let cert = idlog_core::analyze_termination(program.ast());
+    let cert = idlog_core::analyze_termination_in(program.ast(), program.stratification().graph());
     if cert.bounded() {
         match cert.round_bound(&db) {
             Some(bound) => println!(

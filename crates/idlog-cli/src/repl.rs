@@ -227,7 +227,8 @@ impl Session {
         let program = ValidatedProgram::parse(&self.rules.join("\n"), Arc::clone(&self.interner))
             .map_err(|e| e.to_string())?;
         let taint = idlog_core::analyze_taint(program.ast());
-        let cert = idlog_core::analyze_termination(program.ast());
+        let cert =
+            idlog_core::analyze_termination_in(program.ast(), program.stratification().graph());
         let mut derived: Vec<String> = program
             .idb()
             .iter()

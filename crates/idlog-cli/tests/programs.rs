@@ -378,3 +378,39 @@ fn corpus_counters_agree_across_threads_backends_and_strategies() {
     }
     assert!(checked >= 7 * 12, "corpus shrank: {checked} runs");
 }
+
+/// `idlog check` on every shipped program prints the bytes in
+/// `programs/golden/<stem>.check`: the strata and each predicate's stratum,
+/// the determinism certificates, the termination verdict with its degree
+/// and recursion kinds, and the plan. Regenerate after an intentional
+/// change with `UPDATE_GOLDEN=1 cargo test -p idlog-cli --test programs`.
+#[test]
+fn check_prints_its_golden_report_for_every_shipped_program() {
+    let root = programs_dir().join("..");
+    let mut programs: Vec<String> = std::fs::read_dir(programs_dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".idl"))
+        .collect();
+    programs.sort();
+    assert!(programs.len() >= 9, "corpus shrank: {programs:?}");
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    for name in programs {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_idlog"))
+            .current_dir(&root)
+            .args(["check", &format!("programs/{name}")])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "idlog check {name}: {out:?}");
+        let printed = String::from_utf8(out.stdout).unwrap();
+        let stem = name.trim_end_matches(".idl");
+        let golden_path = programs_dir().join("golden").join(format!("{stem}.check"));
+        if update {
+            std::fs::write(&golden_path, &printed).unwrap();
+            continue;
+        }
+        let golden = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+        assert_eq!(printed, golden, "idlog check {name}");
+    }
+}

@@ -77,8 +77,8 @@ pub use service::{
 pub use stats::EvalStats;
 pub use taint::{analyze_taint, choice_free_occurrence, TaintAnalysis, TaintStep};
 pub use termination::{
-    analyze_termination, FlowEdge, FlowNode, RecursionKind, SccSummary, TerminationCert,
-    UnboundedIdSite,
+    analyze_termination, analyze_termination_in, FlowEdge, FlowNode, RecursionKind, SccSummary,
+    TerminationCert, UnboundedIdSite,
 };
 pub use tid::{CanonicalOracle, ExplicitOracle, SeededOracle, TidOracle};
 

@@ -334,7 +334,11 @@ impl Materialized {
         //    ID-literal's base relation.
         let plans = Arc::clone(self.program.plans());
         let changed: FxHashSet<SymbolId> = net_ins.keys().chain(net_del.keys()).copied().collect();
-        let affected = affected_closure(&plans, &changed);
+        let affected = self
+            .program
+            .stratification()
+            .graph()
+            .downstream(changed.iter().copied());
         let id_reachable = plans.iter().any(|plan| {
             plan.steps.iter().any(|s| match s.reads() {
                 Some(PredKey::Id(base, _)) => affected.contains(base),
@@ -536,30 +540,6 @@ enum EdbFate {
     Apply,
     Ignore,
     Fallback,
-}
-
-/// Head predicates transitively reachable from the changed set.
-fn affected_closure(plans: &[RulePlan], changed: &FxHashSet<SymbolId>) -> FxHashSet<SymbolId> {
-    let mut affected = changed.clone();
-    loop {
-        let mut grew = false;
-        for plan in plans {
-            if affected.contains(&plan.head_pred) {
-                continue;
-            }
-            let feeds = plan
-                .steps
-                .iter()
-                .any(|s| s.reads().is_some_and(|k| affected.contains(&k.base())));
-            if feeds {
-                affected.insert(plan.head_pred);
-                grew = true;
-            }
-        }
-        if !grew {
-            return affected;
-        }
-    }
 }
 
 /// What seeds a phase from the changes below this stratum: every positive

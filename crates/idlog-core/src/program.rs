@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
-use idlog_parser::{Builtin, Literal, PredicateRef, Program};
+use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program};
 
 use crate::error::{CoreError, CoreResult};
 use crate::plan::RulePlan;
@@ -255,31 +255,14 @@ impl ValidatedProgram {
     /// The program portion related to `output` — the paper's `P/q`: all
     /// clauses whose head predicate (transitively) contributes to `output`.
     pub fn restrict_to(&self, output: SymbolId) -> CoreResult<ValidatedProgram> {
-        let mut wanted: FxHashSet<SymbolId> = FxHashSet::default();
-        wanted.insert(output);
-        loop {
-            let mut changed = false;
-            for clause in &self.ast.clauses {
-                let head = clause.head[0].atom.pred.base();
-                if wanted.contains(&head) {
-                    for lit in &clause.body {
-                        if let Some(a) = lit.atom() {
-                            changed |= wanted.insert(a.pred.base());
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
+        let wanted = self.strat.graph().upstream([output]);
+        let related = |c: &&Clause| wanted.contains(&c.head[0].atom.pred.base());
+        if self.ast.clauses.iter().all(|c| related(&c)) {
+            // `P/q` is `P`: validating the same clauses again would only
+            // recompute what this program already holds.
+            return Ok(self.clone());
         }
-        let clauses = self
-            .ast
-            .clauses
-            .iter()
-            .filter(|c| wanted.contains(&c.head[0].atom.pred.base()))
-            .cloned()
-            .collect();
+        let clauses = self.ast.clauses.iter().filter(related).cloned().collect();
         ValidatedProgram::new(Program { clauses }, Arc::clone(&self.interner))
     }
 }

@@ -276,7 +276,10 @@ impl Query {
         };
         let related = program.restrict_to(output_id)?;
         let deterministic = crate::taint::analyze_taint(related.ast()).deterministic(output_id);
-        let termination = crate::termination::analyze_termination(related.ast());
+        let termination = crate::termination::analyze_termination_in(
+            related.ast(),
+            related.stratification().graph(),
+        );
         let (relevance, magic) = if related.arity(output_id).is_some() {
             let relevance = crate::relevance::analyze_relevance(related.ast(), output_id);
             let magic = crate::relevance::magic_program(
@@ -292,9 +295,9 @@ impl Query {
             // adorn or rewrite.
             (crate::relevance::RelevanceAnalysis::default(), None)
         };
-        let magic_termination = magic
-            .as_ref()
-            .map(|m| crate::termination::analyze_termination(m.ast()));
+        let magic_termination = magic.as_ref().map(|m| {
+            crate::termination::analyze_termination_in(m.ast(), m.stratification().graph())
+        });
         Ok(Query {
             program,
             related,

@@ -1,36 +1,70 @@
-//! Stratification.
+//! The predicate dependency graph, and stratification over it.
 //!
-//! The dependency graph has an edge `p → h` for every clause with head
-//! predicate `h` and body occurrence of `p`. The edge is *strict* when the
-//! occurrence is negated **or** is an ID-literal `p[s]`: an ID-relation can
-//! only be materialized after `p` is completely evaluated, exactly like the
-//! complement of a negated predicate. A program is stratifiable when no cycle
-//! contains a strict edge; [`stratify`] assigns each predicate the smallest
-//! stratum compatible with `stratum(h) ≥ stratum(p) + strictness`.
+//! [`DepGraph`] has an edge `p → h` for every clause with head predicate
+//! `h` and body occurrence of `p`. The edge is *strict* when the occurrence
+//! is negated **or** is an ID-literal `p[s]`: an ID-relation can only be
+//! materialized after `p` is completely evaluated, exactly like the
+//! complement of a negated predicate. A program is stratifiable when no
+//! cycle contains a strict edge; [`stratify`] assigns each predicate the
+//! smallest stratum compatible with `stratum(h) ≥ stratum(p) + strictness`.
+//!
+//! The graph is built once per program and answers every predicate-level
+//! question the analyses ask: its components ([`DepGraph::sccs`], from the
+//! one Tarjan pass, run when the graph is built), the
+//! paper's program related to `q`, `P/q` ([`DepGraph::upstream`], and
+//! [`DepGraph::output_cone`] for the W001 lint), what a change can reach
+//! ([`DepGraph::downstream`]), and a witness cycle through a marked edge
+//! (`witness_cycle`, which also walks the termination analysis's
+//! argument-flow graph).
+
+use std::hash::Hash;
+use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
-use idlog_parser::{Literal, PredicateRef, Program};
+use idlog_parser::{Literal, Program};
 
 use crate::error::{CoreError, CoreResult};
 
 /// Result of stratification.
 #[derive(Debug, Clone)]
 pub struct Stratification {
-    /// Stratum index per predicate (inputs are stratum 0).
-    stratum_of: FxHashMap<SymbolId, usize>,
+    /// The graph the strata were computed from.
+    graph: Arc<DepGraph>,
+    /// Stratum per predicate, by position in the graph (inputs are 0).
+    stratum_of: Vec<usize>,
     /// Number of strata (at least 1).
     count: usize,
 }
 
 impl Stratification {
+    /// Stratify over `graph`, or return the edges of a cycle through a
+    /// strict edge (see [`stratify_check`]).
+    pub fn of(graph: Arc<DepGraph>) -> Result<Stratification, Vec<DepEdge>> {
+        let Some(level) = graph.levels() else {
+            return Err(witness_cycle(&graph.edges, |e| e.strict));
+        };
+        let stratum_of: Vec<usize> = graph.component_of.iter().map(|&c| level[c]).collect();
+        let count = stratum_of.iter().copied().max().unwrap_or(0) + 1;
+        Ok(Stratification {
+            graph,
+            stratum_of,
+            count,
+        })
+    }
+
     /// The stratum of `pred` (predicates unknown to the program get 0).
     pub fn stratum(&self, pred: SymbolId) -> usize {
-        self.stratum_of.get(&pred).copied().unwrap_or(0)
+        self.graph.pos(pred).map_or(0, |p| self.stratum_of[p])
     }
 
     /// Number of strata.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// The dependency graph the strata were computed from.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
     }
 
     /// Clause indices grouped by the stratum of their head predicate, in
@@ -61,85 +95,327 @@ pub struct DepEdge {
     pub literal: usize,
 }
 
-/// The dependency edges of `program` (one per ordinary/ID/negated body
-/// occurrence; clauses with non-atom heads are skipped defensively).
-pub fn dependency_edges(program: &Program) -> Vec<DepEdge> {
-    let mut out = Vec::new();
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        let Some(h) = clause.head.first() else {
-            continue;
+/// A directed edge the graph walks of this module follow: [`DepEdge`]
+/// here, and the termination analysis's argument-flow edges.
+pub(crate) trait GraphEdge: Copy {
+    /// The node type the edge connects.
+    type Node: Copy + Eq + Hash;
+    /// The node the edge leaves.
+    fn from(&self) -> Self::Node;
+    /// The node the edge enters.
+    fn to(&self) -> Self::Node;
+}
+
+impl GraphEdge for DepEdge {
+    type Node = SymbolId;
+    fn from(&self) -> SymbolId {
+        self.from
+    }
+    fn to(&self) -> SymbolId {
+        self.to
+    }
+}
+
+/// The predicate dependency graph of one program.
+#[derive(Debug, Clone)]
+pub struct DepGraph {
+    /// Every predicate a head or body atom names, in interning order.
+    preds: Vec<SymbolId>,
+    /// The edges into each clause's first head (one per ordinary, ID or
+    /// negated body occurrence), in clause then body-literal order.
+    /// Stratification, recursion classes, `P/q` and DRed read these.
+    edges: Vec<DepEdge>,
+    /// The edges into the second and later heads of multi-head clauses
+    /// (DL syntax that IDLOG rejects). Only [`DepGraph::output_cone`]
+    /// follows them.
+    later_heads: Vec<DepEdge>,
+    /// Head predicates no body reads (the program's outputs), in interning
+    /// order.
+    sinks: Vec<SymbolId>,
+    /// The strongly connected component of each predicate (by position in
+    /// `preds`), numbered dependencies first: an edge between two
+    /// components runs from the lower number to the higher.
+    component_of: Vec<usize>,
+    /// Number of components.
+    components: usize,
+}
+
+impl DepGraph {
+    /// Build the graph of `program`.
+    pub fn new(program: &Program) -> DepGraph {
+        let mut edges = Vec::new();
+        let mut later_heads = Vec::new();
+        let mut heads = Vec::new();
+        let mut read = Vec::new();
+        for (ci, clause) in program.clauses.iter().enumerate() {
+            for (li, lit) in clause.body.iter().enumerate() {
+                let Some(a) = lit.atom() else { continue };
+                read.push(a.pred.base());
+                for (hi, h) in clause.head.iter().enumerate() {
+                    let edge = DepEdge {
+                        from: a.pred.base(),
+                        to: h.atom.pred.base(),
+                        strict: matches!(lit, Literal::Neg(_)) || a.pred.is_id_version(),
+                        clause: ci,
+                        literal: li,
+                    };
+                    if hi == 0 {
+                        edges.push(edge);
+                    } else {
+                        later_heads.push(edge);
+                    }
+                }
+            }
+            heads.extend(clause.head.iter().map(|h| h.atom.pred.base()));
+        }
+        heads.sort_unstable();
+        heads.dedup();
+        read.sort_unstable();
+        read.dedup();
+        let sinks: Vec<SymbolId> = heads
+            .iter()
+            .copied()
+            .filter(|p| read.binary_search(p).is_err())
+            .collect();
+        let mut preds = heads;
+        preds.append(&mut read);
+        preds.sort_unstable();
+        preds.dedup();
+        let pos = |p: SymbolId| preds.binary_search(&p).expect("graph node");
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); preds.len()];
+        for e in &edges {
+            adj[pos(e.from)].push(pos(e.to));
+        }
+        let (component_of, components) = tarjan(&adj);
+        DepGraph {
+            preds,
+            edges,
+            later_heads,
+            sinks,
+            component_of,
+            components,
+        }
+    }
+
+    /// The edges into each clause's first head, in clause then
+    /// body-literal order.
+    pub fn edges(&self) -> &[DepEdge] {
+        &self.edges
+    }
+
+    /// Head predicates no body reads — the program's outputs — in
+    /// interning order.
+    pub fn sinks(&self) -> &[SymbolId] {
+        &self.sinks
+    }
+
+    /// The strongly connected components, dependencies first (topological
+    /// order of the condensation), each with its members in interning
+    /// order.
+    pub fn sccs(&self) -> Vec<Vec<SymbolId>> {
+        let mut out = vec![Vec::new(); self.components];
+        for (&p, &c) in self.preds.iter().zip(&self.component_of) {
+            out[c].push(p);
+        }
+        out
+    }
+
+    /// The paper's `P/q` for every `q` in `seeds`: the seeds and every
+    /// predicate that transitively feeds one.
+    pub fn upstream(&self, seeds: impl IntoIterator<Item = SymbolId>) -> FxHashSet<SymbolId> {
+        reach(&adjacency(self.edges.iter().copied(), false), seeds)
+    }
+
+    /// The seeds and every predicate they transitively feed.
+    pub fn downstream(&self, seeds: impl IntoIterator<Item = SymbolId>) -> FxHashSet<SymbolId> {
+        reach(&adjacency(self.edges.iter().copied(), true), seeds)
+    }
+
+    /// The predicates that contribute to some output: the upstream cone of
+    /// the sinks, where a multi-head clause feeds *every* one of its heads.
+    pub fn output_cone(&self) -> FxHashSet<SymbolId> {
+        let edges = self.edges.iter().chain(&self.later_heads).copied();
+        reach(&adjacency(edges, false), self.sinks.iter().copied())
+    }
+
+    /// The stratum of each component, or `None` when a strict edge lies
+    /// inside one (a cycle through it).
+    ///
+    /// Components are visited dependencies first, so each one's stratum is
+    /// final before its outgoing edges raise the components they feed.
+    pub(crate) fn levels(&self) -> Option<Vec<usize>> {
+        let component = |p: SymbolId| self.component_of[self.pos(p).expect("graph node")];
+        let mut by_source: Vec<(usize, usize, bool)> = self
+            .edges
+            .iter()
+            .map(|e| (component(e.from), component(e.to), e.strict))
+            .collect();
+        by_source.sort_unstable();
+        let mut level = vec![0; self.components];
+        for (from, to, strict) in by_source {
+            if from == to && strict {
+                return None;
+            }
+            level[to] = level[to].max(level[from] + usize::from(strict));
+        }
+        Some(level)
+    }
+
+    /// The position of `pred` in `preds`.
+    fn pos(&self, pred: SymbolId) -> Option<usize> {
+        self.preds.binary_search(&pred).ok()
+    }
+}
+
+/// Each node's successors along `edges`, in edge order; `forward` follows
+/// each edge `from → to`, otherwise `to → from`.
+pub(crate) fn adjacency<E: GraphEdge>(
+    edges: impl IntoIterator<Item = E>,
+    forward: bool,
+) -> FxHashMap<E::Node, Vec<E::Node>> {
+    let mut next: FxHashMap<E::Node, Vec<E::Node>> = FxHashMap::default();
+    for e in edges {
+        let (a, b) = if forward {
+            (e.from(), e.to())
+        } else {
+            (e.to(), e.from())
         };
-        let head = h.atom.pred.base();
-        for (li, lit) in clause.body.iter().enumerate() {
-            match lit {
-                Literal::Pos(a) => {
-                    let strict = matches!(a.pred, PredicateRef::IdVersion { .. });
-                    out.push(DepEdge {
-                        from: a.pred.base(),
-                        to: head,
-                        strict,
-                        clause: ci,
-                        literal: li,
-                    });
-                }
-                Literal::Neg(a) => {
-                    out.push(DepEdge {
-                        from: a.pred.base(),
-                        to: head,
-                        strict: true,
-                        clause: ci,
-                        literal: li,
-                    });
-                }
-                Literal::Builtin { .. } | Literal::Choice { .. } | Literal::Cut => {}
+        next.entry(a).or_default().push(b);
+    }
+    next
+}
+
+/// Every node reachable from `seeds` in `next` (an [`adjacency`]), seeds
+/// included.
+pub(crate) fn reach<N: Copy + Eq + Hash>(
+    next: &FxHashMap<N, Vec<N>>,
+    seeds: impl IntoIterator<Item = N>,
+) -> FxHashSet<N> {
+    let mut seen: FxHashSet<N> = FxHashSet::default();
+    let mut stack: Vec<N> = seeds.into_iter().collect();
+    seen.extend(stack.iter().copied());
+    while let Some(u) = stack.pop() {
+        for &v in next.get(&u).into_iter().flatten() {
+            if seen.insert(v) {
+                stack.push(v);
             }
         }
     }
-    out
+    seen
+}
+
+/// Some cycle through a marked edge: `cycle[0]` is the first marked edge,
+/// in edge order, that lies on a cycle, and each edge's `to` is the next
+/// edge's `from`, closing back at `cycle[0].from`. Empty when no marked
+/// edge lies on a cycle.
+///
+/// The path back is the one a depth-first walk from `cycle[0].to` finds,
+/// with an explicit stack and each node's edges in insertion order; the
+/// E011 and W020 witnesses are pinned to it.
+pub(crate) fn witness_cycle<E: GraphEdge>(edges: &[E], marked: impl Fn(&E) -> bool) -> Vec<E> {
+    let mut adj: FxHashMap<E::Node, Vec<E>> = FxHashMap::default();
+    for &e in edges {
+        adj.entry(e.from()).or_default().push(e);
+    }
+    for &e in edges.iter().filter(|e| marked(e)) {
+        if e.from() == e.to() {
+            return vec![e];
+        }
+        let mut stack = vec![e.to()];
+        let mut visited: FxHashSet<E::Node> = FxHashSet::default();
+        // The edge that discovered each node during the walk from `e.to`.
+        let mut parent: FxHashMap<E::Node, E> = FxHashMap::default();
+        visited.insert(e.to());
+        while let Some(u) = stack.pop() {
+            if u == e.from() {
+                // Walk parent edges back from u to e.to, then prepend e.
+                let mut path = Vec::new();
+                let mut at = u;
+                while at != e.to() {
+                    let pe = parent[&at];
+                    path.push(pe);
+                    at = pe.from();
+                }
+                path.push(e);
+                path.reverse();
+                return path;
+            }
+            for &edge in adj.get(&u).into_iter().flatten() {
+                if visited.insert(edge.to()) {
+                    parent.insert(edge.to(), edge);
+                    stack.push(edge.to());
+                }
+            }
+        }
+    }
+    Vec::new()
+}
+
+/// Iterative Tarjan SCC over positions: each node's component and the
+/// number of components, numbered dependencies first (topological order of
+/// the condensation).
+fn tarjan(adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
+    let n = adj.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    // Components in the order Tarjan emits them: each one after every
+    // component it reaches.
+    let mut emitted = vec![0; n];
+    let mut count = 0;
+
+    // Explicit DFS stack: (node, next child position).
+    for root in 0..n {
+        if index[root] != usize::MAX {
+            continue;
+        }
+        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
+            if *ci == 0 {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = adj[v].get(*ci) {
+                *ci += 1;
+                if index[w] == usize::MAX {
+                    call.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                if low[v] == index[v] {
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        emitted[w] = count;
+                        if w == v {
+                            break;
+                        }
+                    }
+                    count += 1;
+                }
+                call.pop();
+                if let Some(&(u, _)) = call.last() {
+                    low[u] = low[u].min(low[v]);
+                }
+            }
+        }
+    }
+    for c in &mut emitted {
+        *c = count - 1 - *c;
+    }
+    (emitted, count)
 }
 
 /// Stratify `program`, or return the edges of a cycle through a strict
 /// edge: `cycle[0]` is the strict edge, and each edge's `to` is the next
 /// edge's `from`, closing back at `cycle[0].from`.
 pub fn stratify_check(program: &Program) -> Result<Stratification, Vec<DepEdge>> {
-    let es = dependency_edges(program);
-    let mut preds: FxHashSet<SymbolId> = FxHashSet::default();
-    for e in &es {
-        preds.insert(e.from);
-        preds.insert(e.to);
-    }
-    for clause in &program.clauses {
-        if let Some(h) = clause.head.first() {
-            preds.insert(h.atom.pred.base());
-        }
-    }
-
-    let mut stratum: FxHashMap<SymbolId, usize> = preds.iter().map(|&p| (p, 0)).collect();
-    // Longest-path relaxation; more than |preds| full passes that still
-    // change something means a positive-weight cycle.
-    let n = preds.len().max(1);
-    for pass in 0..=n {
-        let mut changed = false;
-        for e in &es {
-            let need = stratum[&e.from] + usize::from(e.strict);
-            let cur = stratum[&e.to];
-            if cur < need {
-                stratum.insert(e.to, need);
-                changed = true;
-            }
-        }
-        if !changed {
-            let count = stratum.values().copied().max().unwrap_or(0) + 1;
-            return Ok(Stratification {
-                stratum_of: stratum,
-                count,
-            });
-        }
-        if pass == n {
-            break;
-        }
-    }
-    Err(find_cycle(&es))
+    Stratification::of(Arc::new(DepGraph::new(program)))
 }
 
 /// Stratify `program`, or report a cycle through a strict edge.
@@ -162,47 +438,6 @@ pub fn cycle_names(cycle: &[DepEdge], interner: &Interner) -> Vec<String> {
             names
         }
     }
-}
-
-/// Find some cycle containing a strict edge: the strict edge `u → v`
-/// followed by a path `v ⇝ u`.
-fn find_cycle(es: &[DepEdge]) -> Vec<DepEdge> {
-    let mut adj: FxHashMap<SymbolId, Vec<DepEdge>> = FxHashMap::default();
-    for e in es {
-        adj.entry(e.from).or_default().push(*e);
-    }
-    for e in es.iter().filter(|e| e.strict) {
-        if e.from == e.to {
-            return vec![*e];
-        }
-        let mut stack = vec![e.to];
-        let mut visited: FxHashSet<SymbolId> = FxHashSet::default();
-        // The edge that discovered each node during the walk from `e.to`.
-        let mut parent: FxHashMap<SymbolId, DepEdge> = FxHashMap::default();
-        visited.insert(e.to);
-        while let Some(u) = stack.pop() {
-            if u == e.from {
-                // Walk parent edges back from u to e.to, then prepend e.
-                let mut path = Vec::new();
-                let mut at = u;
-                while at != e.to {
-                    let pe = parent[&at];
-                    path.push(pe);
-                    at = pe.from;
-                }
-                path.push(*e);
-                path.reverse();
-                return path;
-            }
-            for &edge in adj.get(&u).into_iter().flatten() {
-                if visited.insert(edge.to) {
-                    parent.insert(edge.to, edge);
-                    stack.push(edge.to);
-                }
-            }
-        }
-    }
-    Vec::new()
 }
 
 #[cfg(test)]

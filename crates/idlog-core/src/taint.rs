@@ -28,6 +28,8 @@
 use idlog_common::{FxHashMap, FxHashSet, SymbolId};
 use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
 
+use crate::tidbound::tid_use;
+
 /// One step in a taint witness: how ID-function dependence reaches a
 /// predicate. Chased transitively by [`TaintAnalysis::witness`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,53 +231,7 @@ pub fn choice_free_occurrence(clause: &Clause, li: usize) -> bool {
             _ => return false,
         }
     }
-    match &atom.terms[tid_pos] {
-        // A symbolic constant never matches the integer-sorted tid column:
-        // the occurrence admits no instantiation under any ID-function.
-        Term::Int(_) | Term::Sym(_) => true,
-        Term::Var(v) => tid_var_is_local(clause, li, v),
-    }
-}
-
-/// True when tid variable `v` of the ID-literal at `clause.body[li]` is
-/// constrained only by that literal and by builtins over constants, so the
-/// set of tids satisfying the constraints is a function of the group size
-/// alone.
-fn tid_var_is_local(clause: &Clause, li: usize, v: &str) -> bool {
-    let occurs = |t: &Term| matches!(t, Term::Var(name) if name == v);
-    if clause.head.iter().any(|h| h.atom.terms.iter().any(occurs)) {
-        return false;
-    }
-    for (i, lit) in clause.body.iter().enumerate() {
-        match lit {
-            _ if i == li => {
-                // Within the ID-literal itself `v` must fill only the tid
-                // position; reuse at a base position couples the tid with
-                // the member↔tid assignment.
-                let atom = lit.atom().expect("li indexes an ID-literal");
-                let tid_pos = atom.terms.len() - 1;
-                if atom.terms[..tid_pos].iter().any(occurs) {
-                    return false;
-                }
-            }
-            Literal::Builtin { args, .. } => {
-                // A builtin mentioning `v` keeps it local only when every
-                // other argument is a constant (the constraint is then a
-                // fixed predicate on the tid value).
-                if args.iter().any(occurs)
-                    && args.iter().any(|t| !occurs(t) && matches!(t, Term::Var(_)))
-                {
-                    return false;
-                }
-            }
-            _ => {
-                if lit.variables().contains(&v) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    tid_use(clause, li).local
 }
 
 /// Occurrence count of every variable across the whole clause (heads,

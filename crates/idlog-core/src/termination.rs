@@ -7,9 +7,9 @@
 //!
 //! The analysis has three layers:
 //!
-//! 1. **Recursion classification.** The predicate dependency graph (from
-//!    [`crate::stratify::dependency_edges`]) is condensed into SCCs and each
-//!    recursive component is classified as linear, nonlinear, or recursive
+//! 1. **Recursion classification.** The components of the predicate
+//!    dependency graph ([`crate::stratify::DepGraph::sccs`]) are each
+//!    classified as linear, nonlinear, or recursive
 //!    through negation / ID-materialization (see [`RecursionKind`]).
 //! 2. **Argument flow.** A graph over `(predicate, column)` nodes records
 //!    how values move between columns, through joins and through builtins.
@@ -19,7 +19,9 @@
 //!    results, `minus`/`div` first arguments). A cycle through an expanding
 //!    edge is the divergence engine of `programs/diverge.idl`: the fixpoint
 //!    derives an ever-larger value forever. Such a cycle is returned as a
-//!    [`FlowEdge`] witness; predicates fed by one are cardinality-unbounded.
+//!    [`FlowEdge`] witness (found by `stratify::witness_cycle`,
+//!    the walker behind E011's too); predicates fed by one are
+//!    cardinality-unbounded.
 //! 3. **Round bound.** When no expanding cycle exists (and the program is
 //!    choice-free and stratifiable), every derivable value lives in a finite
 //!    pool: database values, program constants, and builtin-generated
@@ -34,7 +36,7 @@ use idlog_common::{FxHashMap, FxHashSet, SymbolId};
 use idlog_parser::{Builtin, Literal, Program, Term};
 use idlog_storage::Database;
 
-use crate::stratify::{dependency_edges, stratify_check, DepEdge};
+use crate::stratify::{adjacency, reach, witness_cycle, DepEdge, DepGraph, GraphEdge};
 
 /// A node of the argument-flow graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,6 +80,16 @@ impl FlowEdge {
     /// True when the value can strictly exceed every value read at `from`.
     pub fn is_expanding(&self) -> bool {
         self.grew_at.is_some()
+    }
+}
+
+impl GraphEdge for FlowEdge {
+    type Node = FlowNode;
+    fn from(&self) -> FlowNode {
+        self.from
+    }
+    fn to(&self) -> FlowNode {
+        self.to
     }
 }
 
@@ -454,6 +466,13 @@ struct Src {
 /// the analyzer can run it on programs that fail later validation stages;
 /// anything outside the IDLOG fragment yields an uncertified cert.
 pub fn analyze_termination(program: &Program) -> TerminationCert {
+    analyze_termination_in(program, &DepGraph::new(program))
+}
+
+/// [`analyze_termination`] for a caller that already holds the dependency
+/// graph of `program`, such as a [`crate::ValidatedProgram`]'s
+/// stratification.
+pub fn analyze_termination_in(program: &Program, graph: &DepGraph) -> TerminationCert {
     let foreign = program.clauses.iter().any(|c| {
         c.head.len() != 1
             || c.head.iter().any(|h| h.negated)
@@ -514,12 +533,11 @@ pub fn analyze_termination(program: &Program) -> TerminationCert {
 
     // --- Argument-flow graph. ---
     let edges = flow_edges(program);
-    let witness = growth_cycle(&edges);
+    let witness = witness_cycle(&edges, FlowEdge::is_expanding);
     let unbounded = unbounded_predicates(&edges, &witness);
 
     // --- Dependency SCC classification. ---
-    let dep_edges = dependency_edges(program);
-    let sccs = classify_sccs(program, &dep_edges, &idb, &edb);
+    let sccs = classify_sccs(program, graph);
 
     // --- ID-sites over unbounded bases. ---
     let mut id_sites = Vec::new();
@@ -537,9 +555,9 @@ pub fn analyze_termination(program: &Program) -> TerminationCert {
         }
     }
 
-    let (strata, stratified) = match stratify_check(program) {
-        Ok(s) => (s.count() as u64, true),
-        Err(_) => (1, false),
+    let (strata, stratified) = match graph.levels() {
+        Some(levels) => (levels.into_iter().max().unwrap_or(0) as u64 + 1, true),
+        None => (1, false),
     };
     let bounded = !foreign && stratified && witness.is_empty() && unbounded.is_empty();
 
@@ -579,7 +597,7 @@ pub fn analyze_termination(program: &Program) -> TerminationCert {
         strata,
         foreign,
         nonrec_clauses,
-        dep_edges,
+        dep_edges: graph.edges().to_vec(),
     }
 }
 
@@ -697,129 +715,40 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
     edges
 }
 
-/// Find an expanding edge lying on a cycle, and return the cycle:
-/// `[expanding edge, path back to its source…]` (mirrors
-/// `stratify::find_cycle`). Empty when the flow graph has no growing cycle.
-fn growth_cycle(edges: &[FlowEdge]) -> Vec<FlowEdge> {
-    let mut adj: FxHashMap<FlowNode, Vec<&FlowEdge>> = FxHashMap::default();
-    for e in edges {
-        adj.entry(e.from).or_default().push(e);
-    }
-    for e in edges.iter().filter(|e| e.is_expanding()) {
-        if e.from == e.to {
-            return vec![*e];
-        }
-        let mut stack = vec![e.to];
-        let mut visited: FxHashSet<FlowNode> = FxHashSet::default();
-        let mut parent: FxHashMap<FlowNode, FlowEdge> = FxHashMap::default();
-        visited.insert(e.to);
-        while let Some(u) = stack.pop() {
-            if u == e.from {
-                let mut path = Vec::new();
-                let mut at = u;
-                while at != e.to {
-                    let pe = parent[&at];
-                    path.push(pe);
-                    at = pe.from;
-                }
-                path.push(*e);
-                path.reverse();
-                return path;
-            }
-            for &edge in adj.get(&u).into_iter().flatten() {
-                if visited.insert(edge.to) {
-                    parent.insert(edge.to, *edge);
-                    stack.push(edge.to);
-                }
-            }
-        }
-    }
-    Vec::new()
-}
-
 /// Predicates whose cardinality cannot be bounded: everything reachable
-/// (forward) from a node of an expanding cycle.
+/// (forward) from a node of an expanding cycle. Every expanding edge that
+/// closes a cycle seeds, not just the `witness`'s: independent growth
+/// engines all poison their sinks. Without a witness no expanding edge
+/// closes a cycle.
 fn unbounded_predicates(edges: &[FlowEdge], witness: &[FlowEdge]) -> FxHashSet<SymbolId> {
-    let mut out = FxHashSet::default();
     if witness.is_empty() {
-        return out;
+        return FxHashSet::default();
     }
-    let mut adj: FxHashMap<FlowNode, Vec<FlowNode>> = FxHashMap::default();
-    for e in edges {
-        adj.entry(e.from).or_default().push(e.to);
-    }
-    // Seed from every expanding edge that closes a cycle, not just the
-    // first witness: independent growth engines all poison their sinks.
-    let mut seeds: Vec<FlowNode> = Vec::new();
-    for e in edges.iter().filter(|e| e.is_expanding()) {
-        if e.from == e.to || reaches(&adj, e.to, e.from) {
-            seeds.push(e.to);
-        }
-    }
-    let mut visited: FxHashSet<FlowNode> = seeds.iter().copied().collect();
-    let mut stack = seeds;
-    while let Some(u) = stack.pop() {
-        if let FlowNode::Col(p, _) = u {
-            out.insert(p);
-        }
-        for &v in adj.get(&u).into_iter().flatten() {
-            if visited.insert(v) {
-                stack.push(v);
-            }
-        }
-    }
-    out
+    let next = adjacency(edges.iter().copied(), true);
+    let seeds = edges
+        .iter()
+        .filter(|e| e.is_expanding() && reach(&next, [e.to]).contains(&e.from))
+        .map(|e| e.to);
+    reach(&next, seeds)
+        .into_iter()
+        .filter_map(|node| match node {
+            FlowNode::Col(p, _) => Some(p),
+            FlowNode::Card(_) => None,
+        })
+        .collect()
 }
 
-fn reaches(adj: &FxHashMap<FlowNode, Vec<FlowNode>>, from: FlowNode, to: FlowNode) -> bool {
-    let mut visited: FxHashSet<FlowNode> = FxHashSet::default();
-    let mut stack = vec![from];
-    visited.insert(from);
-    while let Some(u) = stack.pop() {
-        if u == to {
-            return true;
-        }
-        for &v in adj.get(&u).into_iter().flatten() {
-            if visited.insert(v) {
-                stack.push(v);
-            }
-        }
-    }
-    false
-}
-
-/// Tarjan condensation of the dependency graph, in evaluation (reverse
-/// topological-of-condensation) order, with recursion classification.
-fn classify_sccs(
-    program: &Program,
-    dep_edges: &[DepEdge],
-    idb: &[(SymbolId, usize)],
-    edb: &[(SymbolId, usize)],
-) -> Vec<SccSummary> {
-    let mut preds: Vec<SymbolId> = idb.iter().chain(edb.iter()).map(|&(p, _)| p).collect();
-    preds.sort_unstable();
-    preds.dedup();
-    let index_of: FxHashMap<SymbolId, usize> =
-        preds.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); preds.len()];
-    for e in dep_edges {
-        if let (Some(&f), Some(&t)) = (index_of.get(&e.from), index_of.get(&e.to)) {
-            adj[f].push(t);
-        }
-    }
-    // Tarjan emits components in reverse topological order of the
-    // condensation (every component after its dependents); evaluation
-    // order — dependencies first — is the reverse.
-    let mut sccs = tarjan(&adj);
-    sccs.reverse();
-
+/// The dependency graph's components in evaluation (dependencies-first)
+/// order, with their recursion classification.
+fn classify_sccs(program: &Program, graph: &DepGraph) -> Vec<SccSummary> {
+    let dep_edges = graph.edges();
     let mut out = Vec::new();
-    for comp in sccs {
-        let members: FxHashSet<SymbolId> = comp.iter().map(|&i| preds[i]).collect();
+    for preds in graph.sccs() {
+        let members: FxHashSet<SymbolId> = preds.iter().copied().collect();
         let self_edge = dep_edges
             .iter()
             .any(|e| e.from == e.to && members.contains(&e.from));
-        let recursive = comp.len() > 1 || self_edge;
+        let recursive = preds.len() > 1 || self_edge;
         let kind = if !recursive {
             RecursionKind::Nonrecursive
         } else {
@@ -871,63 +800,7 @@ fn classify_sccs(
                 }
             }
         };
-        let mut ps: Vec<SymbolId> = members.into_iter().collect();
-        ps.sort_unstable();
-        out.push(SccSummary { preds: ps, kind });
-    }
-    out
-}
-
-/// Iterative Tarjan SCC; components come out in reverse topological order
-/// of the condensation (callers reverse for evaluation order).
-fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS stack: (node, next child position).
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = adj[v].get(*ci) {
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    out.push(comp);
-                }
-                call.pop();
-                if let Some(&(u, _)) = call.last() {
-                    low[u] = low[u].min(low[v]);
-                }
-            }
-        }
+        out.push(SccSummary { preds, kind });
     }
     out
 }

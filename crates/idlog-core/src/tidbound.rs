@@ -34,7 +34,7 @@ pub fn tid_bounds_ast(program: &Program) -> TidBounds {
                 continue;
             };
             let key = (*base, grouping.clone());
-            let this = occurrence_bound(clause, li);
+            let this = tid_use(clause, li).bound;
             let entry = bounds.entry(key).or_insert(Some(0));
             *entry = match (*entry, this) {
                 (Some(a), Some(b)) => Some(a.max(b)),
@@ -48,97 +48,88 @@ pub fn tid_bounds_ast(program: &Program) -> TidBounds {
         .collect()
 }
 
-/// Bound for one ID-literal occurrence, or `None` when the tid leaks.
-fn occurrence_bound(clause: &Clause, li: usize) -> Option<usize> {
-    let atom = clause.body[li].atom().expect("caller checked");
+/// What the rest of its clause can observe of one ID-literal occurrence's
+/// tid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TidUse {
+    /// The tid is constrained only by the literal itself and by builtins
+    /// over constants, so the set of tids satisfying the constraints is a
+    /// function of the group size alone (taint's choice-free rule).
+    pub local: bool,
+    /// The number `k` of tids the occurrence can tell apart (it observes
+    /// tids `0..k` only), when comparisons against constants bound it from
+    /// above and nothing else reads it (H001 and bounded enumeration).
+    pub bound: Option<usize>,
+}
+
+/// The tid use of the ID-literal at `clause.body[li]`. A local tid need not
+/// be bounded: `succ(T, 3)` pins `T` to a constant's predecessor, but only
+/// comparisons bound it.
+pub(crate) fn tid_use(clause: &Clause, li: usize) -> TidUse {
+    let atom = clause.body[li].atom().expect("li indexes an ID-literal");
     let tid_pos = atom.terms.len() - 1;
-    match &atom.terms[tid_pos] {
-        Term::Int(c) => Some(usize::try_from(*c).map_or(0, |c| c + 1)),
-        Term::Sym(_) => Some(0), // wrong sort: never matches
-        Term::Var(v) => {
-            // The variable must occur nowhere else in the ID-atom itself.
-            if atom.terms[..tid_pos].iter().any(|t| t.as_var() == Some(v)) {
-                return None;
-            }
-            // ...nor in any head...
-            for h in &clause.head {
-                if h.atom.variables().contains(&v.as_str()) {
-                    return None;
+    let constant = |k| TidUse {
+        local: true,
+        bound: Some(k),
+    };
+    let v = match &atom.terms[tid_pos] {
+        Term::Int(c) => return constant(usize::try_from(*c).map_or(0, |c| c + 1)),
+        // Wrong sort: never matches, so it observes no tid.
+        Term::Sym(_) => return constant(0),
+        Term::Var(v) => v.as_str(),
+    };
+    const LEAKS: TidUse = TidUse {
+        local: false,
+        bound: None,
+    };
+    let occurs = |t: &Term| t.as_var() == Some(v);
+    // Reuse at a base position of the ID-atom itself couples the tid with
+    // the member↔tid assignment; a head occurrence exports it.
+    if atom.terms[..tid_pos].iter().any(occurs)
+        || clause.head.iter().any(|h| h.atom.terms.iter().any(occurs))
+    {
+        return LEAKS;
+    }
+    let mut local = true;
+    let mut bound: Option<usize> = None;
+    let mut unbounded_read = false;
+    for (lj, lit) in clause.body.iter().enumerate() {
+        match lit {
+            _ if lj == li => {}
+            Literal::Builtin { op, args } if args.iter().any(occurs) => {
+                // Another variable couples the tid to the rest of the clause.
+                local &= !args.iter().any(|t| !occurs(t) && matches!(t, Term::Var(_)));
+                match constant_bound(*op, args, v) {
+                    Some(b) => bound = Some(bound.map_or(b, |cur| cur.min(b))),
+                    None => unbounded_read = true,
                 }
             }
-            // ...nor in any other body literal except bounding comparisons.
-            let mut bound: Option<usize> = None;
-            for (lj, other) in clause.body.iter().enumerate() {
-                if lj == li {
-                    continue;
-                }
-                match other {
-                    Literal::Builtin { op, args } => match comparison_bound(*op, args, v) {
-                        ComparisonUse::NotMentioned => {}
-                        ComparisonUse::Bounds(b) => {
-                            bound = Some(bound.map_or(b, |cur| cur.min(b)));
-                        }
-                        ComparisonUse::Leaks => return None,
-                    },
-                    _ => {
-                        if other.variables().contains(&v.as_str()) {
-                            return None;
-                        }
-                    }
-                }
-            }
-            bound
+            Literal::Builtin { .. } => {}
+            _ if lit.variables().contains(&v) => return LEAKS,
+            _ => {}
         }
     }
-}
-
-enum ComparisonUse {
-    NotMentioned,
-    Bounds(usize),
-    Leaks,
-}
-
-/// Does this builtin bound variable `v` from above by a constant?
-fn comparison_bound(op: Builtin, args: &[Term], v: &str) -> ComparisonUse {
-    let mentions = args.iter().any(|t| t.as_var() == Some(v));
-    if !mentions {
-        return ComparisonUse::NotMentioned;
+    TidUse {
+        local,
+        bound: bound.filter(|_| !unbounded_read),
     }
-    let as_const = |t: &Term| match t {
-        Term::Int(c) => usize::try_from(*c).ok(),
-        _ => None,
+}
+
+/// The bound a builtin over `v` puts on it: `k` when it admits only
+/// `v < k`. Only comparisons against an integer constant bound the tid;
+/// anything else (another variable, a symbol, arithmetic) reads it.
+fn constant_bound(op: Builtin, args: &[Term], v: &str) -> Option<usize> {
+    // `(variable side, constant side, constant excluded)`.
+    let (x, c, strict) = match (op, args.first()?, args.get(1)?) {
+        (Builtin::Lt, Term::Var(x), c) => (x, c, true),
+        (Builtin::Le | Builtin::Eq, Term::Var(x), c) => (x, c, false),
+        (Builtin::Gt, c, Term::Var(x)) => (x, c, true),
+        (Builtin::Ge | Builtin::Eq, c, Term::Var(x)) => (x, c, false),
+        _ => return None,
     };
-    // Only comparisons against an integer constant bound the tid; anything
-    // else (another variable, a symbol) leaks it.
-    match (op, &args[0], &args[1]) {
-        // v < c, v <= c, v = c
-        (Builtin::Lt, Term::Var(x), rhs) if x == v => match as_const(rhs) {
-            Some(c) => ComparisonUse::Bounds(c),
-            None => ComparisonUse::Leaks,
-        },
-        (Builtin::Le, Term::Var(x), rhs) if x == v => match as_const(rhs) {
-            Some(c) => ComparisonUse::Bounds(c + 1),
-            None => ComparisonUse::Leaks,
-        },
-        (Builtin::Eq, Term::Var(x), rhs) if x == v => match as_const(rhs) {
-            Some(c) => ComparisonUse::Bounds(c + 1),
-            None => ComparisonUse::Leaks,
-        },
-        // c > v, c >= v, c = v
-        (Builtin::Gt, lhs, Term::Var(x)) if x == v => match as_const(lhs) {
-            Some(c) => ComparisonUse::Bounds(c),
-            None => ComparisonUse::Leaks,
-        },
-        (Builtin::Ge, lhs, Term::Var(x)) if x == v => match as_const(lhs) {
-            Some(c) => ComparisonUse::Bounds(c + 1),
-            None => ComparisonUse::Leaks,
-        },
-        (Builtin::Eq, lhs, Term::Var(x)) if x == v => match as_const(lhs) {
-            Some(c) => ComparisonUse::Bounds(c + 1),
-            None => ComparisonUse::Leaks,
-        },
-        _ => ComparisonUse::Leaks,
-    }
+    let Term::Int(c) = c else { return None };
+    let c = usize::try_from(*c).ok()?;
+    (x == v).then_some(if strict { c } else { c + 1 })
 }
 
 #[cfg(test)]
@@ -211,6 +202,23 @@ mod tests {
         );
         assert_eq!(b.get(&("emp".into(), vec![1])), Some(&1));
         assert_eq!(b.get(&("emp".into(), vec![0])), None);
+    }
+
+    #[test]
+    fn a_local_tid_need_not_be_bounded() {
+        let i = Interner::new();
+        let use_of = |src: &str| {
+            let p = idlog_parser::parse_program(src, &i).unwrap();
+            tid_use(&p.clauses[0], 0)
+        };
+        // `succ(T, 3)` fixes the tid from constants alone, but no
+        // comparison bounds it.
+        let succ = use_of("p(N) :- emp[](N, D, T), succ(T, 3).");
+        assert_eq!((succ.local, succ.bound), (true, None));
+        let lt = use_of("p(N) :- emp[](N, D, T), T < 3.");
+        assert_eq!((lt.local, lt.bound), (true, Some(3)));
+        let joined = use_of("p(N) :- emp[](N, D, T), lim(M), T < M.");
+        assert_eq!((joined.local, joined.bound), (false, None));
     }
 
     #[test]

@@ -93,8 +93,8 @@ pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
     loop {
         let mut changed = false;
         for clause in &program.clauses {
-            for (li, lit) in clause.body.iter().enumerate() {
-                let Some(positions) = local_existential(program, clause, li, &pred_level) else {
+            for li in 0..clause.body.len() {
+                let Some(positions) = local_existential(clause, li, &pred_level) else {
                     continue;
                 };
                 let atom = clause.body[li].atom().expect("local_existential checked");
@@ -107,7 +107,6 @@ pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
                         changed = true;
                     }
                 }
-                let _ = lit;
             }
         }
         if !changed {
@@ -119,7 +118,7 @@ pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
     let mut occurrence: FxHashMap<(usize, usize), Vec<usize>> = FxHashMap::default();
     for (ci, clause) in program.clauses.iter().enumerate() {
         for li in 0..clause.body.len() {
-            if let Some(positions) = local_existential(program, clause, li, &pred_level) {
+            if let Some(positions) = local_existential(clause, li, &pred_level) {
                 if !positions.is_empty() {
                     occurrence.insert((ci, li), positions);
                 }
@@ -140,7 +139,6 @@ pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
 /// marked predicate-level existential. Returns `None` for non-atom literals
 /// (builtins) and negated literals — those never qualify.
 fn local_existential(
-    _program: &Program,
     clause: &idlog_parser::Clause,
     li: usize,
     pred_level: &FxHashSet<(SymbolId, usize)>,

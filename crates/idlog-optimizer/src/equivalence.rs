@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use idlog_common::Interner;
 use idlog_core::{
-    analyze_taint, analyze_termination, enumerate_with_options, evaluate_with_options,
+    analyze_taint, analyze_termination_in, enumerate_with_options, evaluate_with_options,
     CanonicalOracle, CoreResult, EnumBudget, EvalOptions, Limits, ValidatedProgram,
 };
 use idlog_parser::Program;
@@ -60,8 +60,8 @@ pub fn q_equivalent_on(
     // probes run without governor ceilings (the certified per-database
     // round bound stays installed as a backstop against a buggy cert);
     // otherwise fall back to the legacy blunt ceilings.
-    let t1 = analyze_termination(v1.ast());
-    let t2 = analyze_termination(v2.ast());
+    let t1 = analyze_termination_in(v1.ast(), v1.stratification().graph());
+    let t2 = analyze_termination_in(v2.ast(), v2.stratification().graph());
     if t1.growth_witness().is_some() || t2.growth_witness().is_some() {
         return Err(idlog_core::CoreError::LimitExceeded {
             limit: idlog_core::LimitKind::Rounds,
