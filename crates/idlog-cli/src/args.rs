@@ -735,7 +735,7 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(run.strategy, Some(Strategy::SemiNaive));
-        // Naive evaluation is a test oracle, not a user-facing strategy.
+        // There is no naive strategy; "naive" is refused like any unknown name.
         for refused in ["naive", "earley"] {
             let err = parse(&["run", "p.idl", "--output", "q", "--strategy", refused]).unwrap_err();
             assert!(err.contains("expected seminaive or magic"), "{err}");

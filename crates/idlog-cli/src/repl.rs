@@ -463,7 +463,7 @@ mod tests {
         assert!(out.contains("q(b)") && out.contains("q(c)"), "{out}");
         assert!(!out.contains("q(y)"), "irrelevant fact derived: {out}");
         assert!(out.contains("strategy: seminaive"), "{out}");
-        // Naive evaluation is a test oracle, not a session strategy.
+        // There is no naive strategy; "naive" is refused like any unknown name.
         assert!(
             out.contains(
                 "error: :strategy: unknown strategy \"naive\" (expected seminaive or magic)"

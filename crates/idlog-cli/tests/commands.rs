@@ -409,8 +409,8 @@ fn run_query_write_errors_never_panic() {
     }
 }
 
-/// Naive evaluation is the engine's test oracle, not a user-facing strategy:
-/// `--strategy naive` is a usage error (exit 2) naming what is accepted.
+/// There is no naive strategy: `--strategy naive` is a usage error (exit 2)
+/// naming what is accepted.
 #[test]
 fn run_strategy_naive_is_a_usage_error() {
     let s = Scratch::new("strategy-naive");

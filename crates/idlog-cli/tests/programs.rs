@@ -305,13 +305,13 @@ const CORPUS_COUNTERS: [(&str, u64, u64); 7] = [
 ];
 
 /// The engine's counters are functions of the database contents, never of
-/// the thread count, the storage backend or the strategy: every shipped
-/// program derives the same `(iterations, inserted)` in every
-/// configuration, within its certified round bound, and the diverging one
-/// trips its round ceiling in every configuration.
+/// the thread count or the storage backend: every shipped program derives
+/// the same `(iterations, inserted)` in every configuration, within its
+/// certified round bound, and the diverging one trips its round ceiling in
+/// every configuration.
 #[test]
-fn corpus_counters_agree_across_threads_backends_and_strategies() {
-    use idlog_core::{BackendKind, CoreError, EvalOptions, LimitKind, Strategy};
+fn corpus_counters_agree_across_threads_and_backends() {
+    use idlog_core::{BackendKind, CoreError, EvalOptions, LimitKind};
 
     let mut checked = 0;
     for case in idlog_suite::corpus(&programs_dir()).unwrap() {
@@ -336,47 +336,82 @@ fn corpus_counters_agree_across_threads_backends_and_strategies() {
             case.program
         );
         for backend in [BackendKind::Hash, BackendKind::Columnar] {
-            for strategy in [Strategy::SemiNaive, Strategy::Naive] {
-                for threads in [1usize, 2, 4] {
-                    let mut options = EvalOptions::new()
-                        .backend(backend)
-                        .strategy(strategy)
-                        .threads(threads);
-                    if diverges {
-                        options = options.max_rounds(DIVERGING_ROUNDS);
-                    }
-                    let config = format!(
-                        "{} --threads {threads} --backend {backend} --strategy {strategy}",
-                        case.program
-                    );
-                    let outcome = idlog_core::evaluate_with_options(
-                        &program,
-                        &db,
-                        &mut idlog_core::CanonicalOracle,
-                        &options,
-                    );
-                    match (pinned, outcome) {
-                        (Some(want), Ok(out)) => {
-                            let stats = out.stats();
-                            assert_eq!((stats.iterations, stats.inserted), want, "{config}");
-                            if let Some(bound) = bound {
-                                assert!(stats.iterations <= bound, "{config}: bound {bound}");
-                            }
-                        }
-                        (
-                            None,
-                            Err(CoreError::LimitExceeded {
-                                limit: LimitKind::Rounds,
-                            }),
-                        ) => {}
-                        (_, other) => panic!("{config}: {other:?}"),
-                    }
-                    checked += 1;
+            for threads in [1usize, 2, 4] {
+                let mut options = EvalOptions::new().backend(backend).threads(threads);
+                if diverges {
+                    options = options.max_rounds(DIVERGING_ROUNDS);
                 }
+                let config = format!("{} --threads {threads} --backend {backend}", case.program);
+                let outcome = idlog_core::evaluate_with_options(
+                    &program,
+                    &db,
+                    &mut idlog_core::CanonicalOracle,
+                    &options,
+                );
+                match (pinned, outcome) {
+                    (Some(want), Ok(out)) => {
+                        let stats = out.stats();
+                        assert_eq!((stats.iterations, stats.inserted), want, "{config}");
+                        if let Some(bound) = bound {
+                            assert!(stats.iterations <= bound, "{config}: bound {bound}");
+                        }
+                    }
+                    (
+                        None,
+                        Err(CoreError::LimitExceeded {
+                            limit: LimitKind::Rounds,
+                        }),
+                    ) => {}
+                    (_, other) => panic!("{config}: {other:?}"),
+                }
+                checked += 1;
             }
         }
     }
-    assert!(checked >= 7 * 12, "corpus shrank: {checked} runs");
+    assert!(checked >= 7 * 6, "corpus shrank: {checked} runs");
+}
+
+/// Every shipped program that terminates (the DATALOG^C one is translated,
+/// not run, and the diverging one never ends) evaluates under the canonical
+/// ID-functions to the perfect model of the reference interpreter. The
+/// reference reads the `.facts` sidecar with the parser, so this also holds
+/// the engine's fact loader to it.
+#[test]
+fn shipped_programs_equal_the_reference_model() {
+    use idlog_suite::reference::{self, Perms};
+
+    let mut checked = 0;
+    for case in idlog_suite::corpus(&programs_dir()).unwrap() {
+        let Some((program, cert)) = corpus_program(&case) else {
+            continue;
+        };
+        if cert.growth_witness().is_some() {
+            continue;
+        }
+        let facts = case
+            .facts
+            .as_ref()
+            .map(|f| std::fs::read_to_string(path(f)).unwrap())
+            .unwrap_or_default();
+        let mut db = idlog_core::Database::with_interner(program.interner().clone());
+        idlog_core::load_facts(&facts, &mut db).unwrap();
+        let out = idlog_core::evaluate_with_options(
+            &program,
+            &db,
+            &mut idlog_core::CanonicalOracle,
+            &idlog_core::EvalOptions::new(),
+        )
+        .unwrap();
+        let src = std::fs::read_to_string(path(&case.program)).unwrap();
+        let edb = reference::facts(&facts).unwrap();
+        let model = reference::perfect_model(&src, &edb, &Perms::new()).unwrap();
+        let engine = reference::view(&model, program.interner(), |name| {
+            out.relation(name).map(|r| r.iter())
+        });
+        assert_eq!(engine, model, "{}", case.program);
+        checked += 1;
+    }
+    assert!(checked >= 7, "corpus shrank: {checked} programs");
 }
 
 /// `idlog check` on every shipped program prints the bytes in

@@ -37,7 +37,7 @@ pub const THREADS_ENV_VAR: &str = "IDLOG_THREADS";
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Fixpoint strategy per stratum.
+    /// Evaluation [`Strategy`].
     pub strategy: Strategy,
     /// Worker threads for fixpoint rounds and enumeration fan-out.
     ///
@@ -89,7 +89,7 @@ impl EvalOptions {
         EvalOptions::new().threads(1)
     }
 
-    /// Set the fixpoint [`Strategy`].
+    /// Set the evaluation [`Strategy`].
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn builder_sets_every_field() {
         let opts = EvalOptions::new()
-            .strategy(Strategy::Naive)
+            .strategy(Strategy::Magic)
             .threads(3)
             .profile(true)
             .budget(EnumBudget {
@@ -214,7 +214,7 @@ mod tests {
             .max_rounds(9)
             .max_tuples(1_000)
             .max_bytes(1 << 20);
-        assert_eq!(opts.strategy, Strategy::Naive);
+        assert_eq!(opts.strategy, Strategy::Magic);
         assert_eq!(opts.threads, 3);
         assert!(opts.profile);
         assert_eq!(opts.budget.max_models, 7);

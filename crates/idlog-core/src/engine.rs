@@ -613,7 +613,7 @@ fn run_items(
     Ok(())
 }
 
-/// One full (undriven) item per rule: round 0 and every naive round.
+/// One full (undriven) item per rule: a stratum's round 0.
 fn full_work_list<'a>(resolved: &'a Resolved<'_>) -> Vec<WorkItem<'a>> {
     resolved
         .rules()
@@ -676,51 +676,6 @@ fn delta_work_list<'a>(resolved: &'a Resolved<'_>, drives: &[Driven<'a>]) -> Vec
 /// map and its vectors are reused from round to round, so a predicate that
 /// gained nothing this round may linger with an empty vector.
 pub(crate) type Delta = FxHashMap<SymbolId, Vec<Tuple>>;
-
-/// Evaluate one stratum to fixpoint **naively**: every round re-runs every
-/// rule in full until nothing new is derived. Exists as the ablation
-/// baseline for the semi-naive strategy ([`eval_stratum`]); results are
-/// identical, the work is not.
-pub fn eval_stratum_naive(
-    state: &mut EvalState,
-    plans: &[&RulePlan],
-    stats: &mut EvalStats,
-    threads: usize,
-    governor: &Governor,
-    mut prof: Option<&mut StratumProfile>,
-) -> CoreResult<()> {
-    let (mut bufs, mut delta) = (Vec::new(), Delta::default());
-    let mut round = 0usize;
-    loop {
-        let resolved = Resolved::new(&*state, plans.iter().copied());
-        let items = full_work_list(&resolved);
-        let mut recs = prof.as_ref().map(|_| Vec::new());
-        run_round(
-            state,
-            &items,
-            threads,
-            governor,
-            stats,
-            recs.as_mut(),
-            &mut bufs,
-        )?;
-        drop(items);
-        drop(resolved);
-        let grew = absorb_contained(state, &mut bufs, stats, recs.as_mut(), &mut delta)?;
-        if let (Some(p), Some(recs)) = (prof.as_deref_mut(), recs) {
-            p.rounds.push(RoundProfile::from_items(round, recs));
-        }
-        stats.iterations += 1;
-        round += 1;
-        if !grew {
-            return Ok(());
-        }
-        // Another round is coming: a deterministic barrier, where merged
-        // state and stats are thread-count independent — the only place
-        // the rounds/tuples/bytes ceilings are allowed to trip.
-        governor.check_barrier(stats, || state.estimated_bytes())?;
-    }
-}
 
 /// Evaluate one stratum to fixpoint.
 ///

@@ -12,7 +12,7 @@ use idlog_common::{FxHashSet, Interner, SymbolId};
 use idlog_storage::{BackendKind, Database, Relation};
 
 use crate::config::EvalOptions;
-use crate::engine::{eval_stratum, eval_stratum_naive, EvalState};
+use crate::engine::{eval_stratum, EvalState};
 use crate::error::{CoreError, CoreResult};
 use crate::govern::{panic_message, CancelToken, EvalError, Governor};
 use crate::plan::RulePlan;
@@ -89,18 +89,16 @@ impl EvalOutput {
     }
 }
 
-/// Fixpoint strategy per stratum.
+/// How a query is evaluated. Both strategies run the same delta-driven
+/// semi-naive fixpoint per stratum; they differ in the program it runs over.
+/// The tests hold that fixpoint to an independent interpreter of the
+/// paper's §2 (`idlog-suite`'s `reference` module), not to a second engine
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Delta-driven semi-naive evaluation (the default).
+    /// Evaluate the program as written (the default).
     #[default]
     SemiNaive,
-    /// Re-run every rule in full each round. Reachable only through
-    /// [`EvalOptions::strategy`](crate::EvalOptions): it is the differential
-    /// oracle the determinism and random-program suites hold semi-naive
-    /// evaluation to, not a user-facing option ([`Strategy::parse`] refuses
-    /// it).
-    Naive,
     /// Goal-directed evaluation: [`crate::query::Query`] rewrites the
     /// program with magic sets ([`crate::relevance`]) before evaluation,
     /// which then proceeds semi-naively over the transformed program. At
@@ -120,11 +118,10 @@ impl Strategy {
         }
     }
 
-    /// The canonical name (`"seminaive"` / `"naive"` / `"magic"`).
+    /// The canonical name (`"seminaive"` / `"magic"`).
     pub fn name(self) -> &'static str {
         match self {
             Strategy::SemiNaive => "seminaive",
-            Strategy::Naive => "naive",
             Strategy::Magic => "magic",
         }
     }
@@ -137,7 +134,8 @@ impl std::fmt::Display for Strategy {
 }
 
 /// Compute the perfect model of `program` on `db` under `oracle`'s tid
-/// choices, governed by [`EvalOptions`] (strategy, threads, profiling).
+/// choices, governed by [`EvalOptions`] (threads, backend, profiling;
+/// the strategy is [`crate::Query`]'s to apply before this call).
 ///
 /// `db` must share the program's interner (build it with
 /// `Database::with_interner(program.interner().clone())`). Neither the
@@ -219,31 +217,17 @@ pub fn evaluate_governed(
                 &mut stats,
                 sp.as_mut(),
             )?;
-            match options.strategy {
-                Strategy::SemiNaive | Strategy::Magic => {
-                    let same_stratum: FxHashSet<SymbolId> =
-                        stratum_plans.iter().map(|p| p.head_pred).collect();
-                    eval_stratum(
-                        &mut state,
-                        &stratum_plans,
-                        &same_stratum,
-                        &mut stats,
-                        threads,
-                        &governor,
-                        sp.as_mut(),
-                    )?;
-                }
-                Strategy::Naive => {
-                    eval_stratum_naive(
-                        &mut state,
-                        &stratum_plans,
-                        &mut stats,
-                        threads,
-                        &governor,
-                        sp.as_mut(),
-                    )?;
-                }
-            }
+            let same_stratum: FxHashSet<SymbolId> =
+                stratum_plans.iter().map(|p| p.head_pred).collect();
+            eval_stratum(
+                &mut state,
+                &stratum_plans,
+                &same_stratum,
+                &mut stats,
+                threads,
+                &governor,
+                sp.as_mut(),
+            )?;
             if let (Some(p), Some(sp)) = (profile.as_mut(), sp) {
                 p.strata.push(sp);
             }
@@ -683,44 +667,6 @@ mod tests {
         let out = run(&p, &db, &mut CanonicalOracle).unwrap();
         assert_eq!(names(&out, "man"), ["a", "b"]);
         assert!(names(&out, "woman").is_empty());
-    }
-
-    #[test]
-    fn naive_and_seminaive_agree() {
-        let (p, db) = setup(
-            "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
-            &[
-                ("e", &["a", "b"]),
-                ("e", &["b", "c"]),
-                ("e", &["c", "d"]),
-                ("e", &["d", "a"]),
-            ],
-        );
-        let semi = evaluate_with_options(
-            &p,
-            &db,
-            &mut CanonicalOracle,
-            &EvalOptions::new().strategy(Strategy::SemiNaive),
-        )
-        .unwrap();
-        let naive = evaluate_with_options(
-            &p,
-            &db,
-            &mut CanonicalOracle,
-            &EvalOptions::new().strategy(Strategy::Naive),
-        )
-        .unwrap();
-        assert!(semi
-            .relation("tc")
-            .unwrap()
-            .set_eq(naive.relation("tc").unwrap()));
-        // Semi-naive derives strictly fewer duplicate facts on a cycle.
-        assert!(
-            semi.stats().derived < naive.stats().derived,
-            "semi {} vs naive {}",
-            semi.stats().derived,
-            naive.stats().derived
-        );
     }
 
     #[test]

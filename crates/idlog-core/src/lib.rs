@@ -36,7 +36,6 @@ pub mod explain;
 pub mod facts;
 pub mod govern;
 pub mod maintain;
-pub mod modelcheck;
 pub mod plan;
 pub mod pred;
 pub mod profile;
@@ -61,7 +60,6 @@ pub use explain::{explain, explain_analyze};
 pub use facts::load_facts;
 pub use govern::{CancelToken, EvalError, Governor, LimitKind, Limits, StopReason};
 pub use maintain::{FactDelta, MaintainOutcome, Materialized};
-pub use modelcheck::{verify_model, ModelViolation};
 pub use pred::PredKey;
 pub use profile::{Profile, RuleTotals, PROFILE_JSON_SCHEMA};
 pub use program::ValidatedProgram;

@@ -14,15 +14,20 @@
 //!    layout only. Every statistic is a function of relation *contents*
 //!    (sets), never of scan order, so the hash and columnar backends
 //!    produce the same relations and the same [`EvalStats`].
+//!
+//! What every axis agrees on is also the right answer: under the canonical
+//! ID-functions the shared fixtures evaluate to the perfect model of the
+//! reference interpreter (`idlog_suite::reference`).
 
 use std::sync::Arc;
 
 use idlog_core::tid::TidOracle;
 use idlog_core::{
     enumerate_with_options, evaluate_with_options, BackendKind, CanonicalOracle, EnumBudget,
-    EvalOptions, EvalOutput, Interner, SeededOracle, Strategy, ValidatedProgram,
+    EvalOptions, EvalOutput, Interner, SeededOracle, ValidatedProgram,
 };
 use idlog_storage::{make_id_relation, Database};
+use idlog_suite::reference::{self, Perms, Relations};
 
 /// Both storage backends; determinism suites sweep this axis.
 const BACKENDS: [BackendKind; 2] = [BackendKind::Hash, BackendKind::Columnar];
@@ -37,6 +42,8 @@ fn setup(src: &str, facts: &[(&str, &[&str])]) -> (ValidatedProgram, Database) {
     (program, db)
 }
 
+const TC_SRC: &str = "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).";
+
 /// root → 64 sources → one hub → 64 sinks. The closure's third round
 /// replays a delta holding all 64 × 64 source→sink paths — 4097 tuples from
 /// only 192 edges, enough to cross the engine's parallel-round threshold
@@ -44,11 +51,7 @@ fn setup(src: &str, facts: &[(&str, &[&str])]) -> (ValidatedProgram, Database) {
 /// the pooled round's merge and dedup do real work.
 fn fan_in_fan_out() -> (ValidatedProgram, Database) {
     let interner = Arc::new(Interner::new());
-    let program = ValidatedProgram::parse(
-        "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
-        Arc::clone(&interner),
-    )
-    .unwrap();
+    let program = ValidatedProgram::parse(TC_SRC, Arc::clone(&interner)).unwrap();
     let mut db = Database::with_interner(interner);
     for n in 0..64 {
         db.insert_syms("e", &["root", &format!("src{n}")]).unwrap();
@@ -227,37 +230,65 @@ fn thread_count_changes_nothing_on_multi_rule_strata() {
         ("e", &["c", "a"]),
     ];
     let rels = ["reach", "alt", "dead", "pick"];
-    for strategy in [Strategy::SemiNaive, Strategy::Naive] {
-        for backend in BACKENDS {
-            let (program, mut db) = setup(src, facts);
-            for s in 0..2100 {
-                db.insert_syms("start", &[&format!("s{s}")]).unwrap();
-            }
-            let baseline = evaluate_with_options(
+    for backend in BACKENDS {
+        let (program, mut db) = setup(src, facts);
+        for s in 0..2100 {
+            db.insert_syms("start", &[&format!("s{s}")]).unwrap();
+        }
+        let baseline = evaluate_with_options(
+            &program,
+            &db,
+            &mut SeededOracle::new(3),
+            &EvalOptions::serial().backend(backend),
+        )
+        .unwrap();
+        for threads in [2usize, 8] {
+            let par = evaluate_with_options(
                 &program,
                 &db,
                 &mut SeededOracle::new(3),
-                &EvalOptions::serial().strategy(strategy).backend(backend),
+                &EvalOptions::new().threads(threads).backend(backend),
             )
             .unwrap();
-            for threads in [2usize, 8] {
-                let par = evaluate_with_options(
-                    &program,
-                    &db,
-                    &mut SeededOracle::new(3),
-                    &EvalOptions::new()
-                        .threads(threads)
-                        .strategy(strategy)
-                        .backend(backend),
-                )
-                .unwrap();
-                assert_same_output(
-                    &baseline,
-                    &par,
-                    &rels,
-                    &format!("{threads} threads, {strategy:?}, {backend} backend"),
-                );
-            }
+            assert_same_output(
+                &baseline,
+                &par,
+                &rels,
+                &format!("{threads} threads, {backend} backend"),
+            );
+        }
+    }
+}
+
+/// The shared fixtures' canonical evaluation is the reference's perfect
+/// model, relation for relation.
+#[test]
+fn fixtures_equal_the_reference_model_under_the_canonical_order() {
+    type Fixture = fn() -> (ValidatedProgram, Database);
+    let cases: [(&str, Fixture); 2] = [
+        (TC_SRC, fan_in_fan_out),
+        (MULTI_ID_SRC, || setup(MULTI_ID_SRC, MULTI_ID_FACTS)),
+    ];
+    for (src, fixture) in cases {
+        let (program, db) = fixture();
+        let interner = db.interner();
+        let edb: Relations = db
+            .iter()
+            .map(|(p, rel)| (interner.resolve(p), reference::rows(rel.iter(), interner)))
+            .collect();
+        let model = reference::perfect_model(src, &edb, &Perms::new()).unwrap();
+        for backend in BACKENDS {
+            let out = evaluate_with_options(
+                &program,
+                &db,
+                &mut CanonicalOracle,
+                &EvalOptions::new().backend(backend),
+            )
+            .unwrap();
+            let engine = reference::view(&model, interner, |name| {
+                out.relation(name).map(|r| r.iter())
+            });
+            assert_eq!(engine, model, "{backend} backend\n{src}");
         }
     }
 }
@@ -300,8 +331,8 @@ fn backends_agree_on_relations_and_stats() {
     // The third reproducibility axis: hash and columnar storage hold the
     // same sets, so every run produces the same relations and EvalStats —
     // at every thread count. (idlog-cli's
-    // `corpus_counters_agree_across_threads_backends_and_strategies` holds
-    // the `programs/*.idl` corpus to the same.)
+    // `corpus_counters_agree_across_threads_and_backends` holds the
+    // `programs/*.idl` corpus to the same.)
     type Fixture = fn() -> (ValidatedProgram, Database);
     let cases: [(&str, Fixture, &[&str]); 2] = [
         ("fan_in_fan_out", fan_in_fan_out, &["tc"]),

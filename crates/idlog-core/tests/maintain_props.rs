@@ -5,7 +5,9 @@
 //! (stratified negation, where the change drives the negated literal) — on
 //! both backends at 1 and 4 threads. After every write the maintained view
 //! equals a fresh canonical evaluation of the updated database, as sets
-//! and in canonical rendering, and it never fell back to recomputing.
+//! and in canonical rendering, and the perfect model the reference
+//! interpreter (`idlog_suite::reference`) computes from the current facts;
+//! and it never fell back to recomputing.
 
 use proptest::prelude::*;
 
@@ -13,6 +15,7 @@ use idlog_core::{
     evaluate_with_options, BackendKind, CanonicalOracle, Database, EvalOptions, FactDelta,
     MaintainOutcome, Materialized, Query, Tuple, Value,
 };
+use idlog_suite::reference::{self, Perms, Relations};
 
 const LINEAR_TC: &str = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).";
 const NONLINEAR_TC: &str = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z).";
@@ -100,6 +103,15 @@ fn check(program: usize, edges: &[(i64, i64)], writes: &[Write], options: EvalOp
             MaintainOutcome::Recomputed,
             "step {step}: {write:?}"
         );
+        let edb: Relations = db
+            .iter()
+            .map(|(p, rel)| (interner.resolve(p), reference::rows(rel.iter(), &interner)))
+            .collect();
+        let model = reference::perfect_model(src, &edb, &Perms::new()).unwrap();
+        let kept = reference::view(&model, &interner, |name| {
+            mat.relation(name).map(|r| r.iter())
+        });
+        assert_eq!(kept, model, "step {step} ({write:?}): the reference model");
         let fresh = evaluate_with_options(q.related_program(), &db, &mut CanonicalOracle, &options)
             .unwrap();
         for name in compared {

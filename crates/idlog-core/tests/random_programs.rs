@@ -4,9 +4,10 @@
 //! predicate hierarchy (inputs → middle → top) with negation and ID-literals
 //! only across strictly lower levels, then checks engine invariants:
 //!
-//! 1. evaluation terminates and the result passes the model checker
-//!    (`verify_model`: the fixpoint is closed under the rules);
-//! 2. naive and semi-naive strategies produce identical relations;
+//! 1. evaluation terminates with the perfect model that the reference
+//!    interpreter of the paper's §2 (`idlog_suite::reference`) computes
+//!    under the same canonical ID-functions;
+//! 2. serial and parallel evaluation agree, statistics and profiles too;
 //! 3. every seeded-oracle answer is contained in the enumerated answer set;
 //! 4. enumeration is deterministic (two walks agree).
 
@@ -15,10 +16,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use idlog_core::{
-    enumerate_with_options, evaluate_with_options, verify_model, CanonicalOracle, EnumBudget,
-    EvalOptions, Interner, SeededOracle, Strategy as EvalStrategy, ValidatedProgram,
+    enumerate_with_options, evaluate_with_options, CanonicalOracle, EnumBudget, EvalOptions,
+    Interner, SeededOracle, ValidatedProgram,
 };
 use idlog_storage::Database;
+use idlog_suite::reference::{self, Perms, Relations, V};
 
 /// Pool of variable names used by generated clauses.
 const VARS: [&str; 4] = ["X", "Y", "Z", "W"];
@@ -223,70 +225,66 @@ fn build(spec: &ProgramSpec) -> (ValidatedProgram, Database) {
     (program, db)
 }
 
+/// The spec's input facts, for the reference.
+fn edb(spec: &ProgramSpec) -> Relations {
+    let mut edb = Relations::new();
+    for &(p, a, b) in &spec.facts {
+        let row = vec![V::Sym(format!("c{a}")), V::Sym(format!("c{b}"))];
+        edb.entry(pred_name(0, p)).or_default().insert(row);
+    }
+    edb
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Invariants 1 and 2: the fixpoint is a model, and strategies agree.
+    /// Invariant 1: the engine's semi-naive fixpoint is the perfect model
+    /// the reference's naive rounds compute.
     #[test]
     fn fixpoints_are_models_and_strategies_agree(spec in arb_program()) {
         let (program, db) = build(&spec);
-        let semi =
+        let out =
             evaluate_with_options(&program, &db, &mut CanonicalOracle, &EvalOptions::new()).unwrap();
-        let violations = verify_model(&program, &db, &semi).unwrap();
-        prop_assert!(violations.is_empty(), "not a model: {violations:?}\n{}", render(&spec));
-
-        let naive = evaluate_with_options(
-            &program, &db, &mut CanonicalOracle,
-            &EvalOptions::new().strategy(EvalStrategy::Naive),
-        ).unwrap();
-        for level in 1..=2usize {
-            for pred in 0..2 {
-                let name = pred_name(level, pred);
-                match (semi.relation(&name), naive.relation(&name)) {
-                    (Some(a), Some(b)) => prop_assert!(a.set_eq(b), "strategy mismatch on {name}"),
-                    (None, None) => {}
-                    _ => prop_assert!(false, "presence mismatch on {name}"),
-                }
-            }
-        }
+        let src = render(&spec);
+        let model = reference::perfect_model(&src, &edb(&spec), &Perms::new()).unwrap();
+        let engine = reference::view(&model, out.interner(), |name| out.relation(name).map(|r| r.iter()));
+        prop_assert!(engine == model, "engine {engine:?}\nreference {model:?}\n{src}");
     }
 
-    /// Parallel and serial evaluation agree — relations *and* statistics —
-    /// on random stratified programs, for both fixpoint strategies.
+    /// Invariant 2: parallel and serial evaluation agree — relations *and*
+    /// statistics — on random stratified programs.
     #[test]
     fn parallel_and_serial_evaluation_agree(spec in arb_program(), seed in any::<u64>()) {
         let (program, db) = build(&spec);
-        for strategy in [EvalStrategy::SemiNaive, EvalStrategy::Naive] {
-            let serial = evaluate_with_options(
+        let serial = evaluate_with_options(
+            &program, &db, &mut SeededOracle::new(seed),
+            &EvalOptions::serial().profile(true),
+        ).unwrap();
+        for threads in [2usize, 8] {
+            let par = evaluate_with_options(
                 &program, &db, &mut SeededOracle::new(seed),
-                &EvalOptions::serial().strategy(strategy).profile(true),
+                &EvalOptions::new().threads(threads).profile(true),
             ).unwrap();
-            for threads in [2usize, 8] {
-                let par = evaluate_with_options(
-                    &program, &db, &mut SeededOracle::new(seed),
-                    &EvalOptions::new().threads(threads).strategy(strategy).profile(true),
-                ).unwrap();
-                prop_assert_eq!(
-                    serial.stats(), par.stats(),
-                    "stats differ at {} threads ({:?})\n{}", threads, strategy, render(&spec)
-                );
-                prop_assert_eq!(
-                    serial.profile().unwrap().to_json(false),
-                    par.profile().unwrap().to_json(false),
-                    "profile differs at {} threads ({:?})\n{}", threads, strategy, render(&spec)
-                );
-                for level in 1..=2usize {
-                    for pred in 0..2 {
-                        let name = pred_name(level, pred);
-                        match (serial.relation(&name), par.relation(&name)) {
-                            (Some(a), Some(b)) => prop_assert!(
-                                a.set_eq(b),
-                                "relation {} differs at {} threads\n{}",
-                                name, threads, render(&spec)
-                            ),
-                            (None, None) => {}
-                            _ => prop_assert!(false, "presence mismatch on {}", name),
-                        }
+            prop_assert_eq!(
+                serial.stats(), par.stats(),
+                "stats differ at {} threads\n{}", threads, render(&spec)
+            );
+            prop_assert_eq!(
+                serial.profile().unwrap().to_json(false),
+                par.profile().unwrap().to_json(false),
+                "profile differs at {} threads\n{}", threads, render(&spec)
+            );
+            for level in 1..=2usize {
+                for pred in 0..2 {
+                    let name = pred_name(level, pred);
+                    match (serial.relation(&name), par.relation(&name)) {
+                        (Some(a), Some(b)) => prop_assert!(
+                            a.set_eq(b),
+                            "relation {} differs at {} threads\n{}",
+                            name, threads, render(&spec)
+                        ),
+                        (None, None) => {}
+                        _ => prop_assert!(false, "presence mismatch on {}", name),
                     }
                 }
             }

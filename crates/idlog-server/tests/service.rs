@@ -311,7 +311,8 @@ fn error_codes_cover_protocol_compile_and_input_failures() {
     let resp = Response::parse(&raw).expect("parse");
     assert_eq!(resp.code, Some(ErrorCode::Protocol));
 
-    // The naive strategy is the engine's test oracle, not a wire option.
+    // The wire names two strategies, seminaive and magic; anything else is
+    // a protocol error.
     let raw = c
         .request_raw(
             r#"{"op":"run","tenant":"err","program":"t(a).","output":"t","strategy":"naive"}"#,
@@ -354,6 +355,26 @@ fn error_codes_cover_protocol_compile_and_input_failures() {
     let ping = c.request(&Request::Ping { schema: None }).expect("ping");
     assert_eq!(ping.exit, 0);
     assert_eq!(ping.schema.as_deref(), Some("idlog-service/2"));
+    shutdown(addr, handle);
+}
+
+/// A request line of a million `[`s parses to a protocol error on the
+/// worker's ordinary stack instead of overflowing it, and the same
+/// connection keeps answering.
+#[test]
+fn a_deeply_nested_request_is_refused_and_the_connection_survives() {
+    let (addr, handle) = start();
+    let mut c = client(addr);
+    let raw = c.request_raw(&"[".repeat(1_000_000)).expect("raw");
+    let resp = Response::parse(&raw).expect("parse");
+    assert_eq!(resp.code, Some(ErrorCode::Protocol));
+    assert!(
+        resp.error.as_deref().unwrap_or("").contains("nesting"),
+        "{:?}",
+        resp.error
+    );
+    let ping = c.request(&Request::Ping { schema: None }).expect("ping");
+    assert_eq!(ping.exit, 0);
     shutdown(addr, handle);
 }
 

@@ -1,9 +1,12 @@
 //! Integration host for the IDLOG workspace: the cross-crate tests under
-//! the repository's `tests/`, the runnable `examples/`, and the enumeration
+//! the repository's `tests/`, the runnable `examples/`, the enumeration
 //! of the shipped `programs/` corpus that the CLI's golden and corpus-counter
-//! tests walk.
+//! tests walk, and the [`reference`] interpreter the engine's suites are
+//! held to.
 
 #![warn(missing_docs)]
+
+pub mod reference;
 
 use std::path::{Path, PathBuf};
 
