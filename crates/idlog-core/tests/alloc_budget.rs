@@ -114,9 +114,22 @@ fn cloning_a_relation_of_small_tuples_is_a_handful_of_copies() {
     }
     let (copy, allocations) = allocations_during(|| rel.clone());
     assert_eq!(copy.len(), 10_000);
-    // The store, the membership table's two arrays and the relation type:
+    // The store, the membership table's slots and the relation type:
     // nothing per row.
     assert!(allocations <= 8, "{allocations} allocations");
+}
+
+/// An empty relation and an empty interner allocate nothing: a store, its
+/// membership table, an interner's name arena and its id table all wait for
+/// their first row or name, so a program's many small relations pay only
+/// for what they hold.
+#[test]
+fn an_empty_relation_and_interner_allocate_nothing() {
+    let rtype = RelType::new(vec![idlog_core::Sort::I; 2]);
+    let (rel, allocations) = allocations_during(|| Relation::new(rtype));
+    assert_eq!((rel.len(), allocations), (0, 0));
+    let (interner, allocations) = allocations_during(Interner::new);
+    assert_eq!((interner.len(), allocations), (0, 0));
 }
 
 /// The ancestor point query the served workload asks, goal-directed.

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::{BTreeMap, BTreeSet};
 
 use idlog_common::{Interner, RelType, Sort, Tuple, Value};
 use idlog_storage::{
@@ -485,6 +486,73 @@ proptest! {
             let base = t.project(&[0, 1]);
             prop_assert!(rel.contains(&base));
             prop_assert_eq!(t[2], Value::Int(assignment.tid(&base).unwrap()));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A hash relation at growth scale: a few thousand tuples through
+    /// interleaved insert and remove batches, enough to double the
+    /// membership table many times and to remove from long clusters. After
+    /// every batch the relation is the `BTreeSet` model: the flags say what
+    /// the model gained or lost, `len` and `contains` agree with it, a scan
+    /// lists it, and every indexed probe lists what a filtered scan finds,
+    /// in scan order.
+    #[test]
+    fn interleaved_batches_at_growth_scale_match_a_set_model(
+        batches in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec((0i64..64, 0i64..64), 0..1000)),
+            1..10,
+        ),
+    ) {
+        let pair = |&(a, b): &(i64, i64)| -> Tuple { vec![Value::Int(a), Value::Int(b)].into() };
+        let domain: Vec<Tuple> =
+            (0..64).flat_map(|a| (0..64).map(move |b| pair(&(a, b)))).collect();
+        let indexes: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+        let mut rel = Relation::new(RelType::new(vec![Sort::I, Sort::I]));
+        for positions in indexes {
+            rel.ensure_index(positions);
+        }
+        let mut model: BTreeSet<Tuple> = BTreeSet::new();
+        for (kind, batch) in batches {
+            let batch: Vec<Tuple> = batch.iter().map(pair).collect();
+            let refs: Vec<&Tuple> = batch.iter().collect();
+            // Two insert batches to one removal: the relation grows.
+            let (flags, want): (Vec<bool>, Vec<bool>) = if kind < 2 {
+                let want = batch.iter().map(|t| model.insert(t.clone())).collect();
+                (rel.delta_batch_insert(&refs), want)
+            } else {
+                let want = batch.iter().map(|t| model.remove(t)).collect();
+                (rel.remove_batch(&refs), want)
+            };
+            prop_assert_eq!(flags, want);
+            prop_assert_eq!(rel.len(), model.len());
+            for t in &domain {
+                prop_assert_eq!(rel.contains(t), model.contains(t));
+            }
+            let scanned: Vec<&Tuple> = rel.iter().collect();
+            prop_assert_eq!(
+                scanned.iter().copied().cloned().collect::<BTreeSet<Tuple>>(),
+                model.clone()
+            );
+            prop_assert_eq!(scanned.len(), model.len());
+            for positions in indexes {
+                let mut filtered: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
+                for &t in &scanned {
+                    filtered.entry(t.project(positions)).or_default().push(t);
+                }
+                for t in &domain {
+                    let key = t.project(positions);
+                    let probed: Vec<&Tuple> = rel.probe(positions, &key).iter().collect();
+                    prop_assert_eq!(
+                        probed,
+                        filtered.get(&key).cloned().unwrap_or_default(),
+                        "{:?} {:?}", positions, key
+                    );
+                }
+            }
         }
     }
 }
