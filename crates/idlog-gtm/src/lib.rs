@@ -17,7 +17,8 @@
 //!   by time step whose tid-0 tuple selects the transition, exactly the
 //!   mechanism Theorem 6 uses;
 //! * [`queries`] — concrete example machines (parity, successor, a
-//!   non-deterministic bit-writer) used by the expressiveness experiments.
+//!   non-deterministic bit-writer) used by the expressiveness tests
+//!   (`tests/expressiveness.rs`).
 
 #![warn(missing_docs)]
 

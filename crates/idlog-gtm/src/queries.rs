@@ -1,4 +1,5 @@
-//! Concrete machines used by the expressiveness experiments (E13).
+//! Concrete machines used by the expressiveness tests (E13,
+//! `tests/expressiveness.rs`).
 
 use crate::encode::{SYM_LPAREN, SYM_RBRACKET};
 use crate::machine::{Move, Tm, TmBuilder};

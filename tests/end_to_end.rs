@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use idlog_core::{EnumBudget, EvalStats, Interner, Query, SeededOracle};
+use idlog_core::{EnumBudget, EvalOptions, EvalStats, Interner, Query, SeededOracle};
 use idlog_storage::Database;
 
 /// D departments × E employees per department.
@@ -45,13 +45,48 @@ fn all_depts_idlog_reduces_instantiations() {
 }
 
 /// §3.3: the n-sample IDLOG query fires once per selected tuple — n per
-/// group — not once per candidate tuple.
+/// group — not once per candidate tuple. Emulating it with choice (Example
+/// 5 generalized) takes n choices plus n(n−1)/2 pairwise disequalities, and
+/// its work grows with the group size as well as with n.
 #[test]
 fn sampling_instantiations_scale_with_n_not_group_size() {
     let (depts, emps, n) = (5, 30, 3);
     let src = format!("sample(N) :- emp[2](N, D, T), T < {n}.");
     let stats = stats_of(&src, "sample", |i| emp_db(i, depts, emps));
     assert_eq!(stats.instantiations, (depts * n) as u64);
+
+    let interner = Arc::new(Interner::new());
+    let db = emp_db(&interner, 3, 6);
+    for (n, choice_instantiations) in [(1usize, 60u64), (2, 264), (3, 1_200), (4, 4_480)] {
+        let mut choice_src = String::new();
+        for i in 0..n {
+            choice_src.push_str(&format!("emp{i}(N, D) :- emp(N, D), choice((D), (N)).\n"));
+        }
+        let mut body: Vec<String> = (0..n).map(|i| format!("emp{i}(N{i}, D)")).collect();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                body.push(format!("N{i} != N{j}"));
+            }
+        }
+        choice_src.push_str(&format!("select_n(N0) :- {}.\n", body.join(", ")));
+        let choice_ast = idlog_core::parse_program(&choice_src, &interner).unwrap();
+        let (_, choice_stats) =
+            idlog_choice::one_intended_model(&choice_ast, &interner, &db, "select_n", Some(7))
+                .unwrap();
+        assert_eq!(
+            choice_stats.instantiations, choice_instantiations,
+            "n = {n}"
+        );
+
+        let q = Query::parse_with_interner(
+            &format!("select_n(N) :- emp[2](N, D, T), T < {n}."),
+            "select_n",
+            Arc::clone(&interner),
+        )
+        .unwrap();
+        let idlog_stats = q.session(&db).run().unwrap().stats;
+        assert_eq!(idlog_stats.instantiations, (3 * n) as u64, "n = {n}");
+    }
 }
 
 /// Same-generation on a tree: a classic recursive workload exercising
@@ -112,10 +147,12 @@ fn seeded_oracles_are_reproducible() {
 
 /// Deterministic queries are oracle-independent even when they read
 /// ID-relations (the paper's all_depts: existential choice does not leak).
+/// The query certifies, so `all_answers` evaluates once where the full walk
+/// visits all 10^4 ID-functions, to the same single answer.
 #[test]
 fn all_depts_is_oracle_independent() {
     let q = Query::parse("all_depts(D) :- emp[2](N, D, 0).", "all_depts").unwrap();
-    let db = emp_db(q.interner(), 4, 5);
+    let db = emp_db(q.interner(), 4, 10);
     let canonical = q.session(&db).run().unwrap().relation;
     for seed in 0..16 {
         let seeded = q
@@ -129,6 +166,27 @@ fn all_depts_is_oracle_independent() {
         );
     }
     assert_eq!(canonical.len(), 4);
+
+    assert!(q.certified_deterministic());
+    let budget = EnumBudget {
+        max_models: 1_000_000,
+        max_answers: 1_000_000,
+    };
+    let walk = EvalOptions::serial().budget(budget);
+    let slow = q
+        .session(&db)
+        .options(walk.det_fastpath(false))
+        .all_answers()
+        .unwrap();
+    let fast = q.session(&db).options(walk).all_answers().unwrap();
+    assert!(slow.complete() && fast.complete());
+    assert_eq!(slow.models_explored(), 10_000);
+    assert_eq!(fast.models_explored(), 1);
+    assert_eq!(slow.len(), 1);
+    assert_eq!(
+        fast.to_sorted_strings(q.interner()),
+        slow.to_sorted_strings(q.interner())
+    );
 }
 
 /// Arithmetic end-to-end: sum the first k naturals with succ/plus recursion.
@@ -207,6 +265,36 @@ fn bounded_tid_enumeration_is_linear() {
     assert!(answers.complete());
     assert_eq!(answers.models_explored(), 9);
     assert_eq!(answers.len(), 9);
+
+    // Under `T < 2` a group of m walks its m(m−1) two-prefixes. The same
+    // query with the tid exposed through a helper defeats the bound and
+    // walks all m! permutations, to the same answer set.
+    let interner = Arc::new(Interner::new());
+    let bounded = Query::parse_with_interner(
+        "pick(N) :- emp[2](N, D, T), T < 2.",
+        "pick",
+        Arc::clone(&interner),
+    )
+    .unwrap();
+    let exposed = Query::parse_with_interner(
+        "expose(N, T) :- emp[2](N, D, T).\npick(N) :- expose(N, T), T < 2.",
+        "pick",
+        Arc::clone(&interner),
+    )
+    .unwrap();
+    let budget = EnumBudget {
+        max_models: 10_000_000,
+        max_answers: 1_000_000,
+    };
+    for (m, prefixes, permutations) in [(4, 12, 24), (5, 20, 120), (6, 30, 720), (7, 42, 5_040)] {
+        let db = emp_db(&interner, 1, m);
+        let a = bounded.session(&db).budget(budget).all_answers().unwrap();
+        let b = exposed.session(&db).budget(budget).all_answers().unwrap();
+        assert!(a.complete() && b.complete(), "m = {m}");
+        assert_eq!(a.models_explored(), prefixes, "m = {m}");
+        assert_eq!(b.models_explored(), permutations, "m = {m}");
+        assert!(a.same_answers(&b, &interner), "m = {m}");
+    }
 }
 
 /// Parallel and sequential enumeration agree on a two-choice-point program.
@@ -226,8 +314,18 @@ fn parallel_enumeration_agrees() {
         }
     }
     let budget = EnumBudget::default();
-    let seq = q.session(&db).budget(budget).all_answers().unwrap();
-    let par = q.session(&db).budget(budget).all_answers().unwrap();
+    let seq = q
+        .session(&db)
+        .threads(1)
+        .budget(budget)
+        .all_answers()
+        .unwrap();
+    let par = q
+        .session(&db)
+        .threads(4)
+        .budget(budget)
+        .all_answers()
+        .unwrap();
     assert!(seq.complete() && par.complete());
     assert!(seq.same_answers(&par, q.interner()));
 }

@@ -96,14 +96,35 @@ fn id_rewrite_reduces_derivations() {
         db.insert_syms("y", &[&format!("w{w}")]).unwrap();
     }
 
-    let before = stats_on(&original, &interner, &db, "p");
-    let after = stats_on(&id_program, &interner, &db, "p");
+    let profiled = |program: &Program| {
+        let validated = ValidatedProgram::new(program.clone(), Arc::clone(&interner)).unwrap();
+        let q = Query::new(validated, "p").unwrap();
+        let result = q.session(&db).profile(true).run().unwrap();
+        let worst_rule = result
+            .profile
+            .unwrap()
+            .per_rule_totals()
+            .iter()
+            .map(|t| t.stats.instantiations)
+            .max()
+            .unwrap();
+        (result.stats, worst_rule)
+    };
+    let (before, worst_before) = profiled(&original);
+    let (after, worst_after) = profiled(&id_program);
     // Same answer...
     assert_eq!(before.inserted, after.inserted);
     // ...with a fanout×witnesses reduction in rule firings.
     assert_eq!(before.instantiations, (keys * fanout * witnesses) as u64);
     assert_eq!(after.instantiations, keys as u64);
     assert!(after.probes < before.probes);
+    // The per-rule profile localizes the saving: the original's worst rule
+    // less the rewritten program's worst rule is the whole drop.
+    assert_eq!(worst_before, before.instantiations);
+    assert_eq!(
+        worst_before - worst_after,
+        before.instantiations - after.instantiations
+    );
 }
 
 /// The ∀-rewrite on Example 6 shrinks the materialized `a` relation from
