@@ -2,14 +2,9 @@
 
 use std::fmt;
 
-use idlog_core::CoreError;
-use idlog_parser::ParseError;
-
-/// Failures in checking, translating, or evaluating a DATALOG^C program.
+/// Failures in checking or translating a DATALOG^C program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChoiceError {
-    /// Surface-syntax error.
-    Parse(ParseError),
     /// Condition C1 violated: more than one choice operator in a clause.
     C1Violation {
         /// 0-based clause index.
@@ -37,14 +32,11 @@ pub enum ChoiceError {
         /// What is wrong.
         message: String,
     },
-    /// The underlying IDLOG engine failed.
-    Core(CoreError),
 }
 
 impl fmt::Display for ChoiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChoiceError::Parse(e) => write!(f, "{e}"),
             ChoiceError::C1Violation { clause } => {
                 write!(
                     f,
@@ -65,30 +57,11 @@ impl fmt::Display for ChoiceError {
             ChoiceError::Invalid { clause, message } => {
                 write!(f, "invalid DATALOG^C clause #{clause}: {message}")
             }
-            ChoiceError::Core(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ChoiceError {}
-
-impl From<ParseError> for ChoiceError {
-    fn from(e: ParseError) -> Self {
-        ChoiceError::Parse(e)
-    }
-}
-
-impl From<CoreError> for ChoiceError {
-    fn from(e: CoreError) -> Self {
-        ChoiceError::Core(e)
-    }
-}
-
-impl From<idlog_common::CommonError> for ChoiceError {
-    fn from(e: idlog_common::CommonError) -> Self {
-        ChoiceError::Core(CoreError::Common(e))
-    }
-}
 
 /// Result alias.
 pub type ChoiceResult<T> = Result<T, ChoiceError>;

@@ -82,8 +82,8 @@ mod tests {
     use idlog_core::{EnumBudget, Query, ValidatedProgram};
     use idlog_parser::parse_program;
     use idlog_storage::Database;
-
-    use crate::eval::intended_models;
+    use idlog_suite::eval::{intended_models, Budget};
+    use idlog_suite::reference::{answer_set, symbol_facts};
 
     fn setup(src: &str, facts: &[(&str, &[&str])]) -> (Program, Arc<Interner>, Database) {
         let interner = Arc::new(Interner::new());
@@ -95,25 +95,23 @@ mod tests {
         (program, interner, db)
     }
 
-    /// The heart of Theorem 2: same answer sets under both semantics.
+    /// The heart of Theorem 2: same answer sets under both semantics, the
+    /// direct one on the reference interpreter's matcher.
     fn assert_q_equivalent(src: &str, facts: &[(&str, &[&str])], output: &str) {
         let (program, interner, db) = setup(src, facts);
-        let budget = EnumBudget::default();
-        let direct = intended_models(&program, &interner, &db, output, &budget).unwrap();
-        assert!(direct.complete());
+        let direct =
+            intended_models(src, &symbol_facts(facts), output, &Budget::default()).unwrap();
+        assert!(direct.complete);
 
         let idlog_ast = to_idlog(&program, &interner).unwrap();
         let validated = ValidatedProgram::new(idlog_ast, Arc::clone(&interner)).unwrap();
         let q = Query::new(validated, output).unwrap();
+        let budget = EnumBudget::default();
         let translated = q.session(&db).budget(budget).all_answers().unwrap();
         assert!(translated.complete());
+        let translated = answer_set(translated.iter().map(|r| r.iter()), &interner);
 
-        assert!(
-            direct.same_answers(&translated, &interner),
-            "answer sets differ:\n direct: {:?}\n idlog: {:?}",
-            direct.to_sorted_strings(&interner),
-            translated.to_sorted_strings(&interner)
-        );
+        assert_eq!(direct.answers, translated, "answer sets differ");
     }
 
     #[test]

@@ -120,12 +120,11 @@ impl AnswerSet {
             .any(|rel| rel.len() == tuples.len() && tuples.iter().all(|t| rel.contains(t)))
     }
 
-    /// Build an answer set from raw relations (used by the other language
-    /// semantics in this workspace — DATALOG^C and DL — so their answer sets
-    /// compare directly with IDLOG's). Deduplicates and sorts canonically.
-    /// An incomplete walk (`complete == false`) reports as a model-budget
-    /// stop; use [`AnswerSet::collect_stopped`] to carry a precise reason.
-    pub fn collect(
+    /// Build an answer set from raw relations. Deduplicates and sorts
+    /// canonically. An incomplete walk (`complete == false`) reports as a
+    /// model-budget stop; use [`AnswerSet::collect_stopped`] to carry a
+    /// precise reason.
+    pub(crate) fn collect(
         relations: impl IntoIterator<Item = Relation>,
         complete: bool,
         models_explored: u64,
@@ -139,8 +138,9 @@ impl AnswerSet {
         AnswerSet::collect_stopped(relations, stop, models_explored, interner)
     }
 
-    /// Like [`AnswerSet::collect`], but records exactly why the walk stopped
-    /// early (`None` = exhaustive).
+    /// Build an answer set from raw relations, recording exactly why the
+    /// walk stopped early (`None` = exhaustive). Deduplicates and sorts
+    /// canonically.
     pub fn collect_stopped(
         relations: impl IntoIterator<Item = Relation>,
         stop: Option<StopReason>,

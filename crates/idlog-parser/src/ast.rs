@@ -215,7 +215,7 @@ pub enum Literal {
         chosen: Vec<Term>,
     },
     /// `!` — Prolog-style cut; only the top-down SLD evaluator
-    /// (`idlog_choice::cut`) gives it meaning, every other engine rejects it.
+    /// (`idlog_suite::cut`) gives it meaning, every other engine rejects it.
     Cut,
 }
 

@@ -1,11 +1,17 @@
 //! Integration host for the IDLOG workspace: the cross-crate tests under
 //! the repository's `tests/`, the runnable `examples/`, the enumeration
 //! of the shipped `programs/` corpus that the CLI's golden and corpus-counter
-//! tests walk, and the [`reference`] interpreter the engine's suites are
-//! held to.
+//! tests walk, the [`mod@reference`] interpreter the engine's suites are
+//! held to, and, on that interpreter's matcher, the languages the paper
+//! compares IDLOG with: DL, N-DATALOG and DATALOG^C in [`eval`], DATALOG∨
+//! in [`disj`] and DATALOG with cut in [`cut`].
 
 #![warn(missing_docs)]
 
+pub mod cut;
+pub mod disj;
+pub mod eval;
+mod machine;
 pub mod reference;
 
 use std::path::{Path, PathBuf};

@@ -20,7 +20,14 @@
 //!   state until a round adds nothing;
 //! * builtins are the arithmetic relations over ℕ, solved on the spot.
 //!
-//! `choice` and `!` belong to other languages and are refused.
+//! The other languages the paper compares IDLOG with run on this module's
+//! matcher too: [`crate::eval`] (DL, N-DATALOG and DATALOG^C),
+//! [`crate::disj`] (DATALOG∨) and [`crate::cut`] (DATALOG with cut). So
+//! [`clauses`] reads their clause forms as well (several heads, negated
+//! heads, `|` heads, `choice` and `!`), and [`solve`], [`unify`], [`ground`]
+//! and [`builtin`] are public. [`perfect_model`] and [`model`] still refuse
+//! everything that is not IDLOG, and none of these languages reaches the
+//! engine either.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,50 +56,128 @@ pub type Relations = BTreeMap<String, Rows>;
 /// members in [`V`] order.
 pub type Perms = BTreeMap<(String, Vec<usize>), Vec<Vec<i64>>>;
 
+/// ID-relations by predicate name and 0-based grouping, each tuple
+/// extended by its tid.
+pub type Ids = BTreeMap<(String, Vec<usize>), Rows>;
+
+/// Variable bindings of one clause instance.
+pub type Binding = BTreeMap<String, V>;
+
 /// A term with its names resolved.
-#[derive(Debug)]
-enum T {
+#[derive(Clone, Debug)]
+pub enum T {
+    /// A variable, by name.
     Var(String),
+    /// A constant.
     Val(V),
 }
 
 /// An atom: `pred(terms)`, or the ID-literal `pred[grouping](terms, tid)`.
-#[derive(Debug)]
-struct Atom {
-    pred: String,
-    grouping: Option<Vec<usize>>,
-    terms: Vec<T>,
+#[derive(Clone, Debug)]
+pub struct Atom {
+    /// The predicate's name.
+    pub pred: String,
+    /// The 0-based grouping of an ID-literal; `None` for an ordinary atom.
+    pub grouping: Option<Vec<usize>>,
+    /// The arguments (an ID-literal's tid last).
+    pub terms: Vec<T>,
 }
 
-#[derive(Debug)]
-enum Lit {
+/// A body literal.
+#[derive(Clone, Debug)]
+pub enum Lit {
+    /// A positive atom.
     Pos(Atom),
+    /// A negated atom.
     Neg(Atom),
+    /// A builtin relation.
     Op(Builtin, Vec<T>),
+    /// DATALOG^C's `choice((X̄), (Ȳ))`: the grouped terms, then the chosen.
+    Choice(Vec<T>, Vec<T>),
+    /// Prolog's cut, `!`.
+    Cut,
 }
 
-#[derive(Debug)]
-struct Rule {
-    head: Atom,
-    body: Vec<Lit>,
+/// One head atom; a negated one is an N-DATALOG deletion.
+#[derive(Clone, Debug)]
+pub struct Head {
+    /// True for `not p(…)`.
+    pub negated: bool,
+    /// The atom.
+    pub atom: Atom,
 }
 
-/// Variable bindings of one rule instance.
-type Binding = BTreeMap<String, V>;
+/// A clause with its names resolved.
+#[derive(Clone, Debug)]
+pub struct Clause {
+    /// One head, or several joined by `&` (DL) or `|` (DATALOG∨).
+    pub heads: Vec<Head>,
+    /// True when several heads are a disjunction (`|`).
+    pub disjunctive: bool,
+    /// The body literals, in source order.
+    pub body: Vec<Lit>,
+}
+
+impl Clause {
+    /// Every atom of the clause: its heads, then its positive and negated
+    /// body atoms.
+    pub fn atoms(&self) -> impl Iterator<Item = &Atom> {
+        let body = self.body.iter().filter_map(|l| match l {
+            Lit::Pos(a) | Lit::Neg(a) => Some(a),
+            _ => None,
+        });
+        self.heads.iter().map(|h| &h.atom).chain(body)
+    }
+}
+
+/// An IDLOG rule: a clause with one positive ordinary head and no `choice`
+/// or `!`.
+struct Rule<'a> {
+    head: &'a Atom,
+    body: &'a [Lit],
+}
+
+static EMPTY: Rows = Rows::new();
 
 /// The perfect model of the program `src` over the input relations `edb`,
 /// under the ID-functions `perms` (an empty map gives the canonical ones).
 /// The result holds every predicate the program names: its input relations
 /// as given, its derived ones as computed.
 pub fn perfect_model(src: &str, edb: &Relations, perms: &Perms) -> Result<Relations, String> {
-    let rules = rules(src)?;
+    model(&clauses(src)?, edb, perms)
+}
+
+/// [`perfect_model`] of resolved clauses.
+pub fn model(clauses: &[Clause], edb: &Relations, perms: &Perms) -> Result<Relations, String> {
+    let mut rules = Vec::new();
+    for clause in clauses {
+        let [Head {
+            negated: false,
+            atom: head,
+        }] = clause.heads.as_slice()
+        else {
+            return Err("an IDLOG clause has one positive head".into());
+        };
+        if head.grouping.is_some() {
+            return Err("a head is an ordinary atom".into());
+        }
+        if clause
+            .body
+            .iter()
+            .any(|l| matches!(l, Lit::Choice(..) | Lit::Cut))
+        {
+            return Err("choice and cut are not IDLOG".into());
+        }
+        rules.push(Rule {
+            head,
+            body: &clause.body,
+        });
+    }
     let strata = strata(&rules)?;
     let mut model = Relations::new();
-    for rule in &rules {
-        for atom in std::iter::once(&rule.head).chain(rule.body.iter().filter_map(Lit::atom)) {
-            let given = edb.get(&atom.pred).cloned().unwrap_or_default();
-            model.entry(atom.pred.clone()).or_insert(given);
-        }
+    for atom in clauses.iter().flat_map(Clause::atoms) {
+        let given = edb.get(&atom.pred).cloned().unwrap_or_default();
+        model.entry(atom.pred.clone()).or_insert(given);
     }
     let top = strata.values().copied().max().unwrap_or(0);
     for stratum in 0..=top {
@@ -102,36 +187,30 @@ pub fn perfect_model(src: &str, edb: &Relations, perms: &Perms) -> Result<Relati
             .collect();
         // Every ID-literal here reads a predicate of a lower stratum, which
         // is complete by now.
-        let mut ids = BTreeMap::new();
-        for atom in here
-            .iter()
-            .flat_map(|r| r.body.iter().filter_map(Lit::atom))
-        {
-            if let Some(grouping) = &atom.grouping {
-                let key = (atom.pred.clone(), grouping.clone());
-                let rel = id_relation(&model[&atom.pred], grouping, perms.get(&key))?;
-                ids.insert(key, rel);
+        let mut ids = Ids::new();
+        for lit in here.iter().flat_map(|r| r.body) {
+            if let Lit::Pos(atom) | Lit::Neg(atom) = lit {
+                if let Some(grouping) = &atom.grouping {
+                    let key = (atom.pred.clone(), grouping.clone());
+                    let rel = id_relation(&model[&atom.pred], grouping, perms.get(&key))?;
+                    ids.insert(key, rel);
+                }
             }
         }
         loop {
             let mut new = Vec::new();
             for rule in &here {
-                let mut heads = Vec::new();
-                solve(
-                    rule,
-                    &rule.body.iter().collect::<Vec<_>>(),
-                    &Binding::new(),
-                    &model,
-                    &ids,
-                    &mut heads,
-                )?;
+                let mut bindings = Vec::new();
+                let body: Vec<&Lit> = rule.body.iter().collect();
+                solve(&body, &Binding::new(), &model, &ids, &mut bindings)?;
                 let known = &model[&rule.head.pred];
-                new.extend(
-                    heads
-                        .into_iter()
-                        .filter(|t| !known.contains(t))
-                        .map(|t| (&rule.head.pred, t)),
-                );
+                for b in bindings {
+                    let t = ground(&rule.head.terms, &b)
+                        .ok_or_else(|| format!("{}: unsafe head", rule.head.pred))?;
+                    if !known.contains(&t) {
+                        new.push((&rule.head.pred, t));
+                    }
+                }
             }
             if new.is_empty() {
                 break;
@@ -150,15 +229,32 @@ pub fn perfect_model(src: &str, edb: &Relations, perms: &Perms) -> Result<Relati
 /// The relations of a facts file: every clause a ground fact.
 pub fn facts(src: &str) -> Result<Relations, String> {
     let mut out = Relations::new();
-    for rule in rules(src)? {
-        if !rule.body.is_empty() {
-            return Err(format!("{}: not a fact", rule.head.pred));
+    for clause in clauses(src)? {
+        let [Head {
+            negated: false,
+            atom,
+        }] = clause.heads.as_slice()
+        else {
+            return Err("a fact has one positive head".into());
+        };
+        if !clause.body.is_empty() {
+            return Err(format!("{}: not a fact", atom.pred));
         }
-        let row = ground(&rule.head.terms, &Binding::new())
-            .ok_or_else(|| format!("{}: a fact must be ground", rule.head.pred))?;
-        out.entry(rule.head.pred).or_default().insert(row);
+        let row = ground(&atom.terms, &Binding::new())
+            .ok_or_else(|| format!("{}: a fact must be ground", atom.pred))?;
+        out.entry(atom.pred.clone()).or_default().insert(row);
     }
     Ok(out)
+}
+
+/// Relations of symbol facts, written as `(predicate, [constant, …])`.
+pub fn symbol_facts(facts: &[(&str, &[&str])]) -> Relations {
+    let mut out = Relations::new();
+    for (pred, cols) in facts {
+        let row = cols.iter().map(|c| V::Sym(c.to_string())).collect();
+        out.entry(pred.to_string()).or_default().insert(row);
+    }
+    out
 }
 
 /// Engine tuples as reference rows.
@@ -171,6 +267,16 @@ pub fn rows<'a>(tuples: impl IntoIterator<Item = &'a Tuple>, interner: &Interner
         .into_iter()
         .map(|t| t.values().iter().map(value).collect())
         .collect()
+}
+
+/// Engine answers (each answer the tuples of one relation) as a set of
+/// [`Rows`]: the form in which the other languages' walks return theirs.
+pub fn answer_set<'a, A, I>(answers: A, interner: &Interner) -> BTreeSet<Rows>
+where
+    A: IntoIterator<Item = I>,
+    I: IntoIterator<Item = &'a Tuple>,
+{
+    answers.into_iter().map(|a| rows(a, interner)).collect()
 }
 
 /// The engine's side of an engine ≡ reference check: what `relation`
@@ -192,17 +298,8 @@ where
         .collect()
 }
 
-impl Lit {
-    fn atom(&self) -> Option<&Atom> {
-        match self {
-            Lit::Pos(a) | Lit::Neg(a) => Some(a),
-            Lit::Op(..) => None,
-        }
-    }
-}
-
 /// Parse `src` and resolve every name.
-fn rules(src: &str) -> Result<Vec<Rule>, String> {
+pub fn clauses(src: &str) -> Result<Vec<Clause>, String> {
     let interner = Interner::new();
     let program = idlog_parser::parse_program(src, &interner).map_err(|e| e.to_string())?;
     let term = |t: &Term| match t {
@@ -210,39 +307,38 @@ fn rules(src: &str) -> Result<Vec<Rule>, String> {
         Term::Sym(s) => T::Val(V::Sym(interner.resolve(*s))),
         Term::Int(n) => T::Val(V::Int(*n)),
     };
+    let terms = |ts: &[Term]| ts.iter().map(term).collect();
     let atom = |a: &idlog_parser::Atom| Atom {
         pred: interner.resolve(a.pred.base()),
         grouping: match &a.pred {
             PredicateRef::Ordinary(_) => None,
             PredicateRef::IdVersion { grouping, .. } => Some(grouping.clone()),
         },
-        terms: a.terms.iter().map(term).collect(),
+        terms: terms(&a.terms),
     };
-    let mut rules = Vec::new();
-    for clause in &program.clauses {
-        let [head] = clause.head.as_slice() else {
-            return Err("a clause has one head".into());
-        };
-        if head.negated || head.atom.pred.is_id_version() {
-            return Err("a head is an ordinary positive atom".into());
-        }
-        let body = clause
+    let clauses = program.clauses.iter().map(|clause| Clause {
+        heads: clause
+            .head
+            .iter()
+            .map(|h| Head {
+                negated: h.negated,
+                atom: atom(&h.atom),
+            })
+            .collect(),
+        disjunctive: clause.disjunctive,
+        body: clause
             .body
             .iter()
             .map(|l| match l {
-                Literal::Pos(a) => Ok(Lit::Pos(atom(a))),
-                Literal::Neg(a) => Ok(Lit::Neg(atom(a))),
-                Literal::Builtin { op, args } => Ok(Lit::Op(*op, args.iter().map(term).collect())),
-                Literal::Choice { .. } => Err("choice is not IDLOG".to_string()),
-                Literal::Cut => Err("cut is not IDLOG".to_string()),
+                Literal::Pos(a) => Lit::Pos(atom(a)),
+                Literal::Neg(a) => Lit::Neg(atom(a)),
+                Literal::Builtin { op, args } => Lit::Op(*op, terms(args)),
+                Literal::Choice { grouped, chosen } => Lit::Choice(terms(grouped), terms(chosen)),
+                Literal::Cut => Lit::Cut,
             })
-            .collect::<Result<_, _>>()?;
-        rules.push(Rule {
-            head: atom(&head.atom),
-            body,
-        });
-    }
-    Ok(rules)
+            .collect(),
+    });
+    Ok(clauses.collect())
 }
 
 /// The stratum of every derived predicate: the least numbering in which a
@@ -255,7 +351,7 @@ fn strata(rules: &[Rule]) -> Result<BTreeMap<String, usize>, String> {
     loop {
         let mut changed = false;
         for rule in rules {
-            for lit in &rule.body {
+            for lit in rule.body {
                 let (Lit::Pos(a) | Lit::Neg(a)) = lit else {
                     continue;
                 };
@@ -309,36 +405,31 @@ fn id_relation(
     Ok(out)
 }
 
-/// Every head instance of `rule` whose `rest` of the body holds under
-/// `binding`. The literals run in body order, except that one which cannot
-/// run yet (a negation with a free variable, a builtin with too few bound
-/// arguments) waits for the first one that can.
-fn solve(
-    rule: &Rule,
-    rest: &[&Lit],
+/// Every extension of `binding` under which the literals `body` hold, read
+/// against `model` (an absent relation is empty) and the ID-relations
+/// `ids`. The literals run in body order, except that one which cannot run
+/// yet (a negation with a free variable, a builtin with too few bound
+/// arguments) waits for the first one that can. `choice` and `!` have no
+/// bottom-up reading and are refused.
+pub fn solve(
+    body: &[&Lit],
     binding: &Binding,
     model: &Relations,
-    ids: &BTreeMap<(String, Vec<usize>), Rows>,
-    out: &mut Vec<Vec<V>>,
+    ids: &Ids,
+    out: &mut Vec<Binding>,
 ) -> Result<(), String> {
-    if rest.is_empty() {
-        let head = ground(&rule.head.terms, binding)
-            .ok_or_else(|| format!("{}: unsafe head", rule.head.pred))?;
-        out.push(head);
+    if body.is_empty() {
+        out.push(binding.clone());
         return Ok(());
     }
-    for (i, lit) in rest.iter().enumerate() {
-        let mut others = rest.to_vec();
+    for (i, lit) in body.iter().enumerate() {
+        let mut others = body.to_vec();
         others.remove(i);
         match lit {
             Lit::Pos(a) => {
-                let rel = match &a.grouping {
-                    None => &model[&a.pred],
-                    Some(g) => &ids[&(a.pred.clone(), g.clone())],
-                };
-                for row in rel {
+                for row in relation(a, model, ids) {
                     if let Some(b) = unify(&a.terms, row, binding) {
-                        solve(rule, &others, &b, model, ids, out)?;
+                        solve(&others, &b, model, ids, out)?;
                     }
                 }
             }
@@ -346,8 +437,8 @@ fn solve(
                 let Some(row) = ground(&a.terms, binding) else {
                     continue;
                 };
-                if !model[&a.pred].contains(&row) {
-                    solve(rule, &others, binding, model, ids, out)?;
+                if !relation(a, model, ids).contains(&row) {
+                    solve(&others, binding, model, ids, out)?;
                 }
             }
             Lit::Op(op, args) => {
@@ -357,14 +448,25 @@ fn solve(
                 };
                 for values in solutions {
                     if let Some(b) = unify(args, &values, binding) {
-                        solve(rule, &others, &b, model, ids, out)?;
+                        solve(&others, &b, model, ids, out)?;
                     }
                 }
+            }
+            Lit::Choice(..) | Lit::Cut => {
+                return Err("choice and cut have no bottom-up reading".into())
             }
         }
         return Ok(());
     }
-    Err(format!("{}: no body literal can run", rule.head.pred))
+    Err("no body literal can run".into())
+}
+
+/// The rows `a` reads: its ID-relation, or its relation in `model`.
+fn relation<'a>(a: &Atom, model: &'a Relations, ids: &'a Ids) -> &'a Rows {
+    match &a.grouping {
+        None => model.get(&a.pred).unwrap_or(&EMPTY),
+        Some(g) => &ids[&(a.pred.clone(), g.clone())],
+    }
 }
 
 fn resolve(t: &T, binding: &Binding) -> Option<V> {
@@ -374,12 +476,13 @@ fn resolve(t: &T, binding: &Binding) -> Option<V> {
     }
 }
 
-fn ground(terms: &[T], binding: &Binding) -> Option<Vec<V>> {
+/// `terms` under `binding`, when every variable is bound.
+pub fn ground(terms: &[T], binding: &Binding) -> Option<Vec<V>> {
     terms.iter().map(|t| resolve(t, binding)).collect()
 }
 
 /// `binding` extended so that `terms` equal `row`, if it can be.
-fn unify(terms: &[T], row: &[V], binding: &Binding) -> Option<Binding> {
+pub fn unify(terms: &[T], row: &[V], binding: &Binding) -> Option<Binding> {
     if terms.len() != row.len() {
         return None;
     }
@@ -401,7 +504,7 @@ fn unify(terms: &[T], row: &[V], binding: &Binding) -> Option<Binding> {
 
 /// All argument vectors of `op` that agree with `given`, or `None` when too
 /// few arguments are bound for the set to be finite.
-fn builtin(op: Builtin, given: &[Option<V>]) -> Result<Option<Vec<Vec<V>>>, String> {
+pub fn builtin(op: Builtin, given: &[Option<V>]) -> Result<Option<Vec<Vec<V>>>, String> {
     if let (Builtin::Eq | Builtin::Ne, [a, b]) = (op, given) {
         let eq = op == Builtin::Eq;
         return Ok(match (a, b) {
@@ -509,6 +612,24 @@ fn below(a: Option<i64>, b: Option<i64>, gap: i64) -> Option<Vec<Vec<i64>>> {
     }
 }
 
+/// Each row of `rel`, its values joined by spaces, in [`V`] order: how the
+/// suite's unit tests spell an expected relation.
+#[cfg(test)]
+pub(crate) fn names(rel: &Rows) -> Vec<String> {
+    rel.iter()
+        .map(|row| {
+            let cols: Vec<String> = row
+                .iter()
+                .map(|v| match v {
+                    V::Int(n) => n.to_string(),
+                    V::Sym(s) => s.clone(),
+                })
+                .collect();
+            cols.join(" ")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,21 +640,6 @@ mod tests {
 
     fn model(src: &str, facts_src: &str) -> Relations {
         perfect_model(src, &facts(facts_src).unwrap(), &Perms::new()).unwrap()
-    }
-
-    fn names(rel: &Rows) -> Vec<String> {
-        rel.iter()
-            .map(|row| {
-                let cols: Vec<String> = row
-                    .iter()
-                    .map(|v| match v {
-                        V::Int(n) => n.to_string(),
-                        V::Sym(s) => s.clone(),
-                    })
-                    .collect();
-                cols.join(" ")
-            })
-            .collect()
     }
 
     #[test]
@@ -568,6 +674,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(names(&swapped["s"]), ["a c 1", "a d 0", "b c 0"]);
+    }
+
+    #[test]
+    fn negated_id_literal_reads_the_id_relation() {
+        // Everyone who is not the tid-0 employee of their department.
+        let m = model(
+            "rest(N, D) :- emp(N, D), not emp[2](N, D, 0).",
+            "emp(ann, sales). emp(bob, sales). emp(cay, dev).",
+        );
+        assert_eq!(names(&m["rest"]), ["bob sales"]);
     }
 
     #[test]

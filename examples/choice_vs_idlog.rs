@@ -8,6 +8,8 @@ use std::sync::Arc;
 
 use idlog_core::{EnumBudget, Interner, Query, ValidatedProgram};
 use idlog_storage::Database;
+use idlog_suite::eval::{intended_models, Budget};
+use idlog_suite::reference::{answer_set, Relations, V};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let interner = Arc::new(Interner::new());
@@ -33,21 +35,30 @@ woman(X) :- sex(X, female).";
     );
 
     let mut db = Database::with_interner(Arc::clone(&interner));
+    let mut edb = Relations::new();
     for p in ["ann", "bob", "cay"] {
         db.insert_syms("person", &[p])?;
+        let person = edb.entry("person".to_string()).or_default();
+        person.insert(vec![V::Sym(p.to_string())]);
     }
-    let budget = EnumBudget::default();
 
-    let direct = idlog_choice::intended_models(&ast, &interner, &db, "man", &budget)?;
+    // The direct semantics runs on the reference interpreter's matcher.
+    let direct = intended_models(src, &edb, "man", &Budget::default())?;
     let translated_ast = idlog_choice::to_idlog::to_idlog(&ast, &interner)?;
     let validated = ValidatedProgram::new(translated_ast, Arc::clone(&interner))?;
     let q = Query::new(validated, "man")?;
-    let via_idlog = q.session(&db).budget(budget).all_answers()?;
+    let via_idlog = q.session(&db).budget(EnumBudget::default()).all_answers()?;
 
     println!("answers for `man` on person = {{ann, bob, cay}}:");
-    println!("  direct KN88 semantics:   {} answers", direct.len());
+    println!(
+        "  direct KN88 semantics:   {} answers",
+        direct.answers.len()
+    );
     println!("  translated IDLOG:        {} answers", via_idlog.len());
-    assert!(direct.same_answers(&via_idlog, &interner));
+    assert_eq!(
+        direct.answers,
+        answer_set(via_idlog.iter().map(|r| r.iter()), &interner)
+    );
     println!("  ✓ identical answer sets (all 2³ = 8 subsets):");
     for answer in via_idlog.to_sorted_strings(&interner) {
         println!("    {{{}}}", answer.join(", "));

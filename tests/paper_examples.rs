@@ -4,8 +4,12 @@
 
 use std::sync::Arc;
 
-use idlog_core::{EnumBudget, Interner, Query, ValidatedProgram};
+use std::collections::BTreeSet;
+
+use idlog_core::{AnswerSet, EnumBudget, Interner, Query, ValidatedProgram};
 use idlog_storage::{count_id_functions, Database, IdAssignmentIter, Relation};
+use idlog_suite::eval::{all_outcomes, intended_models, Budget, Dialect};
+use idlog_suite::reference::{answer_set, symbol_facts, Rows};
 
 fn db_from(interner: &Arc<Interner>, facts: &[(&str, &[&str])]) -> Database {
     let mut db = Database::with_interner(Arc::clone(interner));
@@ -13,6 +17,11 @@ fn db_from(interner: &Arc<Interner>, facts: &[(&str, &[&str])]) -> Database {
         db.insert_syms(pred, cols).unwrap();
     }
     db
+}
+
+/// An engine answer set in the reference's form.
+fn engine(answers: &AnswerSet, interner: &Interner) -> BTreeSet<Rows> {
+    answer_set(answers.iter().map(|r| r.iter()), interner)
 }
 
 /// Example 1: r = {(a,c),(a,d),(b,c)} has exactly two ID-relations on {1},
@@ -79,31 +88,36 @@ fn example2_man_woman_answer_sets() {
     assert_eq!(woman_answers.to_sorted_strings(man.interner()), expected);
 }
 
-/// Example 3 is covered in `idlog-dl` unit tests (DL inflationary
-/// semantics); here we check the comparison the paper draws: the DL answer
-/// set equals the IDLOG answer set of Example 2 — two roads to one query.
+/// Example 3 is covered in `idlog_suite::eval`'s unit tests (DL
+/// inflationary semantics); here we check the comparison the paper draws:
+/// the DL answer set equals the IDLOG answer set of Example 2 — two roads to
+/// one query.
 #[test]
 fn example3_dl_agrees_with_example2_idlog() {
-    use idlog_dl::{all_outcomes, Dialect, DlBudget, DlProgram};
-
     let idlog_src = "
         sex_guess(X, male) :- person(X).
         sex_guess(X, female) :- person(X).
         man(X) :- sex_guess[1](X, male, 1).
     ";
     let q = Query::parse(idlog_src, "man").unwrap();
-    let db = db_from(q.interner(), &[("person", &["a"]), ("person", &["b"])]);
+    let facts: &[(&str, &[&str])] = &[("person", &["a"]), ("person", &["b"])];
+    let db = db_from(q.interner(), facts);
     let idlog_answers = q.session(&db).all_answers().unwrap();
 
     let dl_src = "
         man(X) :- person(X), not woman(X).
         woman(X) :- person(X), not man(X).
     ";
-    let dl_ast = idlog_core::parse_program(dl_src, q.interner()).unwrap();
-    let dl = DlProgram::new(dl_ast, Arc::clone(q.interner()), Dialect::Dl).unwrap();
-    let dl_answers = all_outcomes(&dl, &db, "man", &DlBudget::default()).unwrap();
+    let dl_answers = all_outcomes(
+        dl_src,
+        Dialect::Dl,
+        &symbol_facts(facts),
+        "man",
+        &Budget::default(),
+    )
+    .unwrap();
 
-    assert!(idlog_answers.same_answers(&dl_answers, q.interner()));
+    assert_eq!(engine(&idlog_answers, q.interner()), dl_answers.answers);
 }
 
 /// Example 4: the one-per-department sampling query — the DATALOG^C program
@@ -121,11 +135,14 @@ fn example4_single_sampling_equivalence() {
     let db = db_from(&interner, facts);
     let budget = EnumBudget::default();
 
-    let choice_ast =
-        idlog_core::parse_program("select_emp(N) :- emp(N, D), choice((D), (N)).", &interner)
-            .unwrap();
-    let choice_answers =
-        idlog_choice::intended_models(&choice_ast, &interner, &db, "select_emp", &budget).unwrap();
+    let choice_src = "select_emp(N) :- emp(N, D), choice((D), (N)).";
+    let choice_answers = intended_models(
+        choice_src,
+        &symbol_facts(facts),
+        "select_emp",
+        &Budget::default(),
+    )
+    .unwrap();
 
     let idlog = Query::parse_with_interner(
         "select_emp(N) :- emp[2](N, D, 0).",
@@ -135,7 +152,7 @@ fn example4_single_sampling_equivalence() {
     .unwrap();
     let idlog_answers = idlog.session(&db).budget(budget).all_answers().unwrap();
 
-    assert!(choice_answers.same_answers(&idlog_answers, &interner));
+    assert_eq!(choice_answers.answers, engine(&idlog_answers, &interner));
     // 2 × 3 = 6 ways to pick one employee per department.
     assert_eq!(idlog_answers.len(), 6);
 }
@@ -157,20 +174,20 @@ fn example5_two_sampling() {
     let budget = EnumBudget::default();
 
     // The paper's (incorrect) DATALOG^C attempt.
-    let choice_ast = idlog_core::parse_program(
-        "emp1(N, D) :- emp(N, D), choice((D), (N)).
-         emp2(N, D) :- emp(N, D), choice((D), (N)).
-         select_two_emp(N1) :- emp1(N1, D), emp2(N2, D), N1 != N2.",
-        &interner,
+    let choice_src = "emp1(N, D) :- emp(N, D), choice((D), (N)).
+                      emp2(N, D) :- emp(N, D), choice((D), (N)).
+                      select_two_emp(N1) :- emp1(N1, D), emp2(N2, D), N1 != N2.";
+    let choice_answers = intended_models(
+        choice_src,
+        &symbol_facts(facts),
+        "select_two_emp",
+        &Budget::default(),
     )
     .unwrap();
-    let choice_answers =
-        idlog_choice::intended_models(&choice_ast, &interner, &db, "select_two_emp", &budget)
-            .unwrap();
     // "There are some intended models … while others may not contain any
     // student from a certain department": when both choices agree on a
     // department, that department contributes nothing.
-    let deficient = choice_answers.iter().any(|rel| rel.len() < 4);
+    let deficient = choice_answers.answers.iter().any(|rel| rel.len() < 4);
     assert!(deficient, "the choice program must have deficient models");
 
     // The paper's IDLOG program.
@@ -279,12 +296,15 @@ fn all_depts_three_ways() {
     let idlog_answers = idlog.session(&db).budget(budget).all_answers().unwrap();
     assert!(plain_answers.same_answers(&idlog_answers, &interner));
 
-    let choice_ast =
-        idlog_core::parse_program("all_depts(D) :- emp(N, D), choice((D), (N)).", &interner)
-            .unwrap();
-    let choice_answers =
-        idlog_choice::intended_models(&choice_ast, &interner, &db, "all_depts", &budget).unwrap();
-    assert!(plain_answers.same_answers(&choice_answers, &interner));
+    let choice_src = "all_depts(D) :- emp(N, D), choice((D), (N)).";
+    let choice_answers = intended_models(
+        choice_src,
+        &symbol_facts(facts),
+        "all_depts",
+        &Budget::default(),
+    )
+    .unwrap();
+    assert_eq!(engine(&plain_answers, &interner), choice_answers.answers);
 }
 
 /// §3.1 genericity: answers commute with permutations of the u-domain.
