@@ -1,27 +1,28 @@
 //! The collect-all analysis driver.
 //!
 //! [`analyze`] parses a program once (keeping the parser's [`SpanMap`]) and
-//! then runs every check the engine performs at validation time — head
-//! shape, arity consistency, grouping ranges, sort inference, safety,
-//! stratification, and (for DATALOG^C programs) the paper's choice
-//! conditions C1/C2 — *without stopping at the first failure*. Each finding
-//! becomes a [`Diagnostic`] anchored to the clause, literal, or term that
-//! caused it. When the program is error-free the lint passes from
-//! [`crate::lints`] run as well.
+//! runs the engine's one validator, [`idlog_core::program::check`], which
+//! never stops at the first failure: head shape, arity consistency,
+//! grouping ranges, sort inference, safety and stratification. This module
+//! only gives each [`Violation`] its code, its span and its notes; the
+//! headline is the engine's, so `idlog lint` and `idlog run` report a
+//! problem in the same words. For DATALOG^C programs the paper's choice
+//! conditions C1/C2 are checked as well. When the program is error-free
+//! the lint passes from [`crate::lints`] run too.
 
 use std::sync::Arc;
 
 use idlog_choice::{collect_violations, ChoiceViolation};
-use idlog_common::{FxHashMap, Interner, SymbolId};
-use idlog_core::safety;
-use idlog_core::stratify::{self, DepGraph, Stratification};
-use idlog_parser::{
-    parse_program_with_spans, Builtin, Literal, PredicateRef, Program, Span, SpanMap, Term,
-};
+use idlog_common::Interner;
+use idlog_core::program::{check, Site, Violation};
+use idlog_core::safety::SafetyViolation;
+use idlog_core::sorts::{SortConflictKind, SortSite};
+use idlog_core::stratify::DepGraph;
+use idlog_parser::{parse_program_with_spans, Clause, Literal, Program, Span, SpanMap, Term};
 
 use crate::dataflow::Dataflow;
 use crate::diagnostic::Diagnostic;
-use crate::{determinism, lints, relevance, sorts, termination};
+use crate::{determinism, lints, relevance, termination};
 
 /// Which language the program appears to be written in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -113,14 +114,13 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
         Dialect::Idlog
     };
 
-    let graph = Arc::new(DepGraph::new(&program));
-    let mut diags = Vec::new();
-    check_structure(&program, &spans, interner, dialect, &mut diags);
-    let arities = check_arities(&program, &spans, interner, &mut diags);
-    check_grouping(&program, &spans, &arities, interner, &mut diags);
-    sorts::check(&program, &spans, &arities, interner, &mut diags);
-    check_safety(&program, &spans, &mut diags);
-    check_stratification(&graph, &spans, interner, &mut diags);
+    let checked = check(&program, interner);
+    let graph = checked.graph;
+    let mut diags: Vec<Diagnostic> = checked
+        .violations
+        .iter()
+        .filter_map(|v| diagnostic(v, &program, &spans, interner))
+        .collect();
     if dialect == Dialect::Choice {
         check_choice(&program, &graph, &spans, interner, &mut diags);
     }
@@ -165,269 +165,148 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
     }
 }
 
-/// Span of the atom shape of body literal `(ci, li)`.
-fn literal_span(spans: &SpanMap, ci: usize, li: usize) -> Span {
-    spans.literal_span(ci, li)
-}
-
-/// Span of the predicate-name token of body literal `(ci, li)`.
-fn literal_name_span(spans: &SpanMap, ci: usize, li: usize) -> Span {
-    spans
-        .clause(ci)
-        .and_then(|c| c.literal(li))
-        .map(|l| l.atom.name)
-        .filter(Span::is_known)
-        .unwrap_or_else(|| spans.literal_span(ci, li))
-}
-
-/// Head shape and dialect checks: E002–E005 and E015, collect-all.
-fn check_structure(
+/// The diagnostic of one violation the engine's validator found: its code,
+/// its span and notes at the other sites involved, under the engine's
+/// headline. A choice literal is no error in the choice dialect (C1/C2
+/// judge it there), and its presence is what defines that dialect, so it
+/// gets none.
+fn diagnostic(
+    v: &Violation,
     program: &Program,
     spans: &SpanMap,
     interner: &Interner,
-    dialect: Dialect,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        if clause.head.len() != 1 {
-            let span = spans
-                .clause(ci)
-                .and_then(|c| c.head_atom(1))
-                .map(|a| a.span)
-                .unwrap_or_else(|| spans.clause_span(ci));
-            diags.push(Diagnostic::error(
-                "E002",
-                span,
-                "IDLOG clauses have exactly one head atom (multi-head clauses belong to DL)",
-            ));
-        }
-        for (hi, h) in clause.head.iter().enumerate() {
-            let name_span = spans
-                .clause(ci)
-                .and_then(|c| c.head_atom(hi))
-                .map(|a| a.name)
-                .unwrap_or_else(|| spans.head_name_span(ci));
-            if h.negated {
-                diags.push(Diagnostic::error(
-                    "E003",
-                    name_span,
-                    "negated heads belong to N-DATALOG, not IDLOG",
-                ));
-            }
-            if h.atom.pred.is_id_version() {
-                diags.push(Diagnostic::error(
-                    "E004",
-                    name_span,
-                    "the head must be a non-ID-atom ([She90b] clause shape)",
-                ));
-            }
-            let head_name = interner.resolve(h.atom.pred.base());
-            if Builtin::from_name(&head_name).is_some() {
-                diags.push(Diagnostic::error(
-                    "E005",
-                    name_span,
-                    format!("cannot define arithmetic predicate {head_name}"),
-                ));
-            }
-        }
-        for (li, lit) in clause.body.iter().enumerate() {
-            if matches!(lit, Literal::Cut) {
-                diags.push(Diagnostic::error(
-                    "E015",
-                    literal_span(spans, ci, li),
-                    "cut is a top-down construct; only the SLD evaluator \
-                     (idlog-choice::cut) supports it",
-                ));
-            }
-        }
-    }
-    // A choice literal is not an error in the choice dialect — the C1/C2
-    // checks handle it — and the dialect is defined by its presence, so
-    // there is nothing to flag in the IDLOG dialect either.
-    let _ = dialect;
-}
-
-/// Arity consistency across all occurrences (E006). Returns the first-wins
-/// arity table for the later passes.
-fn check_arities(
-    program: &Program,
-    spans: &SpanMap,
-    interner: &Interner,
-    diags: &mut Vec<Diagnostic>,
-) -> FxHashMap<SymbolId, usize> {
-    let mut first_seen: FxHashMap<SymbolId, (usize, Span)> = FxHashMap::default();
-    let mut check =
-        |pred: SymbolId, arity: usize, span: Span, diags: &mut Vec<Diagnostic>| match first_seen
-            .get(&pred)
-        {
-            Some(&(a, first_span)) if a != arity => {
-                diags.push(
-                    Diagnostic::error(
-                        "E006",
-                        span,
-                        format!(
-                            "predicate {} used with arity {arity} but previously {a}",
-                            interner.resolve(pred)
-                        ),
-                    )
-                    .with_note_at(first_span, format!("first used with arity {a} here")),
-                );
-            }
-            Some(_) => {}
-            None => {
-                first_seen.insert(pred, (arity, span));
-            }
-        };
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        for (hi, h) in clause.head.iter().enumerate() {
-            let span = spans
-                .clause(ci)
-                .and_then(|c| c.head_atom(hi))
-                .map(|a| a.span)
-                .unwrap_or_else(|| spans.clause_span(ci));
-            check(h.atom.pred.base(), h.atom.base_arity(), span, diags);
-        }
-        for (li, lit) in clause.body.iter().enumerate() {
-            if let Some(a) = lit.atom() {
-                check(
-                    a.pred.base(),
-                    a.base_arity(),
-                    literal_span(spans, ci, li),
-                    diags,
-                );
-            }
-        }
-    }
-    first_seen.into_iter().map(|(p, (a, _))| (p, a)).collect()
-}
-
-/// Grouping attributes must fall inside the base predicate's arity (E007).
-fn check_grouping(
-    program: &Program,
-    spans: &SpanMap,
-    arities: &FxHashMap<SymbolId, usize>,
-    interner: &Interner,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        for (li, lit) in clause.body.iter().enumerate() {
-            let Some(a) = lit.atom() else { continue };
-            let PredicateRef::IdVersion { base, grouping } = &a.pred else {
-                continue;
+) -> Option<Diagnostic> {
+    let (code, span) = match v {
+        Violation::HeadCount(ci) => ("E002", site_span(spans, Site::Head(*ci, 1))),
+        Violation::NegatedHead(site) => ("E003", name_span(spans, *site)),
+        Violation::IdHead(site) => ("E004", name_span(spans, *site)),
+        Violation::BuiltinHead(site, _) => ("E005", name_span(spans, *site)),
+        Violation::Choice(_) => return None,
+        Violation::Cut(site) => ("E015", site_span(spans, *site)),
+        Violation::Arity { site, .. } => ("E006", site_span(spans, *site)),
+        Violation::Grouping { site, .. } => ("E007", name_span(spans, *site)),
+        // Anchored at the term whose demand completed the conflict.
+        Violation::Sort(c) => {
+            let code = match c.kind {
+                SortConflictKind::Column { .. } => "E020",
+                SortConflictKind::Variable { .. } => "E021",
+                SortConflictKind::GroundMismatch | SortConflictKind::ConstantPosition { .. } => {
+                    "E022"
+                }
             };
-            let arity = arities.get(base).copied().unwrap_or(a.base_arity());
-            if let Some(&bad) = grouping.iter().find(|&&g| g >= arity) {
-                diags.push(Diagnostic::error(
-                    "E007",
-                    literal_name_span(spans, ci, li),
-                    format!(
-                        "grouping attribute {} exceeds arity {arity} of {}",
-                        bad + 1,
-                        interner.resolve(*base)
-                    ),
-                ));
-            }
+            let at = c.at.and_then(|site| term_span(spans, site));
+            let clause = c.clause.map(|ci| spans.clause_span(ci));
+            (code, at.or(clause).unwrap_or_default())
         }
+        Violation::Unsafe(ci, SafetyViolation::NoSafeOrder { stuck }) => {
+            let first = stuck.first().map(|&(li, _)| spans.literal_span(*ci, li));
+            ("E009", first.unwrap_or_else(|| spans.clause_span(*ci)))
+        }
+        Violation::Unsafe(ci, SafetyViolation::UnboundHeadVar { head, var }) => {
+            let clause = &program.clauses[*ci];
+            ("E010", head_var_span(spans, *ci, *head, clause, var))
+        }
+        // Anchored at the strict edge; the notes walk the cycle.
+        Violation::Unstratifiable(cycle) => {
+            let first = cycle
+                .first()
+                .map(|e| spans.literal_span(e.clause, e.literal));
+            ("E011", first.unwrap_or_default())
+        }
+    };
+    let notes: Vec<(Span, String)> = match v {
+        Violation::Arity {
+            first: (site, arity),
+            ..
+        } => vec![(
+            site_span(spans, *site),
+            format!("first used with arity {arity} here"),
+        )],
+        Violation::Sort(c) => c
+            .first
+            .and_then(|site| term_span(spans, site))
+            .filter(|&first| first != span)
+            .map(|first| (first, "the conflicting use is here".to_string()))
+            .into_iter()
+            .collect(),
+        Violation::Unsafe(ci, SafetyViolation::NoSafeOrder { stuck }) => stuck
+            .iter()
+            .map(|(li, reason)| (spans.literal_span(*ci, *li), reason.message()))
+            .collect(),
+        Violation::Unstratifiable(cycle) => cycle
+            .iter()
+            .map(|e| {
+                let (to, from) = (interner.resolve(e.to), interner.resolve(e.from));
+                let how = if e.strict {
+                    "strictly (negation or ID-literal)"
+                } else {
+                    "positively"
+                };
+                let note = format!("`{to}` depends {how} on `{from}` here");
+                (spans.literal_span(e.clause, e.literal), note)
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    let mut d = Diagnostic::error(code, span, v.headline(interner));
+    for (at, note) in notes {
+        d = d.with_note_at(at, note);
+    }
+    Some(d)
+}
+
+/// The span of a whole head atom or body literal.
+fn site_span(spans: &SpanMap, site: Site) -> Span {
+    match site {
+        Site::Head(ci, hi) => spans
+            .clause(ci)
+            .and_then(|c| c.head_atom(hi))
+            .map(|a| a.span)
+            .unwrap_or_else(|| spans.clause_span(ci)),
+        Site::Body(ci, li) => spans.literal_span(ci, li),
     }
 }
 
-/// Safety per clause (E009 no safe order, E010 unbound head variable).
-fn check_safety(program: &Program, spans: &SpanMap, diags: &mut Vec<Diagnostic>) {
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        let Err(violations) = safety::analyze_clause(clause) else {
-            continue;
-        };
-        for v in violations {
-            match v {
-                safety::SafetyViolation::NoSafeOrder { stuck } => {
-                    let primary = stuck
-                        .first()
-                        .map(|&(li, _)| literal_span(spans, ci, li))
-                        .unwrap_or_else(|| spans.clause_span(ci));
-                    let mut d = Diagnostic::error(
-                        "E009",
-                        primary,
-                        "no safe evaluation order exists for this clause body",
-                    );
-                    for (li, reason) in stuck {
-                        d = d.with_note_at(literal_span(spans, ci, li), reason.message());
-                    }
-                    diags.push(d);
-                }
-                safety::SafetyViolation::UnboundHeadVar { head, var } => {
-                    let span = head_var_span(spans, ci, head, clause, &var);
-                    diags.push(Diagnostic::error(
-                        "E010",
-                        span,
-                        format!("head variable {var} is not bound by the body"),
-                    ));
-                }
-            }
-        }
+/// The span of a head atom's or body literal's predicate-name token.
+fn name_span(spans: &SpanMap, site: Site) -> Span {
+    match site {
+        Site::Head(ci, hi) => spans
+            .clause(ci)
+            .and_then(|c| c.head_atom(hi))
+            .map(|a| a.name)
+            .unwrap_or_else(|| spans.head_name_span(ci)),
+        Site::Body(ci, li) => spans
+            .clause(ci)
+            .and_then(|c| c.literal(li))
+            .map(|l| l.atom.name)
+            .filter(Span::is_known)
+            .unwrap_or_else(|| spans.literal_span(ci, li)),
     }
+}
+
+/// The source span of one sort demand's term, when the parser recorded it.
+fn term_span(spans: &SpanMap, site: SortSite) -> Option<Span> {
+    let span = match site {
+        SortSite::Head { clause, atom, term } => {
+            spans.clause(clause)?.head_atom(atom)?.term(term)?
+        }
+        SortSite::Body {
+            clause,
+            literal,
+            term,
+        } => spans.clause(clause)?.literal(literal)?.atom.term(term)?,
+    };
+    Some(span).filter(Span::is_known)
 }
 
 /// Span of the first occurrence of `var` in head atom `hi` of clause `ci`.
-fn head_var_span(
-    spans: &SpanMap,
-    ci: usize,
-    hi: usize,
-    clause: &idlog_parser::Clause,
-    var: &str,
-) -> Span {
-    let atom_spans = spans.clause(ci).and_then(|c| c.head_atom(hi));
-    if let (Some(h), Some(atom_spans)) = (clause.head.get(hi), atom_spans) {
-        for (k, term) in h.atom.terms.iter().enumerate() {
-            if term.as_var() == Some(var) {
-                if let Some(s) = atom_spans.term(k) {
-                    return s;
-                }
-            }
-        }
-    }
-    spans.head_name_span(ci)
-}
-
-/// Stratification (E011): report the actual cycle, edge by edge.
-fn check_stratification(
-    graph: &Arc<DepGraph>,
-    spans: &SpanMap,
-    interner: &Interner,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let Err(cycle) = Stratification::of(Arc::clone(graph)) else {
-        return;
-    };
-    let names = stratify::cycle_names(&cycle, interner);
-    let Some(strict) = cycle.first() else {
-        diags.push(Diagnostic::error(
-            "E011",
-            Span::default(),
-            "program is not stratifiable",
-        ));
-        return;
-    };
-    let mut d = Diagnostic::error(
-        "E011",
-        literal_span(spans, strict.clause, strict.literal),
-        format!("program is not stratifiable: cycle {}", names.join(" -> ")),
-    );
-    for e in &cycle {
-        let kind = if e.strict {
-            "strictly (negation or ID-literal)"
-        } else {
-            "positively"
-        };
-        d = d.with_note_at(
-            literal_span(spans, e.clause, e.literal),
-            format!(
-                "`{}` depends {kind} on `{}` here",
-                interner.resolve(e.to),
-                interner.resolve(e.from)
-            ),
-        );
-    }
-    diags.push(d);
+fn head_var_span(spans: &SpanMap, ci: usize, hi: usize, clause: &Clause, var: &str) -> Span {
+    let k = clause
+        .head
+        .get(hi)
+        .and_then(|h| h.atom.terms.iter().position(|t| t.as_var() == Some(var)));
+    k.and_then(|k| spans.clause(ci)?.head_atom(hi)?.term(k))
+        .unwrap_or_else(|| spans.head_name_span(ci))
 }
 
 /// The paper's choice conditions (E012 C1, E013 C2, E014 recursion).
@@ -443,7 +322,7 @@ fn check_choice(
             ChoiceViolation::C1 { clause, literals } => {
                 let primary = literals
                     .get(1)
-                    .map(|&li| literal_span(spans, clause, li))
+                    .map(|&li| spans.literal_span(clause, li))
                     .unwrap_or_else(|| spans.clause_span(clause));
                 let mut d = Diagnostic::error(
                     "E012",
@@ -451,7 +330,7 @@ fn check_choice(
                     "a clause may contain at most one choice operator (condition C1)",
                 );
                 for li in literals {
-                    d = d.with_note_at(literal_span(spans, clause, li), "choice operator here");
+                    d = d.with_note_at(spans.literal_span(clause, li), "choice operator here");
                 }
                 diags.push(d);
             }
@@ -487,7 +366,7 @@ fn check_choice(
             } => {
                 diags.push(Diagnostic::error(
                     "E014",
-                    literal_span(spans, clause, literal),
+                    spans.literal_span(clause, literal),
                     format!(
                         "choice clause for `{}` is recursive through its own head \
                          (the [KN88] semantics excludes this)",
@@ -502,7 +381,7 @@ fn check_choice(
 /// Best-effort span of the first occurrence of `var` among the terms of a
 /// body literal (used by the lints as well).
 pub(crate) fn body_term_spans<'a>(
-    clause: &'a idlog_parser::Clause,
+    clause: &'a Clause,
     spans: &'a SpanMap,
     ci: usize,
 ) -> impl Iterator<Item = (String, Span)> + 'a {

@@ -1,14 +1,15 @@
 //! `idlog-analyze` — span-carrying diagnostics and lints for IDLOG programs.
 //!
-//! The engine crates (`idlog-core`, `idlog-choice`) validate fail-fast:
-//! the first problem aborts evaluation, which is right for execution but
-//! wrong for authoring. This crate re-runs the same checks through their
-//! structured collect-all entry points — [`idlog_core::safety::analyze_clause`],
-//! [`idlog_core::sorts::infer_collect`], [`idlog_core::stratify::stratify_check`],
-//! [`idlog_choice::collect_violations`] — and anchors every finding to the
-//! source text via the parser's [`idlog_parser::SpanMap`] side-table, so a
-//! program with three independent mistakes reports all three, each with a
-//! rustc-style caret excerpt.
+//! The engine's one validator, [`idlog_core::program::check`], never stops
+//! at the first problem: it returns every violation with its site and
+//! headline. The engine reports the first and stops, which is right for
+//! execution; this crate reports them all, which is right for authoring.
+//! It adds only what authoring needs — each violation's code, its span in
+//! the source (through the parser's [`idlog_parser::SpanMap`] side-table)
+//! and notes at the other sites involved — plus the DATALOG^C conditions
+//! ([`idlog_choice::collect_violations`]) and the lints. So a program with
+//! three independent mistakes reports all three, each with a rustc-style
+//! caret excerpt, and `idlog run` names the first in the same words.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -33,8 +34,8 @@
 //! `H001`/`H010`/`H020` optimization, bounded-depth, and point-query hints.
 //!
 //! The predicate-level questions come from the engine's one dependency
-//! graph, [`idlog_core::stratify::DepGraph`], which [`analyze`] builds
-//! once per run and hands to every pass that asks one: E011's cycle is its
+//! graph, [`idlog_core::stratify::DepGraph`], which the validator builds
+//! once per run and [`analyze`] hands to every pass that asks one: E011's cycle is its
 //! witness walk, E013/E014 read its `P/q` cones, W001 is its output cone
 //! (a multi-head clause feeds every head), the program's sinks, where W010
 //! reports and W005 compares, are its sinks, and the termination lints
@@ -49,7 +50,6 @@ pub mod diagnostic;
 pub mod lints;
 mod relevance;
 pub mod render;
-mod sorts;
 mod termination;
 
 pub use analyzer::{analyze, Analysis, Dialect, Options};

@@ -13,6 +13,7 @@
 //! Diagnostics whose span is unknown (synthesized clauses) degrade to the
 //! header line alone.
 
+use idlog_common::json::escape;
 use idlog_parser::Span;
 
 use crate::diagnostic::Diagnostic;
@@ -113,11 +114,11 @@ pub fn render_json(diags: &[Diagnostic], filename: &str) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"file\":{},\"code\":{},\"severity\":{},\"message\":{},\"span\":{},\"notes\":[",
-            json_str(filename),
-            json_str(d.code),
-            json_str(d.severity.label()),
-            json_str(&d.message),
+            "{{\"file\":\"{}\",\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"span\":{},\"notes\":[",
+            escape(filename),
+            escape(d.code),
+            escape(d.severity.label()),
+            escape(&d.message),
             json_span(Some(d.span)),
         ));
         for (k, note) in d.notes.iter().enumerate() {
@@ -125,8 +126,8 @@ pub fn render_json(diags: &[Diagnostic], filename: &str) -> String {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"message\":{},\"span\":{}}}",
-                json_str(&note.message),
+                "{{\"message\":\"{}\",\"span\":{}}}",
+                escape(&note.message),
                 json_span(note.span),
             ));
         }
@@ -144,25 +145,6 @@ fn json_span(span: Option<Span>) -> String {
             s.start.line, s.start.col, s.end.line, s.end.col
         ),
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Golden tests over the `programs/bad/` corpus: every `.idl` file there is
 //! analyzed with the full lint suite and its rendered output compared
-//! byte-for-byte against the `.expected` sidecar.
+//! byte-for-byte against the `.expected` sidecar. Every IDLOG-dialect file
+//! that parses must also get the analysis' verdict from the engine, in one
+//! of the analysis' headlines.
 //!
 //! Regenerate the sidecars after an intentional output change with
 //! `UPDATE_GOLDEN=1 cargo test -p idlog-analyze --test golden`.
@@ -8,8 +10,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use idlog_analyze::{analyze, render_all, Options};
+use idlog_analyze::{analyze, render_all, Dialect, Options};
 use idlog_common::Interner;
+
+mod common;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../programs/bad")
@@ -58,6 +62,13 @@ fn corpus_matches_goldens() {
                 rendered.contains(&format!("[{code}]")),
                 "{name}: expected {code} to fire, got:\n{rendered}"
             );
+        }
+
+        let parsed = analysis.diagnostics.iter().all(|d| d.code != "E001");
+        if analysis.dialect == Dialect::Idlog && parsed {
+            if let Err(e) = common::engine_agrees(&src, &analysis) {
+                failures.push(format!("== {name} ==\n{e}"));
+            }
         }
 
         let golden_path = path.with_extension("expected");

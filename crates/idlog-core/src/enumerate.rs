@@ -28,7 +28,6 @@ use crate::plan::RulePlan;
 use crate::pred::PredKey;
 use crate::program::ValidatedProgram;
 use crate::stats::EvalStats;
-use crate::tid::CanonicalOracle;
 use crate::tidbound::TidBounds;
 
 /// Bounds on enumeration work.
@@ -603,22 +602,6 @@ fn branch(
         branch(cx, k, branch_state, threads, needed, i + 1, local)?;
     }
     Ok(())
-}
-
-/// Deterministic single-model shortcut used by tests: the canonical answer.
-pub fn canonical_answer(
-    program: &ValidatedProgram,
-    db: &Database,
-    output: &str,
-) -> CoreResult<Relation> {
-    let out =
-        eval::evaluate_with_options(program, db, &mut CanonicalOracle, &EvalOptions::default())?;
-    out.relation(output)
-        .cloned()
-        .ok_or_else(|| CoreError::Validation {
-            clause: None,
-            message: format!("output predicate {output} does not occur in the program"),
-        })
 }
 
 #[cfg(test)]

@@ -154,6 +154,9 @@ pub enum CoreError {
     },
     /// Sort inference found conflicting sorts.
     Sort {
+        /// 0-based index of the clause whose occurrence exposed the
+        /// conflict, when attributable.
+        clause: Option<usize>,
         /// What conflicts.
         message: String,
     },
@@ -252,16 +255,19 @@ impl fmt::Display for CoreError {
             } => {
                 write!(f, "invalid program: {message}")
             }
-            CoreError::Sort { message } => write!(f, "sort error: {message}"),
+            CoreError::Sort {
+                clause: Some(c),
+                message,
+            } => write!(f, "sort error in clause #{c}: {message}"),
+            CoreError::Sort {
+                clause: None,
+                message,
+            } => write!(f, "sort error: {message}"),
             CoreError::Safety { clause, message } => {
                 write!(f, "unsafe clause #{clause}: {message}")
             }
             CoreError::Stratification { cycle } => {
-                write!(
-                    f,
-                    "program is not stratifiable; cycle through: {}",
-                    cycle.join(" -> ")
-                )
+                f.write_str(&crate::stratify::unstratifiable(cycle))
             }
             CoreError::Input { message } => write!(f, "bad input database: {message}"),
             CoreError::Eval { message } => write!(f, "evaluation error: {message}"),

@@ -15,10 +15,12 @@
 //!
 //! Pipeline:
 //!
-//! 1. [`program::ValidatedProgram::new`] — arity/head-shape validation,
-//!    sort inference ([`sorts`]), safety ([`safety`]);
-//! 2. [`stratify`] — dependency analysis; negation **and** ID-literal edges
-//!    must not be cyclic;
+//! 1. [`program::check`] — the one validator, collect-all: head shape,
+//!    arities, grouping, sort inference ([`sorts`]), safety ([`safety`]) and
+//!    stratification ([`stratify`]; negation **and** ID-literal edges must
+//!    not be cyclic). [`program::ValidatedProgram::new`] reports its first
+//!    violation, `idlog lint` all of them;
+//! 2. [`stratify`] — the dependency graph and the strata evaluation runs in;
 //! 3. [`plan`] — each clause becomes an ordered sequence of join steps;
 //! 4. [`eval`] — semi-naive evaluation per stratum, materializing
 //!    ID-relations of lower strata through a [`tid::TidOracle`];

@@ -16,6 +16,8 @@
 
 use std::fmt::Write as _;
 
+use idlog_common::json::escape;
+
 use crate::program::ValidatedProgram;
 use crate::stats::EvalStats;
 
@@ -335,14 +337,14 @@ impl Profile {
     pub fn to_json(&self, include_time: bool) -> String {
         let mut out = String::new();
         out.push('{');
-        let _ = write!(out, "\"schema\":{}", json_str(PROFILE_JSON_SCHEMA));
+        let _ = write!(out, "\"schema\":\"{}\"", escape(PROFILE_JSON_SCHEMA));
         let _ = write!(out, ",\"totals\":{}", stats_json(&self.totals));
         out.push_str(",\"rules\":[");
         for (i, r) in self.rules.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_str(r));
+            let _ = write!(out, "\"{}\"", escape(r));
         }
         out.push_str("],\"strata\":[");
         for (i, stratum) in self.strata.iter().enumerate() {
@@ -357,8 +359,8 @@ impl Profile {
                 let grouping: Vec<String> = idr.grouping.iter().map(|g| g.to_string()).collect();
                 let _ = write!(
                     out,
-                    "{{\"name\":{},\"grouping\":[{}],\"groups\":{},\"tuples\":{}}}",
-                    json_str(&idr.name),
+                    "{{\"name\":\"{}\",\"grouping\":[{}],\"groups\":{},\"tuples\":{}}}",
+                    escape(&idr.name),
                     grouping.join(","),
                     idr.groups,
                     idr.tuples
@@ -415,27 +417,6 @@ fn stats_json(s: &EvalStats) -> String {
         s.iterations,
         s.id_relations
     )
-}
-
-/// Minimal JSON string escaping (quote, backslash, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

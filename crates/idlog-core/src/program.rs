@@ -1,20 +1,298 @@
 //! Program validation and metadata.
+//!
+//! [`check`] is the one validator of §2's rules for a valid IDLOG program.
+//! It never stops at the first failure: it returns every [`Violation`] at
+//! its site, each with one headline. [`ValidatedProgram::new`] turns the
+//! first into a [`CoreError`]; `idlog lint` renders them all with spans.
 
 use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
-use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program};
+use idlog_parser::{Atom, Builtin, Clause, Literal, PredicateRef, Program};
 
 use crate::error::{CoreError, CoreResult};
 use crate::plan::RulePlan;
-use crate::safety::{order_clause, ClauseOrder};
-use crate::sorts::{infer, SortMap};
-use crate::stratify::Stratification;
+use crate::safety::{analyze_clause, ClauseOrder, SafetyViolation};
+use crate::sorts::{infer_collect, SortConflict, SortMap};
+use crate::stratify::{cycle_names, unstratifiable, DepEdge, DepGraph, Stratification};
 use crate::tidbound::{tid_bounds_ast, TidBounds};
 
-/// A structurally validated IDLOG program: arities are consistent, heads are
-/// single positive ordinary atoms, sorts are inferred, and every clause has a
-/// safe evaluation order.
+/// One occurrence in a clause, by index: `Head(clause, atom)` or
+/// `Body(clause, literal)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// A head atom.
+    Head(usize, usize),
+    /// A body literal.
+    Body(usize, usize),
+}
+
+impl Site {
+    /// The clause the occurrence lies in.
+    fn clause(self) -> usize {
+        match self {
+            Site::Head(clause, _) | Site::Body(clause, _) => clause,
+        }
+    }
+}
+
+/// One way a program breaks the rules of a valid IDLOG program, at its site.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Violation {
+    /// A clause, by index, without exactly one head atom (DL syntax).
+    HeadCount(usize),
+    /// A negated head (N-DATALOG syntax).
+    NegatedHead(Site),
+    /// An ID-atom as head.
+    IdHead(Site),
+    /// A head that defines the given arithmetic predicate.
+    BuiltinHead(Site, SymbolId),
+    /// A choice literal: DATALOG^C, which is translated to IDLOG first.
+    Choice(Site),
+    /// A cut: only top-down evaluation gives it a meaning.
+    Cut(Site),
+    /// A predicate used with another arity than at its first occurrence.
+    Arity {
+        /// The occurrence.
+        site: Site,
+        /// The predicate.
+        pred: SymbolId,
+        /// Its arity at the occurrence.
+        arity: usize,
+        /// Its first occurrence, and its arity there.
+        first: (Site, usize),
+    },
+    /// An ID-literal grouping on an attribute beyond its predicate's arity.
+    Grouping {
+        /// The ID-literal.
+        site: Site,
+        /// Its base predicate.
+        pred: SymbolId,
+        /// The 0-based attribute out of range.
+        attribute: usize,
+        /// The predicate's arity.
+        arity: usize,
+    },
+    /// Two sorts demanded of one column, variable or constant.
+    Sort(SortConflict),
+    /// A clause, by index, with no safe evaluation order or an unbound
+    /// head variable (§2.2).
+    Unsafe(usize, SafetyViolation),
+    /// A cycle through negation or an ID-literal, as [`DepGraph`] edges
+    /// from the strict one on.
+    Unstratifiable(Vec<DepEdge>),
+}
+
+impl Violation {
+    /// The one-line headline `idlog lint` and the engine both report.
+    pub fn headline(&self, interner: &Interner) -> String {
+        match self {
+            Violation::HeadCount(_) => {
+                "IDLOG clauses have exactly one head atom (multi-head clauses belong to DL)".into()
+            }
+            Violation::NegatedHead(_) => "negated heads belong to N-DATALOG, not IDLOG".into(),
+            Violation::IdHead(_) => "the head must be a non-ID-atom ([She90b] clause shape)".into(),
+            Violation::BuiltinHead(_, pred) => {
+                format!(
+                    "cannot define arithmetic predicate {}",
+                    interner.resolve(*pred)
+                )
+            }
+            Violation::Choice(_) => {
+                "choice literals belong to DATALOG^C; translate them with idlog-choice first".into()
+            }
+            Violation::Cut(_) => "cut is a top-down construct; only the SLD evaluator \
+                                  (idlog-suite::cut) supports it"
+                .into(),
+            Violation::Arity {
+                pred,
+                arity,
+                first: (_, first_arity),
+                ..
+            } => format!(
+                "predicate {} used with arity {arity} but previously {first_arity}",
+                interner.resolve(*pred)
+            ),
+            Violation::Grouping {
+                pred,
+                attribute,
+                arity,
+                ..
+            } => format!(
+                "grouping attribute {} exceeds arity {arity} of {}",
+                attribute + 1,
+                interner.resolve(*pred)
+            ),
+            Violation::Sort(conflict) => conflict.message(interner),
+            Violation::Unsafe(_, violation) => violation.message(),
+            Violation::Unstratifiable(cycle) => unstratifiable(&cycle_names(cycle, interner)),
+        }
+    }
+
+    /// The engine's error for this violation: the headline, under the
+    /// [`CoreError`] variant of its rule. An unsafe body also names each
+    /// stuck literal's binding pattern.
+    fn error(&self, interner: &Interner) -> CoreError {
+        let clause = match self {
+            Violation::Sort(conflict) => return conflict.error(interner),
+            Violation::Unsafe(clause, violation) => {
+                let mut message = violation.message();
+                if let SafetyViolation::NoSafeOrder { stuck } = violation {
+                    for (k, (_, reason)) in stuck.iter().enumerate() {
+                        message.push_str(if k == 0 { ": " } else { "; " });
+                        message.push_str(&reason.message());
+                    }
+                }
+                return CoreError::Safety {
+                    clause: *clause,
+                    message,
+                };
+            }
+            Violation::Unstratifiable(cycle) => {
+                return CoreError::Stratification {
+                    cycle: cycle_names(cycle, interner),
+                }
+            }
+            Violation::HeadCount(clause) => *clause,
+            Violation::NegatedHead(site)
+            | Violation::IdHead(site)
+            | Violation::BuiltinHead(site, _)
+            | Violation::Choice(site)
+            | Violation::Cut(site)
+            | Violation::Arity { site, .. }
+            | Violation::Grouping { site, .. } => site.clause(),
+        };
+        CoreError::Validation {
+            clause: Some(clause),
+            message: self.headline(interner),
+        }
+    }
+}
+
+/// Everything [`check`] finds: the violations, and what a valid program is
+/// built from.
+#[derive(Debug)]
+pub struct Checked {
+    /// Every violation, in the order of the checks (clause shape, arities,
+    /// grouping, sorts, safety, stratification); empty for a valid program.
+    pub violations: Vec<Violation>,
+    /// Each predicate's arity at its first occurrence.
+    arities: FxHashMap<SymbolId, usize>,
+    /// Every `(base predicate, grouping)` pair an ID-literal reads.
+    id_uses: FxHashSet<(SymbolId, Vec<usize>)>,
+    /// Inferred column sorts (first demand wins on a conflict).
+    sorts: SortMap,
+    /// Each clause's safe evaluation order; `None` for an unsafe clause.
+    orders: Vec<Option<ClauseOrder>>,
+    /// The predicate dependency graph.
+    pub graph: Arc<DepGraph>,
+    /// The strata; `None` when the program is not stratifiable.
+    strat: Option<Stratification>,
+}
+
+/// Check `program` against every rule of a valid IDLOG program, without
+/// stopping at the first violation: clause shape, arity consistency,
+/// grouping ranges, sorts, safety, then stratification.
+pub fn check(program: &Program, interner: &Interner) -> Checked {
+    // Clause shape (one positive ordinary head atom, not arithmetic; no
+    // choice literal, no cut), and arity consistency: the first occurrence
+    // fixes each predicate's arity.
+    let (mut violations, mut arity_violations) = (Vec::new(), Vec::new());
+    let mut first: FxHashMap<SymbolId, (Site, usize)> = FxHashMap::default();
+    let mut occurs = |site: Site, atom: &Atom| {
+        let (pred, arity) = (atom.pred.base(), atom.base_arity());
+        let seen = *first.entry(pred).or_insert((site, arity));
+        if seen.1 != arity {
+            arity_violations.push(Violation::Arity {
+                site,
+                pred,
+                arity,
+                first: seen,
+            });
+        }
+    };
+    for (ci, clause) in program.clauses.iter().enumerate() {
+        if clause.head.len() != 1 {
+            violations.push(Violation::HeadCount(ci));
+        }
+        for (hi, h) in clause.head.iter().enumerate() {
+            let site = Site::Head(ci, hi);
+            if h.negated {
+                violations.push(Violation::NegatedHead(site));
+            }
+            if h.atom.pred.is_id_version() {
+                violations.push(Violation::IdHead(site));
+            }
+            let pred = h.atom.pred.base();
+            if Builtin::from_name(&interner.resolve(pred)).is_some() {
+                violations.push(Violation::BuiltinHead(site, pred));
+            }
+            occurs(site, &h.atom);
+        }
+        for (li, lit) in clause.body.iter().enumerate() {
+            let site = Site::Body(ci, li);
+            match lit {
+                Literal::Choice { .. } => violations.push(Violation::Choice(site)),
+                Literal::Cut => violations.push(Violation::Cut(site)),
+                Literal::Pos(atom) | Literal::Neg(atom) => occurs(site, atom),
+                Literal::Builtin { .. } => {}
+            }
+        }
+    }
+    violations.append(&mut arity_violations);
+    let arities: FxHashMap<SymbolId, usize> = first.into_iter().map(|(p, (_, a))| (p, a)).collect();
+
+    // Grouping attributes lie inside the base predicate's arity.
+    let mut id_uses = FxHashSet::default();
+    for (ci, clause) in program.clauses.iter().enumerate() {
+        for (li, lit) in clause.body.iter().enumerate() {
+            let Some(PredicateRef::IdVersion { base, grouping }) = lit.atom().map(|a| &a.pred)
+            else {
+                continue;
+            };
+            let arity = arities[base];
+            if let Some(&attribute) = grouping.iter().find(|&&g| g >= arity) {
+                violations.push(Violation::Grouping {
+                    site: Site::Body(ci, li),
+                    pred: *base,
+                    attribute,
+                    arity,
+                });
+            }
+            id_uses.insert((*base, grouping.clone()));
+        }
+    }
+
+    let (sorts, conflicts) = infer_collect(program, &arities, &[]);
+    violations.extend(conflicts.into_iter().map(Violation::Sort));
+
+    let mut orders = Vec::with_capacity(program.clauses.len());
+    for (ci, clause) in program.clauses.iter().enumerate() {
+        let order = analyze_clause(clause)
+            .map_err(|v| violations.extend(v.into_iter().map(|v| Violation::Unsafe(ci, v))));
+        orders.push(order.ok());
+    }
+
+    let graph = Arc::new(DepGraph::new(program));
+    let strat = Stratification::of(Arc::clone(&graph))
+        .map_err(|cycle| violations.push(Violation::Unstratifiable(cycle)))
+        .ok();
+
+    Checked {
+        violations,
+        arities,
+        id_uses,
+        sorts,
+        orders,
+        graph,
+        strat,
+    }
+}
+
+/// A validated IDLOG program: [`check`] found no violation. Arities are
+/// consistent, heads are single positive ordinary atoms, sorts are
+/// inferred, every clause has a safe evaluation order, and the program
+/// stratifies.
 #[derive(Debug, Clone)]
 pub struct ValidatedProgram {
     interner: Arc<Interner>,
@@ -31,135 +309,31 @@ pub struct ValidatedProgram {
 }
 
 impl ValidatedProgram {
-    /// Validate a parsed program.
+    /// Validate a parsed program: the first of [`check`]'s violations is
+    /// the error.
     pub fn new(ast: Program, interner: Arc<Interner>) -> CoreResult<Self> {
-        // Head shape: exactly one positive ordinary atom, not arithmetic.
-        for (ci, clause) in ast.clauses.iter().enumerate() {
-            if clause.head.len() != 1 {
-                return Err(CoreError::Validation {
-                    clause: Some(ci),
-                    message: "IDLOG clauses have exactly one head atom \
-                              (multi-head clauses belong to DL)"
-                        .into(),
-                });
-            }
-            let h = &clause.head[0];
-            if h.negated {
-                return Err(CoreError::Validation {
-                    clause: Some(ci),
-                    message: "negated heads belong to N-DATALOG, not IDLOG".into(),
-                });
-            }
-            if h.atom.pred.is_id_version() {
-                return Err(CoreError::Validation {
-                    clause: Some(ci),
-                    message: "the head must be a non-ID-atom ([She90b] clause shape)".into(),
-                });
-            }
-            let head_name = interner.resolve(h.atom.pred.base());
-            if Builtin::from_name(&head_name).is_some() {
-                return Err(CoreError::Validation {
-                    clause: Some(ci),
-                    message: format!("cannot define arithmetic predicate {head_name}"),
-                });
-            }
-            for lit in &clause.body {
-                if matches!(lit, Literal::Choice { .. }) {
-                    return Err(CoreError::Validation {
-                        clause: Some(ci),
-                        message: "choice literals belong to DATALOG^C; translate them with \
-                                  idlog-choice first"
-                            .into(),
-                    });
-                }
-                if matches!(lit, Literal::Cut) {
-                    return Err(CoreError::Validation {
-                        clause: Some(ci),
-                        message: "cut is a top-down construct; use the SLD evaluator in \
-                                  idlog-choice::cut"
-                            .into(),
-                    });
-                }
-            }
+        let checked = check(&ast, &interner);
+        if let Some(v) = checked.violations.first() {
+            return Err(v.error(&interner));
         }
-
-        // Arity consistency across all occurrences.
-        let mut arities: FxHashMap<SymbolId, usize> = FxHashMap::default();
-        let mut check_arity = |pred: SymbolId, arity: usize, ci: usize| -> CoreResult<()> {
-            match arities.get(&pred) {
-                Some(&a) if a != arity => Err(CoreError::Validation {
-                    clause: Some(ci),
-                    message: format!(
-                        "predicate {} used with arity {arity} but previously {a}",
-                        interner.resolve(pred)
-                    ),
-                }),
-                _ => {
-                    arities.insert(pred, arity);
-                    Ok(())
-                }
-            }
-        };
-        for (ci, clause) in ast.clauses.iter().enumerate() {
-            check_arity(
-                clause.head[0].atom.pred.base(),
-                clause.head[0].atom.base_arity(),
-                ci,
-            )?;
-            for lit in &clause.body {
-                if let Some(a) = lit.atom() {
-                    check_arity(a.pred.base(), a.base_arity(), ci)?;
-                }
-            }
-        }
-
-        // Grouping positions are in range of the (now global) arity.
-        let mut id_uses: FxHashSet<(SymbolId, Vec<usize>)> = FxHashSet::default();
-        for (ci, clause) in ast.clauses.iter().enumerate() {
-            for lit in &clause.body {
-                if let Some(a) = lit.atom() {
-                    if let PredicateRef::IdVersion { base, grouping } = &a.pred {
-                        let arity = arities[base];
-                        if let Some(&bad) = grouping.iter().find(|&&g| g >= arity) {
-                            return Err(CoreError::Validation {
-                                clause: Some(ci),
-                                message: format!(
-                                    "grouping attribute {} exceeds arity {arity} of {}",
-                                    bad + 1,
-                                    interner.resolve(*base)
-                                ),
-                            });
-                        }
-                        id_uses.insert((*base, grouping.clone()));
-                    }
-                }
-            }
-        }
-
-        let sorts = infer(&ast, &arities, &interner)?;
-
-        let mut orders = Vec::with_capacity(ast.clauses.len());
-        for (ci, clause) in ast.clauses.iter().enumerate() {
-            orders.push(order_clause(clause, ci)?);
-        }
-
+        let orders = checked
+            .orders
+            .into_iter()
+            .map(|o| o.expect("a valid program orders every clause"))
+            .collect();
+        let strat = checked.strat.expect("a valid program stratifies");
         let idb = ast.head_predicates();
         let inputs = ast.input_predicates();
-
-        // Stratification and rule compilation are deterministic per program:
-        // compute once here (also surfacing stratification errors at
-        // validation time) and reuse across evaluations.
-        let strat = crate::stratify::stratify(&ast, &interner)?;
         let tid_bounds = tid_bounds_ast(&ast);
         let mut vp = ValidatedProgram {
             interner,
             ast,
-            arities,
-            sorts,
+            arities: checked.arities,
+            sorts: checked.sorts,
             orders,
             idb,
             inputs,
-            id_uses,
+            id_uses: checked.id_uses,
             tid_bounds,
             strat,
             plans: Arc::new(Vec::new()),

@@ -243,24 +243,6 @@ impl RelevanceAnalysis {
         }
         (guarded.len(), self.related_idb)
     }
-
-    /// A stable cache-key component describing this analysis, used by the
-    /// server to key prepared magic plans.
-    pub fn fingerprint(&self) -> String {
-        match &self.refusal {
-            None => {
-                let (guarded, total) = self.pruned_fraction();
-                format!(
-                    "relevance=cert;point={};guarded={guarded}/{total}",
-                    self.is_point_query()
-                )
-            }
-            Some(r) => match r.reason {
-                RefusalReason::Floundering => "relevance=flounder".to_string(),
-                RefusalReason::ChoiceSite => "relevance=choice".to_string(),
-            },
-        }
-    }
 }
 
 /// One positive IDB occurrence discovered while walking a clause, with the
@@ -852,11 +834,6 @@ mod tests {
         let shown: Vec<String> = a.adorned().iter().map(|p| p.display(&interner)).collect();
         assert_eq!(shown, vec!["ancestor^bf"]);
         assert_eq!(a.pruned_fraction(), (1, 2));
-        assert!(
-            a.fingerprint().contains("point=true"),
-            "{}",
-            a.fingerprint()
-        );
     }
 
     #[test]

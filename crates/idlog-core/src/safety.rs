@@ -12,8 +12,6 @@
 use idlog_common::FxHashSet;
 use idlog_parser::{Builtin, Clause, Literal, Term};
 
-use crate::error::{CoreError, CoreResult};
-
 /// Is this builtin evaluable with the given argument boundness (`true` =
 /// bound)? The tables admit exactly the patterns with finitely many
 /// solutions over ℕ:
@@ -142,16 +140,12 @@ fn join_vars(vars: &[String]) -> String {
 }
 
 impl SafetyViolation {
-    /// Human-readable explanation (no clause prefix).
+    /// The one-line headline `idlog lint` and the engine both report; the
+    /// stuck literals' [`StuckReason::message`]s are its details.
     pub fn message(&self) -> String {
         match self {
-            SafetyViolation::NoSafeOrder { stuck } => {
-                let details = stuck
-                    .iter()
-                    .map(|(_, r)| r.message())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                format!("no safe evaluation order: {details}")
+            SafetyViolation::NoSafeOrder { .. } => {
+                "no safe evaluation order exists for this clause body".into()
             }
             SafetyViolation::UnboundHeadVar { var, .. } => {
                 format!("head variable {var} is not bound by the body")
@@ -198,18 +192,6 @@ pub fn analyze_clause(clause: &Clause) -> Result<ClauseOrder, Vec<SafetyViolatio
     } else {
         Err(violations)
     }
-}
-
-/// Find a safe evaluation order for `clause` (see module docs), or explain
-/// why none exists. `clause_idx` is used only for error reporting.
-pub fn order_clause(clause: &Clause, clause_idx: usize) -> CoreResult<ClauseOrder> {
-    analyze_clause(clause).map_err(|violations| CoreError::Safety {
-        clause: clause_idx,
-        message: violations
-            .first()
-            .map(SafetyViolation::message)
-            .unwrap_or_else(|| "unsafe clause".into()),
-    })
 }
 
 /// Run a greedy maximal safe prefix, then report why each leftover literal
@@ -384,10 +366,10 @@ mod tests {
     use idlog_common::Interner;
     use idlog_parser::parse_clause;
 
-    fn order_src(src: &str) -> CoreResult<ClauseOrder> {
+    fn order_src(src: &str) -> Result<ClauseOrder, Vec<SafetyViolation>> {
         let i = Interner::new();
         let c = parse_clause(src, &i).unwrap();
-        order_clause(&c, 0)
+        analyze_clause(&c)
     }
 
     #[test]
@@ -432,10 +414,11 @@ mod tests {
     #[test]
     fn unbound_head_variable_is_unsafe() {
         let err = order_src("p(X, Y) :- q(X).").unwrap_err();
-        match err {
-            CoreError::Safety { message, .. } => assert!(message.contains('Y'), "{message}"),
-            other => panic!("expected safety error, got {other:?}"),
-        }
+        let [v @ SafetyViolation::UnboundHeadVar { var, .. }] = &err[..] else {
+            panic!("expected an unbound head variable, got {err:?}");
+        };
+        assert_eq!(var, "Y");
+        assert!(v.message().contains('Y'), "{}", v.message());
     }
 
     #[test]
@@ -495,7 +478,7 @@ mod tests {
         };
         assert_eq!(*op, Builtin::Plus);
         assert_eq!(pattern, &vec![true, false, false]);
-        let msg = violations[0].message();
+        let msg = stuck[0].1.message();
         assert!(msg.contains("bnn"), "{msg}");
         assert!(msg.contains("nnb"), "{msg}");
     }

@@ -117,7 +117,7 @@ pub enum SortConflictKind {
 }
 
 impl SortConflict {
-    /// Human-readable explanation (matches the engine's historical wording).
+    /// The one-line headline `idlog lint` and the engine both report.
     pub fn message(&self, interner: &Interner) -> String {
         match &self.kind {
             SortConflictKind::Column {
@@ -125,39 +125,36 @@ impl SortConflict {
                 col,
                 sorts: (a, b),
             } => format!(
-                "column {} of {} is used both as sort {a} and sort {b}",
+                "column {} of `{}` is used both as sort {a} and sort {b}",
                 col + 1,
                 interner.resolve(*pred)
             ),
             SortConflictKind::Variable { var, sorts: (a, b) } => {
-                let clause = self.clause.unwrap_or(0);
-                format!("variable {var} in clause #{clause} is used both as sort {a} and sort {b}")
+                format!("variable {var} is used both as sort {a} and sort {b}")
             }
             SortConflictKind::GroundMismatch => {
-                let clause = self.clause.unwrap_or(0);
-                format!("clause #{clause}: (dis)equality between different sorts")
+                "(dis)equality between constants of different sorts can never hold".into()
             }
             SortConflictKind::ConstantPosition { sort } => {
-                let clause = self.clause.unwrap_or(0);
-                format!("clause #{clause}: constant of wrong sort in {sort} position")
+                format!("constant of the wrong sort in a position demanding sort {sort}")
             }
+        }
+    }
+
+    /// The engine's error for this conflict.
+    pub(crate) fn error(&self, interner: &Interner) -> CoreError {
+        CoreError::Sort {
+            clause: self.clause,
+            message: self.message(interner),
         }
     }
 }
 
-/// Infer sorts for `program`, whose predicates have the given `arities`.
-pub fn infer(
-    program: &Program,
-    arities: &FxHashMap<SymbolId, usize>,
-    interner: &Interner,
-) -> CoreResult<SortMap> {
-    infer_with_seeds(program, arities, interner, &[])
-}
-
-/// Like [`infer`], with additional seed constraints — used at evaluation
-/// time to propagate the *actual* column sorts of the input database into
-/// derived predicates whose sorts the program text leaves open (e.g. a
-/// column only ever joined against an input column).
+/// Infer sorts for `program`, whose predicates have the given `arities`,
+/// with additional seed constraints — used at evaluation time to propagate
+/// the *actual* column sorts of the input database into derived predicates
+/// whose sorts the program text leaves open (e.g. a column only ever joined
+/// against an input column).
 pub fn infer_with_seeds(
     program: &Program,
     arities: &FxHashMap<SymbolId, usize>,
@@ -165,11 +162,9 @@ pub fn infer_with_seeds(
     seeds: &[(SymbolId, usize, Sort)],
 ) -> CoreResult<SortMap> {
     let (map, conflicts) = infer_collect(program, arities, seeds);
-    match conflicts.into_iter().next() {
+    match conflicts.first() {
         None => Ok(map),
-        Some(c) => Err(CoreError::Sort {
-            message: c.message(interner),
-        }),
+        Some(c) => Err(c.error(interner)),
     }
 }
 
@@ -451,7 +446,7 @@ mod tests {
         let i = Interner::new();
         let p = parse_program(src, &i).unwrap();
         let a = arities_of(&p);
-        infer(&p, &a, &i).map(|m| (m, i, a))
+        infer_with_seeds(&p, &a, &i, &[]).map(|m| (m, i, a))
     }
 
     #[test]
@@ -489,7 +484,7 @@ mod tests {
         // q(X) forces the same column to sort i.
         let err = infer_src("q(a). p(X) :- q(X), succ(X, Y).").unwrap_err();
         match err {
-            CoreError::Sort { message } => assert!(message.contains('q'), "{message}"),
+            CoreError::Sort { message, .. } => assert!(message.contains("`q`"), "{message}"),
             other => panic!("expected sort error, got {other:?}"),
         }
     }

@@ -5,8 +5,9 @@
 //! is negated **or** is an ID-literal `p[s]`: an ID-relation can only be
 //! materialized after `p` is completely evaluated, exactly like the
 //! complement of a negated predicate. A program is stratifiable when no
-//! cycle contains a strict edge; [`stratify`] assigns each predicate the
-//! smallest stratum compatible with `stratum(h) ≥ stratum(p) + strictness`.
+//! cycle contains a strict edge; [`Stratification::of`] assigns each
+//! predicate the smallest stratum compatible with
+//! `stratum(h) ≥ stratum(p) + strictness`.
 //!
 //! The graph is built once per program and answers every predicate-level
 //! question the analyses ask: its components ([`DepGraph::sccs`], from the
@@ -22,8 +23,6 @@ use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
 use idlog_parser::{Literal, Program};
-
-use crate::error::{CoreError, CoreResult};
 
 /// Result of stratification.
 #[derive(Debug, Clone)]
@@ -418,13 +417,6 @@ pub fn stratify_check(program: &Program) -> Result<Stratification, Vec<DepEdge>>
     Stratification::of(Arc::new(DepGraph::new(program)))
 }
 
-/// Stratify `program`, or report a cycle through a strict edge.
-pub fn stratify(program: &Program, interner: &Interner) -> CoreResult<Stratification> {
-    stratify_check(program).map_err(|cycle| CoreError::Stratification {
-        cycle: cycle_names(&cycle, interner),
-    })
-}
-
 /// The predicates along `cycle` (as produced by [`stratify_check`]),
 /// starting and ending at the same predicate: `[p, q, …, p]`.
 pub fn cycle_names(cycle: &[DepEdge], interner: &Interner) -> Vec<String> {
@@ -440,15 +432,25 @@ pub fn cycle_names(cycle: &[DepEdge], interner: &Interner) -> Vec<String> {
     }
 }
 
+/// The headline for a cycle through a strict edge, given as its
+/// [`cycle_names`]: `idlog lint`'s E011 and the engine's stratification
+/// error both read it.
+pub(crate) fn unstratifiable(names: &[String]) -> String {
+    format!("program is not stratifiable: cycle {}", names.join(" -> "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use idlog_parser::parse_program;
 
-    fn strat(src: &str) -> CoreResult<(Stratification, Interner, Program)> {
+    fn strat(src: &str) -> Result<(Stratification, Interner, Program), Vec<String>> {
         let i = Interner::new();
         let p = parse_program(src, &i).unwrap();
-        stratify(&p, &i).map(|s| (s, i, p))
+        match stratify_check(&p) {
+            Ok(s) => Ok((s, i, p)),
+            Err(cycle) => Err(cycle_names(&cycle, &i)),
+        }
     }
 
     #[test]
@@ -481,21 +483,19 @@ mod tests {
 
     #[test]
     fn negative_cycle_is_rejected() {
-        let err = strat("p(X) :- q(X), not p(X).").unwrap_err();
-        match err {
-            CoreError::Stratification { cycle } => {
-                assert_eq!(cycle.first().map(String::as_str), Some("p"));
-                assert_eq!(cycle.last().map(String::as_str), Some("p"));
-            }
-            other => panic!("{other:?}"),
-        }
+        let cycle = strat("p(X) :- q(X), not p(X).").unwrap_err();
+        assert_eq!(cycle.first().map(String::as_str), Some("p"));
+        assert_eq!(cycle.last().map(String::as_str), Some("p"));
+        assert_eq!(
+            unstratifiable(&cycle),
+            "program is not stratifiable: cycle p -> p"
+        );
     }
 
     #[test]
     fn id_cycle_is_rejected() {
         // p reads its own ID-relation: not stratifiable.
-        let err = strat("p(X) :- q(X). p(X) :- p[](X, 0).").unwrap_err();
-        assert!(matches!(err, CoreError::Stratification { .. }));
+        assert!(strat("p(X) :- q(X). p(X) :- p[](X, 0).").is_err());
     }
 
     #[test]
@@ -531,14 +531,9 @@ mod tests {
 
     #[test]
     fn mutual_negative_cycle_reported() {
-        let err = strat("p(X) :- a(X), not q(X). q(X) :- a(X), not p(X).").unwrap_err();
-        match err {
-            CoreError::Stratification { cycle } => {
-                assert!(cycle.len() >= 2);
-                assert_eq!(cycle.first(), cycle.last());
-            }
-            other => panic!("{other:?}"),
-        }
+        let cycle = strat("p(X) :- a(X), not q(X). q(X) :- a(X), not p(X).").unwrap_err();
+        assert!(cycle.len() >= 2);
+        assert_eq!(cycle.first(), cycle.last());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! genericity can be tested by permuting it.
 
 use idlog_common::{FxHashMap, Interner, SymbolId};
-use idlog_storage::{Database, Relation};
+use idlog_storage::Database;
 
 use crate::error::{GtmError, GtmResult};
 
@@ -198,16 +198,6 @@ pub fn decode_unary_relation(tape: &[u8], order: &EncodeOrder) -> GtmResult<Vec<
         expect(&mut at, SYM_RPAREN)?;
     }
     Ok(out)
-}
-
-/// Build a [`Relation`] from decoded unary constants (test/report helper).
-pub fn unary_relation(constants: &[SymbolId]) -> Relation {
-    let mut rel = Relation::elementary(1);
-    for &c in constants {
-        rel.insert(vec![idlog_common::Value::Sym(c)].into())
-            .expect("unary symbols");
-    }
-    rel
 }
 
 /// The interner-aware rendering of a tape, for debugging.

@@ -17,9 +17,7 @@
 use std::sync::Arc;
 
 use idlog_common::Interner;
-use idlog_core::relevance::{
-    analyze_relevance, magic_program, RelevanceAnalysis, RelevanceRefusal,
-};
+use idlog_core::relevance::{analyze_relevance, magic_program, RelevanceRefusal};
 use idlog_parser::Program;
 
 /// Rewrite `program` with magic sets for a query on `output`, or return the
@@ -40,16 +38,6 @@ pub fn magic_rewrite(
     }
     Ok(magic_program(program, root, interner, &analysis)
         .expect("certified analysis always yields a rewrite"))
-}
-
-/// The relevance analysis for a query on `output`, at the program level
-/// (the `Query` API caches the same analysis per query).
-pub fn relevance_for(
-    program: &Program,
-    output: &str,
-    interner: &Arc<Interner>,
-) -> RelevanceAnalysis {
-    analyze_relevance(program, interner.intern(output))
 }
 
 #[cfg(test)]

@@ -109,14 +109,12 @@ impl Default for ServerConfig {
 /// A compiled query cached for a tenant, optionally with a maintained
 /// materialized model.
 struct Prepared {
-    query: Query,
-    /// Certification fingerprint recorded at compile time (determinism +
-    /// termination certificates). Together with the program text it is the
-    /// cache entry's identity, and it decides the serving strategy: only a
+    /// The compiled query, with the certificates it was compiled under.
+    /// Its termination certificate decides the serving strategy: only a
     /// termination-certified entry is admitted to resident materialization
     /// (an uncertified query could hold the tenant lock indefinitely, since
     /// cached serving carries no per-request deadline).
-    fingerprint: String,
+    query: Query,
     view: Option<Materialized>,
     /// Change-log version the view reflects.
     synced: u64,
@@ -630,7 +628,6 @@ impl Registry {
                         t.prepared.insert(
                             key.clone(),
                             Prepared {
-                                fingerprint: fingerprint(&q),
                                 query: q.clone(),
                                 view: None,
                                 synced: 0,
@@ -646,7 +643,7 @@ impl Registry {
         let materializable = t
             .prepared
             .get(&key)
-            .is_some_and(|p| fingerprint_terminates(&p.fingerprint));
+            .is_some_and(|p| p.query.termination_cert().bounded());
         if r.wants_materialized() && materializable {
             let mut resp = t.serve_materialized(&key, &r);
             resp.cache_hit = Some(cache_hit);
@@ -675,8 +672,7 @@ impl Registry {
             // A `magic` request on an uncertified query fails here with the
             // relevance witness; the cached `Query` already carries the
             // compiled magic plan for certified ones, so repeat magic
-            // requests reuse it (the relevance fingerprint is part of the
-            // prepared entry's identity).
+            // requests on the same `(program, output)` entry reuse it.
             session = session.strategy(strategy);
         }
         if r.all {
@@ -726,26 +722,6 @@ impl Registry {
             }
         }
     }
-}
-
-/// The compile-time certificates a cache entry is admitted under:
-/// determinism, termination, and the goal-directed relevance verdict
-/// (whether the entry holds a certified magic plan, and how much of the
-/// related region it guards).
-fn fingerprint(query: &Query) -> String {
-    format!(
-        "det={};bounded={};degree={};{}",
-        query.certified_deterministic(),
-        query.termination_cert().bounded(),
-        query.termination_cert().degree(),
-        query.relevance().fingerprint(),
-    )
-}
-
-/// Whether a [`fingerprint`] certifies terminating evaluation — the
-/// admission bar for resident materialization.
-fn fingerprint_terminates(fp: &str) -> bool {
-    fp.contains("bounded=true")
 }
 
 /// A running IDLOG service bound to a TCP address.
@@ -1087,15 +1063,12 @@ mod tests {
         assert_eq!(magic.cache_hit, Some(true), "compiled plan is reused");
         assert_eq!(magic.answers.unwrap(), full);
 
-        // The prepared entry's fingerprint records the relevance verdict.
+        // The prepared entry's query holds the certified relevance verdict.
         let tenant = reg.tenant("t");
         let t = tenant.lock().unwrap();
         let entry = t.prepared.get(&(ANC.to_string(), "q".to_string())).unwrap();
-        assert!(
-            entry.fingerprint.contains("relevance=cert;point=true"),
-            "{}",
-            entry.fingerprint
-        );
+        assert!(entry.query.relevance().certified());
+        assert!(entry.query.relevance().is_point_query());
     }
 
     #[test]
