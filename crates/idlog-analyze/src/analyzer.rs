@@ -18,6 +18,7 @@ use idlog_core::program::{check, Site, Violation};
 use idlog_core::safety::SafetyViolation;
 use idlog_core::sorts::{SortConflictKind, SortSite};
 use idlog_core::stratify::DepGraph;
+use idlog_core::ValidatedProgram;
 use idlog_parser::{parse_program_with_spans, Clause, Literal, Program, Span, SpanMap, Term};
 
 use crate::dataflow::Dataflow;
@@ -62,6 +63,9 @@ pub struct Analysis {
     pub dialect: Dialect,
     /// All diagnostics, sorted by source position.
     pub diagnostics: Vec<Diagnostic>,
+    /// The validated program: `None` when it has errors, and for the
+    /// choice dialect (the engine runs its translation).
+    pub program: Option<ValidatedProgram>,
 }
 
 impl Analysis {
@@ -100,6 +104,7 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
                     Span::point(e.pos),
                     format!("parse error: {}", e.message),
                 )],
+                program: None,
             };
         }
     };
@@ -115,7 +120,7 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
     };
 
     let checked = check(&program, interner);
-    let graph = checked.graph;
+    let graph = Arc::clone(&checked.graph);
     let mut diags: Vec<Diagnostic> = checked
         .violations
         .iter()
@@ -131,17 +136,23 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
         lints::underivable_predicates(&program, &spans, interner, &mut diags);
         lints::singleton_variables(&program, &spans, &mut diags);
         lints::degenerate_id_groups(&program, &spans, interner, &mut diags);
-        if !has_errors && dialect == Dialect::Idlog {
-            let flow = Dataflow::of(&program, &graph, interner);
+    }
+    let validated = (!has_errors && dialect == Dialect::Idlog)
+        .then(|| ValidatedProgram::from_checked(program, Arc::clone(interner), checked).ok())
+        .flatten();
+    if options.lints {
+        if let Some(validated) = &validated {
+            let program = validated.ast();
+            let flow = Dataflow::of(program, &graph, interner);
             determinism::possibly_nondeterministic_outputs(
-                &program, &spans, &flow, interner, &mut diags,
+                program, &spans, &flow, interner, &mut diags,
             );
-            determinism::tid_value_columns(&program, &spans, &flow, interner, &mut diags);
-            lints::tid_bound_hints(&program, &spans, interner, &mut diags);
-            termination::termination_lints(&program, &graph, &spans, interner, &mut diags);
-            relevance::relevance_lints(&program, &spans, interner, &mut diags);
+            determinism::tid_value_columns(program, &spans, &flow, interner, &mut diags);
+            lints::tid_bound_hints(program, &spans, interner, &mut diags);
+            termination::termination_lints(program, &graph, &spans, interner, &mut diags);
+            relevance::relevance_lints(validated, &spans, &mut diags);
             if options.redundancy {
-                lints::redundant_clauses(&program, &graph, &spans, interner, &mut diags);
+                lints::redundant_clauses(program, &graph, &spans, interner, &mut diags);
             }
         }
     }
@@ -162,6 +173,7 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
     Analysis {
         dialect,
         diagnostics: diags,
+        program: validated,
     }
 }
 

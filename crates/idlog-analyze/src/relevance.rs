@@ -1,42 +1,39 @@
-//! Goal-directed relevance lints (W030, W031, H020).
+//! Goal-directed relevance lints (W031, H020).
 //!
 //! Backed by [`idlog_core::relevance::analyze_relevance`]. Each *sink*
 //! predicate (an IDB head no body reads — the program's query outputs) is
-//! analyzed as a query root. When the left-to-right SIPS reaches at least
-//! one derived predicate with a bound argument position, the program has a
+//! analyzed as a query root. When the planner's SIPS reaches at least one
+//! derived predicate with a bound argument position, the program has a
 //! *point-query shape* and the verdict is worth reporting:
 //!
 //! * **H020** — certified: magic-sets evaluation (`--strategy magic`) is
 //!   semantics-preserving, with the adorned predicates and the statically
 //!   pruned fraction of the dependency graph listed;
-//! * **W030** — a goal flounders (negation or a builtin reached with
-//!   required positions unbound), with the witness walk from the root;
-//! * **W031** — the reachable region contains a choice site (ID-literal,
-//!   `choice`, `!`): magic guards must not duplicate or split a choice
-//!   point, mirroring the ID-taint witnesses of `W010`.
+//! * **W031** — the reachable region contains an ID-literal, a choice
+//!   site: magic guards must not duplicate or split a choice point,
+//!   mirroring the ID-taint witnesses of `W010`.
 //!
 //! Programs without point-query shape stay silent — all-free queries gain
 //! nothing from magic sets, so neither a cert nor a refusal is news.
 
 use idlog_common::{FxHashSet, Interner, SymbolId};
-use idlog_core::relevance::{
-    analyze_relevance, pattern_string, RefusalReason, RelevanceAnalysis, RelevanceStep,
-};
-use idlog_parser::{Program, SpanMap};
+use idlog_core::relevance::{analyze_relevance, pattern_string, RelevanceAnalysis, RelevanceStep};
+use idlog_core::ValidatedProgram;
+use idlog_parser::SpanMap;
 
 use crate::diagnostic::Diagnostic;
 
-/// Run the relevance analysis per sink predicate and emit W030/W031/H020.
+/// Run the relevance analysis per sink predicate and emit W031/H020.
 pub(crate) fn relevance_lints(
-    program: &Program,
+    program: &ValidatedProgram,
     spans: &SpanMap,
-    interner: &Interner,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let bodies = program.body_predicates();
+    let interner = program.interner();
+    let bodies = program.ast().body_predicates();
     let mut seen_roots: FxHashSet<SymbolId> = FxHashSet::default();
-    let mut reported: FxHashSet<(&'static str, usize, usize)> = FxHashSet::default();
-    for (ci, clause) in program.clauses.iter().enumerate() {
+    let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
+    for (ci, clause) in program.ast().clauses.iter().enumerate() {
         let root = clause.head[0].atom.pred.base();
         if bodies.contains(&root) || !seen_roots.insert(root) {
             continue;
@@ -88,33 +85,27 @@ fn certified_hint(
     );
 }
 
-/// W030/W031: the refusal, rendered as a rustc-style witness walk — one
-/// note per SIPS hop, anchored at the literal that passes the bindings.
+/// W031: the refusal, rendered as a rustc-style witness walk — one note
+/// per SIPS hop, anchored at the literal that passes the bindings.
 fn refusal_warning(
     root: SymbolId,
     analysis: &RelevanceAnalysis,
     spans: &SpanMap,
     interner: &Interner,
     diags: &mut Vec<Diagnostic>,
-    reported: &mut FxHashSet<(&'static str, usize, usize)>,
+    reported: &mut FxHashSet<(usize, usize)>,
 ) {
     let refusal = analysis.refusal().expect("caller checked");
-    let (code, headline) = match refusal.reason {
-        RefusalReason::Floundering => ("W030", "floundering walk under the left-to-right SIPS"),
-        RefusalReason::ChoiceSite => (
-            "W031",
-            "reaches a choice site, so magic-sets must not prune it",
-        ),
-    };
     let (site_clause, site_literal) = refusal.site();
-    if !reported.insert((code, site_clause, site_literal)) {
+    if !reported.insert((site_clause, site_literal)) {
         return;
     }
     let mut d = Diagnostic::warning(
-        code,
+        "W031",
         spans.literal_span(site_clause, site_literal),
         format!(
-            "point query `{}` cannot be made goal-directed: {headline}",
+            "point query `{}` cannot be made goal-directed: reaches a choice site, \
+             so magic-sets must not prune it",
             interner.resolve(root)
         ),
     );
@@ -133,11 +124,6 @@ fn refusal_warning(
                     pattern_string(pattern)
                 ),
             ),
-            RelevanceStep::Flounder {
-                clause,
-                literal,
-                message,
-            } => d.with_note_at(spans.literal_span(*clause, *literal), message.clone()),
             RelevanceStep::Choice { clause, literal } => d.with_note_at(
                 spans.literal_span(*clause, *literal),
                 "non-deterministic choice happens here; a magic guard would \
@@ -146,16 +132,9 @@ fn refusal_warning(
             ),
         };
     }
-    d = d.with_note(match refusal.reason {
-        RefusalReason::Floundering => {
-            "bind the offending positions earlier in the body (the SIPS is \
-             textual left-to-right), or suppress with --allow W030 and use \
-             the default strategy"
-        }
-        RefusalReason::ChoiceSite => {
-            "goal-directed evaluation stays off for this query; suppress \
-             with --allow W031 if the full evaluation is intentional"
-        }
-    });
+    d = d.with_note(
+        "goal-directed evaluation stays off for this query; suppress \
+         with --allow W031 if the full evaluation is intentional",
+    );
     diags.push(d);
 }

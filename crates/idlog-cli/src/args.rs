@@ -50,7 +50,7 @@ RUN OPTIONS:
                       (goal-directed: rewrite with magic sets seeded
                       from query constants and derive only relevant facts;
                       refused with a witness walk when the relevance
-                      analysis cannot certify the rewrite — see W030/W031)
+                      analysis cannot certify the rewrite — see W031)
 
 EXIT CODES:
   0   success (including --all walks truncated by --max-models, and a

@@ -13,9 +13,10 @@ use crate::{
 
 /// `idlog check`: validate and report predicates, sorts, and strata.
 ///
-/// Validation runs through the `idlog-analyze` collect-all driver, so a
+/// Validation runs once, through the `idlog-analyze` collect-all driver: a
 /// broken program reports *every* error (with source excerpts) instead of
-/// just the first one the engine happens to hit.
+/// just the first one the engine happens to hit, and a valid one is
+/// reported from the validated program the driver returns.
 pub fn check(program_path: &str) -> Result<(), String> {
     let interner = Arc::new(Interner::new());
     let src = std::fs::read_to_string(program_path)
@@ -35,13 +36,12 @@ pub fn check(program_path: &str) -> Result<(), String> {
             analysis.error_count()
         ));
     }
-    if analysis.dialect == idlog_analyze::Dialect::Choice {
+    // An error-free program the analysis did not validate is DATALOG^C.
+    let Some(program) = analysis.program else {
         println!("{program_path}: valid DATALOG^C program (C1/C2 hold)");
         println!("  translate it with: idlog translate-choice {program_path}");
         return Ok(());
-    }
-    let program = ValidatedProgram::parse(&src, Arc::clone(&interner))
-        .map_err(|e| format!("{program_path}: {e}"))?;
+    };
     let strat = program.stratification();
 
     println!("{program_path}: valid IDLOG program");
@@ -356,36 +356,7 @@ pub fn explain(
             if bodies.contains(&root) || !seen.insert(root) {
                 continue;
             }
-            let name = interner.resolve(root);
-            let analysis = idlog_core::analyze_relevance(program.ast(), root);
-            if let Some(r) = analysis.refusal() {
-                let why = match r.reason {
-                    idlog_core::RefusalReason::Floundering => {
-                        "refused: flounders under the left-to-right SIPS (W030)"
-                    }
-                    idlog_core::RefusalReason::ChoiceSite => {
-                        "refused: blocked by a choice site (W031)"
-                    }
-                };
-                lines.push(format!("{name}: {why}"));
-            } else if analysis.is_point_query() {
-                let adorned: Vec<String> = analysis
-                    .adorned()
-                    .iter()
-                    .map(|a| a.display(&interner))
-                    .collect();
-                let (guarded, total) = analysis.pruned_fraction();
-                lines.push(format!(
-                    "{name}: certified point query (H020); reaches {}; magic guards \
-                     {guarded}/{total} derived predicate(s)",
-                    adorned.join(", ")
-                ));
-            } else {
-                lines.push(format!(
-                    "{name}: no bound argument positions; goal-directed evaluation \
-                     would not prune"
-                ));
-            }
+            lines.push(idlog_core::analyze_relevance(&program, root).verdict(root, &interner));
         }
     }
     if !lines.is_empty() {

@@ -276,35 +276,11 @@ impl Session {
                 if bodies.contains(&root) || !seen.insert(root) {
                     continue;
                 }
-                let name = self.interner.resolve(root);
-                let analysis = idlog_core::analyze_relevance(program.ast(), root);
-                let line = if let Some(r) = analysis.refusal() {
-                    match r.reason {
-                        idlog_core::RefusalReason::Floundering => format!(
-                            "relevance: {name} refuses magic (flounders under the \
-                             left-to-right SIPS, W030)"
-                        ),
-                        idlog_core::RefusalReason::ChoiceSite => format!(
-                            "relevance: {name} refuses magic (blocked by a choice \
-                             site, W031)"
-                        ),
-                    }
-                } else if analysis.is_point_query() {
-                    let adorned: Vec<String> = analysis
-                        .adorned()
-                        .iter()
-                        .map(|a| a.display(&self.interner))
-                        .collect();
-                    format!(
-                        "relevance: {name} is a certified point query (H020); \
-                         reaches {}",
-                        adorned.join(", ")
-                    )
-                } else {
-                    format!("relevance: {name} has no bound positions; magic would not prune")
-                };
-                text.push_str(&line);
-                text.push('\n');
+                let analysis = idlog_core::analyze_relevance(&program, root);
+                text.push_str(&format!(
+                    "relevance: {}\n",
+                    analysis.verdict(root, &self.interner)
+                ));
             }
         }
         Ok(Reply::Text(text.trim_end().to_string()))

@@ -68,7 +68,7 @@ pub use program::ValidatedProgram;
 pub use query::{EvalResult, Query, Session};
 pub use relevance::{
     analyze_relevance, magic_program, magic_tuples_pruned, pattern_string, AdornedPred,
-    RefusalReason, RelevanceAnalysis, RelevanceRefusal, RelevanceStep, MAGIC_PREFIX,
+    RelevanceAnalysis, RelevanceRefusal, RelevanceStep, MAGIC_PREFIX,
 };
 pub use service::{
     negotiate_schema, render_answers, FactValue, Request, Response, RunRequest, ServeMode,

@@ -30,7 +30,7 @@
 use std::sync::OnceLock;
 
 use idlog_common::{FxHashMap, SymbolId, Value};
-use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Term};
+use idlog_parser::{Builtin, Literal, PredicateRef, Term};
 
 use crate::error::{CoreError, CoreResult};
 use crate::pred::PredKey;
@@ -117,6 +117,22 @@ pub enum Step {
 }
 
 impl Step {
+    /// Per argument, whether it is bound when the step runs: the probe
+    /// key's positions of an atom, every argument of a negation.
+    pub(crate) fn bound_on_entry(&self) -> Vec<bool> {
+        match self {
+            Step::Atom(a) => {
+                let mut bound = vec![false; a.probe.len() + a.bind.len() + a.check.len()];
+                for &pos in &a.positions {
+                    bound[pos] = true;
+                }
+                bound
+            }
+            Step::Negation { terms, .. } => vec![true; terms.len()],
+            Step::Builtin { bound, .. } => bound.clone(),
+        }
+    }
+
     /// The stored relation this step reads, if any.
     pub fn reads(&self) -> Option<&PredKey> {
         match self {
@@ -243,12 +259,8 @@ impl RulePlan {
 
 /// Compile every clause of `program` into a [`RulePlan`].
 pub fn compile(program: &ValidatedProgram) -> CoreResult<Vec<RulePlan>> {
-    program
-        .ast()
-        .clauses
-        .iter()
-        .enumerate()
-        .map(|(ci, clause)| compile_clause(program, clause, ci))
+    (0..program.ast().clauses.len())
+        .map(|ci| compile_clause(program, ci, &[]))
         .collect()
 }
 
@@ -339,11 +351,18 @@ impl Body {
     }
 }
 
-fn compile_clause(
+/// Compile clause `clause_idx` in its safe order, with the head positions
+/// marked in `head_bound` bound on entry (none for the rule the engine
+/// runs). Each step then states what is bound when it runs: this is the
+/// binding pass goal-directed evaluation adorns along ([`crate::relevance`]).
+/// The safe order stays safe with more bound, as the mode tables are
+/// monotone.
+pub(crate) fn compile_clause(
     program: &ValidatedProgram,
-    clause: &Clause,
     clause_idx: usize,
+    head_bound: &[bool],
 ) -> CoreResult<RulePlan> {
+    let clause = &program.ast().clauses[clause_idx];
     // Variables get dense indices in order of first occurrence.
     let names = clause.variables();
     let vars: FxHashMap<&str, usize> = names.iter().enumerate().map(|(i, &n)| (n, i)).collect();
@@ -367,8 +386,14 @@ fn compile_clause(
         PredicateRef::IdVersion { .. } => true,
     };
 
+    let head = pats(&head_atom.terms);
     let order = &program.clause_order(clause_idx).order;
     let mut body = Body::new(names.len(), order.len());
+    for (term, _) in head.iter().zip(head_bound).filter(|(_, &b)| b) {
+        if let TermPat::Var(v) = term {
+            body.bound[*v] = true;
+        }
+    }
     for &li in order {
         match &clause.body[li] {
             Literal::Pos(atom) => body.atom(
@@ -386,12 +411,7 @@ fn compile_clause(
             }
         }
     }
-    Ok(RulePlan::new(
-        clause_idx,
-        head_pred,
-        pats(&head_atom.terms),
-        body,
-    ))
+    Ok(RulePlan::new(clause_idx, head_pred, head, body))
 }
 
 fn pred_key(p: &PredicateRef) -> PredKey {

@@ -313,6 +313,17 @@ impl ValidatedProgram {
     /// the error.
     pub fn new(ast: Program, interner: Arc<Interner>) -> CoreResult<Self> {
         let checked = check(&ast, &interner);
+        Self::from_checked(ast, interner, checked)
+    }
+
+    /// The validated program, from `checked` — [`check`]'s result on
+    /// `ast` — or the first of its violations as the error. `idlog-analyze`
+    /// builds its program this way, so a lint run validates once.
+    pub fn from_checked(
+        ast: Program,
+        interner: Arc<Interner>,
+        checked: Checked,
+    ) -> CoreResult<Self> {
         if let Some(v) = checked.violations.first() {
             return Err(v.error(&interner));
         }

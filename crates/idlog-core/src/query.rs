@@ -281,14 +281,9 @@ impl Query {
             related.stratification().graph(),
         );
         let (relevance, magic) = if related.arity(output_id).is_some() {
-            let relevance = crate::relevance::analyze_relevance(related.ast(), output_id);
-            let magic = crate::relevance::magic_program(
-                related.ast(),
-                output_id,
-                program.interner(),
-                &relevance,
-            )
-            .and_then(|ast| ValidatedProgram::new(ast, Arc::clone(program.interner())).ok());
+            let relevance = crate::relevance::analyze_relevance(&related, output_id);
+            let magic = crate::relevance::magic_program(&related, output_id, &relevance)
+                .and_then(|ast| ValidatedProgram::new(ast, Arc::clone(program.interner())).ok());
             (relevance, magic)
         } else {
             // Output is an input predicate: the identity query, nothing to
@@ -477,20 +472,11 @@ impl Query {
     /// the analysis should prevent — kept as a defensive fallback).
     pub(crate) fn magic_refusal_error(&self) -> CoreError {
         let message = match self.relevance.refusal() {
-            Some(r) => {
-                let reason = match r.reason {
-                    crate::relevance::RefusalReason::Floundering => {
-                        "the query flounders under the left-to-right SIPS"
-                    }
-                    crate::relevance::RefusalReason::ChoiceSite => {
-                        "the related region contains a choice site"
-                    }
-                };
-                format!(
-                    "strategy=magic refused: {reason}; witness: {}",
-                    r.render(self.program.interner())
-                )
-            }
+            Some(r) => format!(
+                "strategy=magic refused: the related region contains a choice site; \
+                 witness: {}",
+                r.render(self.program.interner())
+            ),
             None => "strategy=magic is unavailable for this query".to_string(),
         };
         CoreError::Validation {

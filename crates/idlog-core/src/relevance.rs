@@ -10,27 +10,25 @@
 //! with *magic* predicates so that bottom-up evaluation only derives facts
 //! relevant to the query constants.
 //!
-//! This module implements the analysis and the rewrite for the
-//! deterministic **left-to-right SIPS**: walking a clause body in textual
-//! order, a variable is bound once the bound head positions, the constants,
-//! or an earlier positive literal have produced it.
+//! The SIPS is the planner's: each clause body is walked in its safe order
+//! ([`ValidatedProgram::clause_order`], the order [`crate::plan`] compiles
+//! and the engine joins), and each literal's bound positions are read from
+//! the planner's binding pass seeded with the head's bound variables. The
+//! safe order binds every negation and meets every builtin's mode with
+//! nothing bound on entry, and binding the head only adds bindings, so no
+//! goal of a valid program flounders.
 //!
-//! The analysis either *certifies* the query (every reachable adorned goal
-//! is evaluable) or *refuses* with a span-addressable witness walk:
-//!
-//! * **floundering** — a negated literal or a builtin is reached with
-//!   required positions unbound under the left-to-right SIPS
-//!   ([`RefusalReason::Floundering`], surfaced as lint `W030`);
-//! * **choice blocked** — the reachable region contains an ID-literal (or
-//!   `choice`/`!`): the magic guards would prune the base relation under a
-//!   group-wise tid assignment, duplicating or splitting a choice point
-//!   ([`RefusalReason::ChoiceSite`], surfaced as lint `W031`, mirroring the
-//!   [`crate::taint`] witnesses).
+//! The analysis *certifies* the query unless the reachable region contains
+//! an ID-literal — a choice site: magic guards would prune the base
+//! relation under a group-wise tid assignment, duplicating or splitting a
+//! choice point. It then *refuses* with a span-addressable witness walk
+//! ([`RelevanceStep::Choice`], surfaced as lint `W031`, mirroring the
+//! [`crate::taint`] witnesses).
 //!
 //! On a certificate, [`magic_program`] is a pure `Program → Program`
 //! rewrite: adorned predicates with bound positions are renamed (`p__bf`),
 //! their clauses guarded by `magic_p__bf(bound args)`, and magic rules are
-//! derived from rule-body prefixes — with the query's own constants
+//! derived from prefixes of the safe order — with the query's own constants
 //! degenerating into magic *seed facts*. Predicates only ever needed in
 //! full (the root, negation targets, all-free occurrences) keep their
 //! original name and stay unguarded, so the output predicate of the
@@ -42,7 +40,6 @@ use idlog_storage::Database;
 
 use crate::eval::EvalOutput;
 use crate::program::ValidatedProgram;
-use crate::safety::{allowed_modes, builtin_mode_ok, mode_string};
 
 /// Name prefix of the guard predicates introduced by [`magic_program`].
 pub const MAGIC_PREFIX: &str = "magic_";
@@ -53,7 +50,7 @@ pub const MAGIC_PREFIX: &str = "magic_";
 pub struct AdornedPred {
     /// The predicate.
     pub pred: SymbolId,
-    /// Boundness per argument position under the left-to-right SIPS.
+    /// Boundness per argument position under the planner's SIPS.
     pub pattern: Vec<bool>,
 }
 
@@ -74,7 +71,7 @@ pub fn pattern_string(pattern: &[bool]) -> String {
 }
 
 /// One step of a refusal witness walk, from the query root down to the
-/// offending literal. Mirrors the shape of [`crate::taint::TaintStep`].
+/// choice site. Mirrors the shape of [`crate::taint::TaintStep`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelevanceStep {
     /// The literal at `(clause, literal)` passes bindings into `to` with
@@ -89,18 +86,8 @@ pub enum RelevanceStep {
         /// The binding pattern it is entered with.
         pattern: Vec<bool>,
     },
-    /// The literal at `(clause, literal)` flounders: boundness is required
-    /// but not available under the left-to-right SIPS.
-    Flounder {
-        /// Clause index in the analyzed program.
-        clause: usize,
-        /// Body literal index within that clause.
-        literal: usize,
-        /// Why the literal cannot run (unbound negation, builtin mode).
-        message: String,
-    },
-    /// The literal at `(clause, literal)` is a choice site (ID-literal,
-    /// `choice`, or `!`) that magic guards must not split.
+    /// The literal at `(clause, literal)` is an ID-literal, a choice site
+    /// that magic guards must not split.
     Choice {
         /// Clause index in the analyzed program.
         clause: usize,
@@ -109,22 +96,11 @@ pub enum RelevanceStep {
     },
 }
 
-/// Why relevance certification was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefusalReason {
-    /// A goal floundered under the left-to-right SIPS (lint `W030`).
-    Floundering,
-    /// The reachable region contains a choice site (lint `W031`).
-    ChoiceSite,
-}
-
 /// A refusal with its witness walk (never empty: the final step is the
-/// offending [`RelevanceStep::Flounder`] or [`RelevanceStep::Choice`]).
+/// [`RelevanceStep::Choice`] site).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelevanceRefusal {
-    /// Why certification was refused.
-    pub reason: RefusalReason,
-    /// Goal hops from the root, ending at the offending literal.
+    /// Goal hops from the root, ending at the choice site.
     pub walk: Vec<RelevanceStep>,
 }
 
@@ -133,10 +109,7 @@ impl RelevanceRefusal {
     pub fn site(&self) -> (usize, usize) {
         match self.walk.last() {
             Some(
-                RelevanceStep::Flounder {
-                    clause, literal, ..
-                }
-                | RelevanceStep::Choice { clause, literal }
+                RelevanceStep::Choice { clause, literal }
                 | RelevanceStep::Goal {
                     clause, literal, ..
                 },
@@ -162,15 +135,6 @@ impl RelevanceRefusal {
                         pattern_string(pattern),
                         clause,
                         literal
-                    ));
-                }
-                RelevanceStep::Flounder {
-                    clause,
-                    literal,
-                    message,
-                } => {
-                    out.push_str(&format!(
-                        " -> flounders at clause {clause}, literal {literal}: {message}"
                     ));
                 }
                 RelevanceStep::Choice { clause, literal } => {
@@ -202,8 +166,8 @@ pub struct RelevanceAnalysis {
 }
 
 impl RelevanceAnalysis {
-    /// True when every reachable adorned goal is evaluable and choice-free:
-    /// [`magic_program`] is semantics-preserving.
+    /// True when the reachable region is choice-free: [`magic_program`] is
+    /// semantics-preserving.
     pub fn certified(&self) -> bool {
         self.refusal.is_none()
     }
@@ -243,12 +207,38 @@ impl RelevanceAnalysis {
         }
         (guarded.len(), self.related_idb)
     }
+
+    /// The one-line verdict on a query at `root`, as `idlog explain
+    /// --analyze` and the REPL's `:analyze` print it: would
+    /// `--strategy magic` prune, and if not, why.
+    pub fn verdict(&self, root: SymbolId, interner: &Interner) -> String {
+        let name = interner.resolve(root);
+        if !self.certified() {
+            return format!("{name} refuses magic: blocked by a choice site (W031)");
+        }
+        if !self.is_point_query() {
+            return format!(
+                "{name} has no bound argument positions; goal-directed evaluation \
+                 would not prune"
+            );
+        }
+        let adorned: Vec<String> = self.adorned.iter().map(|a| a.display(interner)).collect();
+        let (guarded, total) = self.pruned_fraction();
+        format!(
+            "{name} is a certified point query (H020); reaches {}; magic guards \
+             {guarded}/{total} derived predicate(s)",
+            adorned.join(", ")
+        )
+    }
 }
 
 /// One positive IDB occurrence discovered while walking a clause, with the
-/// binding pattern the left-to-right SIPS passes into it.
+/// binding pattern the planner's SIPS passes into it.
 struct Occurrence {
+    /// Body literal index.
     literal: usize,
+    /// Its step in the clause's safe order.
+    step: usize,
     base: SymbolId,
     pattern: Vec<bool>,
 }
@@ -256,156 +246,56 @@ struct Occurrence {
 /// Everything the walk of one clause under one head pattern yields.
 struct ClauseWalk {
     occurrences: Vec<Occurrence>,
-    refusal: Option<(usize, RelevanceStep)>,
+    /// The first ID-literal, by body literal index.
+    choice: Option<usize>,
     plain: Vec<(usize, SymbolId)>,
 }
 
-/// Walk `clause`'s body textually left to right with the head positions of
-/// `pattern` bound, recording every positive IDB occurrence's adornment,
-/// every IDB predicate needed in full, and the first floundering or choice
-/// site.
-fn walk_clause(clause: &Clause, pattern: &[bool], idb: &FxHashSet<SymbolId>) -> ClauseWalk {
-    let mut bound: FxHashSet<&str> = FxHashSet::default();
-    let head = &clause.head[0].atom;
-    for (pos, term) in head.terms.iter().enumerate() {
-        if pattern.get(pos).copied().unwrap_or(false) {
-            if let Term::Var(v) = term {
-                bound.insert(v.as_str());
-            }
-        }
+/// Walk clause `ci` under the planner's binding pass with the head
+/// positions of `pattern` bound, recording every positive IDB occurrence's
+/// adornment, every IDB predicate needed in full, and the first choice
+/// site, each in body order.
+fn walk_clause(program: &ValidatedProgram, ci: usize, pattern: &[bool]) -> ClauseWalk {
+    let body = &program.ast().clauses[ci].body;
+    let plan =
+        crate::plan::compile_clause(program, ci, pattern).expect("a validated program compiles");
+    // Each literal's step in the safe order, and its arguments' boundness
+    // when that step runs.
+    let mut entry: Vec<(usize, Vec<bool>)> = vec![(0, Vec::new()); body.len()];
+    for (step, (&li, s)) in program
+        .clause_order(ci)
+        .order
+        .iter()
+        .zip(&plan.steps)
+        .enumerate()
+    {
+        entry[li] = (step, s.bound_on_entry());
     }
     let mut walk = ClauseWalk {
         occurrences: Vec::new(),
-        refusal: None,
+        choice: None,
         plain: Vec::new(),
     };
-    let refuse = |walk: &mut ClauseWalk, li: usize, step: RelevanceStep| {
-        if walk.refusal.is_none() {
-            walk.refusal = Some((li, step));
+    for (li, lit) in body.iter().enumerate() {
+        let Some(atom) = lit.atom() else { continue };
+        if atom.pred.is_id_version() {
+            walk.choice.get_or_insert(li);
+            continue;
         }
-    };
-    for (li, lit) in clause.body.iter().enumerate() {
-        match lit {
-            Literal::Pos(a) => {
-                if a.pred.is_id_version() {
-                    refuse(
-                        &mut walk,
-                        li,
-                        RelevanceStep::Choice {
-                            clause: 0,
-                            literal: li,
-                        },
-                    );
-                } else {
-                    let base = a.pred.base();
-                    if idb.contains(&base) {
-                        let pat: Vec<bool> = a
-                            .terms
-                            .iter()
-                            .map(|t| {
-                                t.is_ground()
-                                    || matches!(t, Term::Var(v) if bound.contains(v.as_str()))
-                            })
-                            .collect();
-                        if pat.iter().any(|&b| b) {
-                            walk.occurrences.push(Occurrence {
-                                literal: li,
-                                base,
-                                pattern: pat,
-                            });
-                        } else {
-                            walk.plain.push((li, base));
-                        }
-                    }
-                }
-                for t in &a.terms {
-                    if let Term::Var(v) = t {
-                        bound.insert(v.as_str());
-                    }
-                }
-            }
-            Literal::Neg(a) => {
-                if a.pred.is_id_version() {
-                    refuse(
-                        &mut walk,
-                        li,
-                        RelevanceStep::Choice {
-                            clause: 0,
-                            literal: li,
-                        },
-                    );
-                    continue;
-                }
-                let unbound: Vec<&str> = a
-                    .terms
-                    .iter()
-                    .filter_map(Term::as_var)
-                    .filter(|v| !bound.contains(v))
-                    .collect();
-                if !unbound.is_empty() {
-                    refuse(
-                        &mut walk,
-                        li,
-                        RelevanceStep::Flounder {
-                            clause: 0,
-                            literal: li,
-                            message: format!(
-                                "negated goal reached with {} unbound \
-                                 under the left-to-right SIPS",
-                                unbound
-                                    .iter()
-                                    .map(|v| format!("`{v}`"))
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            ),
-                        },
-                    );
-                }
-                let base = a.pred.base();
-                if idb.contains(&base) {
-                    walk.plain.push((li, base));
-                }
-            }
-            Literal::Builtin { op, args } => {
-                let pat: Vec<bool> = args
-                    .iter()
-                    .map(|t| {
-                        t.is_ground() || matches!(t, Term::Var(v) if bound.contains(v.as_str()))
-                    })
-                    .collect();
-                if !builtin_mode_ok(*op, &pat) {
-                    refuse(
-                        &mut walk,
-                        li,
-                        RelevanceStep::Flounder {
-                            clause: 0,
-                            literal: li,
-                            message: format!(
-                                "`{}` reached with binding pattern {} but its input \
-                                 modes allow only {}",
-                                op.name(),
-                                mode_string(&pat),
-                                allowed_modes(*op)
-                            ),
-                        },
-                    );
-                }
-                for t in args {
-                    if let Term::Var(v) = t {
-                        bound.insert(v.as_str());
-                    }
-                }
-            }
-            Literal::Choice { .. } | Literal::Cut => {
-                refuse(
-                    &mut walk,
-                    li,
-                    RelevanceStep::Choice {
-                        clause: 0,
-                        literal: li,
-                    },
-                );
-            }
+        let base = atom.pred.base();
+        if !program.idb().contains(&base) {
+            continue;
+        }
+        let (step, bound) = &entry[li];
+        if matches!(lit, Literal::Pos(_)) && bound.contains(&true) {
+            walk.occurrences.push(Occurrence {
+                literal: li,
+                step: *step,
+                base,
+                pattern: bound.clone(),
+            });
+        } else {
+            walk.plain.push((li, base));
         }
     }
     walk
@@ -413,27 +303,27 @@ fn walk_clause(clause: &Clause, pattern: &[bool], idb: &FxHashSet<SymbolId>) -> 
 
 type TaskKey = (SymbolId, Vec<bool>);
 
-/// Compute the reachable adorned predicates of `program` for a query on
-/// `root` with all output positions free (boundness originates from the
-/// constants in clause bodies), under the deterministic left-to-right SIPS.
-///
-/// The walk is a BFS over `(predicate, pattern)` tasks, so both the
-/// discovery order and the refusal witness are deterministic.
-pub fn analyze_relevance(program: &Program, root: SymbolId) -> RelevanceAnalysis {
-    let idb: FxHashSet<SymbolId> = program.head_predicates();
+/// The clause indices of `program` by head predicate.
+fn clauses_by_head(program: &ValidatedProgram) -> FxHashMap<SymbolId, Vec<usize>> {
     let mut clauses_of: FxHashMap<SymbolId, Vec<usize>> = FxHashMap::default();
-    for (ci, clause) in program.clauses.iter().enumerate() {
+    for (ci, clause) in program.ast().clauses.iter().enumerate() {
         clauses_of
-            .entry(clause.head[0].atom.pred.base())
+            .entry(clause.single_head().pred.base())
             .or_default()
             .push(ci);
     }
+    clauses_of
+}
 
-    let root_arity = clauses_of
-        .get(&root)
-        .and_then(|cs| cs.first())
-        .map(|&ci| program.clauses[ci].head[0].atom.terms.len())
-        .unwrap_or(0);
+/// Compute the reachable adorned predicates of `program` for a query on
+/// `root` with all output positions free (boundness originates from the
+/// constants in clause bodies), under the planner's SIPS.
+///
+/// The walk is a BFS over `(predicate, pattern)` tasks, so both the
+/// discovery order and the refusal witness are deterministic.
+pub fn analyze_relevance(program: &ValidatedProgram, root: SymbolId) -> RelevanceAnalysis {
+    let clauses_of = clauses_by_head(program);
+    let arity = |pred: SymbolId| program.arity(pred).unwrap_or(0);
 
     let mut analysis = RelevanceAnalysis::default();
     let mut seen: FxHashSet<TaskKey> = FxHashSet::default();
@@ -441,7 +331,7 @@ pub fn analyze_relevance(program: &Program, root: SymbolId) -> RelevanceAnalysis
     let mut queue: std::collections::VecDeque<TaskKey> = std::collections::VecDeque::new();
     let mut reachable_idb: FxHashSet<SymbolId> = FxHashSet::default();
 
-    let root_key: TaskKey = (root, vec![false; root_arity]);
+    let root_key: TaskKey = (root, vec![false; arity(root)]);
     seen.insert(root_key.clone());
     parent.insert(root_key.clone(), (None, 0, 0));
     queue.push_back(root_key);
@@ -454,19 +344,13 @@ pub fn analyze_relevance(program: &Program, root: SymbolId) -> RelevanceAnalysis
             continue;
         };
         for &ci in clauses {
-            let clause = &program.clauses[ci];
-            let walk = walk_clause(clause, pattern, &idb);
-            let enqueue =
-                |key: TaskKey,
-                 li: usize,
-                 seen: &mut FxHashSet<TaskKey>,
-                 parent: &mut FxHashMap<TaskKey, (Option<TaskKey>, usize, usize)>,
-                 queue: &mut std::collections::VecDeque<TaskKey>| {
-                    if seen.insert(key.clone()) {
-                        parent.insert(key.clone(), (Some(task.clone()), ci, li));
-                        queue.push_back(key);
-                    }
-                };
+            let walk = walk_clause(program, ci, pattern);
+            let mut enqueue = |key: TaskKey, li: usize| {
+                if seen.insert(key.clone()) {
+                    parent.insert(key.clone(), (Some(task.clone()), ci, li));
+                    queue.push_back(key);
+                }
+            };
             for occ in &walk.occurrences {
                 reachable_idb.insert(occ.base);
                 if analysis
@@ -479,34 +363,18 @@ pub fn analyze_relevance(program: &Program, root: SymbolId) -> RelevanceAnalysis
                         pattern: occ.pattern.clone(),
                     });
                 }
-                enqueue(
-                    (occ.base, occ.pattern.clone()),
-                    occ.literal,
-                    &mut seen,
-                    &mut parent,
-                    &mut queue,
-                );
+                enqueue((occ.base, occ.pattern.clone()), occ.literal);
             }
             for &(li, base) in &walk.plain {
                 reachable_idb.insert(base);
-                let arity = program.clauses[clauses_of[&base][0]].head[0]
-                    .atom
-                    .terms
-                    .len();
                 if !analysis.all_free.contains(&base) {
                     analysis.all_free.push(base);
                 }
-                enqueue(
-                    (base, vec![false; arity]),
-                    li,
-                    &mut seen,
-                    &mut parent,
-                    &mut queue,
-                );
+                enqueue((base, vec![false; arity(base)]), li);
             }
-            if let Some((_, step)) = walk.refusal {
+            if let Some(literal) = walk.choice {
                 // Rebuild the Goal chain from the root to this task, then
-                // pin the offending step to its real clause index.
+                // end it at the choice site.
                 let mut hops: Vec<RelevanceStep> = Vec::new();
                 let mut at = Some(task.clone());
                 while let Some(key) = at {
@@ -522,26 +390,11 @@ pub fn analyze_relevance(program: &Program, root: SymbolId) -> RelevanceAnalysis
                     at = prev;
                 }
                 hops.reverse();
-                let step = match step {
-                    RelevanceStep::Flounder {
-                        literal, message, ..
-                    } => RelevanceStep::Flounder {
-                        clause: ci,
-                        literal,
-                        message,
-                    },
-                    RelevanceStep::Choice { literal, .. } => RelevanceStep::Choice {
-                        clause: ci,
-                        literal,
-                    },
-                    goal => goal,
-                };
-                let reason = match &step {
-                    RelevanceStep::Choice { .. } => RefusalReason::ChoiceSite,
-                    _ => RefusalReason::Floundering,
-                };
-                hops.push(step);
-                analysis.refusal = Some(RelevanceRefusal { reason, walk: hops });
+                hops.push(RelevanceStep::Choice {
+                    clause: ci,
+                    literal,
+                });
+                analysis.refusal = Some(RelevanceRefusal { walk: hops });
                 analysis.related_idb = reachable_idb.len();
                 return analysis;
             }
@@ -579,54 +432,37 @@ fn magic_symbol(interner: &Interner, pred: SymbolId, pattern: &[bool]) -> Symbol
 /// predicate is copied with its head renamed to `p__bf…`, a guard
 /// `magic_p__bf…(bound head args)` prepended, and bound positive IDB body
 /// occurrences renamed to their adorned versions; a *magic rule* per bound
-/// occurrence derives the guard tuples from the prefix of the body before
-/// it (supplementary predicates are not needed for the left-to-right SIPS —
-/// the prefix literals serve directly). Predicates reached all-free (the
-/// root, negation targets) keep their original name and clauses unguarded,
-/// and a bound occurrence in a prefix with no guard and no preceding
-/// literals degenerates into a magic **seed fact** over the query
-/// constants. EDB literals are never renamed or guarded.
+/// occurrence derives the guard tuples from the literals the safe order
+/// runs before it (supplementary predicates are not needed — the prefix
+/// literals serve directly). Predicates reached all-free (the root,
+/// negation targets) keep their original name and clauses unguarded, and
+/// a bound occurrence in a prefix with no guard and no preceding literals
+/// degenerates into a magic **seed fact** over the query constants. EDB
+/// literals are never renamed or guarded.
 pub fn magic_program(
-    program: &Program,
+    program: &ValidatedProgram,
     root: SymbolId,
-    interner: &Interner,
     analysis: &RelevanceAnalysis,
 ) -> Option<Program> {
     if !analysis.certified() {
         return None;
     }
-    let idb: FxHashSet<SymbolId> = program.head_predicates();
-    let mut clauses_of: FxHashMap<SymbolId, Vec<usize>> = FxHashMap::default();
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        clauses_of
-            .entry(clause.head[0].atom.pred.base())
-            .or_default()
-            .push(ci);
-    }
-    let root_arity = clauses_of
-        .get(&root)
-        .and_then(|cs| cs.first())
-        .map(|&ci| program.clauses[ci].head[0].atom.terms.len())
-        .unwrap_or(0);
+    let interner = program.interner();
+    let clauses_of = clauses_by_head(program);
+    let arity = |pred: SymbolId| program.arity(pred).unwrap_or(0);
 
     // Tasks in deterministic order: the all-free predicates first (root
     // leading), then every bound adornment in discovery order.
     let mut tasks: Vec<TaskKey> = Vec::new();
     let mut task_set: FxHashSet<TaskKey> = FxHashSet::default();
-    let push = |key: TaskKey, tasks: &mut Vec<TaskKey>, set: &mut FxHashSet<TaskKey>| {
-        if set.insert(key.clone()) {
+    let free_tasks = std::iter::once(root)
+        .chain(analysis.all_free.iter().copied())
+        .map(|p| (p, vec![false; arity(p)]));
+    let bound_tasks = analysis.adorned.iter().map(|a| (a.pred, a.pattern.clone()));
+    for key in free_tasks.chain(bound_tasks) {
+        if task_set.insert(key.clone()) {
             tasks.push(key);
         }
-    };
-    push((root, vec![false; root_arity]), &mut tasks, &mut task_set);
-    for &p in &analysis.all_free {
-        if let Some(cs) = clauses_of.get(&p) {
-            let arity = program.clauses[cs[0]].head[0].atom.terms.len();
-            push((p, vec![false; arity]), &mut tasks, &mut task_set);
-        }
-    }
-    for a in &analysis.adorned {
-        push((a.pred, a.pattern.clone()), &mut tasks, &mut task_set);
     }
 
     let bound_terms = |atom: &Atom, pattern: &[bool]| -> Vec<Term> {
@@ -646,9 +482,9 @@ pub fn magic_program(
             continue;
         };
         for &ci in clauses {
-            let clause = &program.clauses[ci];
-            let walk = walk_clause(clause, pattern, &idb);
-            debug_assert!(walk.refusal.is_none(), "rewrite requires a certificate");
+            let clause = &program.ast().clauses[ci];
+            let walk = walk_clause(program, ci, pattern);
+            debug_assert!(walk.choice.is_none(), "rewrite requires a certificate");
             let adorned_at: FxHashMap<usize, &Occurrence> =
                 walk.occurrences.iter().map(|o| (o.literal, o)).collect();
             // Transformed body: bound positive IDB occurrences renamed.
@@ -664,14 +500,20 @@ pub fn magic_program(
                     _ => lit.clone(),
                 })
                 .collect();
-            let head_atom = &clause.head[0].atom;
+            let head_atom = clause.single_head();
             let guard = (!free).then(|| {
                 Literal::Pos(Atom::ordinary(
                     magic_symbol(interner, *pred, pattern),
                     bound_terms(head_atom, pattern),
                 ))
             });
-            // Magic rules: one per bound occurrence, from the body prefix.
+            // Magic rules: one per bound occurrence, from the literals the
+            // safe order runs before it. A negation there binds nothing, so
+            // leaving it out only widens the magic set — and keeps the
+            // rewrite stratified: a magic predicate that read a negation
+            // could close a cycle through it (the negated predicate may read
+            // an adorned predicate this very guard feeds).
+            let order = &program.clause_order(ci).order;
             for occ in &walk.occurrences {
                 let src = clause.body[occ.literal]
                     .atom()
@@ -680,11 +522,12 @@ pub fn magic_program(
                     magic_symbol(interner, occ.base, &occ.pattern),
                     bound_terms(src, &occ.pattern),
                 );
-                let magic_body: Vec<Literal> = guard
+                let prefix = order[..occ.step]
                     .iter()
-                    .cloned()
-                    .chain(body[..occ.literal].iter().cloned())
-                    .collect();
+                    .map(|&li| &body[li])
+                    .filter(|lit| !matches!(lit, Literal::Neg(_)))
+                    .cloned();
+                let magic_body: Vec<Literal> = guard.iter().cloned().chain(prefix).collect();
                 let rule = Clause::new(magic_head, magic_body);
                 if rule.is_fact() {
                     seeds.push(rule);
@@ -778,9 +621,8 @@ pub fn magic_tuples_pruned(magic: &ValidatedProgram, db: &Database, out: &EvalOu
             let Some(rel) = db.relation_by_id(base) else {
                 continue;
             };
-            for (col, c) in &constraints {
+            for (_, c) in &constraints {
                 if let Constraint::InGuard(gp, gc) = c {
-                    let _ = (col, gp, gc);
                     projections
                         .entry((*gp, *gc))
                         .or_insert_with(|| project(*gp, *gc, out));
@@ -811,91 +653,76 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use idlog_parser::parse_program;
-
     const ANCESTOR: &str = "
         ancestor(X, Y) :- parent(X, Y).
         ancestor(X, Z) :- ancestor(X, Y), parent(Y, Z).
         query(Y) :- ancestor(ann, Y).
     ";
 
-    fn analyzed(src: &str, root: &str) -> (RelevanceAnalysis, Program, Arc<Interner>) {
+    fn analyzed(src: &str, root: &str) -> (RelevanceAnalysis, ValidatedProgram) {
         let interner = Arc::new(Interner::new());
-        let program = parse_program(src, &interner).expect("test program parses");
-        let a = analyze_relevance(&program, interner.intern(root));
-        (a, program, interner)
+        let program = ValidatedProgram::parse(src, interner).expect("test program is valid");
+        let a = analyze_relevance(&program, program.interner().intern(root));
+        (a, program)
     }
 
     #[test]
     fn ancestor_point_query_is_certified() {
-        let (a, _, interner) = analyzed(ANCESTOR, "query");
+        let (a, program) = analyzed(ANCESTOR, "query");
         assert!(a.certified());
         assert!(a.is_point_query());
-        let shown: Vec<String> = a.adorned().iter().map(|p| p.display(&interner)).collect();
+        let shown: Vec<String> = a
+            .adorned()
+            .iter()
+            .map(|p| p.display(program.interner()))
+            .collect();
         assert_eq!(shown, vec!["ancestor^bf"]);
         assert_eq!(a.pruned_fraction(), (1, 2));
     }
 
     #[test]
     fn all_free_query_is_certified_but_not_point() {
-        let (a, _, _) = analyzed("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).", "tc");
+        let (a, _) = analyzed("tc(X, Y) :- e(X, Y). tc(X, Z) :- tc(X, Y), e(Y, Z).", "tc");
         assert!(a.certified());
         assert!(!a.is_point_query());
         assert!(a.adorned().is_empty());
         assert_eq!(a.pruned_fraction(), (0, 1));
     }
 
-    #[test]
-    fn unbound_negation_flounders_with_witness_walk() {
-        let src = "
-            reach(X, Y) :- edge(X, Y).
-            reach(X, Z) :- reach(X, Y), edge(Y, Z).
-            unreached(X, Y) :- not reach(X, Y), node(Y).
-            q(Y) :- unreached(a, Y).
-        ";
-        let (a, _, interner) = analyzed(src, "q");
-        assert!(!a.certified());
-        let r = a.refusal().expect("refused");
-        assert_eq!(r.reason, RefusalReason::Floundering);
-        // The walk hops into unreached^bf, then flounders at the negation.
-        assert!(matches!(
-            r.walk.first(),
-            Some(RelevanceStep::Goal { to, pattern, .. })
-                if *to == interner.intern("unreached") && pattern == &vec![true, false]
-        ));
-        match r.walk.last() {
-            Some(RelevanceStep::Flounder {
-                clause,
-                literal,
-                message,
-            }) => {
-                assert_eq!((*clause, *literal), (2, 0));
-                assert!(message.contains("`Y`"), "{message}");
-            }
-            other => panic!("unexpected final step {other:?}"),
-        }
-        assert!(r.render(&interner).contains("unreached^bf"));
+    /// The adorned predicates of a certified point query, as `p^bf`.
+    fn certified_adornments(src: &str, root: &str) -> Vec<String> {
+        let (a, program) = analyzed(src, root);
+        assert!(a.is_point_query(), "{src}");
+        let magic = magic_program(&program, program.interner().intern(root), &a).unwrap();
+        ValidatedProgram::new(magic, Arc::clone(program.interner())).expect("rewrite revalidates");
+        a.adorned()
+            .iter()
+            .map(|p| p.display(program.interner()))
+            .collect()
     }
 
     #[test]
-    fn builtin_mode_flounders() {
+    fn negation_before_its_binder_is_certified() {
+        // Textually `not reach(X, Y)` comes before `node(Y)` binds `Y`; the
+        // planner runs `node(Y)` first, and so does the SIPS.
         let src = "
-            scaled(X, Y) :- times(X, K, Y), factor(K).
+            reach(X, Y) :- edge(X, Y).
+            reach(X, Z) :- reach(X, Y), edge(Y, Z).
+            unreached(X, Y) :- node(X), not reach(X, Y), node(Y).
+            q(Y) :- unreached(a, Y).
+        ";
+        assert_eq!(certified_adornments(src, "q"), ["unreached^bf"]);
+    }
+
+    #[test]
+    fn builtin_before_its_binders_is_certified() {
+        // `times` needs two bound arguments; textually it comes first, but
+        // the planner runs it after `base(X)` and `factor(K)`.
+        let src = "
+            scaled(X, Y) :- times(X, K, Y), base(X), factor(K).
             q(Y) :- scaled(Y, 42).
         ";
-        // `times` needs two bound arguments, but under the left-to-right
-        // SIPS it is reached as ffb (only the head-bound product).
-        let (a, _, _) = analyzed(src, "q");
-        assert!(!a.certified());
-        let r = a.refusal().unwrap();
-        assert_eq!(r.reason, RefusalReason::Floundering);
-        match r.walk.last() {
-            Some(RelevanceStep::Flounder { message, .. }) => {
-                assert!(message.contains("times"), "{message}");
-                assert!(message.contains("mode"), "{message}");
-            }
-            other => panic!("unexpected final step {other:?}"),
-        }
+        assert_eq!(certified_adornments(src, "q"), ["scaled^fb"]);
     }
 
     #[test]
@@ -905,10 +732,9 @@ mod tests {
             pref(X, Y) :- likes(X, Y).
             q(Y) :- picked(a, Y).
         ";
-        let (a, _, _) = analyzed(src, "q");
+        let (a, _) = analyzed(src, "q");
         assert!(!a.certified());
         let r = a.refusal().unwrap();
-        assert_eq!(r.reason, RefusalReason::ChoiceSite);
         assert!(matches!(
             r.walk.last(),
             Some(RelevanceStep::Choice {
@@ -920,10 +746,10 @@ mod tests {
 
     #[test]
     fn magic_rewrite_has_seed_guard_and_magic_rule() {
-        let (a, program, interner) = analyzed(ANCESTOR, "query");
-        let magic =
-            magic_program(&program, interner.intern("query"), &interner, &a).expect("certified");
-        let rendered = format!("{}", magic.display(&interner));
+        let (a, program) = analyzed(ANCESTOR, "query");
+        let interner = program.interner();
+        let magic = magic_program(&program, interner.intern("query"), &a).expect("certified");
+        let rendered = format!("{}", magic.display(interner));
         // Seed fact from the query constant.
         assert!(rendered.contains("magic_ancestor__bf(ann)."), "{rendered}");
         // Guarded adorned clauses.
@@ -948,17 +774,15 @@ mod tests {
     #[test]
     fn magic_rewrite_refused_without_certificate() {
         let src = "picked(X) :- pool[](X, 0). q(X) :- picked(X).";
-        let (a, program, interner) = analyzed(src, "q");
-        assert!(magic_program(&program, interner.intern("q"), &interner, &a).is_none());
+        let (a, program) = analyzed(src, "q");
+        assert!(magic_program(&program, program.interner().intern("q"), &a).is_none());
     }
 
     #[test]
     fn magic_program_validates_and_agrees_with_direct() {
-        let interner = Arc::new(Interner::new());
-        let program = parse_program(ANCESTOR, &interner).unwrap();
-        let a = analyze_relevance(&program, interner.intern("query"));
-        let magic = magic_program(&program, interner.intern("query"), &interner, &a).unwrap();
-        let direct = ValidatedProgram::new(program, Arc::clone(&interner)).unwrap();
+        let (a, direct) = analyzed(ANCESTOR, "query");
+        let interner = Arc::clone(direct.interner());
+        let magic = magic_program(&direct, interner.intern("query"), &a).unwrap();
         let magicked = ValidatedProgram::new(magic, Arc::clone(&interner)).unwrap();
 
         let mut db = idlog_storage::Database::with_interner(Arc::clone(&interner));
@@ -1004,11 +828,12 @@ mod tests {
         ";
         // `good` is reached all-free, `bad` is a negation target: both stay
         // plain and the rewrite degenerates to the original program shape.
-        let (a, program, interner) = analyzed(src, "q");
+        let (a, program) = analyzed(src, "q");
         assert!(a.certified());
         assert!(!a.is_point_query());
-        let magic = magic_program(&program, interner.intern("q"), &interner, &a).unwrap();
-        let rendered = format!("{}", magic.display(&interner));
+        let interner = program.interner();
+        let magic = magic_program(&program, interner.intern("q"), &a).unwrap();
+        let rendered = format!("{}", magic.display(interner));
         assert!(!rendered.contains("magic_"), "{rendered}");
     }
 }

@@ -25,14 +25,14 @@
 
 pub mod adornment;
 pub mod equivalence;
-pub mod magic;
+#[cfg(test)]
+mod magic;
 pub mod redundancy;
 pub mod rewrite_exists;
 pub mod rewrite_forall;
 
 pub use adornment::{analyze, ExistentialAnalysis};
 pub use equivalence::{q_equivalent_on, random_databases, EquivalenceReport};
-pub use magic::magic_rewrite;
 pub use redundancy::{suggest_redundant_clauses, RedundancyReport};
 pub use rewrite_exists::to_id_program;
 pub use rewrite_forall::push_projections;

@@ -1,53 +1,19 @@
-//! The magic-sets transformation as a standalone `Program → Program`
-//! rewrite, plus its empirical soundness harness.
+//! The certified-equivalence harness of the magic-sets rewrite.
 //!
-//! The analysis and rewrite live in [`idlog_core::relevance`] (the `Query`
-//! API caches them per query, mirroring the taint and termination certs);
-//! this module exposes the rewrite at the optimizer's program level — the
-//! same shape as [`crate::push_projections`] and [`crate::to_id_program`] —
-//! and hosts the certified-equivalence tests that validate it against the
-//! untransformed program on randomized databases, across thread counts and
-//! storage backends.
-//!
-//! The rewrite either returns the transformed program or the
-//! [`RelevanceRefusal`] witness explaining why goal-directed evaluation is
-//! not semantics-preserving here (floundering under the left-to-right SIPS,
-//! or a choice site that magic guards must not split).
-
-use std::sync::Arc;
-
-use idlog_common::Interner;
-use idlog_core::relevance::{analyze_relevance, magic_program, RelevanceRefusal};
-use idlog_parser::Program;
-
-/// Rewrite `program` with magic sets for a query on `output`, or return the
-/// refusal witness when the relevance analysis cannot certify the rewrite.
-///
-/// The returned program computes an `output` relation identical to the
-/// original on every database (and every tid oracle — choice sites are
-/// refused), while deriving only facts relevant to the query constants.
-pub fn magic_rewrite(
-    program: &Program,
-    output: &str,
-    interner: &Arc<Interner>,
-) -> Result<Program, RelevanceRefusal> {
-    let root = interner.intern(output);
-    let analysis = analyze_relevance(program, root);
-    if let Some(refusal) = analysis.refusal() {
-        return Err(refusal.clone());
-    }
-    Ok(magic_program(program, root, interner, &analysis)
-        .expect("certified analysis always yields a rewrite"))
-}
+//! The analysis and rewrite live in [`idlog_core::relevance`], and the
+//! `Query` API caches them per query ([`idlog_core::Query::magic_plan`]),
+//! mirroring the taint and termination certs. This module's tests validate
+//! the rewrite against the untransformed program on randomized databases,
+//! across thread counts and storage backends.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    use idlog_core::{EnumBudget, EvalStats, Query, Strategy, ValidatedProgram};
+    use idlog_core::{EnumBudget, EvalStats, Interner, Query, Strategy};
     use idlog_storage::BackendKind;
 
     use crate::equivalence::{q_equivalent_on, random_databases};
@@ -61,29 +27,30 @@ mod tests {
     #[test]
     fn rewrite_is_q_equivalent_on_random_databases() {
         let i = Arc::new(Interner::new());
-        let p = idlog_parser::parse_program(ANCESTOR, &i).unwrap();
-        let magic = magic_rewrite(&p, "query", &i).expect("certified");
+        let q = Query::parse_with_interner(ANCESTOR, "query", Arc::clone(&i)).unwrap();
+        let p = q.program().ast();
+        let magic = q.magic_plan().expect("certified").ast();
         let mut dbs = random_databases(&i, &[("parent", 2)], &["x", "y", "z"], 12, 17);
         for db in &mut dbs {
             db.insert_syms("parent", &["ann", "x"]).unwrap();
         }
-        let r = q_equivalent_on(&p, &magic, &i, &dbs, "query", &EnumBudget::default()).unwrap();
+        let r = q_equivalent_on(p, magic, &i, &dbs, "query", &EnumBudget::default()).unwrap();
         assert!(r.equivalent, "counterexample at {:?}", r.counterexample);
         assert_eq!(r.databases_checked, 12);
     }
 
     #[test]
     fn refusal_carries_the_witness_walk() {
-        let i = Arc::new(Interner::new());
-        let p = idlog_parser::parse_program(
+        let q = Query::parse(
             "picked(X, Y) :- pref[2](X, Y, 0).
              q(Y) :- picked(a, Y).",
-            &i,
+            "q",
         )
         .unwrap();
-        let refusal = magic_rewrite(&p, "q", &i).unwrap_err();
+        assert!(q.magic_plan().is_none());
+        let refusal = q.relevance().refusal().expect("refused");
         assert!(!refusal.walk.is_empty());
-        assert!(refusal.render(&i).contains("choice site"));
+        assert!(refusal.render(q.interner()).contains("choice site"));
     }
 
     /// Direct and magic evaluation of `src` must produce byte-identical
@@ -178,7 +145,7 @@ mod tests {
         for case in 0..12 {
             let src = random_point_program(&mut rng);
             let q = Query::parse(&src, "q").expect("generated program is valid");
-            assert!(q.magic_certified(), "generated programs never flounder");
+            assert!(q.magic_certified(), "generated programs are choice-free");
             let mut db = q.new_database();
             let domain = ["c0", "c1", "c2", "c3"];
             for a in domain {
@@ -195,28 +162,23 @@ mod tests {
 
     #[test]
     fn random_refusals_always_carry_witnesses() {
-        // Inject a flounder or a choice site into otherwise-random programs:
-        // every refusal must carry a non-empty walk ending at the site.
+        // Inject a choice site into otherwise-random programs: every
+        // refusal must carry a non-empty walk ending at the site.
         let mut rng = SmallRng::seed_from_u64(0xBAD_5EED);
-        let i = Arc::new(Interner::new());
         for _ in 0..12 {
             let mut src = random_point_program(&mut rng);
-            if rng.gen_bool(0.5) {
-                src.push_str("q(Y) :- not p0(Y, Z), e(Y, Z).\n");
-            } else {
-                src.push_str("q(Y) :- e[2](X, Y, 0).\n");
-            }
-            let p = idlog_parser::parse_program(&src, &i).unwrap();
-            let refusal = magic_rewrite(&p, "q", &i).unwrap_err();
+            src.push_str("q(Y) :- e[2](X, Y, 0).\n");
+            let q = Query::parse(&src, "q").unwrap();
+            let refusal = q.relevance().refusal().expect("a choice site refuses");
             assert!(!refusal.walk.is_empty(), "refusal without walk for {src}");
         }
     }
 
     #[test]
     fn rewritten_program_revalidates() {
-        let i = Arc::new(Interner::new());
-        let p = idlog_parser::parse_program(ANCESTOR, &i).unwrap();
-        let magic = magic_rewrite(&p, "query", &i).unwrap();
-        ValidatedProgram::new(magic, Arc::clone(&i)).expect("rewrite stays valid");
+        let q = Query::parse(ANCESTOR, "query").unwrap();
+        let magic = q.magic_plan().expect("the rewrite revalidates");
+        let query = q.interner().get("query").unwrap();
+        assert!(magic.idb().contains(&query));
     }
 }
