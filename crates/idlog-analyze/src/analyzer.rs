@@ -21,7 +21,6 @@ use idlog_core::stratify::DepGraph;
 use idlog_core::ValidatedProgram;
 use idlog_parser::{parse_program_with_spans, Clause, Literal, Program, Span, SpanMap, Term};
 
-use crate::dataflow::Dataflow;
 use crate::diagnostic::Diagnostic;
 use crate::{determinism, lints, relevance, termination};
 
@@ -99,11 +98,7 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
         Err(e) => {
             return Analysis {
                 dialect: Dialect::Idlog,
-                diagnostics: vec![Diagnostic::error(
-                    "E001",
-                    Span::point(e.pos),
-                    format!("parse error: {}", e.message),
-                )],
+                diagnostics: vec![Diagnostic::error("E001", Span::point(e.pos), e.headline())],
                 program: None,
             };
         }
@@ -142,17 +137,13 @@ pub fn analyze(src: &str, interner: &Arc<Interner>, options: &Options) -> Analys
         .flatten();
     if options.lints {
         if let Some(validated) = &validated {
-            let program = validated.ast();
-            let flow = Dataflow::of(program, &graph, interner);
-            determinism::possibly_nondeterministic_outputs(
-                program, &spans, &flow, interner, &mut diags,
-            );
-            determinism::tid_value_columns(program, &spans, &flow, interner, &mut diags);
-            lints::tid_bound_hints(program, &spans, interner, &mut diags);
-            termination::termination_lints(program, &graph, &spans, interner, &mut diags);
+            determinism::possibly_nondeterministic_outputs(validated, &spans, &mut diags);
+            determinism::tid_value_columns(validated, &spans, &mut diags);
+            lints::tid_bound_hints(validated, &spans, &mut diags);
+            termination::termination_lints(validated, &spans, &mut diags);
             relevance::relevance_lints(validated, &spans, &mut diags);
             if options.redundancy {
-                lints::redundant_clauses(program, &graph, &spans, interner, &mut diags);
+                lints::redundant_clauses(validated.ast(), &graph, &spans, interner, &mut diags);
             }
         }
     }

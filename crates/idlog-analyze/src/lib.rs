@@ -37,14 +37,19 @@
 //! graph, [`idlog_core::stratify::DepGraph`], which the validator builds
 //! once per run and [`analyze`] hands to every pass that asks one: E011's cycle is its
 //! witness walk, E013/E014 read its `P/q` cones, W001 is its output cone
-//! (a multi-head clause feeds every head), the program's sinks, where W010
-//! reports and W005 compares, are its sinks, and the termination lints
-//! classify its components.
+//! (a multi-head clause feeds every head), and the program's sinks, where
+//! W010 reports, W005 compares and W031/H020 root their queries, are its
+//! sinks.
+//!
+//! The lints that judge a valid program compute no analysis of their
+//! own: W010/W011, W020/W021/H010 and H001 read the taint analysis, the
+//! termination certificate and the tid bounds that the
+//! [`idlog_core::ValidatedProgram`] computed once when it was built, the
+//! ones the engine reads too.
 
 #![warn(missing_docs)]
 
 pub mod analyzer;
-mod dataflow;
 mod determinism;
 pub mod diagnostic;
 pub mod lints;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
 use idlog_core::stratify::DepGraph;
-use idlog_core::{tidbound, EnumBudget, ValidatedProgram};
+use idlog_core::{EnumBudget, ValidatedProgram};
 use idlog_parser::{Literal, PredicateRef, Program, Span, SpanMap, Term};
 use idlog_storage::Database;
 
@@ -190,15 +190,10 @@ pub fn degenerate_id_groups(
 
 /// H001: every occurrence of an ID-use bounds its tid below `k` (paper
 /// footnotes 6–7), so enumeration may walk `k`-prefix arrangements only.
-pub fn tid_bound_hints(
-    program: &Program,
-    spans: &SpanMap,
-    interner: &Interner,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let bounds = tidbound::tid_bounds_ast(program);
+pub fn tid_bound_hints(program: &ValidatedProgram, spans: &SpanMap, diags: &mut Vec<Diagnostic>) {
+    let (bounds, interner) = (program.tid_bounds(), program.interner());
     let mut reported: FxHashSet<(SymbolId, Vec<usize>)> = FxHashSet::default();
-    for (ci, clause) in program.clauses.iter().enumerate() {
+    for (ci, clause) in program.ast().clauses.iter().enumerate() {
         for (li, lit) in clause.body.iter().enumerate() {
             let Some(a) = lit.atom() else { continue };
             let PredicateRef::IdVersion { base, grouping } = &a.pred else {

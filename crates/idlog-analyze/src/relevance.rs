@@ -7,46 +7,46 @@
 //! *point-query shape* and the verdict is worth reporting:
 //!
 //! * **H020** — certified: magic-sets evaluation (`--strategy magic`) is
-//!   semantics-preserving, with the adorned predicates and the statically
-//!   pruned fraction of the dependency graph listed;
+//!   semantics-preserving and its rewrite is a valid program, with the
+//!   adorned predicates and the statically pruned fraction of the
+//!   dependency graph listed;
 //! * **W031** — the reachable region contains an ID-literal, a choice
 //!   site: magic guards must not duplicate or split a choice point,
 //!   mirroring the ID-taint witnesses of `W010`.
 //!
 //! Programs without point-query shape stay silent — all-free queries gain
-//! nothing from magic sets, so neither a cert nor a refusal is news.
+//! nothing from magic sets, so neither a cert nor a refusal is news. So
+//! does a query whose rewrite is not a valid program: `--strategy magic`
+//! refuses it with the validator's error, and no hint claims otherwise.
 
 use idlog_common::{FxHashSet, Interner, SymbolId};
-use idlog_core::relevance::{analyze_relevance, pattern_string, RelevanceAnalysis, RelevanceStep};
+use idlog_core::relevance::{
+    analyze_relevance, pattern_string, query_roots, RelevanceAnalysis, RelevanceStep,
+};
 use idlog_core::ValidatedProgram;
 use idlog_parser::SpanMap;
 
 use crate::diagnostic::Diagnostic;
 
-/// Run the relevance analysis per sink predicate and emit W031/H020.
+/// Run the relevance analysis per query root and emit W031/H020.
 pub(crate) fn relevance_lints(
     program: &ValidatedProgram,
     spans: &SpanMap,
     diags: &mut Vec<Diagnostic>,
 ) {
     let interner = program.interner();
-    let bodies = program.ast().body_predicates();
-    let mut seen_roots: FxHashSet<SymbolId> = FxHashSet::default();
     let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
-    for (ci, clause) in program.ast().clauses.iter().enumerate() {
-        let root = clause.head[0].atom.pred.base();
-        if bodies.contains(&root) || !seen_roots.insert(root) {
-            continue;
-        }
+    for (root, ci) in query_roots(program) {
         let analysis = analyze_relevance(program, root);
         // Only point-query shapes are worth a verdict: the walk must have
         // entered some derived predicate with a bound position.
         if analysis.adorned().is_empty() {
             continue;
         }
-        match analysis.refusal() {
-            None => certified_hint(root, ci, &analysis, spans, interner, diags),
-            Some(_) => refusal_warning(root, &analysis, spans, interner, diags, &mut reported),
+        if analysis.refusal().is_some() {
+            refusal_warning(root, &analysis, spans, interner, diags, &mut reported);
+        } else if analysis.certified() {
+            certified_hint(root, ci, &analysis, spans, interner, diags);
         }
     }
 }

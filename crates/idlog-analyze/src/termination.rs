@@ -1,16 +1,16 @@
 //! Termination certification lints (W020, W021, H010).
 //!
-//! Backed by [`idlog_core::termination::analyze_termination_in`]. Theorem 3
-//! makes exact termination undecidable, so W020 is a *possibly*-diverging
-//! warning — its absence on a choice-free stratified program is a
-//! certificate (H010), its presence is not a conviction. Intentionally
+//! Read from the termination certificate the validated program holds
+//! ([`ValidatedProgram::termination`]). Theorem 3 makes exact termination
+//! undecidable, so W020 is a *possibly*-diverging warning — its absence is
+//! a certificate (H010), its presence is not a conviction. Intentionally
 //! value-generating programs should bound evaluation with
 //! `--timeout`/`--max-rounds` or suppress with `idlog lint --allow W020`.
 
 use idlog_common::{FxHashSet, Interner, SymbolId};
-use idlog_core::stratify::DepGraph;
-use idlog_core::termination::{FlowNode, TerminationCert};
-use idlog_parser::{Program, SpanMap};
+use idlog_core::termination::{FlowNode, RecursionKind, TerminationCert};
+use idlog_core::ValidatedProgram;
+use idlog_parser::SpanMap;
 
 use crate::diagnostic::Diagnostic;
 
@@ -22,21 +22,20 @@ fn node_name(node: FlowNode, interner: &Interner) -> String {
     }
 }
 
-/// Run the termination analysis and emit W020 (possibly-diverging
-/// recursion, with a witness walk along the growing cycle), W021
-/// (ID-materialization of a cardinality-unbounded predicate), and H010
-/// (bounded-depth certificate) as applicable.
+/// Emit W020 (possibly-diverging recursion, with a witness walk along the
+/// growing cycle), W021 (ID-materialization of a cardinality-unbounded
+/// predicate), and H010 (bounded-depth certificate) as applicable.
 pub(crate) fn termination_lints(
-    program: &Program,
-    graph: &DepGraph,
+    program: &ValidatedProgram,
     spans: &SpanMap,
-    interner: &Interner,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let cert = idlog_core::termination::analyze_termination_in(program, graph);
-    possibly_diverging_recursion(&cert, spans, interner, diags);
-    unbounded_id_materialization(&cert, spans, interner, diags);
-    bounded_depth_hint(program, &cert, spans, diags);
+    let (cert, interner) = (program.termination(), program.interner());
+    possibly_diverging_recursion(cert, spans, interner, diags);
+    unbounded_id_materialization(cert, spans, interner, diags);
+    if !program.ast().clauses.is_empty() {
+        bounded_depth_hint(cert, spans, diags);
+    }
 }
 
 /// W020: an expanding cycle in the argument-flow graph — the fixpoint can
@@ -134,19 +133,14 @@ fn unbounded_id_materialization(
 /// H010: the program is certified bounded — every fixpoint terminates on
 /// its own, with a per-database round bound the engine installs
 /// automatically (see `idlog_core::Query::termination_cert`).
-fn bounded_depth_hint(
-    program: &Program,
-    cert: &TerminationCert,
-    spans: &SpanMap,
-    diags: &mut Vec<Diagnostic>,
-) {
-    if !cert.bounded() || program.clauses.is_empty() {
+fn bounded_depth_hint(cert: &TerminationCert, spans: &SpanMap, diags: &mut Vec<Diagnostic>) {
+    if !cert.bounded() {
         return;
     }
     let recursive = cert
         .recursion()
         .iter()
-        .filter(|s| s.kind != idlog_core::termination::RecursionKind::Nonrecursive)
+        .filter(|s| s.kind != RecursionKind::Nonrecursive)
         .count();
     diags.push(
         Diagnostic::hint(

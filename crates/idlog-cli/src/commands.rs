@@ -72,7 +72,7 @@ pub fn check(program_path: &str) -> Result<(), String> {
         );
     }
     println!("  determinism:");
-    let taint = idlog_core::analyze_taint(program.ast());
+    let taint = program.taint();
     let mut derived: Vec<String> = program.idb().iter().map(|&p| interner.resolve(p)).collect();
     derived.sort();
     for name in &derived {
@@ -86,16 +86,14 @@ pub fn check(program_path: &str) -> Result<(), String> {
         }
     }
     println!("  termination:");
-    let cert = idlog_core::analyze_termination_in(program.ast(), program.stratification().graph());
+    let cert = program.termination();
     if cert.bounded() {
         println!(
             "    certified bounded: derivation depth polynomial (degree <= {}) in EDB size",
             cert.degree()
         );
-    } else if cert.growth_witness().is_some() {
-        println!("    possibly diverging: value growth through arithmetic (see idlog lint, W020)");
     } else {
-        println!("    not certified (outside the analyzed fragment)");
+        println!("    possibly diverging: value growth through arithmetic (see idlog lint, W020)");
     }
     for name in &derived {
         let Some(id) = interner.get(name) else {
@@ -299,7 +297,7 @@ pub fn explain(
 
     // Determinism footer: which derived predicates are certified independent
     // of the chosen ID-function (the engine's enumeration fast path).
-    let taint = idlog_core::analyze_taint(program.ast());
+    let taint = program.taint();
     let mut derived: Vec<String> = program.idb().iter().map(|&p| interner.resolve(p)).collect();
     derived.sort();
     let certified: Vec<&String> = derived
@@ -324,15 +322,12 @@ pub fn explain(
     }
     // Termination footer: whether the run above was protected by an
     // automatic round ceiling derived from the certificate.
-    let cert = idlog_core::analyze_termination_in(program.ast(), program.stratification().graph());
-    if cert.bounded() {
-        match cert.round_bound(&db) {
-            Some(bound) => println!(
-                "-- termination: certified bounded; automatic round ceiling {bound} for this database"
-            ),
-            None => println!("-- termination: certified bounded"),
-        }
-    } else if cert.growth_witness().is_some() {
+    let cert = program.termination();
+    if let Some(bound) = cert.round_bound(&db) {
+        println!(
+            "-- termination: certified bounded; automatic round ceiling {bound} for this database"
+        );
+    } else {
         let unbounded: Vec<String> = cert
             .unbounded_predicates()
             .iter()
@@ -342,23 +337,13 @@ pub fn explain(
             "-- termination: possibly diverging (W020); unbounded: {}",
             unbounded.join(", ")
         );
-    } else {
-        println!("-- termination: not certified (outside the analyzed fragment)");
     }
     // Relevance footer: which query roots the goal-directed strategy
     // (`idlog run --strategy magic`) would accept, and why the rest refuse.
-    let bodies = program.ast().body_predicates();
-    let mut seen = std::collections::HashSet::new();
-    let mut lines: Vec<String> = Vec::new();
-    for clause in &program.ast().clauses {
-        for head in &clause.head {
-            let root = head.atom.pred.base();
-            if bodies.contains(&root) || !seen.insert(root) {
-                continue;
-            }
-            lines.push(idlog_core::analyze_relevance(&program, root).verdict(root, &interner));
-        }
-    }
+    let lines: Vec<String> = idlog_core::query_roots(&program)
+        .into_iter()
+        .map(|(root, _)| idlog_core::analyze_relevance(&program, root).verdict(root, &interner))
+        .collect();
     if !lines.is_empty() {
         println!("-- relevance (strategy=magic):");
         for line in lines {

@@ -226,9 +226,7 @@ impl Session {
         }
         let program = ValidatedProgram::parse(&self.rules.join("\n"), Arc::clone(&self.interner))
             .map_err(|e| e.to_string())?;
-        let taint = idlog_core::analyze_taint(program.ast());
-        let cert =
-            idlog_core::analyze_termination_in(program.ast(), program.stratification().graph());
+        let (taint, cert) = (program.taint(), program.termination());
         let mut derived: Vec<String> = program
             .idb()
             .iter()
@@ -252,36 +250,22 @@ impl Session {
             }
             text.push('\n');
         }
-        if cert.bounded() {
-            match cert.round_bound(&self.db) {
-                Some(b) => text.push_str(&format!(
-                    "termination: certified bounded; round ceiling {b} for the current facts"
-                )),
-                None => text.push_str("termination: certified bounded"),
-            }
-        } else if cert.growth_witness().is_some() {
-            text.push_str(
+        match cert.round_bound(&self.db) {
+            Some(b) => text.push_str(&format!(
+                "termination: certified bounded; round ceiling {b} for the current facts"
+            )),
+            None => text.push_str(
                 "termination: possibly diverging (run `idlog lint` for the W020 witness)",
-            );
-        } else {
-            text.push_str("termination: not certified (outside the analyzed fragment)");
+            ),
         }
         text.push('\n');
         // Relevance: would `:strategy magic` accept a query at each root?
-        let bodies = program.ast().body_predicates();
-        let mut seen = std::collections::HashSet::new();
-        for clause in &program.ast().clauses {
-            for head in &clause.head {
-                let root = head.atom.pred.base();
-                if bodies.contains(&root) || !seen.insert(root) {
-                    continue;
-                }
-                let analysis = idlog_core::analyze_relevance(&program, root);
-                text.push_str(&format!(
-                    "relevance: {}\n",
-                    analysis.verdict(root, &self.interner)
-                ));
-            }
+        for (root, _) in idlog_core::query_roots(&program) {
+            let analysis = idlog_core::analyze_relevance(&program, root);
+            text.push_str(&format!(
+                "relevance: {}\n",
+                analysis.verdict(root, &self.interner)
+            ));
         }
         Ok(Reply::Text(text.trim_end().to_string()))
     }
@@ -487,6 +471,22 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("reaches anc^bf"), "{out}");
+    }
+
+    #[test]
+    fn analyze_lists_query_roots_in_clause_order() {
+        // The fact interns `later` before any rule names `first`, so the
+        // roots' symbol order is the reverse of their clause order.
+        let out = drive(
+            "later(x).\ne(a).\n\
+             first(X) :- e(X).\n\
+             later(X) :- e(X).\n\
+             :analyze\n\
+             :quit\n",
+        );
+        let at = |line: &str| out.find(line).unwrap_or_else(|| panic!("{out}"));
+        let (first, later) = (at("relevance: first "), at("relevance: later "));
+        assert!(first < later, "{out}");
     }
 
     #[test]

@@ -198,12 +198,9 @@ fn seeded_samples_are_pinned_in_every_configuration() {
 /// under.
 const DIVERGING_ROUNDS: u64 = 50;
 
-/// A shipped program parsed for evaluation, with its termination
-/// certificate; `None` for DATALOG^C programs, which are translated, not
-/// run.
-fn corpus_program(
-    case: &idlog_suite::Case,
-) -> Option<(idlog_core::ValidatedProgram, idlog_core::TerminationCert)> {
+/// A shipped program parsed for evaluation; `None` for DATALOG^C
+/// programs, which are translated, not run.
+fn corpus_program(case: &idlog_suite::Case) -> Option<idlog_core::ValidatedProgram> {
     let src = std::fs::read_to_string(path(&case.program)).unwrap();
     let interner = std::sync::Arc::new(idlog_core::Interner::new());
     let options = idlog_analyze::Options {
@@ -213,9 +210,7 @@ fn corpus_program(
     if idlog_analyze::analyze(&src, &interner, &options).dialect == idlog_analyze::Dialect::Choice {
         return None;
     }
-    let program = idlog_core::ValidatedProgram::parse(&src, interner).unwrap();
-    let cert = idlog_core::analyze_termination(program.ast());
-    Some((program, cert))
+    Some(idlog_core::ValidatedProgram::parse(&src, interner).unwrap())
 }
 
 /// What `idlog run` prints for every derived predicate of a shipped
@@ -227,8 +222,8 @@ fn corpus_output(
     threads: usize,
     backend: idlog_core::BackendKind,
 ) -> Option<String> {
-    let (program, cert) = corpus_program(case)?;
-    let diverges = cert.growth_witness().is_some();
+    let program = corpus_program(case)?;
+    let diverges = program.termination().growth_witness().is_some();
     let mut outputs: Vec<String> = program
         .idb()
         .iter()
@@ -315,7 +310,7 @@ fn corpus_counters_agree_across_threads_and_backends() {
 
     let mut checked = 0;
     for case in idlog_suite::corpus(&programs_dir()).unwrap() {
-        let Some((program, cert)) = corpus_program(&case) else {
+        let Some(program) = corpus_program(&case) else {
             continue;
         };
         let mut db = idlog_core::Database::with_interner(program.interner().clone());
@@ -323,8 +318,8 @@ fn corpus_counters_agree_across_threads_and_backends() {
             idlog_core::load_facts(&std::fs::read_to_string(path(facts)).unwrap(), &mut db)
                 .unwrap();
         }
-        let diverges = cert.growth_witness().is_some();
-        let bound = cert.round_bound(&db);
+        let diverges = program.termination().growth_witness().is_some();
+        let bound = program.termination().round_bound(&db);
         let pinned = CORPUS_COUNTERS
             .iter()
             .find(|(p, ..)| *p == case.program)
@@ -382,10 +377,10 @@ fn shipped_programs_equal_the_reference_model() {
 
     let mut checked = 0;
     for case in idlog_suite::corpus(&programs_dir()).unwrap() {
-        let Some((program, cert)) = corpus_program(&case) else {
+        let Some(program) = corpus_program(&case) else {
             continue;
         };
-        if cert.growth_witness().is_some() {
+        if program.termination().growth_witness().is_some() {
             continue;
         }
         let facts = case
@@ -448,4 +443,57 @@ fn check_prints_its_golden_report_for_every_shipped_program() {
             .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
         assert_eq!(printed, golden, "idlog check {name}");
     }
+}
+
+/// `idlog explain --analyze` on every shipped program that reaches its
+/// fixpoint, over its `.facts` sidecar, ends in the footer pinned in
+/// `programs/golden/<stem>.footer`: the determinism certificates, the
+/// termination verdict with its automatic round ceiling, and the relevance
+/// verdict of each query root in first-defining-clause order. The DATALOG^C
+/// program is rejected by `explain`, and the diverging one never finishes
+/// (`explain` takes no round ceiling), so neither has a footer. Regenerate
+/// after an intentional change with
+/// `UPDATE_GOLDEN=1 cargo test -p idlog-cli --test programs`.
+#[test]
+fn explain_analyze_prints_its_golden_footer_for_every_shipped_program() {
+    let root = programs_dir().join("..");
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let mut checked = 0;
+    for case in idlog_suite::corpus(&programs_dir()).unwrap() {
+        let stem = case.program.trim_end_matches(".idl");
+        let golden_path = programs_dir().join("golden").join(format!("{stem}.footer"));
+        let terminates = corpus_program(&case).is_some_and(|p| p.termination().bounded());
+        if !terminates {
+            assert!(!golden_path.exists(), "{stem}: footer without a run");
+            continue;
+        }
+        let mut args = vec![
+            "explain".to_string(),
+            format!("programs/{}", case.program),
+            "--analyze".to_string(),
+        ];
+        if let Some(facts) = &case.facts {
+            args.extend(["--facts".to_string(), format!("programs/{facts}")]);
+        }
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_idlog"))
+            .current_dir(&root)
+            .args(&args)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "idlog {args:?}: {out:?}");
+        let printed = String::from_utf8(out.stdout).unwrap();
+        let start = printed
+            .find("-- determinism")
+            .unwrap_or_else(|| panic!("{stem}: no footer in\n{printed}"));
+        let footer = &printed[start..];
+        if update {
+            std::fs::write(&golden_path, footer).unwrap();
+            continue;
+        }
+        let golden = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+        assert_eq!(footer, golden, "idlog {args:?}");
+        checked += 1;
+    }
+    assert!(update || checked >= 7, "corpus shrank: {checked} footers");
 }

@@ -19,7 +19,9 @@
 //!    arities, grouping, sort inference ([`sorts`]), safety ([`safety`]) and
 //!    stratification ([`stratify`]; negation **and** ID-literal edges must
 //!    not be cyclic). [`program::ValidatedProgram::new`] reports its first
-//!    violation, `idlog lint` all of them;
+//!    violation, `idlog lint` all of them. A validated program holds its
+//!    analyses, each computed once: tid bounds ([`tidbound`]), determinism
+//!    ([`taint`]) and termination ([`termination`]);
 //! 2. [`stratify`] — the dependency graph and the strata evaluation runs in;
 //! 3. [`plan`] — each clause becomes an ordered sequence of join steps;
 //! 4. [`eval`] — semi-naive evaluation per stratum, materializing
@@ -67,7 +69,7 @@ pub use profile::{Profile, RuleTotals, PROFILE_JSON_SCHEMA};
 pub use program::ValidatedProgram;
 pub use query::{EvalResult, Query, Session};
 pub use relevance::{
-    analyze_relevance, magic_program, magic_tuples_pruned, pattern_string, AdornedPred,
+    analyze_relevance, magic_tuples_pruned, pattern_string, query_roots, AdornedPred,
     RelevanceAnalysis, RelevanceRefusal, RelevanceStep, MAGIC_PREFIX,
 };
 pub use service::{
@@ -75,10 +77,9 @@ pub use service::{
     SERVICE_SCHEMA, SUPPORTED_SCHEMAS,
 };
 pub use stats::EvalStats;
-pub use taint::{analyze_taint, choice_free_occurrence, TaintAnalysis, TaintStep};
+pub use taint::{choice_free_occurrence, TaintAnalysis, TaintStep};
 pub use termination::{
-    analyze_termination, analyze_termination_in, FlowEdge, FlowNode, RecursionKind, SccSummary,
-    TerminationCert, UnboundedIdSite,
+    FlowEdge, FlowNode, RecursionKind, SccSummary, TerminationCert, UnboundedIdSite,
 };
 pub use tid::{CanonicalOracle, ExplicitOracle, SeededOracle, TidOracle};
 

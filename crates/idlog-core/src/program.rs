@@ -4,6 +4,12 @@
 //! It never stops at the first failure: it returns every [`Violation`] at
 //! its site, each with one headline. [`ValidatedProgram::new`] turns the
 //! first into a [`CoreError`]; `idlog lint` renders them all with spans.
+//!
+//! A [`ValidatedProgram`] also holds what the analyses certify about it,
+//! each computed once when it is built: the tid bounds, the ID-taint
+//! analysis and the termination certificate. Every consumer — the engine,
+//! `idlog lint`, `idlog check`, `explain --analyze`, the REPL and the
+//! optimizer — reads these, so no analysis runs on an unvalidated program.
 
 use std::sync::Arc;
 
@@ -15,6 +21,8 @@ use crate::plan::RulePlan;
 use crate::safety::{analyze_clause, ClauseOrder, SafetyViolation};
 use crate::sorts::{infer_collect, SortConflict, SortMap};
 use crate::stratify::{cycle_names, unstratifiable, DepEdge, DepGraph, Stratification};
+use crate::taint::{analyze_taint, TaintAnalysis};
+use crate::termination::{analyze_termination, TerminationCert};
 use crate::tidbound::{tid_bounds_ast, TidBounds};
 
 /// One occurrence in a clause, by index: `Head(clause, atom)` or
@@ -292,7 +300,7 @@ pub fn check(program: &Program, interner: &Interner) -> Checked {
 /// A validated IDLOG program: [`check`] found no violation. Arities are
 /// consistent, heads are single positive ordinary atoms, sorts are
 /// inferred, every clause has a safe evaluation order, and the program
-/// stratifies.
+/// stratifies. It carries its analyses, each computed once.
 #[derive(Debug, Clone)]
 pub struct ValidatedProgram {
     interner: Arc<Interner>,
@@ -304,6 +312,10 @@ pub struct ValidatedProgram {
     inputs: FxHashSet<SymbolId>,
     id_uses: FxHashSet<(SymbolId, Vec<usize>)>,
     tid_bounds: TidBounds,
+    // Shared, so that cloning a program (a served query per request) does
+    // not copy its analyses.
+    taint: Arc<TaintAnalysis>,
+    termination: Arc<TerminationCert>,
     strat: Stratification,
     plans: Arc<Vec<RulePlan>>,
 }
@@ -336,6 +348,7 @@ impl ValidatedProgram {
         let idb = ast.head_predicates();
         let inputs = ast.input_predicates();
         let tid_bounds = tid_bounds_ast(&ast);
+        let taint = Arc::new(analyze_taint(&ast));
         let mut vp = ValidatedProgram {
             interner,
             ast,
@@ -346,9 +359,12 @@ impl ValidatedProgram {
             inputs,
             id_uses: checked.id_uses,
             tid_bounds,
+            taint,
+            termination: Arc::default(),
             strat,
             plans: Arc::new(Vec::new()),
         };
+        vp.termination = Arc::new(analyze_termination(&vp));
         let plans = crate::plan::compile(&vp)?;
         vp.plans = Arc::new(plans);
         Ok(vp)
@@ -425,6 +441,20 @@ impl ValidatedProgram {
     /// prints the bound — all from this one analysis.
     pub fn tid_bounds(&self) -> &TidBounds {
         &self.tid_bounds
+    }
+
+    /// The ID-taint analysis ([`crate::taint`]): which predicates are
+    /// certified identical under every ID-function, and which columns can
+    /// carry tid-derived values.
+    pub fn taint(&self) -> &TaintAnalysis {
+        &self.taint
+    }
+
+    /// The termination certificate ([`crate::termination`]): recursion
+    /// classes, a growth witness when one exists, and the per-database
+    /// round bound of a certified program.
+    pub fn termination(&self) -> &TerminationCert {
+        &self.termination
     }
 
     /// The (cached) stratification.

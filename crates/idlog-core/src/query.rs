@@ -49,29 +49,15 @@ pub struct Query {
     /// The full validated program.
     program: ValidatedProgram,
     /// The portion related to `output` (the paper's `P/q`) — what actually
-    /// gets evaluated.
+    /// gets evaluated. It holds its own taint analysis and termination
+    /// certificate, which the sessions read.
     related: ValidatedProgram,
     output: String,
-    /// Whether the ID-taint analysis ([`crate::taint`]) certifies the
-    /// output ID-function-independent over `related`. Computed once at
-    /// construction; lets [`Session::all_answers`] skip enumeration.
-    deterministic: bool,
-    /// The termination certificate ([`crate::termination`]) over `related`.
-    /// Computed once at construction; a certified depth bound becomes an
-    /// automatic `max_rounds` ceiling on every evaluation, so even a buggy
-    /// certificate trips deterministically instead of hanging.
-    termination: crate::termination::TerminationCert,
     /// The goal-directed relevance analysis ([`crate::relevance`]) over
-    /// `related`, rooted at the output predicate. Computed once at
-    /// construction, mirroring the taint and termination certs.
+    /// `related`, rooted at the output predicate, with the validated
+    /// magic-sets rewrite that [`Strategy::Magic`] sessions evaluate
+    /// instead of `related`. Computed once at construction.
     relevance: crate::relevance::RelevanceAnalysis,
-    /// The validated magic-sets rewrite of `related`, present iff the
-    /// relevance analysis certified it. [`Strategy::Magic`] sessions
-    /// evaluate this program instead of `related`.
-    magic: Option<ValidatedProgram>,
-    /// The termination certificate of the magic program (its round
-    /// structure differs from `related`'s, so it gets its own bound).
-    magic_termination: Option<crate::termination::TerminationCert>,
 }
 
 /// The outcome of one [`Session::run`]: the output relation, the
@@ -196,7 +182,7 @@ impl<'q, 'd> Session<'q, 'd> {
         if let Some(answers) = query.edb_answer(self.db) {
             return Ok(answers);
         }
-        if self.options.det_fastpath && query.deterministic {
+        if self.options.det_fastpath && query.certified_deterministic() {
             // A stop mid-evaluation yields no complete perfect model, so the
             // partial relation is *not* an answer — report an empty,
             // stopped set instead.
@@ -232,7 +218,7 @@ impl<'q, 'd> Session<'q, 'd> {
         // The enumeration walk ignores the fixpoint strategy, so an
         // uncertified magic request must refuse here too (with the same
         // witness) instead of silently evaluating the full program.
-        if self.options.strategy == Strategy::Magic && query.magic.is_none() {
+        if self.options.strategy == Strategy::Magic && query.magic_plan().is_none() {
             return Err(query.magic_refusal_error());
         }
         enumerate_governed(
@@ -275,33 +261,17 @@ impl Query {
             });
         };
         let related = program.restrict_to(output_id)?;
-        let deterministic = crate::taint::analyze_taint(related.ast()).deterministic(output_id);
-        let termination = crate::termination::analyze_termination_in(
-            related.ast(),
-            related.stratification().graph(),
-        );
-        let (relevance, magic) = if related.arity(output_id).is_some() {
-            let relevance = crate::relevance::analyze_relevance(&related, output_id);
-            let magic = crate::relevance::magic_program(&related, output_id, &relevance)
-                .and_then(|ast| ValidatedProgram::new(ast, Arc::clone(program.interner())).ok());
-            (relevance, magic)
+        let relevance = if related.arity(output_id).is_some() {
+            crate::relevance::analyze_relevance(&related, output_id)
         } else {
-            // Output is an input predicate: the identity query, nothing to
-            // adorn or rewrite.
-            (crate::relevance::RelevanceAnalysis::default(), None)
+            // Output is an input predicate: the identity query.
+            crate::relevance::RelevanceAnalysis::default()
         };
-        let magic_termination = magic.as_ref().map(|m| {
-            crate::termination::analyze_termination_in(m.ast(), m.stratification().graph())
-        });
         Ok(Query {
             program,
             related,
             output: output.to_string(),
-            deterministic,
-            termination,
             relevance,
-            magic,
-            magic_termination,
         })
     }
 
@@ -313,7 +283,8 @@ impl Query {
     /// evaluation instead of enumerating ID-functions (unless
     /// [`EvalOptions::det_fastpath`] is off).
     pub fn certified_deterministic(&self) -> bool {
-        self.deterministic
+        let output = self.program.interner().get(&self.output);
+        output.is_some_and(|id| self.related.taint().deterministic(id))
     }
 
     /// The termination certificate for the related portion `P/q`. When it
@@ -322,13 +293,13 @@ impl Query {
     /// [round bound](crate::TerminationCert::round_bound) as a `max_rounds`
     /// ceiling (tightening, never loosening, caller-set limits).
     pub fn termination_cert(&self) -> &crate::termination::TerminationCert {
-        &self.termination
+        self.related.termination()
     }
 
     /// The goal-directed relevance analysis over `P/q`, rooted at the
     /// output predicate (see [`crate::relevance`]). Certification means a
     /// [`Strategy::Magic`] session is semantics-preserving; a refusal
-    /// carries the witness walk every magic session will report.
+    /// carries the reason every magic session will report.
     pub fn relevance(&self) -> &crate::relevance::RelevanceAnalysis {
         &self.relevance
     }
@@ -336,12 +307,12 @@ impl Query {
     /// True when [`Strategy::Magic`] sessions will run the magic-sets
     /// rewrite instead of refusing.
     pub fn magic_certified(&self) -> bool {
-        self.magic.is_some()
+        self.magic_plan().is_some()
     }
 
     /// The validated magic-sets rewrite of `P/q`, when certified.
     pub fn magic_plan(&self) -> Option<&ValidatedProgram> {
-        self.magic.as_ref()
+        self.relevance.magic()
     }
 
     /// The output predicate name.
@@ -413,7 +384,7 @@ impl Query {
         // correct cert never trips it (the bound over-approximates), and a
         // buggy one trips deterministically instead of hanging.
         let mut options = *options;
-        if let Some(bound) = self.termination.round_bound(db) {
+        if let Some(bound) = self.related.termination().round_bound(db) {
             options.limits = options.limits.tighten_rounds(bound);
         }
         let mut out = evaluate_governed(&self.related, db, oracle, &options, cancel)?;
@@ -438,15 +409,13 @@ impl Query {
         options: &EvalOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<EvalResult, EvalError> {
-        let Some(magic) = &self.magic else {
+        let Some(magic) = self.magic_plan() else {
             return Err(EvalError::Core(self.magic_refusal_error()));
         };
+        // The rewrite's round structure differs from `related`'s, so it
+        // runs under its own certificate's bound.
         let mut options = *options;
-        if let Some(bound) = self
-            .magic_termination
-            .as_ref()
-            .and_then(|t| t.round_bound(db))
-        {
+        if let Some(bound) = magic.termination().round_bound(db) {
             options.limits = options.limits.tighten_rounds(bound);
         }
         let mut out = evaluate_governed(magic, db, oracle, &options, cancel)?;
@@ -467,17 +436,19 @@ impl Query {
     }
 
     /// The [`CoreError`] explaining why `strategy=magic` is refused for
-    /// this query. Every refusal carries the relevance witness walk; the
-    /// only witnessless case is a rewrite that failed revalidation (which
-    /// the analysis should prevent — kept as a defensive fallback).
+    /// this query: the relevance witness walk to a choice site, or the
+    /// validator's error on the rewrite.
     pub(crate) fn magic_refusal_error(&self) -> CoreError {
-        let message = match self.relevance.refusal() {
-            Some(r) => format!(
+        let message = match (self.relevance.refusal(), self.relevance.rewrite_error()) {
+            (Some(r), _) => format!(
                 "strategy=magic refused: the related region contains a choice site; \
                  witness: {}",
                 r.render(self.program.interner())
             ),
-            None => "strategy=magic is unavailable for this query".to_string(),
+            (None, Some(e)) => {
+                format!("strategy=magic refused: the magic rewrite is not a valid program: {e}")
+            }
+            (None, None) => unreachable!("an identity query never reaches the magic path"),
         };
         CoreError::Validation {
             clause: None,
@@ -811,6 +782,38 @@ mod tests {
                 assert!(message.contains("witness"), "{message}");
             }
             other => panic!("expected Validation refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn magic_strategy_refused_when_the_rewrite_does_not_stratify() {
+        // Choice-free, but the magic rule for `t__bf` reads `h__bf`, which
+        // reads `not r`, which reads `t__bf`.
+        let q = Query::parse(
+            "t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), e(Z, Y). r(X) :- t(a, X).
+             h(X, Y) :- e(X, Y), not r(Y). h(X, Y) :- h(X, Z), t(Z, Y).
+             q(Y) :- h(c, Y).",
+            "q",
+        )
+        .unwrap();
+        assert!(!q.magic_certified());
+        assert!(q.relevance().refusal().is_none(), "no choice site");
+        assert!(!q.relevance().is_point_query());
+        let db = q.new_database();
+        let cycle = "program is not stratifiable: cycle r -> h__bf -> magic_t__bf -> t__bf -> r";
+        for err in [
+            q.session(&db).strategy(Strategy::Magic).run().unwrap_err(),
+            q.session(&db)
+                .options(
+                    EvalOptions::new()
+                        .strategy(Strategy::Magic)
+                        .det_fastpath(false),
+                )
+                .all_answers()
+                .unwrap_err(),
+        ] {
+            let message = err.to_string();
+            assert!(message.contains(cycle), "{message}");
         }
     }
 

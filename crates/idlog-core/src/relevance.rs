@@ -18,15 +18,24 @@
 //! nothing bound on entry, and binding the head only adds bindings, so no
 //! goal of a valid program flounders.
 //!
-//! The analysis *certifies* the query unless the reachable region contains
-//! an ID-literal — a choice site: magic guards would prune the base
-//! relation under a group-wise tid assignment, duplicating or splitting a
-//! choice point. It then *refuses* with a span-addressable witness walk
+//! The analysis *refuses* a query whose reachable region contains an
+//! ID-literal — a choice site: magic guards would prune the base relation
+//! under a group-wise tid assignment, duplicating or splitting a choice
+//! point. The refusal carries a span-addressable witness walk
 //! ([`RelevanceStep::Choice`], surfaced as lint `W031`, mirroring the
 //! [`crate::taint`] witnesses).
 //!
-//! On a certificate, [`magic_program`] is a pure `Program → Program`
-//! rewrite: adorned predicates with bound positions are renamed (`p__bf`),
+//! Without a choice site, the analysis builds the magic-sets rewrite and
+//! validates it; the query is *certified* when the rewrite is a valid
+//! program ([`RelevanceAnalysis::magic`]). Otherwise the validator's error
+//! is the refusal ([`RelevanceAnalysis::rewrite_error`]): a magic rule reads
+//! the prefix its safe order runs first, so a guard can close a cycle
+//! through a negation the original program keeps outside its recursion.
+//! `idlog lint`, the `explain --analyze` footer, the REPL and
+//! [`crate::Query`] all read this one result.
+//!
+//! The rewrite is a pure `Program → Program` transformation: adorned
+//! predicates with bound positions are renamed (`p__bf`),
 //! their clauses guarded by `magic_p__bf(bound args)`, and magic rules are
 //! derived from prefixes of the safe order — with the query's own constants
 //! degenerating into magic *seed facts*. Predicates only ever needed in
@@ -38,10 +47,11 @@ use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Value};
 use idlog_parser::{Atom, Clause, Literal, Program, Term};
 use idlog_storage::Database;
 
+use crate::error::CoreError;
 use crate::eval::EvalOutput;
 use crate::program::ValidatedProgram;
 
-/// Name prefix of the guard predicates introduced by [`magic_program`].
+/// Name prefix of the guard predicates the magic rewrite introduces.
 pub const MAGIC_PREFIX: &str = "magic_";
 
 /// A predicate together with one reachable binding pattern (`true` =
@@ -149,7 +159,9 @@ impl RelevanceRefusal {
     }
 }
 
-/// The result of the binding-pattern dataflow for one query root.
+/// The result of the binding-pattern dataflow for one query root, with
+/// the magic rewrite it yields. The default is the identity query's: an
+/// output no clause defines has nothing to adorn or rewrite.
 #[derive(Debug, Clone, Default)]
 pub struct RelevanceAnalysis {
     /// Reachable adorned predicates with at least one bound position, in
@@ -161,15 +173,18 @@ pub struct RelevanceAnalysis {
     /// IDB predicates reachable from the root (denominator of
     /// [`RelevanceAnalysis::pruned_fraction`]).
     related_idb: usize,
-    /// The refusal, when the analysis could not certify.
+    /// The choice site the reachable region contains, if any.
     refusal: Option<RelevanceRefusal>,
+    /// Without a choice site: the validated magic rewrite, or the
+    /// validator's error on it.
+    rewrite: Option<Result<ValidatedProgram, CoreError>>,
 }
 
 impl RelevanceAnalysis {
-    /// True when the reachable region is choice-free: [`magic_program`] is
-    /// semantics-preserving.
+    /// True when the reachable region is choice-free and its magic rewrite
+    /// is a valid program: `--strategy magic` runs [`Self::magic`].
     pub fn certified(&self) -> bool {
-        self.refusal.is_none()
+        self.magic().is_some()
     }
 
     /// True when this is a certified *point query*: at least one reachable
@@ -178,9 +193,20 @@ impl RelevanceAnalysis {
         self.certified() && !self.adorned.is_empty()
     }
 
-    /// The refusal witness, when not certified.
+    /// The choice-site witness, when the reachable region has one.
     pub fn refusal(&self) -> Option<&RelevanceRefusal> {
         self.refusal.as_ref()
+    }
+
+    /// The validated magic-sets rewrite, when certified.
+    pub fn magic(&self) -> Option<&ValidatedProgram> {
+        self.rewrite.as_ref()?.as_ref().ok()
+    }
+
+    /// Why the rewrite of a choice-free region is not a valid program
+    /// (for instance, the stratifier's cycle through a magic predicate).
+    pub fn rewrite_error(&self) -> Option<&CoreError> {
+        self.rewrite.as_ref()?.as_ref().err()
     }
 
     /// Reachable adorned predicates with at least one bound position.
@@ -213,8 +239,11 @@ impl RelevanceAnalysis {
     /// `--strategy magic` prune, and if not, why.
     pub fn verdict(&self, root: SymbolId, interner: &Interner) -> String {
         let name = interner.resolve(root);
-        if !self.certified() {
+        if self.refusal.is_some() {
             return format!("{name} refuses magic: blocked by a choice site (W031)");
+        }
+        if let Some(e) = self.rewrite_error() {
+            return format!("{name} refuses magic: the rewrite is not a valid program ({e})");
         }
         if !self.is_point_query() {
             return format!(
@@ -315,9 +344,26 @@ fn clauses_by_head(program: &ValidatedProgram) -> FxHashMap<SymbolId, Vec<usize>
     clauses_of
 }
 
+/// The program's query roots — the sinks of its dependency graph, heads no
+/// body reads — each with its first defining clause, in clause order.
+pub fn query_roots(program: &ValidatedProgram) -> Vec<(SymbolId, usize)> {
+    // The sinks are in interning order, which an interner shared with
+    // earlier programs or facts can make differ from clause order.
+    let sinks = program.stratification().graph().sinks();
+    let mut roots: Vec<(SymbolId, usize)> = Vec::new();
+    for (ci, clause) in program.ast().clauses.iter().enumerate() {
+        let head = clause.single_head().pred.base();
+        if sinks.binary_search(&head).is_ok() && roots.iter().all(|&(r, _)| r != head) {
+            roots.push((head, ci));
+        }
+    }
+    roots
+}
+
 /// Compute the reachable adorned predicates of `program` for a query on
 /// `root` with all output positions free (boundness originates from the
-/// constants in clause bodies), under the planner's SIPS.
+/// constants in clause bodies), under the planner's SIPS; without a choice
+/// site, build the magic rewrite and validate it.
 ///
 /// The walk is a BFS over `(predicate, pattern)` tasks, so both the
 /// discovery order and the refusal witness are deterministic.
@@ -401,6 +447,11 @@ pub fn analyze_relevance(program: &ValidatedProgram, root: SymbolId) -> Relevanc
         }
     }
     analysis.related_idb = reachable_idb.len();
+    let magic = magic_program(program, root, &analysis);
+    analysis.rewrite = Some(ValidatedProgram::new(
+        magic,
+        std::sync::Arc::clone(program.interner()),
+    ));
     analysis
 }
 
@@ -423,9 +474,8 @@ fn magic_symbol(interner: &Interner, pred: SymbolId, pattern: &[bool]) -> Symbol
     ))
 }
 
-/// Apply the magic-sets transformation for a query on `root`, guided by a
-/// certified `analysis` (returns `None` on a refusal — callers surface the
-/// witness instead of rewriting).
+/// Apply the magic-sets transformation for a query on `root`, guided by
+/// the choice-free `analysis`.
 ///
 /// The rewrite is pure `Program → Program`: for every reachable
 /// `(predicate, pattern)` pair with bound positions, each clause of the
@@ -439,14 +489,11 @@ fn magic_symbol(interner: &Interner, pred: SymbolId, pattern: &[bool]) -> Symbol
 /// a bound occurrence in a prefix with no guard and no preceding literals
 /// degenerates into a magic **seed fact** over the query constants. EDB
 /// literals are never renamed or guarded.
-pub fn magic_program(
+fn magic_program(
     program: &ValidatedProgram,
     root: SymbolId,
     analysis: &RelevanceAnalysis,
-) -> Option<Program> {
-    if !analysis.certified() {
-        return None;
-    }
+) -> Program {
     let interner = program.interner();
     let clauses_of = clauses_by_head(program);
     let arity = |pred: SymbolId| program.arity(pred).unwrap_or(0);
@@ -484,7 +531,10 @@ pub fn magic_program(
         for &ci in clauses {
             let clause = &program.ast().clauses[ci];
             let walk = walk_clause(program, ci, pattern);
-            debug_assert!(walk.choice.is_none(), "rewrite requires a certificate");
+            debug_assert!(
+                walk.choice.is_none(),
+                "the rewrite needs a choice-free region"
+            );
             let adorned_at: FxHashMap<usize, &Occurrence> =
                 walk.occurrences.iter().map(|o| (o.literal, o)).collect();
             // Transformed body: bound positive IDB occurrences renamed.
@@ -549,7 +599,7 @@ pub fn magic_program(
         }
     }
     let clauses: Vec<Clause> = seeds.into_iter().chain(rules).collect();
-    Some(Program { clauses })
+    Program { clauses }
 }
 
 /// The *tuples pruned* metric of one magic evaluation: for every EDB atom
@@ -693,8 +743,7 @@ mod tests {
     fn certified_adornments(src: &str, root: &str) -> Vec<String> {
         let (a, program) = analyzed(src, root);
         assert!(a.is_point_query(), "{src}");
-        let magic = magic_program(&program, program.interner().intern(root), &a).unwrap();
-        ValidatedProgram::new(magic, Arc::clone(program.interner())).expect("rewrite revalidates");
+        assert!(a.magic().is_some(), "the rewrite revalidates: {src}");
         a.adorned()
             .iter()
             .map(|p| p.display(program.interner()))
@@ -748,8 +797,8 @@ mod tests {
     fn magic_rewrite_has_seed_guard_and_magic_rule() {
         let (a, program) = analyzed(ANCESTOR, "query");
         let interner = program.interner();
-        let magic = magic_program(&program, interner.intern("query"), &a).expect("certified");
-        let rendered = format!("{}", magic.display(interner));
+        let magic = a.magic().expect("certified");
+        let rendered = format!("{}", magic.ast().display(interner));
         // Seed fact from the query constant.
         assert!(rendered.contains("magic_ancestor__bf(ann)."), "{rendered}");
         // Guarded adorned clauses.
@@ -774,16 +823,19 @@ mod tests {
     #[test]
     fn magic_rewrite_refused_without_certificate() {
         let src = "picked(X) :- pool[](X, 0). q(X) :- picked(X).";
-        let (a, program) = analyzed(src, "q");
-        assert!(magic_program(&program, program.interner().intern("q"), &a).is_none());
+        let (a, _) = analyzed(src, "q");
+        assert!(a.magic().is_none());
+        assert!(
+            a.rewrite_error().is_none(),
+            "a choice site refuses before any rewrite"
+        );
     }
 
     #[test]
     fn magic_program_validates_and_agrees_with_direct() {
         let (a, direct) = analyzed(ANCESTOR, "query");
         let interner = Arc::clone(direct.interner());
-        let magic = magic_program(&direct, interner.intern("query"), &a).unwrap();
-        let magicked = ValidatedProgram::new(magic, Arc::clone(&interner)).unwrap();
+        let magicked = a.magic().expect("the rewrite validates");
 
         let mut db = idlog_storage::Database::with_interner(Arc::clone(&interner));
         for (x, y) in [
@@ -800,7 +852,7 @@ mod tests {
             crate::eval::evaluate_with_options(&direct, &db, &mut crate::CanonicalOracle, &opts)
                 .unwrap();
         let m =
-            crate::eval::evaluate_with_options(&magicked, &db, &mut crate::CanonicalOracle, &opts)
+            crate::eval::evaluate_with_options(magicked, &db, &mut crate::CanonicalOracle, &opts)
                 .unwrap();
         let dr = d.relation("query").unwrap();
         let mr = m.relation("query").unwrap();
@@ -815,7 +867,7 @@ mod tests {
             d.stats().inserted
         );
         // And the pruned metric sees the irrelevant parent tuples.
-        let pruned = magic_tuples_pruned(&magicked, &db, &m);
+        let pruned = magic_tuples_pruned(magicked, &db, &m);
         assert!(pruned > 0, "expected pruned EDB tuples");
     }
 
@@ -832,8 +884,8 @@ mod tests {
         assert!(a.certified());
         assert!(!a.is_point_query());
         let interner = program.interner();
-        let magic = magic_program(&program, interner.intern("q"), &a).unwrap();
-        let rendered = format!("{}", magic.display(interner));
+        let magic = a.magic().expect("certified");
+        let rendered = format!("{}", magic.ast().display(interner));
         assert!(!rendered.contains("magic_"), "{rendered}");
     }
 }

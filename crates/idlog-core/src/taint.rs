@@ -11,9 +11,9 @@
 //!
 //! * **membership taint** — the set of tuples derivable for a predicate can
 //!   vary with the chosen ID-function. A head is tainted when its clause
-//!   reads a tainted predicate, contains an ID-literal occurrence that is
-//!   not *choice-free* (see [`choice_free_occurrence`]), or uses the
-//!   `choice`/`!` constructs of the emulated languages.
+//!   reads a tainted predicate or contains an ID-literal occurrence that is
+//!   not *choice-free* (see [`choice_free_occurrence`]). A valid program
+//!   has no other source of choice: validation rejects `choice` and `!`.
 //! * **column (value) taint** — a column can carry a tid-derived value even
 //!   when reaching the clause at all is deterministic. Tracked per
 //!   `(predicate, column)` and propagated through joins and `=` builtins;
@@ -24,6 +24,11 @@
 //! Certification (`deterministic(p)`) is the complement of membership
 //! taint, and every taint carries a [`TaintStep`] witness so diagnostics
 //! can show a concrete derivation path to the offending literal.
+//!
+//! The analysis is a fact of a valid program: each
+//! [`crate::ValidatedProgram`] runs it once and holds the result
+//! ([`crate::ValidatedProgram::taint`]), which the engine's enumeration fast
+//! path, `idlog lint`'s W010/W011, `idlog check` and the optimizer all read.
 
 use idlog_common::{FxHashMap, FxHashSet, SymbolId};
 use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
@@ -35,8 +40,7 @@ use crate::tidbound::tid_use;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintStep {
     /// The literal at `(clause, literal)` introduces a choice directly: an
-    /// ID-literal whose enumerated bindings vary across ID-functions, or a
-    /// `choice`/`!` construct.
+    /// ID-literal whose enumerated bindings vary across ID-functions.
     Choice {
         /// Clause index in the program.
         clause: usize,
@@ -114,28 +118,27 @@ impl TaintAnalysis {
     }
 }
 
-/// Run the ID-taint fixpoint over `program`. Works on the surface AST so
-/// the analyzer can run it on programs that fail later validation stages.
-pub fn analyze_taint(program: &Program) -> TaintAnalysis {
+/// Run the ID-taint fixpoint over the clauses of a validated program;
+/// [`crate::ValidatedProgram::taint`] holds the result.
+pub(crate) fn analyze_taint(program: &Program) -> TaintAnalysis {
     let mut t = TaintAnalysis::default();
     loop {
         let mut changed = false;
         for (ci, clause) in program.clauses.iter().enumerate() {
             let step = clause_taint_step(clause, ci, &t);
             let vars = value_tainted_vars(clause, &t.tainted_cols);
-            for h in &clause.head {
-                let head = h.atom.pred.base();
-                if let Some(step) = step {
-                    if let std::collections::hash_map::Entry::Vacant(e) = t.tainted.entry(head) {
-                        e.insert(step);
-                        changed = true;
-                    }
+            let h = clause.single_head();
+            let head = h.pred.base();
+            if let Some(step) = step {
+                if let std::collections::hash_map::Entry::Vacant(e) = t.tainted.entry(head) {
+                    e.insert(step);
+                    changed = true;
                 }
-                for (pos, term) in h.atom.terms.iter().enumerate() {
-                    if let Term::Var(v) = term {
-                        if vars.contains(v.as_str()) {
-                            changed |= t.tainted_cols.insert((head, pos));
-                        }
+            }
+            for (pos, term) in h.terms.iter().enumerate() {
+                if let Term::Var(v) = term {
+                    if vars.contains(v.as_str()) {
+                        changed |= t.tainted_cols.insert((head, pos));
                     }
                 }
             }
@@ -146,37 +149,24 @@ pub fn analyze_taint(program: &Program) -> TaintAnalysis {
     }
 }
 
-/// Why `clause` membership-taints its head(s), if it does: the first body
+/// Why `clause` membership-taints its head, if it does: the first body
 /// literal that reads a tainted predicate or introduces a choice.
 fn clause_taint_step(clause: &Clause, ci: usize, t: &TaintAnalysis) -> Option<TaintStep> {
     for (li, lit) in clause.body.iter().enumerate() {
-        match lit {
-            Literal::Pos(a) | Literal::Neg(a) => {
-                let base = a.pred.base();
-                if !t.deterministic(base) {
-                    return Some(TaintStep::Via {
-                        clause: ci,
-                        literal: li,
-                        from: base,
-                    });
-                }
-                if a.pred.is_id_version() && !choice_free_occurrence(clause, li) {
-                    return Some(TaintStep::Choice {
-                        clause: ci,
-                        literal: li,
-                    });
-                }
-            }
-            // `choice((X̄),(Ȳ))` picks one Ȳ per X̄; `!` commits to the
-            // first solution of a search order: both inherently
-            // non-deterministic.
-            Literal::Choice { .. } | Literal::Cut => {
-                return Some(TaintStep::Choice {
-                    clause: ci,
-                    literal: li,
-                });
-            }
-            Literal::Builtin { .. } => {}
+        let Some(a) = lit.atom() else { continue };
+        let base = a.pred.base();
+        if !t.deterministic(base) {
+            return Some(TaintStep::Via {
+                clause: ci,
+                literal: li,
+                from: base,
+            });
+        }
+        if a.pred.is_id_version() && !choice_free_occurrence(clause, li) {
+            return Some(TaintStep::Choice {
+                clause: ci,
+                literal: li,
+            });
         }
     }
     None
@@ -338,12 +328,12 @@ mod tests {
     use std::sync::Arc;
 
     use idlog_common::Interner;
-    use idlog_parser::parse_program;
 
     fn taints(src: &str) -> (TaintAnalysis, Arc<Interner>) {
         let interner = Arc::new(Interner::new());
-        let program = parse_program(src, &interner).expect("test program parses");
-        (analyze_taint(&program), interner)
+        let program = crate::ValidatedProgram::parse(src, Arc::clone(&interner))
+            .expect("test program validates");
+        (program.taint().clone(), interner)
     }
 
     fn det(src: &str, pred: &str) -> bool {
@@ -358,8 +348,6 @@ mod tests {
         // constants (group-size tests).
         assert!(det("has_two(D) :- emp[2](N, D, T), T = 1.", "has_two"));
         assert!(det("big(D) :- emp[2](N, D, T), T > 2.", "big"));
-        // A symbolic tid never matches: vacuously deterministic.
-        assert!(det("none(D) :- emp[2](N, D, a).", "none"));
     }
 
     #[test]
@@ -371,7 +359,7 @@ mod tests {
         // A constant at a non-grouping position observes the assignment.
         assert!(!det("q(D) :- emp[2](ann, D, 0).", "q"));
         // The member variable repeated inside the atom observes it too.
-        assert!(!det("q(D) :- emp[2](N, N, 0).", "q"));
+        assert!(!det("q :- emp[2](N, N, 0).", "q"));
     }
 
     #[test]
@@ -430,8 +418,18 @@ mod tests {
 
     #[test]
     fn choice_and_cut_taint() {
-        assert!(!det("s(N) :- emp(N, D), choice((D), (N)).", "s"));
-        assert!(!det("first(X) :- cand(X), !.", "first"));
+        // Validation rejects both before any analysis runs, so the taint
+        // fixpoint never meets a choice source other than an ID-literal.
+        for src in [
+            "s(N) :- emp(N, D), choice((D), (N)).",
+            "first(X) :- cand(X), !.",
+        ] {
+            let parsed = crate::ValidatedProgram::parse(src, Arc::new(Interner::new()));
+            assert!(
+                matches!(parsed, Err(crate::CoreError::Validation { .. })),
+                "{src}"
+            );
+        }
     }
 
     #[test]

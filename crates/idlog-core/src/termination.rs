@@ -5,12 +5,18 @@
 //! incomplete*: every program it certifies genuinely reaches a fixpoint in a
 //! bounded number of rounds, but some terminating programs stay uncertified.
 //!
+//! The certificate is a fact of a valid program: each
+//! [`crate::ValidatedProgram`] computes it once and holds it
+//! ([`crate::ValidatedProgram::termination`]). A valid program stratifies
+//! and has no `choice` or `!`, so no recursion runs through negation or an
+//! ID-literal, and every valid program is in the analyzed fragment.
+//!
 //! The analysis has three layers:
 //!
 //! 1. **Recursion classification.** The components of the predicate
 //!    dependency graph ([`crate::stratify::DepGraph::sccs`]) are each
-//!    classified as linear, nonlinear, or recursive
-//!    through negation / ID-materialization (see [`RecursionKind`]).
+//!    classified as nonrecursive, linear or nonlinear (see
+//!    [`RecursionKind`]).
 //! 2. **Argument flow.** A graph over `(predicate, column)` nodes records
 //!    how values move between columns, through joins and through builtins.
 //!    Arithmetic over ℕ is the only way IDLOG can *invent* values, so an
@@ -22,8 +28,8 @@
 //!    [`FlowEdge`] witness (found by `stratify::witness_cycle`,
 //!    the walker behind E011's too); predicates fed by one are
 //!    cardinality-unbounded.
-//! 3. **Round bound.** When no expanding cycle exists (and the program is
-//!    choice-free and stratifiable), every derivable value lives in a finite
+//! 3. **Round bound.** When no expanding cycle exists, every derivable
+//!    value lives in a finite
 //!    pool: database values, program constants, and builtin-generated
 //!    naturals up to a ceiling `V*` obtained by applying each expanding
 //!    builtin occurrence at most once (an acyclic flow graph cannot reuse
@@ -36,7 +42,8 @@ use idlog_common::{FxHashMap, FxHashSet, SymbolId};
 use idlog_parser::{Builtin, Literal, Program, Term};
 use idlog_storage::Database;
 
-use crate::stratify::{adjacency, reach, witness_cycle, DepEdge, DepGraph, GraphEdge};
+use crate::program::ValidatedProgram;
+use crate::stratify::{adjacency, reach, witness_cycle, DepGraph, GraphEdge};
 
 /// A node of the argument-flow graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,12 +109,6 @@ pub enum RecursionKind {
     Linear,
     /// Some clause reads two or more component predicates.
     Nonlinear,
-    /// A cycle of the component passes through negation (not stratifiable).
-    ThroughNegation,
-    /// A cycle passes through an ID-literal or the clauses use `choice`/`!`
-    /// (recursive choice — ID-relations inside the cycle can never be
-    /// completely materialized).
-    ThroughChoice,
 }
 
 impl RecursionKind {
@@ -117,8 +118,6 @@ impl RecursionKind {
             RecursionKind::Nonrecursive => "nonrecursive",
             RecursionKind::Linear => "linear",
             RecursionKind::Nonlinear => "nonlinear",
-            RecursionKind::ThroughNegation => "through-negation",
-            RecursionKind::ThroughChoice => "through-choice",
         }
     }
 }
@@ -144,15 +143,13 @@ pub struct UnboundedIdSite {
     pub base: SymbolId,
 }
 
-/// The result of the termination analysis over one program.
+/// The result of the termination analysis over one valid program.
 ///
-/// Produced by [`analyze_termination`]; cached per [`crate::Query`] and
-/// consumed by the governor wiring and the `idlog-analyze` lints
-/// (W020/W021/H010).
-#[derive(Debug, Clone)]
+/// Held by its [`ValidatedProgram`] ([`ValidatedProgram::termination`]) and
+/// read by the governor wiring, `idlog check`, `explain --analyze`, the
+/// REPL and the `idlog-analyze` lints (W020/W021/H010).
+#[derive(Debug, Clone, Default)]
 pub struct TerminationCert {
-    /// Certified: no expanding flow cycle, choice-free, stratifiable.
-    bounded: bool,
     /// An expanding flow cycle, when one exists: `witness[0]` is the
     /// expanding edge, and each edge's `to` is the next edge's `from`,
     /// closing back at `witness[0].from`.
@@ -162,6 +159,9 @@ pub struct TerminationCert {
     unbounded: FxHashSet<SymbolId>,
     /// Dependency SCCs with their recursion classification.
     sccs: Vec<SccSummary>,
+    /// Per entry of `sccs`: the predicates outside the component that some
+    /// clause of the component reads.
+    feeding: Vec<Vec<SymbolId>>,
     /// ID-literal occurrences over unbounded bases.
     id_sites: Vec<UnboundedIdSite>,
     /// Derived predicates with their arities (the tuples the fixpoint can
@@ -176,14 +176,10 @@ pub struct TerminationCert {
     /// One entry per body occurrence of a builtin with an expanding output
     /// position (bounds the depth of acyclic growth chains).
     expanding_ops: Vec<Builtin>,
-    /// Number of strata when the program stratifies.
+    /// Number of strata.
     strata: u64,
-    /// True when the program uses `choice`/`!` or non-IDLOG head forms.
-    foreign: bool,
     /// Pre-extracted clause shapes for the instantiation products.
     nonrec_clauses: Vec<ClauseShape>,
-    /// Dependency edges (to find what feeds a recursive component).
-    dep_edges: Vec<DepEdge>,
 }
 
 impl TerminationCert {
@@ -191,9 +187,11 @@ impl TerminationCert {
     /// the program reaches its fixpoint in finitely many rounds, on every
     /// database ([`TerminationCert::round_bound`] then yields a concrete
     /// ceiling). `false` means *unknown*, not divergent — Theorem 3 makes
-    /// the exact property undecidable.
+    /// the exact property undecidable. The one reason a valid program goes
+    /// uncertified is an expanding flow cycle, so this is
+    /// `growth_witness().is_none()`.
     pub fn bounded(&self) -> bool {
-        self.bounded
+        self.witness.is_empty()
     }
 
     /// True when the analysis bounds the cardinality of `pred` (its set of
@@ -266,7 +264,7 @@ impl TerminationCert {
     /// values). All arithmetic saturates; a saturated bound is still sound,
     /// merely useless as a governor ceiling.
     pub fn round_bound(&self, db: &Database) -> Option<u64> {
-        if !self.bounded {
+        if !self.bounded() {
             return None;
         }
         // What the data contributes — the largest natural stored and how
@@ -311,7 +309,7 @@ impl TerminationCert {
             .chain(self.edb.iter())
             .map(|&(p, a)| (p, a))
             .collect();
-        for scc in &self.sccs {
+        for (scc, feeding) in self.sccs.iter().zip(&self.feeding) {
             if scc.kind == RecursionKind::Nonrecursive {
                 let p = scc.preds[0];
                 if tuples.contains_key(&p) {
@@ -324,8 +322,8 @@ impl TerminationCert {
                 tuples.insert(p, total);
             } else {
                 let mut domain = base_domain;
-                for q in self.feeding(scc) {
-                    domain = domain.saturating_add(tuples.get(&q).copied().unwrap_or(0));
+                for q in feeding {
+                    domain = domain.saturating_add(tuples.get(q).copied().unwrap_or(0));
                 }
                 for &p in &scc.preds {
                     let a = arity.get(&p).copied().unwrap_or(0) as u32;
@@ -366,19 +364,6 @@ impl TerminationCert {
         }
         out
     }
-
-    /// Predicates outside `scc` that some clause of `scc` reads.
-    fn feeding(&self, scc: &SccSummary) -> Vec<SymbolId> {
-        let mut out: Vec<SymbolId> = self
-            .dep_edges
-            .iter()
-            .filter(|e| scc.preds.contains(&e.to) && !scc.preds.contains(&e.from))
-            .map(|e| e.from)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// A body factor of a nonrecursive clause, for the instantiation product.
@@ -396,35 +381,6 @@ enum ClauseFactor {
 struct ClauseShape {
     head: SymbolId,
     factors: Vec<ClauseFactor>,
-}
-
-impl TerminationCert {
-    /// An always-uncertified certificate (used defensively for programs the
-    /// analysis cannot model).
-    fn uncertified(foreign: bool) -> TerminationCert {
-        TerminationCert {
-            bounded: false,
-            witness: Vec::new(),
-            unbounded: FxHashSet::default(),
-            sccs: Vec::new(),
-            id_sites: Vec::new(),
-            idb: Vec::new(),
-            edb: Vec::new(),
-            max_const: 0,
-            const_count: 0,
-            expanding_ops: Vec::new(),
-            strata: 1,
-            foreign,
-            nonrec_clauses: Vec::new(),
-            dep_edges: Vec::new(),
-        }
-    }
-
-    /// True when the program uses constructs outside the analyzed fragment
-    /// (`choice`, `!`, multi-atom or negated heads).
-    pub fn outside_fragment(&self) -> bool {
-        self.foreign
-    }
 }
 
 /// Builtin output positions whose value can strictly exceed every input:
@@ -462,55 +418,24 @@ struct Src {
     op: Option<Builtin>,
 }
 
-/// Run the termination analysis over `program`. Works on the surface AST so
-/// the analyzer can run it on programs that fail later validation stages;
-/// anything outside the IDLOG fragment yields an uncertified cert.
-pub fn analyze_termination(program: &Program) -> TerminationCert {
-    analyze_termination_in(program, &DepGraph::new(program))
-}
+/// Run the termination analysis over a validated program;
+/// [`ValidatedProgram::termination`] holds the result.
+pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert {
+    let arity = |p: SymbolId| program.arity(p).expect("a program predicate has an arity");
+    let with_arity = |preds: &FxHashSet<SymbolId>| preds.iter().map(|&p| (p, arity(p))).collect();
+    let graph = program.stratification().graph();
+    let ast = program.ast();
 
-/// [`analyze_termination`] for a caller that already holds the dependency
-/// graph of `program`, such as a [`crate::ValidatedProgram`]'s
-/// stratification.
-pub fn analyze_termination_in(program: &Program, graph: &DepGraph) -> TerminationCert {
-    let foreign = program.clauses.iter().any(|c| {
-        c.head.len() != 1
-            || c.head.iter().any(|h| h.negated)
-            || c.body
-                .iter()
-                .any(|l| matches!(l, Literal::Choice { .. } | Literal::Cut))
-    });
-    if program.clauses.is_empty() {
-        let mut cert = TerminationCert::uncertified(false);
-        cert.bounded = true;
-        return cert;
-    }
-
-    // --- Program inventory: predicates, arities, constants. ---
-    let mut idb: Vec<(SymbolId, usize)> = Vec::new();
-    let mut all: Vec<(SymbolId, usize)> = Vec::new();
+    // --- Program constants and expanding builtin occurrences. ---
     let mut consts: FxHashSet<Term> = FxHashSet::default();
     let mut max_const: i64 = 0;
     let mut expanding_ops: Vec<Builtin> = Vec::new();
-    let see = |all: &mut Vec<(SymbolId, usize)>, p: SymbolId, a: usize| {
-        if !all.iter().any(|&(q, _)| q == p) {
-            all.push((p, a));
-        }
-    };
-    for clause in &program.clauses {
-        for h in &clause.head {
-            let p = h.atom.pred.base();
-            see(&mut all, p, h.atom.base_arity());
-            if !idb.iter().any(|&(q, _)| q == p) {
-                idb.push((p, h.atom.base_arity()));
-            }
-            for t in &h.atom.terms {
-                note_const(t, &mut consts, &mut max_const);
-            }
+    for clause in &ast.clauses {
+        for t in &clause.single_head().terms {
+            note_const(t, &mut consts, &mut max_const);
         }
         for lit in &clause.body {
             if let Some(a) = lit.atom() {
-                see(&mut all, a.pred.base(), a.base_arity());
                 for t in &a.terms {
                     note_const(t, &mut consts, &mut max_const);
                 }
@@ -525,23 +450,32 @@ pub fn analyze_termination_in(program: &Program, graph: &DepGraph) -> Terminatio
             }
         }
     }
-    let edb: Vec<(SymbolId, usize)> = all
-        .iter()
-        .copied()
-        .filter(|&(p, _)| !idb.iter().any(|&(q, _)| q == p))
-        .collect();
 
     // --- Argument-flow graph. ---
-    let edges = flow_edges(program);
+    let edges = flow_edges(ast);
     let witness = witness_cycle(&edges, FlowEdge::is_expanding);
     let unbounded = unbounded_predicates(&edges, &witness);
 
     // --- Dependency SCC classification. ---
-    let sccs = classify_sccs(program, graph);
+    let sccs = classify_sccs(ast, graph);
+    let feeding = sccs
+        .iter()
+        .map(|scc| {
+            let mut from: Vec<SymbolId> = graph
+                .edges()
+                .iter()
+                .filter(|e| scc.preds.contains(&e.to) && !scc.preds.contains(&e.from))
+                .map(|e| e.from)
+                .collect();
+            from.sort_unstable();
+            from.dedup();
+            from
+        })
+        .collect();
 
     // --- ID-sites over unbounded bases. ---
     let mut id_sites = Vec::new();
-    for (ci, clause) in program.clauses.iter().enumerate() {
+    for (ci, clause) in ast.clauses.iter().enumerate() {
         for (li, lit) in clause.body.iter().enumerate() {
             if let Some(a) = lit.atom() {
                 if a.pred.is_id_version() && unbounded.contains(&a.pred.base()) {
@@ -555,49 +489,39 @@ pub fn analyze_termination_in(program: &Program, graph: &DepGraph) -> Terminatio
         }
     }
 
-    let (strata, stratified) = match graph.levels() {
-        Some(levels) => (levels.into_iter().max().unwrap_or(0) as u64 + 1, true),
-        None => (1, false),
-    };
-    let bounded = !foreign && stratified && witness.is_empty() && unbounded.is_empty();
-
     // Clause shapes for the per-database instantiation products.
-    let mut nonrec_clauses = Vec::new();
-    for clause in &program.clauses {
-        let Some(h) = clause.head.first() else {
-            continue;
-        };
-        let mut factors = Vec::new();
-        for lit in &clause.body {
-            match lit {
-                Literal::Pos(a) => factors.push(ClauseFactor::Atom(a.pred.base())),
-                Literal::Builtin { op, .. } if !matches!(op, Builtin::Eq | Builtin::Ne) => {
-                    factors.push(ClauseFactor::Generator)
-                }
-                _ => {}
-            }
-        }
-        nonrec_clauses.push(ClauseShape {
-            head: h.atom.pred.base(),
-            factors,
-        });
-    }
+    let nonrec_clauses = ast
+        .clauses
+        .iter()
+        .map(|clause| ClauseShape {
+            head: clause.single_head().pred.base(),
+            factors: clause
+                .body
+                .iter()
+                .filter_map(|lit| match lit {
+                    Literal::Pos(a) => Some(ClauseFactor::Atom(a.pred.base())),
+                    Literal::Builtin { op, .. } if !matches!(op, Builtin::Eq | Builtin::Ne) => {
+                        Some(ClauseFactor::Generator)
+                    }
+                    _ => None,
+                })
+                .collect(),
+        })
+        .collect();
 
     TerminationCert {
-        bounded,
         witness,
         unbounded,
         sccs,
+        feeding,
         id_sites,
-        idb,
-        edb,
+        idb: with_arity(program.idb()),
+        edb: with_arity(program.inputs()),
         max_const,
         const_count: consts.len() as u64,
         expanding_ops,
-        strata,
-        foreign,
+        strata: program.stratification().count() as u64,
         nonrec_clauses,
-        dep_edges: graph.edges().to_vec(),
     }
 }
 
@@ -741,63 +665,32 @@ fn unbounded_predicates(edges: &[FlowEdge], witness: &[FlowEdge]) -> FxHashSet<S
 /// The dependency graph's components in evaluation (dependencies-first)
 /// order, with their recursion classification.
 fn classify_sccs(program: &Program, graph: &DepGraph) -> Vec<SccSummary> {
-    let dep_edges = graph.edges();
     let mut out = Vec::new();
     for preds in graph.sccs() {
         let members: FxHashSet<SymbolId> = preds.iter().copied().collect();
-        let self_edge = dep_edges
+        let self_edge = graph
+            .edges()
             .iter()
             .any(|e| e.from == e.to && members.contains(&e.from));
-        let recursive = preds.len() > 1 || self_edge;
-        let kind = if !recursive {
+        let kind = if preds.len() == 1 && !self_edge {
             RecursionKind::Nonrecursive
         } else {
-            let in_scc = |e: &&DepEdge| members.contains(&e.from) && members.contains(&e.to);
-            let through_neg = dep_edges.iter().filter(in_scc).any(|e| {
-                matches!(
-                    program.clauses[e.clause].body.get(e.literal),
-                    Some(Literal::Neg(_))
-                )
-            });
-            let through_id = dep_edges.iter().filter(in_scc).any(|e| {
-                program.clauses[e.clause]
-                    .body
-                    .get(e.literal)
-                    .and_then(Literal::atom)
-                    .is_some_and(|a| a.pred.is_id_version())
-            });
-            let through_choice = through_id
-                || program.clauses.iter().any(|c| {
-                    c.head.iter().any(|h| members.contains(&h.atom.pred.base()))
-                        && c.body
-                            .iter()
-                            .any(|l| matches!(l, Literal::Choice { .. } | Literal::Cut))
-                });
-            if through_choice {
-                RecursionKind::ThroughChoice
-            } else if through_neg {
-                RecursionKind::ThroughNegation
-            } else {
-                // Linear: every clause of the component reads the component
-                // at most once.
-                let linear = program.clauses.iter().all(|c| {
-                    if !c.head.iter().any(|h| members.contains(&h.atom.pred.base())) {
-                        return true;
-                    }
-                    c.body
+            // Linear: every clause of the component reads the component at
+            // most once.
+            let linear = program.clauses.iter().all(|c| {
+                !members.contains(&c.single_head().pred.base())
+                    || c.body
                         .iter()
-                        .filter(|l| {
-                            matches!(l, Literal::Pos(_))
-                                && l.atom().is_some_and(|a| members.contains(&a.pred.base()))
-                        })
+                        .filter(
+                            |l| matches!(l, Literal::Pos(a) if members.contains(&a.pred.base())),
+                        )
                         .count()
                         <= 1
-                });
-                if linear {
-                    RecursionKind::Linear
-                } else {
-                    RecursionKind::Nonlinear
-                }
+            });
+            if linear {
+                RecursionKind::Linear
+            } else {
+                RecursionKind::Nonlinear
             }
         };
         out.push(SccSummary { preds, kind });
@@ -812,12 +705,15 @@ mod tests {
     use std::sync::Arc;
 
     use idlog_common::Interner;
-    use idlog_parser::parse_program;
+
+    fn validate(src: &str, interner: &Arc<Interner>) -> crate::CoreResult<ValidatedProgram> {
+        ValidatedProgram::parse(src, Arc::clone(interner))
+    }
 
     fn cert(src: &str) -> (TerminationCert, Arc<Interner>) {
         let interner = Arc::new(Interner::new());
-        let program = parse_program(src, &interner).expect("test program parses");
-        (analyze_termination(&program), interner)
+        let program = validate(src, &interner).expect("test program validates");
+        (program.termination().clone(), interner)
     }
 
     #[test]
@@ -922,32 +818,41 @@ mod tests {
         assert_eq!((sites[0].clause, sites[0].literal), (2, 0));
     }
 
+    // Recursion through negation or an ID-literal, and the choice
+    // constructs, never reach the analysis: validation rejects them, so
+    // every valid program is in the analyzed fragment.
+
     #[test]
-    fn recursion_through_negation_classified() {
-        let (c, i) = cert("p(X) :- q(X), not p(X).");
-        assert_eq!(
-            c.recursion_kind(i.intern("p")),
-            RecursionKind::ThroughNegation
+    fn recursion_through_negation_is_rejected_by_validation() {
+        let err = validate("p(X) :- q(X), not p(X).", &Arc::new(Interner::new()));
+        assert!(
+            matches!(&err, Err(crate::CoreError::Stratification { cycle }) if cycle == &["p", "p"]),
+            "{err:?}"
         );
-        assert!(!c.bounded(), "not stratifiable");
     }
 
     #[test]
-    fn recursion_through_id_literal_classified_as_choice() {
-        let (c, i) = cert("p(X) :- q(X). p(X) :- p[](X, 0).");
-        assert_eq!(
-            c.recursion_kind(i.intern("p")),
-            RecursionKind::ThroughChoice
+    fn recursion_through_id_literal_is_rejected_by_validation() {
+        let err = validate(
+            "p(X) :- q(X). p(X) :- p[](X, 0).",
+            &Arc::new(Interner::new()),
         );
-        assert!(!c.bounded());
+        assert!(
+            matches!(&err, Err(crate::CoreError::Stratification { cycle }) if cycle == &["p", "p"]),
+            "{err:?}"
+        );
     }
 
     #[test]
-    fn choice_construct_is_outside_fragment() {
-        let (c, _) = cert("s(N) :- emp(N, D), choice((D), (N)).");
-        assert!(c.outside_fragment());
-        assert!(!c.bounded());
-        assert!(c.growth_witness().is_none(), "unknown, not divergent");
+    fn choice_construct_is_rejected_by_validation() {
+        let err = validate(
+            "s(N) :- emp(N, D), choice((D), (N)).",
+            &Arc::new(Interner::new()),
+        );
+        assert!(
+            matches!(err, Err(crate::CoreError::Validation { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -955,14 +860,13 @@ mod tests {
         // A 4-node chain: tc needs ~5 rounds; the bound must dominate.
         let src = "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).";
         let interner = Arc::new(Interner::new());
-        let program = parse_program(src, &interner).unwrap();
-        let c = analyze_termination(&program);
+        let vp = validate(src, &interner).unwrap();
+        let c = vp.termination();
         let mut db = Database::with_interner(Arc::clone(&interner));
         for (a, b) in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")] {
             db.insert_syms("e", &[a, b]).unwrap();
         }
         let bound = c.round_bound(&db).expect("certified");
-        let vp = crate::ValidatedProgram::parse(src, Arc::clone(&interner)).unwrap();
         let out = crate::evaluate_with_options(
             &vp,
             &db,
@@ -985,13 +889,12 @@ mod tests {
         // undercuts the real round count.
         let src = "out(X) :- l0(X, Y). l0(X, Y) :- l1(X, Y). l1(X, Y) :- base(X, Y).";
         let interner = Arc::new(Interner::new());
-        let program = parse_program(src, &interner).unwrap();
-        let c = analyze_termination(&program);
+        let vp = validate(src, &interner).unwrap();
+        let c = vp.termination();
         let mut db = Database::with_interner(Arc::clone(&interner));
         db.insert_syms("base", &["a", "b"]).unwrap();
         db.insert_syms("base", &["b", "c"]).unwrap();
         let bound = c.round_bound(&db).expect("certified");
-        let vp = crate::ValidatedProgram::parse(src, Arc::clone(&interner)).unwrap();
         let out = crate::evaluate_with_options(
             &vp,
             &db,

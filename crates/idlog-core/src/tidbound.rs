@@ -21,10 +21,10 @@ use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
 pub type TidBounds = FxHashMap<(SymbolId, Vec<usize>), usize>;
 
 /// For every ID-use whose tid is provably bounded in *all* occurrences, the
-/// number of distinguishable tids. The analysis only reads clause syntax,
-/// so it runs before validation too (lint passes surface the optimization
-/// as a hint); [`crate::ValidatedProgram::tid_bounds`] holds the result for
-/// a validated program.
+/// number of distinguishable tids. The analysis only reads clause syntax;
+/// each validated program runs it once, and every consumer — evaluation,
+/// enumeration, `explain` and the H001 lint — reads the result from
+/// [`crate::ValidatedProgram::tid_bounds`].
 pub fn tid_bounds_ast(program: &Program) -> TidBounds {
     let mut bounds: FxHashMap<(SymbolId, Vec<usize>), Option<usize>> = FxHashMap::default();
     for clause in &program.clauses {

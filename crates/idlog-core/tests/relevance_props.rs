@@ -97,8 +97,14 @@ proptest! {
     ) {
         let (src, facts) = generate(layers, kind, seed);
         let q = Query::parse(&src, "q").expect("generated programs are valid");
+        // Certified exactly when `--strategy magic` has a rewrite to run.
+        prop_assert_eq!(
+            q.relevance().certified(),
+            q.magic_plan().is_some(),
+            "certificate and rewrite disagree:\n{}",
+            src
+        );
         prop_assert!(q.relevance().is_point_query(), "not certified:\n{}", src);
-        prop_assert!(q.magic_plan().is_some(), "the rewrite does not revalidate:\n{}", src);
 
         let mut db = q.new_database();
         idlog_core::load_facts(&facts, &mut db).unwrap();

@@ -13,10 +13,12 @@
 //!
 //! A wider generator adds negation, ID-literals whose tids builtins
 //! constrain, and multi-head clauses. On its programs the predicate-level
-//! analyses — strata, the stratification cycle, recursion classes, growth
-//! witnesses, unbounded predicates, tid bounds, choice-free occurrences,
-//! `P/q` and the output cone — must agree with the hand-rolled walks they
-//! replaced, kept below in [`reference`].
+//! analyses — strata, the stratification cycle, tid bounds, choice-free
+//! occurrences and the output cone, and on the programs that validate the
+//! recursion classes, growth witnesses, unbounded predicates and `P/q` —
+//! must agree with the hand-rolled walks they replaced, kept below in
+//! [`reference`]. The termination certificate exists for valid programs
+//! only.
 
 use std::sync::Arc;
 
@@ -26,8 +28,8 @@ use idlog_common::SymbolId;
 use idlog_core::stratify::{stratify_check, DepGraph};
 use idlog_core::tidbound::tid_bounds_ast;
 use idlog_core::{
-    analyze_termination, analyze_termination_in, choice_free_occurrence, evaluate_with_options,
-    CanonicalOracle, EvalOptions, Interner, RecursionKind, Tuple, ValidatedProgram, Value,
+    choice_free_occurrence, evaluate_with_options, CanonicalOracle, EvalOptions, Interner,
+    RecursionKind, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
 
@@ -347,20 +349,17 @@ proptest! {
     #[test]
     fn certified_bounds_cover_actual_rounds(spec in arb_program()) {
         let (program, db) = build(&spec);
-        let cert = analyze_termination(program.ast());
-        if !cert.bounded() {
-            // Positive choice-free programs leave only one refusal reason.
+        let cert = program.termination();
+        let Some(bound) = cert.round_bound(&db) else {
+            // A valid program goes uncertified for one reason only.
             prop_assert!(
                 cert.growth_witness().is_some(),
                 "unbounded without witness\n{}",
                 render(&spec)
             );
-            prop_assert!(cert.round_bound(&db).is_none());
             return Ok(()); // evaluating could genuinely diverge
-        }
-        let bound = cert.round_bound(&db);
-        prop_assert!(bound.is_some(), "bounded cert without a bound\n{}", render(&spec));
-        let bound = bound.unwrap();
+        };
+        prop_assert!(cert.bounded(), "a bound without a certificate\n{}", render(&spec));
 
         let mut outs = Vec::new();
         for threads in [1usize, 2, 8] {
@@ -410,9 +409,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The dependency graph's answers — strata or the cycle through a
-    /// strict edge, recursion classes, `P/q`, the output cone — and the
-    /// flow graph's growth witness and unbounded set match the walks they
-    /// replaced, byte for byte where a diagnostic prints them.
+    /// strict edge, the output cone, and on a valid program its recursion
+    /// classes and `P/q` — and the flow graph's growth witness and
+    /// unbounded set on a valid program match the walks they replaced, byte
+    /// for byte where a diagnostic prints them.
     #[test]
     fn graph_analyses_match_the_walks_they_replaced(spec in arb_wide_program()) {
         let (program, interner) = parse(&spec);
@@ -435,7 +435,14 @@ proptest! {
             ),
         }
 
-        let cert = analyze_termination(&program);
+        let graph = DepGraph::new(&program);
+        prop_assert_eq!(graph.output_cone(), reference::contributing(&program), "\n{}", src);
+
+        // The termination certificate exists for valid programs only.
+        let Ok(validated) = ValidatedProgram::new(program.clone(), Arc::clone(&interner)) else {
+            return Ok(());
+        };
+        let cert = validated.termination();
         let sccs: Vec<(Vec<SymbolId>, RecursionKind)> =
             cert.recursion().iter().map(|s| (s.preds.clone(), s.kind)).collect();
         prop_assert_eq!(sccs, reference::classify_sccs(&program), "\n{}", src);
@@ -448,18 +455,10 @@ proptest! {
             "\n{}",
             src
         );
-
-        let graph = DepGraph::new(&program);
-        prop_assert_eq!(graph.output_cone(), reference::contributing(&program), "\n{}", src);
-        if let Ok(validated) = ValidatedProgram::new(program.clone(), Arc::clone(&interner)) {
-            // The graph a validated program holds certifies as a fresh one.
-            let held = analyze_termination_in(validated.ast(), validated.stratification().graph());
-            prop_assert_eq!(format!("{held:?}"), format!("{cert:?}"), "\n{}", src);
-            for &q in &program.head_predicates() {
-                let got = validated.restrict_to(q).map(|r| r.ast().clauses.clone());
-                let want = reference::restrict_to(&program, q);
-                prop_assert_eq!(got.ok(), Some(want), "P/{}\n{}", interner.resolve(q), src);
-            }
+        for &q in &program.head_predicates() {
+            let got = validated.restrict_to(q).map(|r| r.ast().clauses.clone());
+            let want = reference::restrict_to(&program, q);
+            prop_assert_eq!(got.ok(), Some(want), "P/{}\n{}", interner.resolve(q), src);
         }
     }
 
@@ -639,53 +638,28 @@ mod reference {
                 .iter()
                 .any(|e| e.from == e.to && members.contains(&e.from));
             let recursive = comp.len() > 1 || self_edge;
+            // A valid program stratifies, so no component recurses through
+            // negation or an ID-literal.
             let kind = if !recursive {
                 RecursionKind::Nonrecursive
             } else {
-                let in_scc = |e: &&DepEdge| members.contains(&e.from) && members.contains(&e.to);
-                let through_neg = dep_edges.iter().filter(in_scc).any(|e| {
-                    matches!(
-                        program.clauses[e.clause].body.get(e.literal),
-                        Some(Literal::Neg(_))
-                    )
-                });
-                let through_id = dep_edges.iter().filter(in_scc).any(|e| {
-                    program.clauses[e.clause]
-                        .body
-                        .get(e.literal)
-                        .and_then(Literal::atom)
-                        .is_some_and(|a| a.pred.is_id_version())
-                });
-                let through_choice = through_id
-                    || program.clauses.iter().any(|c| {
-                        c.head.iter().any(|h| members.contains(&h.atom.pred.base()))
-                            && c.body
-                                .iter()
-                                .any(|l| matches!(l, Literal::Choice { .. } | Literal::Cut))
-                    });
-                if through_choice {
-                    RecursionKind::ThroughChoice
-                } else if through_neg {
-                    RecursionKind::ThroughNegation
-                } else {
-                    let linear = program.clauses.iter().all(|c| {
-                        if !c.head.iter().any(|h| members.contains(&h.atom.pred.base())) {
-                            return true;
-                        }
-                        c.body
-                            .iter()
-                            .filter(|l| {
-                                matches!(l, Literal::Pos(_))
-                                    && l.atom().is_some_and(|a| members.contains(&a.pred.base()))
-                            })
-                            .count()
-                            <= 1
-                    });
-                    if linear {
-                        RecursionKind::Linear
-                    } else {
-                        RecursionKind::Nonlinear
+                let linear = program.clauses.iter().all(|c| {
+                    if !c.head.iter().any(|h| members.contains(&h.atom.pred.base())) {
+                        return true;
                     }
+                    c.body
+                        .iter()
+                        .filter(|l| {
+                            matches!(l, Literal::Pos(_))
+                                && l.atom().is_some_and(|a| members.contains(&a.pred.base()))
+                        })
+                        .count()
+                        <= 1
+                });
+                if linear {
+                    RecursionKind::Linear
+                } else {
+                    RecursionKind::Nonlinear
                 }
             };
             let mut ps: Vec<SymbolId> = members.into_iter().collect();

@@ -15,8 +15,8 @@ use rand::{Rng, SeedableRng};
 
 use idlog_common::Interner;
 use idlog_core::{
-    analyze_taint, analyze_termination_in, enumerate_with_options, evaluate_with_options,
-    CanonicalOracle, CoreResult, EnumBudget, EvalOptions, Limits, ValidatedProgram,
+    enumerate_with_options, evaluate_with_options, CanonicalOracle, CoreResult, EnumBudget,
+    EvalOptions, Limits, ValidatedProgram,
 };
 use idlog_parser::Program;
 use idlog_storage::Database;
@@ -48,42 +48,27 @@ pub fn q_equivalent_on(
     // Determinism fast path: when the taint analysis certifies `output` in
     // BOTH programs, each answer set is a singleton, so one canonical
     // evaluation per side replaces the full ID-function enumeration.
-    let both_certified = interner.get(output).is_some_and(|out| {
-        analyze_taint(v1.ast()).deterministic(out) && analyze_taint(v2.ast()).deterministic(out)
-    });
+    let both_certified = interner
+        .get(output)
+        .is_some_and(|out| v1.taint().deterministic(out) && v2.taint().deterministic(out));
     // Termination of the probed programs is undecidable (Theorem 3), and
     // this routine runs inside lints and optimizer suggestions that must
-    // never hang. Three cases, decided by the static termination cert:
-    // a growth witness on either side means the probe would only ever burn
-    // its ceilings, so skip probing entirely (no verdict); both sides
-    // certified bounded means every fixpoint finishes on its own, so the
-    // probes run without governor ceilings (the certified per-database
-    // round bound stays installed as a backstop against a buggy cert);
-    // otherwise fall back to the legacy blunt ceilings.
-    let t1 = analyze_termination_in(v1.ast(), v1.stratification().graph());
-    let t2 = analyze_termination_in(v2.ast(), v2.stratification().graph());
+    // never hang. The termination certificates decide: a growth witness on
+    // either side means the probe would only ever burn its ceilings, so
+    // skip probing entirely (no verdict). Otherwise both sides are
+    // certified bounded, so every fixpoint finishes on its own and the
+    // probes run without governor ceilings; the larger certified
+    // per-database round bound stays installed as a backstop against a
+    // buggy certificate.
+    let (t1, t2) = (v1.termination(), v2.termination());
     if t1.growth_witness().is_some() || t2.growth_witness().is_some() {
         return Err(idlog_core::CoreError::LimitExceeded {
             limit: idlog_core::LimitKind::Rounds,
         });
     }
-    let both_bounded = t1.bounded() && t2.bounded();
-    let legacy_limits = Limits {
-        max_rounds: Some(10_000),
-        max_tuples: Some(1_000_000),
-        ..Limits::none()
-    };
     for (i, db) in dbs.iter().enumerate() {
-        let probe_limits = if both_bounded {
-            let bound = t1
-                .round_bound(db)
-                .into_iter()
-                .chain(t2.round_bound(db))
-                .max();
-            bound.map_or_else(Limits::none, |b| Limits::none().tighten_rounds(b))
-        } else {
-            legacy_limits
-        };
+        let bound = t1.round_bound(db).max(t2.round_bound(db));
+        let probe_limits = bound.map_or_else(Limits::none, |b| Limits::none().tighten_rounds(b));
         let opts = EvalOptions::serial().budget(*budget).limits(probe_limits);
         let differs = if both_certified {
             let r1 = evaluate_with_options(&v1, db, &mut CanonicalOracle, &opts)?;
@@ -325,14 +310,15 @@ mod tests {
 
     #[test]
     fn certified_bounded_programs_probe_without_blunt_ceilings() {
-        // Both sides certify bounded: verdicts must match the legacy path
-        // (covered by the other tests) while running under the certified
+        // Both sides certify bounded: the probes run under the certified
         // round bound only.
         let i = Arc::new(Interner::new());
         let p1 = parse_program("q(X) :- e(X, Y).", &i).unwrap();
         let p2 = parse_program("q(X) :- e(X, Y), e(X, Z).", &i).unwrap();
-        assert!(idlog_core::analyze_termination(&p1).bounded());
-        assert!(idlog_core::analyze_termination(&p2).bounded());
+        for p in [&p1, &p2] {
+            let v = ValidatedProgram::new(p.clone(), Arc::clone(&i)).unwrap();
+            assert!(v.termination().bounded());
+        }
         let dbs = random_databases(&i, &[("e", 2)], &["a", "b", "c"], 8, 13);
         let r = q_equivalent_on(&p1, &p2, &i, &dbs, "q", &EnumBudget::default()).unwrap();
         assert!(r.equivalent, "projections of the same join key agree");

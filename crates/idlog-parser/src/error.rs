@@ -21,11 +21,19 @@ impl ParseError {
             message: message.into(),
         }
     }
+
+    /// `parse error: <message>`, the headline of `idlog lint`'s E001.
+    pub fn headline(&self) -> String {
+        format!("parse error: {}", self.message)
+    }
 }
 
+/// The headline with the position appended, `parse error: <message> (at
+/// <line>:<col>)`, so the engine and `idlog lint` report a parse error in
+/// the same words.
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}: {}", self.pos, self.message)
+        write!(f, "{} (at {})", self.headline(), self.pos)
     }
 }
 
