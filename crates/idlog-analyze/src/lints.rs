@@ -177,7 +177,7 @@ pub fn degenerate_id_groups(
                 ),
             );
             if let Some(Term::Int(k)) = a.terms.last() {
-                if *k >= 1 {
+                if k.get() >= 1 {
                     d = d.with_note(format!(
                         "tid {k} can never match — this literal is always false"
                     ));

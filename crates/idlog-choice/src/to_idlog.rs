@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use idlog_common::Interner;
+use idlog_common::{Interner, Nat};
 use idlog_parser::{Atom, Clause, Literal, PredicateRef, Program, Term};
 
 use crate::checks::check_conditions;
@@ -44,7 +44,7 @@ pub fn to_idlog(program: &Program, interner: &Arc<Interner>) -> ChoiceResult<Pro
 
         // chosen_k(V…) :- ext_choice_k[grouping](V…, 0).
         let mut id_terms = vars.clone();
-        id_terms.push(Term::Int(0));
+        id_terms.push(Term::Int(Nat::ZERO));
         let grouping: Vec<usize> = (0..site.grouped).collect();
         let id_atom = Atom::id_version(site.pred, grouping, id_terms);
         let chosen_clause = Clause::new(

@@ -69,6 +69,10 @@ EXPLAIN OPTIONS:
                       predicate
   --seed <n>          oracle seed for --analyze (default: canonical)
   --threads <n>       worker threads for --analyze
+  --timeout <dur>, --max-rounds <n>, --max-tuples <n>
+                      resource ceilings for --analyze, as for run: a trip
+                      annotates the plan with the counters up to the last
+                      completed round and exits with code 3
 
 SERVE OPTIONS:
   --listen <addr>     bind address (default 127.0.0.1:7421; port 0 picks an
@@ -139,12 +143,8 @@ pub struct RunOpts {
     pub profile_json: Option<String>,
     /// Include wall time in profile output.
     pub profile_time: bool,
-    /// Wall-clock budget for the evaluation.
-    pub timeout: Option<Duration>,
-    /// Cap on semi-naive fixpoint rounds.
-    pub max_rounds: Option<u64>,
-    /// Cap on newly derived tuples.
-    pub max_tuples: Option<u64>,
+    /// Resource ceilings for the evaluation.
+    pub limits: LimitOpts,
     /// Storage backend (None = the engine default, hash).
     pub backend: Option<BackendKind>,
     /// Evaluation strategy (None = the engine default, seminaive).
@@ -166,12 +166,40 @@ impl RunOpts {
             profile: false,
             profile_json: None,
             profile_time: false,
-            timeout: None,
-            max_rounds: None,
-            max_tuples: None,
+            limits: LimitOpts::default(),
             backend: None,
             strategy: None,
         }
+    }
+}
+
+/// The governor flags `run` and `explain --analyze` share:
+/// `--timeout`, `--max-rounds` and `--max-tuples`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LimitOpts {
+    /// Wall-clock budget for the evaluation.
+    pub timeout: Option<Duration>,
+    /// Cap on semi-naive fixpoint rounds.
+    pub max_rounds: Option<u64>,
+    /// Cap on newly derived tuples.
+    pub max_tuples: Option<u64>,
+}
+
+impl LimitOpts {
+    /// Take `flag` (and its value from `it`) when it is a governor flag;
+    /// false when it is some other flag.
+    fn parse_flag<'a>(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--timeout" => self.timeout = Some(parse_duration(&value(it, "--timeout")?)?),
+            "--max-rounds" => self.max_rounds = Some(parse_num(it, "--max-rounds")?),
+            "--max-tuples" => self.max_tuples = Some(parse_num(it, "--max-tuples")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 }
 
@@ -228,6 +256,8 @@ pub enum Command {
         seed: Option<u64>,
         /// Worker threads for --analyze (None = auto).
         threads: Option<usize>,
+        /// Resource ceilings for --analyze.
+        limits: LimitOpts,
     },
     /// Run the full diagnostics/lint suite over one or more programs.
     Lint {
@@ -311,6 +341,7 @@ impl Args {
                 let mut analyze = false;
                 let mut seed = None;
                 let mut threads = None;
+                let mut limits = LimitOpts::default();
                 let mut it = opts.iter();
                 while let Some(flag) = it.next() {
                     match flag.as_str() {
@@ -318,6 +349,7 @@ impl Args {
                         "--analyze" => analyze = true,
                         "--seed" => seed = Some(parse_num(&mut it, "--seed")?),
                         "--threads" => threads = Some(parse_threads(&mut it)?),
+                        flag if limits.parse_flag(flag, &mut it)? => {}
                         other => return Err(format!("unknown option {other}")),
                     }
                 }
@@ -327,6 +359,7 @@ impl Args {
                     analyze,
                     seed,
                     threads,
+                    limits,
                 }
             }
             "lint" => {
@@ -391,15 +424,7 @@ impl Args {
                             run.max_models = Some(parse_num(&mut it, "--max-models")?)
                         }
                         "--threads" => run.threads = Some(parse_threads(&mut it)?),
-                        "--timeout" => {
-                            run.timeout = Some(parse_duration(&value(&mut it, "--timeout")?)?)
-                        }
-                        "--max-rounds" => {
-                            run.max_rounds = Some(parse_num(&mut it, "--max-rounds")?)
-                        }
-                        "--max-tuples" => {
-                            run.max_tuples = Some(parse_num(&mut it, "--max-tuples")?)
-                        }
+                        flag if run.limits.parse_flag(flag, &mut it)? => {}
                         "--backend" => run.backend = Some(parse_backend(&mut it)?),
                         "--strategy" => run.strategy = Some(parse_strategy(&mut it)?),
                         "--all" => run.all = true,
@@ -629,6 +654,10 @@ mod tests {
             "3",
             "--threads",
             "2",
+            "--timeout",
+            "1s",
+            "--max-rounds",
+            "7",
         ])
         .unwrap();
         let Command::Explain {
@@ -637,6 +666,7 @@ mod tests {
             analyze,
             seed,
             threads,
+            limits,
         } = args.command
         else {
             panic!("expected explain");
@@ -646,8 +676,12 @@ mod tests {
         assert!(analyze);
         assert_eq!(seed, Some(3));
         assert_eq!(threads, Some(2));
+        assert_eq!(limits.timeout, Some(Duration::from_secs(1)));
+        assert_eq!(limits.max_rounds, Some(7));
+        assert_eq!(limits.max_tuples, None);
         assert!(parse(&["explain"]).is_err());
         assert!(parse(&["explain", "p.idl", "--nope"]).is_err());
+        assert!(parse(&["explain", "p.idl", "--max-tuples", "-1"]).is_err());
     }
 
     #[test]
@@ -668,9 +702,9 @@ mod tests {
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.timeout, Some(Duration::from_millis(500)));
-        assert_eq!(run.max_rounds, Some(16));
-        assert_eq!(run.max_tuples, Some(1000));
+        assert_eq!(run.limits.timeout, Some(Duration::from_millis(500)));
+        assert_eq!(run.limits.max_rounds, Some(16));
+        assert_eq!(run.limits.max_tuples, Some(1000));
         assert!(parse(&["run", "p.idl", "--output", "q", "--timeout", "soon"]).is_err());
         assert!(parse(&["run", "p.idl", "--output", "q", "--max-tuples", "-1"]).is_err());
     }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use idlog_analyze::{analyze, render_all, render_json, Options};
 use idlog_core::{EvalError, Interner, LimitKind, StopReason, ValidatedProgram};
 
-use crate::args::RunOpts;
+use crate::args::{LimitOpts, RunOpts};
 use crate::{
     default_budget, limits_for, load, options_for, oracle_for, output_result, signal, CliError,
 };
@@ -260,13 +260,19 @@ pub fn optimize(program_path: &str, output: &str, suggest_prune: bool) -> Result
 /// `idlog explain`: print the evaluation plan for the *whole* program;
 /// with `--analyze`, evaluate it first (profiling on) and annotate every
 /// clause with measured counters.
+///
+/// `--timeout`/`--max-rounds`/`--max-tuples` bound the evaluation as they
+/// do `idlog run`'s: a trip annotates the plan with the counters up to the
+/// last completed round, prints the footers and returns
+/// [`CliError::limit`] (exit 3).
 pub fn explain(
     program_path: &str,
     facts_path: Option<&str>,
     analyze: bool,
     seed: Option<u64>,
     threads: Option<usize>,
-) -> Result<(), String> {
+    limits: &LimitOpts,
+) -> Result<(), CliError> {
     let interner = Arc::new(Interner::new());
     let src = std::fs::read_to_string(program_path)
         .map_err(|e| format!("cannot read {program_path}: {e}"))?;
@@ -286,12 +292,21 @@ pub fn explain(
         idlog_core::load_facts(&facts_src, &mut db).map_err(|e| format!("{path}: {e}"))?;
     }
     let mut oracle = oracle_for(seed);
-    let options = options_for(threads).profile(true);
-    let out = idlog_core::evaluate_with_options(&program, &db, oracle.as_mut(), &options)
-        .map_err(|e| e.to_string())?;
-    let profile = out
-        .profile()
-        .ok_or("internal error: profiling was enabled but produced no profile")?;
+    let options = options_for(threads)
+        .profile(true)
+        .limits(limits_for(limits));
+    let (out, stop) =
+        match idlog_core::evaluate_governed(&program, &db, oracle.as_mut(), &options, None) {
+            Ok(out) => (out, None),
+            Err(EvalError::Limit { limit, partial }) => (
+                *partial,
+                Some(CliError::limit(limit, format!("limit exceeded: {limit}"))),
+            ),
+            Err(e) => return Err(e.into_core().to_string().into()),
+        };
+    let profile = out.profile().ok_or_else(|| {
+        CliError::failure("internal error: profiling was enabled but produced no profile")
+    })?;
     let text = idlog_core::explain_analyze(&program, profile).map_err(|e| e.to_string())?;
     print!("{text}");
 
@@ -350,7 +365,16 @@ pub fn explain(
             println!("--   {line}");
         }
     }
-    Ok(())
+    match stop {
+        Some(stop) => {
+            eprintln!(
+                "-- counters up to the last completed round ({})",
+                stop.message()
+            );
+            Err(stop)
+        }
+        None => Ok(()),
+    }
 }
 
 /// `idlog run`: evaluate one answer or enumerate them all.
@@ -376,7 +400,7 @@ pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
         .strategy(opts.strategy.unwrap_or_default())
         .budget(default_budget(opts.max_models))
         .profile(want_profile)
-        .limits(limits_for(opts));
+        .limits(limits_for(&opts.limits));
     // A stale Ctrl-C from a previous evaluation must not cancel this one.
     let token = signal::token();
     token.reset();
@@ -464,10 +488,12 @@ pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
     }
+    // Render from the rows alone: the relation's membership table and
+    // indexes are dropped before the view is built.
+    let arity = result.relation.arity();
+    let rows = result.relation.into_rows();
     let mut emit = || -> io::Result<()> {
-        result
-            .relation
-            .canonical_view(&interner)
+        idlog_storage::CanonicalView::of_rows(&rows, arity, &interner)
             .write_facts(&opts.output, out)?;
         if let Some(table) = &table {
             out.write_all(table.as_bytes())?;

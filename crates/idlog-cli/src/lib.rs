@@ -19,7 +19,7 @@ pub mod commands;
 pub mod repl;
 pub mod signal;
 
-pub use args::{Args, Command, RunOpts, USAGE};
+pub use args::{Args, Command, LimitOpts, RunOpts, USAGE};
 
 /// A command failure: a stable [`ErrorCode`] plus a human-readable message.
 ///
@@ -124,8 +124,8 @@ pub fn run(args: Args) -> Result<(), CliError> {
             analyze,
             seed,
             threads,
-        } => commands::explain(&program, facts.as_deref(), analyze, seed, threads)
-            .map_err(CliError::from),
+            limits,
+        } => commands::explain(&program, facts.as_deref(), analyze, seed, threads, &limits),
         Command::Lint {
             programs,
             deny_warnings,
@@ -184,9 +184,9 @@ pub fn output_result(written: std::io::Result<()>) -> Result<(), CliError> {
     }
 }
 
-/// The [`Limits`] for `idlog run`'s `--timeout`/`--max-rounds`/
-/// `--max-tuples` flags.
-pub fn limits_for(opts: &RunOpts) -> Limits {
+/// The [`Limits`] for the `--timeout`/`--max-rounds`/`--max-tuples`
+/// flags of `idlog run` and `idlog explain --analyze`.
+pub fn limits_for(opts: &LimitOpts) -> Limits {
     Limits {
         deadline: opts.timeout,
         max_rounds: opts.max_rounds,

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use idlog_cli::{commands, load, Args, Command, RunOpts};
+use idlog_cli::{commands, load, Args, Command, LimitOpts, RunOpts};
 
 /// A per-test scratch directory (cleaned up on drop).
 struct Scratch {
@@ -104,14 +104,14 @@ fn run_query_limit_trip_maps_to_limit_exit_class() {
     // A round ceiling on a diverging program: the error is classified as a
     // limit trip (exit 3), not an ordinary failure, and names the flag.
     let mut rounds = RunOpts::new(&program, "count");
-    rounds.max_rounds = Some(5);
+    rounds.limits.max_rounds = Some(5);
     let err = commands::run_query(&rounds, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
 
     // Same for a tuple ceiling.
     let mut tuples = RunOpts::new(&program, "count");
-    tuples.max_tuples = Some(10);
+    tuples.limits.max_tuples = Some(10);
     let err = commands::run_query(&tuples, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-tuples"), "{err:?}");
@@ -121,9 +121,9 @@ fn run_query_limit_trip_maps_to_limit_exit_class() {
     let facts = s.file("f.idl", "emp(a, d). emp(b, d).");
     let mut ok = RunOpts::new(&fine, "two");
     ok.facts = Some(facts);
-    ok.max_rounds = Some(1_000);
-    ok.max_tuples = Some(1_000_000);
-    ok.timeout = Some(std::time::Duration::from_secs(60));
+    ok.limits.max_rounds = Some(1_000);
+    ok.limits.max_tuples = Some(1_000_000);
+    ok.limits.timeout = Some(std::time::Duration::from_secs(60));
     commands::run_query(&ok, &mut std::io::sink()).unwrap();
 }
 
@@ -166,7 +166,7 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     let mut tripped = RunOpts::new(&program, "q");
     tripped.facts = Some(facts);
     tripped.strategy = Some(idlog_core::Strategy::Magic);
-    tripped.max_rounds = Some(1);
+    tripped.limits.max_rounds = Some(1);
     let err = commands::run_query(&tripped, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
@@ -199,9 +199,38 @@ fn explain_command_plain_and_analyze() {
          pick(X) :- reach[](X, 0).",
     );
     let facts = s.file("f.idl", "start(a). e(a, b).");
-    commands::explain(&program, None, false, None, None).unwrap();
-    commands::explain(&program, Some(&facts), true, None, Some(1)).unwrap();
-    assert!(commands::explain("/nonexistent/x.idl", None, false, None, None).is_err());
+    let none = LimitOpts::default();
+    commands::explain(&program, None, false, None, None, &none).unwrap();
+    commands::explain(&program, Some(&facts), true, None, Some(1), &none).unwrap();
+    assert!(commands::explain("/nonexistent/x.idl", None, false, None, None, &none).is_err());
+}
+
+/// `explain --analyze` takes `run`'s governor flags: on a diverging
+/// program a round ceiling or a timeout trips, the plan and footers still
+/// print, and the exit code is 3.
+#[test]
+fn explain_analyze_stops_a_diverging_program_at_its_limits() {
+    let diverge = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs/diverge.idl");
+    let rounds = LimitOpts {
+        max_rounds: Some(5),
+        ..LimitOpts::default()
+    };
+    let err = commands::explain(diverge, None, true, None, Some(1), &rounds).unwrap_err();
+    assert_eq!(err.exit_code(), 3, "{err:?}");
+    assert_eq!(err.message(), "limit exceeded: max-rounds");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_idlog"))
+        .args(["explain", diverge, "--analyze", "--timeout", "1s"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("limit exceeded: timeout"), "{stderr}");
+    assert!(
+        stdout.contains("-- termination: possibly diverging (W020)"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -369,7 +398,7 @@ fn run_query_limit_trip_still_writes_the_partial_rows() {
     let s = Scratch::new("partial");
     let program = s.file("p.idl", "count(0). count(M) :- count(N), plus(N, 1, M).");
     let mut opts = RunOpts::new(&program, "count");
-    opts.max_rounds = Some(4);
+    opts.limits.max_rounds = Some(4);
     let (result, out) = run_captured(&opts);
     assert_eq!(result.unwrap_err().exit_code(), 3);
     // Four completed rounds: the fact plus three increments, in int order.

@@ -136,7 +136,7 @@ fn diverge_program_lints_clean_and_trips_limits() {
     // And `idlog run` on it under a round ceiling exits via the limit
     // class (exit code 3), carrying the partial result to stdout.
     let mut opts = idlog_cli::RunOpts::new(path("diverge.idl"), "count");
-    opts.max_rounds = Some(50);
+    opts.limits.max_rounds = Some(50);
     let err = idlog_cli::commands::run_query(&opts, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
@@ -237,7 +237,7 @@ fn corpus_output(
         opts.facts = case.facts.as_deref().map(path);
         opts.threads = Some(threads);
         opts.backend = Some(backend);
-        opts.max_rounds = diverges.then_some(DIVERGING_ROUNDS);
+        opts.limits.max_rounds = diverges.then_some(DIVERGING_ROUNDS);
         let result = idlog_cli::commands::run_query(&opts, &mut printed);
         match (diverges, result) {
             (false, Ok(())) => {}
@@ -445,14 +445,14 @@ fn check_prints_its_golden_report_for_every_shipped_program() {
     }
 }
 
-/// `idlog explain --analyze` on every shipped program that reaches its
-/// fixpoint, over its `.facts` sidecar, ends in the footer pinned in
-/// `programs/golden/<stem>.footer`: the determinism certificates, the
-/// termination verdict with its automatic round ceiling, and the relevance
-/// verdict of each query root in first-defining-clause order. The DATALOG^C
-/// program is rejected by `explain`, and the diverging one never finishes
-/// (`explain` takes no round ceiling), so neither has a footer. Regenerate
-/// after an intentional change with
+/// `idlog explain --analyze` on every shipped program, over its `.facts`
+/// sidecar, ends in the footer pinned in `programs/golden/<stem>.footer`:
+/// the determinism certificates, the termination verdict with its
+/// automatic round ceiling, and the relevance verdict of each query root in
+/// first-defining-clause order. A program not certified to terminate runs
+/// under `--max-rounds 5`, trips it (exit 3) and still prints its footer.
+/// The DATALOG^C program is rejected by `explain`, so it has none.
+/// Regenerate after an intentional change with
 /// `UPDATE_GOLDEN=1 cargo test -p idlog-cli --test programs`.
 #[test]
 fn explain_analyze_prints_its_golden_footer_for_every_shipped_program() {
@@ -462,11 +462,11 @@ fn explain_analyze_prints_its_golden_footer_for_every_shipped_program() {
     for case in idlog_suite::corpus(&programs_dir()).unwrap() {
         let stem = case.program.trim_end_matches(".idl");
         let golden_path = programs_dir().join("golden").join(format!("{stem}.footer"));
-        let terminates = corpus_program(&case).is_some_and(|p| p.termination().bounded());
-        if !terminates {
+        let Some(program) = corpus_program(&case) else {
             assert!(!golden_path.exists(), "{stem}: footer without a run");
             continue;
-        }
+        };
+        let terminates = program.termination().bounded();
         let mut args = vec![
             "explain".to_string(),
             format!("programs/{}", case.program),
@@ -475,12 +475,20 @@ fn explain_analyze_prints_its_golden_footer_for_every_shipped_program() {
         if let Some(facts) = &case.facts {
             args.extend(["--facts".to_string(), format!("programs/{facts}")]);
         }
+        if !terminates {
+            args.extend(["--max-rounds".to_string(), "5".to_string()]);
+        }
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_idlog"))
             .current_dir(&root)
             .args(&args)
             .output()
             .unwrap();
-        assert!(out.status.success(), "idlog {args:?}: {out:?}");
+        let expected_exit = if terminates { 0 } else { 3 };
+        assert_eq!(
+            out.status.code(),
+            Some(expected_exit),
+            "idlog {args:?}: {out:?}"
+        );
         let printed = String::from_utf8(out.stdout).unwrap();
         let start = printed
             .find("-- determinism")
@@ -495,5 +503,5 @@ fn explain_analyze_prints_its_golden_footer_for_every_shipped_program() {
         assert_eq!(footer, golden, "idlog {args:?}");
         checked += 1;
     }
-    assert!(update || checked >= 7, "corpus shrank: {checked} footers");
+    assert!(update || checked >= 8, "corpus shrank: {checked} footers");
 }

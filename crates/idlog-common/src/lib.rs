@@ -30,4 +30,4 @@ pub use json::Json;
 pub use sort::{RelType, Sort};
 pub use symbol::{Interner, InternerGuard, Names, SymbolId};
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Nat, Value};

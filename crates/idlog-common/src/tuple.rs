@@ -5,17 +5,18 @@ use std::hash::{Hash, Hasher};
 use std::ops::Index;
 
 use crate::symbol::Interner;
-use crate::value::Value;
+use crate::value::{Nat, Value};
 
 /// Widest tuple stored inline. Three covers every relation the shipped
 /// `programs/` and the benchmark workloads build (binary edges and closures,
-/// `emp[2]`'s name–department–tid rows), and with 16-byte [`Value`]s it is
-/// the widest that keeps `size_of::<Tuple>()` within the 64 bytes a boxed
-/// binary tuple used to cost (fat pointer + heap block).
+/// `emp[2]`'s name–department–tid rows). With 8-byte [`Value`]s a tuple is
+/// 32 bytes: the three values, the length and the enum tag, rounded up to
+/// the boxed slice's 8-byte alignment. A fourth inline value would cost
+/// every binary tuple another 8 bytes.
 const INLINE: usize = 3;
 
 /// Fills the unused slots of an inline tuple; never observable.
-const PAD: Value = Value::Int(0);
+const PAD: Value = Value::Int(Nat::ZERO);
 
 /// An immutable ground tuple of [`Value`]s.
 ///
@@ -36,6 +37,8 @@ enum Repr {
     /// More than [`INLINE`] columns.
     Boxed(Box<[Value]>),
 }
+
+const _: () = assert!(std::mem::size_of::<Tuple>() == 32);
 
 impl Tuple {
     /// Build from values.
@@ -207,6 +210,10 @@ impl fmt::Display for TupleDisplay<'_> {
 mod tests {
     use super::*;
 
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
+
     fn syms(i: &Interner, names: &[&str]) -> Vec<Value> {
         names.iter().map(|n| Value::Sym(i.intern(n))).collect()
     }
@@ -240,16 +247,16 @@ mod tests {
     fn with_appended_adds_tid() {
         let i = Interner::new();
         let t: Tuple = syms(&i, &["a"]).into();
-        let t2 = t.with_appended(Value::Int(0));
+        let t2 = t.with_appended(int(0));
         assert_eq!(t2.arity(), 2);
-        assert_eq!(t2[1], Value::Int(0));
+        assert_eq!(t2[1], int(0));
     }
 
     #[test]
     fn display_format() {
         let i = Interner::new();
         let mut vals = syms(&i, &["alice", "sales"]);
-        vals.push(Value::Int(1));
+        vals.push(int(1));
         let t: Tuple = vals.into();
         assert_eq!(t.display(&i).to_string(), "(alice, sales, 1)");
     }

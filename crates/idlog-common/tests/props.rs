@@ -2,13 +2,57 @@
 
 use proptest::prelude::*;
 
-use idlog_common::{FxBuildHasher, Interner, RelType, Tuple, Value};
+use idlog_common::{FxBuildHasher, Interner, Nat, RelType, SymbolId, Tuple, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
-        (0u32..64).prop_map(|n| Value::Sym(idlog_common::SymbolId(n))),
-        (0i64..1000).prop_map(Value::Int),
+        (0u32..64).prop_map(|n| Value::Sym(SymbolId(n))),
+        (0i64..1000).prop_map(|n| Value::Int(Nat::new(n).unwrap())),
     ]
+}
+
+/// Naturals across the whole range: the edges of [`Nat`]'s two halves, and
+/// arbitrary 63-bit numbers.
+fn arb_natural() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(0i64),
+        Just(u32::MAX as i64),
+        Just(1i64 << 32),
+        Just(i64::MAX),
+        0i64..3,
+        any::<u64>().prop_map(|bits| (bits >> 1) as i64),
+        any::<u32>().prop_map(i64::from),
+    ]
+}
+
+/// The value model before naturals were packed: same variants, same
+/// derives, a plain `i64` payload. Its derived order and hash are what
+/// [`Value`]'s must still be, so hash-map iteration orders are unchanged.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum WideValue {
+    Sym(SymbolId),
+    Int(i64),
+}
+
+fn arb_wide_value() -> impl Strategy<Value = (Value, WideValue)> {
+    prop_oneof![
+        prop_oneof![0u32..3, any::<u32>()]
+            .prop_map(|n| (Value::Sym(SymbolId(n)), WideValue::Sym(SymbolId(n)))),
+        arb_natural().prop_map(|n| (Value::Int(Nat::new(n).unwrap()), WideValue::Int(n))),
+    ]
+}
+
+/// `Nat` holds exactly `0..=i64::MAX`, across the boundary of its halves.
+#[test]
+fn nat_round_trips_the_naturals_and_refuses_negatives() {
+    for n in [0, 1, u32::MAX as i64, 1 << 32, (1 << 32) + 1, i64::MAX] {
+        assert_eq!(Nat::new(n).map(Nat::get), Some(n));
+        assert_eq!(Nat::new(n).unwrap().to_string(), n.to_string());
+    }
+    for n in [-1, -(1 << 32), i64::MIN] {
+        assert_eq!(Nat::new(n), None);
+    }
+    assert_eq!(Nat::ZERO.get(), 0);
 }
 
 fn arb_tuple(max_arity: usize) -> impl Strategy<Value = Tuple> {
@@ -59,6 +103,26 @@ proptest! {
         prop_assert_eq!(t2.arity(), t.arity() + 1);
         prop_assert_eq!(&t2.values()[..t.arity()], t.values());
         prop_assert_eq!(t2[t.arity()], v);
+    }
+
+    /// `Value`'s derived order is the old (variant, payload) order: every
+    /// symbol first, then naturals by number.
+    #[test]
+    fn value_order_is_the_wide_order(
+        (a, wa) in arb_wide_value(),
+        (b, wb) in arb_wide_value(),
+    ) {
+        prop_assert_eq!(a.cmp(&b), wa.cmp(&wb));
+        prop_assert_eq!(a == b, wa == wb);
+    }
+
+    /// `Value`'s Fx hash is the old derived formula's, bit for bit.
+    #[test]
+    fn value_hash_is_the_wide_hash((v, wide) in arb_wide_value()) {
+        use std::hash::BuildHasher;
+        let h = FxBuildHasher::default();
+        prop_assert_eq!(h.hash_one(v), h.hash_one(&wide));
+        prop_assert_eq!(h.hash_one([v, v]), h.hash_one([&wide, &wide]));
     }
 
     /// RelType survives a display/parse roundtrip.
@@ -140,7 +204,7 @@ proptest! {
             let projected: Vec<Value> = positions.iter().map(|&p| a[p]).collect();
             prop_assert_eq!(ta.project(&positions), Tuple::from(projected));
         }
-        prop_assert!(std::mem::size_of::<Tuple>() <= 64);
+        prop_assert_eq!(std::mem::size_of::<Tuple>(), 32);
     }
 
     /// Canonical tuple comparison is a total order consistent with equality.

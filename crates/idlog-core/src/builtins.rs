@@ -30,15 +30,12 @@ fn infinite(op: Builtin) -> CoreError {
 }
 
 /// Solve `op(args…)` where `None` marks an unbound argument. Bound arguments
-/// must be sort-`i` values (guaranteed by sort inference; symbols yield an
-/// empty solution set defensively, except `=`/`!=` which compare any sort —
-/// use [`eq_check`] for those).
+/// are the payloads of sort-`i` values ([`idlog_common::Nat::get`]), so
+/// naturals; every solution is a vector of naturals too (`=`/`!=` compare
+/// any sort — use [`eq_check`] for those).
 pub fn solve(op: Builtin, args: &[Option<i64>]) -> CoreResult<Solutions> {
     debug_assert_eq!(args.len(), op.arity());
-    // Negative numbers never satisfy a ℕ-predicate.
-    if args.iter().flatten().any(|&n| n < 0) {
-        return Ok(vec![]);
-    }
+    debug_assert!(args.iter().flatten().all(|&n| n >= 0), "{args:?}");
     let sols = match op {
         Builtin::Succ => match (args[0], args[1]) {
             (Some(a), Some(b)) => check(b == a + 1, vec![a, b]),
@@ -297,12 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_inputs_never_match() {
-        assert!(s(Builtin::Succ, &[Some(-1), None]).is_empty());
-        assert!(s(Builtin::Lt, &[Some(-2), Some(3)]).is_empty());
-    }
-
-    #[test]
     fn overflow_is_an_error() {
         assert!(solve(Builtin::Succ, &[Some(i64::MAX), None]).is_err());
         assert!(solve(Builtin::Times, &[Some(i64::MAX), Some(2), None]).is_err());
@@ -310,12 +301,12 @@ mod tests {
 
     #[test]
     fn eq_check_on_values() {
-        use idlog_common::Interner;
+        use idlog_common::{Interner, Nat};
         let i = Interner::new();
         let a = Value::Sym(i.intern("a"));
         let b = Value::Sym(i.intern("b"));
         assert!(eq_check(Builtin::Eq, a, a));
         assert!(eq_check(Builtin::Ne, a, b));
-        assert!(!eq_check(Builtin::Eq, a, Value::Int(1)));
+        assert!(!eq_check(Builtin::Eq, a, Value::Int(Nat::new(1).unwrap())));
     }
 }

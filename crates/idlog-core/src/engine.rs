@@ -46,7 +46,7 @@
 
 use std::sync::Arc;
 
-use idlog_common::{FxHashMap, FxHashSet, SymbolId, Tuple, Value};
+use idlog_common::{FxHashMap, FxHashSet, Nat, SymbolId, Tuple, Value};
 use idlog_parser::Builtin;
 use idlog_storage::{IndexHandle, Relation};
 
@@ -1013,7 +1013,7 @@ impl<V: ReadView> RuleRun<'_, V> {
         for (&a, &b) in args.iter().zip(bound) {
             if b {
                 match resolve(a, self.bindings) {
-                    Value::Int(n) => ints.push(Some(n)),
+                    Value::Int(n) => ints.push(Some(n.get())),
                     Value::Sym(_) => return Ok(()), // wrong sort: no solutions
                 }
             } else {
@@ -1025,7 +1025,7 @@ impl<V: ReadView> RuleRun<'_, V> {
             let mut newly: Vec<usize> = Vec::new();
             let mut ok = true;
             for (k, &a) in args.iter().enumerate() {
-                let want = Value::Int(sol[k]);
+                let want = Value::Int(Nat::new(sol[k]).expect("builtins map ℕ into ℕ"));
                 match a {
                     TermPat::Const(c) => {
                         if c != want {
@@ -1063,6 +1063,10 @@ mod tests {
     use super::*;
     use idlog_common::{Interner, Value};
 
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
+
     fn rel(i: &Interner, names: &[&str]) -> Relation {
         let mut r = Relation::elementary(1);
         for n in names {
@@ -1096,7 +1100,7 @@ mod tests {
             idlog_common::Sort::U,
             idlog_common::Sort::I,
         ]));
-        idr.insert(vec![Value::Sym(i.intern("a")), Value::Int(0)].into())
+        idr.insert(vec![Value::Sym(i.intern("a")), int(0)].into())
             .unwrap();
         state.put(PredKey::Id(p, vec![0]), idr);
         assert!(state.has(&PredKey::Id(p, vec![0])));

@@ -480,7 +480,11 @@ fn materialize_id_relations(
 mod tests {
     use super::*;
     use crate::tid::{CanonicalOracle, ExplicitOracle};
-    use idlog_common::{Tuple, Value};
+    use idlog_common::{Nat, Tuple, Value};
+
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
 
     fn setup(src: &str, facts: &[(&str, &[&str])]) -> (ValidatedProgram, Database) {
         let interner = Arc::new(Interner::new());
@@ -597,8 +601,8 @@ mod tests {
     #[test]
     fn arithmetic_chain() {
         let (p, mut db) = setup("double(N, M) :- num(N), plus(N, N, M).", &[]);
-        db.insert("num", Tuple::new(vec![Value::Int(3)])).unwrap();
-        db.insert("num", Tuple::new(vec![Value::Int(5)])).unwrap();
+        db.insert("num", Tuple::new(vec![int(3)])).unwrap();
+        db.insert("num", Tuple::new(vec![int(5)])).unwrap();
         let out = run(&p, &db, &mut CanonicalOracle).unwrap();
         assert_eq!(names(&out, "double"), ["3,6", "5,10"]);
     }

@@ -84,6 +84,6 @@ pub use termination::{
 pub use tid::{CanonicalOracle, ExplicitOracle, SeededOracle, TidOracle};
 
 // Re-export the pieces callers need to build inputs and read outputs.
-pub use idlog_common::{Interner, Json, RelType, Sort, SymbolId, Tuple, Value};
+pub use idlog_common::{Interner, Json, Nat, RelType, Sort, SymbolId, Tuple, Value};
 pub use idlog_parser::{parse_clause, parse_program, Program};
 pub use idlog_storage::{BackendKind, Database, Relation, Storage};

@@ -646,8 +646,12 @@ impl ReadView for Surviving<'_> {
 mod tests {
     use super::*;
     use crate::query::Query;
-    use idlog_common::Value;
+    use idlog_common::{Nat, Value};
     use idlog_storage::BackendKind;
+
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
 
     /// Drive a program through a change script, asserting after every step
     /// that the maintained state matches a fresh canonical evaluation on
@@ -971,7 +975,7 @@ mod tests {
 
     #[test]
     fn net_change_keeps_first_surviving_order() {
-        let t = |n: i64| Tuple::new(vec![Value::Int(n)]);
+        let t = |n: i64| Tuple::new(vec![int(n)]);
         let mut nc = NetChange::default();
         assert!(nc.add(t(1)));
         assert!(nc.add(t(2)));
@@ -992,7 +996,7 @@ mod tests {
 
     #[test]
     fn net_change_is_empty_once_everything_is_removed() {
-        let t = |n: i64| Tuple::new(vec![Value::Int(n)]);
+        let t = |n: i64| Tuple::new(vec![int(n)]);
         let mut nc = NetChange::default();
         assert!(nc.is_empty());
         for n in 0..100 {
@@ -1070,18 +1074,18 @@ mod tests {
         let src = "big(M) :- num(N), plus(N, N, M).";
         let q = Query::parse(src, "big").unwrap();
         let mut db = q.new_database();
-        db.insert("num", Tuple::new(vec![Value::Int(3)])).unwrap();
+        db.insert("num", Tuple::new(vec![int(3)])).unwrap();
         let options = EvalOptions::default();
         let mut mat = Materialized::build(q.related_program(), &db, &options).unwrap();
         let num = q.interner().intern("num");
 
-        let five = Tuple::new(vec![Value::Int(5)]);
+        let five = Tuple::new(vec![int(5)]);
         db.insert("num", five.clone()).unwrap();
         assert_eq!(
             mat.apply(&db, &FactDelta::insert(num, five)).unwrap(),
             MaintainOutcome::Incremental
         );
-        let three = Tuple::new(vec![Value::Int(3)]);
+        let three = Tuple::new(vec![int(3)]);
         db.retract("num", &three).unwrap();
         assert_eq!(
             mat.apply(&db, &FactDelta::retract(num, three)).unwrap(),

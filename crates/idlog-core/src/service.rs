@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use idlog_common::{Interner, Json, Value};
+use idlog_common::{Interner, Json, Nat, Value};
 use idlog_storage::{BackendKind, Relation};
 
 use crate::error::ErrorCode;
@@ -54,13 +54,13 @@ pub fn negotiate_schema(requested: Option<&str>) -> Result<&'static str, String>
 }
 
 /// One fact argument on the wire: JSON strings are symbols, JSON integers
-/// are sort-`i` values.
+/// are sort-`i` values — naturals, so a negative integer is refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FactValue {
     /// An uninterpreted symbol.
     Sym(String),
-    /// An integer.
-    Int(i64),
+    /// A natural number.
+    Int(Nat),
 }
 
 impl FactValue {
@@ -75,7 +75,7 @@ impl FactValue {
     fn to_json(&self) -> Json {
         match self {
             FactValue::Sym(s) => Json::str(s.clone()),
-            FactValue::Int(n) => Json::int(*n),
+            FactValue::Int(n) => Json::int(n.get()),
         }
     }
 
@@ -84,7 +84,9 @@ impl FactValue {
             return Ok(FactValue::Sym(s.to_string()));
         }
         if let Some(n) = j.as_i64() {
-            return Ok(FactValue::Int(n));
+            return Nat::new(n)
+                .map(FactValue::Int)
+                .ok_or_else(|| format!("fact value {n} is negative: integers are naturals"));
         }
         if let Some(n) = j.as_f64() {
             return Err(format!("fact value {n} is not an i64"));
@@ -697,14 +699,14 @@ mod tests {
         let req = Request::Insert {
             tenant: "t".into(),
             pred: "num".into(),
-            tuple: vec![FactValue::Sym("a".into()), FactValue::Int(42)],
+            tuple: vec![FactValue::Sym("a".into()), FactValue::Int(nat(42))],
         };
         let parsed = Request::parse(&req.to_json()).unwrap();
         assert_eq!(parsed, req);
         let ret = Request::Retract {
             tenant: "t".into(),
             pred: "num".into(),
-            tuple: vec![FactValue::Int(-3)],
+            tuple: vec![FactValue::Int(nat(i64::MAX))],
         };
         assert_eq!(Request::parse(&ret.to_json()).unwrap(), ret);
         for control in [
@@ -717,6 +719,24 @@ mod tests {
         ] {
             assert_eq!(Request::parse(&control.to_json()).unwrap(), control);
         }
+    }
+
+    fn nat(n: i64) -> Nat {
+        Nat::new(n).expect("a natural")
+    }
+
+    #[test]
+    fn negative_fact_values_are_refused() {
+        for op in ["insert", "retract"] {
+            let line = format!(r#"{{"op":"{op}","tenant":"t","pred":"n","tuple":[2,-3]}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert_eq!(err, "fact value -3 is negative: integers are naturals");
+        }
+        let line = format!(
+            r#"{{"op":"insert","tenant":"t","pred":"n","tuple":[{}]}}"#,
+            i64::MIN
+        );
+        assert!(Request::parse(&line).unwrap_err().contains("is negative"));
     }
 
     #[test]

@@ -170,7 +170,7 @@ pub struct TerminationCert {
     /// Input predicates (read but never defined), with arities.
     edb: Vec<(SymbolId, usize)>,
     /// Largest integer constant in the program (for the value ceiling).
-    max_const: i64,
+    max_const: u64,
     /// Number of distinct constant terms in the program.
     const_count: u64,
     /// One entry per body occurrence of a builtin with an expanding output
@@ -271,7 +271,7 @@ impl TerminationCert {
         // many distinct values there are — is one pass over the database,
         // made once per database version and cached there.
         let data = db.value_summary();
-        let mut vstar: u64 = (self.max_const.max(0) as u64).max(data.max_natural);
+        let mut vstar: u64 = self.max_const.max(data.max_natural);
         let pool = data.distinct;
         // Value ceiling: the largest natural any evaluation can derive.
         // In a certified (acyclic) flow graph a derivation chain passes
@@ -428,7 +428,7 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
 
     // --- Program constants and expanding builtin occurrences. ---
     let mut consts: FxHashSet<Term> = FxHashSet::default();
-    let mut max_const: i64 = 0;
+    let mut max_const: u64 = 0;
     let mut expanding_ops: Vec<Builtin> = Vec::new();
     for clause in &ast.clauses {
         for t in &clause.single_head().terms {
@@ -525,10 +525,10 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
     }
 }
 
-fn note_const(t: &Term, consts: &mut FxHashSet<Term>, max_const: &mut i64) {
+fn note_const(t: &Term, consts: &mut FxHashSet<Term>, max_const: &mut u64) {
     match t {
         Term::Int(n) => {
-            *max_const = (*max_const).max(*n);
+            *max_const = (*max_const).max(n.get() as u64);
             consts.insert(t.clone());
         }
         Term::Sym(_) => {
@@ -701,7 +701,11 @@ fn classify_sccs(program: &Program, graph: &DepGraph) -> Vec<SccSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idlog_common::Value;
+    use idlog_common::{Nat, Value};
+
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
     use std::sync::Arc;
 
     use idlog_common::Interner;
@@ -778,7 +782,7 @@ mod tests {
         let (c, i) = cert("next(M) :- base(N), succ(N, M).");
         assert!(c.bounded());
         let mut db = Database::with_interner(Arc::clone(&i));
-        db.insert("base", idlog_common::Tuple::new(vec![Value::Int(7)]))
+        db.insert("base", idlog_common::Tuple::new(vec![int(7)]))
             .unwrap();
         let b = c.round_bound(&db).expect("bounded");
         assert!(b >= 2, "at least one derivation round plus fixpoint check");
@@ -794,10 +798,10 @@ mod tests {
         for (x, y) in [("a", "b"), ("b", "a"), ("b", "c")] {
             db.insert_syms("e", &[x, y]).unwrap();
         }
-        // Repeated symbols, repeated and negative integers: the pool is
-        // {a, b, c} and {-4, 2, 9}, and the largest natural is 9.
-        for (x, n) in [("a", 2), ("b", 2), ("c", 9), ("a", -4)] {
-            let t = vec![Value::Sym(i.intern(x)), Value::Int(n)];
+        // Repeated symbols and integers: the pool is {a, b, c} and
+        // {2, 4, 9}, and the largest natural is 9.
+        for (x, n) in [("a", 2), ("b", 2), ("c", 9), ("a", 4)] {
+            let t = vec![Value::Sym(i.intern(x)), int(n)];
             db.insert("w", t.into()).unwrap();
         }
         // D = 6 values + V* 9 + 1 = 16; tc reads e (3 tuples): 19² = 361;

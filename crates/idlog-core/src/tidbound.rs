@@ -73,7 +73,7 @@ pub(crate) fn tid_use(clause: &Clause, li: usize) -> TidUse {
         bound: Some(k),
     };
     let v = match &atom.terms[tid_pos] {
-        Term::Int(c) => return constant(usize::try_from(*c).map_or(0, |c| c + 1)),
+        Term::Int(c) => return constant(usize::try_from(c.get()).map_or(0, |c| c + 1)),
         // Wrong sort: never matches, so it observes no tid.
         Term::Sym(_) => return constant(0),
         Term::Var(v) => v.as_str(),
@@ -128,7 +128,7 @@ fn constant_bound(op: Builtin, args: &[Term], v: &str) -> Option<usize> {
         _ => return None,
     };
     let Term::Int(c) = c else { return None };
-    let c = usize::try_from(*c).ok()?;
+    let c = usize::try_from(c.get()).ok()?;
     (x == v).then_some(if strict { c } else { c + 1 })
 }
 

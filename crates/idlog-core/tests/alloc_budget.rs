@@ -14,10 +14,14 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use idlog_core::{
-    evaluate_with_options, load_facts, CanonicalOracle, EvalOptions, Interner, Query, RelType,
+    evaluate_with_options, load_facts, CanonicalOracle, EvalOptions, Interner, Nat, Query, RelType,
     Relation, SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
+
+fn int(n: i64) -> Value {
+    Value::Int(Nat::new(n).expect("a natural"))
+}
 
 struct Counting;
 
@@ -109,7 +113,7 @@ fn a_fixpoint_allocates_per_round_not_per_tuple() {
 fn cloning_a_relation_of_small_tuples_is_a_handful_of_copies() {
     let mut rel = Relation::new(RelType::new(vec![idlog_core::Sort::I; 2]));
     for n in 0..10_000i64 {
-        let t: Tuple = [Value::Int(n), Value::Int(n / 7)].into_iter().collect();
+        let t: Tuple = [int(n), int(n / 7)].into_iter().collect();
         rel.insert(t).unwrap();
     }
     let (copy, allocations) = allocations_during(|| rel.clone());

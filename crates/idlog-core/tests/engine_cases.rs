@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use idlog_core::{Interner, Query, Tuple, Value};
+use idlog_core::{Interner, Nat, Query, Tuple, Value};
 use idlog_storage::Database;
 
 fn db_from(interner: &Arc<Interner>, facts: &[(&str, &[&str])]) -> Database {
@@ -176,8 +176,11 @@ fn integer_facts_and_filters() {
     let mut db = Database::with_interner(Arc::clone(q.interner()));
     for (n, l) in [("a", 1i64), ("b", 3), ("c", 5)] {
         let sym = Value::Sym(q.interner().intern(n));
-        db.insert("level", Tuple::new(vec![sym, Value::Int(l)]))
-            .unwrap();
+        db.insert(
+            "level",
+            Tuple::new(vec![sym, Value::Int(Nat::new(l).unwrap())]),
+        )
+        .unwrap();
     }
     let rel = q.session(&db).run().unwrap().relation;
     assert_eq!(rows(&q, &rel), ["(b)", "(c)"]);

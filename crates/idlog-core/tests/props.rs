@@ -350,7 +350,7 @@ const NAMES: [&str; 6] = ["zeta", "yam", "x1", "mid", "beta", "alpha"];
 /// A relation of the given column sorts (`true` = symbols) from small codes,
 /// and the interner its symbols live in.
 fn coded_relation(symbolic: &[bool], rows: &[Vec<usize>]) -> (Interner, idlog_core::Relation) {
-    use idlog_core::{RelType, Sort, Tuple, Value};
+    use idlog_core::{Nat, RelType, Sort, Tuple, Value};
     let interner = Interner::new();
     for name in NAMES {
         interner.intern(name);
@@ -360,7 +360,7 @@ fn coded_relation(symbolic: &[bool], rows: &[Vec<usize>]) -> (Interner, idlog_co
     for row in rows {
         let values = symbolic.iter().zip(row).map(|(&s, &code)| match s {
             true => Value::Sym(interner.intern(NAMES[code % NAMES.len()])),
-            false => Value::Int(code as i64),
+            false => Value::Int(Nat::new(code as i64).unwrap()),
         });
         rel.insert(Tuple::new(values.collect::<Vec<_>>())).unwrap();
     }

@@ -28,10 +28,14 @@ use idlog_common::SymbolId;
 use idlog_core::stratify::{stratify_check, DepGraph};
 use idlog_core::tidbound::tid_bounds_ast;
 use idlog_core::{
-    choice_free_occurrence, evaluate_with_options, CanonicalOracle, EvalOptions, Interner,
+    choice_free_occurrence, evaluate_with_options, CanonicalOracle, EvalOptions, Interner, Nat,
     RecursionKind, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
+
+fn int(n: i64) -> Value {
+    Value::Int(Nat::new(n).expect("a natural"))
+}
 
 /// Variable pool; index 4 is reserved for a builtin's fresh output.
 const VARS: [&str; 5] = ["X", "Y", "Z", "W", "V"];
@@ -334,8 +338,7 @@ fn build(spec: &ProgramSpec) -> (ValidatedProgram, Database) {
     )
     .unwrap();
     for &(a, b) in &spec.facts {
-        db.insert("e", Tuple::new(vec![Value::Int(a), Value::Int(b)]))
-            .unwrap();
+        db.insert("e", Tuple::new(vec![int(a), int(b)])).unwrap();
     }
     (program, db)
 }
@@ -1017,7 +1020,7 @@ mod reference {
         let atom = clause.body[li].atom().expect("caller checked");
         let tid_pos = atom.terms.len() - 1;
         match &atom.terms[tid_pos] {
-            Term::Int(c) => Some(usize::try_from(*c).map_or(0, |c| c + 1)),
+            Term::Int(c) => Some(usize::try_from(c.get()).map_or(0, |c| c + 1)),
             Term::Sym(_) => Some(0),
             Term::Var(v) => {
                 if atom.terms[..tid_pos].iter().any(|t| t.as_var() == Some(v)) {
@@ -1064,7 +1067,7 @@ mod reference {
             return ComparisonUse::NotMentioned;
         }
         let as_const = |t: &Term| match t {
-            Term::Int(c) => usize::try_from(*c).ok(),
+            Term::Int(c) => usize::try_from(c.get()).ok(),
             _ => None,
         };
         let bound = |c: Option<usize>, plus: usize| match c {

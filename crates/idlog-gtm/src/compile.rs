@@ -18,7 +18,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use idlog_common::{Interner, Tuple, Value};
+use idlog_common::{Interner, Nat, Tuple, Value};
 use idlog_core::{CoreResult, EnumBudget, Query};
 use idlog_storage::Database;
 
@@ -151,24 +151,25 @@ impl CompiledTm {
     /// The input database for a run on `input`: time and position ranges
     /// plus the initial tape.
     pub fn database(&self, interner: &Arc<Interner>, input: &[u8]) -> Database {
+        let nat = |n: usize| {
+            let n = i64::try_from(n).ok().and_then(Nat::new);
+            Value::Int(n.expect("a step, cell or symbol number fits in i64"))
+        };
         let mut db = Database::with_interner(Arc::clone(interner));
-        for t in 0..=self.max_steps as i64 {
-            db.insert("tm_time", Tuple::new(vec![Value::Int(t)]))
+        for t in 0..=self.max_steps {
+            db.insert("tm_time", Tuple::new(vec![nat(t)]))
                 .expect("i-typed");
         }
-        for p in 0..self.max_space as i64 {
-            db.insert("tm_pos", Tuple::new(vec![Value::Int(p)]))
+        for p in 0..self.max_space {
+            db.insert("tm_pos", Tuple::new(vec![nat(p)]))
                 .expect("i-typed");
         }
         db.declare("input_cell", "11".parse().expect("literal type"))
             .expect("fresh relation");
         for (p, &s) in input.iter().enumerate() {
             if s != 0 {
-                db.insert(
-                    "input_cell",
-                    Tuple::new(vec![Value::Int(p as i64), Value::Int(s as i64)]),
-                )
-                .expect("i-typed");
+                db.insert("input_cell", Tuple::new(vec![nat(p), nat(usize::from(s))]))
+                    .expect("i-typed");
             }
         }
         db

@@ -24,7 +24,7 @@
 //! rewritten atom, which turns "some tuple with equal columns" into "THE
 //! chosen tuple has equal columns" — is reverted literal by literal.
 
-use idlog_common::SymbolId;
+use idlog_common::{Nat, SymbolId};
 use idlog_core::choice_free_occurrence;
 use idlog_parser::{Atom, Clause, Literal, Program, Term};
 
@@ -75,7 +75,7 @@ pub fn to_id_program(program: &Program, output: SymbolId) -> Program {
                                 .filter(|p| !exist.contains(p))
                                 .collect();
                             let mut terms = atom.terms.clone();
-                            terms.push(Term::Int(0));
+                            terms.push(Term::Int(Nat::ZERO));
                             rewritten_at.push(li);
                             Literal::Pos(Atom::id_version(atom.pred.base(), grouping, terms))
                         }

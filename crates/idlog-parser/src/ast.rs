@@ -1,6 +1,6 @@
 //! Abstract syntax shared by the language family.
 
-use idlog_common::{FxHashSet, SymbolId};
+use idlog_common::{FxHashSet, Nat, SymbolId};
 
 /// A term: a variable or a ground constant of either sort.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -10,7 +10,7 @@ pub enum Term {
     /// An uninterpreted constant (sort `u`), interned.
     Sym(SymbolId),
     /// A natural number constant (sort `i`).
-    Int(i64),
+    Int(Nat),
 }
 
 impl Term {

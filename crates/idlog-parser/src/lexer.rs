@@ -9,6 +9,8 @@
 //! one replaced, and a property holds the two to the same tokens,
 //! positions and errors.
 
+use idlog_common::Nat;
+
 use crate::error::{ParseError, ParseResult};
 use crate::token::{Pos, Spanned, Token};
 
@@ -162,7 +164,7 @@ impl<'a> Lexer<'a> {
                         .and_then(|n| n.checked_add(i64::from(digit - b'0')))
                         .ok_or_else(|| ParseError::new(start, "integer literal overflows"))?;
                 }
-                Token::Int(n)
+                Token::Int(Nat::new(n).expect("a digit string is a natural"))
             }
             b'a'..=b'z' => self.word(false),
             b'A'..=b'Z' | b'_' => self.word(true),
@@ -271,7 +273,7 @@ mod tests {
                 Token::Comma,
                 Token::Var("X"),
                 Token::Lt,
-                Token::Int(2),
+                Token::Int(Nat::new(2).unwrap()),
                 Token::Dot,
                 Token::Eof,
             ]
@@ -343,6 +345,22 @@ mod tests {
         assert!(lex("99999999999999999999999999").is_err());
     }
 
+    /// Integer literals are digits only, so every one is a natural: a
+    /// minus sign is no token at all.
+    #[test]
+    fn a_negative_literal_is_refused_at_its_sign() {
+        let err = lex("q(-3).").unwrap_err();
+        assert_eq!((err.pos.line, err.pos.col), (1, 3));
+        assert!(
+            err.to_string().contains("unexpected character '-'"),
+            "{err}"
+        );
+        assert_eq!(
+            tokens(&i64::MAX.to_string()),
+            vec![Token::Int(Nat::new(i64::MAX).unwrap()), Token::Eof]
+        );
+    }
+
     #[test]
     fn lex_is_the_collected_pull_iterator_positions_included() {
         let src =
@@ -386,6 +404,8 @@ mod tests {
     /// The lexer [`Lexer`] replaced, a character at a time throughout: the
     /// reference the byte-reading lexer is held to.
     mod reference {
+        use idlog_common::Nat;
+
         use crate::error::{ParseError, ParseResult};
         use crate::token::{Pos, Spanned, Token};
 
@@ -512,7 +532,7 @@ mod tests {
                                     ParseError::new(start, "integer literal overflows")
                                 })?;
                         }
-                        Token::Int(n)
+                        Token::Int(Nat::new(n).expect("a digit string is a natural"))
                     }
                     c if c.is_alphabetic() || c == '_' => {
                         let from = self.at;

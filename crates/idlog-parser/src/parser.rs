@@ -392,7 +392,7 @@ impl<'a> Parser<'a> {
                 loop {
                     let gpos = self.pos();
                     match self.bump() {
-                        Token::Int(n) if n >= 1 => grouping.push((n - 1) as usize),
+                        Token::Int(n) if n.get() >= 1 => grouping.push((n.get() - 1) as usize),
                         Token::Int(n) => {
                             return Err(ParseError::new(
                                 gpos,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use idlog_common::Nat;
+
 /// A position in the source text (1-based line and column).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Pos {
@@ -25,8 +27,8 @@ pub enum Token<'a> {
     Ident(&'a str),
     /// Uppercase- or `_`-initial identifier.
     Var(&'a str),
-    /// Non-negative integer literal.
-    Int(i64),
+    /// Integer literal: digits only, so a natural.
+    Int(Nat),
     /// `(`
     LParen,
     /// `)`

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use idlog_common::Interner;
+use idlog_common::{Interner, Nat};
 use idlog_parser::{parse_clause, Atom, Builtin, Clause, HeadAtom, Literal, Term};
 
 /// Variable names V0..V5, constants c0..c5, small ints.
@@ -29,7 +29,7 @@ impl TermSpec {
         match self {
             TermSpec::Var(v) => Term::Var(format!("V{v}")),
             TermSpec::Sym(s) => Term::Sym(interner.intern(&format!("c{s}"))),
-            TermSpec::Int(n) => Term::Int(*n),
+            TermSpec::Int(n) => Term::Int(Nat::new(*n).unwrap()),
         }
     }
 }

@@ -35,7 +35,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use idlog_common::crc32::crc32;
-use idlog_common::failpoint;
+use idlog_common::{failpoint, Nat};
 use idlog_core::service::FactValue;
 
 /// Magic bytes opening `wal.log`; the trailing digit versions the record
@@ -134,7 +134,7 @@ fn put_value(out: &mut Vec<u8>, v: &FactValue) {
             // Integers are stored 16 bytes wide (i128) so the on-disk
             // format survives a future widening of the value model.
             out.push(TAG_INT);
-            out.extend_from_slice(&(*n as i128).to_le_bytes());
+            out.extend_from_slice(&i128::from(n.get()).to_le_bytes());
         }
     }
 }
@@ -182,7 +182,9 @@ impl<'a> Cursor<'a> {
             TAG_INT => {
                 let wide = i128::from_le_bytes(self.take(16)?.try_into().unwrap());
                 let n = i64::try_from(wide)
-                    .map_err(|_| format!("integer {wide} outside the engine's i64 range"))?;
+                    .ok()
+                    .and_then(Nat::new)
+                    .ok_or_else(|| format!("integer {wide} is not a natural in i64 range"))?;
                 Ok(FactValue::Int(n))
             }
             tag => Err(format!("unknown value tag {tag}")),
@@ -728,6 +730,10 @@ mod tests {
         dir
     }
 
+    fn nat(n: i64) -> Nat {
+        Nat::new(n).expect("a natural")
+    }
+
     fn insert(pred: &str, tuple: Vec<FactValue>) -> WalRecord {
         WalRecord::Insert {
             pred: pred.to_string(),
@@ -738,10 +744,13 @@ mod tests {
     #[test]
     fn records_round_trip_through_the_frame() {
         let cases = [
-            insert("edge", vec![FactValue::Sym("a".into()), FactValue::Int(42)]),
+            insert(
+                "edge",
+                vec![FactValue::Sym("a".into()), FactValue::Int(nat(42))],
+            ),
             WalRecord::Retract {
                 pred: "p".into(),
-                tuple: vec![FactValue::Int(i64::MIN), FactValue::Int(i64::MAX)],
+                tuple: vec![FactValue::Int(nat(0)), FactValue::Int(nat(i64::MAX))],
             },
             insert("unicode", vec![FactValue::Sym("smile 😀 ok".into())]),
             insert("empty", vec![]),
@@ -796,17 +805,40 @@ mod tests {
         huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_record(&huge), Decoded::Torn(_)));
         // An integer wider than i64 on disk is refused, not wrapped.
+        match decode_record(&int_frame(i64::MAX as i128 + 1)) {
+            Decoded::Torn(e) => assert!(e.contains("i64"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A well-formed frame inserting `p(wide)`, with whatever 16-byte
+    /// integer `wide` is.
+    fn int_frame(wide: i128) -> Vec<u8> {
         let mut payload = 9u64.to_le_bytes().to_vec();
         payload.push(KIND_INSERT);
         put_bytes(&mut payload, b"p");
         payload.extend_from_slice(&1u16.to_le_bytes());
         payload.push(TAG_INT);
-        payload.extend_from_slice(&(i64::MAX as i128 + 1).to_le_bytes());
+        payload.extend_from_slice(&wide.to_le_bytes());
         let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
         framed.extend_from_slice(&crc32(&payload).to_le_bytes());
         framed.extend_from_slice(&payload);
-        match decode_record(&framed) {
-            Decoded::Torn(e) => assert!(e.contains("i64"), "{e}"),
+        framed
+    }
+
+    #[test]
+    fn negative_integers_on_disk_are_refused_as_torn() {
+        for wide in [-1, i128::from(i64::MIN), i128::MIN] {
+            match decode_record(&int_frame(wide)) {
+                Decoded::Torn(e) => assert!(e.contains(&format!("integer {wide} is not")), "{e}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        // The largest natural still decodes.
+        match decode_record(&int_frame(i64::MAX.into())) {
+            Decoded::Record { record, .. } => {
+                assert_eq!(record, insert("p", vec![FactValue::Int(nat(i64::MAX))]))
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -883,9 +915,9 @@ mod tests {
         let (mut store, _) = TenantStore::open(&dir, SyncPolicy::Batch).unwrap();
         let mut facts = Vec::new();
         for i in 0..10i64 {
-            let rec = insert("p", vec![FactValue::Int(i)]);
+            let rec = insert("p", vec![FactValue::Int(nat(i))]);
             store.append(&rec).unwrap();
-            facts.push(("p".to_string(), vec![FactValue::Int(i)]));
+            facts.push(("p".to_string(), vec![FactValue::Int(nat(i))]));
         }
         assert_eq!(store.since_checkpoint(), 10);
         store.checkpoint(10, &facts).unwrap();
@@ -895,10 +927,10 @@ mod tests {
         assert!(records.is_empty() && torn.is_none());
         // …and two more appends land after the checkpoint.
         store
-            .append(&insert("p", vec![FactValue::Int(10)]))
+            .append(&insert("p", vec![FactValue::Int(nat(10))]))
             .unwrap();
         store
-            .append(&insert("p", vec![FactValue::Int(11)]))
+            .append(&insert("p", vec![FactValue::Int(nat(11))]))
             .unwrap();
         drop(store);
 

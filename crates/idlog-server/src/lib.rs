@@ -981,7 +981,11 @@ mod tests {
                 }
             }
         };
-        let resp = reg.handle(req("t".into(), pred.into(), vec![FactValue::Int(n)]));
+        let resp = reg.handle(req(
+            "t".into(),
+            pred.into(),
+            vec![FactValue::Int(idlog_core::Nat::new(n).unwrap())],
+        ));
         assert_eq!(resp.exit, 0, "{:?}", resp.error);
         resp
     }
@@ -1284,7 +1288,7 @@ mod tests {
         reg.handle(Request::Insert {
             tenant: "t".into(),
             pred: pred.into(),
-            tuple: vec![FactValue::Int(n)],
+            tuple: vec![FactValue::Int(idlog_core::Nat::new(n).unwrap())],
         })
     }
 

@@ -347,7 +347,7 @@ fn error_codes_cover_protocol_compile_and_input_failures() {
         .request(&Request::Insert {
             tenant: "err".into(),
             pred: "p".into(),
-            tuple: vec![FactValue::Int(3)],
+            tuple: vec![FactValue::Int(idlog_core::Nat::new(3).unwrap())],
         })
         .expect("insert");
     assert_eq!(bad_fact.code, Some(ErrorCode::Input));

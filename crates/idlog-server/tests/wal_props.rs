@@ -1,11 +1,12 @@
 //! Property tests of the WAL record encoding: arbitrary records survive a
-//! frame round trip byte for byte, including integer extremes (the on-disk
-//! format is 16-byte i128) and strings full of non-BMP characters (the
+//! frame round trip byte for byte, including the extremes of ℕ's i64 range
+//! (the on-disk format is 16-byte i128) and strings full of non-BMP characters (the
 //! code points UTF-16 would need surrogate pairs for).
 
 use proptest::prelude::*;
 
 use idlog_core::service::FactValue;
+use idlog_core::Nat;
 use idlog_server::durability::{decode_record, encode_record, Decoded, WalRecord};
 
 /// Characters drawn from the whole scalar-value space, weighted toward the
@@ -30,16 +31,17 @@ fn arb_string() -> impl Strategy<Value = String> {
     proptest::collection::vec(arb_char(), 0..12).prop_map(|cs| cs.into_iter().collect())
 }
 
-/// Integers covering the full i64 range: proptest's vendored build has no
-/// i128 strategy, so extremes are built from two u64 halves.
-fn arb_int() -> impl Strategy<Value = i64> {
+/// Naturals covering the whole `0..=i64::MAX` range, both halves of
+/// [`Nat`]'s split included.
+fn arb_int() -> impl Strategy<Value = Nat> {
     prop_oneof![
-        Just(i64::MIN),
         Just(i64::MAX),
         Just(0i64),
-        Just(-1i64),
-        any::<u64>().prop_map(|bits| bits as i64),
+        Just(u32::MAX as i64),
+        Just(1i64 << 32),
+        any::<u64>().prop_map(|bits| (bits >> 1) as i64),
     ]
+    .prop_map(|n| Nat::new(n).unwrap())
 }
 
 fn arb_value() -> impl Strategy<Value = FactValue> {

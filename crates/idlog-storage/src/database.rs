@@ -38,7 +38,7 @@ pub struct Database {
 /// (see `TerminationCert::round_bound` in `idlog-core`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ValueSummary {
-    /// The largest non-negative integer stored (0 when there is none).
+    /// The largest natural stored (0 when there is none).
     pub max_natural: u64,
     /// How many distinct values — symbols and integers — are stored.
     pub distinct: u64,
@@ -235,8 +235,8 @@ impl Database {
                     for v in t.values() {
                         let new = match v {
                             Value::Int(n) => {
-                                summary.max_natural = summary.max_natural.max((*n).max(0) as u64);
-                                ints.insert(*n)
+                                summary.max_natural = summary.max_natural.max(n.get() as u64);
+                                ints.insert(n.get())
                             }
                             Value::Sym(s) => {
                                 let (word, bit) =
@@ -284,6 +284,10 @@ impl Default for Database {
 mod tests {
     use super::*;
 
+    fn int(n: i64) -> Value {
+        Value::Int(idlog_common::Nat::new(n).expect("a natural"))
+    }
+
     #[test]
     fn insert_infers_type() {
         let mut db = Database::new();
@@ -297,7 +301,7 @@ mod tests {
     fn mixed_sort_insert_rejected_after_inference() {
         let mut db = Database::new();
         db.insert_syms("p", &["a"]).unwrap();
-        let bad: Tuple = vec![Value::Int(3)].into();
+        let bad: Tuple = vec![int(3)].into();
         assert!(db.insert("p", bad).is_err());
     }
 
@@ -356,7 +360,7 @@ mod tests {
         assert!(db.relation("p").unwrap().is_empty());
         // Undeclared predicate and ill-typed tuple both error.
         assert!(db.retract_syms("q", &["a"]).is_err());
-        let bad: Tuple = vec![Value::Int(1)].into();
+        let bad: Tuple = vec![int(1)].into();
         assert!(db.retract("p", &bad).is_err());
     }
 
@@ -403,8 +407,7 @@ mod tests {
     #[test]
     fn the_value_summary_is_cached_per_version_and_shared_by_clones() {
         let mut db = Database::new();
-        db.insert("n", vec![Value::Int(7), Value::Int(-3)].into())
-            .unwrap();
+        db.insert("n", vec![int(7), int(3)].into()).unwrap();
         db.insert_syms("s", &["a", "b"]).unwrap();
         let first = db.value_summary();
         assert_eq!(
@@ -418,13 +421,11 @@ mod tests {
         let snapshot = db.clone();
         assert!(Arc::ptr_eq(&db.summary, &snapshot.summary));
         // A write leaves the snapshot's value and recomputes its own.
-        db.insert("n", vec![Value::Int(40), Value::Int(7)].into())
-            .unwrap();
+        db.insert("n", vec![int(40), int(7)].into()).unwrap();
         assert_eq!(snapshot.value_summary(), first);
         assert_eq!(db.value_summary().max_natural, 40);
         assert_eq!(db.value_summary().distinct, 5);
-        db.retract("n", &vec![Value::Int(40), Value::Int(7)].into())
-            .unwrap();
+        db.retract("n", &vec![int(40), int(7)].into()).unwrap();
         assert_eq!(db.value_summary(), first);
     }
 

@@ -16,7 +16,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use idlog_common::{CommonError, CommonResult, FxHashMap, Interner, Tuple, Value};
+use idlog_common::{CommonError, CommonResult, FxHashMap, Interner, Nat, Tuple, Value};
 
 use crate::group::{GroupIndex, Grouping};
 use crate::relation::Relation;
@@ -181,6 +181,9 @@ pub fn make_id_relation(rel: &Relation, assignment: &IdAssignment) -> CommonResu
                 rel.len()
             ),
         })?;
+        let tid = Nat::new(tid).ok_or_else(|| CommonError::Invariant {
+            detail: format!("ID-assignment gives the negative tid {tid}"),
+        })?;
         out.insert_unchecked(t.with_appended(Value::Int(tid)));
     }
     Ok(out)
@@ -232,6 +235,9 @@ pub fn random_id_relation<R: Rng>(
 fn build(rel: &Relation, index: &GroupIndex, tids: RowTids) -> IdRelationBuild {
     let mut relation = Relation::new(rel.rtype().id_version());
     for (t, tid) in in_scan_order(rel, tids) {
+        let Some(tid) = Nat::new(tid) else {
+            unreachable!("tid {tid} is not a rank in its group")
+        };
         relation.insert_unchecked(t.with_appended(Value::Int(tid)));
     }
     IdRelationBuild {
@@ -246,6 +252,10 @@ mod tests {
     use crate::group::group_by;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
 
     fn example1_relation(i: &Interner) -> Relation {
         let mut r = Relation::elementary(2);
@@ -341,12 +351,7 @@ mod tests {
     fn a_write_through_make_mut_regroups_the_copy_only() {
         let i = Interner::new();
         let t = |x: &str, y: &str, tid: i64| -> Tuple {
-            vec![
-                Value::Sym(i.intern(x)),
-                Value::Sym(i.intern(y)),
-                Value::Int(tid),
-            ]
-            .into()
+            vec![Value::Sym(i.intern(x)), Value::Sym(i.intern(y)), int(tid)].into()
         };
         let first = |r: &Relation| canonical_id_relation(r, &[0], &i, Some(1)).relation;
         let mut shared = std::sync::Arc::new(example1_relation(&i));

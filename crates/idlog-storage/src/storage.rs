@@ -80,8 +80,10 @@ impl std::fmt::Display for BackendKind {
 /// A pure function of the declared sort — never of the actual value — so
 /// `Limits::max_bytes` trips at the same fixpoint round for any thread
 /// count and any backend. Sort `u` values carry an interned symbol and a
-/// share of the interner's name storage; sort `i` values are a bare `i64`
-/// in a 16-byte enum.
+/// share of the interner's name storage; sort `i` values are a bare
+/// natural. Documented constants (DESIGN.md decision 12), not
+/// `size_of::<Value>()`: the round at which `max_bytes` trips must not move
+/// when the value layout does.
 pub fn estimated_value_bytes(sort: Sort) -> u64 {
     match sort {
         Sort::U => 48,
@@ -492,6 +494,11 @@ impl HashBackend {
         b
     }
 
+    /// The stored tuples, in scan order.
+    pub(crate) fn rows(&self) -> &[Tuple] {
+        &self.store
+    }
+
     /// Offset the tuple is stored at, when present.
     fn find(&self, t: &Tuple) -> Option<u32> {
         self.seen
@@ -863,10 +870,14 @@ impl Storage for ColumnarBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idlog_common::Value;
+    use idlog_common::{Nat, Value};
+
+    fn int(n: i64) -> Value {
+        Value::Int(Nat::new(n).expect("a natural"))
+    }
 
     fn t(vals: &[i64]) -> Tuple {
-        vals.iter().map(|&n| Value::Int(n)).collect()
+        vals.iter().map(|&n| int(n)).collect()
     }
 
     /// Exercise one backend through the trait, generically.
@@ -897,7 +908,7 @@ mod tests {
         let mut seconds: Vec<i64> = probe
             .iter()
             .map(|x| match x[1] {
-                Value::Int(n) => n,
+                Value::Int(n) => n.get(),
                 _ => unreachable!(),
             })
             .collect();

@@ -5,12 +5,16 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 
-use idlog_common::{Interner, RelType, Sort, Tuple, Value};
+use idlog_common::{Interner, Nat, RelType, Sort, Tuple, Value};
 use idlog_storage::{
     canonical_id_relation, count_bounded_assignments, count_id_functions, group_by,
-    make_id_relation, random_id_relation, BackendKind, BoundedAssignmentIter, Database,
-    IdAssignment, IdAssignmentIter, Relation, ValueSummary,
+    make_id_relation, random_id_relation, BackendKind, BoundedAssignmentIter, CanonicalView,
+    Database, IdAssignment, IdAssignmentIter, Relation, ValueSummary,
 };
+
+fn int(n: i64) -> Value {
+    Value::Int(Nat::new(n).expect("a natural"))
+}
 
 /// [`Database::value_summary`] computed from scratch, the obvious way.
 fn summary_by_hand(db: &Database) -> ValueSummary {
@@ -21,7 +25,7 @@ fn summary_by_hand(db: &Database) -> ValueSummary {
     let max_natural = values
         .iter()
         .filter_map(|v| match v {
-            Value::Int(n) => Some((*n).max(0) as u64),
+            Value::Int(n) => Some(n.get() as u64),
             Value::Sym(_) => None,
         })
         .max()
@@ -57,14 +61,19 @@ const NAMES: [&str; 7] = ["B", "a", "a_1", "ab", "b", "b0", "zz"];
 /// A random relation of arity 0–4 whose columns mix both sorts, built on
 /// `kind` by point inserts in random order (duplicates included). Ints
 /// straddle zero and include multi-digit values so numeric and textual
-/// order disagree; a column that draws both `i64::MIN` and `i64::MAX`
-/// spans 64 bits, too wide for the view's packed keys, so both of its sort
-/// paths are taken.
+/// order disagree; a column that draws both 0 and `i64::MAX` spans 63
+/// bits, too wide beside the row ids of three rows or more for the view's
+/// packed keys, so both of its sort paths are taken.
 fn arb_mixed_relation() -> impl Strategy<Value = (Interner, Relation)> {
+    arb_mixed_relation_up_to(4)
+}
+
+/// [`arb_mixed_relation`] of arity 0 to `max_arity`.
+fn arb_mixed_relation_up_to(max_arity: usize) -> impl Strategy<Value = (Interner, Relation)> {
     (
-        0usize..5,
-        proptest::collection::vec(any::<bool>(), 4),
-        proptest::collection::vec(proptest::collection::vec(0usize..8, 4), 0..14),
+        0..=max_arity,
+        proptest::collection::vec(any::<bool>(), max_arity),
+        proptest::collection::vec(proptest::collection::vec(0usize..8, max_arity), 0..14),
         any::<bool>(),
     )
         .prop_map(|(arity, int_column, rows, columnar)| {
@@ -87,7 +96,7 @@ fn arb_mixed_relation() -> impl Strategy<Value = (Interner, Relation)> {
                     .iter()
                     .zip(row)
                     .map(|(sort, k)| match sort {
-                        Sort::I => Value::Int([-3, 0, 2, 9, 10, 100, i64::MAX, i64::MIN][k]),
+                        Sort::I => int([0, 2, 3, 9, 10, 100, 1 << 40, i64::MAX][k]),
                         Sort::U => Value::Sym(interner.intern(NAMES[k % NAMES.len()])),
                     })
                     .collect();
@@ -143,6 +152,36 @@ proptest! {
         prop_assert_eq!(moved.sorted_canonical(&interner), expected);
     }
 
+    /// The view over a consumed relation's rows — in any order — renders
+    /// byte for byte what the relation's own view renders: on both
+    /// backends, for every arity up to six (tuples wider than the three
+    /// inline columns included) and any mix of sorts.
+    #[test]
+    fn the_rows_only_view_renders_like_the_relation_view(
+        (interner, rel) in arb_mixed_relation_up_to(6),
+        shuffle in any::<u64>(),
+    ) {
+        use rand::seq::SliceRandom;
+        let mut expected: Vec<u8> = Vec::new();
+        rel.canonical_view(&interner).write_facts("p", &mut expected).unwrap();
+        let arity = rel.arity();
+        let mut rows = rel.clone().into_rows();
+        prop_assert_eq!(rows.len(), rel.len());
+        for shuffled in [false, true] {
+            if shuffled {
+                rows.shuffle(&mut SmallRng::seed_from_u64(shuffle));
+            }
+            let view = CanonicalView::of_rows(&rows, arity, &interner);
+            let mut written: Vec<u8> = Vec::new();
+            view.write_facts("p", &mut written).unwrap();
+            prop_assert_eq!(&written, &expected);
+            prop_assert_eq!(
+                view.iter().cloned().collect::<Vec<_>>(),
+                rel.sorted_canonical(&interner)
+            );
+        }
+    }
+
     /// Removal keeps the storage contract on both backends: what remains is
     /// the set a rebuild from the survivors holds, every indexed probe lists
     /// exactly what a filtered scan finds (in scan order), and the scan
@@ -156,7 +195,7 @@ proptest! {
         doomed in proptest::collection::vec((0i64..6, 0i64..7), 0..12),
         columnar in any::<bool>(),
     ) {
-        let pair = |&(a, b): &(i64, i64)| -> Tuple { vec![Value::Int(a), Value::Int(b)].into() };
+        let pair = |&(a, b): &(i64, i64)| -> Tuple { vec![int(a), int(b)].into() };
         let kind = if columnar { BackendKind::Columnar } else { BackendKind::Hash };
         let indexes: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
         let doomed: Vec<Tuple> = doomed.iter().map(pair).collect();
@@ -240,7 +279,7 @@ proptest! {
     /// database's next write), it always equals a pass made from scratch.
     #[test]
     fn cached_value_summary_equals_a_fresh_pass(
-        ops in proptest::collection::vec((0u8..5, 0usize..3, -3i64..9), 0..40),
+        ops in proptest::collection::vec((0u8..5, 0usize..3, 0i64..12), 0..40),
     ) {
         let mut db = Database::new();
         let mut snapshots: Vec<(Database, ValueSummary)> = Vec::new();
@@ -248,9 +287,9 @@ proptest! {
             let name = ["p", "q", "r"][pred];
             // `p` holds integers, `q` symbols, `r` both.
             let t: Tuple = match pred {
-                0 => vec![Value::Int(n)].into(),
-                1 => vec![Value::Sym(db.interner().intern(&format!("s{}", n.rem_euclid(4))))].into(),
-                _ => vec![Value::Sym(db.interner().intern("s0")), Value::Int(n % 3)].into(),
+                0 => vec![int(n)].into(),
+                1 => vec![Value::Sym(db.interner().intern(&format!("s{}", n % 4)))].into(),
+                _ => vec![Value::Sym(db.interner().intern("s0")), int(n % 3)].into(),
             };
             match op {
                 0 | 1 => db.insert(name, t).unwrap(),
@@ -485,7 +524,7 @@ proptest! {
         for t in idrel.iter() {
             let base = t.project(&[0, 1]);
             prop_assert!(rel.contains(&base));
-            prop_assert_eq!(t[2], Value::Int(assignment.tid(&base).unwrap()));
+            prop_assert_eq!(t[2], int(assignment.tid(&base).unwrap()));
         }
     }
 }
@@ -507,7 +546,7 @@ proptest! {
             1..10,
         ),
     ) {
-        let pair = |&(a, b): &(i64, i64)| -> Tuple { vec![Value::Int(a), Value::Int(b)].into() };
+        let pair = |&(a, b): &(i64, i64)| -> Tuple { vec![int(a), int(b)].into() };
         let domain: Vec<Tuple> =
             (0..64).flat_map(|a| (0..64).map(move |b| pair(&(a, b)))).collect();
         let indexes: [&[usize]; 3] = [&[0], &[1], &[0, 1]];

@@ -260,7 +260,7 @@ pub fn symbol_facts(facts: &[(&str, &[&str])]) -> Relations {
 /// Engine tuples as reference rows.
 pub fn rows<'a>(tuples: impl IntoIterator<Item = &'a Tuple>, interner: &Interner) -> Rows {
     let value = |v: &Value| match *v {
-        Value::Int(n) => V::Int(n),
+        Value::Int(n) => V::Int(n.get()),
         Value::Sym(s) => V::Sym(interner.resolve(s)),
     };
     tuples
@@ -305,7 +305,7 @@ pub fn clauses(src: &str) -> Result<Vec<Clause>, String> {
     let term = |t: &Term| match t {
         Term::Var(v) => T::Var(v.clone()),
         Term::Sym(s) => T::Val(V::Sym(interner.resolve(*s))),
-        Term::Int(n) => T::Val(V::Int(*n)),
+        Term::Int(n) => T::Val(V::Int(n.get())),
     };
     let terms = |ts: &[Term]| ts.iter().map(term).collect();
     let atom = |a: &idlog_parser::Atom| Atom {

@@ -211,7 +211,8 @@ fn triangular_numbers_via_arithmetic() {
     let db = Database::with_interner(Arc::clone(q.interner()));
     let rel = q.session(&db).run().unwrap().relation;
     assert_eq!(rel.len(), 11);
-    let t: idlog_core::Tuple = vec![idlog_core::Value::Int(10), idlog_core::Value::Int(55)].into();
+    let int = |n| idlog_core::Value::Int(idlog_core::Nat::new(n).unwrap());
+    let t: idlog_core::Tuple = vec![int(10), int(55)].into();
     assert!(rel.contains(&t), "tri(10) = 55");
 }
 
