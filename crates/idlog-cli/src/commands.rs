@@ -490,10 +490,9 @@ pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
     }
     // Render from the rows alone: the relation's membership table and
     // indexes are dropped before the view is built.
-    let arity = result.relation.arity();
     let rows = result.relation.into_rows();
     let mut emit = || -> io::Result<()> {
-        idlog_storage::CanonicalView::of_rows(&rows, arity, &interner)
+        idlog_storage::CanonicalView::of_rows(rows.rows(), &interner)
             .write_facts(&opts.output, out)?;
         if let Some(table) = &table {
             out.write_all(table.as_bytes())?;

@@ -2,8 +2,8 @@
 //!
 //! The keys live with the caller, addressed by the dense ids this table hands
 //! out (`0, 1, 2, …` in first-insert order). The [`crate::Interner`] keeps
-//! its names this way (the names sit in one arena, and growth moves integers,
-//! never strings), and `idlog-storage`'s hash backend finds a stored tuple's
+//! its names this way (the names sit in one arena, and the table holds
+//! integers, never strings), and `idlog-storage`'s hash backend finds a stored row's
 //! offset with it. A caller that removes a key by moving its last key into
 //! the hole tells the table with [`IdTable::swap_remove`], so ids stay dense
 //! without a rebuild.
@@ -12,16 +12,23 @@
 //! long and at most half full. A full slot holds the high 32 bits of its
 //! key's hash (the *tag*) above the key's id. A lookup probes linearly from
 //! the tag's *home* slot, the tag's top `log2(slots)` bits, to the first
-//! empty slot. Growth doubles the array and places each slot by its tag
-//! alone, so no key is hashed or read again; a removal shifts the rest of
-//! its cluster back instead of leaving a tombstone.
+//! empty slot. A removal shifts the rest of its cluster back instead of
+//! leaving a tombstone.
+//!
+//! **Growth holds one array.** Doubling frees the old slots first, then
+//! places ids `0..len` in the new ones by the hash of each id's key, which
+//! the caller's `rehash` closure computes from its own store. So at no
+//! moment do two arrays exist: a table of 2²⁰ slots grows to 2²¹ with 16 MiB
+//! live, not 24. The price is one hash per id per doubling — amortized, one
+//! more hash per push.
 //!
 //! **The tag contract.** The table keeps 32 bits of each hash, so keys whose
 //! hashes share their high halves look alike to it, and the caller's
 //! `is_key` closure is asked about every id with a matching tag: it must
 //! compare the caller's key, never accept on sight. The high bits pick the
 //! home slot too, so they must be the hash's well-mixed ones, as
-//! [`crate::FxHasher`]'s are.
+//! [`crate::FxHasher`]'s are; and `rehash` must give the hash the key was
+//! registered under.
 
 /// An empty slot: no full slot has an id of `u32::MAX`.
 const EMPTY: u64 = u64::MAX;
@@ -79,8 +86,15 @@ impl IdTable {
 
     /// [`IdTable::find`], registering the next dense id under `hash` when no
     /// key matches. Returns the id and whether it is new — the caller then
-    /// stores the key at that index.
-    pub fn find_or_push(&mut self, hash: u64, is_key: impl FnMut(u32) -> bool) -> (u32, bool) {
+    /// stores the key at that index. When the push doubles the table,
+    /// `rehash(id)` gives the hash of every stored id's key, read from the
+    /// caller's store (see the module docs).
+    pub fn find_or_push(
+        &mut self,
+        hash: u64,
+        is_key: impl FnMut(u32) -> bool,
+        rehash: impl FnMut(u32) -> u64,
+    ) -> (u32, bool) {
         let tag = tag(hash);
         let mut at = match self.probe(tag, is_key) {
             Ok(at) => return (self.slots[at] as u32, false),
@@ -89,7 +103,7 @@ impl IdTable {
         assert!(self.len < MAX_IDS, "too many ids for a u32 table");
         let id = self.len as u32;
         if 2 * (self.len + 1) > self.slots.len() {
-            self.grow();
+            self.grow(rehash);
             at = self.vacant(tag);
         }
         self.slots[at] = slot(tag, id);
@@ -150,13 +164,16 @@ impl IdTable {
     }
 
     /// Double the slots — or allocate the first [`MIN_SLOTS`] — and place
-    /// every full slot, in order, by its tag.
-    fn grow(&mut self) {
+    /// ids `0..len` by the hashes `rehash` gives. The old slots are freed
+    /// before the new ones are allocated.
+    fn grow(&mut self, mut rehash: impl FnMut(u32) -> u64) {
         let len = (2 * self.slots.len()).max(MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; len]);
-        for full in old.into_iter().filter(|&s| s != EMPTY) {
-            let at = self.vacant(full >> 32);
-            self.slots[at] = full;
+        self.slots = Vec::new();
+        self.slots = vec![EMPTY; len];
+        for id in 0..self.len as u32 {
+            let tag = tag(rehash(id));
+            let at = self.vacant(tag);
+            self.slots[at] = slot(tag, id);
         }
     }
 
@@ -193,7 +210,8 @@ mod tests {
         let ids: Vec<u32> = keys
             .iter()
             .map(|&k| {
-                let (id, new) = t.find_or_push(k, |id| stored[id as usize] == k);
+                let (id, new) =
+                    t.find_or_push(k, |id| stored[id as usize] == k, |id| stored[id as usize]);
                 if new {
                     stored.push(k);
                 }
@@ -212,7 +230,7 @@ mod tests {
         let mut t = IdTable::new();
         for name in ["a", "b", "c", "b"] {
             // Every key on one hash: the chain does all the work.
-            let (id, new) = t.find_or_push(7, |id| stored[id as usize] == name);
+            let (id, new) = t.find_or_push(7, |id| stored[id as usize] == name, |_| 7);
             assert_eq!(new, id as usize == stored.len());
             if new {
                 stored.push(name);
@@ -244,7 +262,11 @@ mod tests {
                 hash,
             };
             for k in keys {
-                let (_, new) = d.table.find_or_push(hash(k), |id| d.keys[id as usize] == k);
+                let (_, new) = d.table.find_or_push(
+                    hash(k),
+                    |id| d.keys[id as usize] == k,
+                    |id| hash(d.keys[id as usize]),
+                );
                 assert!(new);
                 d.keys.push(k);
             }
@@ -292,7 +314,7 @@ mod tests {
             }
             assert!(d.table.is_empty());
             // An emptied chain takes keys again.
-            let (id, new) = d.table.find_or_push(7, |_| false);
+            let (id, new) = d.table.find_or_push(7, |_| false, |_| 7);
             assert_eq!((id, new), (0, true));
         }
     }
@@ -321,7 +343,11 @@ mod tests {
         d.check(&removed);
         // Removed keys come back as the newest ids.
         for &k in &removed {
-            let (id, new) = d.table.find_or_push(k % 3, |id| d.keys[id as usize] == k);
+            let (id, new) = d.table.find_or_push(
+                k % 3,
+                |id| d.keys[id as usize] == k,
+                |id| d.keys[id as usize] % 3,
+            );
             assert!(new);
             assert_eq!(id as usize, d.keys.len());
             d.keys.push(k);
@@ -394,7 +420,11 @@ mod tests {
                     let want = model
                         .get(&k)
                         .map_or((d.keys.len() as u32, true), |&id| (id, false));
-                    let got = d.table.find_or_push(hash(k), |id| d.keys[id as usize] == k);
+                    let got = d.table.find_or_push(
+                        hash(k),
+                        |id| d.keys[id as usize] == k,
+                        |id| hash(d.keys[id as usize]),
+                    );
                     prop_assert_eq!(got, want);
                     if got.1 {
                         model.insert(k, got.0);

@@ -63,7 +63,11 @@ impl InternerState {
     fn intern(&mut self, name: &str, hash: u64) -> SymbolId {
         let InternerState { bytes, ends, ids } = self;
         let names = Names { bytes, ends };
-        let (id, new) = ids.find_or_push(hash, |id| names.resolve(SymbolId(id)) == name);
+        let (id, new) = ids.find_or_push(
+            hash,
+            |id| names.resolve(SymbolId(id)) == name,
+            |id| hash_name(names.resolve(SymbolId(id))),
+        );
         if new {
             let end = u32::try_from(bytes.len() + name.len())
                 .expect("symbol arena exceeds u32::MAX bytes");

@@ -1,5 +1,6 @@
 //! Ground tuples.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Index;
@@ -142,6 +143,16 @@ impl Hash for Tuple {
     }
 }
 
+/// A tuple borrows as its values: equality, order and hash agree, so a set
+/// or map keyed by tuples can be asked about a stored row (`&[Value]`)
+/// without building a tuple for it.
+impl Borrow<[Value]> for Tuple {
+    #[inline]
+    fn borrow(&self) -> &[Value] {
+        self.values()
+    }
+}
+
 impl Index<usize> for Tuple {
     type Output = Value;
 
@@ -173,6 +184,12 @@ impl FromIterator<Value> for Tuple {
             len: len as u8,
             vals,
         })
+    }
+}
+
+impl From<&[Value]> for Tuple {
+    fn from(row: &[Value]) -> Self {
+        row.iter().copied().collect()
     }
 }
 

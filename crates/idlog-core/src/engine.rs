@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Nat, SymbolId, Tuple, Value};
 use idlog_parser::Builtin;
-use idlog_storage::{IndexHandle, Relation};
+use idlog_storage::{IndexHandle, Relation, RowBuf, Rows};
 
 use crate::builtins;
 use crate::error::{CoreError, CoreResult};
@@ -128,7 +128,7 @@ pub(crate) enum Source<'a> {
     /// an atom step, or it is a driven variant's first step (which reads
     /// its change set).
     Absent,
-    /// Every stored tuple of the relation, scanned.
+    /// Every stored row of the relation, scanned.
     Scan(&'a Relation),
     /// The readied index on the step's bound positions, probed.
     Probe(IndexHandle<'a>),
@@ -209,22 +209,22 @@ impl<'a> Resolved<'a> {
 }
 
 /// What an executing rule body sees of the stored relations: the viewed
-/// contents of `key` are the stored tuples that are not hidden plus the
+/// contents of `key` are the stored rows that are not hidden plus the
 /// extras (disjoint parts). "Which state does a read see" is decided by the
 /// implementor and nowhere else.
 pub(crate) trait ReadView {
     /// The stored relation behind `key` (scanned or probed by atom steps).
     fn relation(&self, key: &PredKey) -> Option<&Relation>;
 
-    /// True when a stored tuple is not part of the viewed state.
-    fn hides(&self, key: &PredKey, t: &Tuple) -> bool;
+    /// True when a stored row is not part of the viewed state.
+    fn hides(&self, key: &PredKey, row: &[Value]) -> bool;
 
-    /// Viewed tuples that are not stored. Atom steps replay them after the
-    /// stored matches, verifying probe positions per tuple.
-    fn extras(&self, key: &PredKey) -> &[Tuple];
+    /// Viewed rows that are not stored. Atom steps replay them after the
+    /// stored matches, verifying probe positions per row.
+    fn extras(&self, key: &PredKey) -> Rows<'_>;
 
     /// Membership in the viewed state (negation steps).
-    fn contains(&self, key: &PredKey, t: &Tuple) -> bool;
+    fn contains(&self, key: &PredKey, row: &[Value]) -> bool;
 }
 
 /// The state as stored: nothing hidden, nothing extra — monomorphised, the
@@ -234,16 +234,16 @@ impl ReadView for EvalState {
         self.get(key)
     }
 
-    fn hides(&self, _: &PredKey, _: &Tuple) -> bool {
+    fn hides(&self, _: &PredKey, _: &[Value]) -> bool {
         false
     }
 
-    fn extras(&self, _: &PredKey) -> &[Tuple] {
-        &[]
+    fn extras(&self, _: &PredKey) -> Rows<'_> {
+        Rows::default()
     }
 
-    fn contains(&self, key: &PredKey, t: &Tuple) -> bool {
-        self.get(key).is_some_and(|rel| rel.contains(t))
+    fn contains(&self, key: &PredKey, row: &[Value]) -> bool {
+        self.get(key).is_some_and(|rel| rel.contains_row(row))
     }
 }
 
@@ -252,14 +252,14 @@ impl ReadView for EvalState {
 pub(crate) enum Drive<'a> {
     /// Every step reads the view.
     Full,
-    /// The first step replays these tuples instead — a semi-naive delta
-    /// shard, a maintenance net change, the tuples whose negated membership
-    /// flipped, or the head tuples to rederive — checking its constants and
-    /// repeated variables per tuple. Only variants are run this way
+    /// The first step replays these rows instead — a semi-naive delta
+    /// shard, a maintenance net change, the rows whose negated membership
+    /// flipped, or the head rows to rederive — checking its constants and
+    /// repeated variables per row. Only variants are run this way
     /// ([`RulePlan::driven_by`], [`RulePlan::head_bound`]): their first step
     /// stands for the literal the change drives, so nothing before it runs
-    /// once per changed tuple, and no step past the first is ever driven.
-    First(&'a [Tuple]),
+    /// once per changed row, and no step past the first is ever driven.
+    First(Rows<'a>),
 }
 
 /// One unit of round work: a rule and what drives it.
@@ -269,7 +269,7 @@ struct WorkItem<'a> {
 }
 
 impl WorkItem<'_> {
-    /// Tuples this item feeds through its rule body: the delta shard it
+    /// Rows this item feeds through its rule body: the delta shard it
     /// replays, or — for a full (round 0, naive) item — the relation its
     /// first step scans. A function of the round's input sizes only, never
     /// of the thread count.
@@ -327,25 +327,25 @@ fn shard_count(n: usize) -> usize {
     (n / SHARD_MIN_TUPLES).clamp(1, MAX_DELTA_SHARDS)
 }
 
-/// The head tuples a sequence of rule runs derived, back to back in run
-/// order. A rule has one head, so a run's output is one predicate's tuples:
-/// nothing is tagged, hashed or grouped per tuple. The buffers (and the
-/// executor's binding scratch) keep their capacity across
-/// [`Derived::clear`], so a fixpoint reuses its buffers — one, plus one per
-/// pool worker — for all its rounds.
+/// The head rows a sequence of rule runs derived, back to back in run
+/// order, in one strided value buffer. A rule has one head, so a run's
+/// output is rows of one predicate and one arity: nothing is tagged, hashed
+/// or grouped per row. The buffers (and the executor's binding scratch)
+/// keep their capacity across [`Derived::clear`], so a fixpoint reuses its
+/// buffers — one, plus one per pool worker — for all its rounds.
 ///
-/// A run does not buffer a head tuple equal to the one it emitted just
-/// before; it counts it in its run's `suppressed`. That tuple would have
+/// A run does not buffer a head row equal to the one it emitted just
+/// before; it counts it in its run's `suppressed`. That row would have
 /// been a duplicate within the run, and [`absorb`] keeps the first
-/// occurrence of a tuple in run order, so relations, deltas and `inserted`
-/// are what buffering it gave. `absorb` counts `derived` as the run's
-/// tuples plus its suppressed ones. This is what keeps an existential tail
-/// (paper §4's `p(X) :- q(X, Z), z(Z, Y), y(W).`, whose innermost steps
-/// bind no head variable) from buffering one tuple per instantiation.
-/// Every other reader of the runs takes them as sets and counts nothing.
+/// occurrence of a row in run order, so relations, deltas and `inserted`
+/// are what buffering it gave. `absorb` counts `derived` as the run's rows
+/// plus its suppressed ones. This is what keeps an existential tail (paper
+/// §4's `p(X) :- q(X, Z), z(Z, Y), y(W).`, whose innermost steps bind no
+/// head variable) from buffering one row per instantiation. Every other
+/// reader of the runs takes them as sets and counts nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Derived {
-    tuples: Vec<Tuple>,
+    values: Vec<Value>,
     /// Per run, in run order.
     runs: Vec<Run>,
     /// Variable bindings of the run in flight.
@@ -357,18 +357,22 @@ pub(crate) struct Derived {
 struct Run {
     /// The head predicate.
     pred: SymbolId,
-    /// Where the run's tuples end in `tuples`; they start where the previous
-    /// run's end.
+    /// The head's arity: values per row.
+    arity: usize,
+    /// Where the run's values end in `values`; they start where the
+    /// previous run's end.
     end: usize,
-    /// Head tuples the run emitted but did not buffer, each equal to the
-    /// one before it.
+    /// Rows the run buffered.
+    rows: usize,
+    /// Head rows the run emitted but did not buffer, each equal to the one
+    /// before it.
     suppressed: u64,
 }
 
 impl Derived {
     /// Execute one rule body over `view` — whose sources `rule` was
     /// [resolved](Resolved) against — `drive` saying whether its first step
-    /// reads a change set, and append the derived head tuples as one run.
+    /// reads a change set, and append the derived head rows as one run.
     /// The only interpreter of a [`Step`] in the workspace: the fixpoint
     /// rounds, the model checker and every DRed phase come through here,
     /// differing only in the view they read and the variant they drive.
@@ -388,16 +392,18 @@ impl Derived {
             sources: rule.sources,
             drive,
             bindings: &mut self.bindings,
-            start: self.tuples.len(),
-            out: &mut self.tuples,
+            out: &mut self.values,
+            rows: 0,
             suppressed: 0,
             stats,
         };
         run.exec(0)?;
-        let suppressed = run.suppressed;
+        let (rows, suppressed) = (run.rows, run.suppressed);
         self.runs.push(Run {
             pred: plan.head_pred,
-            end: self.tuples.len(),
+            arity: plan.head.len(),
+            end: self.values.len(),
+            rows,
             suppressed,
         });
         Ok(())
@@ -405,49 +411,48 @@ impl Derived {
 
     /// True when no run derived anything.
     pub(crate) fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.runs.iter().all(|run| run.rows == 0)
     }
 
     /// Forget every run, keeping the buffers.
     pub(crate) fn clear(&mut self) {
-        self.tuples.clear();
+        self.values.clear();
         self.runs.clear();
     }
 
-    /// Where run `ri`'s tuples sit in `tuples`.
-    fn span(&self, ri: usize) -> std::ops::Range<usize> {
+    /// Run `ri`'s rows.
+    fn rows(&self, ri: usize) -> Rows<'_> {
         let start = ri.checked_sub(1).map_or(0, |prev| self.runs[prev].end);
-        start..self.runs[ri].end
+        let run = &self.runs[ri];
+        Rows::new(&self.values[start..run.end], run.arity, run.rows)
     }
 
-    /// The non-empty runs in run order: head predicate and tuples.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (SymbolId, &[Tuple])> {
+    /// The non-empty runs in run order: head predicate and rows.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (SymbolId, Rows<'_>)> {
         (0..self.runs.len())
-            .map(|ri| (self.runs[ri].pred, &self.tuples[self.span(ri)]))
-            .filter(|(_, tuples)| !tuples.is_empty())
+            .map(|ri| (self.runs[ri].pred, self.rows(ri)))
+            .filter(|(_, rows)| !rows.is_empty())
     }
 
     /// Keep only the derivations `keep` accepts, in order.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(SymbolId, &Tuple) -> bool) {
-        let runs = &mut self.runs;
-        // `ri` is the run of the tuple being visited, `end` where that run
-        // ended before the compaction.
-        let (mut ri, mut visited, mut kept) = (0usize, 0usize, 0usize);
-        let mut end = runs.first().map_or(0, |r| r.end);
-        self.tuples.retain(|t| {
-            while visited == end {
-                runs[ri].end = kept;
-                ri += 1;
-                end = runs[ri].end;
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(SymbolId, &[Value]) -> bool) {
+        let Derived { values, runs, .. } = self;
+        let (mut read, mut write) = (0usize, 0usize);
+        for run in runs {
+            let mut kept = 0;
+            for _ in 0..run.rows {
+                let row = read..read + run.arity;
+                if keep(run.pred, &values[row.clone()]) {
+                    values.copy_within(row, write);
+                    write += run.arity;
+                    kept += 1;
+                }
+                read += run.arity;
             }
-            visited += 1;
-            let keeps = keep(runs[ri].pred, t);
-            kept += usize::from(keeps);
-            keeps
-        });
-        for run in &mut runs[ri..] {
-            run.end = kept;
+            run.rows = kept;
+            run.end = write;
         }
+        values.truncate(write);
     }
 }
 
@@ -625,7 +630,7 @@ fn full_work_list<'a>(resolved: &'a Resolved<'_>) -> Vec<WorkItem<'a>> {
 }
 
 /// A driven variant and the change set its first step reads.
-pub(crate) type Driven<'a> = (&'a RulePlan, &'a [Tuple]);
+pub(crate) type Driven<'a> = (&'a RulePlan, Rows<'a>);
 
 /// What a delta round drives, in deterministic (plan, step) order: every
 /// positive ordinary atom step on a same-stratum predicate with a non-empty
@@ -649,7 +654,7 @@ pub(crate) fn delta_drives<'a>(
             }
             // A reused delta map keeps predicates that gained nothing.
             if let Some(d) = delta.get(pred).filter(|d| !d.is_empty()) {
-                drives.push((plan.driven_by(si), d.as_slice()));
+                drives.push((plan.driven_by(si), d.rows()));
             }
         }
     }
@@ -672,10 +677,11 @@ fn delta_work_list<'a>(resolved: &'a Resolved<'_>, drives: &[Driven<'a>]) -> Vec
     items
 }
 
-/// The new facts of one round per head predicate, in derivation order. The
-/// map and its vectors are reused from round to round, so a predicate that
-/// gained nothing this round may linger with an empty vector.
-pub(crate) type Delta = FxHashMap<SymbolId, Vec<Tuple>>;
+/// The new facts of one round per head predicate, in derivation order, as
+/// strided rows. The map and its buffers are reused from round to round, so
+/// a predicate that gained nothing this round may linger with an empty
+/// buffer.
+pub(crate) type Delta = FxHashMap<SymbolId, RowBuf>;
 
 /// Evaluate one stratum to fixpoint.
 ///
@@ -758,22 +764,23 @@ fn absorb_contained(
     })
 }
 
-/// Insert the derived tuples of `outs` — the round's runs, read buffer
-/// after buffer; all left empty — as **one batch per head predicate**
-/// through [`Relation::delta_batch_insert`], and refill `delta` with the
-/// new facts per predicate, in derivation order; true when there are any.
-/// Duplicates cost one membership check; a new fact is copied once into the
-/// stored relation and moved into the delta. Batching is what lets the
-/// columnar backend turn a round's derivations into one sorted run.
+/// Insert the derived rows of `outs` — the round's runs, read buffer after
+/// buffer; all left empty — as **one batch per head predicate** through
+/// [`Relation::delta_batch_insert`], which appends each new fact to the
+/// predicate's `delta` buffer, in derivation order; true when there are
+/// any. A duplicate costs one membership check; a new fact is copied into
+/// the stored relation and into the delta, and nowhere else. Batching is
+/// what lets the columnar backend turn a round's derivations into one
+/// sorted run.
 ///
-/// The work per tuple is the insert and the move: predicates are looked up
-/// once per run, never per tuple, and a round allocates the run list plus
-/// a batch and its flags per predicate, whatever it derives.
+/// The work per row is the insert: predicates are looked up once per run,
+/// never per row, and a round allocates the run list plus a segment list
+/// and its counts per predicate, whatever it derives.
 ///
 /// With `recs` — one record per run, in run order — `derived` and
-/// `inserted` are also attributed to the work item that produced each
-/// tuple. First occurrence wins within a predicate's batch, which is in run
-/// order, so the attribution is that of tuple-at-a-time insertion.
+/// `inserted` are also attributed to the work item that produced each row.
+/// First occurrence wins within a predicate's batch, which is in run order,
+/// so the attribution is that of row-at-a-time insertion.
 pub(crate) fn absorb(
     state: &mut EvalState,
     outs: &mut [Derived],
@@ -785,46 +792,35 @@ pub(crate) fn absorb(
         fresh.clear();
     }
     let inserted_before = stats.inserted;
-    // Every run in work-item order: its predicate, buffer, span there and
-    // suppressed tuples.
-    let runs: Vec<(SymbolId, usize, std::ops::Range<usize>, u64)> = outs
+    // Every run in work-item order: its predicate, rows and suppressed rows.
+    let runs: Vec<(SymbolId, Rows<'_>, u64)> = outs
         .iter()
-        .enumerate()
-        .flat_map(|(b, out)| {
+        .flat_map(|out| {
             (out.runs.iter().enumerate())
-                .map(move |(ri, run)| (run.pred, b, out.span(ri), run.suppressed))
+                .map(move |(ri, run)| (run.pred, out.rows(ri), run.suppressed))
         })
         .collect();
     // Head predicates in first-seen order; a stratum has a handful.
     let mut batched: Vec<SymbolId> = Vec::new();
-    for (first, (pred, _, span, _)) in runs.iter().enumerate() {
-        if span.is_empty() || batched.contains(pred) {
+    for (first, &(pred, rows, _)) in runs.iter().enumerate() {
+        if rows.is_empty() || batched.contains(&pred) {
             continue;
         }
-        batched.push(*pred);
+        batched.push(pred);
         let of_pred = || {
             runs.iter()
                 .enumerate()
                 .skip(first)
-                .filter(|(_, run)| run.0 == *pred)
+                .filter(move |(_, run)| run.0 == pred)
         };
-        let batch: Vec<&Tuple> = of_pred()
-            .flat_map(|(_, (_, b, span, _))| &outs[*b].tuples[span.clone()])
-            .collect();
+        let batch: Vec<Rows<'_>> = of_pred().map(|(_, &(_, rows, _))| rows).collect();
         let rel = state
-            .get_mut(&PredKey::Ordinary(*pred))
+            .get_mut(&PredKey::Ordinary(pred))
             .expect("IDB relation installed before evaluation");
-        let mut flags = rel.delta_batch_insert(&batch).into_iter();
-        let fresh = delta.entry(*pred).or_default();
-        for (ri, (_, b, span, suppressed)) in of_pred() {
-            let before = fresh.len();
-            for (t, new) in outs[*b].tuples[span.clone()].iter_mut().zip(&mut flags) {
-                if new {
-                    fresh.push(std::mem::replace(t, Tuple::empty()));
-                }
-            }
-            let derived = span.len() as u64 + suppressed;
-            let inserted = (fresh.len() - before) as u64;
+        let counts = rel.delta_batch_insert(&batch, delta.entry(pred).or_default());
+        for ((ri, &(_, rows, suppressed)), inserted) in of_pred().zip(counts) {
+            let derived = rows.len() as u64 + suppressed;
+            let inserted = inserted as u64;
             stats.derived += derived;
             stats.inserted += inserted;
             if let Some(recs) = recs.as_deref_mut() {
@@ -833,6 +829,7 @@ pub(crate) fn absorb(
             }
         }
     }
+    drop(runs);
     outs.iter_mut().for_each(Derived::clear);
     stats.inserted != inserted_before
 }
@@ -851,10 +848,11 @@ struct RuleRun<'a, V> {
     sources: &'a [Source<'a>],
     drive: Drive<'a>,
     bindings: &'a mut [Option<Value>],
-    /// Where this run's tuples start in `out`.
-    start: usize,
-    out: &'a mut Vec<Tuple>,
-    /// Head tuples emitted but not buffered (see [`Derived`]).
+    /// The buffer this run appends its head rows to, after earlier runs'.
+    out: &'a mut Vec<Value>,
+    /// Head rows this run appended.
+    rows: usize,
+    /// Head rows emitted but not buffered (see [`Derived`]).
     suppressed: u64,
     stats: &'a mut EvalStats,
 }
@@ -865,15 +863,18 @@ impl<V: ReadView> RuleRun<'_, V> {
         let (view, plan) = (self.view, self.plan);
         let Some(step) = plan.steps.get(si) else {
             self.stats.instantiations += 1;
-            let head: Tuple = plan
-                .head
-                .iter()
-                .map(|&p| resolve(p, self.bindings))
-                .collect();
-            if self.out[self.start..].last() == Some(&head) {
+            let (head, bindings) = (&plan.head, &*self.bindings);
+            let last = &self.out[self.out.len() - if self.rows > 0 { head.len() } else { 0 }..];
+            let repeats = self.rows > 0
+                && head
+                    .iter()
+                    .zip(last)
+                    .all(|(&p, v)| resolve(p, bindings) == *v);
+            if repeats {
                 self.suppressed += 1;
             } else {
-                self.out.push(head);
+                self.out.extend(head.iter().map(|&p| resolve(p, bindings)));
+                self.rows += 1;
             }
             return Ok(());
         };
@@ -881,8 +882,8 @@ impl<V: ReadView> RuleRun<'_, V> {
             Step::Atom(astep) => {
                 if let (0, Drive::First(changed)) = (si, self.drive) {
                     // Scan the (small) change set, checking its constants.
-                    for t in changed {
-                        self.try_tuple(si, astep, t, true)?;
+                    for row in changed {
+                        self.try_row(si, astep, row, true)?;
                     }
                     return Ok(());
                 }
@@ -890,39 +891,39 @@ impl<V: ReadView> RuleRun<'_, V> {
                     // No relation installed → no stored matches.
                     Source::Absent => {}
                     Source::Scan(rel) => {
-                        for t in rel.iter() {
-                            if !view.hides(&astep.key, t) {
-                                self.try_tuple(si, astep, t, false)?;
+                        for row in rel.rows() {
+                            if !view.hides(&astep.key, row) {
+                                self.try_row(si, astep, row, false)?;
                             }
                         }
                     }
                     Source::Probe(index) => {
-                        for t in index.probe(&self.probe_key(astep)).iter() {
+                        for row in index.probe(&self.probe_key(astep)).iter() {
                             // Probe positions already match; only bind/check remain.
-                            if !view.hides(&astep.key, t) {
-                                self.try_tuple(si, astep, t, false)?;
+                            if !view.hides(&astep.key, row) {
+                                self.try_row(si, astep, row, false)?;
                             }
                         }
                     }
                     Source::Member => {
-                        // The key is the whole tuple; the view's membership
+                        // The key is the whole row; the view's membership
                         // covers what it hides and adds.
                         let t = self.probe_key(astep);
-                        if view.contains(&astep.key, &t) {
-                            self.try_tuple(si, astep, &t, false)?;
+                        if view.contains(&astep.key, t.values()) {
+                            self.try_row(si, astep, t.values(), false)?;
                         }
                         return Ok(());
                     }
                 }
-                for t in view.extras(&astep.key) {
-                    self.try_tuple(si, astep, t, true)?;
+                for row in view.extras(&astep.key) {
+                    self.try_row(si, astep, row, true)?;
                 }
                 Ok(())
             }
             Step::Negation { key, terms } => {
                 let t: Tuple = terms.iter().map(|&p| resolve(p, self.bindings)).collect();
                 self.stats.probes += 1;
-                if !view.contains(key, &t) {
+                if !view.contains(key, t.values()) {
                     self.exec(si + 1)?;
                 }
                 Ok(())
@@ -943,14 +944,14 @@ impl<V: ReadView> RuleRun<'_, V> {
             .collect()
     }
 
-    /// Match one candidate tuple against an atom step: verify probe positions
+    /// Match one candidate row against an atom step: verify probe positions
     /// (needed for change-set and extras scans), bind new variables, check
     /// repeats, recurse.
-    fn try_tuple(
+    fn try_row(
         &mut self,
         si: usize,
         astep: &AtomStep,
-        t: &Tuple,
+        t: &[Value],
         verify_probe: bool,
     ) -> CoreResult<()> {
         self.stats.probes += 1;
@@ -1180,6 +1181,9 @@ mod tests {
             .iter()
             .cloned()
             .collect();
+        let shards: Vec<RowBuf> = [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]]
+            .map(|shard| shard.iter().collect())
+            .into();
         // Full items for every plan, then the variant of every e-step of
         // every plan driven by four uneven shards of the edge list.
         let variants = program.plans().iter().flat_map(|plan| {
@@ -1190,10 +1194,10 @@ mod tests {
         let driven = Resolved::driven(&state, variants);
         let mut items = full_work_list(&resolved);
         for rule in driven.rules() {
-            for shard in [&edges[..5], &edges[5..6], &edges[6..30], &edges[30..]] {
+            for shard in &shards {
                 items.push(WorkItem {
                     rule,
-                    drive: Drive::First(shard),
+                    drive: Drive::First(shard.rows()),
                 });
             }
         }
@@ -1212,13 +1216,14 @@ mod tests {
                 &mut bufs,
             )
             .unwrap();
-            // The buffers read back to back: every run's predicate, tuples
-            // and suppressed count.
+            // The buffers read back to back: every run's predicate, rows and
+            // suppressed count.
             let out: Vec<(SymbolId, Vec<Tuple>, u64)> = bufs
                 .iter()
                 .flat_map(|out| out.runs.iter().enumerate().map(move |ri| (out, ri)))
                 .map(|(out, (ri, run))| {
-                    (run.pred, out.tuples[out.span(ri)].to_vec(), run.suppressed)
+                    let rows = out.rows(ri).iter().map(Tuple::from).collect();
+                    (run.pred, rows, run.suppressed)
                 })
                 .collect();
             let recs: Vec<_> = recs
@@ -1253,10 +1258,9 @@ mod tests {
             drive: Drive::Full,
         };
         assert_eq!(full.estimated_work(&state), edges);
-        let shard = vec![Tuple::empty(); 3];
         let delta = WorkItem {
             rule,
-            drive: Drive::First(&shard),
+            drive: Drive::First(Rows::new(&[], 0, 3)),
         };
         assert_eq!(delta.estimated_work(&state), 3);
     }

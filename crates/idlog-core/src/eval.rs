@@ -208,7 +208,7 @@ pub fn evaluate_governed(
             let stratum_plans: Vec<&RulePlan> =
                 stratum_clauses.iter().map(|&ci| &plans[ci]).collect();
             let mut sp = profile.as_ref().map(|_| StratumProfile::new(k));
-            materialize_id_relations(
+            let evaluated = materialize_id_relations(
                 &stratum_plans,
                 program,
                 options.backend,
@@ -216,21 +216,26 @@ pub fn evaluate_governed(
                 oracle,
                 &mut stats,
                 sp.as_mut(),
-            )?;
-            let same_stratum: FxHashSet<SymbolId> =
-                stratum_plans.iter().map(|p| p.head_pred).collect();
-            eval_stratum(
-                &mut state,
-                &stratum_plans,
-                &same_stratum,
-                &mut stats,
-                threads,
-                &governor,
-                sp.as_mut(),
-            )?;
+            )
+            .and_then(|()| {
+                let same_stratum: FxHashSet<SymbolId> =
+                    stratum_plans.iter().map(|p| p.head_pred).collect();
+                eval_stratum(
+                    &mut state,
+                    &stratum_plans,
+                    &same_stratum,
+                    &mut stats,
+                    threads,
+                    &governor,
+                    sp.as_mut(),
+                )
+            });
+            // A stratum that trips a limit keeps its rounds in the partial
+            // profile, so its per-rule rows still add up to the totals.
             if let (Some(p), Some(sp)) = (profile.as_mut(), sp) {
                 p.strata.push(sp);
             }
+            evaluated?;
         }
         Ok(())
     })();

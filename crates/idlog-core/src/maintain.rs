@@ -61,8 +61,8 @@
 
 use std::sync::Arc;
 
-use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Tuple};
-use idlog_storage::{Database, Relation};
+use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId, Tuple, Value};
+use idlog_storage::{Database, Relation, RowBuf, Rows};
 
 use crate::config::EvalOptions;
 use crate::engine::{
@@ -138,11 +138,12 @@ pub struct Materialized {
     build_stats: EvalStats,
 }
 
-/// An ordered, deduplicated set of changed tuples for one predicate.
+/// An ordered, deduplicated set of changed rows for one predicate.
 /// The order is first-change order, so replay work lists are deterministic.
 ///
-/// `set` is the truth. `order` holds one entry per successful [`add`] and
-/// is *not* touched by [`remove`] — rederivation removes most of an
+/// `set` is the truth; it is asked about rows directly, as a tuple borrows
+/// as its values. `order` holds one row per successful [`add`] and is *not*
+/// touched by [`remove`] — rederivation removes most of an
 /// overdeleted closure one tuple at a time, and a `retain` per removal made
 /// that quadratic — so after removals it must be [`compact`]ed before
 /// [`order`] reads it.
@@ -153,22 +154,21 @@ pub struct Materialized {
 /// [`order`]: NetChange::order
 #[derive(Debug, Default, Clone)]
 struct NetChange {
-    order: Vec<Tuple>,
+    order: RowBuf,
     set: FxHashSet<Tuple>,
 }
 
 impl NetChange {
-    fn add(&mut self, t: Tuple) -> bool {
-        if self.set.insert(t.clone()) {
-            self.order.push(t);
-            true
-        } else {
-            false
+    fn add(&mut self, row: &[Value]) -> bool {
+        let new = self.set.insert(Tuple::from(row));
+        if new {
+            self.order.push(row);
         }
+        new
     }
 
-    fn remove(&mut self, t: &Tuple) -> bool {
-        self.set.remove(t)
+    fn remove(&mut self, row: &[Value]) -> bool {
+        self.set.remove(row)
     }
 
     fn is_empty(&self) -> bool {
@@ -182,21 +182,22 @@ impl NetChange {
         if self.order.len() == self.set.len() {
             return;
         }
-        let mut live: FxHashSet<&Tuple> = FxHashSet::default();
-        let mut keep: Vec<bool> = self
-            .order
-            .iter()
+        let order = self.order.rows();
+        let mut live: FxHashSet<&[Value]> = FxHashSet::default();
+        let mut keep: Vec<bool> = (0..order.len())
             .rev()
-            .map(|t| self.set.contains(t) && live.insert(t))
+            .map(|i| order.get(i))
+            .map(|row| self.set.contains(row) && live.insert(row))
             .collect();
+        drop(live);
         self.order
             .retain(|_| keep.pop().expect("one flag per entry"));
     }
 
-    /// The changed tuples in first-change order.
-    fn order(&self) -> &[Tuple] {
+    /// The changed rows in first-change order.
+    fn order(&self) -> Rows<'_> {
         debug_assert_eq!(self.order.len(), self.set.len(), "compact() first");
-        &self.order
+        self.order.rows()
     }
 }
 
@@ -221,8 +222,8 @@ fn publish(into: &mut NetMap, from: NetMap) {
             continue;
         }
         let slot = into.entry(p).or_default();
-        for t in nc.order {
-            slot.add(t);
+        for row in nc.order.rows() {
+            slot.add(row);
         }
     }
 }
@@ -311,14 +312,14 @@ impl Materialized {
                 .get_mut(&PredKey::Ordinary(*pred))
                 .expect("classify checked presence");
             if inserting {
-                if rel.delta_batch_insert(&[t])[0] {
-                    net_ins.entry(*pred).or_default().add(t.clone());
+                if rel.insert_unchecked(t.clone()) {
+                    net_ins.entry(*pred).or_default().add(t.values());
                 }
-            } else if rel.remove_batch(&[t])[0] {
+            } else if rel.remove_batch(Rows::one(t.values()))[0] {
                 // An insert-then-retract of the same tuple nets out.
-                let was_fresh_insert = net_ins.get_mut(pred).is_some_and(|n| n.remove(t));
+                let was_fresh_insert = net_ins.get_mut(pred).is_some_and(|n| n.remove(t.values()));
                 if !was_fresh_insert {
-                    net_del.entry(*pred).or_default().add(t.clone());
+                    net_del.entry(*pred).or_default().add(t.values());
                 }
             }
         }
@@ -420,11 +421,11 @@ impl Materialized {
         )?;
         loop {
             let mut next = Delta::default();
-            for (p, tuples) in cand.runs() {
+            for (p, rows) in cand.runs() {
                 let gone = deleted.entry(p).or_default();
-                for t in tuples {
-                    if gone.add(t.clone()) {
-                        next.entry(p).or_default().push(t.clone());
+                for row in rows {
+                    if gone.add(row) {
+                        next.entry(p).or_default().push(row);
                     }
                 }
             }
@@ -468,8 +469,8 @@ impl Materialized {
                 for fresh in rederived.values_mut() {
                     fresh.clear();
                 }
-                for (p, tuples) in out.runs() {
-                    rederived.entry(p).or_default().extend_from_slice(tuples);
+                for (p, rows) in out.runs() {
+                    rederived.entry(p).or_default().extend(rows);
                 }
                 out.clear();
                 let view = Surviving {
@@ -492,7 +493,7 @@ impl Materialized {
                 self.state
                     .get_mut(&PredKey::Ordinary(*p))
                     .expect("stratum head installed")
-                    .remove_batch(&nc.order().iter().collect::<Vec<_>>());
+                    .remove_batch(nc.order());
             }
         }
 
@@ -511,13 +512,13 @@ impl Materialized {
             if !absorb(&mut self.state, outs, stats, None, &mut fresh) {
                 break;
             }
-            for (p, tuples) in &fresh {
-                for t in tuples {
-                    // A tuple deleted above that reappears through new
+            for (p, rows) in &fresh {
+                for row in rows.rows() {
+                    // A row deleted above that reappears through new
                     // support nets out: physically back, no net change.
-                    let was_deleted = deleted.get_mut(p).is_some_and(|n| n.remove(t));
+                    let was_deleted = deleted.get_mut(p).is_some_and(|n| n.remove(row));
                     if !was_deleted {
-                        stratum_ins.entry(*p).or_default().add(t.clone());
+                        stratum_ins.entry(*p).or_default().add(row);
                     }
                 }
             }
@@ -601,17 +602,17 @@ impl ReadView for OldView<'_> {
         self.state.get(key)
     }
 
-    fn hides(&self, key: &PredKey, t: &Tuple) -> bool {
-        net_of(self.net_ins, key).is_some_and(|n| n.set.contains(t))
+    fn hides(&self, key: &PredKey, row: &[Value]) -> bool {
+        net_of(self.net_ins, key).is_some_and(|n| n.set.contains(row))
     }
 
-    fn extras(&self, key: &PredKey) -> &[Tuple] {
-        net_of(self.net_del, key).map_or(&[], NetChange::order)
+    fn extras(&self, key: &PredKey) -> Rows<'_> {
+        net_of(self.net_del, key).map_or_else(Rows::default, NetChange::order)
     }
 
-    fn contains(&self, key: &PredKey, t: &Tuple) -> bool {
-        (self.state.contains(key, t) && !self.hides(key, t))
-            || net_of(self.net_del, key).is_some_and(|n| n.set.contains(t))
+    fn contains(&self, key: &PredKey, row: &[Value]) -> bool {
+        (self.state.contains(key, row) && !self.hides(key, row))
+            || net_of(self.net_del, key).is_some_and(|n| n.set.contains(row))
     }
 }
 
@@ -629,16 +630,16 @@ impl ReadView for Surviving<'_> {
         self.state.get(key)
     }
 
-    fn hides(&self, key: &PredKey, t: &Tuple) -> bool {
-        net_of(self.overdeleted, key).is_some_and(|n| n.set.contains(t))
+    fn hides(&self, key: &PredKey, row: &[Value]) -> bool {
+        net_of(self.overdeleted, key).is_some_and(|n| n.set.contains(row))
     }
 
-    fn extras(&self, _: &PredKey) -> &[Tuple] {
-        &[]
+    fn extras(&self, _: &PredKey) -> Rows<'_> {
+        Rows::default()
     }
 
-    fn contains(&self, key: &PredKey, t: &Tuple) -> bool {
-        self.state.contains(key, t) && !self.hides(key, t)
+    fn contains(&self, key: &PredKey, row: &[Value]) -> bool {
+        self.state.contains(key, row) && !self.hides(key, row)
     }
 }
 
@@ -975,32 +976,33 @@ mod tests {
 
     #[test]
     fn net_change_keeps_first_surviving_order() {
-        let t = |n: i64| Tuple::new(vec![int(n)]);
+        let t = |n: i64| vec![int(n)];
         let mut nc = NetChange::default();
-        assert!(nc.add(t(1)));
-        assert!(nc.add(t(2)));
-        assert!(nc.add(t(3)));
-        assert!(!nc.add(t(2)), "duplicates are not changes");
+        assert!(nc.add(&t(1)));
+        assert!(nc.add(&t(2)));
+        assert!(nc.add(&t(3)));
+        assert!(!nc.add(&t(2)), "duplicates are not changes");
         assert!(nc.remove(&t(1)));
         assert!(!nc.remove(&t(1)), "already gone");
-        assert!(nc.add(t(1)), "a removed tuple can change again");
+        assert!(nc.add(&t(1)), "a removed tuple can change again");
+        let order = |nc: &NetChange| nc.order().iter().map(<[Value]>::to_vec).collect::<Vec<_>>();
         nc.compact();
         // One entry each; 1 now orders by its surviving (second) add.
-        assert_eq!(nc.order(), [t(2), t(3), t(1)]);
+        assert_eq!(order(&nc), [t(2), t(3), t(1)]);
         assert!(nc.remove(&t(3)));
         nc.compact();
-        assert_eq!(nc.order(), [t(2), t(1)]);
+        assert_eq!(order(&nc), [t(2), t(1)]);
         nc.compact(); // idempotent
-        assert_eq!(nc.order(), [t(2), t(1)]);
+        assert_eq!(order(&nc), [t(2), t(1)]);
     }
 
     #[test]
     fn net_change_is_empty_once_everything_is_removed() {
-        let t = |n: i64| Tuple::new(vec![int(n)]);
+        let t = |n: i64| vec![int(n)];
         let mut nc = NetChange::default();
         assert!(nc.is_empty());
         for n in 0..100 {
-            nc.add(t(n));
+            nc.add(&t(n));
         }
         for n in 0..100 {
             assert!(!nc.is_empty());

@@ -615,8 +615,8 @@ pub fn magic_tuples_pruned(magic: &ValidatedProgram, db: &Database, out: &EvalOu
         let name = interner.resolve(pred);
         let mut set = FxHashSet::default();
         if let Some(rel) = out.relation(&name) {
-            for t in rel.iter() {
-                if let Some(&v) = t.values().get(col) {
+            for row in rel.rows() {
+                if let Some(&v) = row.get(col) {
                     set.insert(v);
                 }
             }
@@ -679,10 +679,10 @@ pub fn magic_tuples_pruned(magic: &ValidatedProgram, db: &Database, out: &EvalOu
                 }
             }
             let relevant = rel
-                .iter()
-                .filter(|t| {
+                .rows()
+                .filter(|row| {
                     constraints.iter().all(|(col, c)| {
-                        let Some(&v) = t.values().get(*col) else {
+                        let Some(&v) = row.get(*col) else {
                             return false;
                         };
                         match c {

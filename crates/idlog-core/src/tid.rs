@@ -70,16 +70,19 @@ pub trait TidOracle {
     ) -> CommonResult<IdRelationBuild> {
         let assignment = self.assign(pred, grouping, rel, interner);
         let full = make_id_relation(rel, &assignment)?;
-        let tid_of = |t: &Tuple| t.get(rel.arity()).and_then(Value::as_int);
+        let tid_of = |row: &[Value]| row.get(rel.arity()).and_then(|v| v.as_int());
         // Each group holds exactly one tid-0 tuple.
-        let groups = full.iter().filter(|t| tid_of(t) == Some(0)).count();
+        let groups = full.rows().filter(|row| tid_of(row) == Some(0)).count();
         let relation = match bound {
             None => full,
             Some(k) => {
                 let k = i64::try_from(k).unwrap_or(i64::MAX);
                 let mut kept = Relation::new(full.rtype().clone());
-                for t in full.iter().filter(|t| tid_of(t).is_some_and(|tid| tid < k)) {
-                    kept.insert_unchecked(t.clone());
+                for row in full
+                    .rows()
+                    .filter(|row| tid_of(row).is_some_and(|tid| tid < k))
+                {
+                    kept.insert_unchecked(Tuple::from(row));
                 }
                 kept
             }

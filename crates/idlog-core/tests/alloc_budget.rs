@@ -1,11 +1,12 @@
-//! Allocation budget of the join kernel and the tuple store.
+//! Allocation and memory budget of the join kernel and the tuple store.
 //!
 //! A counting global allocator (per-thread counters, so libtest's other
 //! threads do not leak in) measures what a semi-naive fixpoint and a
-//! relation clone ask the allocator for. Tuples of up to three columns live
-//! inline, probes and inserts allocate nothing per tuple and round buffers
-//! are reused, so a fixpoint's allocations grow with its *rounds* (plus the
-//! logarithmic growth of the stores), not with the tuples it touches. And
+//! relation clone ask the allocator for, and the live heap they hold at
+//! their peak. A relation's rows sit back to back in one value buffer,
+//! probes and inserts allocate nothing per row and round buffers are
+//! reused, so a fixpoint's allocations grow with its *rounds* (plus the
+//! logarithmic growth of the stores), not with the rows it touches. And
 //! inputs are read by reference, with the indexes and groupings built on
 //! them kept, so a repeated query allocates nothing per stored row.
 
@@ -28,11 +29,27 @@ struct Counting;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed by this thread, and their maximum.
+    static LIVE: Cell<u64> = const { Cell::new(0) };
+    static PEAK: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
     BYTES.with(|n| n.set(n.get() + bytes as u64));
+}
+
+fn live_grows(bytes: usize) {
+    let live = LIVE.with(|n| {
+        n.set(n.get() + bytes as u64);
+        n.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+/// Saturating: a block another thread allocated may be freed here.
+fn live_shrinks(bytes: usize) {
+    LIVE.with(|n| n.set(n.get().saturating_sub(bytes as u64)));
 }
 
 // SAFETY: every call is forwarded to `System` unchanged; the counters are
@@ -41,15 +58,24 @@ fn count(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live_grows(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_shrinks(layout.size());
         System.dealloc(ptr, layout)
     }
 
+    /// A reallocation counts as its net change in live bytes: a large
+    /// block's pages move by `mremap`, never held twice.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        if new_size >= layout.size() {
+            live_grows(new_size - layout.size());
+        } else {
+            live_shrinks(layout.size() - new_size);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -62,6 +88,15 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let value = f();
     (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The most this thread's live heap grew above its level at the call while
+/// `f` ran.
+fn peak_growth_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let value = f();
+    (value, PEAK.with(Cell::get) - before)
 }
 
 /// Bytes this thread asks the allocator for (a reallocation counts its new
@@ -95,8 +130,9 @@ fn a_fixpoint_allocates_per_round_not_per_tuple() {
     assert_eq!(stats.iterations, EDGES + 1);
     assert_eq!(stats.inserted, EDGES * (EDGES + 1) / 2);
     assert_eq!(out.relation("t").unwrap().len() as u64, stats.inserted);
-    // O(rounds): a work list, a batch and its flags per round, and the
-    // doubling growth of the store, its membership table and the buffers.
+    // O(rounds): a work list, a segment list and its counts per round, and
+    // the doubling growth of the store, its membership table and the
+    // buffers.
     assert!(
         allocations <= 12 * stats.iterations,
         "{allocations} allocations in {} rounds",
@@ -107,6 +143,74 @@ fn a_fixpoint_allocates_per_round_not_per_tuple() {
         "{allocations} allocations for {} inserted tuples",
         stats.inserted
     );
+}
+
+/// The peak live heap of a serial binary fixpoint — the closure of a
+/// 1000-edge chain, 500 500 stored rows — per stored row. Rows are 16 bytes
+/// in a store whose capacity doubles, beside a membership table of 8-byte
+/// slots at most half full: 2²⁰ values and 2²⁰ slots, 33.5 bytes a row,
+/// plus the small delta and round buffers. It measures 33.9; the budget is
+/// that plus 10 %. The layout before strided rows (32-byte tuples, and the
+/// old and new tables side by side while the table doubled) measured 50.7.
+#[test]
+fn a_fixpoints_peak_heap_per_stored_row_stays_within_its_budget() {
+    const EDGES: u64 = 1000;
+    const BUDGET: f64 = 33.9 * 1.1;
+    let interner = Arc::new(Interner::new());
+    let program = ValidatedProgram::parse(
+        "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).",
+        Arc::clone(&interner),
+    )
+    .unwrap();
+    let mut db = Database::with_interner(interner);
+    for n in 0..EDGES {
+        db.insert_syms("e", &[&format!("n{n}"), &format!("n{}", n + 1)])
+            .unwrap();
+    }
+    let options = EvalOptions::serial();
+    let (out, peak) = peak_growth_during(|| {
+        evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap()
+    });
+    let rows = out.relation("t").unwrap().len() as u64;
+    assert_eq!(rows, EDGES * (EDGES + 1) / 2);
+    let per_row = peak as f64 / rows as f64;
+    assert!(
+        per_row <= BUDGET,
+        "{per_row:.1} bytes of peak heap per stored row, budget {BUDGET:.1}"
+    );
+}
+
+/// A membership table that doubles frees its old slots before it takes
+/// the new ones: the push that grows 2¹⁶ slots to 2¹⁷ raises the live heap
+/// by the difference, 512 KiB. A table that kept its old slots until the
+/// new ones were filled peaked at the whole new table, 1 MiB, above.
+#[test]
+fn a_doubling_membership_table_never_exists_twice() {
+    const HALF: u64 = 1 << 15;
+    let hash = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut keys: Vec<u64> = Vec::with_capacity(HALF as usize + 1);
+    let mut table = idlog_common::IdTable::new();
+    let push = |keys: &mut Vec<u64>, table: &mut idlog_common::IdTable, k: u64| {
+        let (_, new) = table.find_or_push(
+            hash(k),
+            |id| keys[id as usize] == k,
+            |id| hash(keys[id as usize]),
+        );
+        assert!(new);
+        keys.push(k);
+    };
+    for k in 0..HALF {
+        push(&mut keys, &mut table, k);
+    }
+    // 2¹⁵ ids fill 2¹⁶ slots to half: the next push doubles them.
+    let ((), growth) = peak_growth_during(|| push(&mut keys, &mut table, HALF));
+    let slot = std::mem::size_of::<u64>() as u64;
+    assert_eq!(
+        growth,
+        (1 << 16) * slot,
+        "the old and new slots were live at once"
+    );
+    assert_eq!(table.len() as u64, HALF + 1);
 }
 
 #[test]

@@ -288,3 +288,44 @@ fn limits_compose_first_barrier_trip_wins() {
         "{err:?}"
     );
 }
+
+/// A round-ceiling trip keeps the tripped stratum's per-rule profile: the
+/// partial profile's per-rule rows add up to its totals line, as they do
+/// for a run that completes, and its rounds are the iterations counted —
+/// on both backends and at one and several threads.
+#[test]
+fn a_round_trip_keeps_the_tripped_stratums_rule_profile() {
+    let q = Query::parse(DIVERGE, "count").unwrap();
+    let db = q.new_database();
+    for backend in BACKENDS {
+        for threads in [1usize, 4] {
+            let err = q
+                .session(&db)
+                .threads(threads)
+                .backend(backend)
+                .profile(true)
+                .limits(rounds_limit(5))
+                .try_run()
+                .unwrap_err();
+            let partial = err
+                .partial_output()
+                .expect("a trip carries its partial output");
+            let profile = partial.profile().expect("profile requested");
+            assert_eq!(profile.totals, partial.stats());
+            assert!(profile.totals.instantiations > 0);
+            let per_rule = profile.per_rule_totals();
+            assert!(!per_rule.is_empty(), "the rule table is empty");
+            let mut summed = idlog_core::EvalStats::default();
+            for rule in &per_rule {
+                summed += rule.stats;
+            }
+            assert_eq!(summed.instantiations, profile.totals.instantiations);
+            assert_eq!(summed.derived, profile.totals.derived);
+            assert_eq!(summed.inserted, profile.totals.inserted);
+            assert_eq!(summed.probes, profile.totals.probes);
+            assert_eq!(summed.builtin_evals, profile.totals.builtin_evals);
+            let rounds: u64 = profile.strata.iter().map(|s| s.rounds.len() as u64).sum();
+            assert_eq!(rounds, profile.totals.iterations);
+        }
+    }
+}

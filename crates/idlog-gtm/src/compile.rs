@@ -191,7 +191,7 @@ impl CompiledTm {
             .filter(|rel| !rel.is_empty())
             .map(|rel| {
                 let mut cells: Vec<(usize, u8)> = rel
-                    .iter()
+                    .rows()
                     .map(|t| {
                         let p = t[0].as_int().expect("position") as usize;
                         let s = t[1].as_int().expect("symbol") as u8;

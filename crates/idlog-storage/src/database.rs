@@ -7,6 +7,7 @@ use idlog_common::{
 };
 
 use crate::relation::Relation;
+use crate::rows::Rows;
 
 /// A database: a u-domain plus a finite relation per predicate name
 /// (\[She90b\] §2.1: `(u-domain=D; r₁, …, r_n)`).
@@ -149,7 +150,7 @@ impl Database {
         }
         self.invalidate();
         let rel = self.relations.get_mut(&id).ok_or_else(undeclared)?;
-        Ok(Arc::make_mut(rel).remove_batch(&[tuple])[0])
+        Ok(Arc::make_mut(rel).remove_batch(Rows::one(tuple.values()))[0])
     }
 
     /// Convenience: retract a fact whose columns are all uninterpreted
@@ -231,8 +232,8 @@ impl Database {
             let mut sym_seen = vec![0u64; self.interner.len().div_ceil(64)];
             let mut ints: FxHashSet<i64> = FxHashSet::default();
             for rel in self.relations.values() {
-                for t in rel.iter() {
-                    for v in t.values() {
+                for row in rel.rows() {
+                    for v in row {
                         let new = match v {
                             Value::Int(n) => {
                                 summary.max_natural = summary.max_natural.max(n.get() as u64);

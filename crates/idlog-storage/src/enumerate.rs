@@ -377,7 +377,7 @@ mod tests {
             .map(|a| {
                 let t = r
                     .iter()
-                    .find(|t| a.tid(t) == Some(0))
+                    .find(|t| a.tid(*t) == Some(0))
                     .expect("every group has a tid-0 tuple");
                 i.resolve(t[1].as_sym().unwrap())
             })

@@ -12,7 +12,7 @@
 //! and every [`group_by`] on an unchanged relation reads the same index,
 //! and none of them regroups or re-ranks. A write drops it.
 
-use idlog_common::{Interner, Tuple};
+use idlog_common::{Interner, Tuple, Value};
 
 use crate::relation::Relation;
 
@@ -63,12 +63,13 @@ impl Grouping {
 /// ID-predicate `p[∅]`). Reads the relation's `GroupIndex`.
 pub fn group_by(rel: &Relation, positions: &[usize], interner: &Interner) -> Grouping {
     let (positions, index) = rel.group_index(positions, interner);
-    let tuples: Vec<&Tuple> = rel.iter().collect();
+    let rows: Vec<&[Value]> = rel.rows().collect();
     let groups = index
         .groups()
         .map(|members| {
-            let key = tuples[members[0] as usize].project(positions);
-            let members = members.iter().map(|&r| tuples[r as usize].clone());
+            let first = rows[members[0] as usize];
+            let key = positions.iter().map(|&p| first[p]).collect();
+            let members = members.iter().map(|&r| Tuple::from(rows[r as usize]));
             (key, members.collect())
         })
         .collect();

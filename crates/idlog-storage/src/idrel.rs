@@ -13,6 +13,8 @@
 //! members of each group for a canonical `tid < k`, one permutation per group
 //! for a seeded draw, and the rows that keep a tid.
 
+use std::borrow::Borrow;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -70,11 +72,11 @@ fn random_tids<R: Rng>(index: &GroupIndex, rng: &mut R, bound: Option<usize>) ->
     kept
 }
 
-/// The tuples of `rel` at the rows of `kept`, with their tids, in scan
+/// The rows of `rel` at the row ids of `kept`, with their tids, in scan
 /// order: one forward walk of the scan that skips to each row.
-fn in_scan_order(rel: &Relation, mut kept: RowTids) -> impl Iterator<Item = (&Tuple, i64)> {
+fn in_scan_order(rel: &Relation, mut kept: RowTids) -> impl Iterator<Item = (&[Value], i64)> {
     kept.sort_unstable_by_key(|&(row, _)| row);
-    let (mut scan, mut next) = (rel.iter(), 0);
+    let (mut scan, mut next) = (rel.rows(), 0);
     kept.into_iter().filter_map(move |(row, tid)| {
         let t = scan.nth(row as usize - next)?;
         next = row as usize + 1;
@@ -138,7 +140,7 @@ impl IdAssignment {
     }
 
     fn from_row_tids(rel: &Relation, positions: &[usize], tids: RowTids) -> Self {
-        let tids = in_scan_order(rel, tids).map(|(t, tid)| (t.clone(), tid));
+        let tids = in_scan_order(rel, tids).map(|(row, tid)| (Tuple::from(row), tid));
         IdAssignment {
             positions: positions.to_vec(),
             tids: tids.collect(),
@@ -150,9 +152,10 @@ impl IdAssignment {
         &self.positions
     }
 
-    /// The tid assigned to `t`, if `t` was in the base relation.
-    pub fn tid(&self, t: &Tuple) -> Option<i64> {
-        self.tids.get(t).copied()
+    /// The tid assigned to `t` — a tuple or a row — if `t` was in the base
+    /// relation.
+    pub fn tid<T: Borrow<[Value]> + ?Sized>(&self, t: &T) -> Option<i64> {
+        self.tids.get(t.borrow()).copied()
     }
 
     /// Number of tuples covered.
@@ -173,7 +176,7 @@ impl IdAssignment {
 /// oracle must surface as a clean error, not take down the evaluation.
 pub fn make_id_relation(rel: &Relation, assignment: &IdAssignment) -> CommonResult<Relation> {
     let mut out = Relation::new(rel.rtype().id_version());
-    for t in rel.iter() {
+    for t in rel.rows() {
         let tid = assignment.tid(t).ok_or_else(|| CommonError::Invariant {
             detail: format!(
                 "ID-assignment covers {} tuple(s) but misses one of the base relation's {}",
@@ -184,7 +187,7 @@ pub fn make_id_relation(rel: &Relation, assignment: &IdAssignment) -> CommonResu
         let tid = Nat::new(tid).ok_or_else(|| CommonError::Invariant {
             detail: format!("ID-assignment gives the negative tid {tid}"),
         })?;
-        out.insert_unchecked(t.with_appended(Value::Int(tid)));
+        out.insert_unchecked(with_tid(t, tid));
     }
     Ok(out)
 }
@@ -232,13 +235,18 @@ pub fn random_id_relation<R: Rng>(
     build(rel, index, random_tids(index, rng, bound))
 }
 
+/// The ID-relation tuple of base row `row`: the row, then its tid.
+fn with_tid(row: &[Value], tid: Nat) -> Tuple {
+    row.iter().copied().chain([Value::Int(tid)]).collect()
+}
+
 fn build(rel: &Relation, index: &GroupIndex, tids: RowTids) -> IdRelationBuild {
     let mut relation = Relation::new(rel.rtype().id_version());
     for (t, tid) in in_scan_order(rel, tids) {
         let Some(tid) = Nat::new(tid) else {
             unreachable!("tid {tid} is not a rank in its group")
         };
-        relation.insert_unchecked(t.with_appended(Value::Int(tid)));
+        relation.insert_unchecked(with_tid(t, tid));
     }
     IdRelationBuild {
         relation,

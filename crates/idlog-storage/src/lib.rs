@@ -20,6 +20,7 @@ pub mod enumerate;
 pub mod group;
 pub mod idrel;
 pub mod relation;
+pub mod rows;
 pub mod storage;
 
 pub use database::{Database, ValueSummary};
@@ -32,6 +33,7 @@ pub use idrel::{
     canonical_id_relation, make_id_relation, random_id_relation, IdAssignment, IdRelationBuild,
 };
 pub use relation::{CanonicalView, Relation};
+pub use rows::{RowBuf, RowIter, Rows};
 pub use storage::{
     estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend,
     IndexHandle, Probe, ScanIter, Storage,

@@ -2,12 +2,14 @@
 
 use std::fmt::Write as _;
 use std::io;
+use std::sync::OnceLock;
 
 use idlog_common::{
     CommonError, CommonResult, FxHashSet, Interner, RelType, Sort, SymbolId, Tuple, Value,
 };
 
 use crate::group::GroupIndex;
+use crate::rows::{RowBuf, Rows};
 use crate::storage::{
     estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, IndexHandle, Indexes, Probe,
     ScanIter, Storage,
@@ -30,11 +32,12 @@ macro_rules! dispatch {
     };
 }
 
-/// [`dispatch!`] for a write, which drops the group indexes: they are not
-/// maintained.
+/// [`dispatch!`] for a write, which drops the group indexes and the tuple
+/// copy: neither is maintained.
 macro_rules! dispatch_mut {
     ($self:expr, $b:ident => $e:expr) => {{
         $self.groups = Indexes::default();
+        $self.tuples = OnceLock::new();
         match &mut $self.backend {
             BackendImpl::Hash($b) => $e,
             BackendImpl::Columnar($b) => $e,
@@ -44,9 +47,10 @@ macro_rules! dispatch_mut {
 
 /// A finite relation: a set of equal-arity, sort-consistent tuples.
 ///
-/// The tuple store is one of the [`crate::storage`] backends (hash by
+/// The row store is one of the [`crate::storage`] backends (hash by
 /// default; see [`Relation::new_in`] / [`Relation::to_backend`]); this type
-/// layers the declared [`RelType`] and sort checking on top.
+/// layers the declared [`RelType`] and sort checking on top. Its reads
+/// ([`Relation::rows`], [`Relation::probe`]) yield rows, `&[Value]`.
 /// [`Relation::canonical_view`] gives a canonical order when one is
 /// needed (display, canonical tid assignment).
 #[derive(Clone, Debug)]
@@ -56,6 +60,9 @@ pub struct Relation {
     /// The sub-relations on each grouping set asked for so far
     /// ([`Relation::group_index`]); every write drops them.
     groups: Indexes<GroupIndex>,
+    /// The rows as tuples, once [`Relation::iter`] asked; every write
+    /// drops them.
+    tuples: OnceLock<Vec<Tuple>>,
 }
 
 impl Relation {
@@ -74,6 +81,7 @@ impl Relation {
             rtype,
             backend,
             groups: Indexes::default(),
+            tuples: OnceLock::new(),
         }
     }
 
@@ -112,19 +120,20 @@ impl Relation {
             return self;
         }
         // The scan order changes, so no group index comes along.
-        let Relation { rtype, backend, .. } = self;
-        let tuples = match backend {
-            BackendImpl::Hash(b) => b.into_tuple_vec(),
-            BackendImpl::Columnar(b) => b.into_tuple_vec(),
-        };
-        let backend = match kind {
-            BackendKind::Hash => BackendImpl::Hash(HashBackend::from_tuples(tuples)),
-            BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::from_tuples(tuples)),
+        let backend = match (self.backend, kind) {
+            (BackendImpl::Hash(b), BackendKind::Columnar) => BackendImpl::Columnar(
+                ColumnarBackend::from_tuples(b.rows().iter().map(Tuple::from).collect()),
+            ),
+            (BackendImpl::Columnar(b), BackendKind::Hash) => {
+                BackendImpl::Hash(HashBackend::from_rows(b.scan()))
+            }
+            (same, _) => same,
         };
         Relation {
-            rtype,
+            rtype: self.rtype,
             backend,
             groups: Indexes::default(),
+            tuples: OnceLock::new(),
         }
     }
 
@@ -150,16 +159,21 @@ impl Relation {
 
     /// Check `t` against this relation's arity and column sorts.
     pub fn check_tuple(&self, t: &Tuple) -> CommonResult<()> {
-        if t.arity() != self.arity() {
+        self.check_row(t.values())
+    }
+
+    /// Check `row` against this relation's arity and column sorts.
+    pub fn check_row(&self, row: &[Value]) -> CommonResult<()> {
+        if row.len() != self.arity() {
             return Err(CommonError::TypeMismatch {
                 detail: format!(
                     "arity {} tuple in arity {} relation",
-                    t.arity(),
+                    row.len(),
                     self.arity()
                 ),
             });
         }
-        for (i, v) in t.values().iter().enumerate() {
+        for (i, v) in row.iter().enumerate() {
             if v.sort() != self.rtype.sort(i) {
                 return Err(CommonError::TypeMismatch {
                     detail: format!(
@@ -192,37 +206,39 @@ impl Relation {
         dispatch_mut!(self, b => b.insert(t))
     }
 
-    /// Insert one derivation batch; `flags[i]` is true when `batch[i]` was
-    /// genuinely new (first occurrence wins for intra-batch duplicates).
-    /// Duplicates cost a membership check and no allocation — only new
-    /// tuples are cloned into the store. The caller must guarantee the
-    /// tuples match the relation type.
-    pub fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
+    /// Insert one derivation batch, given as consecutive segments of rows:
+    /// every row not stored before (first occurrence wins for intra-batch
+    /// duplicates) is stored and appended to `fresh`, in batch order.
+    /// Returns, per segment, how many of its rows were fresh. Duplicates
+    /// cost a membership check and no allocation. The caller must guarantee
+    /// the rows match the relation type.
+    pub fn delta_batch_insert(&mut self, batch: &[Rows<'_>], fresh: &mut RowBuf) -> Vec<usize> {
         debug_assert!(
-            batch.iter().all(|t| self.check_tuple(t).is_ok()),
-            "ill-typed tuple in delta batch"
+            batch
+                .iter()
+                .flat_map(|segment| segment.iter())
+                .all(|row| self.check_row(row).is_ok()),
+            "ill-typed row in delta batch"
         );
         #[cfg(feature = "failpoints")]
-        for t in batch {
-            let _ = t;
+        for _ in batch.iter().flat_map(|segment| segment.iter()) {
             if let Err(msg) = idlog_common::failpoint::hit("storage.insert") {
                 panic!("{msg}");
             }
         }
-        dispatch_mut!(self, b => b.delta_batch_insert(batch))
+        dispatch_mut!(self, b => b.delta_batch_insert(batch, fresh))
     }
 
-    /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
-    /// present and removed (first occurrence wins for intra-batch
-    /// duplicates). Scan order stays a deterministic function of the batch
-    /// sequence on both backends, though survivors may move (hash fills each
-    /// hole with its last tuple), and every index stays in step. Used by
-    /// incremental maintenance and database retracts — the engine proper
-    /// never removes.
-    pub fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
+    /// Remove a batch of rows; `flags[i]` is true when row `i` was present
+    /// and removed (first occurrence wins for intra-batch duplicates). Scan
+    /// order stays a deterministic function of the batch sequence on both
+    /// backends, though survivors may move (hash fills each hole with its
+    /// last row), and every index stays in step. Used by incremental
+    /// maintenance and database retracts — the engine proper never removes.
+    pub fn remove_batch(&mut self, batch: Rows<'_>) -> Vec<bool> {
         debug_assert!(
-            batch.iter().all(|t| self.check_tuple(t).is_ok()),
-            "ill-typed tuple in remove batch"
+            batch.iter().all(|row| self.check_row(row).is_ok()),
+            "ill-typed row in remove batch"
         );
         dispatch_mut!(self, b => b.remove_batch(batch))
     }
@@ -255,7 +271,7 @@ impl Relation {
             .get_or_build(&positions, || GroupIndex::build(self, &positions, interner))
     }
 
-    /// All tuples whose projection on `positions` equals `key` (one value
+    /// All rows whose projection on `positions` equals `key` (one value
     /// per position, in position order). Indexed when
     /// [`Relation::ensure_index`] ran for `positions`; a correct (but
     /// linear) filtered scan otherwise.
@@ -275,15 +291,31 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        dispatch!(self, b => b.contains(t))
+        self.contains_row(t.values())
     }
 
-    /// Iterate tuples in the backend's deterministic scan order (insertion
-    /// order for hash, run-then-sorted order for columnar). Callers that
-    /// need an order independent of insert history use
-    /// [`Relation::sorted_canonical`].
-    pub fn iter(&self) -> ScanIter<'_> {
+    /// Membership test for a row.
+    pub fn contains_row(&self, row: &[Value]) -> bool {
+        dispatch!(self, b => b.contains_row(row))
+    }
+
+    /// Iterate the rows in the backend's deterministic scan order
+    /// (insertion order for hash, run-then-sorted order for columnar).
+    /// Callers that need an order independent of insert history use
+    /// [`Relation::canonical_view`].
+    pub fn rows(&self) -> ScanIter<'_> {
         dispatch!(self, b => b.scan())
+    }
+
+    /// The rows of [`Relation::rows`] as tuples. The first call copies
+    /// every row into a tuple of its own and keeps the copy until the next
+    /// write. The store holds rows, not tuples, so this is for callers that
+    /// want owned `Tuple`s out of a finished relation (tests, the
+    /// benchmark's replay); library code reads [`Relation::rows`].
+    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
+        self.tuples
+            .get_or_init(|| self.rows().map(Tuple::from).collect())
+            .iter()
     }
 
     /// A borrowed view of this relation in canonical (name-based) order —
@@ -306,8 +338,8 @@ impl Relation {
     /// This relation's tuples with their symbols ranked by name.
     fn ranked<'a>(&'a self, interner: &Interner) -> Ranked<'a> {
         let rows = match &self.backend {
-            BackendImpl::Hash(b) => Rows::Slice(b.rows()),
-            BackendImpl::Columnar(b) => Rows::Gathered(b.scan().collect()),
+            BackendImpl::Hash(b) => ViewRows::Strided(b.rows()),
+            BackendImpl::Columnar(b) => ViewRows::Gathered(b.scan().collect()),
         };
         Ranked::new(self.arity(), rows, interner)
     }
@@ -317,7 +349,10 @@ impl Relation {
     /// read or print the tuples should use [`Relation::canonical_view`],
     /// which clones nothing.
     pub fn sorted_canonical(&self, interner: &Interner) -> Vec<Tuple> {
-        self.canonical_view(interner).iter().cloned().collect()
+        self.canonical_view(interner)
+            .iter()
+            .map(Tuple::from)
+            .collect()
     }
 
     /// Set-equality with another relation (types must match too). Works
@@ -325,7 +360,7 @@ impl Relation {
     pub fn set_eq(&self, other: &Relation) -> bool {
         self.rtype == other.rtype
             && self.len() == other.len()
-            && self.iter().all(|t| other.contains(t))
+            && self.rows().all(|row| other.contains_row(row))
     }
 
     /// All symbols appearing in a column of declared sort `u`. Columns of
@@ -333,8 +368,8 @@ impl Relation {
     /// symbol.
     pub fn u_constants(&self) -> FxHashSet<SymbolId> {
         let mut out = FxHashSet::default();
-        for t in self.iter() {
-            for (i, v) in t.values().iter().enumerate() {
+        for row in self.rows() {
+            for (i, v) in row.iter().enumerate() {
                 if self.rtype.sort(i) != Sort::U {
                     continue;
                 }
@@ -349,10 +384,10 @@ impl Relation {
     /// Consume into the stored rows, in scan order, dropping the membership
     /// table and every index. [`CanonicalView::of_rows`] orders and renders
     /// them exactly as [`Relation::canonical_view`] would the relation.
-    pub fn into_rows(self) -> Vec<Tuple> {
+    pub fn into_rows(self) -> RowBuf {
         match self.backend {
-            BackendImpl::Hash(b) => b.into_tuple_vec(),
-            BackendImpl::Columnar(b) => b.into_tuple_vec(),
+            BackendImpl::Hash(b) => b.into_rows(),
+            BackendImpl::Columnar(b) => b.into_tuples().iter().collect(),
         }
     }
 }
@@ -370,40 +405,40 @@ impl Eq for Relation {}
 /// [`Value::cmp_canonical`].
 pub(crate) type KeyPart = (u8, i64);
 
-/// A relation's tuples, borrowed in scan order; a tuple's index here is
-/// its *row id*.
-enum Rows<'a> {
+/// A relation's rows, borrowed in scan order; a row's index here is its
+/// *row id*.
+enum ViewRows<'a> {
     /// Stored back to back: a hash backend's store, or the rows a consumed
     /// relation left ([`Relation::into_rows`]).
-    Slice(&'a [Tuple]),
+    Strided(Rows<'a>),
     /// Gathered from a columnar backend's runs.
-    Gathered(Vec<&'a Tuple>),
+    Gathered(Vec<&'a [Value]>),
 }
 
-impl<'a> Rows<'a> {
+impl<'a> ViewRows<'a> {
     fn len(&self) -> usize {
         match self {
-            Rows::Slice(rows) => rows.len(),
-            Rows::Gathered(rows) => rows.len(),
+            ViewRows::Strided(rows) => rows.len(),
+            ViewRows::Gathered(rows) => rows.len(),
         }
     }
 
-    /// The tuple of row id `row`.
+    /// The values of row id `row`.
     #[inline]
-    fn get(&self, row: usize) -> &'a Tuple {
+    fn get(&self, row: usize) -> &'a [Value] {
         match self {
-            Rows::Slice(rows) => &rows[row],
-            Rows::Gathered(rows) => rows[row],
+            ViewRows::Strided(rows) => rows.get(row),
+            ViewRows::Gathered(rows) => rows[row],
         }
     }
 
-    /// The tuples in row-id order.
-    fn iter(&self) -> impl Iterator<Item = &'a Tuple> + '_ {
+    /// The rows in row-id order.
+    fn iter(&self) -> impl Iterator<Item = &'a [Value]> + '_ {
         (0..self.len()).map(|row| self.get(row))
     }
 }
 
-/// A relation's tuples, borrowed in scan order, with what canonical order
+/// A relation's rows, borrowed in scan order, with what canonical order
 /// needs to know about their values: every distinct symbol ranked by name
 /// (each name resolved once — nothing downstream touches the interner
 /// again) and the integer range of every column. Sort keys are built from
@@ -411,7 +446,7 @@ impl<'a> Rows<'a> {
 /// sorts: [`Ranked::key_parts`] or the packed keys of [`CanonicalView`].
 pub(crate) struct Ranked<'a> {
     arity: usize,
-    tuples: Rows<'a>,
+    tuples: ViewRows<'a>,
     /// Interner index → the symbol's name rank among this relation's
     /// symbols (meaningless for symbols the relation does not hold).
     rank_of: Vec<u32>,
@@ -425,7 +460,7 @@ pub(crate) struct Ranked<'a> {
 }
 
 impl<'a> Ranked<'a> {
-    fn new(arity: usize, tuples: Rows<'a>, interner: &Interner) -> Self {
+    fn new(arity: usize, tuples: ViewRows<'a>, interner: &Interner) -> Self {
         assert!(
             u32::try_from(tuples.len()).is_ok(),
             "relation exceeds the u32 offset range of the tuple stores"
@@ -437,8 +472,8 @@ impl<'a> Ranked<'a> {
         let mut symbols: Vec<SymbolId> = Vec::new();
         let mut cols: Vec<(Option<(i64, i64)>, bool)> = vec![(None, false); arity];
         for t in tuples.iter() {
-            debug_assert_eq!(t.arity(), arity, "ill-typed tuple in relation");
-            for (v, (ints, has_sym)) in t.values().iter().zip(&mut cols) {
+            debug_assert_eq!(t.len(), arity, "ill-typed row in relation");
+            for (v, (ints, has_sym)) in t.iter().zip(&mut cols) {
                 match v {
                     Value::Int(n) => {
                         let n = n.get();
@@ -525,7 +560,7 @@ impl<'a> Ranked<'a> {
     fn key_parts(&self) -> Vec<KeyPart> {
         let mut keys = Vec::with_capacity(self.len() * self.arity);
         for t in self.tuples.iter() {
-            keys.extend(t.values().iter().map(|v| self.part(v)));
+            keys.extend(t.iter().map(|v| self.part(v)));
         }
         keys
     }
@@ -571,9 +606,9 @@ enum Order {
     Wide { keys: Vec<KeyPart>, perm: Vec<u32> },
 }
 
-/// A relation's tuples in canonical (name-based) order, borrowed: the
-/// order is a permutation over the backend's scan order, so no tuple is
-/// cloned and nothing is allocated per tuple.
+/// A relation's rows in canonical (name-based) order, borrowed: the order
+/// is a permutation over the backend's scan order, so no row is copied and
+/// nothing is allocated per row.
 ///
 /// Building the view ranks the relation's distinct symbols by name and
 /// resolves each name once; sorting compares integers — whole rows packed
@@ -589,13 +624,19 @@ pub struct CanonicalView<'a> {
 }
 
 impl<'a> CanonicalView<'a> {
-    /// The view of `rows`, the tuples of a relation of arity `arity` in any
-    /// order — as [`Relation::into_rows`] leaves them. It orders and
-    /// renders exactly as [`Relation::canonical_view`] on the relation, and
-    /// needs none of the relation's membership table or indexes.
-    pub fn of_rows(rows: &'a [Tuple], arity: usize, interner: &Interner) -> Self {
+    /// The view of `rows`, the strided rows of a relation in any order —
+    /// as [`Relation::into_rows`] leaves them. It orders and renders exactly
+    /// as [`Relation::canonical_view`] on the relation, and needs none of
+    /// the relation's membership table or indexes. The rows carry their
+    /// count beside the values and the arity: a nullary relation's one row
+    /// holds no value.
+    pub fn of_rows(rows: Rows<'a>, interner: &Interner) -> Self {
+        let arity = rows.arity();
         let columns: Vec<usize> = (0..arity).collect();
-        CanonicalView::new(Ranked::new(arity, Rows::Slice(rows), interner), &columns)
+        CanonicalView::new(
+            Ranked::new(arity, ViewRows::Strided(rows), interner),
+            &columns,
+        )
     }
 
     /// The view comparing columns in the order `columns` lists them.
@@ -636,7 +677,7 @@ impl<'a> CanonicalView<'a> {
         let mut sorted: Vec<u64> = Vec::with_capacity(ranked.len());
         for (row, t) in ranked.tuples.iter().enumerate() {
             let mut packed = row as u64;
-            for (v, col) in t.values().iter().zip(&cols) {
+            for (v, col) in t.iter().zip(&cols) {
                 let code = match ranked.part(v) {
                     (0, n) => n.wrapping_sub(col.int_min) as u64,
                     (_, rank) => col.int_codes + rank as u64,
@@ -703,8 +744,8 @@ impl<'a> CanonicalView<'a> {
         }
     }
 
-    /// The tuples in canonical order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a Tuple> + '_ {
+    /// The rows in canonical order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [Value]> + '_ {
         (0..self.len()).map(|pos| self.ranked.tuples.get(self.row(pos)))
     }
 
@@ -854,7 +895,7 @@ mod tests {
             let mut facts: Vec<u8> = Vec::new();
             view.write_facts("p", &mut facts).unwrap();
             let facts = String::from_utf8(facts).unwrap();
-            (view.iter().cloned().collect(), facts)
+            (view.iter().map(Tuple::from).collect(), facts)
         }
 
         proptest! {
@@ -1050,8 +1091,8 @@ mod tests {
         hash.ensure_index(&[0]);
         columnar.ensure_index(&[0]);
         let key: Tuple = vec![sym(&i, "a")].into();
-        let mut from_hash: Vec<Tuple> = hash.probe(&[0], &key).iter().cloned().collect();
-        let mut from_col: Vec<Tuple> = columnar.probe(&[0], &key).iter().cloned().collect();
+        let mut from_hash: Vec<Tuple> = hash.probe(&[0], &key).iter().map(Tuple::from).collect();
+        let mut from_col: Vec<Tuple> = columnar.probe(&[0], &key).iter().map(Tuple::from).collect();
         assert_eq!(from_hash.len(), 3);
         from_hash.sort_unstable();
         from_col.sort_unstable();
@@ -1071,10 +1112,12 @@ mod tests {
             ["b", "c"].iter().map(|n| vec![sym(&i, n)].into()).collect(),
         ];
         for batch in &batches {
-            let refs: Vec<&Tuple> = batch.iter().collect();
-            let fh = hash.delta_batch_insert(&refs);
-            let fc = col.delta_batch_insert(&refs);
-            assert_eq!(fh, fc, "flags must agree across backends");
+            let rows: RowBuf = batch.iter().collect();
+            let (mut fresh_h, mut fresh_c) = (RowBuf::new(), RowBuf::new());
+            let fh = hash.delta_batch_insert(&[rows.rows()], &mut fresh_h);
+            let fc = col.delta_batch_insert(&[rows.rows()], &mut fresh_c);
+            assert_eq!(fh, fc, "counts must agree across backends");
+            assert_eq!(fresh_h, fresh_c, "fresh rows must agree across backends");
         }
         assert!(hash.set_eq(&col));
         assert_eq!(hash.len(), 3);

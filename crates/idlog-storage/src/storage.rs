@@ -2,17 +2,18 @@
 //!
 //! The evaluator talks to relations through four operations — full `scan`,
 //! indexed `probe`, `delta_batch_insert`, and membership — so the concrete
-//! representation is swappable. Two backends ship:
+//! representation is swappable. Reads yield rows (`&[Value]`), and a delta
+//! batch's fresh rows land in a caller's [`RowBuf`]. Two backends ship:
 //!
-//! * [`HashBackend`] (the default): a flat tuple store (small tuples sit
-//!   inline in the `Vec`, see [`Tuple`]) with a hash-based membership table
-//!   and **incrementally maintained** hash indexes. Indexes map projection
-//!   keys to offsets into the store, so index maintenance costs one `u32`
-//!   per (index, new tuple), and inserts, membership tests and indexed
-//!   probes allocate nothing per tuple. A removal swap-removes: the last
-//!   tuple moves into the hole, and the membership table and each index are
-//!   patched at those two offsets, so removing costs in proportion to what
-//!   is removed, never to what stays.
+//! * [`HashBackend`] (the default): a strided row store (one `Vec<Value>`,
+//!   `arity` values per row, see [`crate::rows`]) with a hash-based
+//!   membership table and **incrementally maintained** hash indexes.
+//!   Indexes map projection keys to offsets into the store, so index
+//!   maintenance costs one `u32` per (index, new row), and inserts,
+//!   membership tests and indexed probes allocate nothing per row. A
+//!   removal swap-removes: the last row moves into the hole, and the
+//!   membership table and each index are patched at those two offsets, so
+//!   removing costs in proportion to what is removed, never to what stays.
 //! * [`ColumnarBackend`]: sorted runs with merge-based semi-naive deltas.
 //!   Every delta batch becomes one sorted, deduplicated run; probes and
 //!   scans merge across runs; runs are compacted into one once too many
@@ -29,7 +30,7 @@
 //! Both backends are deterministic: iteration order is a pure function of
 //! the *sequence of batches applied*, never of hash-map iteration order or
 //! thread count, nor of when an index was built (an index lists a key's
-//! tuples in store order however it came to exist). Since the engine
+//! rows in store order however it came to exist). Since the engine
 //! applies batches in round/work-item order, which is itself
 //! thread-count-invariant, results and statistics stay byte-identical at
 //! any `--threads` value per backend — and the derived *sets* (and
@@ -37,7 +38,9 @@
 
 use std::sync::OnceLock;
 
-use idlog_common::{FxHashMap, FxHashSet, IdTable, RelType, Sort, Tuple};
+use idlog_common::{FxHashMap, FxHashSet, IdTable, RelType, Sort, Tuple, Value};
+
+use crate::rows::{RowBuf, RowIter, Rows};
 
 /// Which [`Storage`] implementation a relation uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -112,9 +115,10 @@ pub fn estimated_tuple_bytes(rtype: &RelType) -> u64 {
 /// Implementations must keep iteration ([`Storage::scan`], probe order) a
 /// deterministic function of the sequence of inserts applied — the engine's
 /// thread-count-invariance proof rests on it. Sort/arity checking is the
-/// caller's job ([`crate::Relation`] layers it on top).
+/// caller's job ([`crate::Relation`] layers it on top). Reads yield rows
+/// (`&[Value]`); tuples appear only as the keys a caller hands in.
 pub trait Storage {
-    /// Number of stored tuples.
+    /// Number of stored rows.
     fn len(&self) -> usize;
 
     /// True when nothing is stored.
@@ -122,29 +126,35 @@ pub trait Storage {
         self.len() == 0
     }
 
-    /// Membership test.
-    fn contains(&self, t: &Tuple) -> bool;
+    /// Membership test for a row.
+    fn contains_row(&self, row: &[Value]) -> bool;
 
-    /// Insert one owned tuple; true when newly added.
+    /// Membership test.
+    fn contains(&self, t: &Tuple) -> bool {
+        self.contains_row(t.values())
+    }
+
+    /// Insert one tuple; true when newly added.
     fn insert(&mut self, t: Tuple) -> bool;
 
-    /// Insert a derivation batch; `flags[i]` is true when `batch[i]` was
-    /// genuinely new (first occurrence wins for intra-batch duplicates).
-    /// Only new tuples are cloned.
-    fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool>;
+    /// Insert a derivation batch, given as consecutive segments of rows.
+    /// Every row not stored before — first occurrence wins for intra-batch
+    /// duplicates — is appended to `fresh`, in batch order. Returns, per
+    /// segment, how many of its rows were fresh.
+    fn delta_batch_insert(&mut self, batch: &[Rows<'_>], fresh: &mut RowBuf) -> Vec<usize>;
 
-    /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
-    /// present and removed (first occurrence wins for intra-batch
-    /// duplicates). Every index is kept, and a probe still lists exactly
-    /// what a filtered scan finds. Determinism contract: the post-removal
-    /// scan order is a pure function of the sequence of batches applied,
-    /// exactly as for inserts — incremental maintenance relies on it. The
-    /// survivors need not keep their relative order: the hash backend moves
-    /// its last tuple into each hole, so a removal costs what it removes.
-    fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool>;
+    /// Remove a batch of rows; `flags[i]` is true when row `i` was present
+    /// and removed (first occurrence wins for intra-batch duplicates).
+    /// Every index is kept, and a probe still lists exactly what a filtered
+    /// scan finds. Determinism contract: the post-removal scan order is a
+    /// pure function of the sequence of batches applied, exactly as for
+    /// inserts — incremental maintenance relies on it. The survivors need
+    /// not keep their relative order: the hash backend moves its last row
+    /// into each hole, so a removal costs what it removes.
+    fn remove_batch(&mut self, batch: Rows<'_>) -> Vec<bool>;
 
-    /// Iterate every tuple in the backend's canonical (deterministic)
-    /// order: insertion order for hash, run-then-sorted order for columnar.
+    /// Iterate every row in the backend's canonical (deterministic) order:
+    /// insertion order for hash, run-then-sorted order for columnar.
     fn scan(&self) -> ScanIter<'_>;
 
     /// The index on `positions`, built on the first request and kept from
@@ -156,20 +166,15 @@ pub trait Storage {
     /// scan.
     fn ensure_index(&self, positions: &[usize]) -> IndexHandle<'_>;
 
-    /// All tuples whose projection on `positions` equals `key`.
+    /// All rows whose projection on `positions` equals `key`.
     fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a>;
-
-    /// Consume into a tuple vector (in [`Storage::scan`] order).
-    fn into_tuple_vec(self) -> Vec<Tuple>
-    where
-        Self: Sized;
 }
 
-/// Deterministic scanning iterator over a backend's tuples.
+/// Deterministic scanning iterator over a backend's rows.
 pub struct ScanIter<'a>(ScanInner<'a>);
 
 enum ScanInner<'a> {
-    Slice(std::slice::Iter<'a, Tuple>),
+    Strided(RowIter<'a>),
     Runs {
         rest: std::slice::Iter<'a, Run>,
         cur: std::slice::Iter<'a, Tuple>,
@@ -177,14 +182,15 @@ enum ScanInner<'a> {
 }
 
 impl<'a> Iterator for ScanIter<'a> {
-    type Item = &'a Tuple;
+    type Item = &'a [Value];
 
-    fn next(&mut self) -> Option<&'a Tuple> {
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
         match &mut self.0 {
-            ScanInner::Slice(it) => it.next(),
+            ScanInner::Strided(it) => it.next(),
             ScanInner::Runs { rest, cur } => loop {
                 if let Some(t) = cur.next() {
-                    return Some(t);
+                    return Some(t.values());
                 }
                 match rest.next() {
                     Some(run) => *cur = run.tuples.iter(),
@@ -194,14 +200,14 @@ impl<'a> Iterator for ScanIter<'a> {
         }
     }
 
-    /// Skips whole runs and slices, so walking forward to sparse row ids
+    /// Skips whole runs and strides, so walking forward to sparse row ids
     /// costs the rows visited, not the rows passed.
-    fn nth(&mut self, mut n: usize) -> Option<&'a Tuple> {
+    fn nth(&mut self, mut n: usize) -> Option<&'a [Value]> {
         match &mut self.0 {
-            ScanInner::Slice(it) => it.nth(n),
+            ScanInner::Strided(it) => it.nth(n),
             ScanInner::Runs { rest, cur } => loop {
                 if n < cur.len() {
-                    return cur.nth(n);
+                    return cur.nth(n).map(Tuple::values);
                 }
                 n -= cur.len();
                 *cur = rest.next()?.tuples.iter();
@@ -210,9 +216,9 @@ impl<'a> Iterator for ScanIter<'a> {
     }
 }
 
-/// The result of an indexed [`Storage::probe`]: the matching tuples, as up
+/// The result of an indexed [`Storage::probe`]: the matching rows, as up
 /// to one segment per physical partition (one for hash, one per run for
-/// columnar). Borrowed from the backend; no tuples are cloned, and a probe
+/// columnar). Borrowed from the backend; no rows are copied, and a probe
 /// that touches one partition allocates nothing.
 pub struct Probe<'a> {
     segments: Segments<'a>,
@@ -227,32 +233,28 @@ enum Segments<'a> {
 }
 
 enum ProbeSeg<'a> {
-    /// Offsets into a tuple store (a maintained index or a sorted run
-    /// permutation's equal range).
-    Offsets {
+    /// Offsets into a strided store (a maintained hash index).
+    Strided { offsets: &'a [u32], store: Rows<'a> },
+    /// Offsets into a tuple store (a sorted run permutation's equal range).
+    Tuples {
         offsets: &'a [u32],
         store: &'a [Tuple],
     },
     /// Materialized references (the unindexed fallback path).
-    Owned(Vec<&'a Tuple>),
+    Owned(Vec<&'a [Value]>),
 }
 
 impl<'a> ProbeSeg<'a> {
     fn len(&self) -> usize {
         match self {
-            ProbeSeg::Offsets { offsets, .. } => offsets.len(),
+            ProbeSeg::Strided { offsets, .. } | ProbeSeg::Tuples { offsets, .. } => offsets.len(),
             ProbeSeg::Owned(v) => v.len(),
         }
     }
 
-    /// The tuples of `store` matching `key` on `positions`, by filtered scan.
-    fn filtered(store: &'a [Tuple], positions: &[usize], key: &Tuple) -> Self {
-        ProbeSeg::Owned(
-            store
-                .iter()
-                .filter(|t| proj_matches(t, positions, key))
-                .collect(),
-        )
+    /// The rows matching `key` on `positions`, by filtered scan.
+    fn filtered(rows: impl Iterator<Item = &'a [Value]>, positions: &[usize], key: &Tuple) -> Self {
+        ProbeSeg::Owned(rows.filter(|r| proj_matches(r, positions, key)).collect())
     }
 }
 
@@ -273,7 +275,7 @@ impl<'a> Probe<'a> {
         }
     }
 
-    /// Number of matching tuples.
+    /// Number of matching rows.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -284,13 +286,17 @@ impl<'a> Probe<'a> {
     }
 
     /// Iterate the matches in segment order.
-    pub fn iter<'p>(&'p self) -> impl Iterator<Item = &'a Tuple> + 'p {
+    pub fn iter<'p>(&'p self) -> impl Iterator<Item = &'a [Value]> + 'p {
         let segments = match &self.segments {
             Segments::One(seg) => seg.as_slice(),
             Segments::Many(segs) => segs,
         };
         segments.iter().flat_map(|seg| match seg {
-            ProbeSeg::Offsets { offsets, store } => SegIter::Offsets {
+            ProbeSeg::Strided { offsets, store } => SegIter::Strided {
+                offsets: offsets.iter(),
+                store: *store,
+            },
+            ProbeSeg::Tuples { offsets, store } => SegIter::Tuples {
                 offsets: offsets.iter(),
                 store,
             },
@@ -300,19 +306,27 @@ impl<'a> Probe<'a> {
 }
 
 enum SegIter<'a, 'p> {
-    Offsets {
+    Strided {
+        offsets: std::slice::Iter<'a, u32>,
+        store: Rows<'a>,
+    },
+    Tuples {
         offsets: std::slice::Iter<'a, u32>,
         store: &'a [Tuple],
     },
-    Owned(std::slice::Iter<'p, &'a Tuple>),
+    Owned(std::slice::Iter<'p, &'a [Value]>),
 }
 
 impl<'a> Iterator for SegIter<'a, '_> {
-    type Item = &'a Tuple;
+    type Item = &'a [Value];
 
-    fn next(&mut self) -> Option<&'a Tuple> {
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
         match self {
-            SegIter::Offsets { offsets, store } => offsets.next().map(|&o| &store[o as usize]),
+            SegIter::Strided { offsets, store } => offsets.next().map(|&o| store.get(o as usize)),
+            SegIter::Tuples { offsets, store } => {
+                offsets.next().map(|&o| store[o as usize].values())
+            }
             SegIter::Owned(it) => it.next().copied(),
         }
     }
@@ -328,7 +342,7 @@ pub struct IndexHandle<'a>(HandleInner<'a>);
 enum HandleInner<'a> {
     Hash {
         map: &'a KeyIndex,
-        store: &'a [Tuple],
+        store: Rows<'a>,
     },
     Columnar {
         backend: &'a ColumnarBackend,
@@ -337,12 +351,12 @@ enum HandleInner<'a> {
 }
 
 impl<'a> IndexHandle<'a> {
-    /// All tuples whose projection on the index's positions equals `key`
+    /// All rows whose projection on the index's positions equals `key`
     /// (one value per position, in position order).
     pub fn probe(self, key: &Tuple) -> Probe<'a> {
         match self.0 {
             HandleInner::Hash { map, store } => map.get(key).map_or_else(Probe::empty, |offsets| {
-                Probe::single(ProbeSeg::Offsets { offsets, store })
+                Probe::single(ProbeSeg::Strided { offsets, store })
             }),
             HandleInner::Columnar { backend, positions } => backend.probe(positions, key),
         }
@@ -421,19 +435,25 @@ impl<T> Indexes<T> {
     }
 }
 
-/// Hash the full tuple with the workspace `FxHasher`.
-fn fx_hash(t: &Tuple) -> u64 {
+/// Hash a row with the workspace `FxHasher` — the hash its [`Tuple`] has.
+#[inline]
+fn fx_hash(row: &[Value]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = idlog_common::FxHasher::default();
-    t.hash(&mut h);
+    row.hash(&mut h);
     h.finish()
 }
 
-/// Compare `t`'s projection on `positions` against `key` (which has one
+/// `row`'s projection on `positions`, as an index key.
+fn project(row: &[Value], positions: &[usize]) -> Tuple {
+    positions.iter().map(|&p| row[p]).collect()
+}
+
+/// Compare `row`'s projection on `positions` against `key` (which has one
 /// value per position, in position order).
-fn cmp_proj(t: &Tuple, positions: &[usize], key: &Tuple) -> std::cmp::Ordering {
+fn cmp_proj(row: &[Value], positions: &[usize], key: &Tuple) -> std::cmp::Ordering {
     for (k, &p) in positions.iter().enumerate() {
-        let ord = t[p].cmp(&key[k]);
+        let ord = row[p].cmp(&key[k]);
         if ord != std::cmp::Ordering::Equal {
             return ord;
         }
@@ -441,39 +461,42 @@ fn cmp_proj(t: &Tuple, positions: &[usize], key: &Tuple) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
-fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
-    cmp_proj(t, positions, key) == std::cmp::Ordering::Equal
+fn proj_matches(row: &[Value], positions: &[usize], key: &Tuple) -> bool {
+    cmp_proj(row, positions, key) == std::cmp::Ordering::Equal
 }
 
 /// A hash index: projection key → offsets into the store, ascending.
 type KeyIndex = FxHashMap<Tuple, Vec<u32>>;
 
-/// The index of `store` on `positions`: every tuple under its projection.
-fn key_index(positions: &[usize], store: &[Tuple]) -> KeyIndex {
+/// The index of `rows` on `positions`: every row under its projection.
+fn key_index(positions: &[usize], rows: Rows<'_>) -> KeyIndex {
     let mut map = KeyIndex::default();
-    for (off, t) in store.iter().enumerate() {
-        map.entry(t.project(positions))
+    for (off, row) in rows.iter().enumerate() {
+        map.entry(project(row, positions))
             .or_default()
             .push(off as u32);
     }
     map
 }
 
-/// Flat tuple store with hash membership and incrementally maintained
+/// Strided row store with hash membership and incrementally maintained
 /// offset indexes.
 ///
-/// `store` holds every tuple exactly once, in insertion order (which the
-/// engine makes deterministic) except that a removal moves the last tuple
-/// into the hole it leaves; tuples of up to three columns sit inline in
-/// it, so cloning the backend copies one block and dropping it frees one.
-/// `seen` finds a tuple's store offset from its hash — offsets are the
-/// table's dense ids, membership verifies equality against the store, so
-/// collisions are handled, no second copy of any tuple exists and an insert
-/// allocates nothing per tuple. Each index maps a projection key to store
-/// offsets, ascending, and is updated on every insert and removal.
+/// `rows` holds every row exactly once, in insertion order (which the
+/// engine makes deterministic) except that a removal moves the last row
+/// into the hole it leaves. The rows sit back to back, `arity` values each
+/// and nothing else — a binary row is 16 bytes — so cloning the backend
+/// copies one block and dropping it frees one. The arity is that of the
+/// first row inserted. `seen` finds a row's offset from its hash — offsets
+/// are the table's dense ids, membership verifies equality against the
+/// store, so collisions are handled, no second copy of any row exists and
+/// an insert allocates nothing per row; when it doubles, it re-hashes the
+/// stored rows instead of holding two tables. Each index maps a projection
+/// key to store offsets, ascending, and is updated on every insert and
+/// removal.
 #[derive(Clone, Debug, Default)]
 pub struct HashBackend {
-    store: Vec<Tuple>,
+    rows: RowBuf,
     seen: IdTable,
     indexes: Indexes<KeyIndex>,
 }
@@ -484,61 +507,66 @@ impl HashBackend {
         Self::default()
     }
 
-    /// Build from owned tuples, dropping duplicates.
-    pub fn from_tuples(tuples: Vec<Tuple>) -> Self {
+    /// Build from rows, dropping duplicates.
+    pub fn from_rows<'r>(rows: impl IntoIterator<Item = &'r [Value]>) -> Self {
         let mut b = Self::default();
-        b.store.reserve(tuples.len());
-        for t in tuples {
-            Storage::insert(&mut b, t);
+        for row in rows {
+            b.insert_row(row);
         }
         b
     }
 
-    /// The stored tuples, in scan order.
-    pub(crate) fn rows(&self) -> &[Tuple] {
-        &self.store
+    /// The stored rows, in scan order.
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        self.rows.rows()
     }
 
-    /// Offset the tuple is stored at, when present.
-    fn find(&self, t: &Tuple) -> Option<u32> {
+    /// Consume into the stored rows, in scan order.
+    pub(crate) fn into_rows(self) -> RowBuf {
+        self.rows
+    }
+
+    /// Offset the row is stored at, when present.
+    fn find(&self, row: &[Value]) -> Option<u32> {
+        let rows = self.rows.rows();
         self.seen
-            .find(fx_hash(t), |off| self.store[off as usize] == *t)
+            .find(fx_hash(row), |off| rows.get(off as usize) == row)
     }
 
-    /// Register `t` as the next tuple of the store unless it is there
-    /// already (one hash, one table walk either way). On `true` the caller
-    /// pushes it.
-    fn claim(&mut self, t: &Tuple) -> bool {
-        debug_assert!(
-            self.store.len() < u32::MAX as usize,
-            "store offset overflow"
+    /// Store `row` unless it is there already (one hash, one table walk
+    /// either way); true when it was new.
+    #[inline]
+    fn insert_row(&mut self, row: &[Value]) -> bool {
+        debug_assert!(self.rows.len() < u32::MAX as usize, "store offset overflow");
+        let rows = self.rows.rows();
+        let (off, new) = self.seen.find_or_push(
+            fx_hash(row),
+            |off| rows.get(off as usize) == row,
+            |off| fx_hash(rows.get(off as usize)),
         );
-        let store = &self.store;
-        let (off, new) = self
-            .seen
-            .find_or_push(fx_hash(t), |off| store[off as usize] == *t);
         if new {
-            debug_assert_eq!(off as usize, self.store.len(), "offsets are dense");
+            debug_assert_eq!(off as usize, self.rows.len(), "offsets are dense");
             self.indexes.for_each_mut(|positions, map| {
-                map.entry(t.project(positions)).or_default().push(off);
+                map.entry(project(row, positions)).or_default().push(off);
             });
+            self.rows.push(row);
         }
         new
     }
 
-    /// Remove the tuple at `off` by moving the last tuple into its place,
+    /// Remove the row at `off` by moving the last row into its place,
     /// patching the membership table and, per index, the two offset lists
-    /// involved — kept ascending, so a probe still lists a key's tuples in
+    /// involved — kept ascending, so a probe still lists a key's rows in
     /// store order. Costs the victim's and the mover's index entries,
     /// whatever the relation's size.
     fn swap_remove(&mut self, off: u32) {
-        let last = self.store.len() as u32 - 1;
-        let (victim, moved) = (&self.store[off as usize], &self.store[last as usize]);
+        let last = self.rows.len() as u32 - 1;
+        let (victim, moved) = (self.rows.get(off as usize), self.rows.get(last as usize));
         self.seen.swap_remove(off, fx_hash(victim), fx_hash(moved));
         self.indexes.for_each_mut(|positions, map| {
-            // A stored tuple is listed under its key, and `last`, the
-            // greatest offset, ends its list.
-            let key = victim.project(positions);
+            // A stored row is listed under its key, and `last`, the greatest
+            // offset, ends its list.
+            let key = project(victim, positions);
             if let Some(offsets) = map.get_mut(&key) {
                 if let Ok(at) = offsets.binary_search(&off) {
                     offsets.remove(at);
@@ -550,67 +578,65 @@ impl HashBackend {
             if off == last {
                 return;
             }
-            if let Some(offsets) = map.get_mut(&moved.project(positions)) {
+            if let Some(offsets) = map.get_mut(&project(moved, positions)) {
                 debug_assert_eq!(offsets.last(), Some(&last));
                 offsets.pop();
                 let at = offsets.partition_point(|&o| o < off);
                 offsets.insert(at, off);
             }
         });
-        self.store.swap_remove(off as usize);
+        self.rows.swap_remove(off as usize);
     }
 }
 
 impl Storage for HashBackend {
     fn len(&self) -> usize {
-        self.store.len()
+        self.rows.len()
     }
 
-    fn contains(&self, t: &Tuple) -> bool {
-        self.find(t).is_some()
+    fn contains_row(&self, row: &[Value]) -> bool {
+        self.find(row).is_some()
     }
 
     fn insert(&mut self, t: Tuple) -> bool {
-        let new = self.claim(&t);
-        if new {
-            self.store.push(t);
-        }
-        new
+        self.insert_row(t.values())
     }
 
-    fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
+    fn delta_batch_insert(&mut self, batch: &[Rows<'_>], fresh: &mut RowBuf) -> Vec<usize> {
         batch
             .iter()
-            .map(|&t| {
-                let new = self.claim(t);
-                if new {
-                    self.store.push(t.clone());
+            .map(|segment| {
+                let before = fresh.len();
+                for row in segment.iter() {
+                    if self.insert_row(row) {
+                        fresh.push(row);
+                    }
                 }
-                new
+                fresh.len() - before
             })
             .collect()
     }
 
-    fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
+    fn remove_batch(&mut self, batch: Rows<'_>) -> Vec<bool> {
         // In batch order, so the store's order after the batch is a function
-        // of the batch sequence; a repeat finds its tuple already gone.
+        // of the batch sequence; a repeat finds its row already gone.
         batch
             .iter()
-            .map(|&t| self.find(t).map(|off| self.swap_remove(off)).is_some())
+            .map(|row| self.find(row).map(|off| self.swap_remove(off)).is_some())
             .collect()
     }
 
     fn scan(&self) -> ScanIter<'_> {
-        ScanIter(ScanInner::Slice(self.store.iter()))
+        ScanIter(ScanInner::Strided(self.rows.rows().iter()))
     }
 
     fn ensure_index(&self, positions: &[usize]) -> IndexHandle<'_> {
         let (_, map) = self
             .indexes
-            .get_or_build(positions, || key_index(positions, &self.store));
+            .get_or_build(positions, || key_index(positions, self.rows.rows()));
         IndexHandle(HandleInner::Hash {
             map,
-            store: &self.store,
+            store: self.rows.rows(),
         })
     }
 
@@ -618,15 +644,11 @@ impl Storage for HashBackend {
         match self.indexes.get(positions) {
             Some(map) => IndexHandle(HandleInner::Hash {
                 map,
-                store: &self.store,
+                store: self.rows.rows(),
             })
             .probe(key),
-            None => Probe::single(ProbeSeg::filtered(&self.store, positions, key)),
+            None => Probe::single(ProbeSeg::filtered(self.scan(), positions, key)),
         }
-    }
-
-    fn into_tuple_vec(self) -> Vec<Tuple> {
-        self.store
     }
 }
 
@@ -680,6 +702,12 @@ impl Run {
             .get_or_build(positions, || sorted_perm(&self.tuples, positions))
             .1
     }
+
+    fn contains(&self, row: &[Value]) -> bool {
+        self.tuples
+            .binary_search_by(|t| t.values().cmp(row))
+            .is_ok()
+    }
 }
 
 /// Sorted columnar runs with merge-based deltas.
@@ -720,6 +748,15 @@ impl ColumnarBackend {
         b
     }
 
+    /// Consume into the stored tuples, in scan order.
+    pub(crate) fn into_tuples(self) -> Vec<Tuple> {
+        let mut out = Vec::with_capacity(self.len);
+        for run in self.runs {
+            out.extend(run.tuples);
+        }
+        out
+    }
+
     /// Append a sorted batch known to be disjoint from every stored tuple.
     fn push_run(&mut self, fresh: Vec<Tuple>) {
         debug_assert!(
@@ -751,10 +788,8 @@ impl Storage for ColumnarBackend {
         self.len
     }
 
-    fn contains(&self, t: &Tuple) -> bool {
-        self.runs
-            .iter()
-            .any(|run| run.tuples.binary_search(t).is_ok())
+    fn contains_row(&self, row: &[Value]) -> bool {
+        self.runs.iter().any(|run| run.contains(row))
     }
 
     fn insert(&mut self, t: Tuple) -> bool {
@@ -765,30 +800,34 @@ impl Storage for ColumnarBackend {
         true
     }
 
-    fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
-        let mut flags = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<Tuple> = Vec::new();
-        let mut seen: FxHashSet<&Tuple> = FxHashSet::default();
-        for &t in batch {
-            let new = !seen.contains(t) && !self.contains(t);
-            if new {
-                seen.insert(t);
-                fresh.push(t.clone());
-            }
-            flags.push(new);
+    fn delta_batch_insert(&mut self, batch: &[Rows<'_>], fresh: &mut RowBuf) -> Vec<usize> {
+        let mut run: Vec<Tuple> = Vec::new();
+        let mut seen: FxHashSet<&[Value]> = FxHashSet::default();
+        let counts = batch
+            .iter()
+            .map(|segment| {
+                let before = run.len();
+                for row in segment.iter() {
+                    if !self.contains_row(row) && seen.insert(row) {
+                        run.push(Tuple::from(row));
+                        fresh.push(row);
+                    }
+                }
+                run.len() - before
+            })
+            .collect();
+        if !run.is_empty() {
+            run.sort_unstable();
+            self.push_run(run);
         }
-        if !fresh.is_empty() {
-            fresh.sort_unstable();
-            self.push_run(fresh);
-        }
-        flags
+        counts
     }
 
-    fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
-        let mut victims: FxHashSet<&Tuple> = FxHashSet::default();
+    fn remove_batch(&mut self, batch: Rows<'_>) -> Vec<bool> {
+        let mut victims: FxHashSet<&[Value]> = FxHashSet::default();
         let flags: Vec<bool> = batch
             .iter()
-            .map(|&t| self.contains(t) && victims.insert(t))
+            .map(|row| self.contains_row(row) && victims.insert(row))
             .collect();
         if victims.is_empty() {
             return flags;
@@ -796,7 +835,7 @@ impl Storage for ColumnarBackend {
         let mut removed = 0usize;
         for run in &mut self.runs {
             let before = run.tuples.len();
-            run.tuples.retain(|t| !victims.contains(t));
+            run.tuples.retain(|t| !victims.contains(t.values()));
             if run.tuples.len() != before {
                 removed += before - run.tuples.len();
                 // A run's permutations index into its tuple vector; rebuild
@@ -835,17 +874,17 @@ impl Storage for ColumnarBackend {
         for run in &self.runs {
             let seg = if let Some(perm) = run.perms.get(positions) {
                 let lo = perm.partition_point(|&i| {
-                    cmp_proj(&run.tuples[i as usize], positions, key).is_lt()
+                    cmp_proj(run.tuples[i as usize].values(), positions, key).is_lt()
                 });
                 let hi = perm.partition_point(|&i| {
-                    !cmp_proj(&run.tuples[i as usize], positions, key).is_gt()
+                    !cmp_proj(run.tuples[i as usize].values(), positions, key).is_gt()
                 });
-                ProbeSeg::Offsets {
+                ProbeSeg::Tuples {
                     offsets: &perm[lo..hi],
                     store: &run.tuples,
                 }
             } else {
-                ProbeSeg::filtered(&run.tuples, positions, key)
+                ProbeSeg::filtered(run.tuples.iter().map(Tuple::values), positions, key)
             };
             if seg.len() > 0 {
                 len += seg.len();
@@ -856,14 +895,6 @@ impl Storage for ColumnarBackend {
             segments: Segments::Many(segments),
             len,
         }
-    }
-
-    fn into_tuple_vec(self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.len);
-        for run in self.runs {
-            out.extend(run.tuples);
-        }
-        out
     }
 }
 
@@ -878,6 +909,23 @@ mod tests {
 
     fn t(vals: &[i64]) -> Tuple {
         vals.iter().map(|&n| int(n)).collect()
+    }
+
+    fn buf(tuples: &[&Tuple]) -> RowBuf {
+        tuples.iter().copied().collect()
+    }
+
+    /// Insert one batch; its fresh rows as tuples.
+    fn batch_insert<S: Storage>(s: &mut S, tuples: &[&Tuple]) -> Vec<Tuple> {
+        let rows = buf(tuples);
+        let mut fresh = RowBuf::new();
+        let counts = s.delta_batch_insert(&[rows.rows()], &mut fresh);
+        assert_eq!(counts, [fresh.len()]);
+        fresh.rows().iter().map(Tuple::from).collect()
+    }
+
+    fn remove<S: Storage>(s: &mut S, tuples: &[&Tuple]) -> Vec<bool> {
+        s.remove_batch(buf(tuples).rows())
     }
 
     /// Exercise one backend through the trait, generically.
@@ -896,8 +944,8 @@ mod tests {
         let b1 = t(&[3, 30]);
         let b2 = t(&[1, 10]);
         let b3 = t(&[3, 30]);
-        let flags = s.delta_batch_insert(&[&b1, &b2, &b3]);
-        assert_eq!(flags, vec![true, false, false]);
+        let fresh = batch_insert(&mut s, &[&b1, &b2, &b3]);
+        assert_eq!(fresh, vec![b1.clone()]);
         assert_eq!(s.len(), 4);
 
         // Indexed probe on the first column.
@@ -928,13 +976,13 @@ mod tests {
         let mut s = S::default();
         let batch: Vec<Tuple> = (0..12).map(|i| t(&[i % 4, i])).collect();
         let refs: Vec<&Tuple> = batch.iter().collect();
-        s.delta_batch_insert(&refs);
+        batch_insert(&mut s, &refs);
         s.ensure_index(&[0]);
 
         // Remove: one present tuple, one absent, one intra-batch duplicate.
         let present = t(&[1, 1]);
         let absent = t(&[9, 9]);
-        let flags = s.remove_batch(&[&present, &absent, &present]);
+        let flags = remove(&mut s, &[&present, &absent, &present]);
         assert_eq!(flags, vec![true, false, false]);
         assert_eq!(s.len(), 11);
         assert!(!s.contains(&present));
@@ -942,10 +990,10 @@ mod tests {
         // Indexes survive removal: the probe sees exactly the survivors.
         let probe = s.probe(&[0], &t(&[1]));
         assert_eq!(probe.len(), 2);
-        assert!(probe.iter().all(|x| *x != present));
+        assert!(probe.iter().all(|x| x != present.values()));
         // Scan agrees with len and membership.
         assert_eq!(s.scan().count(), 11);
-        assert!(s.scan().all(|x| s.contains(x)));
+        assert!(s.scan().all(|x| s.contains_row(x)));
 
         // Removed tuples can be re-inserted.
         assert!(s.insert(present.clone()));
@@ -973,7 +1021,7 @@ mod tests {
     fn hash_removal_keeps_indexes_ascending_and_exact() {
         let tuples: Vec<Tuple> = (0..60).map(|i| t(&[i % 5, i % 7, i])).collect();
         let mut s = HashBackend::new();
-        s.delta_batch_insert(&tuples.iter().collect::<Vec<_>>());
+        batch_insert(&mut s, &tuples.iter().collect::<Vec<_>>());
         let indexes: [&[usize]; 4] = [&[0], &[1], &[0, 1], &[0, 1, 2]];
         for positions in indexes {
             s.ensure_index(positions);
@@ -981,21 +1029,21 @@ mod tests {
         let absent = t(&[9, 9, 9]);
         let mut left = tuples.len();
         for stride in [7, 5, 3, 2, 1] {
-            let owned: Vec<Tuple> = s.store.iter().step_by(stride).cloned().collect();
+            let owned: Vec<Tuple> = s.scan().step_by(stride).map(Tuple::from).collect();
             let mut doomed: Vec<&Tuple> = owned.iter().collect();
             doomed.extend([&absent, &owned[0]]);
-            let flags = s.remove_batch(&doomed);
+            let flags = remove(&mut s, &doomed);
             assert_eq!(flags.iter().filter(|&&f| f).count(), owned.len());
             left -= owned.len();
             assert_eq!(s.len(), left);
             for node in s.indexes.nodes() {
-                assert_eq!(node.index, key_index(&node.positions, &s.store));
+                assert_eq!(node.index, key_index(&node.positions, s.rows()));
                 assert!(node
                     .index
                     .values()
                     .all(|o| o.windows(2).all(|w| w[0] < w[1])));
             }
-            for (off, x) in s.store.iter().enumerate() {
+            for (off, x) in s.scan().enumerate() {
                 assert_eq!(s.find(x), Some(off as u32));
             }
             assert!(owned.iter().all(|x| !s.contains(x)));
@@ -1007,10 +1055,10 @@ mod tests {
     fn columnar_removal_drops_emptied_runs() {
         let mut s = ColumnarBackend::new();
         let (a, b) = (t(&[1]), t(&[2]));
-        s.delta_batch_insert(&[&a]);
-        s.delta_batch_insert(&[&b]);
+        batch_insert(&mut s, &[&a]);
+        batch_insert(&mut s, &[&b]);
         assert_eq!(s.runs.len(), 2);
-        s.remove_batch(&[&a]);
+        remove(&mut s, &[&a]);
         assert_eq!(s.runs.len(), 1);
         assert_eq!(s.len(), 1);
         assert!(s.contains(&b));
@@ -1022,7 +1070,7 @@ mod tests {
         for n in [5, 1, 9, 3] {
             s.insert(t(&[n]));
         }
-        let got: Vec<Tuple> = s.scan().cloned().collect();
+        let got: Vec<Tuple> = s.scan().map(Tuple::from).collect();
         assert_eq!(got, vec![t(&[5]), t(&[1]), t(&[9]), t(&[3])]);
     }
 
@@ -1030,9 +1078,9 @@ mod tests {
     fn columnar_scan_is_sorted_within_runs_and_deterministic() {
         let mut s = ColumnarBackend::new();
         let (a, b, c) = (t(&[5]), t(&[1]), t(&[9]));
-        s.delta_batch_insert(&[&a, &b]);
-        s.delta_batch_insert(&[&c]);
-        let got: Vec<Tuple> = s.scan().cloned().collect();
+        batch_insert(&mut s, &[&a, &b]);
+        batch_insert(&mut s, &[&c]);
+        let got: Vec<Tuple> = s.scan().map(Tuple::from).collect();
         assert_eq!(got, vec![t(&[1]), t(&[5]), t(&[9])]);
     }
 
@@ -1043,7 +1091,7 @@ mod tests {
         // MAX_RUNS + 2 batches force at least one compaction.
         for i in 0..(MAX_RUNS as i64 + 2) {
             let x = t(&[i % 3, i]);
-            s.delta_batch_insert(&[&x]);
+            batch_insert(&mut s, &[&x]);
         }
         assert!(s.runs.len() <= MAX_RUNS, "{} runs", s.runs.len());
         assert_eq!(s.len(), MAX_RUNS + 2);
@@ -1051,7 +1099,7 @@ mod tests {
         let expect = (0..(MAX_RUNS as i64 + 2)).filter(|i| i % 3 == 0).count();
         assert_eq!(probe.len(), expect);
         // Scan agrees with len and holds no duplicates.
-        let mut all: Vec<Tuple> = s.scan().cloned().collect();
+        let mut all: Vec<Tuple> = s.scan().map(Tuple::from).collect();
         assert_eq!(all.len(), s.len());
         all.sort_unstable();
         all.dedup();
@@ -1063,11 +1111,11 @@ mod tests {
         let mut s = ColumnarBackend::new();
         let batch: Vec<Tuple> = (0..20).map(|i| t(&[i % 4, i])).collect();
         let refs: Vec<&Tuple> = batch.iter().collect();
-        s.delta_batch_insert(&refs);
+        batch_insert(&mut s, &refs);
         let key = t(&[2]);
-        let before: Vec<Tuple> = s.probe(&[0], &key).iter().cloned().collect();
+        let before: Vec<Tuple> = s.probe(&[0], &key).iter().map(Tuple::from).collect();
         s.ensure_index(&[0]);
-        let mut after: Vec<Tuple> = s.probe(&[0], &key).iter().cloned().collect();
+        let mut after: Vec<Tuple> = s.probe(&[0], &key).iter().map(Tuple::from).collect();
         let mut before = before;
         before.sort_unstable();
         after.sort_unstable();
@@ -1080,7 +1128,7 @@ mod tests {
     fn concurrent_ensure_index<S: Storage + Default + Sync>() {
         let mut s = S::default();
         let batch: Vec<Tuple> = (0..200).map(|i| t(&[i % 7, i % 5, i])).collect();
-        s.delta_batch_insert(&batch.iter().collect::<Vec<_>>());
+        batch_insert(&mut s, &batch.iter().collect::<Vec<_>>());
         let shared = &s;
         std::thread::scope(|scope| {
             for positions in [&[0usize][..], &[1], &[0], &[0, 1], &[1]] {
@@ -1107,7 +1155,8 @@ mod tests {
     fn indexes_build_once_through_shared_references() {
         concurrent_ensure_index::<HashBackend>();
         concurrent_ensure_index::<ColumnarBackend>();
-        let s = HashBackend::from_tuples((0..10).map(|i| t(&[i % 2])).collect());
+        let tuples: Vec<Tuple> = (0..10).map(|i| t(&[i % 2])).collect();
+        let s = HashBackend::from_rows(tuples.iter().map(Tuple::values));
         s.ensure_index(&[0]);
         s.ensure_index(&[0]);
         assert_eq!(

@@ -9,18 +9,45 @@ use idlog_common::{Interner, Nat, RelType, Sort, Tuple, Value};
 use idlog_storage::{
     canonical_id_relation, count_bounded_assignments, count_id_functions, group_by,
     make_id_relation, random_id_relation, BackendKind, BoundedAssignmentIter, CanonicalView,
-    Database, IdAssignment, IdAssignmentIter, Relation, ValueSummary,
+    Database, IdAssignment, IdAssignmentIter, Relation, RowBuf, ValueSummary,
 };
 
 fn int(n: i64) -> Value {
     Value::Int(Nat::new(n).expect("a natural"))
 }
 
+/// `row`'s projection on `positions`, as a probe key.
+fn project(row: &[Value], positions: &[usize]) -> Tuple {
+    positions.iter().map(|&p| row[p]).collect()
+}
+
+/// Insert `batch` as one delta batch, in `segments` consecutive pieces;
+/// the fresh rows and the fresh count per piece.
+fn insert_batch(rel: &mut Relation, batch: &[Tuple], segments: usize) -> (RowBuf, Vec<usize>) {
+    let rows: RowBuf = batch.iter().collect();
+    let per = batch.len().div_ceil(segments.max(1)).max(1);
+    let pieces: Vec<_> = rows.rows().chunks(per).collect();
+    let mut fresh = RowBuf::new();
+    let counts = rel.delta_batch_insert(&pieces, &mut fresh);
+    (fresh, counts)
+}
+
+/// Remove `batch` as one batch; the flags.
+fn remove_batch(rel: &mut Relation, batch: &[Tuple]) -> Vec<bool> {
+    let rows: RowBuf = batch.iter().collect();
+    rel.remove_batch(rows.rows())
+}
+
+/// The rows of `rel` in scan order, as tuples.
+fn scan(rel: &Relation) -> Vec<Tuple> {
+    rel.rows().map(Tuple::from).collect()
+}
+
 /// [`Database::value_summary`] computed from scratch, the obvious way.
 fn summary_by_hand(db: &Database) -> ValueSummary {
     let values: std::collections::HashSet<Value> = db
         .iter()
-        .flat_map(|(_, rel)| rel.iter().flat_map(|t| t.values().to_vec()))
+        .flat_map(|(_, rel)| rel.rows().flat_map(<[Value]>::to_vec))
         .collect();
     let max_natural = values
         .iter()
@@ -115,12 +142,12 @@ proptest! {
     fn canonical_view_orders_and_renders_like_the_tuple_methods(
         (interner, rel) in arb_mixed_relation(),
     ) {
-        let mut expected: Vec<Tuple> = rel.iter().cloned().collect();
+        let mut expected: Vec<Tuple> = scan(&rel);
         expected.sort_by(|a, b| a.cmp_canonical(b, &interner));
         let view = rel.canonical_view(&interner);
         prop_assert_eq!(view.len(), rel.len());
         prop_assert_eq!(view.is_empty(), rel.is_empty());
-        prop_assert_eq!(view.iter().cloned().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(view.iter().map(Tuple::from).collect::<Vec<_>>(), expected.clone());
         prop_assert_eq!(rel.sorted_canonical(&interner), expected.clone());
 
         let mut facts = String::new();
@@ -152,10 +179,10 @@ proptest! {
         prop_assert_eq!(moved.sorted_canonical(&interner), expected);
     }
 
-    /// The view over a consumed relation's rows — in any order — renders
-    /// byte for byte what the relation's own view renders: on both
-    /// backends, for every arity up to six (tuples wider than the three
-    /// inline columns included) and any mix of sorts.
+    /// The view over a consumed relation's strided rows — in any order —
+    /// renders byte for byte what the relation's own view renders: on both
+    /// backends, for every arity up to six (the nullary one included) and
+    /// any mix of sorts.
     #[test]
     fn the_rows_only_view_renders_like_the_relation_view(
         (interner, rel) in arb_mixed_relation_up_to(6),
@@ -164,19 +191,22 @@ proptest! {
         use rand::seq::SliceRandom;
         let mut expected: Vec<u8> = Vec::new();
         rel.canonical_view(&interner).write_facts("p", &mut expected).unwrap();
-        let arity = rel.arity();
-        let mut rows = rel.clone().into_rows();
+        let rows = rel.clone().into_rows();
         prop_assert_eq!(rows.len(), rel.len());
+        let mut tuples = scan(&rel);
         for shuffled in [false, true] {
-            if shuffled {
-                rows.shuffle(&mut SmallRng::seed_from_u64(shuffle));
-            }
-            let view = CanonicalView::of_rows(&rows, arity, &interner);
+            let rows: RowBuf = if shuffled {
+                tuples.shuffle(&mut SmallRng::seed_from_u64(shuffle));
+                tuples.iter().collect()
+            } else {
+                rows.clone()
+            };
+            let view = CanonicalView::of_rows(rows.rows(), &interner);
             let mut written: Vec<u8> = Vec::new();
             view.write_facts("p", &mut written).unwrap();
             prop_assert_eq!(&written, &expected);
             prop_assert_eq!(
-                view.iter().cloned().collect::<Vec<_>>(),
+                view.iter().map(Tuple::from).collect::<Vec<_>>(),
                 rel.sorted_canonical(&interner)
             );
         }
@@ -208,13 +238,13 @@ proptest! {
             for t in &domain {
                 for positions in indexes {
                     let key = t.project(positions);
-                    let probed: Vec<&Tuple> = rel.probe(positions, &key).iter().collect();
-                    let scanned: Vec<&Tuple> =
-                        rel.iter().filter(|x| x.project(positions) == key).collect();
+                    let probed: Vec<&[Value]> = rel.probe(positions, &key).iter().collect();
+                    let scanned: Vec<&[Value]> =
+                        rel.rows().filter(|x| project(x, positions) == key).collect();
                     assert_eq!(probed, scanned, "{positions:?} {key:?}");
                 }
             }
-            rel.iter().cloned().collect::<Vec<Tuple>>()
+            scan(rel)
         };
         // The whole sequence: inserts, the removal, a removed tuple's
         // return and a removal of every other row. Each step's scan order.
@@ -225,17 +255,17 @@ proptest! {
             }
             for batch in &batches {
                 let batch: Vec<Tuple> = batch.iter().map(pair).collect();
-                rel.delta_batch_insert(&batch.iter().collect::<Vec<_>>());
+                insert_batch(&mut rel, &batch, 1);
             }
             let mut orders = vec![scan(&rel)];
-            let flags = rel.remove_batch(&doomed.iter().collect::<Vec<_>>());
+            let flags = remove_batch(&mut rel, &doomed);
             orders.push(scan(&rel));
             if let Some(back) = back(&orders[0]) {
                 assert!(rel.insert(back).unwrap());
             }
             orders.push(scan(&rel));
-            let halved: Vec<Tuple> = rel.iter().step_by(2).cloned().collect();
-            rel.remove_batch(&halved.iter().collect::<Vec<_>>());
+            let halved: Vec<Tuple> = rel.rows().step_by(2).map(Tuple::from).collect();
+            remove_batch(&mut rel, &halved);
             orders.push(scan(&rel));
             (rel, flags, orders)
         };
@@ -340,11 +370,10 @@ proptest! {
         let replay = |log: &[(bool, Vec<Tuple>)]| {
             let mut rel = Relation::new_in(RelType::elementary(2), kind);
             for (insert, batch) in log {
-                let batch: Vec<&Tuple> = batch.iter().collect();
                 if *insert {
-                    rel.delta_batch_insert(&batch);
+                    insert_batch(&mut rel, batch, 1);
                 } else {
-                    rel.remove_batch(&batch);
+                    remove_batch(&mut rel, batch);
                 }
             }
             rel
@@ -352,7 +381,6 @@ proptest! {
         // Every build, twice over on `rel` — the second reads the index
         // the first left — against one on a fresh replay each.
         let agree = |rel: &Relation, log: &[(bool, Vec<Tuple>)]| {
-            let scan = |r: &Relation| r.iter().cloned().collect::<Vec<Tuple>>();
             let canonical = |r: &Relation, bound| {
                 let built = canonical_id_relation(r, positions, &interner, bound);
                 (built.groups, scan(&built.relation))
@@ -387,14 +415,13 @@ proptest! {
         let mut clones: Vec<(Relation, usize)> = Vec::new();
         for (op, batch) in steps {
             let batch: Vec<Tuple> = batch.iter().map(tuple).collect();
-            let refs: Vec<&Tuple> = batch.iter().collect();
             match op {
                 0 => {
-                    rel.delta_batch_insert(&refs);
+                    insert_batch(&mut rel, &batch, 1);
                     log.push((true, batch));
                 }
                 1 => {
-                    rel.remove_batch(&refs);
+                    remove_batch(&mut rel, &batch);
                     log.push((false, batch));
                 }
                 2 => agree(&rel, &log),
@@ -521,7 +548,7 @@ proptest! {
         let idrel = make_id_relation(&rel, &assignment).unwrap();
         prop_assert_eq!(idrel.len(), rel.len());
         prop_assert_eq!(idrel.arity(), rel.arity() + 1);
-        for t in idrel.iter() {
+        for t in scan(&idrel) {
             let base = t.project(&[0, 1]);
             prop_assert!(rel.contains(&base));
             prop_assert_eq!(t[2], int(assignment.tid(&base).unwrap()));
@@ -535,10 +562,10 @@ proptest! {
     /// A hash relation at growth scale: a few thousand tuples through
     /// interleaved insert and remove batches, enough to double the
     /// membership table many times and to remove from long clusters. After
-    /// every batch the relation is the `BTreeSet` model: the flags say what
-    /// the model gained or lost, `len` and `contains` agree with it, a scan
-    /// lists it, and every indexed probe lists what a filtered scan finds,
-    /// in scan order.
+    /// every batch the relation is the `BTreeSet` model: the fresh rows (in
+    /// batch order) and the removal flags say what the model gained or
+    /// lost, `len` and `contains` agree with it, a scan lists it, and every
+    /// indexed probe lists what a filtered scan finds, in scan order.
     #[test]
     fn interleaved_batches_at_growth_scale_match_a_set_model(
         batches in proptest::collection::vec(
@@ -557,34 +584,34 @@ proptest! {
         let mut model: BTreeSet<Tuple> = BTreeSet::new();
         for (kind, batch) in batches {
             let batch: Vec<Tuple> = batch.iter().map(pair).collect();
-            let refs: Vec<&Tuple> = batch.iter().collect();
             // Two insert batches to one removal: the relation grows.
-            let (flags, want): (Vec<bool>, Vec<bool>) = if kind < 2 {
-                let want = batch.iter().map(|t| model.insert(t.clone())).collect();
-                (rel.delta_batch_insert(&refs), want)
+            if kind < 2 {
+                let want: Vec<Tuple> =
+                    batch.iter().filter(|t| model.insert((*t).clone())).cloned().collect();
+                let (fresh, _) = insert_batch(&mut rel, &batch, 1);
+                prop_assert_eq!(fresh.rows().iter().map(Tuple::from).collect::<Vec<_>>(), want);
             } else {
-                let want = batch.iter().map(|t| model.remove(t)).collect();
-                (rel.remove_batch(&refs), want)
-            };
-            prop_assert_eq!(flags, want);
+                let want: Vec<bool> = batch.iter().map(|t| model.remove(t)).collect();
+                prop_assert_eq!(remove_batch(&mut rel, &batch), want);
+            }
             prop_assert_eq!(rel.len(), model.len());
             for t in &domain {
                 prop_assert_eq!(rel.contains(t), model.contains(t));
             }
-            let scanned: Vec<&Tuple> = rel.iter().collect();
+            let scanned: Vec<&[Value]> = rel.rows().collect();
             prop_assert_eq!(
-                scanned.iter().copied().cloned().collect::<BTreeSet<Tuple>>(),
+                scanned.iter().copied().map(Tuple::from).collect::<BTreeSet<Tuple>>(),
                 model.clone()
             );
             prop_assert_eq!(scanned.len(), model.len());
             for positions in indexes {
-                let mut filtered: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
+                let mut filtered: BTreeMap<Tuple, Vec<&[Value]>> = BTreeMap::new();
                 for &t in &scanned {
-                    filtered.entry(t.project(positions)).or_default().push(t);
+                    filtered.entry(project(t, positions)).or_default().push(t);
                 }
                 for t in &domain {
                     let key = t.project(positions);
-                    let probed: Vec<&Tuple> = rel.probe(positions, &key).iter().collect();
+                    let probed: Vec<&[Value]> = rel.probe(positions, &key).iter().collect();
                     prop_assert_eq!(
                         probed,
                         filtered.get(&key).cloned().unwrap_or_default(),
@@ -592,6 +619,125 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Strided relations of arity `arity`: even columns of sort `i`, odd ones
+/// of sort `u`, each value one of four.
+fn strided_tuple(interner: &Interner, arity: usize, picks: &[usize]) -> Tuple {
+    (0..arity)
+        .map(|c| match c % 2 {
+            0 => int([0, 1, 7, i64::MAX][picks[c]]),
+            _ => Value::Sym(interner.intern(NAMES[picks[c]])),
+        })
+        .collect()
+}
+
+proptest! {
+    /// The strided store at every arity from 0 to 5 (nullary included), on
+    /// both backends, against a `BTreeSet` model, through random point
+    /// inserts, delta batches in several segments and removal batches.
+    /// After every step: the fresh rows are the model's gains in batch
+    /// order (first occurrence winning) and each segment's count is its
+    /// share of them; the removal flags are the model's losses; `len`,
+    /// `contains` and a scan agree with the model; a lookup by tuple and by
+    /// its row agree, and a probe on every column finds the row itself;
+    /// every indexed probe lists what a filtered scan finds, in scan order;
+    /// `Relation::iter` lists the tuples of `Relation::rows`, in order; and
+    /// the view over the consumed rows renders byte for byte what the
+    /// relation's view renders.
+    #[test]
+    fn strided_store_matches_a_set_model_at_every_arity(
+        arity in 0usize..6,
+        steps in proptest::collection::vec(
+            (0u8..3, 1usize..4, proptest::collection::vec(proptest::collection::vec(0usize..4, 5), 0..12)),
+            1..8,
+        ),
+        columnar in any::<bool>(),
+    ) {
+        let interner = Interner::new();
+        for name in NAMES.iter().rev() {
+            interner.intern(name);
+        }
+        let sorts: Vec<Sort> = (0..arity).map(|c| if c % 2 == 0 { Sort::I } else { Sort::U }).collect();
+        let kind = if columnar { BackendKind::Columnar } else { BackendKind::Hash };
+        let mut rel = Relation::new_in(RelType::new(sorts), kind);
+        // Every single column and, when there are two, the first two.
+        let mut indexes: Vec<Vec<usize>> = (0..arity).map(|c| vec![c]).collect();
+        if arity >= 2 {
+            indexes.push(vec![0, 1]);
+        }
+        for positions in &indexes {
+            rel.ensure_index(positions);
+        }
+        let all: Vec<usize> = (0..arity).collect();
+        let mut model: BTreeSet<Tuple> = BTreeSet::new();
+        let mut seen: BTreeSet<Tuple> = BTreeSet::new();
+        for (op, segments, picks) in steps {
+            let batch: Vec<Tuple> =
+                picks.iter().map(|p| strided_tuple(&interner, arity, p)).collect();
+            seen.extend(batch.iter().cloned());
+            match op {
+                0 => {
+                    for t in &batch {
+                        prop_assert_eq!(rel.insert(t.clone()).unwrap(), model.insert(t.clone()));
+                    }
+                }
+                1 => {
+                    let per = batch.len().div_ceil(segments).max(1);
+                    let mut want = Vec::new();
+                    let mut want_counts = Vec::new();
+                    for piece in batch.chunks(per) {
+                        let gained: Vec<Tuple> =
+                            piece.iter().filter(|t| model.insert((*t).clone())).cloned().collect();
+                        want_counts.push(gained.len());
+                        want.extend(gained);
+                    }
+                    let (fresh, counts) = insert_batch(&mut rel, &batch, segments);
+                    prop_assert_eq!(fresh.rows().iter().map(Tuple::from).collect::<Vec<_>>(), want);
+                    prop_assert_eq!(counts, want_counts);
+                }
+                _ => {
+                    let want: Vec<bool> = batch.iter().map(|t| model.remove(t)).collect();
+                    prop_assert_eq!(remove_batch(&mut rel, &batch), want);
+                }
+            }
+            prop_assert_eq!(rel.len(), model.len());
+            for t in &seen {
+                prop_assert_eq!(rel.contains(t), model.contains(t));
+                prop_assert_eq!(rel.contains_row(t.values()), model.contains(t));
+                let found: Vec<&[Value]> = rel.probe(&all, t).iter().collect();
+                let want: Vec<&[Value]> = model.get(t).map(Tuple::values).into_iter().collect();
+                prop_assert_eq!(found, want);
+            }
+            let scanned = scan(&rel);
+            prop_assert_eq!(scanned.iter().cloned().collect::<BTreeSet<_>>(), model.clone());
+            prop_assert_eq!(scanned.len(), model.len());
+            prop_assert_eq!(rel.iter().cloned().collect::<Vec<_>>(), scanned.clone());
+            for positions in &indexes {
+                for t in &seen {
+                    let key = t.project(positions);
+                    let probed: Vec<&[Value]> = rel.probe(positions, &key).iter().collect();
+                    let filtered: Vec<&[Value]> =
+                        rel.rows().filter(|r| project(r, positions) == key).collect();
+                    prop_assert_eq!(probed, filtered, "{:?} {:?}", positions, key);
+                }
+            }
+            if arity > 0 && !rel.is_empty() {
+                let assignment = IdAssignment::canonical(&rel, &[0], &interner);
+                for t in &model {
+                    prop_assert!(assignment.tid(t).is_some());
+                    prop_assert_eq!(assignment.tid(t), assignment.tid(t.values()));
+                }
+            }
+            let mut expected: Vec<u8> = Vec::new();
+            rel.canonical_view(&interner).write_facts("p", &mut expected).unwrap();
+            let rows = rel.clone().into_rows();
+            prop_assert_eq!(rows.len(), rel.len());
+            let mut written: Vec<u8> = Vec::new();
+            CanonicalView::of_rows(rows.rows(), &interner).write_facts("p", &mut written).unwrap();
+            prop_assert_eq!(written, expected);
         }
     }
 }
