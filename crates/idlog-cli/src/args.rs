@@ -3,7 +3,10 @@
 
 use std::time::Duration;
 
-use idlog_core::{BackendKind, Strategy};
+use idlog_core::{
+    BackendKind, CanonicalOracle, EnumBudget, EvalOptions, Limits, SeededOracle, Strategy,
+    TidOracle,
+};
 
 /// Usage text for `--help` and argument errors.
 pub const USAGE: &str = "\
@@ -127,28 +130,18 @@ pub struct RunOpts {
     pub facts: Option<String>,
     /// Output predicate.
     pub output: String,
-    /// Seed for the random oracle (None = canonical).
-    pub seed: Option<u64>,
     /// Enumerate all answers.
     pub all: bool,
     /// Print statistics.
     pub stats: bool,
-    /// Model cap for --all.
-    pub max_models: Option<u64>,
-    /// Worker threads (None = auto: IDLOG_THREADS, else hardware).
-    pub threads: Option<usize>,
     /// Print the per-rule profile table.
     pub profile: bool,
     /// Write the profile as JSON to this path (`-` = stdout).
     pub profile_json: Option<String>,
     /// Include wall time in profile output.
     pub profile_time: bool,
-    /// Resource ceilings for the evaluation.
-    pub limits: LimitOpts,
-    /// Storage backend (None = the engine default, hash).
-    pub backend: Option<BackendKind>,
-    /// Evaluation strategy (None = the engine default, seminaive).
-    pub strategy: Option<Strategy>,
+    /// How to evaluate: oracle, threads, ceilings, backend, strategy.
+    pub eval: EvalFlags,
 }
 
 impl RunOpts {
@@ -158,48 +151,77 @@ impl RunOpts {
             program: program.into(),
             facts: None,
             output: output.into(),
-            seed: None,
             all: false,
             stats: false,
-            max_models: None,
-            threads: None,
             profile: false,
             profile_json: None,
             profile_time: false,
-            limits: LimitOpts::default(),
-            backend: None,
-            strategy: None,
+            eval: EvalFlags::default(),
         }
     }
 }
 
-/// The governor flags `run` and `explain --analyze` share:
-/// `--timeout`, `--max-rounds` and `--max-tuples`.
+/// The evaluation settings of `idlog run`, `idlog explain --analyze` and
+/// the REPL, and the one place they become [`EvalOptions`] and an oracle
+/// ([`EvalFlags::options`]).
+///
+/// `run` and `explain` parse `--seed`, `--threads`, `--timeout`,
+/// `--max-rounds` and `--max-tuples` alike. Only `run` takes `--backend`,
+/// `--strategy` and `--max-models`, and the REPL sets its fields with
+/// `:seed`, `:threads`, `:timeout`, `:backend` and `:strategy`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LimitOpts {
-    /// Wall-clock budget for the evaluation.
-    pub timeout: Option<Duration>,
-    /// Cap on semi-naive fixpoint rounds.
-    pub max_rounds: Option<u64>,
-    /// Cap on newly derived tuples.
-    pub max_tuples: Option<u64>,
+pub struct EvalFlags {
+    /// Seed for the random oracle (None = canonical).
+    pub seed: Option<u64>,
+    /// Worker threads (None = auto: IDLOG_THREADS, else hardware).
+    pub threads: Option<usize>,
+    /// Resource ceilings: `deadline` from `--timeout`, `max_rounds` and
+    /// `max_tuples` from their flags; `max_bytes` has no flag.
+    pub limits: Limits,
+    /// Storage backend for materialized relations.
+    pub backend: BackendKind,
+    /// Evaluation strategy.
+    pub strategy: Strategy,
+    /// Bounds for `--all`: `max_models` from `--max-models`; `max_answers`
+    /// has no flag.
+    pub budget: EnumBudget,
 }
 
-impl LimitOpts {
-    /// Take `flag` (and its value from `it`) when it is a governor flag;
-    /// false when it is some other flag.
+impl EvalFlags {
+    /// Take `flag` (and its value from `it`) when it is one of the flags
+    /// `run` and `explain` share; false when it is some other flag.
     fn parse_flag<'a>(
         &mut self,
         flag: &str,
         it: &mut impl Iterator<Item = &'a String>,
     ) -> Result<bool, String> {
         match flag {
-            "--timeout" => self.timeout = Some(parse_duration(&value(it, "--timeout")?)?),
-            "--max-rounds" => self.max_rounds = Some(parse_num(it, "--max-rounds")?),
-            "--max-tuples" => self.max_tuples = Some(parse_num(it, "--max-tuples")?),
+            "--seed" => self.seed = Some(parse_num(it, "--seed")?),
+            "--threads" => self.threads = Some(parse_threads(it)?),
+            "--timeout" => self.limits.deadline = Some(parse_duration(&value(it, "--timeout")?)?),
+            "--max-rounds" => self.limits.max_rounds = Some(parse_num(it, "--max-rounds")?),
+            "--max-tuples" => self.limits.max_tuples = Some(parse_num(it, "--max-tuples")?),
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// The [`EvalOptions`] these flags ask for, with per-rule profiling as
+    /// the command wants it, and the oracle `--seed` selects (canonical
+    /// when absent).
+    pub fn options(&self, profile: bool) -> (EvalOptions, Box<dyn TidOracle>) {
+        let options = EvalOptions::new()
+            .threads(self.threads.unwrap_or(0))
+            .limits(self.limits)
+            .backend(self.backend)
+            .strategy(self.strategy)
+            .budget(self.budget)
+            .profile(profile);
+        let oracle: Box<dyn TidOracle> = match self.seed {
+            Some(seed) => Box::new(SeededOracle::new(seed)),
+            None => Box::new(CanonicalOracle),
+        };
+        (options, oracle)
     }
 }
 
@@ -252,12 +274,8 @@ pub enum Command {
         facts: Option<String>,
         /// Evaluate and annotate clauses with measured counters.
         analyze: bool,
-        /// Oracle seed for --analyze (None = canonical).
-        seed: Option<u64>,
-        /// Worker threads for --analyze (None = auto).
-        threads: Option<usize>,
-        /// Resource ceilings for --analyze.
-        limits: LimitOpts,
+        /// Oracle, threads and ceilings for --analyze.
+        eval: EvalFlags,
     },
     /// Run the full diagnostics/lint suite over one or more programs.
     Lint {
@@ -339,17 +357,13 @@ impl Args {
                 let (program, opts) = path_and_opts(rest, "explain")?;
                 let mut facts = None;
                 let mut analyze = false;
-                let mut seed = None;
-                let mut threads = None;
-                let mut limits = LimitOpts::default();
+                let mut eval = EvalFlags::default();
                 let mut it = opts.iter();
                 while let Some(flag) = it.next() {
                     match flag.as_str() {
                         "--facts" => facts = Some(value(&mut it, "--facts")?),
                         "--analyze" => analyze = true,
-                        "--seed" => seed = Some(parse_num(&mut it, "--seed")?),
-                        "--threads" => threads = Some(parse_threads(&mut it)?),
-                        flag if limits.parse_flag(flag, &mut it)? => {}
+                        flag if eval.parse_flag(flag, &mut it)? => {}
                         other => return Err(format!("unknown option {other}")),
                     }
                 }
@@ -357,9 +371,7 @@ impl Args {
                     program,
                     facts,
                     analyze,
-                    seed,
-                    threads,
-                    limits,
+                    eval,
                 }
             }
             "lint" => {
@@ -419,14 +431,12 @@ impl Args {
                     match flag.as_str() {
                         "--facts" => run.facts = Some(value(&mut it, "--facts")?),
                         "--output" => output = Some(value(&mut it, "--output")?),
-                        "--seed" => run.seed = Some(parse_num(&mut it, "--seed")?),
+                        flag if run.eval.parse_flag(flag, &mut it)? => {}
                         "--max-models" => {
-                            run.max_models = Some(parse_num(&mut it, "--max-models")?)
+                            run.eval.budget.max_models = parse_num(&mut it, "--max-models")?
                         }
-                        "--threads" => run.threads = Some(parse_threads(&mut it)?),
-                        flag if run.limits.parse_flag(flag, &mut it)? => {}
-                        "--backend" => run.backend = Some(parse_backend(&mut it)?),
-                        "--strategy" => run.strategy = Some(parse_strategy(&mut it)?),
+                        "--backend" => run.eval.backend = parse_backend(&mut it)?,
+                        "--strategy" => run.eval.strategy = parse_strategy(&mut it)?,
                         "--all" => run.all = true,
                         "--stats" => run.stats = true,
                         "--profile" => run.profile = true,
@@ -614,10 +624,10 @@ mod tests {
         assert_eq!(run.program, "p.idl");
         assert_eq!(run.facts.as_deref(), Some("f.idl"));
         assert_eq!(run.output, "q");
-        assert_eq!(run.seed, Some(7));
+        assert_eq!(run.eval.seed, Some(7));
         assert!(run.all && run.stats);
-        assert_eq!(run.max_models, Some(100));
-        assert_eq!(run.threads, Some(4));
+        assert_eq!(run.eval.budget.max_models, 100);
+        assert_eq!(run.eval.threads, Some(4));
         assert!(!run.profile && run.profile_json.is_none() && !run.profile_time);
     }
 
@@ -664,9 +674,7 @@ mod tests {
             program,
             facts,
             analyze,
-            seed,
-            threads,
-            limits,
+            eval,
         } = args.command
         else {
             panic!("expected explain");
@@ -674,14 +682,19 @@ mod tests {
         assert_eq!(program, "p.idl");
         assert_eq!(facts.as_deref(), Some("f.idl"));
         assert!(analyze);
-        assert_eq!(seed, Some(3));
-        assert_eq!(threads, Some(2));
-        assert_eq!(limits.timeout, Some(Duration::from_secs(1)));
-        assert_eq!(limits.max_rounds, Some(7));
-        assert_eq!(limits.max_tuples, None);
+        assert_eq!(eval.seed, Some(3));
+        assert_eq!(eval.threads, Some(2));
+        assert_eq!(eval.limits.deadline, Some(Duration::from_secs(1)));
+        assert_eq!(eval.limits.max_rounds, Some(7));
+        assert_eq!(eval.limits.max_tuples, None);
         assert!(parse(&["explain"]).is_err());
         assert!(parse(&["explain", "p.idl", "--nope"]).is_err());
         assert!(parse(&["explain", "p.idl", "--max-tuples", "-1"]).is_err());
+        // `explain` evaluates the whole program: no output predicate for
+        // magic to seed from, so the run-only flags stay refused.
+        for flag in ["--strategy", "--backend", "--max-models"] {
+            assert!(parse(&["explain", "p.idl", flag, "1"]).is_err(), "{flag}");
+        }
     }
 
     #[test]
@@ -702,11 +715,61 @@ mod tests {
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.limits.timeout, Some(Duration::from_millis(500)));
-        assert_eq!(run.limits.max_rounds, Some(16));
-        assert_eq!(run.limits.max_tuples, Some(1000));
+        assert_eq!(run.eval.limits.deadline, Some(Duration::from_millis(500)));
+        assert_eq!(run.eval.limits.max_rounds, Some(16));
+        assert_eq!(run.eval.limits.max_tuples, Some(1000));
+        assert_eq!(run.eval.limits.max_bytes, None);
         assert!(parse(&["run", "p.idl", "--output", "q", "--timeout", "soon"]).is_err());
         assert!(parse(&["run", "p.idl", "--output", "q", "--max-tuples", "-1"]).is_err());
+    }
+
+    #[test]
+    fn eval_flags_set_every_option() {
+        let args = parse(&[
+            "run",
+            "p.idl",
+            "--output",
+            "q",
+            "--threads",
+            "3",
+            "--timeout",
+            "2s",
+            "--max-rounds",
+            "5",
+            "--max-tuples",
+            "9",
+            "--backend",
+            "columnar",
+            "--strategy",
+            "magic",
+            "--max-models",
+            "11",
+        ])
+        .unwrap();
+        let Command::Run(run) = args.command else {
+            panic!("expected run");
+        };
+        let (options, _) = run.eval.options(true);
+        let limits = Limits {
+            deadline: Some(Duration::from_secs(2)),
+            max_rounds: Some(5),
+            max_tuples: Some(9),
+            max_bytes: None,
+        };
+        let budget = EnumBudget {
+            max_models: 11,
+            ..EnumBudget::default()
+        };
+        let want = EvalOptions::new()
+            .threads(3)
+            .limits(limits)
+            .backend(BackendKind::Columnar)
+            .strategy(Strategy::Magic)
+            .budget(budget)
+            .profile(true);
+        assert_eq!(options, want);
+        // No flag given: exactly the engine's defaults.
+        assert_eq!(EvalFlags::default().options(false).0, EvalOptions::new());
     }
 
     #[test]
@@ -742,19 +805,19 @@ mod tests {
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.backend, Some(BackendKind::Columnar));
+        assert_eq!(run.eval.backend, BackendKind::Columnar);
         let args = parse(&["run", "p.idl", "--output", "q", "--backend", "hash"]).unwrap();
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.backend, Some(BackendKind::Hash));
+        assert_eq!(run.eval.backend, BackendKind::Hash);
         assert!(parse(&["run", "p.idl", "--output", "q", "--backend", "btree"]).is_err());
         assert!(parse(&["run", "p.idl", "--output", "q", "--backend"]).is_err());
         let args = parse(&["run", "p.idl", "--output", "q"]).unwrap();
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.backend, None, "default is the engine's hash backend");
+        assert_eq!(run.eval.backend, BackendKind::Hash, "the default");
     }
 
     #[test]
@@ -763,12 +826,12 @@ mod tests {
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.strategy, Some(Strategy::Magic));
+        assert_eq!(run.eval.strategy, Strategy::Magic);
         let args = parse(&["run", "p.idl", "--output", "q", "--strategy", "seminaive"]).unwrap();
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.strategy, Some(Strategy::SemiNaive));
+        assert_eq!(run.eval.strategy, Strategy::SemiNaive);
         // There is no naive strategy; "naive" is refused like any unknown name.
         for refused in ["naive", "earley"] {
             let err = parse(&["run", "p.idl", "--output", "q", "--strategy", refused]).unwrap_err();
@@ -779,7 +842,7 @@ mod tests {
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.strategy, None, "default is the engine's seminaive");
+        assert_eq!(run.eval.strategy, Strategy::SemiNaive, "the default");
         assert!(USAGE.contains("--strategy"), "usage lost --strategy");
     }
 
@@ -791,7 +854,7 @@ mod tests {
         let Command::Run(run) = args.command else {
             panic!("expected run");
         };
-        assert_eq!(run.threads, None, "default is auto");
+        assert_eq!(run.eval.threads, None, "default is auto");
     }
 
     #[test]

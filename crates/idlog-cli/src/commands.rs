@@ -4,12 +4,10 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use idlog_analyze::{analyze, render_all, render_json, Options};
-use idlog_core::{EvalError, Interner, LimitKind, StopReason, ValidatedProgram};
+use idlog_core::{EvalError, EvalOutput, Interner, LimitKind, StopReason, ValidatedProgram};
 
-use crate::args::{LimitOpts, RunOpts};
-use crate::{
-    default_budget, limits_for, load, options_for, oracle_for, output_result, signal, CliError,
-};
+use crate::args::{EvalFlags, RunOpts};
+use crate::{load, output_result, signal, CliError};
 
 /// `idlog check`: validate and report predicates, sorts, and strata.
 ///
@@ -262,16 +260,15 @@ pub fn optimize(program_path: &str, output: &str, suggest_prune: bool) -> Result
 /// clause with measured counters.
 ///
 /// `--timeout`/`--max-rounds`/`--max-tuples` bound the evaluation as they
-/// do `idlog run`'s: a trip annotates the plan with the counters up to the
-/// last completed round, prints the footers and returns
-/// [`CliError::limit`] (exit 3).
+/// do `idlog run`'s, and Ctrl-C stops it: either way the plan is annotated
+/// with the counters up to the last completed round, the footers print,
+/// and the result is [`CliError::limit`] (exit 3) or
+/// [`CliError::cancelled`] (exit 130).
 pub fn explain(
     program_path: &str,
     facts_path: Option<&str>,
     analyze: bool,
-    seed: Option<u64>,
-    threads: Option<usize>,
-    limits: &LimitOpts,
+    eval: &EvalFlags,
 ) -> Result<(), CliError> {
     let interner = Arc::new(Interner::new());
     let src = std::fs::read_to_string(program_path)
@@ -291,19 +288,21 @@ pub fn explain(
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         idlog_core::load_facts(&facts_src, &mut db).map_err(|e| format!("{path}: {e}"))?;
     }
-    let mut oracle = oracle_for(seed);
-    let options = options_for(threads)
-        .profile(true)
-        .limits(limits_for(limits));
-    let (out, stop) =
-        match idlog_core::evaluate_governed(&program, &db, oracle.as_mut(), &options, None) {
-            Ok(out) => (out, None),
-            Err(EvalError::Limit { limit, partial }) => (
-                *partial,
-                Some(CliError::limit(limit, format!("limit exceeded: {limit}"))),
-            ),
-            Err(e) => return Err(e.into_core().to_string().into()),
-        };
+    let (options, mut oracle) = eval.options(true);
+    let outcome = idlog_core::evaluate_governed(
+        &program,
+        &db,
+        oracle.as_mut(),
+        &options,
+        Some(&signal::token()),
+    );
+    let (out, stop) = match outcome {
+        Ok(out) => (out, None),
+        Err(e) => {
+            let (partial, stop) = partial_and_stop(e)?;
+            (partial, Some(stop))
+        }
+    };
     let profile = out.profile().ok_or_else(|| {
         CliError::failure("internal error: profiling was enabled but produced no profile")
     })?;
@@ -395,15 +394,10 @@ pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
     let loaded = load(&opts.program, opts.facts.as_deref(), &opts.output)?;
     let interner = loaded.query.interner().clone();
     let want_profile = opts.profile || opts.profile_json.is_some() || opts.stats;
-    let options = options_for(opts.threads)
-        .backend(opts.backend.unwrap_or_default())
-        .strategy(opts.strategy.unwrap_or_default())
-        .budget(default_budget(opts.max_models))
-        .profile(want_profile)
-        .limits(limits_for(&opts.limits));
-    // A stale Ctrl-C from a previous evaluation must not cancel this one.
+    let (options, mut oracle) = opts.eval.options(want_profile);
+    // Not reset, unlike in the REPL, which serves many queries: a Ctrl-C
+    // that arrived while the program and facts loaded must stop this run.
     let token = signal::token();
-    token.reset();
 
     if opts.all {
         if opts.profile || opts.profile_json.is_some() {
@@ -445,7 +439,6 @@ pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
         };
     }
 
-    let mut oracle = oracle_for(opts.seed);
     let result = loaded
         .query
         .session(&loaded.db)
@@ -454,18 +447,11 @@ pub fn run_query(opts: &RunOpts, out: &mut impl Write) -> Result<(), CliError> {
         .try_run_with(oracle.as_mut());
     let (result, stop) = match result {
         Ok(result) => (result, None),
-        Err(EvalError::Limit { limit, partial }) => {
+        Err(e) => {
+            let (partial, stop) = partial_and_stop(e)?;
             let partial = partial_result(&partial, &opts.output, want_profile);
-            (
-                partial,
-                Some(CliError::limit(limit, format!("limit exceeded: {limit}"))),
-            )
+            (partial, Some(stop))
         }
-        Err(EvalError::Cancelled { partial }) => {
-            let partial = partial_result(&partial, &opts.output, want_profile);
-            (partial, Some(CliError::cancelled("interrupted")))
-        }
-        Err(EvalError::Core(e)) => return Err(CliError::from(e)),
     };
     if let Some(stop) = &stop {
         eprintln!(
@@ -630,10 +616,25 @@ fn client_once(addr: &str, request: &str) -> Result<(), CliError> {
     }
 }
 
-/// Project the partial [`idlog_core::EvalOutput`] carried by a limit trip
+/// Split a governed evaluation's failure into the partial output a limit
+/// trip or Ctrl-C carries and the error the command then ends with (exit 3
+/// or 130). Any other failure keeps its [`idlog_core::ErrorCode`] and is
+/// returned as the `Err`.
+fn partial_and_stop(e: EvalError) -> Result<(EvalOutput, CliError), CliError> {
+    match e {
+        EvalError::Limit { limit, partial } => Ok((
+            *partial,
+            CliError::limit(limit, format!("limit exceeded: {limit}")),
+        )),
+        EvalError::Cancelled { partial } => Ok((*partial, CliError::cancelled("interrupted"))),
+        EvalError::Core(e) => Err(CliError::from(e)),
+    }
+}
+
+/// Project the partial [`EvalOutput`] carried by a limit trip or Ctrl-C
 /// onto the shape `run_query` prints.
 fn partial_result(
-    partial: &idlog_core::EvalOutput,
+    partial: &EvalOutput,
     output: &str,
     want_profile: bool,
 ) -> idlog_core::EvalResult {

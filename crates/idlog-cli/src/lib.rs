@@ -8,10 +8,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use idlog_core::{
-    CanonicalOracle, CoreError, EnumBudget, ErrorCode, EvalOptions, Interner, LimitKind, Limits,
-    Query, SeededOracle, TidOracle, ValidatedProgram,
-};
+use idlog_core::{CoreError, ErrorCode, Interner, LimitKind, Query, ValidatedProgram};
 use idlog_storage::Database;
 
 pub mod args;
@@ -19,7 +16,7 @@ pub mod commands;
 pub mod repl;
 pub mod signal;
 
-pub use args::{Args, Command, LimitOpts, RunOpts, USAGE};
+pub use args::{Args, Command, EvalFlags, RunOpts, USAGE};
 
 /// A command failure: a stable [`ErrorCode`] plus a human-readable message.
 ///
@@ -122,10 +119,8 @@ pub fn run(args: Args) -> Result<(), CliError> {
             program,
             facts,
             analyze,
-            seed,
-            threads,
-            limits,
-        } => commands::explain(&program, facts.as_deref(), analyze, seed, threads, &limits),
+            eval,
+        } => commands::explain(&program, facts.as_deref(), analyze, &eval),
         Command::Lint {
             programs,
             deny_warnings,
@@ -184,17 +179,6 @@ pub fn output_result(written: std::io::Result<()>) -> Result<(), CliError> {
     }
 }
 
-/// The [`Limits`] for the `--timeout`/`--max-rounds`/`--max-tuples`
-/// flags of `idlog run` and `idlog explain --analyze`.
-pub fn limits_for(opts: &LimitOpts) -> Limits {
-    Limits {
-        deadline: opts.timeout,
-        max_rounds: opts.max_rounds,
-        max_tuples: opts.max_tuples,
-        max_bytes: None,
-    }
-}
-
 /// A loaded program + database pair.
 pub struct Loaded {
     /// The query (program portion related to the output).
@@ -226,28 +210,6 @@ pub fn load(
             .map_err(|e| CliError::new(e.code(), format!("{path}: {e}")))?;
     }
     Ok(Loaded { query, db })
-}
-
-/// The oracle for a `--seed` option (canonical when absent).
-pub fn oracle_for(seed: Option<u64>) -> Box<dyn TidOracle> {
-    match seed {
-        Some(s) => Box::new(SeededOracle::new(s)),
-        None => Box::new(CanonicalOracle),
-    }
-}
-
-/// The evaluation options for a `--threads` option (auto when absent:
-/// `IDLOG_THREADS`, else the machine's available parallelism).
-pub fn options_for(threads: Option<usize>) -> EvalOptions {
-    EvalOptions::new().threads(threads.unwrap_or(0))
-}
-
-/// The enumeration budget for a `--max-models` option.
-pub fn default_budget(max_models: Option<u64>) -> EnumBudget {
-    EnumBudget {
-        max_models: max_models.unwrap_or(EnumBudget::default().max_models),
-        ..EnumBudget::default()
-    }
 }
 
 #[cfg(test)]

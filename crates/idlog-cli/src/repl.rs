@@ -15,30 +15,26 @@
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
-use std::time::Duration;
 
-use idlog_core::{BackendKind, EnumBudget, Interner, Query, Strategy, ValidatedProgram};
+use idlog_core::{Interner, Query, ValidatedProgram};
 use idlog_storage::Database;
 
-use crate::args::{parse_backend_name, parse_duration, parse_strategy_name};
-use crate::{options_for, oracle_for, output_result, signal, CliError};
+use crate::args::{parse_backend_name, parse_duration, parse_strategy_name, EvalFlags};
+use crate::{output_result, signal, CliError};
 
 /// REPL state: accumulated rule sources and the fact database.
 ///
 /// Robustness contract: a failed evaluation (limit trip, Ctrl-C, arithmetic
 /// overflow, even a contained engine panic) reports an `error:` line and
-/// leaves every piece of this state — rules, facts, `:seed`, `:threads`,
-/// `:profile`, `:timeout`, `:backend`, `:strategy` — exactly as it was.
+/// leaves every piece of this state — rules, facts, `:profile` and the
+/// evaluation settings of `:seed`, `:threads`, `:timeout`, `:backend` and
+/// `:strategy` — exactly as it was.
 struct Session {
     interner: Arc<Interner>,
     rules: Vec<String>,
     db: Database,
-    seed: Option<u64>,
-    threads: Option<usize>,
+    eval: EvalFlags,
     profile: bool,
-    timeout: Option<Duration>,
-    backend: BackendKind,
-    strategy: Strategy,
 }
 
 /// Run the REPL until `:quit` or end of input. A closed output pipe ends
@@ -50,12 +46,8 @@ pub fn run(input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), CliError>
         db: Database::with_interner(Arc::clone(&interner)),
         interner,
         rules: Vec::new(),
-        seed: None,
-        threads: None,
+        eval: EvalFlags::default(),
         profile: false,
-        timeout: None,
-        backend: BackendKind::default(),
-        strategy: Strategy::default(),
     };
     output_result(session.serve(input, out))
 }
@@ -147,20 +139,20 @@ impl Session {
             "seed" => {
                 let rest = rest.trim();
                 if rest == "off" || rest.is_empty() {
-                    self.seed = None;
+                    self.eval.seed = None;
                     Ok(Reply::Text("oracle: canonical".into()))
                 } else {
                     let n: u64 = rest
                         .parse()
                         .map_err(|_| ":seed expects a number or `off`")?;
-                    self.seed = Some(n);
+                    self.eval.seed = Some(n);
                     Ok(Reply::Text(format!("oracle: seeded({n})")))
                 }
             }
             "threads" => {
                 let rest = rest.trim();
                 if rest == "auto" || rest.is_empty() {
-                    self.threads = None;
+                    self.eval.threads = None;
                     Ok(Reply::Text("threads: auto".into()))
                 } else {
                     let n: usize = rest
@@ -168,7 +160,7 @@ impl Session {
                         .ok()
                         .filter(|&n| n > 0)
                         .ok_or(":threads expects a positive number or `auto`")?;
-                    self.threads = Some(n);
+                    self.eval.threads = Some(n);
                     Ok(Reply::Text(format!("threads: {n}")))
                 }
             }
@@ -188,29 +180,29 @@ impl Session {
             "timeout" => {
                 let rest = rest.trim();
                 if rest == "off" || rest.is_empty() {
-                    self.timeout = None;
+                    self.eval.limits.deadline = None;
                     Ok(Reply::Text("timeout: off".into()))
                 } else {
                     let d = parse_duration(rest).map_err(|e| format!(":timeout: {e}"))?;
-                    self.timeout = Some(d);
+                    self.eval.limits.deadline = Some(d);
                     Ok(Reply::Text(format!("timeout: {}ms", d.as_millis())))
                 }
             }
             "backend" => {
                 let rest = rest.trim();
                 if !rest.is_empty() {
-                    self.backend =
+                    self.eval.backend =
                         parse_backend_name(rest).map_err(|e| format!(":backend: {e}"))?;
                 }
-                Ok(Reply::Text(format!("backend: {}", self.backend)))
+                Ok(Reply::Text(format!("backend: {}", self.eval.backend)))
             }
             "strategy" => {
                 let rest = rest.trim();
                 if !rest.is_empty() {
-                    self.strategy =
+                    self.eval.strategy =
                         parse_strategy_name(rest).map_err(|e| format!(":strategy: {e}"))?;
                 }
-                Ok(Reply::Text(format!("strategy: {}", self.strategy)))
+                Ok(Reply::Text(format!("strategy: {}", self.eval.strategy)))
             }
             "analyze" => self.analyze(),
             "all" | "a" => self.query(rest.trim().trim_end_matches('.').trim(), true),
@@ -293,12 +285,7 @@ impl Session {
         let program = ValidatedProgram::parse(&self.rules.join("\n"), Arc::clone(&self.interner))
             .map_err(|e| e.to_string())?;
         let query = Query::new(program, pred).map_err(|e| e.to_string())?;
-        let mut options = options_for(self.threads)
-            .backend(self.backend)
-            .strategy(self.strategy);
-        if let Some(t) = self.timeout {
-            options = options.deadline(t);
-        }
+        let (options, mut oracle) = self.eval.options(self.profile);
         // A fresh token per query: a Ctrl-C from a previous (finished)
         // evaluation must not cancel this one.
         let token = signal::token();
@@ -306,7 +293,7 @@ impl Session {
         if all {
             let answers = query
                 .session(&self.db)
-                .options(options.budget(EnumBudget::default()))
+                .options(options)
                 .cancel_token(token)
                 .all_answers()
                 .map_err(|e| e.to_string())?;
@@ -325,10 +312,9 @@ impl Session {
             }
             Ok(Reply::Text(text))
         } else {
-            let mut oracle = oracle_for(self.seed);
             let result = query
                 .session(&self.db)
-                .options(options.profile(self.profile))
+                .options(options)
                 .cancel_token(token)
                 .run_with(oracle.as_mut())
                 .map_err(|e| e.to_string())?;

@@ -13,9 +13,10 @@ use idlog_core::CancelToken;
 
 static TOKEN: OnceLock<CancelToken> = OnceLock::new();
 
-/// The process-wide cancellation token. Call [`CancelToken::reset`] before
-/// each interactive evaluation so a stale Ctrl-C does not cancel the next
-/// query.
+/// The process-wide cancellation token. The REPL calls
+/// [`CancelToken::reset`] before each query so a stale Ctrl-C does not
+/// cancel the next one; a one-shot command never resets it, so a Ctrl-C
+/// during loading still stops its evaluation.
 pub fn token() -> CancelToken {
     TOKEN.get_or_init(CancelToken::new).clone()
 }

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use idlog_cli::{commands, load, Args, Command, LimitOpts, RunOpts};
+use idlog_cli::{commands, load, Args, Command, EvalFlags, RunOpts};
 
 /// A per-test scratch directory (cleaned up on drop).
 struct Scratch {
@@ -84,14 +84,14 @@ fn run_query_end_to_end() {
     let mut all = RunOpts::new(&program, "two");
     all.facts = Some(facts.clone());
     all.all = true;
-    all.max_models = Some(100);
-    all.threads = Some(2);
+    all.eval.budget.max_models = 100;
+    all.eval.threads = Some(2);
     commands::run_query(&all, &mut std::io::sink()).unwrap();
     // Seeded, with the profile table.
     let mut seeded = RunOpts::new(&program, "two");
     seeded.facts = Some(facts.clone());
-    seeded.seed = Some(7);
-    seeded.threads = Some(1);
+    seeded.eval.seed = Some(7);
+    seeded.eval.threads = Some(1);
     seeded.profile = true;
     commands::run_query(&seeded, &mut std::io::sink()).unwrap();
 }
@@ -104,14 +104,14 @@ fn run_query_limit_trip_maps_to_limit_exit_class() {
     // A round ceiling on a diverging program: the error is classified as a
     // limit trip (exit 3), not an ordinary failure, and names the flag.
     let mut rounds = RunOpts::new(&program, "count");
-    rounds.limits.max_rounds = Some(5);
+    rounds.eval.limits.max_rounds = Some(5);
     let err = commands::run_query(&rounds, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
 
     // Same for a tuple ceiling.
     let mut tuples = RunOpts::new(&program, "count");
-    tuples.limits.max_tuples = Some(10);
+    tuples.eval.limits.max_tuples = Some(10);
     let err = commands::run_query(&tuples, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-tuples"), "{err:?}");
@@ -121,9 +121,9 @@ fn run_query_limit_trip_maps_to_limit_exit_class() {
     let facts = s.file("f.idl", "emp(a, d). emp(b, d).");
     let mut ok = RunOpts::new(&fine, "two");
     ok.facts = Some(facts);
-    ok.limits.max_rounds = Some(1_000);
-    ok.limits.max_tuples = Some(1_000_000);
-    ok.limits.timeout = Some(std::time::Duration::from_secs(60));
+    ok.eval.limits.max_rounds = Some(1_000);
+    ok.eval.limits.max_tuples = Some(1_000_000);
+    ok.eval.limits.deadline = Some(std::time::Duration::from_secs(60));
     commands::run_query(&ok, &mut std::io::sink()).unwrap();
 }
 
@@ -144,7 +144,7 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     // Certified point query: magic evaluates and agrees with direct.
     let mut opts = RunOpts::new(&program, "q");
     opts.facts = Some(facts.clone());
-    opts.strategy = Some(idlog_core::Strategy::Magic);
+    opts.eval.strategy = idlog_core::Strategy::Magic;
     commands::run_query(&opts, &mut std::io::sink()).unwrap();
 
     // A choice site in the related region refuses with a witness (exit 1).
@@ -156,7 +156,7 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     let likes = s.file("l.idl", "likes(ann, tea).");
     let mut opts = RunOpts::new(&blocked, "q");
     opts.facts = Some(likes);
-    opts.strategy = Some(idlog_core::Strategy::Magic);
+    opts.eval.strategy = idlog_core::Strategy::Magic;
     let err = commands::run_query(&opts, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 1, "{err:?}");
     assert!(err.message().contains("choice site"), "{err:?}");
@@ -165,8 +165,8 @@ fn run_query_strategy_magic_succeeds_and_refuses() {
     // A governor trip under magic still maps to the limit exit class (3).
     let mut tripped = RunOpts::new(&program, "q");
     tripped.facts = Some(facts);
-    tripped.strategy = Some(idlog_core::Strategy::Magic);
-    tripped.limits.max_rounds = Some(1);
+    tripped.eval.strategy = idlog_core::Strategy::Magic;
+    tripped.eval.limits.max_rounds = Some(1);
     let err = commands::run_query(&tripped, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
@@ -199,10 +199,14 @@ fn explain_command_plain_and_analyze() {
          pick(X) :- reach[](X, 0).",
     );
     let facts = s.file("f.idl", "start(a). e(a, b).");
-    let none = LimitOpts::default();
-    commands::explain(&program, None, false, None, None, &none).unwrap();
-    commands::explain(&program, Some(&facts), true, None, Some(1), &none).unwrap();
-    assert!(commands::explain("/nonexistent/x.idl", None, false, None, None, &none).is_err());
+    let none = EvalFlags::default();
+    let serial = EvalFlags {
+        threads: Some(1),
+        ..EvalFlags::default()
+    };
+    commands::explain(&program, None, false, &none).unwrap();
+    commands::explain(&program, Some(&facts), true, &serial).unwrap();
+    assert!(commands::explain("/nonexistent/x.idl", None, false, &none).is_err());
 }
 
 /// `explain --analyze` takes `run`'s governor flags: on a diverging
@@ -211,11 +215,15 @@ fn explain_command_plain_and_analyze() {
 #[test]
 fn explain_analyze_stops_a_diverging_program_at_its_limits() {
     let diverge = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs/diverge.idl");
-    let rounds = LimitOpts {
-        max_rounds: Some(5),
-        ..LimitOpts::default()
+    let rounds = EvalFlags {
+        threads: Some(1),
+        limits: idlog_core::Limits {
+            max_rounds: Some(5),
+            ..idlog_core::Limits::none()
+        },
+        ..EvalFlags::default()
     };
-    let err = commands::explain(diverge, None, true, None, Some(1), &rounds).unwrap_err();
+    let err = commands::explain(diverge, None, true, &rounds).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert_eq!(err.message(), "limit exceeded: max-rounds");
 
@@ -230,6 +238,88 @@ fn explain_analyze_stops_a_diverging_program_at_its_limits() {
     assert!(
         stdout.contains("-- termination: possibly diverging (W020)"),
         "{stdout}"
+    );
+}
+
+/// Ctrl-C stops `run` and `explain --analyze` alike on a program that
+/// never ends on its own, whenever it arrives after the handler is
+/// installed (even while the program loads): what was derived up to the
+/// last completed round still prints, and the exit code is 130.
+#[cfg(unix)]
+#[test]
+fn sigint_stops_run_and_explain_with_exit_130() {
+    use std::process::{Command as Process, Stdio};
+    use std::time::{Duration, Instant};
+
+    let s = Scratch::new("sigint");
+    let diverge = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs/diverge.idl");
+    let interrupt = |args: &[&str]| -> (String, String) {
+        let (out_path, err_path) = (s.dir.join("out"), s.dir.join("err"));
+        let mut child = Process::new(env!("CARGO_BIN_EXE_idlog"))
+            .args(args)
+            .stdout(Stdio::from(std::fs::File::create(&out_path).unwrap()))
+            .stderr(Stdio::from(std::fs::File::create(&err_path).unwrap()))
+            .spawn()
+            .unwrap();
+        // Signal once the handler is installed: Linux lists SIGINT (bit 1)
+        // among the caught signals in /proc; elsewhere, allow a second.
+        let status = format!("/proc/{}/status", child.id());
+        let started = Instant::now();
+        loop {
+            let Ok(text) = std::fs::read_to_string(&status) else {
+                std::thread::sleep(Duration::from_secs(1));
+                break;
+            };
+            let caught = text
+                .lines()
+                .find_map(|l| l.strip_prefix("SigCgt:"))
+                .and_then(|mask| u64::from_str_radix(mask.trim(), 16).ok());
+            if caught.is_some_and(|mask| mask & 0b10 != 0) {
+                break;
+            }
+            assert!(started.elapsed() < Duration::from_secs(10), "no handler");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let sent = Process::new("kill")
+            .args(["-INT", &child.id().to_string()])
+            .status()
+            .unwrap();
+        assert!(sent.success(), "{args:?}");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let code = loop {
+            if let Some(exit) = child.try_wait().unwrap() {
+                break exit.code();
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{args:?} ignored SIGINT");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let stderr = std::fs::read_to_string(&err_path).unwrap();
+        assert_eq!(code, Some(130), "{args:?}: {stderr}");
+        (std::fs::read_to_string(&out_path).unwrap(), stderr)
+    };
+
+    let (stdout, stderr) = interrupt(&["run", diverge, "--output", "count"]);
+    // The partial result: `count(0)` … up to the last completed round.
+    for (i, line) in stdout.lines().enumerate() {
+        assert_eq!(line, format!("count({i})"));
+    }
+    assert!(
+        stderr.contains("-- partial result up to the last completed round (interrupted)"),
+        "{stderr}"
+    );
+
+    let (stdout, stderr) = interrupt(&["explain", diverge, "--analyze"]);
+    assert!(
+        stdout.contains("-- termination: possibly diverging (W020)"),
+        "{stdout}"
+    );
+    assert!(
+        stderr.contains("-- counters up to the last completed round (interrupted)"),
+        "{stderr}"
     );
 }
 
@@ -398,7 +488,7 @@ fn run_query_limit_trip_still_writes_the_partial_rows() {
     let s = Scratch::new("partial");
     let program = s.file("p.idl", "count(0). count(M) :- count(N), plus(N, 1, M).");
     let mut opts = RunOpts::new(&program, "count");
-    opts.limits.max_rounds = Some(4);
+    opts.eval.limits.max_rounds = Some(4);
     let (result, out) = run_captured(&opts);
     assert_eq!(result.unwrap_err().exit_code(), 3);
     // Four completed rounds: the fact plus three increments, in int order.

@@ -32,8 +32,8 @@ fn sampling_program_runs() {
     let mut all = idlog_cli::RunOpts::new(path("sampling.idl"), "select_two_emp");
     all.facts = Some(path("company.facts"));
     all.all = true;
-    all.max_models = Some(10_000);
-    all.threads = Some(2);
+    all.eval.budget.max_models = 10_000;
+    all.eval.threads = Some(2);
     idlog_cli::commands::run_query(&all, &mut std::io::sink()).unwrap();
 }
 
@@ -136,7 +136,7 @@ fn diverge_program_lints_clean_and_trips_limits() {
     // And `idlog run` on it under a round ceiling exits via the limit
     // class (exit code 3), carrying the partial result to stdout.
     let mut opts = idlog_cli::RunOpts::new(path("diverge.idl"), "count");
-    opts.limits.max_rounds = Some(50);
+    opts.eval.limits.max_rounds = Some(50);
     let err = idlog_cli::commands::run_query(&opts, &mut std::io::sink()).unwrap_err();
     assert_eq!(err.exit_code(), 3, "{err:?}");
     assert!(err.message().contains("max-rounds"), "{err:?}");
@@ -178,9 +178,9 @@ fn seeded_samples_are_pinned_in_every_configuration() {
             for threads in [1usize, 4] {
                 let mut opts = idlog_cli::RunOpts::new(program.clone(), *output);
                 opts.facts = Some(path("company.facts"));
-                opts.seed = Some(7);
-                opts.threads = Some(threads);
-                opts.backend = Some(backend);
+                opts.eval.seed = Some(7);
+                opts.eval.threads = Some(threads);
+                opts.eval.backend = backend;
                 let mut printed: Vec<u8> = Vec::new();
                 idlog_cli::commands::run_query(&opts, &mut printed).unwrap();
                 assert_eq!(
@@ -235,9 +235,9 @@ fn corpus_output(
         printed.extend_from_slice(format!("% --output {output}\n").as_bytes());
         let mut opts = idlog_cli::RunOpts::new(path(&case.program), &output);
         opts.facts = case.facts.as_deref().map(path);
-        opts.threads = Some(threads);
-        opts.backend = Some(backend);
-        opts.limits.max_rounds = diverges.then_some(DIVERGING_ROUNDS);
+        opts.eval.threads = Some(threads);
+        opts.eval.backend = backend;
+        opts.eval.limits.max_rounds = diverges.then_some(DIVERGING_ROUNDS);
         let result = idlog_cli::commands::run_query(&opts, &mut printed);
         match (diverges, result) {
             (false, Ok(())) => {}
@@ -306,7 +306,7 @@ const CORPUS_COUNTERS: [(&str, u64, u64); 7] = [
 /// every configuration.
 #[test]
 fn corpus_counters_agree_across_threads_and_backends() {
-    use idlog_core::{BackendKind, CoreError, EvalOptions, LimitKind};
+    use idlog_core::{BackendKind, EvalError, EvalOptions, LimitKind, Limits};
 
     let mut checked = 0;
     for case in idlog_suite::corpus(&programs_dir()).unwrap() {
@@ -334,14 +334,18 @@ fn corpus_counters_agree_across_threads_and_backends() {
             for threads in [1usize, 2, 4] {
                 let mut options = EvalOptions::new().backend(backend).threads(threads);
                 if diverges {
-                    options = options.max_rounds(DIVERGING_ROUNDS);
+                    options = options.limits(Limits {
+                        max_rounds: Some(DIVERGING_ROUNDS),
+                        ..Limits::none()
+                    });
                 }
                 let config = format!("{} --threads {threads} --backend {backend}", case.program);
-                let outcome = idlog_core::evaluate_with_options(
+                let outcome = idlog_core::evaluate_governed(
                     &program,
                     &db,
                     &mut idlog_core::CanonicalOracle,
                     &options,
+                    None,
                 );
                 match (pinned, outcome) {
                     (Some(want), Ok(out)) => {
@@ -353,8 +357,9 @@ fn corpus_counters_agree_across_threads_and_backends() {
                     }
                     (
                         None,
-                        Err(CoreError::LimitExceeded {
+                        Err(EvalError::Limit {
                             limit: LimitKind::Rounds,
+                            ..
                         }),
                     ) => {}
                     (_, other) => panic!("{config}: {other:?}"),
@@ -390,11 +395,12 @@ fn shipped_programs_equal_the_reference_model() {
             .unwrap_or_default();
         let mut db = idlog_core::Database::with_interner(program.interner().clone());
         idlog_core::load_facts(&facts, &mut db).unwrap();
-        let out = idlog_core::evaluate_with_options(
+        let out = idlog_core::evaluate_governed(
             &program,
             &db,
             &mut idlog_core::CanonicalOracle,
             &idlog_core::EvalOptions::new(),
+            None,
         )
         .unwrap();
         let src = std::fs::read_to_string(path(&case.program)).unwrap();

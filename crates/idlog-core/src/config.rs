@@ -1,7 +1,7 @@
-//! Evaluation options: the single knob surface shared by evaluation
-//! ([`crate::eval::evaluate_with_options`]), enumeration
-//! ([`crate::enumerate::enumerate_with_options`]), and the session API
-//! ([`crate::query::Session`]).
+//! Evaluation options: the single knob surface of the session API
+//! ([`crate::query::Session`]), which evaluates one model or enumerates
+//! them all, and of the whole-model evaluation it runs
+//! ([`crate::eval::evaluate_governed`]).
 //!
 //! Determinism contract: neither the thread count nor profiling changes
 //! what is computed. Round work lists are built in a fixed (plan, step,
@@ -11,7 +11,6 @@
 //! identical for any `threads` value.
 
 use std::num::NonZeroUsize;
-use std::time::Duration;
 
 use idlog_storage::BackendKind;
 
@@ -125,34 +124,11 @@ impl EvalOptions {
         self
     }
 
-    /// Replace every resource ceiling at once.
+    /// Replace every resource ceiling at once: set the ones wanted and
+    /// leave the rest to [`Limits::none`], as in
+    /// `Limits { max_rounds: Some(9), ..Limits::none() }`.
     pub fn limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Set a wall-clock budget for the evaluation.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.limits.deadline = Some(deadline);
-        self
-    }
-
-    /// Cap the number of semi-naive fixpoint rounds (cumulative across
-    /// strata).
-    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.limits.max_rounds = Some(max_rounds);
-        self
-    }
-
-    /// Cap the number of newly derived tuples.
-    pub fn max_tuples(mut self, max_tuples: u64) -> Self {
-        self.limits.max_tuples = Some(max_tuples);
-        self
-    }
-
-    /// Cap the estimated bytes of stored tuples.
-    pub fn max_bytes(mut self, max_bytes: u64) -> Self {
-        self.limits.max_bytes = Some(max_bytes);
         self
     }
 
@@ -185,6 +161,7 @@ fn resolve_threads(threads: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn explicit_threads_win() {
@@ -200,6 +177,12 @@ mod tests {
 
     #[test]
     fn builder_sets_every_field() {
+        let limits = Limits {
+            deadline: Some(Duration::from_millis(250)),
+            max_rounds: Some(9),
+            max_tuples: Some(1_000),
+            max_bytes: Some(1 << 20),
+        };
         let opts = EvalOptions::new()
             .strategy(Strategy::Magic)
             .threads(3)
@@ -210,10 +193,7 @@ mod tests {
             })
             .det_fastpath(false)
             .backend(BackendKind::Columnar)
-            .deadline(Duration::from_millis(250))
-            .max_rounds(9)
-            .max_tuples(1_000)
-            .max_bytes(1 << 20);
+            .limits(limits);
         assert_eq!(opts.strategy, Strategy::Magic);
         assert_eq!(opts.threads, 3);
         assert!(opts.profile);
@@ -222,10 +202,7 @@ mod tests {
         assert!(!opts.det_fastpath);
         assert_eq!(opts.backend, BackendKind::Columnar);
         assert_eq!(EvalOptions::new().backend, BackendKind::Hash);
-        assert_eq!(opts.limits.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(opts.limits.max_rounds, Some(9));
-        assert_eq!(opts.limits.max_tuples, Some(1_000));
-        assert_eq!(opts.limits.max_bytes, Some(1 << 20));
+        assert_eq!(opts.limits, limits);
         assert!(EvalOptions::new().det_fastpath);
         assert!(EvalOptions::new().limits.is_unlimited());
     }
@@ -236,7 +213,12 @@ mod tests {
             max_rounds: Some(4),
             ..Limits::none()
         };
-        let opts = EvalOptions::new().max_tuples(5).limits(limits);
+        let tuples_only = Limits {
+            max_tuples: Some(5),
+            ..Limits::none()
+        };
+        // A ceiling left unset by the second call is lifted again.
+        let opts = EvalOptions::new().limits(tuples_only).limits(limits);
         assert_eq!(opts.limits, limits);
     }
 }

@@ -179,57 +179,92 @@ impl AnswerSet {
     }
 }
 
-/// Enumerate every answer of `output` over `db` under [`EvalOptions`]: the
-/// options' budget bounds the walk, and the configured thread budget drives
-/// the first choice point's fan-out (whatever is not consumed by branching
-/// parallelizes the per-branch fixpoint rounds). Profiling does not apply
-/// to enumeration and is ignored.
+/// Every answer of a query, by backtracking over its ID-functions: the
+/// walk behind [`crate::Session::all_answers`], its only caller.
 ///
-/// ```
-/// use idlog_core::Query;
-///
-/// // Example 2 of the paper: guessing everyone's sex.
-/// let q = Query::parse(
-///     "sex_guess(X, male) :- person(X).
-///      sex_guess(X, female) :- person(X).
-///      man(X) :- sex_guess[1](X, male, 1).",
-///     "man",
-/// ).unwrap();
-/// let mut db = q.new_database();
-/// db.insert_syms("person", &["a"]).unwrap();
-/// db.insert_syms("person", &["b"]).unwrap();
-///
-/// let answers = q.session(&db).all_answers().unwrap();
-/// assert_eq!(answers.len(), 4); // ∅, {a}, {b}, {a, b}
-/// assert!(answers.complete());
-/// ```
-pub fn enumerate_with_options(
-    program: &ValidatedProgram,
-    db: &Database,
-    output: &str,
-    options: &EvalOptions,
-) -> CoreResult<AnswerSet> {
-    enumerate_governed(program, db, output, options, None)
-}
-
-/// [`enumerate_with_options`] plus governance: the options'
+/// `program` is the query's related program `P/q` and `output` its output
+/// predicate, which has a defining clause there (the session answers an
+/// input predicate itself). The options' budget bounds the walk, their
 /// [`Limits`](crate::Limits) bound each branch's fixpoint and the whole walk
-/// (deadline), and `cancel` lets a signal handler or embedder stop the walk.
+/// (deadline), and `cancel` lets a signal handler or embedder stop it. The
+/// configured thread budget drives the first choice point's fan-out
+/// (whatever is not consumed by branching parallelizes the per-branch
+/// fixpoint rounds). Profiling does not apply to enumeration and is
+/// ignored.
 ///
 /// Limit trips and cancellations are **not errors** here: enumeration is
 /// a bounded walk by design, so they end the walk the same way the model
 /// budget does, and the returned set reports the reason through
-/// [`AnswerSet::stopped`]. Only real failures (validation, arithmetic,
-/// contained panics) return `Err`.
-pub fn enumerate_governed(
+/// [`AnswerSet::stopped`]. Only real failures (arithmetic, contained
+/// panics) return `Err`.
+pub(crate) fn enumerate_governed(
     program: &ValidatedProgram,
     db: &Database,
-    output: &str,
+    output: SymbolId,
     options: &EvalOptions,
     cancel: Option<&CancelToken>,
 ) -> CoreResult<AnswerSet> {
     let governor = Governor::new(options.limits, cancel.cloned());
-    enumerate_impl(program, db, output, &options.budget, options, &governor)
+    let interner = program.interner();
+    let strat = program.stratification();
+    let plans = program.plans();
+    let by_stratum = strat.clauses_by_stratum(program.ast());
+    let stratum_plans: Vec<Vec<&RulePlan>> = by_stratum
+        .iter()
+        .map(|cs| cs.iter().map(|&ci| &plans[ci]).collect())
+        .collect();
+
+    let mut state = EvalState::new();
+    eval::install_for_enumeration(program, db, &mut state, options.backend)?;
+
+    let shared = Shared {
+        budget: options.budget,
+        models: AtomicU64::new(0),
+        stop: AtomicU8::new(0),
+    };
+
+    let cx = Cx {
+        stratum_plans: &stratum_plans,
+        interner,
+        output,
+        shared: &shared,
+        // Footnote 6/7 optimization: ID-uses whose tids are provably
+        // bounded enumerate k-prefix arrangements instead of full
+        // permutations.
+        bounds: program.tid_bounds(),
+        governor: &governor,
+    };
+    // Cap the fan-out: beyond a small pool the branch chunks stop amortizing
+    // the per-branch state clone.
+    let threads = options.effective_threads().min(16);
+    let mut local = Local::default();
+    // The walk is contained: a panic anywhere below surfaces as a clean
+    // `Internal` error instead of aborting the caller. Parallel branch
+    // workers are additionally contained at their join points in `branch`.
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        explore(&cx, 0, state, threads, &mut local)
+    })) {
+        Ok(result) => result?,
+        Err(payload) => {
+            return Err(CoreError::Internal {
+                clause: None,
+                message: format!("enumeration panicked: {}", panic_message(payload)),
+            })
+        }
+    }
+
+    // `Local` already deduplicates within one worker; parallel workers merge
+    // their sinks in `branch`, so at this point `local` holds everything.
+    if local.answers.len() > options.budget.max_answers {
+        local.answers.truncate(options.budget.max_answers);
+        shared.stop_with(StopReason::Limit(LimitKind::Answers));
+    }
+    Ok(AnswerSet::collect_stopped(
+        local.answers,
+        shared.stopped(),
+        shared.models.load(Ordering::Relaxed),
+        interner,
+    ))
 }
 
 /// `Shared::stop` encoding: `0` = still walking; otherwise a [`StopReason`].
@@ -304,104 +339,6 @@ impl Shared {
 struct Local {
     keys: FxHashSet<Vec<Tuple>>,
     answers: Vec<Relation>,
-}
-
-fn enumerate_impl(
-    program: &ValidatedProgram,
-    db: &Database,
-    output: &str,
-    budget: &EnumBudget,
-    options: &EvalOptions,
-    governor: &Governor,
-) -> CoreResult<AnswerSet> {
-    let interner = Arc::clone(program.interner());
-    let output_id = interner.get(output).ok_or_else(|| CoreError::Validation {
-        clause: None,
-        message: format!("output predicate {output} does not occur in the program"),
-    })?;
-
-    // Only the program portion related to the output contributes choice
-    // points or answers (the paper's P/q).
-    let restricted = program.restrict_to(output_id)?;
-    if restricted.arity(output_id).is_none() {
-        // No clause defines the output: either it is an input predicate
-        // (the identity query — one answer, the stored relation) or it does
-        // not occur at all.
-        return match program.arity(output_id) {
-            Some(arity) => {
-                let rel = db
-                    .relation_by_id(output_id)
-                    .cloned()
-                    .unwrap_or_else(|| Relation::elementary(arity));
-                Ok(AnswerSet::collect([rel], true, 1, &interner))
-            }
-            None => Err(CoreError::Validation {
-                clause: None,
-                message: format!("output predicate {output} does not occur in the program"),
-            }),
-        };
-    }
-
-    let strat = restricted.stratification();
-    let plans = restricted.plans();
-    let by_stratum = strat.clauses_by_stratum(restricted.ast());
-    let stratum_plans: Vec<Vec<&RulePlan>> = by_stratum
-        .iter()
-        .map(|cs| cs.iter().map(|&ci| &plans[ci]).collect())
-        .collect();
-
-    let mut state = EvalState::new();
-    eval::install_for_enumeration(&restricted, db, &mut state, options.backend)?;
-
-    // Footnote 6/7 optimization: ID-uses whose tids are provably bounded
-    // enumerate k-prefix arrangements instead of full permutations.
-    let bounds = restricted.tid_bounds();
-
-    let shared = Shared {
-        budget: *budget,
-        models: AtomicU64::new(0),
-        stop: AtomicU8::new(0),
-    };
-
-    let cx = Cx {
-        stratum_plans: &stratum_plans,
-        interner: &interner,
-        output: output_id,
-        shared: &shared,
-        bounds,
-        governor,
-    };
-    // Cap the fan-out: beyond a small pool the branch chunks stop amortizing
-    // the per-branch state clone.
-    let threads = options.effective_threads().min(16);
-    let mut local = Local::default();
-    // The walk is contained: a panic anywhere below surfaces as a clean
-    // `Internal` error instead of aborting the caller. Parallel branch
-    // workers are additionally contained at their join points in `branch`.
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        explore(&cx, 0, state, threads, &mut local)
-    })) {
-        Ok(result) => result?,
-        Err(payload) => {
-            return Err(CoreError::Internal {
-                clause: None,
-                message: format!("enumeration panicked: {}", panic_message(payload)),
-            })
-        }
-    }
-
-    // `Local` already deduplicates within one worker; parallel workers merge
-    // their sinks in `branch`, so at this point `local` holds everything.
-    if local.answers.len() > budget.max_answers {
-        local.answers.truncate(budget.max_answers);
-        shared.stop_with(StopReason::Limit(LimitKind::Answers));
-    }
-    Ok(AnswerSet::collect_stopped(
-        local.answers,
-        shared.stopped(),
-        shared.models.load(Ordering::Relaxed),
-        &interner,
-    ))
 }
 
 /// Shared read-only context for the recursive walk.
@@ -607,6 +544,7 @@ fn branch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Query;
 
     fn setup(src: &str, facts: &[(&str, &[&str])]) -> (ValidatedProgram, Database) {
         let interner = Arc::new(Interner::new());
@@ -618,13 +556,36 @@ mod tests {
         (program, db)
     }
 
+    /// All answers through the session, with the certified-deterministic
+    /// fast path off so that every test walks the ID-functions.
+    fn answers(
+        program: &ValidatedProgram,
+        db: &Database,
+        output: &str,
+        options: EvalOptions,
+        cancel: Option<CancelToken>,
+    ) -> CoreResult<AnswerSet> {
+        let query = Query::new(program.clone(), output)?;
+        let mut session = query.session(db).options(options.det_fastpath(false));
+        if let Some(token) = cancel {
+            session = session.cancel_token(token);
+        }
+        session.all_answers()
+    }
+
     fn enumerate(
         program: &ValidatedProgram,
         db: &Database,
         output: &str,
         budget: &EnumBudget,
     ) -> CoreResult<AnswerSet> {
-        enumerate_with_options(program, db, output, &EvalOptions::serial().budget(*budget))
+        answers(
+            program,
+            db,
+            output,
+            EvalOptions::serial().budget(*budget),
+            None,
+        )
     }
 
     #[test]
@@ -762,8 +723,11 @@ mod tests {
             "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
             &[("e", &["a", "b"]), ("e", &["b", "c"])],
         );
-        let opts = EvalOptions::serial().deadline(std::time::Duration::ZERO);
-        let answers = enumerate_governed(&p, &db, "tc", &opts, None).unwrap();
+        let opts = EvalOptions::serial().limits(crate::Limits {
+            deadline: Some(std::time::Duration::ZERO),
+            ..crate::Limits::none()
+        });
+        let answers = answers(&p, &db, "tc", opts, None).unwrap();
         assert!(!answers.complete());
         assert_eq!(
             answers.stopped(),
@@ -779,8 +743,7 @@ mod tests {
         );
         let token = CancelToken::new();
         token.cancel();
-        let answers =
-            enumerate_governed(&p, &db, "tc", &EvalOptions::serial(), Some(&token)).unwrap();
+        let answers = answers(&p, &db, "tc", EvalOptions::serial(), Some(token)).unwrap();
         assert!(!answers.complete());
         assert_eq!(answers.stopped(), Some(StopReason::Cancelled));
     }
@@ -795,8 +758,7 @@ mod tests {
         );
         let budget = EnumBudget::default();
         let seq = enumerate(&p, &db, "man", &budget).unwrap();
-        let par =
-            enumerate_with_options(&p, &db, "man", &EvalOptions::new().budget(budget)).unwrap();
+        let par = answers(&p, &db, "man", EvalOptions::new().budget(budget), None).unwrap();
         assert_eq!(
             seq.to_sorted_strings(p.interner()),
             par.to_sorted_strings(p.interner())

@@ -133,26 +133,24 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Compute the perfect model of `program` on `db` under `oracle`'s tid
-/// choices, governed by [`EvalOptions`] (threads, backend, profiling;
-/// the strategy is [`crate::Query`]'s to apply before this call).
+/// The whole-model evaluation: compute the perfect model of `program` on
+/// `db` under `oracle`'s tid choices, governed by [`EvalOptions`]
+/// (threads, backend, profiling, limits).
+///
+/// This is what [`crate::Session`] runs once it has restricted a query to
+/// its related program `P/q`, installed the certified round ceiling and
+/// applied the strategy. To get a query's answers, go through
+/// [`crate::Query::session`]; call this directly only to read *every*
+/// relation of a model — `idlog explain --analyze` annotates each clause,
+/// and the determinism and reference suites compare whole models.
 ///
 /// `db` must share the program's interner (build it with
 /// `Database::with_interner(program.interner().clone())`). Neither the
 /// thread count nor profiling changes the computed relations or statistics
 /// — rounds merge worker output in deterministic work-item order, and the
 /// profile (wall time excepted) inherits that determinism.
-pub fn evaluate_with_options(
-    program: &ValidatedProgram,
-    db: &Database,
-    oracle: &mut dyn TidOracle,
-    options: &EvalOptions,
-) -> CoreResult<EvalOutput> {
-    evaluate_governed(program, db, oracle, options, None).map_err(EvalError::into_core)
-}
-
-/// [`evaluate_with_options`] under full resource governance: a
-/// [`Governor`] built from `options.limits` (plus the optional
+///
+/// A [`Governor`] built from `options.limits` (plus the optional
 /// [`CancelToken`]) is checked by every worker, and a limit trip or
 /// cancellation returns [`EvalError::Limit`]/[`EvalError::Cancelled`]
 /// carrying the **partial output** — relations, [`EvalStats`], and profile
@@ -506,7 +504,8 @@ mod tests {
         db: &Database,
         oracle: &mut dyn TidOracle,
     ) -> CoreResult<EvalOutput> {
-        evaluate_with_options(program, db, oracle, &EvalOptions::default())
+        evaluate_governed(program, db, oracle, &EvalOptions::default(), None)
+            .map_err(EvalError::into_core)
     }
 
     fn names(out: &EvalOutput, rel: &str) -> Vec<String> {
@@ -689,11 +688,12 @@ mod tests {
         let plain = run(&p, &db, &mut CanonicalOracle).unwrap();
         assert!(plain.profile().is_none(), "profiling must be opt-in");
 
-        let out = evaluate_with_options(
+        let out = evaluate_governed(
             &p,
             &db,
             &mut CanonicalOracle,
             &EvalOptions::new().profile(true),
+            None,
         )
         .unwrap();
         let profile = out.profile().expect("profile requested");

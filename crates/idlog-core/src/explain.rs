@@ -142,7 +142,7 @@ fn render(program: &ValidatedProgram, profile: Option<&Profile>) -> CoreResult<S
 mod tests {
     use super::*;
     use crate::config::EvalOptions;
-    use crate::eval::evaluate_with_options;
+    use crate::eval::evaluate_governed;
     use crate::tid::CanonicalOracle;
     use std::sync::Arc;
 
@@ -198,11 +198,12 @@ mod tests {
         db.insert_syms("start", &["a"]).unwrap();
         db.insert_syms("e", &["a", "b"]).unwrap();
         db.insert_syms("e", &["b", "c"]).unwrap();
-        let out = evaluate_with_options(
+        let out = evaluate_governed(
             &program,
             &db,
             &mut CanonicalOracle,
             &EvalOptions::serial().profile(true),
+            None,
         )
         .unwrap();
         let profile = out.profile().expect("profiling enabled");

@@ -6,14 +6,18 @@
 //! cooperative pieces:
 //!
 //! - [`Limits`]: caller-imposed ceilings (wall-clock deadline, fixpoint
-//!   rounds, derived tuples, estimated bytes), carried inside
-//!   [`EvalOptions`](crate::EvalOptions).
-//! - [`CancelToken`]: a cloneable flag for Ctrl-C / embedder shutdown.
+//!   rounds, derived tuples, estimated bytes), set all at once with
+//!   [`EvalOptions::limits`](crate::EvalOptions::limits).
+//! - [`CancelToken`]: a cloneable flag for Ctrl-C / embedder shutdown,
+//!   attached with [`Session::cancel_token`](crate::Session::cancel_token).
 //! - [`Governor`]: the shared checker every evaluation thread consults.
 //! - [`EvalError`]: the structured failure returned by
+//!   [`Session::try_run`](crate::Session::try_run) and
 //!   [`evaluate_governed`](crate::evaluate_governed), carrying the partial
 //!   output (relations + [`EvalStats`]) accumulated up to the last completed
-//!   round barrier.
+//!   round barrier. [`Session::all_answers`](crate::Session::all_answers)
+//!   reports the same stops through
+//!   [`AnswerSet::stopped`](crate::AnswerSet::stopped) instead.
 //!
 //! # Determinism
 //!

@@ -11,7 +11,7 @@
 //! choice of ID-functions (a [`tid::TidOracle`]), a stratified program has a
 //! unique perfect model computed bottom-up stratum by stratum; varying the
 //! choice of ID-functions yields the *set* of answers of the
-//! non-deterministic query ([`enumerate`]).
+//! non-deterministic query ([`Session::all_answers`]).
 //!
 //! Pipeline:
 //!
@@ -26,7 +26,13 @@
 //! 3. [`plan`] — each clause becomes an ordered sequence of join steps;
 //! 4. [`eval`] — semi-naive evaluation per stratum, materializing
 //!    ID-relations of lower strata through a [`tid::TidOracle`];
-//! 5. [`query`] — the user-facing API; [`enumerate`] — all answers.
+//! 5. [`query`] — the one way to evaluate a query: [`Query::session`]
+//!    restricts to the related program `P/q`, installs the certified round
+//!    ceiling, takes the certified-deterministic fast path and applies the
+//!    strategy, then returns one answer ([`Session::run`]) or all of them
+//!    ([`Session::all_answers`]). [`evaluate_governed`] is the whole-model
+//!    evaluation a session runs, public for callers that read every
+//!    relation of a model rather than one output.
 
 #![warn(missing_docs)]
 
@@ -57,9 +63,9 @@ pub mod tid;
 pub mod tidbound;
 
 pub use config::{EvalOptions, THREADS_ENV_VAR};
-pub use enumerate::{enumerate_governed, enumerate_with_options, AnswerSet, EnumBudget};
+pub use enumerate::{AnswerSet, EnumBudget};
 pub use error::{CoreError, CoreResult, ErrorCode};
-pub use eval::{evaluate_governed, evaluate_with_options, EvalOutput, Strategy};
+pub use eval::{evaluate_governed, EvalOutput, Strategy};
 pub use explain::{explain, explain_analyze};
 pub use facts::load_facts;
 pub use govern::{CancelToken, EvalError, Governor, LimitKind, Limits, StopReason};

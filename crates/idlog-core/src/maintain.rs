@@ -69,7 +69,8 @@ use crate::engine::{
     absorb, delta_drives, Delta, Derived, Drive, Driven, EvalState, ReadView, Resolved,
 };
 use crate::error::CoreResult;
-use crate::eval::evaluate_with_options;
+use crate::eval::evaluate_governed;
+use crate::govern::EvalError;
 use crate::plan::{RulePlan, Step};
 use crate::pred::PredKey;
 use crate::program::ValidatedProgram;
@@ -238,7 +239,8 @@ impl Materialized {
         db: &Database,
         options: &EvalOptions,
     ) -> CoreResult<Materialized> {
-        let out = evaluate_with_options(program, db, &mut CanonicalOracle, options)?;
+        let out = evaluate_governed(program, db, &mut CanonicalOracle, options, None)
+            .map_err(EvalError::into_core)?;
         let (_, state, stats) = out.into_parts();
         Ok(Materialized {
             program: program.clone(),
@@ -270,7 +272,8 @@ impl Materialized {
     /// Recompute the model from `db` wholesale (also the fallback path of
     /// [`Materialized::apply`]).
     pub fn rebuild(&mut self, db: &Database) -> CoreResult<()> {
-        let out = evaluate_with_options(&self.program, db, &mut CanonicalOracle, &self.options)?;
+        let out = evaluate_governed(&self.program, db, &mut CanonicalOracle, &self.options, None)
+            .map_err(EvalError::into_core)?;
         let (_, state, stats) = out.into_parts();
         self.state = state;
         self.build_stats = stats;
@@ -692,9 +695,14 @@ mod tests {
             };
             outcomes.push(mat.apply(&db, &delta).unwrap());
             // Ground truth: fresh evaluation over the updated database.
-            let fresh =
-                evaluate_with_options(q.related_program(), &db, &mut CanonicalOracle, &options)
-                    .unwrap();
+            let fresh = evaluate_governed(
+                q.related_program(),
+                &db,
+                &mut CanonicalOracle,
+                &options,
+                None,
+            )
+            .unwrap();
             for pred_name in db.predicate_names() {
                 let (Some(a), Some(b)) = (mat.relation(&pred_name), fresh.relation(&pred_name))
                 else {
@@ -891,9 +899,14 @@ mod tests {
             let (outcome, stats) = mat.apply_counted(&db, &delta).unwrap();
             assert_eq!(outcome, MaintainOutcome::Incremental, "{backend:?}");
 
-            let fresh =
-                evaluate_with_options(q.related_program(), &db, &mut CanonicalOracle, &options)
-                    .unwrap();
+            let fresh = evaluate_governed(
+                q.related_program(),
+                &db,
+                &mut CanonicalOracle,
+                &options,
+                None,
+            )
+            .unwrap();
             for pred in ["e", "t"] {
                 let (a, b) = (mat.relation(pred).unwrap(), fresh.relation(pred).unwrap());
                 assert!(a.set_eq(b), "{backend:?}: {pred} diverged");

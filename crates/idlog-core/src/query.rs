@@ -28,9 +28,8 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use idlog_common::Interner;
+use idlog_common::{Interner, SymbolId};
 use idlog_storage::{Database, Relation};
 
 use crate::config::EvalOptions;
@@ -53,6 +52,7 @@ pub struct Query {
     /// certificate, which the sessions read.
     related: ValidatedProgram,
     output: String,
+    output_id: SymbolId,
     /// The goal-directed relevance analysis ([`crate::relevance`]) over
     /// `related`, rooted at the output predicate, with the validated
     /// magic-sets rewrite that [`Strategy::Magic`] sessions evaluate
@@ -131,12 +131,6 @@ impl<'q, 'd> Session<'q, 'd> {
         self
     }
 
-    /// Set a wall-clock budget for the evaluation.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.options = self.options.deadline(deadline);
-        self
-    }
-
     /// Attach a cancellation token: any clone of it can stop this session's
     /// evaluation or enumeration promptly (e.g. from a Ctrl-C handler).
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
@@ -174,13 +168,34 @@ impl<'q, 'd> Session<'q, 'd> {
     /// and [`EvalOptions::det_fastpath`] is on (the default), the answer
     /// set is computed by a single canonical evaluation — no ID-function
     /// enumeration, always complete, `models_explored() == 1`.
+    /// Otherwise the walk backtracks over every ID-function of `P/q`, each
+    /// branch under the certified round ceiling.
     /// Limit trips and cancellations are reported through
     /// [`AnswerSet::stopped`], not as errors: the walk is bounded by design,
     /// so a stop truncates the set the same way the model budget does.
+    ///
+    /// ```
+    /// use idlog_core::Query;
+    ///
+    /// // Example 2 of the paper: guessing everyone's sex.
+    /// let q = Query::parse(
+    ///     "sex_guess(X, male) :- person(X).
+    ///      sex_guess(X, female) :- person(X).
+    ///      man(X) :- sex_guess[1](X, male, 1).",
+    ///     "man",
+    /// ).unwrap();
+    /// let mut db = q.new_database();
+    /// db.insert_syms("person", &["a"]).unwrap();
+    /// db.insert_syms("person", &["b"]).unwrap();
+    ///
+    /// let answers = q.session(&db).all_answers().unwrap();
+    /// assert_eq!(answers.len(), 4); // ∅, {a}, {b}, {a, b}
+    /// assert!(answers.complete());
+    /// ```
     pub fn all_answers(self) -> CoreResult<AnswerSet> {
         let query = self.query;
-        if let Some(answers) = query.edb_answer(self.db) {
-            return Ok(answers);
+        if let Some(rel) = query.edb_relation(self.db) {
+            return Ok(AnswerSet::collect([rel], true, 1, query.interner()));
         }
         if self.options.det_fastpath && query.certified_deterministic() {
             // A stop mid-evaluation yields no complete perfect model, so the
@@ -221,11 +236,12 @@ impl<'q, 'd> Session<'q, 'd> {
         if self.options.strategy == Strategy::Magic && query.magic_plan().is_none() {
             return Err(query.magic_refusal_error());
         }
+        let options = with_round_bound(&query.related, self.db, &self.options);
         enumerate_governed(
             &query.related,
             self.db,
-            &query.output,
-            &self.options,
+            query.output_id,
+            &options,
             self.cancel.as_ref(),
         )
     }
@@ -271,6 +287,7 @@ impl Query {
             program,
             related,
             output: output.to_string(),
+            output_id,
             relevance,
         })
     }
@@ -283,8 +300,7 @@ impl Query {
     /// evaluation instead of enumerating ID-functions (unless
     /// [`EvalOptions::det_fastpath`] is off).
     pub fn certified_deterministic(&self) -> bool {
-        let output = self.program.interner().get(&self.output);
-        output.is_some_and(|id| self.related.taint().deterministic(id))
+        self.related.taint().deterministic(self.output_id)
     }
 
     /// The termination certificate for the related portion `P/q`. When it
@@ -360,19 +376,9 @@ impl Query {
     ) -> Result<EvalResult, EvalError> {
         // An output with no defining clause is an input predicate: the
         // identity query over the stored relation.
-        let output_id = self
-            .program
-            .interner()
-            .get(&self.output)
-            .expect("checked at new()");
-        if self.related.arity(output_id).is_none() {
-            let arity = self.program.arity(output_id).expect("checked at new()");
-            let rel = db
-                .relation_by_id(output_id)
-                .cloned()
-                .unwrap_or_else(|| Relation::elementary(arity));
+        if let Some(relation) = self.edb_relation(db) {
             return Ok(EvalResult {
-                relation: rel,
+                relation,
                 stats: EvalStats::default(),
                 profile: options.profile.then(Profile::empty),
             });
@@ -380,13 +386,7 @@ impl Query {
         if options.strategy == Strategy::Magic {
             return self.eval_magic(db, oracle, options, cancel);
         }
-        // Install the certified depth bound as a static round ceiling: a
-        // correct cert never trips it (the bound over-approximates), and a
-        // buggy one trips deterministically instead of hanging.
-        let mut options = *options;
-        if let Some(bound) = self.related.termination().round_bound(db) {
-            options.limits = options.limits.tighten_rounds(bound);
-        }
+        let options = with_round_bound(&self.related, db, options);
         let mut out = evaluate_governed(&self.related, db, oracle, &options, cancel)?;
         let rel = out
             .take_relation(&self.output)
@@ -414,10 +414,7 @@ impl Query {
         };
         // The rewrite's round structure differs from `related`'s, so it
         // runs under its own certificate's bound.
-        let mut options = *options;
-        if let Some(bound) = magic.termination().round_bound(db) {
-            options.limits = options.limits.tighten_rounds(bound);
-        }
+        let options = with_round_bound(magic, db, options);
         let mut out = evaluate_governed(magic, db, oracle, &options, cancel)?;
         let mut stats = out.stats();
         stats.tuples_pruned = crate::relevance::magic_tuples_pruned(magic, db, &out);
@@ -456,24 +453,38 @@ impl Query {
         }
     }
 
-    /// The single-answer set when the output is an input predicate (no
+    /// The stored relation when the output is an input predicate (no
     /// defining clause): the identity query.
-    fn edb_answer(&self, db: &Database) -> Option<AnswerSet> {
-        let output_id = self
-            .program
-            .interner()
-            .get(&self.output)
-            .expect("checked at new()");
-        if self.related.arity(output_id).is_some() {
+    fn edb_relation(&self, db: &Database) -> Option<Relation> {
+        if self.related.arity(self.output_id).is_some() {
             return None;
         }
-        let arity = self.program.arity(output_id).expect("checked at new()");
-        let rel = db
-            .relation_by_id(output_id)
-            .cloned()
-            .unwrap_or_else(|| Relation::elementary(arity));
-        Some(AnswerSet::collect([rel], true, 1, self.program.interner()))
+        let arity = self
+            .program
+            .arity(self.output_id)
+            .expect("checked at new()");
+        Some(
+            db.relation_by_id(self.output_id)
+                .cloned()
+                .unwrap_or_else(|| Relation::elementary(arity)),
+        )
     }
+}
+
+/// `options` with `program`'s certified depth bound installed as a static
+/// round ceiling: a correct certificate never trips it (the bound
+/// over-approximates), and a buggy one trips deterministically instead of
+/// hanging.
+fn with_round_bound(
+    program: &ValidatedProgram,
+    db: &Database,
+    options: &EvalOptions,
+) -> EvalOptions {
+    let mut options = *options;
+    if let Some(bound) = program.termination().round_bound(db) {
+        options.limits = options.limits.tighten_rounds(bound);
+    }
+    options
 }
 
 #[cfg(test)]

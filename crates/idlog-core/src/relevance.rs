@@ -849,10 +849,10 @@ mod tests {
         }
         let opts = crate::EvalOptions::serial();
         let d =
-            crate::eval::evaluate_with_options(&direct, &db, &mut crate::CanonicalOracle, &opts)
+            crate::eval::evaluate_governed(&direct, &db, &mut crate::CanonicalOracle, &opts, None)
                 .unwrap();
         let m =
-            crate::eval::evaluate_with_options(magicked, &db, &mut crate::CanonicalOracle, &opts)
+            crate::eval::evaluate_governed(magicked, &db, &mut crate::CanonicalOracle, &opts, None)
                 .unwrap();
         let dr = d.relation("query").unwrap();
         let mr = m.relation("query").unwrap();

@@ -871,11 +871,12 @@ mod tests {
             db.insert_syms("e", &[a, b]).unwrap();
         }
         let bound = c.round_bound(&db).expect("certified");
-        let out = crate::evaluate_with_options(
+        let out = crate::evaluate_governed(
             &vp,
             &db,
             &mut crate::CanonicalOracle,
             &crate::EvalOptions::new(),
+            None,
         )
         .unwrap();
         assert!(
@@ -899,11 +900,12 @@ mod tests {
         db.insert_syms("base", &["a", "b"]).unwrap();
         db.insert_syms("base", &["b", "c"]).unwrap();
         let bound = c.round_bound(&db).expect("certified");
-        let out = crate::evaluate_with_options(
+        let out = crate::evaluate_governed(
             &vp,
             &db,
             &mut crate::CanonicalOracle,
             &crate::EvalOptions::new(),
+            None,
         )
         .unwrap();
         assert!(out.stats().iterations <= bound, "{bound} too small");

@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use idlog_core::{
-    evaluate_with_options, load_facts, CanonicalOracle, EvalOptions, Interner, Nat, Query, RelType,
+    evaluate_governed, load_facts, CanonicalOracle, EvalOptions, Interner, Nat, Query, RelType,
     Relation, SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
@@ -123,7 +123,7 @@ fn a_fixpoint_allocates_per_round_not_per_tuple() {
     }
     let options = EvalOptions::serial();
     let (out, allocations) = allocations_during(|| {
-        evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap()
+        evaluate_governed(&program, &db, &mut CanonicalOracle, &options, None).unwrap()
     });
     let stats = out.stats();
     // A chain's closure: one round per path length, plus the empty last one.
@@ -169,7 +169,7 @@ fn a_fixpoints_peak_heap_per_stored_row_stays_within_its_budget() {
     }
     let options = EvalOptions::serial();
     let (out, peak) = peak_growth_during(|| {
-        evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap()
+        evaluate_governed(&program, &db, &mut CanonicalOracle, &options, None).unwrap()
     });
     let rows = out.relation("t").unwrap().len() as u64;
     assert_eq!(rows, EDGES * (EDGES + 1) / 2);
@@ -364,7 +364,7 @@ fn an_existential_tail_allocates_nothing_per_witness() {
         }
         let options = EvalOptions::serial();
         let (out, bytes) = bytes_during(|| {
-            evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap()
+            evaluate_governed(&program, &db, &mut CanonicalOracle, &options, None).unwrap()
         });
         let stats = out.stats();
         assert_eq!(stats.instantiations, 40 * 3 * witnesses as u64);

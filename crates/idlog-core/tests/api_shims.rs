@@ -25,6 +25,12 @@ const REMOVED: &[&str] = &[
     "fn enumerate_answers(",
     "fn enumerate_answers_parallel(",
     "fn enumerate_answers_with(",
+    // The free evaluation functions beside `Session`: `evaluate_governed`
+    // stays as the whole-model evaluation, and the enumeration walk is
+    // crate-private behind `Session::all_answers`.
+    "fn evaluate_with_options(",
+    "fn enumerate_with_options(",
+    "fn enumerate_governed(",
 ];
 
 fn core_src_files() -> Vec<std::path::PathBuf> {

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use idlog_core::tid::TidOracle;
 use idlog_core::{
-    enumerate_with_options, evaluate_with_options, BackendKind, CanonicalOracle, EnumBudget,
-    EvalOptions, EvalOutput, Interner, SeededOracle, ValidatedProgram,
+    evaluate_governed, BackendKind, CanonicalOracle, EnumBudget, EvalOptions, EvalOutput, Interner,
+    Query, SeededOracle, ValidatedProgram,
 };
 use idlog_storage::{make_id_relation, Database};
 use idlog_suite::reference::{self, Perms, Relations};
@@ -98,19 +98,21 @@ const MULTI_ID_FACTS: &[(&str, &[&str])] = &[
 fn seeded_runs_are_reproducible() {
     for seed in [0u64, 7, 0xDEAD_BEEF] {
         let (program, db) = setup(MULTI_ID_SRC, MULTI_ID_FACTS);
-        let once = evaluate_with_options(
+        let once = evaluate_governed(
             &program,
             &db,
             &mut SeededOracle::new(seed),
             &EvalOptions::new(),
+            None,
         )
         .unwrap();
         let (program2, db2) = setup(MULTI_ID_SRC, MULTI_ID_FACTS);
-        let twice = evaluate_with_options(
+        let twice = evaluate_governed(
             &program2,
             &db2,
             &mut SeededOracle::new(seed),
             &EvalOptions::new(),
+            None,
         )
         .unwrap();
         // Fresh interners on both sides: reproducibility may not lean on
@@ -174,11 +176,12 @@ fn thread_count_changes_nothing_on_recursion() {
     // scoped-pool path really runs (sharded) at 2 and 8 threads.
     let (program, db) = fan_in_fan_out();
     for backend in BACKENDS {
-        let baseline = evaluate_with_options(
+        let baseline = evaluate_governed(
             &program,
             &db,
             &mut CanonicalOracle,
             &EvalOptions::serial().backend(backend),
+            None,
         )
         .unwrap();
         // 192 edges + root→hub + 4096 source→sink + 64 root→sink paths.
@@ -188,11 +191,12 @@ fn thread_count_changes_nothing_on_recursion() {
             "fixture sanity"
         );
         for threads in [2usize, 8] {
-            let par = evaluate_with_options(
+            let par = evaluate_governed(
                 &program,
                 &db,
                 &mut CanonicalOracle,
                 &EvalOptions::new().threads(threads).backend(backend),
+                None,
             )
             .unwrap();
             assert_same_output(
@@ -235,19 +239,21 @@ fn thread_count_changes_nothing_on_multi_rule_strata() {
         for s in 0..2100 {
             db.insert_syms("start", &[&format!("s{s}")]).unwrap();
         }
-        let baseline = evaluate_with_options(
+        let baseline = evaluate_governed(
             &program,
             &db,
             &mut SeededOracle::new(3),
             &EvalOptions::serial().backend(backend),
+            None,
         )
         .unwrap();
         for threads in [2usize, 8] {
-            let par = evaluate_with_options(
+            let par = evaluate_governed(
                 &program,
                 &db,
                 &mut SeededOracle::new(3),
                 &EvalOptions::new().threads(threads).backend(backend),
+                None,
             )
             .unwrap();
             assert_same_output(
@@ -278,11 +284,12 @@ fn fixtures_equal_the_reference_model_under_the_canonical_order() {
             .collect();
         let model = reference::perfect_model(src, &edb, &Perms::new()).unwrap();
         for backend in BACKENDS {
-            let out = evaluate_with_options(
+            let out = evaluate_governed(
                 &program,
                 &db,
                 &mut CanonicalOracle,
                 &EvalOptions::new().backend(backend),
+                None,
             )
             .unwrap();
             let engine = reference::view(&model, interner, |name| {
@@ -302,21 +309,15 @@ fn enumeration_is_identical_across_thread_counts() {
         &[("person", &["a"]), ("person", &["b"]), ("person", &["c"])],
     );
     let budget = EnumBudget::default();
-    let serial =
-        enumerate_with_options(&program, &db, "man", &EvalOptions::serial().budget(budget))
-            .unwrap();
+    let query = Query::new(program.clone(), "man").unwrap();
+    let all_answers = |options: EvalOptions| {
+        let options = options.budget(budget).det_fastpath(false);
+        query.session(&db).options(options).all_answers().unwrap()
+    };
+    let serial = all_answers(EvalOptions::serial());
     for backend in BACKENDS {
         for threads in [1usize, 2, 8] {
-            let par = enumerate_with_options(
-                &program,
-                &db,
-                "man",
-                &EvalOptions::new()
-                    .threads(threads)
-                    .budget(budget)
-                    .backend(backend),
-            )
-            .unwrap();
+            let par = all_answers(EvalOptions::new().threads(threads).backend(backend));
             assert!(
                 serial.same_answers(&par, program.interner()),
                 "answer set differs at {threads} threads on the {backend} backend"
@@ -344,21 +345,23 @@ fn backends_agree_on_relations_and_stats() {
     ];
     for (name, fixture, rels) in cases {
         let (program, db) = fixture();
-        let hash = evaluate_with_options(
+        let hash = evaluate_governed(
             &program,
             &db,
             &mut SeededOracle::new(11),
             &EvalOptions::serial().backend(BackendKind::Hash),
+            None,
         )
         .unwrap();
         for threads in [1usize, 2, 4] {
-            let columnar = evaluate_with_options(
+            let columnar = evaluate_governed(
                 &program,
                 &db,
                 &mut SeededOracle::new(11),
                 &EvalOptions::new()
                     .threads(threads)
                     .backend(BackendKind::Columnar),
+                None,
             )
             .unwrap();
             assert_same_output(
@@ -378,11 +381,12 @@ fn profile_is_identical_across_thread_counts() {
     // byte-identical at every thread count.
     let (program, db) = fan_in_fan_out();
     let run = |threads: usize| {
-        evaluate_with_options(
+        evaluate_governed(
             &program,
             &db,
             &mut CanonicalOracle,
             &EvalOptions::new().threads(threads).profile(true),
+            None,
         )
         .unwrap()
     };
@@ -417,13 +421,20 @@ fn profile_is_identical_across_thread_counts() {
 #[test]
 fn profiling_does_not_change_results() {
     let (program, db) = fan_in_fan_out();
-    let plain =
-        evaluate_with_options(&program, &db, &mut CanonicalOracle, &EvalOptions::new()).unwrap();
-    let profiled = evaluate_with_options(
+    let plain = evaluate_governed(
+        &program,
+        &db,
+        &mut CanonicalOracle,
+        &EvalOptions::new(),
+        None,
+    )
+    .unwrap();
+    let profiled = evaluate_governed(
         &program,
         &db,
         &mut CanonicalOracle,
         &EvalOptions::new().profile(true),
+        None,
     )
     .unwrap();
     assert!(plain.profile().is_none());

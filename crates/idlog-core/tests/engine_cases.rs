@@ -369,11 +369,12 @@ fn assign_only_oracles_get_bounded_relations_and_contained_panics() {
     let program = q.related_program();
     let emp = q.interner().get("emp").unwrap();
     assert_eq!(program.tid_bounds().get(&(emp, vec![1])), Some(&1));
-    let out = idlog_core::evaluate_with_options(
+    let out = idlog_core::evaluate_governed(
         program,
         &db,
         &mut ReversedRanks { panics: false },
         &idlog_core::EvalOptions::default(),
+        None,
     )
     .unwrap();
     // Reversed ranks: the canonically *last* member of each group holds tid 0.
@@ -390,11 +391,12 @@ fn assign_only_oracles_get_bounded_relations_and_contained_panics() {
         db.relation("emp").unwrap()
     ));
 
-    let err = idlog_core::evaluate_with_options(
+    let err = idlog_core::evaluate_governed(
         program,
         &db,
         &mut ReversedRanks { panics: true },
         &idlog_core::EvalOptions::default(),
+        None,
     )
     .unwrap_err();
     assert_eq!(err.code(), idlog_core::ErrorCode::Internal);
@@ -443,7 +445,7 @@ fn zy_database(interner: &Arc<Interner>, keys: usize, fanout: usize, witnesses: 
 /// here, at every thread count.
 #[test]
 fn existential_tails_count_every_derivation() {
-    use idlog_core::{evaluate_with_options, CanonicalOracle, EvalOptions, EvalStats};
+    use idlog_core::{evaluate_governed, CanonicalOracle, EvalOptions, EvalStats};
 
     // The profile's `(clause, derived, redundant)` per rule.
     type Columns = [(usize, u64, u64)];
@@ -483,7 +485,8 @@ fn existential_tails_count_every_derivation() {
         let db = zy_database(&interner, 40, 3, 50);
         for threads in [1, 4] {
             let options = EvalOptions::new().threads(threads).profile(true);
-            let out = evaluate_with_options(&program, &db, &mut CanonicalOracle, &options).unwrap();
+            let out =
+                evaluate_governed(&program, &db, &mut CanonicalOracle, &options, None).unwrap();
             assert_eq!(out.stats(), want, "{src} at {threads} threads");
             let columns: Vec<(usize, u64, u64)> = out
                 .profile()

@@ -177,7 +177,10 @@ fn zero_deadline_trips_before_any_round_completes() {
         let err = q
             .session(&db)
             .threads(threads)
-            .deadline(Duration::ZERO)
+            .limits(Limits {
+                deadline: Some(Duration::ZERO),
+                ..Limits::none()
+            })
             .try_run()
             .unwrap_err();
         let EvalError::Limit { limit, .. } = err else {
@@ -195,7 +198,10 @@ fn short_deadline_stops_a_diverging_run_promptly() {
     let err = q
         .session(&db)
         .threads(4)
-        .deadline(Duration::from_millis(50))
+        .limits(Limits {
+            deadline: Some(Duration::from_millis(50)),
+            ..Limits::none()
+        })
         .try_run()
         .unwrap_err();
     // Generous bound: the point is "seconds, not forever".

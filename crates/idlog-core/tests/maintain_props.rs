@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use idlog_core::{
-    evaluate_with_options, BackendKind, CanonicalOracle, Database, EvalOptions, FactDelta,
+    evaluate_governed, BackendKind, CanonicalOracle, Database, EvalOptions, FactDelta,
     MaintainOutcome, Materialized, Query, Tuple, Value,
 };
 use idlog_suite::reference::{self, Perms, Relations};
@@ -112,8 +112,14 @@ fn check(program: usize, edges: &[(i64, i64)], writes: &[Write], options: EvalOp
             mat.relation(name).map(|r| r.iter())
         });
         assert_eq!(kept, model, "step {step} ({write:?}): the reference model");
-        let fresh = evaluate_with_options(q.related_program(), &db, &mut CanonicalOracle, &options)
-            .unwrap();
+        let fresh = evaluate_governed(
+            q.related_program(),
+            &db,
+            &mut CanonicalOracle,
+            &options,
+            None,
+        )
+        .unwrap();
         for name in compared {
             let (Some(kept), Some(truth)) = (mat.relation(name), fresh.relation(name)) else {
                 panic!("step {step}: {name} missing");

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use idlog_core::{
-    builtins::solve, enumerate_with_options, evaluate_with_options, BackendKind, CanonicalOracle,
-    EnumBudget, EvalOptions, Interner, Query, SeededOracle, ValidatedProgram,
+    builtins::solve, evaluate_governed, BackendKind, CanonicalOracle, EnumBudget, EvalOptions,
+    Interner, Query, SeededOracle, ValidatedProgram,
 };
 use idlog_parser::Builtin;
 use idlog_storage::Database;
@@ -162,11 +162,12 @@ proptest! {
             db.insert_syms("e", &[&format!("v{a}"), &format!("v{b}")]).unwrap();
         }
         db.insert_syms("start", &[&format!("v{start}")]).unwrap();
-        let out = evaluate_with_options(
+        let out = evaluate_governed(
             &program,
             &db,
             &mut CanonicalOracle,
             &EvalOptions::new().threads(threads).profile(true),
+            None,
         ).unwrap();
         let stats = out.stats();
         let profile = out.profile().unwrap();
@@ -259,9 +260,12 @@ proptest! {
             db.insert_syms("emp", &[&format!("m{m}"), &format!("d{d}")]).unwrap();
         }
         let budget = EnumBudget { max_models: 200_000, max_answers: 100_000 };
-        let opts = EvalOptions::serial().budget(budget);
-        let a = enumerate_with_options(&bounded, &db, "pick", &opts).unwrap();
-        let b = enumerate_with_options(&full, &db, "pick", &opts).unwrap();
+        let opts = EvalOptions::serial().budget(budget).det_fastpath(false);
+        let all_answers = |program: &ValidatedProgram| {
+            let query = Query::new(program.clone(), "pick").unwrap();
+            query.session(&db).options(opts).all_answers().unwrap()
+        };
+        let (a, b) = (all_answers(&bounded), all_answers(&full));
         prop_assert!(a.complete() && b.complete());
         prop_assert!(a.same_answers(&b, &interner));
         // And the bounded walk is never larger.
@@ -288,10 +292,10 @@ proptest! {
             db_big.insert_syms("e", &[&format!("v{a}"), &format!("v{b}")]).unwrap();
         }
         let small =
-            evaluate_with_options(&program, &db_small, &mut CanonicalOracle, &EvalOptions::new())
+            evaluate_governed(&program, &db_small, &mut CanonicalOracle, &EvalOptions::new(), None)
                 .unwrap();
         let big =
-            evaluate_with_options(&program, &db_big, &mut CanonicalOracle, &EvalOptions::new())
+            evaluate_governed(&program, &db_big, &mut CanonicalOracle, &EvalOptions::new(), None)
                 .unwrap();
         let small_tc = small.relation("tc").unwrap();
         let big_tc = big.relation("tc").unwrap();

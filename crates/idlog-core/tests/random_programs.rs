@@ -16,8 +16,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use idlog_core::{
-    enumerate_with_options, evaluate_with_options, CanonicalOracle, EnumBudget, EvalOptions,
-    Interner, SeededOracle, ValidatedProgram,
+    evaluate_governed, CanonicalOracle, EnumBudget, EvalOptions, Interner, Query, SeededOracle,
+    ValidatedProgram,
 };
 use idlog_storage::Database;
 use idlog_suite::reference::{self, Perms, Relations, V};
@@ -244,7 +244,7 @@ proptest! {
     fn fixpoints_are_models_and_strategies_agree(spec in arb_program()) {
         let (program, db) = build(&spec);
         let out =
-            evaluate_with_options(&program, &db, &mut CanonicalOracle, &EvalOptions::new()).unwrap();
+            evaluate_governed(&program, &db, &mut CanonicalOracle, &EvalOptions::new(), None).unwrap();
         let src = render(&spec);
         let model = reference::perfect_model(&src, &edb(&spec), &Perms::new()).unwrap();
         let engine = reference::view(&model, out.interner(), |name| out.relation(name).map(|r| r.iter()));
@@ -256,14 +256,16 @@ proptest! {
     #[test]
     fn parallel_and_serial_evaluation_agree(spec in arb_program(), seed in any::<u64>()) {
         let (program, db) = build(&spec);
-        let serial = evaluate_with_options(
+        let serial = evaluate_governed(
             &program, &db, &mut SeededOracle::new(seed),
             &EvalOptions::serial().profile(true),
+            None,
         ).unwrap();
         for threads in [2usize, 8] {
-            let par = evaluate_with_options(
+            let par = evaluate_governed(
                 &program, &db, &mut SeededOracle::new(seed),
                 &EvalOptions::new().threads(threads).profile(true),
+                None,
             ).unwrap();
             prop_assert_eq!(
                 serial.stats(), par.stats(),
@@ -299,15 +301,17 @@ proptest! {
         // Query the first level-2 head predicate that actually has clauses.
         let output = pred_name(2, spec.clauses[1][0].head_pred);
         let budget = EnumBudget { max_models: 50_000, max_answers: 50_000 };
-        let opts = EvalOptions::serial().budget(budget);
-        let all = enumerate_with_options(&program, &db, &output, &opts).unwrap();
+        // The fast path off: a certified program walks its ID-functions too.
+        let opts = EvalOptions::serial().budget(budget).det_fastpath(false);
+        let query = Query::new(program.clone(), &output).unwrap();
+        let all = query.session(&db).options(opts).all_answers().unwrap();
         prop_assume!(all.complete()); // skip the rare factorial blowups
 
-        let again = enumerate_with_options(&program, &db, &output, &opts).unwrap();
+        let again = query.session(&db).options(opts).all_answers().unwrap();
         prop_assert!(all.same_answers(&again, program.interner()));
 
         let out =
-            evaluate_with_options(&program, &db, &mut SeededOracle::new(seed), &EvalOptions::new())
+            evaluate_governed(&program, &db, &mut SeededOracle::new(seed), &EvalOptions::new(), None)
                 .unwrap();
         let rel = out.relation(&output).unwrap();
         let tuples: Vec<_> = rel.iter().cloned().collect();

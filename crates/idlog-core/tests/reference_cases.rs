@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use idlog_core::{
-    evaluate_with_options, CanonicalOracle, EvalOptions, ExplicitOracle, Interner, TidOracle,
+    evaluate_governed, CanonicalOracle, EvalOptions, ExplicitOracle, Interner, TidOracle,
     ValidatedProgram,
 };
 use idlog_storage::Database;
@@ -24,7 +24,7 @@ fn both(
     let program = ValidatedProgram::parse(src, Arc::clone(&interner)).unwrap();
     let mut db = Database::with_interner(Arc::clone(&interner));
     idlog_core::load_facts(facts, &mut db).unwrap();
-    let out = evaluate_with_options(&program, &db, oracle, &EvalOptions::default()).unwrap();
+    let out = evaluate_governed(&program, &db, oracle, &EvalOptions::default(), None).unwrap();
     let model = reference::perfect_model(src, &reference::facts(facts).unwrap(), perms).unwrap();
     let engine = reference::view(&model, &interner, |name| {
         out.relation(name).map(|r| r.iter())

@@ -28,7 +28,7 @@ use idlog_common::SymbolId;
 use idlog_core::stratify::{stratify_check, DepGraph};
 use idlog_core::tidbound::tid_bounds_ast;
 use idlog_core::{
-    choice_free_occurrence, evaluate_with_options, CanonicalOracle, EvalOptions, Interner, Nat,
+    choice_free_occurrence, evaluate_governed, CanonicalOracle, EvalOptions, Interner, Limits, Nat,
     RecursionKind, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
@@ -367,8 +367,11 @@ proptest! {
         let mut outs = Vec::new();
         for threads in [1usize, 2, 8] {
             // The certified ceiling: honest evaluations must never trip it.
-            let options = EvalOptions::new().threads(threads).max_rounds(bound);
-            let out = evaluate_with_options(&program, &db, &mut CanonicalOracle, &options)
+            let options = EvalOptions::new().threads(threads).limits(Limits {
+                max_rounds: Some(bound),
+                ..Limits::none()
+            });
+            let out = evaluate_governed(&program, &db, &mut CanonicalOracle, &options, None)
                 .unwrap_or_else(|e| panic!(
                     "certified program tripped its own bound {bound}: {e}\n{}",
                     render(&spec)

@@ -15,8 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use idlog_common::Interner;
 use idlog_core::{
-    enumerate_with_options, evaluate_with_options, CanonicalOracle, CoreResult, EnumBudget,
-    EvalOptions, Limits, ValidatedProgram,
+    CoreError, CoreResult, EnumBudget, EvalOptions, LimitKind, Query, StopReason, ValidatedProgram,
 };
 use idlog_parser::Program;
 use idlog_storage::Database;
@@ -43,62 +42,44 @@ pub fn q_equivalent_on(
     output: &str,
     budget: &EnumBudget,
 ) -> CoreResult<EquivalenceReport> {
-    let v1 = ValidatedProgram::new(p1.clone(), Arc::clone(interner))?;
-    let v2 = ValidatedProgram::new(p2.clone(), Arc::clone(interner))?;
-    // Determinism fast path: when the taint analysis certifies `output` in
-    // BOTH programs, each answer set is a singleton, so one canonical
-    // evaluation per side replaces the full ID-function enumeration.
-    let both_certified = interner
-        .get(output)
-        .is_some_and(|out| v1.taint().deterministic(out) && v2.taint().deterministic(out));
+    let q1 = Query::new(
+        ValidatedProgram::new(p1.clone(), Arc::clone(interner))?,
+        output,
+    )?;
+    let q2 = Query::new(
+        ValidatedProgram::new(p2.clone(), Arc::clone(interner))?,
+        output,
+    )?;
     // Termination of the probed programs is undecidable (Theorem 3), and
     // this routine runs inside lints and optimizer suggestions that must
     // never hang. The termination certificates decide: a growth witness on
     // either side means the probe would only ever burn its ceilings, so
     // skip probing entirely (no verdict). Otherwise both sides are
-    // certified bounded, so every fixpoint finishes on its own and the
-    // probes run without governor ceilings; the larger certified
-    // per-database round bound stays installed as a backstop against a
-    // buggy certificate.
-    let (t1, t2) = (v1.termination(), v2.termination());
-    if t1.growth_witness().is_some() || t2.growth_witness().is_some() {
-        return Err(idlog_core::CoreError::LimitExceeded {
-            limit: idlog_core::LimitKind::Rounds,
+    // certified bounded, and each session runs under its own certified
+    // round ceiling and takes the deterministic fast path where its side
+    // certifies.
+    if q1.termination_cert().growth_witness().is_some()
+        || q2.termination_cert().growth_witness().is_some()
+    {
+        return Err(CoreError::LimitExceeded {
+            limit: LimitKind::Rounds,
         });
     }
+    let options = EvalOptions::serial().budget(*budget);
     for (i, db) in dbs.iter().enumerate() {
-        let bound = t1.round_bound(db).max(t2.round_bound(db));
-        let probe_limits = bound.map_or_else(Limits::none, |b| Limits::none().tighten_rounds(b));
-        let opts = EvalOptions::serial().budget(*budget).limits(probe_limits);
-        let differs = if both_certified {
-            let r1 = evaluate_with_options(&v1, db, &mut CanonicalOracle, &opts)?;
-            let r2 = evaluate_with_options(&v2, db, &mut CanonicalOracle, &opts)?;
-            match (r1.relation(output), r2.relation(output)) {
-                (Some(a), Some(b)) => !a.set_eq(b),
-                (a, b) => {
-                    a.map(|r| !r.is_empty()).unwrap_or(false)
-                        || b.map(|r| !r.is_empty()).unwrap_or(false)
+        let a1 = q1.session(db).options(options).all_answers()?;
+        let a2 = q2.session(db).options(options).all_answers()?;
+        // A walk cut short by a round ceiling (as opposed to the caller's
+        // model/answer budget) compared two truncated sets; no verdict can
+        // be drawn from that, so surface the trip.
+        for set in [&a1, &a2] {
+            if let Some(StopReason::Limit(kind)) = set.stopped() {
+                if !matches!(kind, LimitKind::Models | LimitKind::Answers) {
+                    return Err(CoreError::LimitExceeded { limit: kind });
                 }
             }
-        } else {
-            let a1 = enumerate_with_options(&v1, db, output, &opts)?;
-            let a2 = enumerate_with_options(&v2, db, output, &opts)?;
-            // A walk cut short by the probe ceilings (as opposed to the
-            // caller's model/answer budget) compared two truncated sets;
-            // no verdict can be drawn from that, so surface the trip.
-            for set in [&a1, &a2] {
-                if let Some(idlog_core::StopReason::Limit(kind)) = set.stopped() {
-                    if !matches!(
-                        kind,
-                        idlog_core::LimitKind::Models | idlog_core::LimitKind::Answers
-                    ) {
-                        return Err(idlog_core::CoreError::LimitExceeded { limit: kind });
-                    }
-                }
-            }
-            !a1.same_answers(&a2, interner)
-        };
-        if differs {
+        }
+        if !a1.same_answers(&a2, interner) {
             return Ok(EquivalenceReport {
                 equivalent: false,
                 counterexample: Some(i),
@@ -302,8 +283,8 @@ mod tests {
         let err = q_equivalent_on(&p1, &p2, &i, &dbs, "q", &EnumBudget::default()).unwrap_err();
         assert!(matches!(
             err,
-            idlog_core::CoreError::LimitExceeded {
-                limit: idlog_core::LimitKind::Rounds
+            CoreError::LimitExceeded {
+                limit: LimitKind::Rounds
             }
         ));
     }
