@@ -4,7 +4,11 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use idlog_analyze::{analyze, render_all, render_json, Options};
-use idlog_core::{EvalError, EvalOutput, Interner, LimitKind, StopReason, ValidatedProgram};
+use idlog_core::tid::TidOracle;
+use idlog_core::{
+    EvalError, EvalOptions, EvalOutput, Interner, LimitKind, StopReason, ValidatedProgram,
+};
+use idlog_storage::Database;
 
 use crate::args::{EvalFlags, RunOpts};
 use crate::{load, output_result, signal, CliError};
@@ -282,13 +286,13 @@ pub fn explain(
         return Ok(());
     }
 
-    let mut db = idlog_storage::Database::with_interner(Arc::clone(&interner));
+    let mut db = Database::with_interner(Arc::clone(&interner));
     if let Some(path) = facts_path {
         let facts_src =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         idlog_core::load_facts(&facts_src, &mut db).map_err(|e| format!("{path}: {e}"))?;
     }
-    let (options, mut oracle) = eval.options(true);
+    let (options, mut oracle) = analyze_options(&program, &db, eval);
     let outcome = idlog_core::evaluate_governed(
         &program,
         &db,
@@ -374,6 +378,20 @@ pub fn explain(
         }
         None => Ok(()),
     }
+}
+
+/// The options and oracle `explain --analyze` evaluates `program` over `db`
+/// with: the flags', under the certified round ceiling its footer names.
+fn analyze_options(
+    program: &ValidatedProgram,
+    db: &Database,
+    eval: &EvalFlags,
+) -> (EvalOptions, Box<dyn TidOracle>) {
+    let (options, oracle) = eval.options(true);
+    (
+        options.limits(program.certified_limits(db, options.limits)),
+        oracle,
+    )
 }
 
 /// `idlog run`: evaluate one answer or enumerate them all.
@@ -656,7 +674,26 @@ fn require_profile(result: &idlog_core::EvalResult) -> Result<&idlog_core::Profi
 
 #[cfg(test)]
 mod tests {
-    use super::retry_delay_ms;
+    use std::sync::Arc;
+
+    use idlog_core::{Interner, ValidatedProgram};
+    use idlog_storage::Database;
+
+    use super::{analyze_options, retry_delay_ms};
+    use crate::args::EvalFlags;
+
+    /// `explain --analyze` runs under the certified round ceiling that its
+    /// termination footer prints, as every `Session` does.
+    #[test]
+    fn explain_analyze_runs_under_the_certified_round_ceiling() {
+        let src = "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n";
+        let program = ValidatedProgram::parse(src, Arc::new(Interner::new())).unwrap();
+        let mut db = Database::with_interner(Arc::clone(program.interner()));
+        idlog_core::load_facts("e(a, b).\ne(b, c).\n", &mut db).unwrap();
+        let bound = program.termination().round_bound(&db).expect("certified");
+        let (options, _) = analyze_options(&program, &db, &EvalFlags::default());
+        assert_eq!(options.limits.max_rounds, Some(bound));
+    }
 
     /// The retry schedule doubles from the base, the jitter stays within
     /// half the base step, and the whole schedule is deterministic.

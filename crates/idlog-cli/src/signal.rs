@@ -50,18 +50,3 @@ pub fn install_ctrlc() {
 pub fn install_ctrlc() {
     let _ = token();
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn token_is_shared_and_resettable() {
-        let a = token();
-        let b = token();
-        a.cancel();
-        assert!(b.is_cancelled(), "clones share the flag");
-        b.reset();
-        assert!(!a.is_cancelled());
-    }
-}

@@ -15,8 +15,10 @@ use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
 use idlog_parser::{Atom, Builtin, Clause, Literal, PredicateRef, Program};
+use idlog_storage::Database;
 
 use crate::error::{CoreError, CoreResult};
+use crate::govern::Limits;
 use crate::plan::RulePlan;
 use crate::safety::{analyze_clause, ClauseOrder, SafetyViolation};
 use crate::sorts::{infer_collect, SortConflict, SortMap};
@@ -455,6 +457,20 @@ impl ValidatedProgram {
     /// round bound of a certified program.
     pub fn termination(&self) -> &TerminationCert {
         &self.termination
+    }
+
+    /// `limits` with this program's certified [round
+    /// bound](TerminationCert::round_bound) over `db` installed as the
+    /// `max_rounds` ceiling: tightened, never loosened. A correct
+    /// certificate never trips it (the bound over-approximates), and a
+    /// wrong one trips deterministically instead of hanging. Each
+    /// [`crate::Session`] path and `idlog explain --analyze` evaluate under
+    /// these limits.
+    pub fn certified_limits(&self, db: &Database, limits: Limits) -> Limits {
+        match self.termination.round_bound(db) {
+            Some(bound) => limits.tighten_rounds(bound),
+            None => limits,
+        }
     }
 
     /// The (cached) stratification.

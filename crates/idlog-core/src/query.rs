@@ -236,7 +236,8 @@ impl<'q, 'd> Session<'q, 'd> {
         if self.options.strategy == Strategy::Magic && query.magic_plan().is_none() {
             return Err(query.magic_refusal_error());
         }
-        let options = with_round_bound(&query.related, self.db, &self.options);
+        let limits = query.related.certified_limits(self.db, self.options.limits);
+        let options = self.options.limits(limits);
         enumerate_governed(
             &query.related,
             self.db,
@@ -386,7 +387,7 @@ impl Query {
         if options.strategy == Strategy::Magic {
             return self.eval_magic(db, oracle, options, cancel);
         }
-        let options = with_round_bound(&self.related, db, options);
+        let options = options.limits(self.related.certified_limits(db, options.limits));
         let mut out = evaluate_governed(&self.related, db, oracle, &options, cancel)?;
         let rel = out
             .take_relation(&self.output)
@@ -414,7 +415,7 @@ impl Query {
         };
         // The rewrite's round structure differs from `related`'s, so it
         // runs under its own certificate's bound.
-        let options = with_round_bound(magic, db, options);
+        let options = options.limits(magic.certified_limits(db, options.limits));
         let mut out = evaluate_governed(magic, db, oracle, &options, cancel)?;
         let mut stats = out.stats();
         stats.tuples_pruned = crate::relevance::magic_tuples_pruned(magic, db, &out);
@@ -469,22 +470,6 @@ impl Query {
                 .unwrap_or_else(|| Relation::elementary(arity)),
         )
     }
-}
-
-/// `options` with `program`'s certified depth bound installed as a static
-/// round ceiling: a correct certificate never trips it (the bound
-/// over-approximates), and a buggy one trips deterministically instead of
-/// hanging.
-fn with_round_bound(
-    program: &ValidatedProgram,
-    db: &Database,
-    options: &EvalOptions,
-) -> EvalOptions {
-    let mut options = *options;
-    if let Some(bound) = program.termination().round_bound(db) {
-        options.limits = options.limits.tighten_rounds(bound);
-    }
-    options
 }
 
 #[cfg(test)]

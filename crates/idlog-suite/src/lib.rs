@@ -2,15 +2,18 @@
 //! the repository's `tests/`, the runnable `examples/`, the enumeration
 //! of the shipped `programs/` corpus that the CLI's golden and corpus-counter
 //! tests walk, the [`mod@reference`] interpreter the engine's suites are
-//! held to, and, on that interpreter's matcher, the languages the paper
-//! compares IDLOG with: DL, N-DATALOG and DATALOG^C in [`eval`], DATALOG∨
-//! in [`disj`] and DATALOG with cut in [`cut`].
+//! held to, the [`gen`] generator of valid programs (with shrinking) that
+//! their generated properties draw from, and, on the reference's matcher,
+//! the languages the paper compares IDLOG with: DL, N-DATALOG and
+//! DATALOG^C in [`eval`], DATALOG∨ in [`disj`] and DATALOG with cut in
+//! [`cut`].
 
 #![warn(missing_docs)]
 
 pub mod cut;
 pub mod disj;
 pub mod eval;
+pub mod gen;
 mod machine;
 pub mod reference;
 
