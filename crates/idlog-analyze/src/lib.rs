@@ -338,6 +338,14 @@ mod tests {
     }
 
     #[test]
+    fn growth_capped_by_a_constant_draws_no_w020() {
+        let a = run("n(0). n(V) :- n(A), succ(A, V), V < 5.");
+        let cs = codes(&a);
+        assert!(!cs.contains(&"W020"), "{cs:?}");
+        assert!(cs.contains(&"H010"), "{cs:?}");
+    }
+
+    #[test]
     fn recursive_choice_over_growing_base_draws_w021() {
         let a = run("n(0).
                      n(M) :- n(N), plus(N, 1, M).

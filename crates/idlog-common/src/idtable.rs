@@ -8,33 +8,35 @@
 //! the hole tells the table with [`IdTable::swap_remove`], so ids stay dense
 //! without a rebuild.
 //!
-//! The table is one open-addressed array of 8-byte slots, a power of two
-//! long and at most half full. A full slot holds the high 32 bits of its
-//! key's hash (the *tag*) above the key's id. A lookup probes linearly from
-//! the tag's *home* slot, the tag's top `log2(slots)` bits, to the first
-//! empty slot. A removal shifts the rest of its cluster back instead of
-//! leaving a tombstone.
+//! The table is one open-addressed array of 4-byte slots, a power of two
+//! long and at most half full. In a table of 2^k slots a key's *home* is
+//! the top k bits of its hash: a lookup probes linearly from there to the
+//! first empty slot. A full slot holds `id + 1` in its low k bits and, above
+//! them, a *tag*: the 32 − k hash bits just below the home bits. `0` is the
+//! empty slot, so a doubling takes zeroed memory. A removal shifts the rest
+//! of its cluster back instead of leaving a tombstone.
 //!
-//! **Growth holds one array.** Doubling frees the old slots first, then
-//! places ids `0..len` in the new ones by the hash of each id's key, which
-//! the caller's `rehash` closure computes from its own store. So at no
-//! moment do two arrays exist: a table of 2²⁰ slots grows to 2²¹ with 16 MiB
-//! live, not 24. The price is one hash per id per doubling — amortized, one
-//! more hash per push.
+//! **A slot does not record its home.** So the table asks the caller for
+//! keys' hashes: `rehash(id)` gives the hash of a stored id's key, read from
+//! the caller's store. Doubling frees the old slots first, then places ids
+//! `0..len` in the new ones by `rehash`, so at no moment do two arrays
+//! exist: a table of 2²⁰ slots grows to 2²¹ with 8 MiB live, not 12. The
+//! price is one hash per id per doubling — amortized, one more hash per
+//! push. A removal rehashes the slots its backward shift walks past.
 //!
-//! **The tag contract.** The table keeps 32 bits of each hash, so keys whose
-//! hashes share their high halves look alike to it, and the caller's
-//! `is_key` closure is asked about every id with a matching tag: it must
-//! compare the caller's key, never accept on sight. The high bits pick the
-//! home slot too, so they must be the hash's well-mixed ones, as
-//! [`crate::FxHasher`]'s are; and `rehash` must give the hash the key was
-//! registered under.
+//! **The tag contract.** The table keeps 32 bits of each hash (home and tag
+//! together), so keys whose hashes share their high halves look alike to
+//! it, and the caller's `is_key` closure is asked about every id with a
+//! matching tag: it must compare the caller's key, never accept on sight.
+//! The high bits pick the home slot too, so they must be the hash's
+//! well-mixed ones, as [`crate::FxHasher`]'s are; and `rehash` must give the
+//! hash the key was registered under.
 
-/// An empty slot: no full slot has an id of `u32::MAX`.
-const EMPTY: u64 = u64::MAX;
+/// The empty slot: a full slot holds `id + 1`, never `0`, in its id field.
+const EMPTY: u32 = 0;
 
-/// Ids stay below 2³¹, so a half-full table has at most 2³² slots and a home
-/// slot never needs more bits than a tag has.
+/// Ids stay below 2³¹, so a half-full table has at most 2³² slots, and the
+/// k-bit id field of a table of 2^k slots holds every `id + 1`.
 const MAX_IDS: usize = 1 << 31;
 
 /// Slots allocated by the first push.
@@ -43,26 +45,51 @@ const MIN_SLOTS: usize = 8;
 /// Dense ids indexed by a caller-supplied hash; see the module docs.
 #[derive(Debug, Default, Clone)]
 pub struct IdTable {
-    /// `tag << 32 | id` in each full slot, [`EMPTY`] elsewhere; no slots
-    /// until the first push, a power of two of them after.
-    slots: Vec<u64>,
+    /// [`encode`]d ids in full slots, [`EMPTY`] elsewhere; no slots until
+    /// the first push, a power of two of them after.
+    slots: Vec<u32>,
     /// Ids handed out.
     len: usize,
 }
 
-/// The part of `hash` the table keeps.
+/// The id field of a slot in a table of 2^k slots, `1 ≤ k ≤ 32`: its low
+/// `k` bits.
 #[inline]
-fn tag(hash: u64) -> u64 {
-    hash >> 32
+fn id_field(k: u32) -> u32 {
+    (u64::MAX >> (64 - k)) as u32
 }
 
-/// A full slot.
+/// The tag `hash` gives in a table of 2^k slots, in place above the id
+/// field: the `32 − k` bits below the `k` that pick the home.
 #[inline]
-fn slot(tag: u64, id: u32) -> u64 {
-    (tag << 32) | u64::from(id)
+fn tag(k: u32, hash: u64) -> u32 {
+    ((hash >> 32) << k) as u32
+}
+
+/// Where the probe for `hash` starts in a table of 2^k slots.
+#[inline]
+fn home(k: u32, hash: u64) -> usize {
+    (hash >> (64 - k)) as usize
+}
+
+/// The full slot of `id`, registered under `hash`, in a table of 2^k
+/// slots. A half-full table hands out ids below 2^(k−1).
+#[inline]
+fn encode(k: u32, hash: u64, id: u32) -> u32 {
+    debug_assert!(u64::from(id) < 1 << (k - 1), "id {id} in a table of 2^{k}");
+    tag(k, hash) | (id + 1)
+}
+
+/// The id a full slot of a table of 2^k slots holds.
+#[inline]
+fn decode(k: u32, slot: u32) -> u32 {
+    (slot & id_field(k)) - 1
 }
 
 impl IdTable {
+    /// Bytes a slot takes.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<u32>();
+
     /// An empty table. It allocates nothing until the first push.
     pub fn new() -> Self {
         Self::default()
@@ -78,10 +105,16 @@ impl IdTable {
         self.len == 0
     }
 
+    /// `k` for a table of 2^k slots (`0` before the first push).
+    #[inline]
+    fn bits(&self) -> u32 {
+        self.slots.len().trailing_zeros()
+    }
+
     /// The id registered under `hash` whose key `is_key` accepts.
     pub fn find(&self, hash: u64, is_key: impl FnMut(u32) -> bool) -> Option<u32> {
-        let at = self.probe(tag(hash), is_key).ok()?;
-        Some(self.slots[at] as u32)
+        let at = self.probe(hash, is_key).ok()?;
+        Some(decode(self.bits(), self.slots[at]))
     }
 
     /// [`IdTable::find`], registering the next dense id under `hash` when no
@@ -95,97 +128,95 @@ impl IdTable {
         is_key: impl FnMut(u32) -> bool,
         rehash: impl FnMut(u32) -> u64,
     ) -> (u32, bool) {
-        let tag = tag(hash);
-        let mut at = match self.probe(tag, is_key) {
-            Ok(at) => return (self.slots[at] as u32, false),
+        let mut at = match self.probe(hash, is_key) {
+            Ok(at) => return (decode(self.bits(), self.slots[at]), false),
             Err(vacant) => vacant,
         };
         assert!(self.len < MAX_IDS, "too many ids for a u32 table");
         let id = self.len as u32;
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow(rehash);
-            at = self.vacant(tag);
+            at = self.vacant(hash);
         }
-        self.slots[at] = slot(tag, id);
+        self.slots[at] = encode(self.bits(), hash, id);
         self.len += 1;
         (id, true)
     }
 
-    /// Drop `id`, registered under `hash`, and give the last id — registered
-    /// under `last_hash` — the number `id`: the table's half of the caller
-    /// moving its last key into the hole `id` leaves (`Vec::swap_remove`).
-    /// Ids stay dense, and the work is a walk of the two clusters.
-    pub fn swap_remove(&mut self, id: u32, hash: u64, last_hash: u64) {
+    /// Drop `id` and give the last id the number `id`: the table's half of
+    /// the caller moving its last key into the hole `id` leaves
+    /// (`Vec::swap_remove`), called before the caller moves it. `rehash`
+    /// gives a stored id's hash, as for [`IdTable::find_or_push`]. Ids stay
+    /// dense, and the work is a walk of the two clusters.
+    pub fn swap_remove(&mut self, id: u32, mut rehash: impl FnMut(u32) -> u64) {
         let last = self.len.checked_sub(1).expect("a table with ids") as u32;
         assert!(id <= last, "id {id} was never handed out");
-        let at = self.slot_of(id, hash);
-        self.vacate(at);
+        let at = self.slot_of(id, rehash(id));
+        self.vacate(at, &mut rehash);
         if id != last {
-            let at = self.slot_of(last, last_hash);
-            self.slots[at] = slot(tag(last_hash), id);
+            let at = self.slot_of(last, rehash(last));
+            self.slots[at] = (self.slots[at] & !id_field(self.bits())) | (id + 1);
         }
         self.len -= 1;
     }
 
-    /// `log2(slots)` top bits of `tag`: where its probe starts.
-    #[inline]
-    fn home(&self, tag: u64) -> usize {
-        (tag >> (32 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// The slot of the id under `tag` that `is_key` accepts, or else the
+    /// The slot of the id under `hash` that `is_key` accepts, or else the
     /// empty slot the probe ended at (`0` when there are no slots).
     #[inline]
-    fn probe(&self, tag: u64, mut is_key: impl FnMut(u32) -> bool) -> Result<usize, usize> {
+    fn probe(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Result<usize, usize> {
         if self.slots.is_empty() {
             return Err(0);
         }
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(tag);
+        let k = self.bits();
+        let (mask, tag, field) = (self.slots.len() - 1, tag(k, hash), id_field(k));
+        let mut at = home(k, hash);
         loop {
             match self.slots[at] {
                 EMPTY => return Err(at),
-                full if full >> 32 == tag && is_key(full as u32) => return Ok(at),
+                full if full & !field == tag && is_key(decode(k, full)) => return Ok(at),
                 _ => at = (at + 1) & mask,
             }
         }
     }
 
-    /// Where a slot under `tag`, known to be absent, goes.
-    fn vacant(&self, tag: u64) -> usize {
-        self.probe(tag, |_| false)
+    /// Where a slot under `hash`, known to be absent, goes.
+    fn vacant(&self, hash: u64) -> usize {
+        self.probe(hash, |_| false)
             .expect_err("a table at most half full has an empty slot")
     }
 
     /// The slot holding `id`, registered under `hash`.
     fn slot_of(&self, id: u32, hash: u64) -> usize {
-        self.probe(tag(hash), |found| found == id)
+        self.probe(hash, |found| found == id)
             .unwrap_or_else(|_| panic!("id {id} is not registered under its hash"))
     }
 
     /// Double the slots — or allocate the first [`MIN_SLOTS`] — and place
     /// ids `0..len` by the hashes `rehash` gives. The old slots are freed
-    /// before the new ones are allocated.
+    /// before the new, zeroed ones are allocated.
     fn grow(&mut self, mut rehash: impl FnMut(u32) -> u64) {
         let len = (2 * self.slots.len()).max(MIN_SLOTS);
         self.slots = Vec::new();
         self.slots = vec![EMPTY; len];
+        let k = self.bits();
         for id in 0..self.len as u32 {
-            let tag = tag(rehash(id));
-            let at = self.vacant(tag);
-            self.slots[at] = slot(tag, id);
+            let hash = rehash(id);
+            let at = self.vacant(hash);
+            self.slots[at] = encode(k, hash, id);
         }
     }
 
     /// Empty the slot at `hole`, moving back each later slot of its cluster
-    /// whose probe would otherwise stop at the gap.
-    fn vacate(&mut self, mut hole: usize) {
+    /// whose probe would otherwise stop at the gap. A slot's home comes
+    /// from its id's hash.
+    fn vacate(&mut self, mut hole: usize, rehash: &mut impl FnMut(u32) -> u64) {
+        let k = self.bits();
         let mask = self.slots.len() - 1;
         let mut at = (hole + 1) & mask;
         while self.slots[at] != EMPTY {
             // The slot may fill the hole unless its home lies after the
             // hole on the way to `at`.
-            let home = self.home(self.slots[at] >> 32);
+            let home = home(k, rehash(decode(k, self.slots[at])));
             if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
                 self.slots[hole] = self.slots[at];
                 hole = at;
@@ -201,6 +232,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    #[test]
+    fn slots_round_trip_at_every_table_size() {
+        for k in 3..=32 {
+            let field = id_field(k);
+            assert_eq!(u64::from(field), (1 << k) - 1);
+            // The largest id a half-full table of 2^k slots hands out, under
+            // the all-ones tag, and the smallest under the all-zeros one.
+            let top = (1u32 << (k - 1)) - 1;
+            for (hash, id) in [(u64::MAX, top), (u64::MAX, 0), (0, top), (0, 0)] {
+                let slot = encode(k, hash, id);
+                assert_eq!(decode(k, slot), id, "k = {k}");
+                assert_eq!(slot & !field, tag(k, hash), "k = {k}");
+                assert_ne!(slot, EMPTY, "k = {k}");
+            }
+            // The tag fills the bits above the id field and holds no home bit.
+            assert_eq!(tag(k, u64::MAX), !field, "k = {k}");
+            assert_eq!(tag(k, u64::MAX >> k), !field, "k = {k}");
+            assert_eq!(tag(k, !(u64::MAX >> k)), 0, "k = {k}");
+            assert_eq!(home(k, u64::MAX), (1 << k) - 1, "k = {k}");
+        }
+    }
 
     #[test]
     fn ids_are_dense_in_first_insert_order() {
@@ -280,9 +333,8 @@ mod tests {
 
         fn remove(&mut self, k: u64) {
             let id = self.find(k).expect("stored");
-            let last = *self.keys.last().unwrap();
-            self.table
-                .swap_remove(id, (self.hash)(k), (self.hash)(last));
+            let (keys, hash) = (&self.keys, self.hash);
+            self.table.swap_remove(id, |id| hash(keys[id as usize]));
             self.keys.swap_remove(id as usize);
         }
 
@@ -374,15 +426,20 @@ mod tests {
 
     /// Hashes that corner the probe: every key on one tag (one cluster from
     /// slot 0), distinct tags on one home slot, clusters from the last slot
-    /// that wrap past the end — on one tag and on many — sixteen homes, and
-    /// a well-spread hash.
-    const HASHES: [fn(u64) -> u64; 6] = [
+    /// that wrap past the end — on one tag and on many — sixteen homes, a
+    /// well-spread hash; and keys that differ only in their top nine bits
+    /// (from 2⁹ slots on they share the all-ones tag but not the home), and
+    /// keys that differ only in bits 40–48 (they share a home in the middle
+    /// of the table but not the tag).
+    const HASHES: [fn(u64) -> u64; 8] = [
         |k| k,
         |k| k << 32,
         |k| !k,
         |k| !(k << 32),
         |k| ((k % 16) << 60) | (k << 32),
         |k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        |k| (k << 55) | (u64::MAX >> 9),
+        |k| (1 << 63) | (k << 40),
     ];
 
     const DOMAIN: u64 = 400;

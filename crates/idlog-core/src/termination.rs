@@ -22,7 +22,9 @@
 //!    Arithmetic over ℕ is the only way IDLOG can *invent* values, so an
 //!    edge is **expanding** when it passes through a builtin output position
 //!    that can exceed every input (`succ`'s successor, `plus`/`times`
-//!    results, `minus`/`div` first arguments). A cycle through an expanding
+//!    results, `minus`/`div` first arguments) and the clause does not cap
+//!    by a constant (`V < c`, `V <= c`, `V = c`, mirrored too: such a value
+//!    stays within the ceiling `V*` of layer 3). A cycle through an expanding
 //!    edge is the divergence engine of `programs/diverge.idl`: the fixpoint
 //!    derives an ever-larger value forever. Such a cycle is returned as a
 //!    [`FlowEdge`] witness (found by `stratify::witness_cycle`,
@@ -545,10 +547,12 @@ fn note_const(t: &Term, consts: &mut FxHashSet<Term>, max_const: &mut u64) {
 /// the same variable cannot widen it — this is what keeps `parity.idl`'s
 /// `succ(T, T2), has(T2)` certified). Variables bound only by builtins
 /// inherit the sources of the builtin's other arguments, marked expanding
-/// when the output position can exceed its inputs.
+/// when the output position can exceed its inputs — unless the clause caps
+/// the variable by a constant ([`capped_vars`]).
 fn flow_edges(program: &Program) -> Vec<FlowEdge> {
     let mut edges = Vec::new();
     for (ci, clause) in program.clauses.iter().enumerate() {
+        let capped = capped_vars(&clause.body);
         let mut sources: FxHashMap<&str, Vec<Src>> = FxHashMap::default();
         // Pass 1: positive atom bindings.
         for (li, lit) in clause.body.iter().enumerate() {
@@ -586,6 +590,7 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
                         continue;
                     }
                     let expanding = expanding_output(*op, tp);
+                    let capped = capped.contains(tv.as_str());
                     let mut derived: Vec<Src> = Vec::new();
                     for (i, other) in args.iter().enumerate() {
                         if i == tp {
@@ -596,11 +601,16 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
                             continue;
                         }
                         for src in sources.get(ov.as_str()).cloned().unwrap_or_default() {
+                            let (grew_at, op) = match (capped, expanding) {
+                                (true, _) => (None, None),
+                                (false, true) => (Some(li), Some(*op)),
+                                (false, false) => (src.grew_at, src.op),
+                            };
                             derived.push(Src {
                                 node: src.node,
                                 literal: src.literal,
-                                grew_at: if expanding { Some(li) } else { src.grew_at },
-                                op: if expanding { Some(*op) } else { src.op },
+                                grew_at,
+                                op,
                             });
                         }
                     }
@@ -637,6 +647,32 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
         }
     }
     edges
+}
+
+/// Variables `body` bounds from above by a constant: `V < c`, `V <= c`,
+/// `V = c`, or the mirrored `c > V`, `c >= V`, `c = V`. A builtin that
+/// binds such a variable does not grow it, however large its inputs: the
+/// value stays at most `c`. That keeps [`TerminationCert::round_bound`]
+/// sound, because its value ceiling `V*` starts at
+/// `max(max_const, max_natural)`, and `max_const ≥ c` (every integer
+/// constant of a builtin's arguments is counted). So every value a capped
+/// builtin binds already lies in the pool `0..=V*`, however often a
+/// derivation passes it, and a chain that grows again after it passes
+/// only uncapped expanding occurrences — each at most once, or an
+/// expanding cycle would exist.
+fn capped_vars(body: &[Literal]) -> FxHashSet<&str> {
+    body.iter()
+        .filter_map(|lit| match lit {
+            Literal::Builtin { op, args } => match (op, args.as_slice()) {
+                (Builtin::Lt | Builtin::Le | Builtin::Eq, [Term::Var(v), Term::Int(_)])
+                | (Builtin::Gt | Builtin::Ge | Builtin::Eq, [Term::Int(_), Term::Var(v)]) => {
+                    Some(v.as_str())
+                }
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect()
 }
 
 /// Predicates whose cardinality cannot be bounded: everything reachable
@@ -927,6 +963,36 @@ mod tests {
         // `T < 2` enumerates 0..2 — bounded by the constant, no growth.
         let (c, _) = cert("two(N) :- emp[2](E, D, T), T < 2, eqv(T, N).");
         assert!(c.growth_witness().is_none());
+    }
+
+    #[test]
+    fn growth_capped_by_a_constant_is_bounded() {
+        // `V < 5` caps the successor: `n` stops at `n(4)`.
+        let src = "n(0). n(V) :- n(A), succ(A, V), V < 5.";
+        let interner = Arc::new(Interner::new());
+        let vp = validate(src, &interner).unwrap();
+        let c = vp.termination();
+        assert!(c.growth_witness().is_none());
+        assert!(c.pred_bounded(interner.intern("n")));
+        let db = Database::with_interner(Arc::clone(&interner));
+        let bound = c.round_bound(&db).expect("certified");
+        let options = crate::EvalOptions::new().limits(crate::Limits::none().tighten_rounds(bound));
+        let out = crate::evaluate_governed(&vp, &db, &mut crate::CanonicalOracle, &options, None)
+            .unwrap();
+        assert_eq!(out.relation("n").unwrap().len(), 5);
+        assert!(out.stats().iterations <= bound, "{bound} too small");
+        // Every spelling of the cap, on either side; the same program
+        // without it, or capped from below, keeps its witness.
+        for guard in ["V < 5", "V <= 4", "V = 4", "5 > V", "4 >= V", "4 = V"] {
+            let (c, _) = cert(&format!("n(0). n(V) :- n(A), succ(A, V), {guard}."));
+            assert!(c.bounded(), "{guard}");
+        }
+        for guard in ["V > 4", "5 <= V", "V != 4", "V < W"] {
+            let (c, _) = cert(&format!(
+                "n(0). w(9). n(V) :- n(A), w(W), succ(A, V), {guard}."
+            ));
+            assert!(!c.bounded(), "{guard}");
+        }
     }
 
     #[test]

@@ -147,15 +147,16 @@ fn a_fixpoint_allocates_per_round_not_per_tuple() {
 
 /// The peak live heap of a serial binary fixpoint — the closure of a
 /// 1000-edge chain, 500 500 stored rows — per stored row. Rows are 16 bytes
-/// in a store whose capacity doubles, beside a membership table of 8-byte
-/// slots at most half full: 2²⁰ values and 2²⁰ slots, 33.5 bytes a row,
-/// plus the small delta and round buffers. It measures 33.9; the budget is
-/// that plus 10 %. The layout before strided rows (32-byte tuples, and the
-/// old and new tables side by side while the table doubled) measured 50.7.
+/// in a store whose capacity doubles, beside a membership table of 4-byte
+/// slots at most half full: 2²⁰ eight-byte values and 2²⁰ four-byte slots,
+/// 25.1 bytes a row, plus the small delta and round buffers. It measures
+/// 25.5; the budget is that plus 10 %. With 8-byte slots it measured 33.9,
+/// and before strided rows (32-byte tuples, and the old and new tables side
+/// by side while the table doubled) 50.7.
 #[test]
 fn a_fixpoints_peak_heap_per_stored_row_stays_within_its_budget() {
     const EDGES: u64 = 1000;
-    const BUDGET: f64 = 33.9 * 1.1;
+    const BUDGET: f64 = 25.5 * 1.1;
     let interner = Arc::new(Interner::new());
     let program = ValidatedProgram::parse(
         "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).",
@@ -176,14 +177,15 @@ fn a_fixpoints_peak_heap_per_stored_row_stays_within_its_budget() {
     let per_row = peak as f64 / rows as f64;
     assert!(
         per_row <= BUDGET,
-        "{per_row:.1} bytes of peak heap per stored row, budget {BUDGET:.1}"
+        "{per_row:.2} bytes of peak heap per stored row, budget {BUDGET:.1}"
     );
 }
 
 /// A membership table that doubles frees its old slots before it takes
 /// the new ones: the push that grows 2¹⁶ slots to 2¹⁷ raises the live heap
-/// by the difference, 512 KiB. A table that kept its old slots until the
-/// new ones were filled peaked at the whole new table, 1 MiB, above.
+/// by the difference, 256 KiB of 4-byte slots. A table that kept its old
+/// slots until the new ones were filled peaked at the whole new table,
+/// 512 KiB, above.
 #[test]
 fn a_doubling_membership_table_never_exists_twice() {
     const HALF: u64 = 1 << 15;
@@ -204,7 +206,7 @@ fn a_doubling_membership_table_never_exists_twice() {
     }
     // 2¹⁵ ids fill 2¹⁶ slots to half: the next push doubles them.
     let ((), growth) = peak_growth_during(|| push(&mut keys, &mut table, HALF));
-    let slot = std::mem::size_of::<u64>() as u64;
+    let slot = idlog_common::IdTable::SLOT_BYTES as u64;
     assert_eq!(
         growth,
         (1 << 16) * slot,

@@ -9,7 +9,7 @@
 //! 2. the run under the bound is byte-identical across thread counts
 //!    (stats included);
 //! 3. a refused bound always carries a growth witness (these programs are
-//!    never evaluated).
+//!    never evaluated), and only an unguarded copy is refused.
 //!
 //! On the wider fragment, with ID-literals whose tids builtins bound, read
 //! or leak, the predicate-level analyses must agree with the hand-rolled
@@ -41,9 +41,11 @@ fn build(p: &Program) -> Result<(ValidatedProgram, Database), CoreError> {
 
 /// A bounded certificate over-approximates the real round count, and the
 /// certified ceiling never perturbs thread-count determinism. An unbounded
-/// verdict always names a growing cycle. Each program also runs with its
-/// growth guards dropped, where a wrongly certified growth cycle diverges:
-/// it trips its bound, or runs past the 1 000 rounds no drawn program needs.
+/// verdict always names a growing cycle, and a program whose every growth
+/// is guarded by a constant cap is certified. Each program also runs with
+/// its growth guards dropped, where a wrongly certified growth cycle
+/// diverges: it trips its bound, or runs past the 1 000 rounds no drawn
+/// program needs.
 #[test]
 fn certified_bounds_cover_actual_rounds() {
     let fragment = Fragment {
@@ -54,6 +56,8 @@ fn certified_bounds_cover_actual_rounds() {
     gen::check("bounds", 128, fragment, both, |p, (guarded, unguarded)| {
         for (copy, (program, db)) in [("guarded", guarded), ("unguarded", unguarded)] {
             let cert = program.termination();
+            // Each guard `V < k` caps the value its builtin grows.
+            prop_assert!(copy == "unguarded" || cert.bounded(), "guarded: a witness");
             let Some(bound) = cert.round_bound(&db) else {
                 // A valid program goes uncertified for one reason only.
                 prop_assert!(cert.growth_witness().is_some(), "{copy}: no witness");
@@ -443,11 +447,35 @@ mod reference {
         op: Option<Builtin>,
     }
 
-    /// The argument-flow edges (unchanged by the graph's introduction; the
-    /// analysis keeps them private).
+    /// Variables a clause bounds from above by a constant (`V < c`,
+    /// `V <= c`, `V = c`, and mirrored): a builtin binding one grows
+    /// nothing.
+    fn capped(body: &[Literal]) -> FxHashSet<&str> {
+        let mut out = FxHashSet::default();
+        for lit in body {
+            let Literal::Builtin { op, args } = lit else {
+                continue;
+            };
+            let (var, constant) = match op {
+                Builtin::Lt | Builtin::Le => (&args[0], &args[1]),
+                Builtin::Gt | Builtin::Ge => (&args[1], &args[0]),
+                Builtin::Eq if matches!(args[0], Term::Int(_)) => (&args[1], &args[0]),
+                Builtin::Eq => (&args[0], &args[1]),
+                _ => continue,
+            };
+            if let (Term::Var(v), Term::Int(_)) = (var, constant) {
+                out.insert(v.as_str());
+            }
+        }
+        out
+    }
+
+    /// The argument-flow edges (unchanged by the graph's introduction but
+    /// for constant caps; the analysis keeps them private).
     pub fn flow_edges(program: &Program) -> Vec<FlowEdge> {
         let mut edges = Vec::new();
         for (ci, clause) in program.clauses.iter().enumerate() {
+            let capped = capped(&clause.body);
             let mut sources: FxHashMap<&str, Vec<Src>> = FxHashMap::default();
             for (li, lit) in clause.body.iter().enumerate() {
                 let Literal::Pos(a) = lit else { continue };
@@ -482,6 +510,7 @@ mod reference {
                             continue;
                         }
                         let expanding = expanding_output(*op, tp);
+                        let capped = capped.contains(tv.as_str());
                         let mut derived: Vec<Src> = Vec::new();
                         for (i, other) in args.iter().enumerate() {
                             if i == tp {
@@ -492,11 +521,18 @@ mod reference {
                                 continue;
                             }
                             for src in sources.get(ov.as_str()).cloned().unwrap_or_default() {
+                                let (grew_at, op) = if capped {
+                                    (None, None)
+                                } else if expanding {
+                                    (Some(li), Some(*op))
+                                } else {
+                                    (src.grew_at, src.op)
+                                };
                                 derived.push(Src {
                                     node: src.node,
                                     literal: src.literal,
-                                    grew_at: if expanding { Some(li) } else { src.grew_at },
-                                    op: if expanding { Some(*op) } else { src.op },
+                                    grew_at,
+                                    op,
                                 });
                             }
                         }

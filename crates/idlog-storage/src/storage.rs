@@ -490,8 +490,9 @@ fn key_index(positions: &[usize], rows: Rows<'_>) -> KeyIndex {
 /// first row inserted. `seen` finds a row's offset from its hash — offsets
 /// are the table's dense ids, membership verifies equality against the
 /// store, so collisions are handled, no second copy of any row exists and
-/// an insert allocates nothing per row; when it doubles, it re-hashes the
-/// stored rows instead of holding two tables. Each index maps a projection
+/// an insert allocates nothing per row; its 4-byte slots keep no row's
+/// home, so when it doubles, or a removal shifts a cluster back, it
+/// re-hashes the stored rows. Each index maps a projection
 /// key to store offsets, ascending, and is updated on every insert and
 /// removal.
 #[derive(Clone, Debug, Default)]
@@ -561,8 +562,10 @@ impl HashBackend {
     /// whatever the relation's size.
     fn swap_remove(&mut self, off: u32) {
         let last = self.rows.len() as u32 - 1;
-        let (victim, moved) = (self.rows.get(off as usize), self.rows.get(last as usize));
-        self.seen.swap_remove(off, fx_hash(victim), fx_hash(moved));
+        let rows = self.rows.rows();
+        let (victim, moved) = (rows.get(off as usize), rows.get(last as usize));
+        self.seen
+            .swap_remove(off, |off| fx_hash(rows.get(off as usize)));
         self.indexes.for_each_mut(|positions, map| {
             // A stored row is listed under its key, and `last`, the greatest
             // offset, ends its list.
