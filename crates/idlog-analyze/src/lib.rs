@@ -346,6 +346,19 @@ mod tests {
     }
 
     #[test]
+    fn growth_capped_at_its_inputs_draws_no_w020() {
+        let a = run("n(0). n(V) :- n(A), A < 4, succ(A, V).");
+        let cs = codes(&a);
+        assert!(!cs.contains(&"W020"), "{cs:?}");
+        assert!(cs.contains(&"H010"), "{cs:?}");
+        let a = run("n(0). n(V) :- n(A), n(B), A < 4, B < 4, plus(A, B, V).");
+        assert!(!codes(&a).contains(&"W020"), "{:?}", codes(&a));
+        // One `plus` input left uncapped can still grow without end.
+        let a = run("n(0). n(V) :- n(A), n(B), A < 4, plus(A, B, V).");
+        assert!(codes(&a).contains(&"W020"), "{:?}", codes(&a));
+    }
+
+    #[test]
     fn recursive_choice_over_growing_base_draws_w021() {
         let a = run("n(0).
                      n(M) :- n(N), plus(N, 1, M).

@@ -318,14 +318,14 @@ impl Session {
                 .cancel_token(token)
                 .run_with(oracle.as_mut())
                 .map_err(|e| e.to_string())?;
-            let mut text = String::new();
+            let mut facts: Vec<u8> = Vec::new();
             if result.relation.is_empty() {
-                text.push_str("(empty)\n");
+                facts.extend_from_slice(b"(empty)\n");
             }
             let view = result.relation.canonical_view(&self.interner);
-            for row in 0..view.len() {
-                view.render_fact(row, pred, &mut text);
-            }
+            view.write_facts(pred, &mut facts)
+                .map_err(|e| e.to_string())?;
+            let mut text = String::from_utf8(facts).map_err(|e| e.to_string())?;
             if let Some(profile) = &result.profile {
                 text.push_str(&profile.render_table(false));
             }

@@ -625,17 +625,7 @@ impl Response {
 /// evaluated, on either backend, at any thread count — render byte-
 /// identically.
 pub fn render_answers(rel: &Relation, interner: &Interner) -> Vec<String> {
-    let view = rel.canonical_view(interner);
-    // Render into one scratch buffer; each answer is then a single
-    // exact-size allocation.
-    let mut scratch = String::new();
-    (0..view.len())
-        .map(|row| {
-            scratch.clear();
-            view.render_row(row, ",", &mut scratch);
-            scratch.clone()
-        })
-        .collect()
+    rel.canonical_view(interner).render_rows(",")
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 //!    Arithmetic over ℕ is the only way IDLOG can *invent* values, so an
 //!    edge is **expanding** when it passes through a builtin output position
 //!    that can exceed every input (`succ`'s successor, `plus`/`times`
-//!    results, `minus`/`div` first arguments) and the clause does not cap
-//!    by a constant (`V < c`, `V <= c`, `V = c`, mirrored too: such a value
-//!    stays within the ceiling `V*` of layer 3). A cycle through an expanding
+//!    results, `minus`/`div` first arguments) and the clause caps by a
+//!    constant (`V < c`, `V <= c`, `V = c`, mirrored too) neither that
+//!    value nor every input of its `succ` or `plus`: a capped value stays
+//!    within the ceiling `V*` of layer 3. A cycle through an expanding
 //!    edge is the divergence engine of `programs/diverge.idl`: the fixpoint
 //!    derives an ever-larger value forever. Such a cycle is returned as a
 //!    [`FlowEdge`] witness (found by `stratify::witness_cycle`,
@@ -176,8 +177,13 @@ pub struct TerminationCert {
     /// Number of distinct constant terms in the program.
     const_count: u64,
     /// One entry per body occurrence of a builtin with an expanding output
-    /// position (bounds the depth of acyclic growth chains).
+    /// position and an uncapped input (bounds the depth of acyclic growth
+    /// chains).
     expanding_ops: Vec<Builtin>,
+    /// The most an input-capped growing occurrence can make
+    /// ([`input_capped_ceiling`]): where the value ceiling starts, beside
+    /// `max_const`.
+    capped_ceiling: u64,
     /// Number of strata.
     strata: u64,
     /// Pre-extracted clause shapes for the instantiation products.
@@ -273,7 +279,10 @@ impl TerminationCert {
         // many distinct values there are — is one pass over the database,
         // made once per database version and cached there.
         let data = db.value_summary();
-        let mut vstar: u64 = self.max_const.max(data.max_natural);
+        let mut vstar: u64 = self
+            .max_const
+            .max(data.max_natural)
+            .max(self.capped_ceiling);
         let pool = data.distinct;
         // Value ceiling: the largest natural any evaluation can derive.
         // In a certified (acyclic) flow graph a derivation chain passes
@@ -432,7 +441,9 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
     let mut consts: FxHashSet<Term> = FxHashSet::default();
     let mut max_const: u64 = 0;
     let mut expanding_ops: Vec<Builtin> = Vec::new();
+    let mut capped_ceiling: u64 = 0;
     for clause in &ast.clauses {
+        let caps = capped_vars(&clause.body);
         for t in &clause.single_head().terms {
             note_const(t, &mut consts, &mut max_const);
         }
@@ -444,7 +455,10 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
             }
             if let Literal::Builtin { op, args } = lit {
                 if (0..args.len()).any(|i| expanding_output(*op, i)) {
-                    expanding_ops.push(*op);
+                    match input_capped_ceiling(*op, args, &caps) {
+                        Some(c) => capped_ceiling = capped_ceiling.max(c),
+                        None => expanding_ops.push(*op),
+                    }
                 }
                 for t in args {
                     note_const(t, &mut consts, &mut max_const);
@@ -522,6 +536,7 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
         max_const,
         const_count: consts.len() as u64,
         expanding_ops,
+        capped_ceiling,
         strata: program.stratification().count() as u64,
         nonrec_clauses,
     }
@@ -548,11 +563,12 @@ fn note_const(t: &Term, consts: &mut FxHashSet<Term>, max_const: &mut u64) {
 /// `succ(T, T2), has(T2)` certified). Variables bound only by builtins
 /// inherit the sources of the builtin's other arguments, marked expanding
 /// when the output position can exceed its inputs — unless the clause caps
-/// the variable by a constant ([`capped_vars`]).
+/// the variable by a constant ([`capped_vars`]), or every input of its
+/// `succ` or `plus` ([`input_capped_ceiling`]).
 fn flow_edges(program: &Program) -> Vec<FlowEdge> {
     let mut edges = Vec::new();
     for (ci, clause) in program.clauses.iter().enumerate() {
-        let capped = capped_vars(&clause.body);
+        let caps = capped_vars(&clause.body);
         let mut sources: FxHashMap<&str, Vec<Src>> = FxHashMap::default();
         // Pass 1: positive atom bindings.
         for (li, lit) in clause.body.iter().enumerate() {
@@ -590,7 +606,8 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
                         continue;
                     }
                     let expanding = expanding_output(*op, tp);
-                    let capped = capped.contains(tv.as_str());
+                    let capped = caps.contains_key(tv.as_str())
+                        || (expanding && input_capped_ceiling(*op, args, &caps).is_some());
                     let mut derived: Vec<Src> = Vec::new();
                     for (i, other) in args.iter().enumerate() {
                         if i == tp {
@@ -649,8 +666,9 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
     edges
 }
 
-/// Variables `body` bounds from above by a constant: `V < c`, `V <= c`,
-/// `V = c`, or the mirrored `c > V`, `c >= V`, `c = V`. A builtin that
+/// Variables `body` bounds from above by a constant, with the least such
+/// constant: `V < c`, `V <= c`, `V = c`, or the mirrored `c > V`,
+/// `c >= V`, `c = V` (each keeps `V ≤ c`). A builtin that
 /// binds such a variable does not grow it, however large its inputs: the
 /// value stays at most `c`. That keeps [`TerminationCert::round_bound`]
 /// sound, because its value ceiling `V*` starts at
@@ -660,19 +678,53 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
 /// derivation passes it, and a chain that grows again after it passes
 /// only uncapped expanding occurrences — each at most once, or an
 /// expanding cycle would exist.
-fn capped_vars(body: &[Literal]) -> FxHashSet<&str> {
-    body.iter()
-        .filter_map(|lit| match lit {
-            Literal::Builtin { op, args } => match (op, args.as_slice()) {
-                (Builtin::Lt | Builtin::Le | Builtin::Eq, [Term::Var(v), Term::Int(_)])
-                | (Builtin::Gt | Builtin::Ge | Builtin::Eq, [Term::Int(_), Term::Var(v)]) => {
-                    Some(v.as_str())
-                }
-                _ => None,
-            },
-            _ => None,
-        })
-        .collect()
+fn capped_vars(body: &[Literal]) -> FxHashMap<&str, u64> {
+    let mut caps: FxHashMap<&str, u64> = FxHashMap::default();
+    for lit in body {
+        let Literal::Builtin { op, args } = lit else {
+            continue;
+        };
+        let (v, c) = match (op, args.as_slice()) {
+            (Builtin::Lt | Builtin::Le | Builtin::Eq, [Term::Var(v), Term::Int(c)])
+            | (Builtin::Gt | Builtin::Ge | Builtin::Eq, [Term::Int(c), Term::Var(v)]) => (v, c),
+            _ => continue,
+        };
+        let c = c.get() as u64;
+        caps.entry(v.as_str())
+            .and_modify(|cap| *cap = (*cap).min(c))
+            .or_insert(c);
+    }
+    caps
+}
+
+/// The most a `succ` or `plus` occurrence can make when the clause caps
+/// every one of its inputs by a constant (an integer argument caps
+/// itself): `succ(A, V)` with `A ≤ c` makes at most `c + 1`, and
+/// `plus(A, B, V)` with `A ≤ c_A` and `B ≤ c_B` at most `c_A + c_B`.
+/// `None` for any other builtin, or when an input goes uncapped.
+///
+/// Such an occurrence does not expand, whatever feeds its inputs: it is
+/// one application of the builtin to values at most its caps, so what it
+/// makes is at most this ceiling. That keeps
+/// [`TerminationCert::round_bound`] sound, because its value ceiling `V*`
+/// starts at the largest such ceiling of the program, beside
+/// `max(max_const, max_natural)`: the application is counted there once,
+/// and every value the occurrence binds lies in the pool `0..=V*` however
+/// often a derivation passes it — as for a capped output
+/// ([`capped_vars`]). A chain that grows again after it passes only
+/// uncapped expanding occurrences, each at most once. A `plus` with one
+/// input uncapped stays expanding: that input can grow without end.
+fn input_capped_ceiling(op: Builtin, args: &[Term], caps: &FxHashMap<&str, u64>) -> Option<u64> {
+    let cap = |t: &Term| match t {
+        Term::Int(n) => Some(n.get() as u64),
+        Term::Var(v) => caps.get(v.as_str()).copied(),
+        Term::Sym(_) => None,
+    };
+    match (op, args) {
+        (Builtin::Succ, [a, _]) => Some(cap(a)?.saturating_add(1)),
+        (Builtin::Plus, [a, b, _]) => Some(cap(a)?.saturating_add(cap(b)?)),
+        _ => None,
+    }
 }
 
 /// Predicates whose cardinality cannot be bounded: everything reachable
@@ -993,6 +1045,67 @@ mod tests {
             ));
             assert!(!c.bounded(), "{guard}");
         }
+    }
+
+    #[test]
+    fn growth_capped_at_its_inputs_is_bounded() {
+        // `A < 4` caps the successor's input: `n` stops at `n(4)`.
+        let src = "n(0). n(V) :- n(A), A < 4, succ(A, V).";
+        let interner = Arc::new(Interner::new());
+        let vp = validate(src, &interner).unwrap();
+        let c = vp.termination();
+        assert!(c.growth_witness().is_none());
+        assert!(c.pred_bounded(interner.intern("n")));
+        let db = Database::with_interner(Arc::clone(&interner));
+        let bound = c.round_bound(&db).expect("certified");
+        let options = crate::EvalOptions::new().limits(crate::Limits::none().tighten_rounds(bound));
+        let out = crate::evaluate_governed(&vp, &db, &mut crate::CanonicalOracle, &options, None)
+            .unwrap();
+        assert_eq!(out.relation("n").unwrap().len(), 5);
+        assert!(out.stats().iterations <= bound, "{bound} too small");
+        // Every spelling of the cap, and `plus` with both inputs capped,
+        // by a guard or by an integer argument.
+        for clause in [
+            "n(V) :- n(A), A <= 3, succ(A, V).",
+            "n(V) :- n(A), A = 3, succ(A, V).",
+            "n(V) :- n(A), 4 > A, succ(A, V).",
+            "n(V) :- n(A), 3 >= A, succ(A, V).",
+            "n(V) :- n(A), 3 = A, succ(A, V).",
+            "n(V) :- n(A), n(B), A < 4, B < 2, plus(A, B, V).",
+            "n(V) :- n(A), A < 4, plus(A, 2, V).",
+            "n(V) :- n(A), A < 4, plus(A, A, V).",
+        ] {
+            let (c, _) = cert(&format!("n(0). n(1). {clause}"));
+            assert!(c.bounded(), "{clause}");
+        }
+        // One `plus` input uncapped, or a cap from below, keeps the witness.
+        for clause in [
+            "n(V) :- n(A), n(B), A < 4, plus(A, B, V).",
+            "n(V) :- n(A), n(B), B < 4, plus(A, B, V).",
+            "n(V) :- n(A), A > 4, succ(A, V).",
+            "n(V) :- n(A), w(W), A < W, succ(A, V).",
+        ] {
+            let (c, _) = cert(&format!("n(0). w(9). {clause}"));
+            assert!(!c.bounded(), "{clause}");
+        }
+    }
+
+    #[test]
+    fn an_input_capped_application_counts_once_in_the_ceiling() {
+        // `plus(A, B, V)` with `A, B ≤ 7` makes values up to 14, above
+        // every constant of the program: the ceiling counts that one
+        // application, so the bound covers the rounds it takes.
+        let src = "n(0). n(1). n(V) :- n(A), n(B), A < 8, B < 8, plus(A, B, V).";
+        let interner = Arc::new(Interner::new());
+        let vp = validate(src, &interner).unwrap();
+        let c = vp.termination();
+        let db = Database::with_interner(Arc::clone(&interner));
+        let bound = c.round_bound(&db).expect("certified");
+        let options = crate::EvalOptions::new().limits(crate::Limits::none().tighten_rounds(bound));
+        let out = crate::evaluate_governed(&vp, &db, &mut crate::CanonicalOracle, &options, None)
+            .unwrap();
+        assert_eq!(out.relation("n").unwrap().len(), 15, "0..=14");
+        assert!(out.stats().iterations <= bound, "{bound} too small");
     }
 
     #[test]

@@ -398,3 +398,38 @@ fn loading_plain_facts_allocates_nothing_per_fact() {
         );
     }
 }
+
+/// The peak live heap of a canonical group-index build — `emp` grouped on
+/// its department, 100 000 rows over 100 000 distinct names that share
+/// their first eight bytes — per row. The rows are not copied: the build
+/// numbers the distinct symbols in an id-indexed table (4 bytes per
+/// interned symbol), sorts a 4-byte permutation of them on an 8-byte name
+/// prefix each, reading ties from the interner's arena, keeps an id → rank
+/// table and a rank → id list, and sorts one packed 8-byte key per row;
+/// the index keeps a 4-byte row id per row. At its peak, while the names
+/// are sorted, it holds the table, the distinct symbols (with their
+/// vector's doubling slack), the permutation and the prefixes: 21.2 bytes
+/// a row measured, and the budget is that plus 10 %. While the view kept a
+/// copy of every name, with a span per symbol and a `(prefix, number)`
+/// pair to sort, it measured 64.8.
+#[test]
+fn a_canonical_group_index_build_peaks_within_its_budget() {
+    const ROWS: usize = 100_000;
+    const BUDGET_PER_ROW: f64 = 21.2 * 1.1;
+    let interner = Interner::new();
+    let mut rel = Relation::new(RelType::new(vec![idlog_core::Sort::U, idlog_core::Sort::I]));
+    for n in 0..ROWS {
+        let name = Value::Sym(interner.intern(&format!("employee{n}")));
+        rel.insert([name, int((n % 1000) as i64)].into_iter().collect())
+            .unwrap();
+    }
+    assert_eq!(interner.len(), ROWS);
+    let (build, peak) =
+        peak_growth_during(|| idlog_storage::canonical_id_relation(&rel, &[1], &interner, Some(0)));
+    assert_eq!((build.groups, build.relation.len()), (1000, 0));
+    let per_row = peak as f64 / ROWS as f64;
+    assert!(
+        per_row <= BUDGET_PER_ROW,
+        "{per_row:.2} bytes of peak heap per row, budget {BUDGET_PER_ROW:.1}"
+    );
+}

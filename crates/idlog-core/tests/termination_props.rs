@@ -470,8 +470,24 @@ mod reference {
         out
     }
 
+    /// Whether every input of a growing `succ` or `plus` is an integer or a
+    /// capped variable: then what it makes is capped too.
+    fn inputs_capped(op: Builtin, args: &[Term], capped: &FxHashSet<&str>) -> bool {
+        let inputs = match op {
+            Builtin::Succ => &args[..1],
+            Builtin::Plus => &args[..2],
+            _ => return false,
+        };
+        inputs.iter().all(|t| match t {
+            Term::Int(_) => true,
+            Term::Var(v) => capped.contains(v.as_str()),
+            Term::Sym(_) => false,
+        })
+    }
+
     /// The argument-flow edges (unchanged by the graph's introduction but
-    /// for constant caps; the analysis keeps them private).
+    /// for constant caps, on a builtin's output or on all its inputs; the
+    /// analysis keeps them private).
     pub fn flow_edges(program: &Program) -> Vec<FlowEdge> {
         let mut edges = Vec::new();
         for (ci, clause) in program.clauses.iter().enumerate() {
@@ -510,7 +526,8 @@ mod reference {
                             continue;
                         }
                         let expanding = expanding_output(*op, tp);
-                        let capped = capped.contains(tv.as_str());
+                        let capped = capped.contains(tv.as_str())
+                            || (expanding && inputs_capped(*op, args, &capped));
                         let mut derived: Vec<Src> = Vec::new();
                         for (i, other) in args.iter().enumerate() {
                             if i == tp {

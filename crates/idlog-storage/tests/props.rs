@@ -133,7 +133,130 @@ fn arb_mixed_relation_up_to(max_arity: usize) -> impl Strategy<Value = (Interner
         })
 }
 
+/// Names that share their first eight bytes or more, that end inside the
+/// first eight, that hold non-ASCII text (multi-byte in the prefix, or just
+/// past it) or a zero byte, or are empty.
+const LONG_NAMES: [&str; 12] = [
+    "shared_prefix_b",
+    "shared_prefix_a",
+    "shared_prefix",
+    "shared_p",
+    "shared_pr",
+    "shared_p\u{e9}",
+    "shared_p\0",
+    "\u{3a9}mega",
+    "\u{65e5}\u{672c}\u{8a9e}",
+    "Z",
+    "a",
+    "",
+];
+
+/// One value's place in the reference order: integers by value before
+/// symbols by resolved name.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum RefKey {
+    Int(i64),
+    Name(String),
+}
+
+fn ref_key(values: &[Value], interner: &Interner) -> Vec<RefKey> {
+    values
+        .iter()
+        .map(|v| match v {
+            Value::Int(n) => RefKey::Int(n.get()),
+            Value::Sym(s) => RefKey::Name(interner.resolve(*s)),
+        })
+        .collect()
+}
+
+/// A relation of arity 0–4 whose columns mix both sorts, over
+/// [`LONG_NAMES`], in an interner that holds them in a random order with
+/// names the relation lacks interned between them; with a grouping set.
+fn arb_named_relation() -> impl Strategy<Value = (Interner, Relation, Vec<usize>)> {
+    (
+        0usize..=4,
+        proptest::collection::vec(any::<bool>(), 4),
+        proptest::collection::vec(proptest::collection::vec(0usize..12, 4), 0..24),
+        any::<u64>(),
+        proptest::collection::vec(any::<bool>(), 4),
+    )
+        .prop_map(|(arity, int_column, rows, shuffle, grouped)| {
+            use rand::seq::SliceRandom;
+            let mut order: Vec<usize> = (0..LONG_NAMES.len()).collect();
+            order.shuffle(&mut SmallRng::seed_from_u64(shuffle));
+            let interner = Interner::new();
+            for (i, &k) in order.iter().enumerate() {
+                interner.intern(&format!("unused_{i}"));
+                interner.intern(LONG_NAMES[k]);
+            }
+            let sorts: Vec<Sort> = int_column[..arity]
+                .iter()
+                .map(|&int| if int { Sort::I } else { Sort::U })
+                .collect();
+            let mut rel = Relation::new(RelType::new(sorts.clone()));
+            for row in rows {
+                let t: Tuple = sorts
+                    .iter()
+                    .zip(row)
+                    .map(|(sort, k)| match sort {
+                        Sort::I => int([0, 1, 7, 10, 99, 100, 1 << 33, i64::MAX][k % 8]),
+                        Sort::U => Value::Sym(interner.intern(LONG_NAMES[k])),
+                    })
+                    .collect();
+                rel.insert(t).unwrap();
+            }
+            let positions = (0..arity).filter(|&c| grouped[c]).collect();
+            (interner, rel, positions)
+        })
+}
+
 proptest! {
+    /// The view keeps no name of its own: every renderer, its iteration
+    /// and the group index it sorts for equal a reference sort by resolved
+    /// name — for names alike in their first eight bytes or more, non-ASCII
+    /// names, and an interner holding names the relation lacks.
+    #[test]
+    fn the_view_orders_and_renders_like_a_sort_by_resolved_name(
+        (interner, rel, positions) in arb_named_relation(),
+    ) {
+        let mut expected = scan(&rel);
+        expected.sort_by_cached_key(|t| ref_key(t.values(), &interner));
+        let view = rel.canonical_view(&interner);
+        prop_assert_eq!(view.iter().map(Tuple::from).collect::<Vec<_>>(), expected.clone());
+
+        let names = |t: &Tuple| -> Vec<String> {
+            t.values().iter().map(|v| match v {
+                Value::Int(n) => n.get().to_string(),
+                Value::Sym(s) => interner.resolve(*s),
+            }).collect()
+        };
+        let facts: String = expected.iter().map(|t| format!("p({})\n", names(t).join(", "))).collect();
+        let wire: Vec<String> = expected.iter().map(|t| names(t).join(",")).collect();
+        let mut written: Vec<u8> = Vec::new();
+        view.write_facts("p", &mut written).unwrap();
+        prop_assert_eq!(String::from_utf8(written).unwrap(), facts);
+        prop_assert_eq!(view.render_rows(","), wire);
+
+        // Groups in key order, members in order within each: the tids the
+        // canonical ID-functions give.
+        let mut groups: BTreeMap<Vec<RefKey>, Vec<Tuple>> = BTreeMap::new();
+        for t in &expected {
+            groups.entry(ref_key(project(t.values(), &positions).values(), &interner))
+                .or_default()
+                .push(t.clone());
+        }
+        let grouping = group_by(&rel, &positions, &interner);
+        let got: Vec<Vec<Tuple>> = grouping.iter().map(|(_, ts)| ts.to_vec()).collect();
+        prop_assert_eq!(got, groups.values().cloned().collect::<Vec<_>>());
+        let ids = canonical_id_relation(&rel, &positions, &interner, None).relation;
+        for members in groups.values() {
+            for (tid, t) in members.iter().enumerate() {
+                let with_tid: Tuple = t.values().iter().copied().chain([int(tid as i64)]).collect();
+                prop_assert!(ids.contains(&with_tid), "{:?} lacks tid {}", t, tid);
+            }
+        }
+    }
+
     /// The canonical view is the relation sorted by `Tuple::cmp_canonical`,
     /// and its renderers print exactly what `Tuple::display` prints — on
     /// both backends, for every arity (the 0-ary tuple included) and any
@@ -150,25 +273,21 @@ proptest! {
         prop_assert_eq!(view.iter().map(Tuple::from).collect::<Vec<_>>(), expected.clone());
         prop_assert_eq!(rel.sorted_canonical(&interner), expected.clone());
 
-        let mut facts = String::new();
-        for (row, t) in expected.iter().enumerate() {
-            let mut fact = String::new();
-            view.render_fact(row, "p", &mut fact);
-            prop_assert_eq!(&fact, &format!("p{}\n", t.display(&interner)));
-            facts.push_str(&fact);
-
-            let mut wire = String::new();
-            view.render_row(row, ",", &mut wire);
-            let joined: Vec<String> = t
-                .values()
-                .iter()
-                .map(|v| v.display(&interner).to_string())
-                .collect();
-            prop_assert_eq!(wire, joined.join(","));
-        }
+        let facts: String = expected
+            .iter()
+            .map(|t| format!("p{}\n", t.display(&interner)))
+            .collect();
         let mut written: Vec<u8> = Vec::new();
         view.write_facts("p", &mut written).unwrap();
         prop_assert_eq!(String::from_utf8(written).unwrap(), facts);
+        let wire: Vec<String> = expected
+            .iter()
+            .map(|t| {
+                let values = t.values().iter().map(|v| v.display(&interner).to_string());
+                values.collect::<Vec<_>>().join(",")
+            })
+            .collect();
+        prop_assert_eq!(view.render_rows(","), wire);
 
         // The order is a function of content, not of backend or history.
         let other = match rel.backend_kind() {
@@ -740,4 +859,49 @@ proptest! {
             prop_assert_eq!(written, expected);
         }
     }
+}
+
+/// A render takes the interner's lock per chunk and reads names in place
+/// from its arena, which another thread's interning grows meanwhile: the
+/// bytes do not change.
+#[test]
+fn a_render_beside_interning_gives_the_same_bytes() {
+    let interner = Interner::new();
+    let mut rel = Relation::elementary(2);
+    for n in 0..20_000 {
+        let t: Tuple = vec![
+            Value::Sym(interner.intern(&format!("shared_prefix_{}", n % 97))),
+            Value::Sym(interner.intern(&format!("member_{n}_\u{e9}"))),
+        ]
+        .into();
+        rel.insert(t).unwrap();
+    }
+    let view = rel.canonical_view(&interner);
+    let render = || {
+        let mut facts: Vec<u8> = Vec::new();
+        view.write_facts("p", &mut facts).unwrap();
+        (facts, view.render_rows(","))
+    };
+    let before = render();
+    assert!(before.0.len() > 4 * 64 * 1024, "several chunks");
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let interning = s.spawn(|| {
+            let mut n = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                interner.intern(&format!("late_{n}"));
+                n += 1;
+            }
+            n
+        });
+        for _ in 0..5 {
+            assert!(
+                render() == before,
+                "a render changed while names were interned"
+            );
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(interning.join().unwrap() > 0);
+    });
+    assert_eq!(render(), before);
 }

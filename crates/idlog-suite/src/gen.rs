@@ -15,7 +15,8 @@
 //!   negation or an ID-literal strictly below, so the levels stratify; a
 //!   literal reads only predicates with a clause already drawn;
 //! * a builtin that makes a larger number (`succ` and `plus` forward) is
-//!   followed by a guard `V < k`, so every program terminates
+//!   followed by a guard, so every program terminates: half the time
+//!   `V < k` on its output, otherwise `A < k` on each variable input
 //!   ([`Program::unguarded`] drops the guards).
 //!
 //! The body is then shuffled: the engine and the reference must find the
@@ -490,6 +491,26 @@ impl Draw<'_> {
         Lit { pred: None, toks }
     }
 
+    /// `builtin, v < k`, or half the time `builtin, a < k, b < k` on each
+    /// variable input instead: the guards that keep a growing value
+    /// finite. They follow the builtin's `)`, where [`Program::unguarded`]
+    /// cuts them off.
+    fn guarded(&mut self, mut toks: Vec<Tok>, v: Tok, inputs: &[Tok], k: Tok) -> Vec<Tok> {
+        let capped = match self.below(2) {
+            0 => vec![v],
+            _ => inputs
+                .iter()
+                .filter(|t| matches!(t, Tok::Var(_)))
+                .cloned()
+                .collect(),
+        };
+        for t in capped {
+            toks.push(Tok::Text(", ".into()));
+            toks.extend(infix(t, "<", k.clone()));
+        }
+        toks
+    }
+
     /// A builtin in a mode its bound arguments allow.
     fn builtin(&mut self) {
         let known = self.vars.len();
@@ -509,13 +530,14 @@ impl Draw<'_> {
             (3, Some(a), _) => {
                 let v = self.fresh(i);
                 self.grown = Some(v.clone());
-                guarded(call("succ", [a, v.clone()]), v, k)
+                self.guarded(call("succ", [a.clone(), v.clone()]), v, &[a], k)
             }
             (4, Some(a), _) => call("succ", [self.fresh(i), a]),
             (5, Some(a), _) => {
                 let (b, v) = (self.read(i), self.fresh(i));
                 self.grown = Some(v.clone());
-                guarded(call("plus", [a, b, v.clone()]), v, k)
+                let toks = call("plus", [a.clone(), b.clone(), v.clone()]);
+                self.guarded(toks, v, &[a, b], k)
             }
             (6, Some(a), _) => call("plus", [a, self.fresh(i), self.read(i)]),
             (7, Some(a), _) => {
@@ -559,14 +581,6 @@ fn call(name: &str, args: impl IntoIterator<Item = Tok>) -> Vec<Tok> {
 
 fn infix(a: Tok, op: &str, b: Tok) -> Vec<Tok> {
     vec![a, Tok::Text(format!(" {op} ")), b]
-}
-
-/// `builtin, v < k`: the guard that keeps a growing value finite. It
-/// follows the builtin's `)`, where [`Program::unguarded`] cuts it off.
-fn guarded(mut toks: Vec<Tok>, v: Tok, k: Tok) -> Vec<Tok> {
-    toks.push(Tok::Text(", ".into()));
-    toks.extend(infix(v, "<", k));
-    toks
 }
 
 /// An atom over `pred`, `name` its spelling (`not p`, `p[1]`, …).
@@ -667,8 +681,9 @@ impl Program {
     }
 
     /// This program with every growth guard dropped: `succ(A, V), V < k`
-    /// becomes `succ(A, V)`. It stays valid, but a recursion through `V`
-    /// may now diverge, as a termination analysis must see.
+    /// and `succ(A, V), A < k` become `succ(A, V)`. It stays valid, but a
+    /// recursion through `V` may now diverge, as a termination analysis
+    /// must see.
     pub fn unguarded(&self) -> Program {
         let mut p = self.clone();
         for lit in p.clauses.iter_mut().flat_map(|c| &mut c.body) {
