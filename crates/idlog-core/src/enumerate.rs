@@ -12,11 +12,12 @@
 //! the walk early ([`AnswerSet::stopped`]).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use idlog_common::{FxHashSet, Interner, SymbolId, Tuple};
 use idlog_storage::{
-    make_id_relation, BoundedAssignmentIter, Database, IdAssignmentIter, Relation,
+    count_bounded_assignments, count_id_functions, make_id_relation, BoundedAssignmentIter,
+    Database, IdAssignment, IdAssignmentIter, Relation,
 };
 
 use crate::config::EvalOptions;
@@ -267,6 +268,9 @@ pub(crate) fn enumerate_governed(
     ))
 }
 
+/// The most assignments a pool worker takes off the walk at once.
+const MAX_BATCH: usize = 32;
+
 /// `Shared::stop` encoding: `0` = still walking; otherwise a [`StopReason`].
 /// The first writer wins (compare-exchange from `0`), so the reported reason
 /// is the first stop observed anywhere in the walk.
@@ -452,34 +456,47 @@ fn branch(
     let (key, base, grouping) = &needed[i];
     let base_rel = state
         .get(&PredKey::Ordinary(*base))
-        .cloned()
         .ok_or_else(|| CoreError::Eval {
             message: format!("base relation {} missing", cx.interner.resolve(*base)),
         })?;
     // Only distinguishable assignments: k-prefix arrangements when the tid
-    // use is bounded, full permutations otherwise.
-    let assignments: Vec<_> = match cx.bounds.get(&(*base, grouping.clone())) {
-        Some(&bound) => {
-            BoundedAssignmentIter::new(&base_rel, grouping, bound, cx.interner).collect()
-        }
-        None => IdAssignmentIter::new(&base_rel, grouping, cx.interner).collect(),
-    };
+    // use is bounded, full permutations otherwise — walked lazily, one
+    // assignment held at a time.
+    let (count, assignments): (u128, Box<dyn Iterator<Item = IdAssignment> + Send>) =
+        match cx.bounds.get(&(*base, grouping.clone())) {
+            Some(&bound) => (
+                count_bounded_assignments(base_rel, grouping, bound, cx.interner),
+                Box::new(BoundedAssignmentIter::new(
+                    base_rel,
+                    grouping,
+                    bound,
+                    cx.interner,
+                )),
+            ),
+            None => (
+                count_id_functions(base_rel, grouping, cx.interner),
+                Box::new(IdAssignmentIter::new(base_rel, grouping, cx.interner)),
+            ),
+        };
 
-    if threads > 1 && assignments.len() > 1 {
-        // Distribute the first choice point's branches over a bounded pool:
-        // one thread per chunk, each walking its share sequentially into its
-        // own local sink (no cross-thread locking on the leaf path). With a
+    if threads > 1 && count > 1 {
+        // Distribute the first choice point's branches over a bounded pool.
+        // Each worker takes the next contiguous batch of the walk, walks it
+        // sequentially into its own sink (no cross-thread locking on the
+        // leaf path), and notes the walk position at which it kept each
+        // answer. The sinks merge in walk order, so the answers — and which
+        // copy of a repeated one is kept — are the serial walk's. With a
         // single-thread budget (e.g. a single-core host under auto config)
         // this path is skipped — threads would only add overhead.
-        let chunk_len = assignments.len().div_ceil(threads);
-        let results: Vec<CoreResult<Local>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    let state = &state;
-                    let base_rel = &base_rel;
-                    let key = &key;
-                    scope.spawn(move || -> CoreResult<Local> {
+        let workers = usize::try_from(count).map_or(threads, |n| n.min(threads));
+        let batch = usize::try_from(count / (4 * threads as u128))
+            .map_or(MAX_BATCH, |n| n.clamp(1, MAX_BATCH));
+        let walk = Mutex::new(assignments.enumerate());
+        let results: Vec<CoreResult<(Local, Vec<usize>)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (walk, state) = (&walk, &state);
+                    scope.spawn(move || -> CoreResult<(Local, Vec<usize>)> {
                         #[cfg(feature = "failpoints")]
                         if let Err(message) = idlog_common::failpoint::hit("enum.branch") {
                             return Err(CoreError::Internal {
@@ -488,17 +505,36 @@ fn branch(
                             });
                         }
                         let mut mine = Local::default();
-                        for assignment in chunk {
-                            if cx.shared.is_stopped() {
-                                return Ok(mine);
+                        let mut found_at = Vec::new();
+                        loop {
+                            // A panic mid-step may have left the walk's state
+                            // half-advanced: stop rather than read it.
+                            let taken: Vec<(usize, IdAssignment)> = walk
+                                .lock()
+                                .map_err(|_| CoreError::Internal {
+                                    clause: None,
+                                    message: "an enumeration worker panicked while taking \
+                                              branches"
+                                        .into(),
+                                })?
+                                .by_ref()
+                                .take(batch)
+                                .collect();
+                            if taken.is_empty() {
+                                return Ok((mine, found_at));
                             }
-                            let mut branch_state = state.clone();
-                            branch_state
-                                .put((*key).clone(), make_id_relation(base_rel, assignment)?);
-                            // Only one level of parallelism.
-                            branch(cx, k, branch_state, 1, needed, i + 1, &mut mine)?;
+                            for (at, assignment) in taken {
+                                if cx.shared.is_stopped() {
+                                    return Ok((mine, found_at));
+                                }
+                                let mut branch_state = state.clone();
+                                branch_state
+                                    .put(key.clone(), make_id_relation(base_rel, &assignment)?);
+                                // Only one level of parallelism.
+                                branch(cx, k, branch_state, 1, needed, i + 1, &mut mine)?;
+                                found_at.resize(mine.answers.len(), at);
+                            }
                         }
-                        Ok(mine)
                     })
                 })
                 .collect();
@@ -518,24 +554,28 @@ fn branch(
                 })
                 .collect()
         });
+        let mut found: Vec<(usize, Relation)> = Vec::new();
         for r in results {
-            let mine = r?;
-            for rel in mine.answers {
-                let key = rel.sorted_canonical(cx.interner);
-                if local.keys.insert(key) {
-                    local.answers.push(rel);
-                }
+            let (mine, found_at) = r?;
+            found.extend(found_at.into_iter().zip(mine.answers));
+        }
+        // Stable: the answers one branch kept stay in the order it kept them.
+        found.sort_by_key(|&(at, _)| at);
+        for (_, rel) in found {
+            let key = rel.sorted_canonical(cx.interner);
+            if local.keys.insert(key) {
+                local.answers.push(rel);
             }
         }
         return Ok(());
     }
 
-    for assignment in &assignments {
+    for assignment in assignments {
         if cx.shared.is_stopped() {
             return Ok(());
         }
         let mut branch_state = state.clone();
-        branch_state.put(key.clone(), make_id_relation(&base_rel, assignment)?);
+        branch_state.put(key.clone(), make_id_relation(base_rel, &assignment)?);
         branch(cx, k, branch_state, threads, needed, i + 1, local)?;
     }
     Ok(())

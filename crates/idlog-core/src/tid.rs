@@ -13,21 +13,20 @@
 //! * [`ExplicitOracle`] — test fixture: explicit permutations per predicate,
 //!   falling back to canonical.
 //!
-//! An oracle only has to say how it [assigns](TidOracle::assign) tids; the
-//! engine calls [`TidOracle::id_relation`], which by default builds the
-//! ID-relation from that assignment and which the canonical and seeded
-//! oracles override with a construction read off the base relation's group
-//! index.
+//! Every oracle's choice is an [`IdAssignment`], a tid per row laid out on
+//! the base relation's cached group index. An oracle only has to say how it
+//! [assigns](TidOracle::assign) tids: the default [`TidOracle::id_relation`]
+//! hands that to the one ID-relation builder, and the canonical and seeded
+//! oracles override it to hand the builder only what a bounded build keeps.
 
 use std::hash::{Hash, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use idlog_common::{CommonResult, FxHashMap, FxHasher, Interner, SymbolId, Tuple, Value};
+use idlog_common::{CommonResult, FxHashMap, FxHasher, Interner, SymbolId};
 use idlog_storage::{
-    canonical_id_relation, group_by, make_id_relation, random_id_relation, IdAssignment,
-    IdRelationBuild, Relation,
+    canonical_id_relation, group_by, random_id_relation, IdAssignment, IdRelationBuild, Relation,
 };
 
 /// Chooses ID-functions for materializing ID-relations.
@@ -49,17 +48,16 @@ pub trait TidOracle {
     /// ID-use.
     ///
     /// The default is the definition: [`TidOracle::assign`], then
-    /// [`make_id_relation`], then drop the tuples at or above the bound. An
-    /// override must return the same relation — the bound may only save
-    /// work, never change which ID-functions are chosen.
+    /// [`IdAssignment::id_relation`], which leaves out the tids at or above
+    /// the bound before it builds, and errors on a choice that is not an
+    /// ID-function of `rel`. An override must return the same relation — the
+    /// bound may only save work, never change which ID-functions are chosen.
     ///
-    /// Every grouping behind it — the canonical and seeded overrides, the
-    /// default's [`IdAssignment`] and [`ExplicitOracle`]'s `group_by` —
-    /// reads `rel`'s group index, which `rel` builds on the first request
-    /// and keeps until its next write. On an input unchanged since an
-    /// earlier evaluation, the canonical override costs `O(groups × bound)`
-    /// and the seeded one a permutation per group: neither regroups nor
-    /// re-ranks `rel`.
+    /// Every grouping behind it reads `rel`'s group index, which `rel` builds
+    /// on the first request and keeps until its next write. On an input
+    /// unchanged since an earlier evaluation, the canonical override costs
+    /// `O(groups × bound)` and the seeded one a permutation per group:
+    /// neither regroups nor re-ranks `rel`.
     fn id_relation(
         &mut self,
         pred: SymbolId,
@@ -68,26 +66,8 @@ pub trait TidOracle {
         interner: &Interner,
         bound: Option<usize>,
     ) -> CommonResult<IdRelationBuild> {
-        let assignment = self.assign(pred, grouping, rel, interner);
-        let full = make_id_relation(rel, &assignment)?;
-        let tid_of = |row: &[Value]| row.get(rel.arity()).and_then(|v| v.as_int());
-        // Each group holds exactly one tid-0 tuple.
-        let groups = full.rows().filter(|row| tid_of(row) == Some(0)).count();
-        let relation = match bound {
-            None => full,
-            Some(k) => {
-                let k = i64::try_from(k).unwrap_or(i64::MAX);
-                let mut kept = Relation::new(full.rtype().clone());
-                for row in full
-                    .rows()
-                    .filter(|row| tid_of(row).is_some_and(|tid| tid < k))
-                {
-                    kept.insert_unchecked(Tuple::from(row));
-                }
-                kept
-            }
-        };
-        Ok(IdRelationBuild { relation, groups })
+        self.assign(pred, grouping, rel, interner)
+            .id_relation(rel, bound)
     }
 }
 
@@ -114,7 +94,7 @@ impl TidOracle for CanonicalOracle {
         interner: &Interner,
         bound: Option<usize>,
     ) -> CommonResult<IdRelationBuild> {
-        Ok(canonical_id_relation(rel, grouping, interner, bound))
+        canonical_id_relation(rel, grouping, interner, bound)
     }
 }
 
@@ -163,15 +143,18 @@ impl TidOracle for SeededOracle {
         bound: Option<usize>,
     ) -> CommonResult<IdRelationBuild> {
         let mut rng = self.stream(pred, grouping, interner);
-        Ok(random_id_relation(rel, grouping, interner, &mut rng, bound))
+        random_id_relation(rel, grouping, interner, &mut rng, bound)
     }
 }
 
 /// Test oracle with explicit per-predicate permutations.
 ///
 /// Permutations are keyed by `(predicate name, grouping)`; `perms[g][k]` is
-/// the tid of the `k`-th canonical member of the `g`-th canonical group.
-/// Predicates without an entry fall back to the canonical assignment.
+/// the tid of the `k`-th canonical member of the `g`-th canonical group,
+/// laid onto row ids in one pass ([`IdAssignment::from_permutations`]). A
+/// set that is no ID-function of the relation fails the build with an
+/// invariant error. Predicates without an entry fall back to the canonical
+/// assignment.
 #[derive(Debug, Clone, Default)]
 pub struct ExplicitOracle {
     perms: FxHashMap<(String, Vec<usize>), Vec<Vec<i64>>>,
@@ -201,8 +184,7 @@ impl TidOracle for ExplicitOracle {
         let key = (interner.resolve(pred), grouping.to_vec());
         match self.perms.get(&key) {
             Some(perms) => {
-                let g = group_by(rel, grouping, interner);
-                IdAssignment::from_permutations(&g, perms)
+                IdAssignment::from_permutations(&group_by(rel, grouping, interner), perms)
             }
             None => IdAssignment::canonical(rel, grouping, interner),
         }
@@ -212,6 +194,7 @@ impl TidOracle for ExplicitOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idlog_common::Value;
 
     fn rel(i: &Interner, pairs: &[(&str, &str)]) -> Relation {
         let mut r = Relation::elementary(2);
@@ -222,8 +205,12 @@ mod tests {
         r
     }
 
-    fn t(i: &Interner, x: &str, y: &str) -> Tuple {
-        vec![Value::Sym(i.intern(x)), Value::Sym(i.intern(y))].into()
+    /// The tid the ID-relation of `r` under `a` gives `(x, y)`.
+    fn tid(i: &Interner, r: &Relation, a: &IdAssignment, x: &str, y: &str) -> Option<i64> {
+        let t = [Value::Sym(i.intern(x)), Value::Sym(i.intern(y))];
+        let idr = idlog_storage::make_id_relation(r, a).unwrap();
+        let row = idr.rows().find(|row| row[..2] == t)?;
+        row[2].as_int()
     }
 
     #[test]
@@ -234,7 +221,7 @@ mod tests {
         let a1 = CanonicalOracle.assign(p, &[0], &r, &i);
         let a2 = CanonicalOracle.assign(p, &[0], &r, &i);
         assert_eq!(a1, a2);
-        assert_eq!(a1.tid(&t(&i, "a", "c")), Some(0));
+        assert_eq!(tid(&i, &r, &a1, "a", "c"), Some(0));
     }
 
     #[test]
@@ -266,11 +253,11 @@ mod tests {
         let mut o = ExplicitOracle::new();
         o.set("emp", vec![0], vec![vec![1, 0], vec![0]]);
         let a = o.assign(p, &[0], &r, &i);
-        assert_eq!(a.tid(&t(&i, "a", "c")), Some(1));
-        assert_eq!(a.tid(&t(&i, "a", "d")), Some(0));
+        assert_eq!(tid(&i, &r, &a, "a", "c"), Some(1));
+        assert_eq!(tid(&i, &r, &a, "a", "d"), Some(0));
         // Unknown predicate: canonical.
         let q = i.intern("other");
         let a = o.assign(q, &[0], &r, &i);
-        assert_eq!(a.tid(&t(&i, "a", "c")), Some(0));
+        assert_eq!(tid(&i, &r, &a, "a", "c"), Some(0));
     }
 }

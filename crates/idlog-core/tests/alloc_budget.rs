@@ -15,8 +15,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use idlog_core::{
-    evaluate_governed, load_facts, CanonicalOracle, EvalOptions, Interner, Nat, Query, RelType,
-    Relation, SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
+    evaluate_governed, load_facts, CanonicalOracle, EnumBudget, EvalOptions, Interner, Nat, Query,
+    RelType, Relation, SeededOracle, Strategy, Tuple, ValidatedProgram, Value,
 };
 use idlog_storage::Database;
 
@@ -426,10 +426,43 @@ fn a_canonical_group_index_build_peaks_within_its_budget() {
     assert_eq!(interner.len(), ROWS);
     let (build, peak) =
         peak_growth_during(|| idlog_storage::canonical_id_relation(&rel, &[1], &interner, Some(0)));
+    let build = build.unwrap();
     assert_eq!((build.groups, build.relation.len()), (1000, 0));
     let per_row = peak as f64 / ROWS as f64;
     assert!(
         per_row <= BUDGET_PER_ROW,
         "{per_row:.2} bytes of peak heap per row, budget {BUDGET_PER_ROW:.1}"
+    );
+}
+
+/// Enumeration walks a choice point's assignments as it reaches them. The
+/// tid of `r[]` reaches the head, so nothing bounds it: one group of nine
+/// members has 9! = 362 880 assignments, and seven have 5 040. A walk that
+/// stops after its first model holds one assignment at a time either way,
+/// so its peak heap over nine members stays within a few KiB of its peak
+/// over seven. Collecting every assignment first held all 9! of them.
+#[test]
+fn a_one_model_walk_holds_one_assignment_at_a_time() {
+    const SLACK: u64 = 4096;
+    let query = Query::parse("q(X, T) :- r[](X, T).", "q").unwrap();
+    let walk = |members: usize| {
+        let mut db = query.new_database();
+        for n in 0..members {
+            db.insert_syms("r", &[&format!("m{n}")]).unwrap();
+        }
+        let options = EvalOptions::serial().budget(EnumBudget {
+            max_models: 1,
+            max_answers: 10,
+        });
+        let (answers, peak) =
+            peak_growth_during(|| query.session(&db).options(options).all_answers().unwrap());
+        assert_eq!(answers.len(), 1);
+        assert!(!answers.complete());
+        peak
+    };
+    let (seven, nine) = (walk(7), walk(9));
+    assert!(
+        nine <= seven + SLACK,
+        "a one-model walk peaked at {nine} bytes over nine members, {seven} over seven"
     );
 }

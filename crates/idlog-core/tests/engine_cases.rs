@@ -347,8 +347,7 @@ impl idlog_core::TidOracle for ReversedRanks {
         let groups = idlog_storage::group_by(rel, grouping, interner);
         let perms: Vec<Vec<i64>> = groups
             .group_sizes()
-            .iter()
-            .map(|&n| (0..n as i64).rev().collect())
+            .map(|n| (0..n as i64).rev().collect())
             .collect();
         idlog_storage::IdAssignment::from_permutations(&groups, &perms)
     }
@@ -405,6 +404,60 @@ fn assign_only_oracles_get_bounded_relations_and_contained_panics() {
         message.contains("ID-oracle panicked for emp: no tids today"),
         "{message}"
     );
+}
+
+/// An explicit choice that is not an ID-function fails the evaluation with
+/// an invariant error. A repeated tid would otherwise build a relation that
+/// is no ID-relation, and a permutation too few or too many would panic
+/// inside the oracle. The tid reaches the head of the first program, so its
+/// choice is checked in full; the second observes tid 0 only, so a bound of
+/// 1 leaves just the kept tids to check, and a repeated 0 is still caught.
+#[test]
+fn explicit_choices_that_are_not_id_functions_are_errors() {
+    let facts: &[(&str, &[&str])] = &[
+        ("emp", &["ann", "sales"]),
+        ("emp", &["bob", "sales"]),
+        ("emp", &["dan", "dev"]),
+    ];
+    for (src, output) in [
+        ("pick(N, T) :- emp[2](N, _D, T).", "pick"),
+        ("first(N) :- emp[2](N, _D, 0).", "first"),
+    ] {
+        let q = Query::parse(src, output).unwrap();
+        let db = db_from(q.interner(), facts);
+        // Groups in key order: dev = [dan], sales = [ann, bob].
+        let evaluate = |perms: Vec<Vec<i64>>| {
+            let mut oracle = idlog_core::ExplicitOracle::new();
+            oracle.set("emp", vec![1], perms);
+            idlog_core::evaluate_governed(
+                q.related_program(),
+                &db,
+                &mut oracle,
+                &idlog_core::EvalOptions::default(),
+                None,
+            )
+        };
+        for perms in [
+            vec![vec![0], vec![0, 0]],
+            vec![vec![0]],
+            vec![vec![0], vec![1, 0], vec![0]],
+        ] {
+            let err = evaluate(perms.clone()).unwrap_err();
+            assert_eq!(err.code(), idlog_core::ErrorCode::Internal, "{perms:?}");
+            let message = err.to_string();
+            assert!(
+                message.contains("ID-oracle assignment for emp: invariant violated"),
+                "{src} {perms:?}: {message}"
+            );
+        }
+        let out = evaluate(vec![vec![0], vec![1, 0]]).unwrap();
+        let expected: &[&str] = if output == "pick" {
+            &["(ann, 1)", "(bob, 0)", "(dan, 0)"]
+        } else {
+            &["(bob)", "(dan)"]
+        };
+        assert_eq!(rows(&q, out.relation(output).unwrap()), expected);
+    }
 }
 
 /// Paper §4's rule before its ID-literal rewrite, and the same existential

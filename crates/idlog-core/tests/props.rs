@@ -396,7 +396,7 @@ proptest! {
 
         let mut explicit = ExplicitOracle::new();
         let rotated = |n: usize| (0..n as i64).map(|r| (r + 1) % n as i64).collect();
-        let perms = groups.group_sizes().into_iter().map(rotated).collect();
+        let perms = groups.group_sizes().map(rotated).collect();
         explicit.set("r", grouping.clone(), perms);
         let oracles: [(&str, Box<dyn TidOracle>); 3] = [
             ("canonical", Box::new(CanonicalOracle)),

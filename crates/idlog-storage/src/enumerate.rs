@@ -3,45 +3,41 @@
 //! A relation with sub-relation sizes `n₁ … n_k` has `∏ nᵢ!` ID-relations
 //! (paper Example 1: sizes 2 and 1 give 2·1 = 2). Enumeration walks the
 //! cartesian product of per-group permutations in lexicographic order; the
-//! first assignment yielded is the canonical one.
+//! first assignment yielded is the canonical one. Both iterators read the
+//! group sizes off the relation's group index once, keep one choice as
+//! their state, and yield each [`IdAssignment`] as they reach it, so a walk
+//! holds one assignment at a time however many there are.
 
 use idlog_common::Interner;
 
-use crate::group::{group_by, Grouping};
+use crate::group::group_by;
 use crate::idrel::IdAssignment;
 use crate::relation::Relation;
 
-/// Number of ID-functions of `rel` on `positions`, saturating at `u128::MAX`.
+/// Number of ID-functions of `rel` on `positions`, saturating at `u128::MAX`:
+/// the k-prefix arrangements for a `k` no group reaches.
 pub fn count_id_functions(rel: &Relation, positions: &[usize], interner: &Interner) -> u128 {
-    let grouping = group_by(rel, positions, interner);
-    grouping.group_sizes().iter().fold(1u128, |acc, &n| {
-        (1..=n as u128).fold(acc, |a, f| a.saturating_mul(f))
-    })
+    count_bounded_assignments(rel, positions, usize::MAX, interner)
 }
 
 /// Iterator over every [`IdAssignment`] of a relation on a grouping set.
 ///
 /// Yields assignments in lexicographic order of per-group permutations
-/// (canonical assignment first). The iterator owns its grouping, so it stays
-/// valid after the base relation is dropped.
+/// (canonical assignment first). The iterator owns its state — the group
+/// sizes and the current choice — so it stays valid after the base
+/// relation is dropped.
 pub struct IdAssignmentIter {
-    grouping: Grouping,
-    /// Current permutation per group, or `None` once exhausted.
-    perms: Option<Vec<Vec<i64>>>,
+    sizes: Vec<usize>,
+    /// The next choice to yield, or `None` once exhausted.
+    next: Option<IdAssignment>,
 }
 
 impl IdAssignmentIter {
     /// Enumerate assignments of `rel` grouped by `positions`.
     pub fn new(rel: &Relation, positions: &[usize], interner: &Interner) -> Self {
-        let grouping = group_by(rel, positions, interner);
-        let perms = Some(
-            grouping
-                .group_sizes()
-                .iter()
-                .map(|&n| (0..n as i64).collect())
-                .collect(),
-        );
-        IdAssignmentIter { grouping, perms }
+        let sizes = group_by(rel, positions, interner).group_sizes().collect();
+        let next = Some(IdAssignment::canonical(rel, positions, interner));
+        IdAssignmentIter { sizes, next }
     }
 
     /// Advance `perm` to the next lexicographic permutation. Returns false
@@ -72,24 +68,21 @@ impl Iterator for IdAssignmentIter {
     type Item = IdAssignment;
 
     fn next(&mut self) -> Option<IdAssignment> {
-        let perms = self.perms.as_mut()?;
-        let assignment = IdAssignment::from_permutations(&self.grouping, perms);
+        let assignment = self.next.as_ref()?.clone();
+        let tids = &mut self.next.as_mut()?.tids;
 
         // Odometer across groups: bump the last group; on wrap, reset it and
         // carry into the previous group.
-        let mut g = perms.len();
-        loop {
-            if g == 0 {
-                self.perms = None;
-                break;
+        let mut end = tids.len();
+        for &n in self.sizes.iter().rev() {
+            let perm = &mut tids[end - n..end];
+            if Self::next_permutation(perm) {
+                return Some(assignment);
             }
-            g -= 1;
-            if Self::next_permutation(&mut perms[g]) {
-                break;
-            }
-            let n = perms[g].len() as i64;
-            perms[g] = (0..n).collect();
+            perm.iter_mut().zip(0..).for_each(|(tid, rank)| *tid = rank);
+            end -= n;
         }
+        self.next = None;
         Some(assignment)
     }
 }
@@ -108,7 +101,7 @@ pub fn count_bounded_assignments(
     interner: &Interner,
 ) -> u128 {
     let grouping = group_by(rel, positions, interner);
-    grouping.group_sizes().iter().fold(1u128, |acc, &m| {
+    grouping.group_sizes().fold(1u128, |acc, m| {
         let take = k.min(m);
         ((m - take + 1)..=m).fold(acc, |a, f| a.saturating_mul(f as u128))
     })
@@ -122,67 +115,60 @@ pub fn count_bounded_assignments(
 /// Sound whenever the consumer only distinguishes tids < k: every full
 /// ID-function agrees with exactly one arrangement on those tids.
 pub struct BoundedAssignmentIter {
-    grouping: Grouping,
+    sizes: Vec<usize>,
     k: usize,
-    /// Current selection per group: ordered member indices, or `None` when
+    /// Current selection per group: ordered member indices.
+    selections: Vec<Vec<usize>>,
+    /// The arrangement of `selections` to yield next, or `None` once
     /// exhausted.
-    selections: Option<Vec<Vec<usize>>>,
+    next: Option<IdAssignment>,
 }
 
 impl BoundedAssignmentIter {
     /// Enumerate arrangements of `rel` grouped by `positions`, bounded by
     /// `k` distinguishable tids.
     pub fn new(rel: &Relation, positions: &[usize], k: usize, interner: &Interner) -> Self {
-        let grouping = group_by(rel, positions, interner);
-        let selections = Some(
-            grouping
-                .group_sizes()
-                .iter()
-                .map(|&m| (0..k.min(m)).collect())
-                .collect(),
-        );
+        let sizes: Vec<usize> = group_by(rel, positions, interner).group_sizes().collect();
+        let selections = sizes.iter().map(|&m| (0..k.min(m)).collect()).collect();
+        // Every group's first selection is its canonical prefix.
+        let next = Some(IdAssignment::canonical(rel, positions, interner));
         BoundedAssignmentIter {
-            grouping,
+            sizes,
             k,
             selections,
+            next,
         }
     }
 
     /// Advance `sel` to the next ordered selection (lexicographic over the
     /// index sequence, skipping repeats). Returns false at the end.
     fn next_selection(sel: &mut [usize], m: usize) -> bool {
-        // Odometer over distinct-index sequences of fixed length.
-        let len = sel.len();
-        if len == 0 {
-            return false;
-        }
-        let mut i = len;
-        loop {
-            if i == 0 {
-                return false;
-            }
-            i -= 1;
-            // Bump position i to the next value unused by positions < i.
-            let mut v = sel[i] + 1;
-            loop {
-                if v >= m {
-                    break;
+        // Odometer over distinct-index sequences of fixed length: bump the
+        // last position that can take a larger value unused before it.
+        for i in (0..sel.len()).rev() {
+            if let Some(v) = (sel[i] + 1..m).find(|v| !sel[..i].contains(v)) {
+                sel[i] = v;
+                // Reset the tail to the smallest unused values.
+                for j in i + 1..sel.len() {
+                    sel[j] = (0..m).find(|w| !sel[..j].contains(w)).unwrap_or(m);
                 }
-                if !sel[..i].contains(&v) {
-                    sel[i] = v;
-                    // Reset the tail to the smallest unused values.
-                    for j in (i + 1)..len {
-                        let mut w = 0;
-                        while sel[..j].contains(&w) {
-                            w += 1;
-                        }
-                        sel[j] = w;
-                    }
-                    return true;
-                }
-                v += 1;
+                return true;
             }
         }
+        false
+    }
+
+    /// One group's tids under selection `sel`: selected members get tids
+    /// `0..len`, the rest the canonical completion.
+    fn arrange(sel: &[usize], tids: &mut [i64]) {
+        tids.fill(-1);
+        for (tid, &member) in sel.iter().enumerate() {
+            tids[member] = tid as i64;
+        }
+        let unselected = tids.iter_mut().filter(|tid| **tid < 0);
+        unselected
+            .zip(sel.len() as i64..)
+            .for_each(|(tid, next)| *tid = next);
     }
 }
 
@@ -190,56 +176,47 @@ impl Iterator for BoundedAssignmentIter {
     type Item = IdAssignment;
 
     fn next(&mut self) -> Option<IdAssignment> {
-        let selections = self.selections.as_mut()?;
-        let assignment = bounded_assignment(&self.grouping, selections);
-        // Odometer across groups.
-        let mut g = selections.len();
-        loop {
-            if g == 0 {
-                self.selections = None;
-                break;
+        let assignment = self.next.as_ref()?.clone();
+        let tids = &mut self.next.as_mut()?.tids;
+        // Odometer across groups, rewriting the tids of each group it moves.
+        let mut end = tids.len();
+        for (&m, sel) in self.sizes.iter().zip(&mut self.selections).rev() {
+            let moved = Self::next_selection(sel, m);
+            if !moved {
+                *sel = (0..self.k.min(m)).collect();
             }
-            g -= 1;
-            let m = self.grouping.group(g).len();
-            if Self::next_selection(&mut selections[g], m) {
-                break;
+            Self::arrange(sel, &mut tids[end - m..end]);
+            if moved {
+                return Some(assignment);
             }
-            let take = self.k.min(m);
-            selections[g] = (0..take).collect();
+            end -= m;
         }
+        self.next = None;
         Some(assignment)
     }
-}
-
-/// Build the assignment for one selection vector: selected members get tids
-/// `0..len`, the rest the canonical completion.
-fn bounded_assignment(grouping: &Grouping, selections: &[Vec<usize>]) -> IdAssignment {
-    let perms: Vec<Vec<i64>> = selections
-        .iter()
-        .enumerate()
-        .map(|(g, sel)| {
-            let m = grouping.group(g).len();
-            let mut perm = vec![-1i64; m];
-            for (tid, &member) in sel.iter().enumerate() {
-                perm[member] = tid as i64;
-            }
-            let mut next = sel.len() as i64;
-            for slot in perm.iter_mut() {
-                if *slot < 0 {
-                    *slot = next;
-                    next += 1;
-                }
-            }
-            perm
-        })
-        .collect();
-    IdAssignment::from_permutations(grouping, &perms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idlog_common::{Tuple, Value};
+    use crate::idrel::make_id_relation;
+    use idlog_common::Value;
+
+    /// Each row of `r` with the tid `a` gives it, in scan order.
+    fn tids(r: &Relation, a: &IdAssignment) -> Vec<(Vec<Value>, i64)> {
+        let idr = make_id_relation(r, a).unwrap();
+        let arity = r.arity();
+        let tid = |row: &[Value]| row[arity].as_int().unwrap();
+        idr.rows()
+            .map(|row| (row[..arity].to_vec(), tid(row)))
+            .collect()
+    }
+
+    /// The tid `a` gives `row` of `r`.
+    fn tid(r: &Relation, a: &IdAssignment, row: &[Value]) -> i64 {
+        let tids = tids(r, a);
+        tids.iter().find(|(t, _)| t == row).unwrap().1
+    }
 
     fn example1_relation(i: &Interner) -> Relation {
         let mut r = Relation::elementary(2);
@@ -263,19 +240,13 @@ mod tests {
         let r = example1_relation(&i);
         let all: Vec<IdAssignment> = IdAssignmentIter::new(&r, &[0], &i).collect();
         assert_eq!(all.len(), 2);
-        let t_ac: Tuple = vec![Value::Sym(i.intern("a")), Value::Sym(i.intern("c"))].into();
-        let t_ad: Tuple = vec![Value::Sym(i.intern("a")), Value::Sym(i.intern("d"))].into();
-        let t_bc: Tuple = vec![Value::Sym(i.intern("b")), Value::Sym(i.intern("c"))].into();
+        let t_ac = [Value::Sym(i.intern("a")), Value::Sym(i.intern("c"))];
+        let t_ad = [Value::Sym(i.intern("a")), Value::Sym(i.intern("d"))];
+        let t_bc = [Value::Sym(i.intern("b")), Value::Sym(i.intern("c"))];
         // Both paper listings appear, each exactly once.
         let tids: Vec<(i64, i64, i64)> = all
             .iter()
-            .map(|a| {
-                (
-                    a.tid(&t_ac).unwrap(),
-                    a.tid(&t_ad).unwrap(),
-                    a.tid(&t_bc).unwrap(),
-                )
-            })
+            .map(|a| (tid(&r, a, &t_ac), tid(&r, a, &t_ad), tid(&r, a, &t_bc)))
             .collect();
         assert!(tids.contains(&(0, 1, 0)));
         assert!(tids.contains(&(1, 0, 0)));
@@ -314,7 +285,7 @@ mod tests {
         assert_eq!(count_id_functions(&r, &[0], &i), 1);
         let all: Vec<_> = IdAssignmentIter::new(&r, &[0], &i).collect();
         assert_eq!(all.len(), 1);
-        assert!(all[0].is_empty());
+        assert!(all[0].tids().is_empty());
     }
 
     #[test]
@@ -324,9 +295,7 @@ mod tests {
         // All groups singletons → exactly one assignment, all tids 0.
         let all: Vec<_> = IdAssignmentIter::new(&r, &[0, 1], &i).collect();
         assert_eq!(all.len(), 1);
-        for t in r.iter() {
-            assert_eq!(all[0].tid(t), Some(0));
-        }
+        assert!(tids(&r, &all[0]).iter().all(|&(_, tid)| tid == 0));
     }
 
     #[test]
@@ -375,9 +344,10 @@ mod tests {
         let mut leaders: Vec<String> = all
             .iter()
             .map(|a| {
-                let t = r
+                let tids = tids(&r, a);
+                let (t, _) = tids
                     .iter()
-                    .find(|t| a.tid(*t) == Some(0))
+                    .find(|&&(_, tid)| tid == 0)
                     .expect("every group has a tid-0 tuple");
                 i.resolve(t[1].as_sym().unwrap())
             })
@@ -395,9 +365,10 @@ mod tests {
         // All (tid0, tid1) leader pairs distinct.
         let mut pairs: Vec<(i64, i64)> = Vec::new();
         for a in &all {
+            let tids = tids(&r, a);
             let find = |tid: i64| {
-                r.iter()
-                    .position(|t| a.tid(t) == Some(tid))
+                tids.iter()
+                    .position(|&(_, t)| t == tid)
                     .expect("prefix tid present") as i64
             };
             pairs.push((find(0), find(1)));
@@ -439,6 +410,6 @@ mod tests {
         let r = Relation::elementary(2);
         let all: Vec<IdAssignment> = BoundedAssignmentIter::new(&r, &[0], 1, &i).collect();
         assert_eq!(all.len(), 1);
-        assert!(all[0].is_empty());
+        assert!(all[0].tids().is_empty());
     }
 }

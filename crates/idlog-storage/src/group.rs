@@ -5,54 +5,59 @@
 //! have the same value on each attribute in s." ID-functions are chosen per
 //! sub-relation, so grouping is the first step of every tid assignment.
 //!
-//! A relation's grouping on `s` is a `GroupIndex`. It is a function of the
-//! relation's content and its symbols' names, which never change once
-//! interned, so a relation builds it once per version and keeps it
-//! (`Relation::group_index`): every ID-relation build, canonical or seeded,
-//! and every [`group_by`] on an unchanged relation reads the same index,
-//! and none of them regroups or re-ranks. A write drops it.
+//! A relation's grouping on `s` is a `GroupIndex`: the row ids of each
+//! sub-relation, in canonical order. It is a function of the relation's
+//! content and its symbols' names, which never change once interned, so a
+//! relation builds it once per version and keeps it
+//! (`Relation::group_index`): every [`group_by`], assignment and ID-relation
+//! build on an unchanged relation reads it, and none of them regroups,
+//! re-ranks or copies a row. A write drops it.
 
-use idlog_common::{Interner, Tuple, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use idlog_common::{Interner, Value};
 
 use crate::relation::Relation;
 
-/// A relation partitioned into sub-relations by a grouping attribute set.
-///
-/// Groups and the tuples inside each group are kept in canonical order so
-/// that group index `g` and member rank `k` are stable, deterministic
-/// coordinates for enumeration and for the canonical tid oracle.
-#[derive(Debug, Clone)]
-pub struct Grouping {
-    /// 0-based grouping positions, ascending.
-    positions: Vec<usize>,
-    /// Groups in canonical key order; each group's tuples in canonical order.
-    groups: Vec<(Tuple, Vec<Tuple>)>,
+/// A relation's sub-relations on one grouping set, borrowed from its
+/// `GroupIndex`: groups in canonical key order, each group's members in
+/// canonical order, as row ids (positions in [`Relation::rows`]) or rows.
+/// Group `g` and member rank `k` are the stable coordinates of enumeration
+/// and of the canonical tid oracle. Nothing is copied.
+#[derive(Clone, Copy, Debug)]
+pub struct Grouping<'a> {
+    rel: &'a Relation,
+    positions: &'a [usize],
+    pub(crate) index: &'a GroupIndex,
 }
 
-impl Grouping {
+impl<'a> Grouping<'a> {
     /// The grouping positions (0-based, ascending).
-    pub fn positions(&self) -> &[usize] {
-        &self.positions
+    pub fn positions(&self) -> &'a [usize] {
+        self.positions
     }
 
     /// Number of sub-relations.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Iterate `(key, members)` pairs in canonical key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &[Tuple])> {
-        self.groups.iter().map(|(k, ts)| (k, ts.as_slice()))
-    }
-
-    /// The members of group `g` (canonical order).
-    pub fn group(&self, g: usize) -> &[Tuple] {
-        &self.groups[g].1
+        self.index.len()
     }
 
     /// Sizes of all groups, in group order.
-    pub fn group_sizes(&self) -> Vec<usize> {
-        self.groups.iter().map(|(_, ts)| ts.len()).collect()
+    pub fn group_sizes(&self) -> impl Iterator<Item = usize> + 'a {
+        self.index.groups().map(<[u32]>::len)
+    }
+
+    /// The row ids of group `g`'s members, in canonical order.
+    pub fn members(&self, g: usize) -> &'a [u32] {
+        self.index.groups().nth(g).unwrap_or_default()
+    }
+
+    /// The rows of group `g`'s members, in canonical order.
+    pub fn rows(&self, g: usize) -> impl Iterator<Item = &'a [Value]> + 'a {
+        let rel = self.rel;
+        self.members(g)
+            .iter()
+            .filter_map(move |&row| rel.rows().nth(row as usize))
     }
 }
 
@@ -60,24 +65,19 @@ impl Grouping {
 ///
 /// Positions are deduplicated and sorted; an empty position set yields a
 /// single group containing the whole relation (the paper's most primitive
-/// ID-predicate `p[∅]`). Reads the relation's `GroupIndex`.
-pub fn group_by(rel: &Relation, positions: &[usize], interner: &Interner) -> Grouping {
+/// ID-predicate `p[∅]`). Reads the relation's `GroupIndex`, building it on
+/// the first request.
+pub fn group_by<'a>(rel: &'a Relation, positions: &[usize], interner: &Interner) -> Grouping<'a> {
     let (positions, index) = rel.group_index(positions, interner);
-    let rows: Vec<&[Value]> = rel.rows().collect();
-    let groups = index
-        .groups()
-        .map(|members| {
-            let first = rows[members[0] as usize];
-            let key = positions.iter().map(|&p| first[p]).collect();
-            let members = members.iter().map(|&r| Tuple::from(rows[r as usize]));
-            (key, members.collect())
-        })
-        .collect();
     Grouping {
-        positions: positions.to_vec(),
-        groups,
+        rel,
+        positions,
+        index,
     }
 }
+
+/// Numbers every `GroupIndex` build, from 1.
+static BUILDS: AtomicU64 = AtomicU64::new(1);
 
 /// A relation's sub-relations on one grouping set, as *row ids* (positions
 /// in scan order): groups in canonical key order, each group's members in
@@ -89,6 +89,10 @@ pub(crate) struct GroupIndex {
     /// `rows[starts[g]..starts[g + 1]]`.
     rows: Vec<u32>,
     starts: Vec<u32>,
+    /// This build's number. A clone carries it with the rows it numbers,
+    /// and a write drops both, so a choice of ID-functions laid out on one
+    /// index is read against no other (`crate::IdAssignment`).
+    pub(crate) stamp: u64,
 }
 
 impl GroupIndex {
@@ -113,12 +117,21 @@ impl GroupIndex {
             rows.push(view.row(pos) as u32);
         }
         starts.push(rows.len() as u32);
-        GroupIndex { rows, starts }
+        GroupIndex {
+            rows,
+            starts,
+            stamp: BUILDS.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Number of sub-relations.
     pub(crate) fn len(&self) -> usize {
         self.starts.len() - 1
+    }
+
+    /// The size of the largest group.
+    pub(crate) fn largest(&self) -> usize {
+        self.groups().map(<[u32]>::len).max().unwrap_or(0)
     }
 
     /// Each group's member row ids: groups in canonical key order, members
@@ -133,7 +146,6 @@ impl GroupIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idlog_common::Value;
 
     fn example1_relation(i: &Interner) -> Relation {
         // Paper Example 1: r = {(a,c), (a,d), (b,c)}.
@@ -152,7 +164,7 @@ mod tests {
         let g = group_by(&r, &[0], &i);
         // Paper: sub-relations are {(a,c),(a,d)} and {(b,c)}.
         assert_eq!(g.group_count(), 2);
-        assert_eq!(g.group_sizes(), vec![2, 1]);
+        assert_eq!(g.group_sizes().collect::<Vec<_>>(), [2, 1]);
     }
 
     #[test]
@@ -161,7 +173,8 @@ mod tests {
         let r = example1_relation(&i);
         let g = group_by(&r, &[], &i);
         assert_eq!(g.group_count(), 1);
-        assert_eq!(g.group(0).len(), 3);
+        assert_eq!(g.members(0).len(), 3);
+        assert_eq!(g.rows(0).count(), 3);
     }
 
     #[test]
@@ -170,7 +183,7 @@ mod tests {
         let r = example1_relation(&i);
         let g = group_by(&r, &[0, 1], &i);
         assert_eq!(g.group_count(), 3);
-        assert!(g.group_sizes().iter().all(|&n| n == 1));
+        assert!(g.group_sizes().all(|n| n == 1));
     }
 
     #[test]
@@ -191,15 +204,15 @@ mod tests {
                 .unwrap();
         }
         let g = group_by(&r, &[0], &i);
-        let keys: Vec<String> = g
-            .iter()
-            .map(|(k, _)| i.resolve(k[0].as_sym().unwrap()))
+        let name = |row: &[Value], c: usize| i.resolve(row[c].as_sym().unwrap());
+        let keys: Vec<String> = (0..g.group_count())
+            .map(|k| name(g.rows(k).next().unwrap(), 0))
             .collect();
         assert_eq!(keys, ["a", "z"]);
-        // Within group "a": (a,p) before (a,q).
-        let members = g.group(0);
-        assert_eq!(i.resolve(members[0][1].as_sym().unwrap()), "p");
-        assert_eq!(i.resolve(members[1][1].as_sym().unwrap()), "q");
+        // Within group "a": (a,p) before (a,q), at row ids 2 and 1.
+        let members: Vec<String> = g.rows(0).map(|row| name(row, 1)).collect();
+        assert_eq!(members, ["p", "q"]);
+        assert_eq!(g.members(0), [2, 1]);
     }
 
     #[test]

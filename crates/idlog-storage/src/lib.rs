@@ -7,8 +7,11 @@
 //! of attributes (\[She90b\] §2.1).
 //!
 //! The non-determinism of IDLOG is exactly the freedom in choosing an
-//! ID-function for each sub-relation; [`idrel`] constructs one ID-relation
-//! given a choice, and [`enumerate`] iterates over all of them.
+//! ID-function for each sub-relation. A choice is one value, an
+//! [`IdAssignment`]: a tid per row, laid out on the relation's cached group
+//! index ([`group`]) with no tuple copied. [`idrel`] makes choices and has
+//! the one builder that turns a choice into an ID-relation, and
+//! [`enumerate`] iterates over all of them.
 
 #![warn(missing_docs)]
 // Storage faults must surface as errors, never panics: a panicking store
@@ -28,7 +31,6 @@ pub use enumerate::{
     count_bounded_assignments, count_id_functions, BoundedAssignmentIter, IdAssignmentIter,
 };
 pub use group::{group_by, Grouping};
-pub use idrel::TidOrder;
 pub use idrel::{
     canonical_id_relation, make_id_relation, random_id_relation, IdAssignment, IdRelationBuild,
 };

@@ -271,6 +271,12 @@ impl Relation {
             .get_or_build(&positions, || GroupIndex::build(self, &positions, interner))
     }
 
+    /// The group index on `positions` (as stored: deduplicated and sorted)
+    /// if one was built on this version; never builds.
+    pub(crate) fn built_group_index(&self, positions: &[usize]) -> Option<&GroupIndex> {
+        self.groups.get(positions)
+    }
+
     /// All rows whose projection on `positions` equals `key` (one value
     /// per position, in position order). Indexed when
     /// [`Relation::ensure_index`] ran for `positions`; a correct (but

@@ -396,7 +396,7 @@ impl<T> Indexes<T> {
     }
 
     /// The index on `positions`, if built.
-    fn get(&self, positions: &[usize]) -> Option<&T> {
+    pub(crate) fn get(&self, positions: &[usize]) -> Option<&T> {
         self.nodes()
             .find(|node| *node.positions == *positions)
             .map(|node| &node.index)

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use idlog_common::{Interner, Nat, RelType, Sort, Tuple, Value};
 use idlog_storage::{
@@ -14,6 +14,16 @@ use idlog_storage::{
 
 fn int(n: i64) -> Value {
     Value::Int(Nat::new(n).expect("a natural"))
+}
+
+/// Each base tuple's tid under `a`: its tids in the order `group_by` lists
+/// the members.
+fn tids_of(rel: &Relation, a: &IdAssignment, interner: &Interner) -> HashMap<Tuple, i64> {
+    let g = group_by(rel, a.positions(), interner);
+    let members = (0..g.group_count())
+        .flat_map(|k| g.rows(k))
+        .map(Tuple::from);
+    members.zip(a.tids().iter().copied()).collect()
 }
 
 /// `row`'s projection on `positions`, as a probe key.
@@ -246,9 +256,11 @@ proptest! {
                 .push(t.clone());
         }
         let grouping = group_by(&rel, &positions, &interner);
-        let got: Vec<Vec<Tuple>> = grouping.iter().map(|(_, ts)| ts.to_vec()).collect();
+        let got: Vec<Vec<Tuple>> = (0..grouping.group_count())
+            .map(|g| grouping.rows(g).map(Tuple::from).collect())
+            .collect();
         prop_assert_eq!(got, groups.values().cloned().collect::<Vec<_>>());
-        let ids = canonical_id_relation(&rel, &positions, &interner, None).relation;
+        let ids = canonical_id_relation(&rel, &positions, &interner, None).unwrap().relation;
         for members in groups.values() {
             for (tid, t) in members.iter().enumerate() {
                 let with_tid: Tuple = t.values().iter().copied().chain([int(tid as i64)]).collect();
@@ -501,17 +513,19 @@ proptest! {
         // the first left — against one on a fresh replay each.
         let agree = |rel: &Relation, log: &[(bool, Vec<Tuple>)]| {
             let canonical = |r: &Relation, bound| {
-                let built = canonical_id_relation(r, positions, &interner, bound);
+                let built = canonical_id_relation(r, positions, &interner, bound).unwrap();
                 (built.groups, scan(&built.relation))
             };
             let seeded = |r: &Relation, seed, bound| {
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let built = random_id_relation(r, positions, &interner, &mut rng, bound);
+                let built =
+                    random_id_relation(r, positions, &interner, &mut rng, bound).unwrap();
                 (built.groups, scan(&built.relation))
             };
             let groups = |r: &Relation| {
                 let g = group_by(r, positions, &interner);
-                g.iter().map(|(k, ms)| (k.clone(), ms.to_vec())).collect::<Vec<_>>()
+                let rows = |k| g.rows(k).map(Tuple::from).collect::<Vec<_>>();
+                (0..g.group_count()).map(rows).collect::<Vec<_>>()
             };
             for _ in 0..2 {
                 for bound in [None, Some(1), Some(2), Some(7)] {
@@ -523,9 +537,11 @@ proptest! {
                     }
                 }
                 assert_eq!(groups(rel), groups(&replay(log)));
+                let canonical = IdAssignment::canonical(rel, positions, &interner);
+                let fresh = IdAssignment::canonical(&replay(log), positions, &interner);
                 assert_eq!(
-                    IdAssignment::canonical(rel, positions, &interner),
-                    IdAssignment::canonical(&replay(log), positions, &interner)
+                    (canonical.positions(), canonical.tids()),
+                    (fresh.positions(), fresh.tids())
                 );
             }
         };
@@ -564,12 +580,17 @@ proptest! {
         let positions: Vec<usize> = if by_first { vec![0] } else { vec![1] };
         let grouping = group_by(&rel, &positions, &interner);
         let mut seen = 0usize;
-        for (key, members) in grouping.iter() {
-            for t in members {
-                prop_assert_eq!(&t.project(&positions), key);
+        let mut keys = BTreeSet::new();
+        for g in 0..grouping.group_count() {
+            let members: Vec<Tuple> = grouping.rows(g).map(Tuple::from).collect();
+            prop_assert_eq!(members.len(), grouping.members(g).len());
+            let key = members[0].project(&positions);
+            for t in &members {
+                prop_assert_eq!(&t.project(&positions), &key);
                 prop_assert!(rel.contains(t));
                 seen += 1;
             }
+            prop_assert!(keys.insert(key), "one group per key");
         }
         prop_assert_eq!(seen, rel.len());
     }
@@ -579,12 +600,17 @@ proptest! {
     fn assignments_are_bijective((interner, rel) in arb_relation()) {
         let grouping = group_by(&rel, &[0], &interner);
         for assignment in IdAssignmentIter::new(&rel, &[0], &interner).take(50) {
+            // Read back off the ID-relation the assignment builds.
+            let ids = make_id_relation(&rel, &assignment).unwrap();
+            let tid_of: HashMap<Tuple, i64> = ids
+                .rows()
+                .map(|row| (Tuple::from(&row[..2]), row[2].as_int().unwrap()))
+                .collect();
             for g in 0..grouping.group_count() {
-                let members = grouping.group(g);
                 let mut tids: Vec<i64> =
-                    members.iter().map(|t| assignment.tid(t).unwrap()).collect();
+                    grouping.rows(g).map(|t| tid_of[&Tuple::from(t)]).collect();
                 tids.sort_unstable();
-                let expect: Vec<i64> = (0..members.len() as i64).collect();
+                let expect: Vec<i64> = (0..grouping.members(g).len() as i64).collect();
                 prop_assert_eq!(tids, expect);
             }
         }
@@ -618,10 +644,11 @@ proptest! {
 
         // Prefix-distinctness: no two arrangements agree on all tids < k.
         let prefix = |a: &IdAssignment| -> Vec<(Tuple, i64)> {
+            let tids = tids_of(&rel, a, &interner);
             let mut v: Vec<(Tuple, i64)> = rel
                 .iter()
                 .filter_map(|t| {
-                    let tid = a.tid(t).unwrap();
+                    let tid = tids[t];
                     (tid < k as i64).then(|| (t.clone(), tid))
                 })
                 .collect();
@@ -641,10 +668,11 @@ proptest! {
     fn bounded_enumeration_is_complete((interner, rel) in arb_relation(), k in 1usize..3) {
         prop_assume!(count_id_functions(&rel, &[0], &interner) <= 120);
         let prefix = |a: &IdAssignment| -> Vec<(Tuple, i64)> {
+            let tids = tids_of(&rel, a, &interner);
             let mut v: Vec<(Tuple, i64)> = rel
                 .iter()
                 .filter_map(|t| {
-                    let tid = a.tid(t).unwrap();
+                    let tid = tids[t];
                     (tid < k as i64).then(|| (t.clone(), tid))
                 })
                 .collect();
@@ -667,11 +695,15 @@ proptest! {
         let idrel = make_id_relation(&rel, &assignment).unwrap();
         prop_assert_eq!(idrel.len(), rel.len());
         prop_assert_eq!(idrel.arity(), rel.arity() + 1);
+        let tids = tids_of(&rel, &assignment, &interner);
         for t in scan(&idrel) {
             let base = t.project(&[0, 1]);
             prop_assert!(rel.contains(&base));
-            prop_assert_eq!(t[2], int(assignment.tid(&base).unwrap()));
+            prop_assert_eq!(t[2], int(tids[&base]));
         }
+        // In the base's scan order.
+        let bases: Vec<Tuple> = scan(&idrel).iter().map(|t| t.project(&[0, 1])).collect();
+        prop_assert_eq!(bases, scan(&rel));
     }
 }
 
@@ -845,10 +877,10 @@ proptest! {
             }
             if arity > 0 && !rel.is_empty() {
                 let assignment = IdAssignment::canonical(&rel, &[0], &interner);
-                for t in &model {
-                    prop_assert!(assignment.tid(t).is_some());
-                    prop_assert_eq!(assignment.tid(t), assignment.tid(t.values()));
-                }
+                let ids = make_id_relation(&rel, &assignment).unwrap();
+                let bases: BTreeSet<Tuple> =
+                    ids.rows().map(|row| Tuple::from(&row[..arity])).collect();
+                prop_assert_eq!(&bases, &model);
             }
             let mut expected: Vec<u8> = Vec::new();
             rel.canonical_view(&interner).write_facts("p", &mut expected).unwrap();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::collections::BTreeSet;
 
 use idlog_core::{AnswerSet, EnumBudget, Interner, Query, ValidatedProgram};
-use idlog_storage::{count_id_functions, Database, IdAssignmentIter, Relation};
+use idlog_storage::{count_id_functions, make_id_relation, Database, IdAssignmentIter, Relation};
 use idlog_suite::eval::{all_outcomes, intended_models, Budget, Dialect};
 use idlog_suite::reference::{answer_set, symbol_facts, Rows};
 
@@ -44,13 +44,14 @@ fn example1_id_relations() {
 
     let mut seen = Vec::new();
     for assignment in IdAssignmentIter::new(&r, &[0], &interner) {
+        let id_relation = make_id_relation(&r, &assignment).unwrap();
         let tid = |x: &str, y: &str| {
-            let t: idlog_core::Tuple = vec![
+            let t = [
                 idlog_core::Value::Sym(interner.intern(x)),
                 idlog_core::Value::Sym(interner.intern(y)),
-            ]
-            .into();
-            assignment.tid(&t).unwrap()
+            ];
+            let row = id_relation.rows().find(|row| row[..2] == t).unwrap();
+            row[2].as_int().unwrap()
         };
         seen.push((tid("a", "c"), tid("a", "d"), tid("b", "c")));
     }
