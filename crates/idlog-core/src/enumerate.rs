@@ -370,8 +370,14 @@ fn explore(
             .cloned()
             .unwrap_or_else(|| Relation::elementary(0));
         let key = rel.sorted_canonical(cx.interner);
-        let models = cx.shared.models.fetch_add(1, Ordering::Relaxed) + 1;
-        if models > cx.shared.budget.max_models {
+        // Count this leaf, but never past the one that spends the budget:
+        // the serial walk stops there, so every thread count reports
+        // `max_models + 1` however many workers reach a leaf at once.
+        let max = cx.shared.budget.max_models;
+        let counted = (cx.shared.models).fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n <= max).then_some(n + 1)
+        });
+        if !matches!(counted, Ok(n) if n < max) {
             cx.shared.stop_with(StopReason::Limit(LimitKind::Models));
             return Ok(());
         }
@@ -730,6 +736,36 @@ mod tests {
             Some(StopReason::Limit(LimitKind::Models))
         );
         assert!(answers.models_explored() <= 11);
+    }
+
+    #[test]
+    fn a_spent_model_budget_counts_the_same_at_every_thread_count() {
+        // Eleven members, one chosen: eleven models, and a budget of one.
+        // Workers that reach a leaf together once counted past the leaf
+        // that spends the budget.
+        let members = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"];
+        let facts: Vec<(&str, &[&str])> = (members.iter())
+            .map(|m| ("r", std::slice::from_ref(m)))
+            .collect();
+        let (p, db) = setup("p(X) :- r[](X, 0).", &facts);
+        let budget = EnumBudget {
+            max_models: 1,
+            max_answers: 1000,
+        };
+        let run = |threads| {
+            let options = EvalOptions::serial().threads(threads).budget(budget);
+            let answers = answers(&p, &db, "p", options, None).unwrap();
+            assert_eq!(
+                answers.stopped(),
+                Some(StopReason::Limit(LimitKind::Models))
+            );
+            answers.models_explored()
+        };
+        assert_eq!(run(1), 2, "the serial walk counts the leaf that spends it");
+        // Often enough to catch the race on a two-core host.
+        for _ in 0..300 {
+            assert_eq!(run(16), 2);
+        }
     }
 
     #[test]

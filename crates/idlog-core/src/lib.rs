@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod builtins;
+pub mod columns;
 pub mod config;
 pub mod engine;
 pub mod enumerate;

@@ -17,6 +17,7 @@ use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
 use idlog_parser::{Atom, Builtin, Clause, Literal, PredicateRef, Program};
 use idlog_storage::Database;
 
+use crate::columns::ColumnGraph;
 use crate::error::{CoreError, CoreResult};
 use crate::govern::Limits;
 use crate::plan::RulePlan;
@@ -349,8 +350,6 @@ impl ValidatedProgram {
         let strat = checked.strat.expect("a valid program stratifies");
         let idb = ast.head_predicates();
         let inputs = ast.input_predicates();
-        let tid_bounds = tid_bounds_ast(&ast);
-        let taint = Arc::new(analyze_taint(&ast));
         let mut vp = ValidatedProgram {
             interner,
             ast,
@@ -360,13 +359,20 @@ impl ValidatedProgram {
             idb,
             inputs,
             id_uses: checked.id_uses,
-            tid_bounds,
-            taint,
+            tid_bounds: TidBounds::default(),
+            taint: Arc::default(),
             termination: Arc::default(),
             strat,
             plans: Arc::new(Vec::new()),
         };
-        vp.termination = Arc::new(analyze_termination(&vp));
+        // One column graph, passed to the three analyses that read it.
+        let columns = ColumnGraph::new(&vp.ast);
+        let tid_bounds = tid_bounds_ast(&columns);
+        let taint = analyze_taint(&columns);
+        let termination = analyze_termination(&vp, &columns);
+        vp.tid_bounds = tid_bounds;
+        vp.taint = Arc::new(taint);
+        vp.termination = Arc::new(termination);
         let plans = crate::plan::compile(&vp)?;
         vp.plans = Arc::new(plans);
         Ok(vp)

@@ -16,10 +16,11 @@
 //!   has no other source of choice: validation rejects `choice` and `!`.
 //! * **column (value) taint** — a column can carry a tid-derived value even
 //!   when reaching the clause at all is deterministic. Tracked per
-//!   `(predicate, column)` and propagated through joins and `=` builtins;
-//!   it feeds the W011 lint and makes witness messages precise. Membership
-//!   taint is the sound gate: a clause binding a variable from a tainted
-//!   column of predicate `p` is already membership-tainted via `p`.
+//!   `(predicate, column)`, read from each clause's use lists
+//!   ([`crate::columns`]) and spread through joins, `=` and arithmetic;
+//!   it feeds the W011 lint. Membership taint is the sound gate: a clause
+//!   binding a variable from a tainted column of `p` is already
+//!   membership-tainted via `p`.
 //!
 //! Certification (`deterministic(p)`) is the complement of membership
 //! taint, and every taint carries a [`TaintStep`] witness so diagnostics
@@ -30,9 +31,12 @@
 //! ([`crate::ValidatedProgram::taint`]), which the engine's enumeration fast
 //! path, `idlog lint`'s W010/W011, `idlog check` and the optimizer all read.
 
-use idlog_common::{FxHashMap, FxHashSet, SymbolId};
-use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
+use std::collections::hash_map::Entry;
 
+use idlog_common::{FxHashMap, FxHashSet, SymbolId};
+use idlog_parser::{Atom, Builtin, Clause, Literal, PredicateRef};
+
+use crate::columns::{ClauseColumns, ColumnGraph, Role, Use};
 use crate::tidbound::tid_use;
 
 /// One step in a taint witness: how ID-function dependence reaches a
@@ -81,16 +85,6 @@ impl TaintAnalysis {
         self.tainted_cols.contains(&(pred, col))
     }
 
-    /// All membership-tainted predicates, in arbitrary order.
-    pub fn tainted_predicates(&self) -> impl Iterator<Item = SymbolId> + '_ {
-        self.tainted.keys().copied()
-    }
-
-    /// All tainted `(predicate, column)` pairs, in arbitrary order.
-    pub fn tainted_columns(&self) -> impl Iterator<Item = (SymbolId, usize)> + '_ {
-        self.tainted_cols.iter().copied()
-    }
-
     /// The witness path from `pred` down to a choice-introducing literal:
     /// a sequence of [`TaintStep::Via`] hops ending in a
     /// [`TaintStep::Choice`]. Empty when `pred` is certified.
@@ -114,32 +108,31 @@ impl TaintAnalysis {
     /// the column taint computed so far. Exposed for per-clause reporting
     /// (the W011 lint); sound only on the fixpoint result.
     pub fn value_tainted_vars<'c>(&self, clause: &'c Clause) -> FxHashSet<&'c str> {
-        value_tainted_vars(clause, &self.tainted_cols)
+        let cols = ClauseColumns::new(clause);
+        let tainted = value_tainted_vars(&cols, &self.tainted_cols);
+        let names = cols.names.into_iter().zip(tainted);
+        names.filter(|&(_, t)| t).map(|(name, _)| name).collect()
     }
 }
 
-/// Run the ID-taint fixpoint over the clauses of a validated program;
-/// [`crate::ValidatedProgram::taint`] holds the result.
-pub(crate) fn analyze_taint(program: &Program) -> TaintAnalysis {
+/// Run the ID-taint fixpoint over the clauses of a validated program, read
+/// through its column graph; [`crate::ValidatedProgram::taint`] holds the
+/// result.
+pub(crate) fn analyze_taint(columns: &ColumnGraph) -> TaintAnalysis {
     let mut t = TaintAnalysis::default();
     loop {
         let mut changed = false;
-        for (ci, clause) in program.clauses.iter().enumerate() {
-            let step = clause_taint_step(clause, ci, &t);
-            let vars = value_tainted_vars(clause, &t.tainted_cols);
-            let h = clause.single_head();
-            let head = h.pred.base();
-            if let Some(step) = step {
-                if let std::collections::hash_map::Entry::Vacant(e) = t.tainted.entry(head) {
-                    e.insert(step);
-                    changed = true;
-                }
+        for (ci, cols) in columns.0.iter().enumerate() {
+            let step = clause_taint_step(cols, ci, &t);
+            let vars = value_tainted_vars(cols, &t.tainted_cols);
+            let head = cols.clause.single_head().pred.base();
+            if let (Some(step), Entry::Vacant(e)) = (step, t.tainted.entry(head)) {
+                e.insert(step);
+                changed = true;
             }
-            for (pos, term) in h.terms.iter().enumerate() {
-                if let Term::Var(v) = term {
-                    if vars.contains(v.as_str()) {
-                        changed |= t.tainted_cols.insert((head, pos));
-                    }
+            for u in &cols.uses {
+                if matches!(u.role, Role::Head(_)) && vars[u.var] {
+                    changed |= t.tainted_cols.insert((head, u.pos));
                 }
             }
         }
@@ -149,10 +142,10 @@ pub(crate) fn analyze_taint(program: &Program) -> TaintAnalysis {
     }
 }
 
-/// Why `clause` membership-taints its head, if it does: the first body
+/// Why the clause membership-taints its head, if it does: the first body
 /// literal that reads a tainted predicate or introduces a choice.
-fn clause_taint_step(clause: &Clause, ci: usize, t: &TaintAnalysis) -> Option<TaintStep> {
-    for (li, lit) in clause.body.iter().enumerate() {
+fn clause_taint_step(cols: &ClauseColumns, ci: usize, t: &TaintAnalysis) -> Option<TaintStep> {
+    for (li, lit) in cols.clause.body.iter().enumerate() {
         let Some(a) = lit.atom() else { continue };
         let base = a.pred.base();
         if !t.deterministic(base) {
@@ -162,7 +155,7 @@ fn clause_taint_step(clause: &Clause, ci: usize, t: &TaintAnalysis) -> Option<Ta
                 from: base,
             });
         }
-        if a.pred.is_id_version() && !choice_free_occurrence(clause, li) {
+        if a.pred.is_id_version() && !choice_free(cols, li) {
             return Some(TaintStep::Choice {
                 clause: ci,
                 literal: li,
@@ -195,124 +188,68 @@ fn clause_taint_step(clause: &Clause, ci: usize, t: &TaintAnalysis) -> Option<Ta
 ///   range restriction forces their variables to be bound elsewhere, so
 ///   they always observe the member↔tid assignment.
 pub fn choice_free_occurrence(clause: &Clause, li: usize) -> bool {
-    let Some(atom) = clause.body[li].atom() else {
+    choice_free(&ClauseColumns::new(clause), li)
+}
+
+/// [`choice_free_occurrence`], on a clause's use lists.
+fn choice_free(cols: &ClauseColumns, li: usize) -> bool {
+    let lit = &cols.clause.body[li];
+    let Some(Atom {
+        pred: PredicateRef::IdVersion { grouping, .. },
+        terms,
+    }) = lit.atom()
+    else {
         return false;
     };
-    let PredicateRef::IdVersion { grouping, .. } = &atom.pred else {
+    let Some(arity) = terms.len().checked_sub(1) else {
         return false;
     };
-    if atom.terms.is_empty() {
-        return false;
-    }
-    let tid_pos = atom.terms.len() - 1;
-    if grouping.len() == atom.base_arity() {
+    if grouping.len() == arity {
         return true;
     }
-    if matches!(clause.body[li], Literal::Neg(_)) {
+    if matches!(lit, Literal::Neg(_)) {
         return false;
     }
-    let counts = variable_counts(clause);
-    for (pos, term) in atom.terms[..tid_pos].iter().enumerate() {
-        if grouping.contains(&pos) {
-            continue;
-        }
-        match term {
-            Term::Var(v) if counts.get(v.as_str()) == Some(&1) => {}
-            _ => return false,
-        }
-    }
-    tid_use(clause, li).local
+    let members = (0..arity).filter(|p| !grouping.contains(p)).count();
+    let single = |u: &&Use| matches!(u.role, Role::Member(_)) && cols.uses_of(u.var).count() == 1;
+    cols.in_literal(li).iter().filter(single).count() == members && tid_use(cols, li).local
 }
 
-/// Occurrence count of every variable across the whole clause (heads,
-/// atoms, builtins, choice literals), counting repeats.
-fn variable_counts(clause: &Clause) -> FxHashMap<&str, usize> {
-    let mut terms: Vec<&Term> = Vec::new();
-    for h in &clause.head {
-        terms.extend(&h.atom.terms);
-    }
-    for lit in &clause.body {
-        match lit {
-            Literal::Pos(a) | Literal::Neg(a) => terms.extend(&a.terms),
-            Literal::Builtin { args, .. } => terms.extend(args),
-            Literal::Choice { grouped, chosen } => {
-                terms.extend(grouped);
-                terms.extend(chosen);
-            }
-            Literal::Cut => {}
-        }
-    }
-    let mut counts: FxHashMap<&str, usize> = FxHashMap::default();
-    for t in terms {
-        if let Term::Var(v) = t {
-            *counts.entry(v.as_str()).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
-/// The clause's variables that can carry tid-derived values: tid-position
-/// and non-grouping variables of non-choice-free positive ID-literals, plus
-/// variables bound from tainted columns, closed under `=` builtins.
-fn value_tainted_vars<'c>(
-    clause: &'c Clause,
+/// The clause's variables, by number, that can carry tid-derived values:
+/// tid-position and non-grouping variables of non-choice-free positive
+/// ID-literals, plus variables bound from tainted columns, closed under
+/// `=` and arithmetic builtins.
+fn value_tainted_vars(
+    cols: &ClauseColumns,
     tainted_cols: &FxHashSet<(SymbolId, usize)>,
-) -> FxHashSet<&'c str> {
-    let mut tainted: FxHashSet<&'c str> = FxHashSet::default();
-    for (li, lit) in clause.body.iter().enumerate() {
-        let Literal::Pos(a) = lit else { continue };
-        match &a.pred {
-            PredicateRef::IdVersion { grouping, .. } => {
-                if a.terms.is_empty() || choice_free_occurrence(clause, li) {
-                    continue;
-                }
-                let tid_pos = a.terms.len() - 1;
-                for (pos, term) in a.terms.iter().enumerate() {
-                    if let Term::Var(v) = term {
-                        // Grouping positions range over the (deterministic)
-                        // projection of the base relation; every other
-                        // position pairs with the ID-function's choices.
-                        if pos == tid_pos || !grouping.contains(&pos) {
-                            tainted.insert(v.as_str());
-                        }
-                        // Base columns of the ID-relation inherit the base
-                        // predicate's column taint below.
-                        if pos < tid_pos && tainted_cols.contains(&(a.pred.base(), pos)) {
-                            tainted.insert(v.as_str());
-                        }
-                    }
-                }
+) -> Vec<bool> {
+    let mut tainted = vec![false; cols.names.len()];
+    for u in &cols.uses {
+        tainted[u.var] |= match u.role {
+            Role::Atom(p) => tainted_cols.contains(&(p, u.pos)),
+            // Grouping positions range over the (deterministic) projection
+            // of the base relation and inherit its column taint; every
+            // other position pairs with the ID-function's choices.
+            Role::Group(base) | Role::Member(base) | Role::Tid(base) => {
+                !choice_free(cols, u.literal.expect("an ID-literal is a body literal"))
+                    && (!matches!(u.role, Role::Group(_)) || tainted_cols.contains(&(base, u.pos)))
             }
-            PredicateRef::Ordinary(p) => {
-                for (pos, term) in a.terms.iter().enumerate() {
-                    if let Term::Var(v) = term {
-                        if tainted_cols.contains(&(*p, pos)) {
-                            tainted.insert(v.as_str());
-                        }
-                    }
-                }
-            }
-        }
+            _ => false,
+        };
     }
-    // Close under value-producing builtins: `X = Y` and the arithmetic
-    // relations spread taint among their arguments. Pure comparisons
-    // (`<`, …) constrain but do not carry values; membership taint already
-    // accounts for their effect on derivability.
+    // `X = Y` and the arithmetic relations spread taint among their
+    // arguments. Pure comparisons (`<`, …) constrain but do not carry
+    // values; membership taint already accounts for their effect on
+    // derivability.
+    let carries =
+        |u: &Use| matches!(u.role, Role::Arg(op, _) if !op.is_comparison() || op == Builtin::Eq);
     loop {
         let mut changed = false;
-        for lit in &clause.body {
-            if let Literal::Builtin { op, args } = lit {
-                if !op.is_comparison() || matches!(op, Builtin::Eq) {
-                    let any = args
-                        .iter()
-                        .any(|t| matches!(t, Term::Var(v) if tainted.contains(v.as_str())));
-                    if any {
-                        for t in args {
-                            if let Term::Var(v) = t {
-                                changed |= tainted.insert(v.as_str());
-                            }
-                        }
-                    }
+        for li in 0..cols.clause.body.len() {
+            let args = cols.in_literal(li);
+            if args.iter().any(|u| carries(u) && tainted[u.var]) {
+                for u in args {
+                    changed |= !std::mem::replace(&mut tainted[u.var], true);
                 }
             }
         }
@@ -453,8 +390,9 @@ mod tests {
     #[test]
     fn certified_program_has_empty_witness() {
         let (t, interner) = taints("all_depts(D) :- emp[2](N, D, 0).");
-        assert!(t.witness(interner.intern("all_depts")).is_empty());
-        assert_eq!(t.tainted_predicates().count(), 0);
+        let all_depts = interner.intern("all_depts");
+        assert!(t.witness(all_depts).is_empty());
+        assert!(t.deterministic(all_depts));
     }
 
     #[test]

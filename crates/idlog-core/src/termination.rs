@@ -18,19 +18,18 @@
 //!    classified as nonrecursive, linear or nonlinear (see
 //!    [`RecursionKind`]).
 //! 2. **Argument flow.** A graph over `(predicate, column)` nodes records
-//!    how values move between columns, through joins and through builtins.
-//!    Arithmetic over ℕ is the only way IDLOG can *invent* values, so an
-//!    edge is **expanding** when it passes through a builtin output position
-//!    that can exceed every input (`succ`'s successor, `plus`/`times`
-//!    results, `minus`/`div` first arguments) and the clause caps by a
-//!    constant (`V < c`, `V <= c`, `V = c`, mirrored too) neither that
-//!    value nor every input of its `succ` or `plus`: a capped value stays
-//!    within the ceiling `V*` of layer 3. A cycle through an expanding
-//!    edge is the divergence engine of `programs/diverge.idl`: the fixpoint
-//!    derives an ever-larger value forever. Such a cycle is returned as a
-//!    [`FlowEdge`] witness (found by `stratify::witness_cycle`,
-//!    the walker behind E011's too); predicates fed by one are
-//!    cardinality-unbounded.
+//!    how values move between columns, through joins and through builtins,
+//!    read from each clause's use lists ([`crate::columns`]). Arithmetic
+//!    over ℕ is the only way IDLOG can *invent* values, so an edge is
+//!    **expanding** when it passes through a builtin output position that
+//!    can exceed every input (`succ`'s successor, `plus`/`times` results,
+//!    `minus`/`div` first arguments) and the clause caps by a constant
+//!    neither that value nor every input of its `succ` or `plus`. A cycle
+//!    through an expanding edge is the divergence engine of
+//!    `programs/diverge.idl`: the fixpoint derives an ever-larger value
+//!    forever. Such a cycle is returned as a [`FlowEdge`] witness (found by
+//!    `stratify::witness_cycle`, the walker behind E011's too); predicates
+//!    fed by one are cardinality-unbounded.
 //! 3. **Round bound.** When no expanding cycle exists, every derivable
 //!    value lives in a finite
 //!    pool: database values, program constants, and builtin-generated
@@ -45,6 +44,7 @@ use idlog_common::{FxHashMap, FxHashSet, SymbolId};
 use idlog_parser::{Builtin, Literal, Program, Term};
 use idlog_storage::Database;
 
+use crate::columns::{ClauseColumns, ColumnGraph, Role};
 use crate::program::ValidatedProgram;
 use crate::stratify::{adjacency, reach, witness_cycle, DepGraph, GraphEdge};
 
@@ -420,18 +420,12 @@ fn bindable_output(op: Builtin, pos: usize) -> bool {
     }
 }
 
-/// One source feeding a clause variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Src {
-    node: FlowNode,
-    literal: usize,
-    grew_at: Option<usize>,
-    op: Option<Builtin>,
-}
-
-/// Run the termination analysis over a validated program;
-/// [`ValidatedProgram::termination`] holds the result.
-pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert {
+/// Run the termination analysis over a validated program, read through its
+/// column graph; [`ValidatedProgram::termination`] holds the result.
+pub(crate) fn analyze_termination(
+    program: &ValidatedProgram,
+    columns: &ColumnGraph,
+) -> TerminationCert {
     let arity = |p: SymbolId| program.arity(p).expect("a program predicate has an arity");
     let with_arity = |preds: &FxHashSet<SymbolId>| preds.iter().map(|&p| (p, arity(p))).collect();
     let graph = program.stratification().graph();
@@ -442,33 +436,34 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
     let mut max_const: u64 = 0;
     let mut expanding_ops: Vec<Builtin> = Vec::new();
     let mut capped_ceiling: u64 = 0;
-    for clause in &ast.clauses {
-        let caps = capped_vars(&clause.body);
-        for t in &clause.single_head().terms {
-            note_const(t, &mut consts, &mut max_const);
+    for cols in &columns.0 {
+        let clause = cols.clause;
+        let mut terms: Vec<&Term> = clause.single_head().terms.iter().collect();
+        for (li, lit) in clause.body.iter().enumerate() {
+            let (op, args) = match lit {
+                Literal::Pos(a) | Literal::Neg(a) => (None, &a.terms),
+                Literal::Builtin { op, args } => (Some(*op), args),
+                _ => continue,
+            };
+            terms.extend(args);
+            let Some(op) = op.filter(|&op| (0..args.len()).any(|i| expanding_output(op, i))) else {
+                continue;
+            };
+            match input_capped_ceiling(cols, li) {
+                Some(c) => capped_ceiling = capped_ceiling.max(c),
+                None => expanding_ops.push(op),
+            }
         }
-        for lit in &clause.body {
-            if let Some(a) = lit.atom() {
-                for t in &a.terms {
-                    note_const(t, &mut consts, &mut max_const);
-                }
+        for t in terms.into_iter().filter(|t| !matches!(t, Term::Var(_))) {
+            if let Term::Int(n) = t {
+                max_const = max_const.max(n.get() as u64);
             }
-            if let Literal::Builtin { op, args } = lit {
-                if (0..args.len()).any(|i| expanding_output(*op, i)) {
-                    match input_capped_ceiling(*op, args, &caps) {
-                        Some(c) => capped_ceiling = capped_ceiling.max(c),
-                        None => expanding_ops.push(*op),
-                    }
-                }
-                for t in args {
-                    note_const(t, &mut consts, &mut max_const);
-                }
-            }
+            consts.insert(t.clone());
         }
     }
 
     // --- Argument-flow graph. ---
-    let edges = flow_edges(ast);
+    let edges = flow_edges(columns);
     let witness = witness_cycle(&edges, FlowEdge::is_expanding);
     let unbounded = unbounded_predicates(&edges, &witness);
 
@@ -542,20 +537,7 @@ pub(crate) fn analyze_termination(program: &ValidatedProgram) -> TerminationCert
     }
 }
 
-fn note_const(t: &Term, consts: &mut FxHashSet<Term>, max_const: &mut u64) {
-    match t {
-        Term::Int(n) => {
-            *max_const = (*max_const).max(n.get() as u64);
-            consts.insert(t.clone());
-        }
-        Term::Sym(_) => {
-            consts.insert(t.clone());
-        }
-        Term::Var(_) => {}
-    }
-}
-
-/// Build the argument-flow edges of `program`.
+/// Build the argument-flow edges of a program from its clauses' use lists.
 ///
 /// Per clause: a variable bound by any positive atom takes only its atom
 /// sources (the join *restricts* its range, so builtin-derived bindings for
@@ -563,78 +545,67 @@ fn note_const(t: &Term, consts: &mut FxHashSet<Term>, max_const: &mut u64) {
 /// `succ(T, T2), has(T2)` certified). Variables bound only by builtins
 /// inherit the sources of the builtin's other arguments, marked expanding
 /// when the output position can exceed its inputs — unless the clause caps
-/// the variable by a constant ([`capped_vars`]), or every input of its
-/// `succ` or `plus` ([`input_capped_ceiling`]).
-fn flow_edges(program: &Program) -> Vec<FlowEdge> {
+/// the variable by a constant `c` ([`ClauseColumns::cap`]), or every input
+/// of its `succ` or `plus` ([`input_capped_ceiling`]). A capped output
+/// stays at most `c ≤ max_const`, where [`TerminationCert::round_bound`]'s
+/// value ceiling `V*` starts, so every value it binds lies in the pool
+/// `0..=V*` however often a derivation passes it.
+fn flow_edges(columns: &ColumnGraph) -> Vec<FlowEdge> {
     let mut edges = Vec::new();
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        let caps = capped_vars(&clause.body);
-        let mut sources: FxHashMap<&str, Vec<Src>> = FxHashMap::default();
+    for (ci, cols) in columns.0.iter().enumerate() {
+        // Each variable's sources, as edges from where its value is read,
+        // into that place until a head column takes them.
+        let mut sources: Vec<Vec<FlowEdge>> = vec![Vec::new(); cols.names.len()];
         // Pass 1: positive atom bindings.
-        for (li, lit) in clause.body.iter().enumerate() {
-            let Literal::Pos(a) = lit else { continue };
-            let base = a.pred.base();
-            let id = a.pred.is_id_version();
-            let tid_pos = a.terms.len().saturating_sub(1);
-            for (j, t) in a.terms.iter().enumerate() {
-                let Term::Var(v) = t else { continue };
-                let node = if id && j == tid_pos {
-                    FlowNode::Card(base)
-                } else {
-                    FlowNode::Col(base, j)
-                };
-                sources.entry(v.as_str()).or_default().push(Src {
-                    node,
-                    literal: li,
-                    grew_at: None,
-                    op: None,
-                });
-            }
+        for u in &cols.uses {
+            let node = match u.role {
+                Role::Atom(p) | Role::Group(p) | Role::Member(p) => FlowNode::Col(p, u.pos),
+                Role::Tid(p) => FlowNode::Card(p),
+                _ => continue,
+            };
+            sources[u.var].push(FlowEdge {
+                from: node,
+                to: node,
+                clause: ci,
+                literal: u.literal.expect("an atom is a body literal"),
+                grew_at: None,
+                op: None,
+            });
         }
-        let atom_bound: FxHashSet<&str> = sources.keys().copied().collect();
+        let atom_bound: Vec<bool> = sources.iter().map(|s| !s.is_empty()).collect();
         // Pass 2: builtin-derived bindings, to fixpoint (chains like
         // `succ(A, B), succ(B, C)` need two passes).
         loop {
             let mut changed = false;
-            for (li, lit) in clause.body.iter().enumerate() {
-                let Literal::Builtin { op, args } = lit else {
-                    continue;
-                };
-                for (tp, t) in args.iter().enumerate() {
-                    let Term::Var(tv) = t else { continue };
-                    if atom_bound.contains(tv.as_str()) || !bindable_output(*op, tp) {
+            for li in 0..cols.clause.body.len() {
+                let args = cols.in_literal(li);
+                for out in args {
+                    let Role::Arg(op, _) = out.role else { break };
+                    if atom_bound[out.var] || !bindable_output(op, out.pos) {
                         continue;
                     }
-                    let expanding = expanding_output(*op, tp);
-                    let capped = caps.contains_key(tv.as_str())
-                        || (expanding && input_capped_ceiling(*op, args, &caps).is_some());
-                    let mut derived: Vec<Src> = Vec::new();
-                    for (i, other) in args.iter().enumerate() {
-                        if i == tp {
-                            continue;
-                        }
-                        let Term::Var(ov) = other else { continue };
-                        if ov == tv {
-                            continue;
-                        }
-                        for src in sources.get(ov.as_str()).cloned().unwrap_or_default() {
+                    let expanding = expanding_output(op, out.pos);
+                    let capped = cols.cap(out.var).is_some()
+                        || (expanding && input_capped_ceiling(cols, li).is_some());
+                    let mut derived: Vec<FlowEdge> = Vec::new();
+                    for other in args.iter().filter(|o| o.var != out.var) {
+                        for src in &sources[other.var] {
                             let (grew_at, op) = match (capped, expanding) {
                                 (true, _) => (None, None),
-                                (false, true) => (Some(li), Some(*op)),
+                                (false, true) => (Some(li), Some(op)),
                                 (false, false) => (src.grew_at, src.op),
                             };
-                            derived.push(Src {
-                                node: src.node,
-                                literal: src.literal,
+                            derived.push(FlowEdge {
                                 grew_at,
                                 op,
+                                ..*src
                             });
                         }
                     }
-                    let entry = sources.entry(tv.as_str()).or_default();
+                    let entry = &mut sources[out.var];
                     for src in derived {
-                        let key = (src.node, src.grew_at.is_some());
-                        if !entry.iter().any(|s| (s.node, s.grew_at.is_some()) == key) {
+                        let key = (src.from, src.is_expanding());
+                        if !entry.iter().any(|s| (s.from, s.is_expanding()) == key) {
                             entry.push(src);
                             changed = true;
                         }
@@ -646,83 +617,35 @@ fn flow_edges(program: &Program) -> Vec<FlowEdge> {
             }
         }
         // Pass 3: edges into head columns.
-        for h in &clause.head {
-            let hp = h.atom.pred.base();
-            for (k, t) in h.atom.terms.iter().enumerate() {
-                let Term::Var(v) = t else { continue };
-                for src in sources.get(v.as_str()).into_iter().flatten() {
-                    edges.push(FlowEdge {
-                        from: src.node,
-                        to: FlowNode::Col(hp, k),
-                        clause: ci,
-                        literal: src.literal,
-                        grew_at: src.grew_at,
-                        op: src.op,
-                    });
-                }
-            }
+        for u in &cols.uses {
+            let Role::Head(hp) = u.role else { continue };
+            let to = FlowNode::Col(hp, u.pos);
+            edges.extend(sources[u.var].iter().map(|src| FlowEdge { to, ..*src }));
         }
     }
     edges
 }
 
-/// Variables `body` bounds from above by a constant, with the least such
-/// constant: `V < c`, `V <= c`, `V = c`, or the mirrored `c > V`,
-/// `c >= V`, `c = V` (each keeps `V ≤ c`). A builtin that
-/// binds such a variable does not grow it, however large its inputs: the
-/// value stays at most `c`. That keeps [`TerminationCert::round_bound`]
-/// sound, because its value ceiling `V*` starts at
-/// `max(max_const, max_natural)`, and `max_const ≥ c` (every integer
-/// constant of a builtin's arguments is counted). So every value a capped
-/// builtin binds already lies in the pool `0..=V*`, however often a
-/// derivation passes it, and a chain that grows again after it passes
-/// only uncapped expanding occurrences — each at most once, or an
-/// expanding cycle would exist.
-fn capped_vars(body: &[Literal]) -> FxHashMap<&str, u64> {
-    let mut caps: FxHashMap<&str, u64> = FxHashMap::default();
-    for lit in body {
-        let Literal::Builtin { op, args } = lit else {
-            continue;
-        };
-        let (v, c) = match (op, args.as_slice()) {
-            (Builtin::Lt | Builtin::Le | Builtin::Eq, [Term::Var(v), Term::Int(c)])
-            | (Builtin::Gt | Builtin::Ge | Builtin::Eq, [Term::Int(c), Term::Var(v)]) => (v, c),
-            _ => continue,
-        };
-        let c = c.get() as u64;
-        caps.entry(v.as_str())
-            .and_modify(|cap| *cap = (*cap).min(c))
-            .or_insert(c);
-    }
-    caps
-}
-
-/// The most a `succ` or `plus` occurrence can make when the clause caps
-/// every one of its inputs by a constant (an integer argument caps
-/// itself): `succ(A, V)` with `A ≤ c` makes at most `c + 1`, and
+/// The most the `succ` or `plus` at body literal `li` can make when the
+/// clause caps every one of its inputs by a constant (an integer argument
+/// caps itself): `succ(A, V)` with `A ≤ c` makes at most `c + 1`, and
 /// `plus(A, B, V)` with `A ≤ c_A` and `B ≤ c_B` at most `c_A + c_B`.
-/// `None` for any other builtin, or when an input goes uncapped.
-///
-/// Such an occurrence does not expand, whatever feeds its inputs: it is
-/// one application of the builtin to values at most its caps, so what it
-/// makes is at most this ceiling. That keeps
-/// [`TerminationCert::round_bound`] sound, because its value ceiling `V*`
-/// starts at the largest such ceiling of the program, beside
-/// `max(max_const, max_natural)`: the application is counted there once,
-/// and every value the occurrence binds lies in the pool `0..=V*` however
-/// often a derivation passes it — as for a capped output
-/// ([`capped_vars`]). A chain that grows again after it passes only
-/// uncapped expanding occurrences, each at most once. A `plus` with one
+/// `None` for any other builtin, or when an input goes uncapped. Such an
+/// occurrence is one application to capped values, whatever feeds them,
+/// and `V*` starts at the largest such ceiling too. A `plus` with one
 /// input uncapped stays expanding: that input can grow without end.
-fn input_capped_ceiling(op: Builtin, args: &[Term], caps: &FxHashMap<&str, u64>) -> Option<u64> {
-    let cap = |t: &Term| match t {
+fn input_capped_ceiling(cols: &ClauseColumns, li: usize) -> Option<u64> {
+    let Literal::Builtin { op, args } = &cols.clause.body[li] else {
+        return None;
+    };
+    let cap = |pos: usize| match &args[pos] {
         Term::Int(n) => Some(n.get() as u64),
-        Term::Var(v) => caps.get(v.as_str()).copied(),
+        Term::Var(_) => cols.cap(cols.var_at(li, pos)?),
         Term::Sym(_) => None,
     };
-    match (op, args) {
-        (Builtin::Succ, [a, _]) => Some(cap(a)?.saturating_add(1)),
-        (Builtin::Plus, [a, b, _]) => Some(cap(a)?.saturating_add(cap(b)?)),
+    match op {
+        Builtin::Succ => Some(cap(0)?.saturating_add(1)),
+        Builtin::Plus => Some(cap(0)?.saturating_add(cap(1)?)),
         _ => None,
     }
 }

@@ -13,7 +13,9 @@
 //! (factorial) — see [`idlog_storage::BoundedAssignmentIter`].
 
 use idlog_common::{FxHashMap, SymbolId};
-use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
+use idlog_parser::{PredicateRef, Term};
+
+use crate::columns::{ClauseColumns, ColumnGraph, Role};
 
 /// `(base predicate, grouping)` of an ID-use → the number `k` of tids its
 /// occurrences can tell apart (they observe tids `0..k` only). ID-uses
@@ -21,20 +23,20 @@ use idlog_parser::{Builtin, Clause, Literal, PredicateRef, Program, Term};
 pub type TidBounds = FxHashMap<(SymbolId, Vec<usize>), usize>;
 
 /// For every ID-use whose tid is provably bounded in *all* occurrences, the
-/// number of distinguishable tids. The analysis only reads clause syntax;
-/// each validated program runs it once, and every consumer — evaluation,
-/// enumeration, `explain` and the H001 lint — reads the result from
-/// [`crate::ValidatedProgram::tid_bounds`].
-pub fn tid_bounds_ast(program: &Program) -> TidBounds {
+/// number of distinguishable tids. The analysis only reads clause syntax,
+/// through the program's column graph; each validated program runs it
+/// once, and every consumer — evaluation, enumeration, `explain` and the
+/// H001 lint — reads the result from [`crate::ValidatedProgram::tid_bounds`].
+pub fn tid_bounds_ast(columns: &ColumnGraph) -> TidBounds {
     let mut bounds: FxHashMap<(SymbolId, Vec<usize>), Option<usize>> = FxHashMap::default();
-    for clause in &program.clauses {
-        for (li, lit) in clause.body.iter().enumerate() {
+    for cols in &columns.0 {
+        for (li, lit) in cols.clause.body.iter().enumerate() {
             let Some(atom) = lit.atom() else { continue };
             let PredicateRef::IdVersion { base, grouping } = &atom.pred else {
                 continue;
             };
             let key = (*base, grouping.clone());
-            let this = tid_use(clause, li).bound;
+            let this = tid_use(cols, li).bound;
             let entry = bounds.entry(key).or_insert(Some(0));
             *entry = match (*entry, this) {
                 (Some(a), Some(b)) => Some(a.max(b)),
@@ -62,74 +64,51 @@ pub(crate) struct TidUse {
     pub bound: Option<usize>,
 }
 
-/// The tid use of the ID-literal at `clause.body[li]`. A local tid need not
-/// be bounded: `succ(T, 3)` pins `T` to a constant's predecessor, but only
-/// comparisons bound it.
-pub(crate) fn tid_use(clause: &Clause, li: usize) -> TidUse {
-    let atom = clause.body[li].atom().expect("li indexes an ID-literal");
-    let tid_pos = atom.terms.len() - 1;
+/// The tid use of the ID-literal at body literal `li`, from its tid
+/// variable's uses. A local tid need not be bounded: `succ(T, 3)` pins `T`
+/// to a constant's predecessor, but only a constant cap bounds it.
+pub(crate) fn tid_use(cols: &ClauseColumns, li: usize) -> TidUse {
+    let atom = cols.clause.body[li]
+        .atom()
+        .expect("li indexes an ID-literal");
+    let tid = atom.terms.len() - 1;
     let constant = |k| TidUse {
         local: true,
         bound: Some(k),
     };
-    let v = match &atom.terms[tid_pos] {
+    let v = match &atom.terms[tid] {
         Term::Int(c) => return constant(usize::try_from(c.get()).map_or(0, |c| c + 1)),
         // Wrong sort: never matches, so it observes no tid.
         Term::Sym(_) => return constant(0),
-        Term::Var(v) => v.as_str(),
+        Term::Var(_) => cols.var_at(li, tid).expect("a variable has a use"),
     };
-    const LEAKS: TidUse = TidUse {
-        local: false,
-        bound: None,
-    };
-    let occurs = |t: &Term| t.as_var() == Some(v);
-    // Reuse at a base position of the ID-atom itself couples the tid with
-    // the member↔tid assignment; a head occurrence exports it.
-    if atom.terms[..tid_pos].iter().any(occurs)
-        || clause.head.iter().any(|h| h.atom.terms.iter().any(occurs))
-    {
-        return LEAKS;
-    }
-    let mut local = true;
-    let mut bound: Option<usize> = None;
-    let mut unbounded_read = false;
-    for (lj, lit) in clause.body.iter().enumerate() {
-        match lit {
-            _ if lj == li => {}
-            Literal::Builtin { op, args } if args.iter().any(occurs) => {
-                // Another variable couples the tid to the rest of the clause.
-                local &= !args.iter().any(|t| !occurs(t) && matches!(t, Term::Var(_)));
-                match constant_bound(*op, args, v) {
-                    Some(b) => bound = Some(bound.map_or(b, |cur| cur.min(b))),
-                    None => unbounded_read = true,
+    let (mut local, mut bound, mut read) = (true, usize::MAX, false);
+    for u in cols.uses_of(v) {
+        match u.role {
+            _ if u.literal == Some(li) && u.pos == tid => {}
+            // Another variable of the builtin couples the tid to the rest
+            // of the clause; only a constant cap bounds it.
+            Role::Arg(_, cap) => {
+                let lj = u.literal.expect("a builtin is a body literal");
+                local &= cols.in_literal(lj).iter().all(|o| o.var == v);
+                match cap {
+                    Some(cap) => bound = bound.min(cap.c as usize + usize::from(!cap.strict)),
+                    None => read = true,
                 }
             }
-            Literal::Builtin { .. } => {}
-            _ if lit.variables().contains(&v) => return LEAKS,
-            _ => {}
+            // A head use exports the tid; any other use, a base position
+            // of the ID-atom itself included, couples it with the
+            // member↔tid assignment.
+            _ => {
+                return TidUse {
+                    local: false,
+                    bound: None,
+                }
+            }
         }
     }
-    TidUse {
-        local,
-        bound: bound.filter(|_| !unbounded_read),
-    }
-}
-
-/// The bound a builtin over `v` puts on it: `k` when it admits only
-/// `v < k`. Only comparisons against an integer constant bound the tid;
-/// anything else (another variable, a symbol, arithmetic) reads it.
-fn constant_bound(op: Builtin, args: &[Term], v: &str) -> Option<usize> {
-    // `(variable side, constant side, constant excluded)`.
-    let (x, c, strict) = match (op, args.first()?, args.get(1)?) {
-        (Builtin::Lt, Term::Var(x), c) => (x, c, true),
-        (Builtin::Le | Builtin::Eq, Term::Var(x), c) => (x, c, false),
-        (Builtin::Gt, c, Term::Var(x)) => (x, c, true),
-        (Builtin::Ge | Builtin::Eq, c, Term::Var(x)) => (x, c, false),
-        _ => return None,
-    };
-    let Term::Int(c) = c else { return None };
-    let c = usize::try_from(c.get()).ok()?;
-    (x == v).then_some(if strict { c } else { c + 1 })
+    let bound = (bound < usize::MAX && !read).then_some(bound);
+    TidUse { local, bound }
 }
 
 #[cfg(test)]
@@ -209,7 +188,7 @@ mod tests {
         let i = Interner::new();
         let use_of = |src: &str| {
             let p = idlog_parser::parse_program(src, &i).unwrap();
-            tid_use(&p.clauses[0], 0)
+            tid_use(&ClauseColumns::new(&p.clauses[0]), 0)
         };
         // `succ(T, 3)` fixes the tid from constants alone, but no
         // comparison bounds it.

@@ -28,6 +28,7 @@ fn certified_fast_path_matches_full_enumeration() {
     let fragment = Fragment {
         ids: Ids::ChoiceFree,
         point_query: false,
+        growth: false,
     };
     gen::check("fast path", 96, fragment, build, |p, (query, db)| {
         prop_assert!(query.certified_deterministic(), "choice-free must certify");

@@ -33,6 +33,7 @@ fn binders_after_their_use_are_certified_and_magic_equals_the_reference() {
     let fragment = Fragment {
         ids: Ids::Off,
         point_query: true,
+        growth: false,
     };
     gen::check("binders", 256, fragment, build, |p, (q, db)| {
         // Certified exactly when `--strategy magic` has a rewrite to run.

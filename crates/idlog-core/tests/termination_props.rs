@@ -17,11 +17,13 @@
 //! also run on each program's [`Program::mutant`], which the validator
 //! refuses.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use idlog_common::SymbolId;
+use idlog_core::columns::ColumnGraph;
 use idlog_core::stratify::{stratify_check, DepGraph};
 use idlog_core::tidbound::tid_bounds_ast;
 use idlog_core::{
@@ -42,18 +44,37 @@ fn build(p: &Program) -> Result<(ValidatedProgram, Database), CoreError> {
 /// A bounded certificate over-approximates the real round count, and the
 /// certified ceiling never perturbs thread-count determinism. An unbounded
 /// verdict always names a growing cycle, and a program whose every growth
-/// is guarded by a constant cap is certified. Each program also runs with
-/// its growth guards dropped, where a wrongly certified growth cycle
-/// diverges: it trips its bound, or runs past the 1 000 rounds no drawn
-/// program needs.
+/// is guarded by a constant cap is certified. Each program closes a
+/// recursion through `succ` or `plus` on purpose ([`Fragment::growth`]),
+/// and also runs with its growth guards dropped, where a wrongly certified
+/// growth cycle diverges: it trips its bound, or runs past the 1 000
+/// rounds no drawn program needs. At least half the unguarded copies
+/// carry a growth witness, and so does each near miss of a cap
+/// ([`Program::near_misses`]), so `idlog lint` draws W020 on it.
 #[test]
 fn certified_bounds_cover_actual_rounds() {
+    const CASES: u32 = 128;
     let fragment = Fragment {
         ids: Ids::Off,
         point_query: false,
+        growth: true,
     };
-    let both = |p: &Program| Ok::<_, CoreError>((build(p)?, build(&p.unguarded())?));
-    gen::check("bounds", 128, fragment, both, |p, (guarded, unguarded)| {
+    let all = |p: &Program| {
+        let pair = |(m, d): &(Program, Program)| Ok((m.to_string(), build(m)?.0, build(d)?.0));
+        let misses: Result<Vec<_>, CoreError> = p.near_misses().iter().map(pair).collect();
+        Ok::<_, CoreError>((build(p)?, build(&p.unguarded())?, misses?))
+    };
+    let (witnessed, near, refused) = (AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0));
+    gen::check("bounds", CASES, fragment, all, |p, built| {
+        let (guarded, unguarded, misses) = built;
+        // A near miss caps nothing: refused exactly when no cap is.
+        for (src, miss, dropped) in &misses {
+            let refuse = miss.termination().growth_witness().is_some();
+            let want = dropped.termination().growth_witness().is_some();
+            prop_assert_eq!(refuse, want, "near miss:\n{}", src);
+            near.fetch_add(1, Ordering::Relaxed);
+            refused.fetch_add(u32::from(refuse), Ordering::Relaxed);
+        }
         for (copy, (program, db)) in [("guarded", guarded), ("unguarded", unguarded)] {
             let cert = program.termination();
             // Each guard `V < k` caps the value its builtin grows.
@@ -61,6 +82,7 @@ fn certified_bounds_cover_actual_rounds() {
             let Some(bound) = cert.round_bound(&db) else {
                 // A valid program goes uncertified for one reason only.
                 prop_assert!(cert.growth_witness().is_some(), "{copy}: no witness");
+                witnessed.fetch_add(1, Ordering::Relaxed);
                 continue; // evaluating could genuinely diverge
             };
             prop_assert!(cert.bounded(), "{copy}: a bound without a certificate");
@@ -90,11 +112,20 @@ fn certified_bounds_cover_actual_rounds() {
         }
         Ok(())
     });
+    let witnessed = witnessed.into_inner();
+    assert!(
+        2 * witnessed >= CASES,
+        "{witnessed} of {CASES} unguarded copies carry a growth witness"
+    );
+    // Every drawn growth closes a cycle, so each of its near misses draws W020.
+    let (near, refused) = (near.into_inner(), refused.into_inner());
+    assert_eq!(refused, near, "near misses with a growth witness");
 }
 
 const WIDE: Fragment = Fragment {
     ids: Ids::Any,
     point_query: false,
+    growth: false,
 };
 
 fn parse(src: &str) -> Result<(idlog_parser::Program, Arc<Interner>), TestCaseError> {
@@ -169,7 +200,8 @@ fn tid_use_matches_the_walks_it_replaced() {
         for src in [p.to_string(), p.mutant().to_string()] {
             let (program, _) = parse(&src)?;
             let bounds = reference::tid_bounds(&program);
-            prop_assert_eq!(tid_bounds_ast(&program), bounds, "\n{}", src);
+            let got = tid_bounds_ast(&ColumnGraph::new(&program));
+            prop_assert_eq!(got, bounds, "\n{}", src);
             for clause in &program.clauses {
                 for li in 0..clause.body.len() {
                     let want = reference::choice_free_occurrence(clause, li);
@@ -182,8 +214,30 @@ fn tid_use_matches_the_walks_it_replaced() {
     });
 }
 
-/// The walks the dependency graph and the tid-occurrence rule replaced,
-/// kept as the properties' references.
+/// Column taint on the column graph gives the answers the clause walk it
+/// replaced gave: every head column's taint, every predicate's membership
+/// taint, and W011's tainted variables per clause.
+#[test]
+fn column_taint_matches_the_walk_it_replaced() {
+    gen::check("taint", 512, WIDE, build, |_, (validated, _)| {
+        let (program, taint) = (validated.ast(), validated.taint());
+        let (members, cols) = reference::taint(program);
+        for clause in &program.clauses {
+            let h = clause.single_head();
+            let p = h.pred.base();
+            prop_assert_eq!(taint.deterministic(p), !members.contains(&p));
+            for k in 0..h.terms.len() {
+                prop_assert_eq!(taint.col_tainted(p, k), cols.contains(&(p, k)));
+            }
+            let want = reference::value_tainted_vars(clause, &cols);
+            prop_assert_eq!(taint.value_tainted_vars(clause), want);
+        }
+        Ok(())
+    });
+}
+
+/// The walks the dependency graph, the tid-occurrence rule and the column
+/// graph replaced, kept as the properties' references.
 mod reference {
     use idlog_common::{FxHashMap, FxHashSet, SymbolId};
     use idlog_core::stratify::DepEdge;
@@ -913,5 +967,97 @@ mod reference {
             }
         }
         true
+    }
+
+    /// The membership-tainted predicates and the tainted columns, by the
+    /// clause walk the column graph replaced.
+    #[allow(clippy::type_complexity)]
+    pub fn taint(program: &Program) -> (FxHashSet<SymbolId>, FxHashSet<(SymbolId, usize)>) {
+        let (mut members, mut cols) = (FxHashSet::default(), FxHashSet::default());
+        loop {
+            let mut changed = false;
+            for clause in &program.clauses {
+                let head = clause.single_head();
+                let p = head.pred.base();
+                let step = clause.body.iter().enumerate().any(|(li, lit)| {
+                    lit.atom().is_some_and(|a| {
+                        members.contains(&a.pred.base())
+                            || a.pred.is_id_version() && !choice_free_occurrence(clause, li)
+                    })
+                });
+                if step {
+                    changed |= members.insert(p);
+                }
+                let vars = value_tainted_vars(clause, &cols);
+                for (k, t) in head.terms.iter().enumerate() {
+                    if matches!(t, Term::Var(v) if vars.contains(v.as_str())) {
+                        changed |= cols.insert((p, k));
+                    }
+                }
+            }
+            if !changed {
+                return (members, cols);
+            }
+        }
+    }
+
+    /// The variables of `clause` that can carry tid-derived values.
+    pub fn value_tainted_vars<'c>(
+        clause: &'c Clause,
+        tainted_cols: &FxHashSet<(SymbolId, usize)>,
+    ) -> FxHashSet<&'c str> {
+        let mut tainted: FxHashSet<&'c str> = FxHashSet::default();
+        for (li, lit) in clause.body.iter().enumerate() {
+            let Literal::Pos(a) = lit else { continue };
+            match &a.pred {
+                PredicateRef::IdVersion { grouping, .. } => {
+                    if a.terms.is_empty() || choice_free_occurrence(clause, li) {
+                        continue;
+                    }
+                    let tid_pos = a.terms.len() - 1;
+                    for (pos, term) in a.terms.iter().enumerate() {
+                        if let Term::Var(v) = term {
+                            if pos == tid_pos || !grouping.contains(&pos) {
+                                tainted.insert(v.as_str());
+                            }
+                            if pos < tid_pos && tainted_cols.contains(&(a.pred.base(), pos)) {
+                                tainted.insert(v.as_str());
+                            }
+                        }
+                    }
+                }
+                PredicateRef::Ordinary(p) => {
+                    for (pos, term) in a.terms.iter().enumerate() {
+                        if let Term::Var(v) = term {
+                            if tainted_cols.contains(&(*p, pos)) {
+                                tainted.insert(v.as_str());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        loop {
+            let mut changed = false;
+            for lit in &clause.body {
+                if let Literal::Builtin { op, args } = lit {
+                    if !op.is_comparison() || matches!(op, Builtin::Eq) {
+                        let any = args
+                            .iter()
+                            .any(|t| matches!(t, Term::Var(v) if tainted.contains(v.as_str())));
+                        if any {
+                            for t in args {
+                                if let Term::Var(v) = t {
+                                    changed |= tainted.insert(v.as_str());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if !changed {
+                return tainted;
+            }
+        }
     }
 }

@@ -19,7 +19,8 @@
 //!   (paper's step 3).
 
 use idlog_common::{FxHashMap, FxHashSet, SymbolId};
-use idlog_parser::{Program, Term};
+use idlog_core::columns::{ClauseColumns, ColumnGraph, Role, Use};
+use idlog_parser::{Literal, PredicateRef, Program};
 
 /// Result of the adornment analysis w.r.t. one output predicate.
 #[derive(Debug, Clone)]
@@ -63,12 +64,14 @@ impl ExistentialAnalysis {
     }
 }
 
-/// Run the adornment analysis on `program` w.r.t. `output`.
+/// Run the adornment analysis on `program` w.r.t. `output`, on the use
+/// lists of its column graph.
 ///
 /// Only ordinary positive body literals participate; negated literals,
 /// builtins, and ID-literals block existentiality of the variables they
 /// mention (a variable occurring there "appears somewhere else").
 pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
+    let columns = ColumnGraph::new(program);
     // Candidate predicate-level set: every position of every predicate
     // except the output's.
     let mut arities: FxHashMap<SymbolId, usize> = FxHashMap::default();
@@ -89,91 +92,55 @@ pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
         .collect();
 
     // Greatest fixpoint: delete (p, j) whenever some body occurrence of p
-    // violates the local condition under the current pred_level.
+    // violates the local condition under the current pred_level. Deletion
+    // is monotone, so the order of deletions cannot change the result.
     loop {
-        let mut changed = false;
-        for clause in &program.clauses {
-            for li in 0..clause.body.len() {
-                let Some(positions) = local_existential(clause, li, &pred_level) else {
-                    continue;
-                };
-                let atom = clause.body[li].atom().expect("local_existential checked");
-                if atom.pred.is_id_version() {
-                    continue;
+        let (mut occurrence, mut violated) = (FxHashMap::default(), Vec::new());
+        for (ci, (clause, cols)) in program.clauses.iter().zip(&columns.0).enumerate() {
+            for (li, lit) in clause.body.iter().enumerate() {
+                let Literal::Pos(atom) = lit else { continue };
+                let positions = local_existential(cols, li, &pred_level);
+                if let PredicateRef::Ordinary(p) = atom.pred {
+                    let broken = (0..atom.terms.len()).filter(|j| !positions.contains(j));
+                    violated.extend(broken.map(|j| (p, j)));
                 }
-                let p = atom.pred.base();
-                for j in 0..atom.terms.len() {
-                    if !positions.contains(&j) && pred_level.remove(&(p, j)) {
-                        changed = true;
-                    }
-                }
+                occurrence.insert((ci, li), positions);
             }
         }
-        if !changed {
-            break;
+        let before = pred_level.len();
+        for v in violated {
+            pred_level.remove(&v);
         }
-    }
-
-    // Occurrence-level marks under the final pred_level.
-    let mut occurrence: FxHashMap<(usize, usize), Vec<usize>> = FxHashMap::default();
-    for (ci, clause) in program.clauses.iter().enumerate() {
-        for li in 0..clause.body.len() {
-            if let Some(positions) = local_existential(clause, li, &pred_level) {
-                if !positions.is_empty() {
-                    occurrence.insert((ci, li), positions);
-                }
-            }
+        if pred_level.len() == before {
+            occurrence.retain(|_, positions| !positions.is_empty());
+            return ExistentialAnalysis {
+                pred_level,
+                occurrence,
+                output,
+            };
         }
-    }
-
-    ExistentialAnalysis {
-        pred_level,
-        occurrence,
-        output,
     }
 }
 
-/// The local condition at one body literal: which positions hold a variable
-/// that appears (a) exactly once in this literal, (b) in no other body
-/// literal of the clause, and (c) in the head only at positions currently
-/// marked predicate-level existential. Returns `None` for non-atom literals
-/// (builtins) and negated literals — those never qualify.
+/// The local condition at the positive body literal `li`: the positions
+/// holding a variable whose every other use is a head column currently
+/// marked predicate-level existential — so it appears once in this
+/// literal, in no other body literal, and in the head only at existential
+/// positions.
 fn local_existential(
-    clause: &idlog_parser::Clause,
+    cols: &ClauseColumns,
     li: usize,
     pred_level: &FxHashSet<(SymbolId, usize)>,
-) -> Option<Vec<usize>> {
-    use idlog_parser::Literal;
-    let Literal::Pos(atom) = &clause.body[li] else {
-        return None;
+) -> Vec<usize> {
+    let existential = |u: &Use| match u.role {
+        Role::Head(hp) => pred_level.contains(&(hp, u.pos)),
+        _ => false,
     };
-
-    let mut out = Vec::new();
-    'pos: for (j, term) in atom.terms.iter().enumerate() {
-        let Term::Var(y) = term else { continue };
-
-        // (a) exactly once in this literal.
-        if atom.terms.iter().filter(|t| t.as_var() == Some(y)).count() != 1 {
-            continue;
-        }
-        // (b) nowhere in any other body literal.
-        for (lj, other) in clause.body.iter().enumerate() {
-            if lj != li && other.variables().contains(&y.as_str()) {
-                continue 'pos;
-            }
-        }
-        // (c) head occurrences only at existential positions.
-        for h in &clause.head {
-            let hp = h.atom.pred.base();
-            for (i, ht) in h.atom.terms.iter().enumerate() {
-                if ht.as_var() == Some(y) && !pred_level.contains(&(hp, i)) {
-                    continue 'pos;
-                }
-            }
-        }
-        out.push(j);
-    }
-    Some(out)
+    let uses = cols.in_literal(li);
+    uses.iter()
+        .filter(|u| cols.uses_of(u.var).all(|o| o == *u || existential(o)))
+        .map(|u| u.pos)
+        .collect()
 }
 
 #[cfg(test)]

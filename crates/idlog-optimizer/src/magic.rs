@@ -22,6 +22,7 @@ mod tests {
     const POINT: Fragment = Fragment {
         ids: Ids::Off,
         point_query: true,
+        growth: false,
     };
 
     const ANCESTOR: &str = "

@@ -1,13 +1,159 @@
 //! Property-based Theorem 4 testing: for randomly generated join programs,
 //! the ID-rewrite of adornment-identified existential arguments preserves
-//! the query on random databases.
+//! the query on random databases. The adornment itself matches, on
+//! generated programs and their mutants, the clause walk the column graph
+//! replaced, kept below in [`reference`].
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use idlog_core::{EnumBudget, Interner};
-use idlog_optimizer::{push_projections, q_equivalent_on, random_databases, to_id_program};
+use idlog_optimizer::{
+    analyze, push_projections, q_equivalent_on, random_databases, to_id_program,
+};
+use idlog_suite::gen::{self, Fragment, Ids};
+
+/// The adornment on the column graph gives the ∃ marks the clause walk it
+/// replaced gave, predicate-level and per occurrence, with every head
+/// predicate as the output, on a program and on its mutant.
+#[test]
+fn adornment_matches_the_walk_it_replaced() {
+    let wide = Fragment {
+        ids: Ids::Any,
+        point_query: false,
+        growth: false,
+    };
+    let source = |p: &gen::Program| Ok::<_, String>([p.to_string(), p.mutant().to_string()]);
+    gen::check("adornment", 512, wide, source, |_, sources| {
+        for src in sources {
+            let interner = Interner::new();
+            let program = idlog_core::parse_program(&src, &interner).map_err(gen::fail)?;
+            for output in program.head_predicates() {
+                let got = analyze(&program, output);
+                let (preds, occurrences) = reference::analyze(&program, output);
+                for (&p, &arity) in &reference::arities(&program) {
+                    for j in 0..arity {
+                        let want = preds.contains(&(p, j));
+                        prop_assert_eq!(got.pred_existential(p, j), want, "\n{}", src);
+                    }
+                }
+                for (ci, clause) in program.clauses.iter().enumerate() {
+                    for li in 0..clause.body.len() {
+                        let want = occurrences.get(&(ci, li)).map_or(&[][..], |v| v);
+                        let marks = got.occurrence_positions(ci, li);
+                        prop_assert_eq!(marks, want, "\n{}", src);
+                    }
+                }
+            }
+        }
+        Ok(())
+    });
+}
+
+/// The adornment's clause walk that the column graph replaced.
+mod reference {
+    use idlog_common::{FxHashMap, FxHashSet, SymbolId};
+    use idlog_parser::{Clause, Literal, Program, Term};
+
+    /// Every predicate's base arity.
+    pub fn arities(program: &Program) -> FxHashMap<SymbolId, usize> {
+        let mut arities = FxHashMap::default();
+        for clause in &program.clauses {
+            for h in &clause.head {
+                arities.insert(h.atom.pred.base(), h.atom.base_arity());
+            }
+            for l in &clause.body {
+                if let Some(a) = l.atom() {
+                    arities.insert(a.pred.base(), a.base_arity());
+                }
+            }
+        }
+        arities
+    }
+
+    /// The predicate-level and occurrence-level ∃ marks.
+    #[allow(clippy::type_complexity)]
+    pub fn analyze(
+        program: &Program,
+        output: SymbolId,
+    ) -> (
+        FxHashSet<(SymbolId, usize)>,
+        FxHashMap<(usize, usize), Vec<usize>>,
+    ) {
+        let mut pred_level: FxHashSet<(SymbolId, usize)> = arities(program)
+            .iter()
+            .filter(|&(&p, _)| p != output)
+            .flat_map(|(&p, &n)| (0..n).map(move |j| (p, j)))
+            .collect();
+        loop {
+            let mut changed = false;
+            for clause in &program.clauses {
+                for li in 0..clause.body.len() {
+                    let Some(positions) = local_existential(clause, li, &pred_level) else {
+                        continue;
+                    };
+                    let atom = clause.body[li].atom().expect("local_existential checked");
+                    if atom.pred.is_id_version() {
+                        continue;
+                    }
+                    let p = atom.pred.base();
+                    for j in 0..atom.terms.len() {
+                        if !positions.contains(&j) && pred_level.remove(&(p, j)) {
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut occurrence = FxHashMap::default();
+        for (ci, clause) in program.clauses.iter().enumerate() {
+            for li in 0..clause.body.len() {
+                if let Some(positions) = local_existential(clause, li, &pred_level) {
+                    if !positions.is_empty() {
+                        occurrence.insert((ci, li), positions);
+                    }
+                }
+            }
+        }
+        (pred_level, occurrence)
+    }
+
+    fn local_existential(
+        clause: &Clause,
+        li: usize,
+        pred_level: &FxHashSet<(SymbolId, usize)>,
+    ) -> Option<Vec<usize>> {
+        let Literal::Pos(atom) = &clause.body[li] else {
+            return None;
+        };
+        let mut out = Vec::new();
+        'pos: for (j, term) in atom.terms.iter().enumerate() {
+            let Term::Var(y) = term else { continue };
+            if atom.terms.iter().filter(|t| t.as_var() == Some(y)).count() != 1 {
+                continue;
+            }
+            for (lj, other) in clause.body.iter().enumerate() {
+                if lj != li && other.variables().contains(&y.as_str()) {
+                    continue 'pos;
+                }
+            }
+            for h in &clause.head {
+                let hp = h.atom.pred.base();
+                for (i, ht) in h.atom.terms.iter().enumerate() {
+                    if ht.as_var() == Some(y) && !pred_level.contains(&(hp, i)) {
+                        continue 'pos;
+                    }
+                }
+            }
+            out.push(j);
+        }
+        Some(out)
+    }
+}
 
 /// A random "star join" program:
 /// `out(X) :- base(X, J1), r1(J1, E1), r2(J2?), …` — each auxiliary relation

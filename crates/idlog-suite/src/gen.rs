@@ -18,6 +18,10 @@
 //!   followed by a guard, so every program terminates: half the time
 //!   `V < k` on its output, otherwise `A < k` on each variable input
 //!   ([`Program::unguarded`] drops the guards).
+//! * with [`Fragment::growth`], a recursion also closes through `succ` or
+//!   `plus` on purpose, capped in every shape the termination analysis
+//!   accepts; [`Program::near_misses`] swaps each cap for one it must
+//!   refuse.
 //!
 //! The body is then shuffled: the engine and the reference must find the
 //! safe order themselves. Recursion, negation and arithmetic are always
@@ -80,6 +84,15 @@ pub struct Fragment {
     /// into a guard, and the rewrite stratifies (`ids` should be
     /// [`Ids::Off`]).
     pub point_query: bool,
+    /// Close a recursion through a growing builtin on purpose, in one of
+    /// three shapes: `p` grows itself (`p(V) :- p(A), succ(A, V)`), a
+    /// `plus` adds what a second recursive predicate grows, or `p` and `r`
+    /// grow each other through two builtins. Each growth is capped by a
+    /// constant, on its output or on every variable input, spelled `<`,
+    /// `<=` or `=`, either way round. It also carries a near miss the
+    /// analysis must refuse: a cap by a variable, a cap from below, a cap
+    /// on one `plus` input only, or a cap in another clause.
+    pub growth: bool,
 }
 
 /// A column's or a variable's sort.
@@ -104,6 +117,17 @@ enum Tok {
 struct Lit {
     pred: Option<usize>,
     toks: Vec<Tok>,
+    /// A growth's near miss, on the builtin it grows by.
+    miss: Option<Miss>,
+}
+
+/// What [`Program::near_misses`] puts in place of a growth's cap: the
+/// guard after the builtin's `)`, and a clause that caps a variable of the
+/// same name elsewhere.
+#[derive(Clone, Debug)]
+struct Miss {
+    guard: Vec<Tok>,
+    elsewhere: Option<Clause>,
 }
 
 #[derive(Clone, Debug)]
@@ -240,6 +264,9 @@ impl Fragment {
                 _ => INPUTS + d.below(DERIVED),
             };
             d.clause(head, None);
+        }
+        if self.growth {
+            d.growth();
         }
         if self.point_query {
             for _ in 0..1 + d.below(2) {
@@ -488,7 +515,11 @@ impl Draw<'_> {
             10 => infix(t.clone(), "=", t),
             _ => call("plus", [t, k.clone(), k]),
         };
-        Lit { pred: None, toks }
+        Lit {
+            pred: None,
+            toks,
+            miss: None,
+        }
     }
 
     /// `builtin, v < k`, or half the time `builtin, a < k, b < k` on each
@@ -547,7 +578,150 @@ impl Draw<'_> {
             _ => infix(self.fresh(i), "<", k),
         };
         self.pool.extend(known..self.vars.len());
-        self.body.push(Lit { pred: None, toks });
+        self.body.push(Lit {
+            pred: None,
+            toks,
+            miss: None,
+        });
+    }
+
+    /// Close a recursion through a growing builtin (see
+    /// [`Fragment::growth`]) over derived predicates' integer columns; a
+    /// second predicate is one at the same level, so the recursion
+    /// stratifies.
+    fn growth(&mut self) {
+        let int_col = |p: &Pred| p.sorts.iter().position(|&s| s == Sort::I);
+        let cols: Vec<(usize, usize)> = (INPUTS..S)
+            .filter_map(|p| Some((p, int_col(&self.preds[p])?)))
+            .collect();
+        if cols.is_empty() {
+            return;
+        }
+        let p = pick(self.rng, &cols);
+        let level = |(q, _): (usize, usize)| self.preds[q].level;
+        let peers: Vec<_> = (cols.iter().copied())
+            .filter(|&r| r != p && level(r) == level(p))
+            .collect();
+        match self.below(3) {
+            1 if !peers.is_empty() => {
+                let r = pick(self.rng, &peers);
+                self.grow(r, r, None);
+                self.grow(p, p, Some(r));
+            }
+            2 if !peers.is_empty() => {
+                let r = pick(self.rng, &peers);
+                self.grow(p, r, None);
+                self.grow(r, p, None);
+            }
+            _ => self.grow(p, p, None),
+        }
+    }
+
+    /// `head(…, V, …) :- from(…, A, …), succ(A, V), cap.`: or `plus(A, k,
+    /// V)`, or with `by`, `by(…, B, …), plus(A, B, V)`. Each pair names a
+    /// predicate and its integer column.
+    fn grow(&mut self, head: (usize, usize), from: (usize, usize), by: Option<(usize, usize)>) {
+        self.level = self.preds[head.0].level;
+        self.pool.clear();
+        let a = self.column_atom(from);
+        let b = match by {
+            Some(by) => Some(self.column_atom(by)),
+            None if self.below(2) == 0 => Some(Tok::Int(self.below(INTS) as u64 + 1)),
+            None => None,
+        };
+        let v = self.fresh(Sort::I);
+        let inputs: Vec<Tok> = [Some(a), b].into_iter().flatten().collect();
+        let name = if inputs.len() == 1 { "succ" } else { "plus" };
+        let mut toks = call(name, inputs.iter().cloned().chain([v.clone()]));
+        let sorts = self.preds[head.0].sorts.clone();
+        let args: Vec<Tok> = (sorts.into_iter().enumerate())
+            .map(|(i, s)| if i == head.1 { v.clone() } else { self.read(s) })
+            .collect();
+        let head_atom = atom(&self.preds[head.0].name, head.0, args);
+        let vars: Vec<Tok> = inputs
+            .into_iter()
+            .filter(|t| matches!(t, Tok::Var(_)))
+            .collect();
+        let k = Tok::Int(self.below(INTS) as u64 + 1);
+        let capped = match self.below(2) {
+            0 => vec![v.clone()],
+            _ => vars.clone(),
+        };
+        for t in capped {
+            let (op, mirrored) = pick(self.rng, &[("<", ">"), ("<=", ">="), ("=", "=")]);
+            toks.push(Tok::Text(", ".into()));
+            toks.extend(match self.below(2) {
+                0 => infix(t, op, k.clone()),
+                _ => infix(k.clone(), mirrored, t),
+            });
+        }
+        let miss = self.near_miss(v, &vars, k, &head_atom);
+        self.body.push(Lit {
+            pred: None,
+            toks,
+            miss: Some(miss),
+        });
+        self.clauses.push(Clause {
+            head: head.0,
+            heads: vec![head_atom],
+            body: std::mem::take(&mut self.body),
+            vars: std::mem::take(&mut self.vars),
+        });
+    }
+
+    /// A fresh sort-`i` variable read from column `col` of `pred`, in an
+    /// atom whose other columns bind.
+    fn column_atom(&mut self, (pred, col): (usize, usize)) -> Tok {
+        let known = self.vars.len();
+        let v = self.fresh(Sort::I);
+        let sorts = self.preds[pred].sorts.clone();
+        let args: Vec<Tok> = (sorts.into_iter().enumerate())
+            .map(|(i, s)| if i == col { v.clone() } else { self.bind(s) })
+            .collect();
+        self.pool.extend(known..self.vars.len());
+        self.body.push(atom(&self.preds[pred].name, pred, args));
+        v
+    }
+
+    /// A cap of the growth to `v` from the variable inputs `vars` that the
+    /// analysis must refuse.
+    fn near_miss(&mut self, v: Tok, vars: &[Tok], k: Tok, head: &Lit) -> Miss {
+        let guard = |toks: Vec<Tok>| -> Vec<Tok> {
+            [Tok::Text(", ".into())].into_iter().chain(toks).collect()
+        };
+        let (guard, elsewhere) = match self.below(if vars.len() == 2 { 4 } else { 3 }) {
+            // A cap by a variable.
+            0 => (guard(infix(v, "<", vars[0].clone())), None),
+            // A cap from below.
+            1 => (
+                guard(match self.below(4) {
+                    0 => infix(v, ">", k),
+                    1 => infix(v, ">=", k),
+                    2 => infix(k, "<", v),
+                    _ => infix(k, "<=", v),
+                }),
+                None,
+            ),
+            // A cap on one of `plus`'s two variable inputs.
+            3 => (guard(infix(vars[self.below(2)].clone(), "<", k)), None),
+            // A cap in another clause, on the head read back:
+            // `p(…, V, …) :- p(…, V, …), V < k.`
+            _ => {
+                let cap = Lit {
+                    pred: None,
+                    toks: infix(v, "<", k),
+                    miss: None,
+                };
+                let copy = Clause {
+                    head: head.pred.expect("an atom"),
+                    heads: vec![head.clone()],
+                    body: vec![head.clone(), cap],
+                    vars: self.vars.clone(),
+                };
+                (Vec::new(), Some(copy))
+            }
+        };
+        Miss { guard, elsewhere }
     }
 }
 
@@ -587,7 +761,11 @@ fn infix(a: Tok, op: &str, b: Tok) -> Vec<Tok> {
 fn atom(name: &str, pred: usize, args: impl IntoIterator<Item = Tok>) -> Lit {
     let toks = call(name, args);
     let pred = Some(pred);
-    Lit { pred, toks }
+    Lit {
+        pred,
+        toks,
+        miss: None,
+    }
 }
 
 impl Program {
@@ -687,12 +865,32 @@ impl Program {
     pub fn unguarded(&self) -> Program {
         let mut p = self.clone();
         for lit in p.clauses.iter_mut().flat_map(|c| &mut c.body) {
-            let close = lit.toks.iter().position(|t| *t == Tok::Text(")".into()));
-            if let (None, Some(close)) = (lit.pred, close) {
-                lit.toks.truncate(close + 1);
+            if lit.pred.is_none() {
+                unguard(&mut lit.toks);
             }
         }
         p
+    }
+
+    /// Per growth of [`Fragment::growth`], two copies of this program:
+    /// one with that growth's cap swapped for its near miss, and one with
+    /// the cap dropped. Every other cap stays. Both stay valid, and a
+    /// termination analysis must refuse the first exactly when it refuses
+    /// the second: on a drawn program, always.
+    pub fn near_misses(&self) -> Vec<(Program, Program)> {
+        let mut out = Vec::new();
+        for (i, c) in self.clauses.iter().enumerate() {
+            for (j, lit) in c.body.iter().enumerate() {
+                let Some(miss) = &lit.miss else { continue };
+                let mut dropped = self.clone();
+                unguard(&mut dropped.clauses[i].body[j].toks);
+                let mut p = dropped.clone();
+                p.clauses[i].body[j].toks.extend(miss.guard.iter().cloned());
+                p.clauses.extend(miss.elsewhere.clone());
+                out.push((p, dropped));
+            }
+        }
+        out
     }
 
     /// One-step-smaller candidates, in shrink order.
@@ -730,6 +928,13 @@ impl Program {
             Tok::Int(n) => Some(n),
             _ => None,
         })
+    }
+}
+
+/// Cut a builtin's guards off after its `)`.
+fn unguard(toks: &mut Vec<Tok>) {
+    if let Some(close) = toks.iter().position(|t| *t == Tok::Text(")".into())) {
+        toks.truncate(close + 1);
     }
 }
 
@@ -771,8 +976,12 @@ mod tests {
     #[test]
     fn programs_are_idlog_and_mutants_are_not() {
         for ids in [Ids::Off, Ids::ChoiceFree, Ids::Bounded, Ids::Any] {
-            for point_query in [false, true] {
-                let fragment = Fragment { ids, point_query };
+            for (point_query, growth) in [(false, false), (true, false), (false, true)] {
+                let fragment = Fragment {
+                    ids,
+                    point_query,
+                    growth,
+                };
                 for case in 0..64 {
                     let p = fragment.program(&mut TestRng::for_case("gen", case));
                     let edb = reference::facts(&p.facts()).expect("facts parse");
@@ -794,6 +1003,7 @@ mod tests {
         let any = Fragment {
             ids: Ids::Any,
             point_query: false,
+            growth: false,
         };
         let source = |p: &Program| Ok::<_, String>(p.to_string());
         check("shrinks", 64, any, source, |_, src| {
