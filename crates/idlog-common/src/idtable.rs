@@ -135,12 +135,37 @@ impl IdTable {
         assert!(self.len < MAX_IDS, "too many ids for a u32 table");
         let id = self.len as u32;
         if 2 * (self.len + 1) > self.slots.len() {
-            self.grow(rehash);
+            self.resize((2 * self.slots.len()).max(MIN_SLOTS), rehash);
             at = self.vacant(hash);
         }
         self.slots[at] = encode(self.bits(), hash, id);
         self.len += 1;
         (id, true)
+    }
+
+    /// Make room for `additional` more ids: the table grows at most once,
+    /// to the size pushing them one by one would end at, so no push before
+    /// then doubles it. `rehash` gives a stored id's hash, as for
+    /// [`IdTable::find_or_push`].
+    pub fn reserve(&mut self, additional: usize, rehash: impl FnMut(u32) -> u64) {
+        let ids = self.len + additional;
+        assert!(ids <= MAX_IDS, "too many ids for a u32 table");
+        let slots = (2 * ids).next_power_of_two().max(MIN_SLOTS);
+        if additional > 0 && slots > self.slots.len() {
+            self.resize(slots, rehash);
+        }
+    }
+
+    /// Give back the slots a [`IdTable::reserve`] took and no push filled:
+    /// shrink to the size pushing the ids one by one would have reached.
+    /// True when the table shrank.
+    pub fn shrink_to_fit(&mut self, rehash: impl FnMut(u32) -> u64) -> bool {
+        let slots = (2 * self.len).next_power_of_two().max(MIN_SLOTS);
+        let shrinks = self.len > 0 && slots < self.slots.len();
+        if shrinks {
+            self.resize(slots, rehash);
+        }
+        shrinks
     }
 
     /// Drop `id` and give the last id the number `id`: the table's half of
@@ -191,11 +216,11 @@ impl IdTable {
             .unwrap_or_else(|_| panic!("id {id} is not registered under its hash"))
     }
 
-    /// Double the slots — or allocate the first [`MIN_SLOTS`] — and place
-    /// ids `0..len` by the hashes `rehash` gives. The old slots are freed
-    /// before the new, zeroed ones are allocated.
-    fn grow(&mut self, mut rehash: impl FnMut(u32) -> u64) {
-        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+    /// Move to `len` slots, a power of two at least twice the ids, and
+    /// place ids `0..self.len` by the hashes `rehash` gives. The old slots
+    /// are freed before the new, zeroed ones are allocated.
+    fn resize(&mut self, len: usize, mut rehash: impl FnMut(u32) -> u64) {
+        debug_assert!(len.is_power_of_two() && len >= 2 * self.len);
         self.slots = Vec::new();
         self.slots = vec![EMPTY; len];
         let k = self.bits();
@@ -275,6 +300,51 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.find(20, |id| stored[id as usize] == 20), Some(2));
         assert_eq!(t.find(50, |id| stored[id as usize] == 50), None);
+    }
+
+    #[test]
+    fn a_reserved_table_is_the_size_pushing_would_reach_and_never_grows() {
+        let hash = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for (before, more) in [
+            (0usize, 0usize),
+            (0, 1),
+            (0, 4),
+            (0, 5),
+            (3, 0),
+            (3, 700),
+            (9, 1),
+        ] {
+            let keys: Vec<u64> = (0..(before + more) as u64).collect();
+            let (mut pushed, mut reserved) = (IdTable::new(), IdTable::new());
+            for &k in &keys {
+                pushed.find_or_push(hash(k), |_| false, |id| hash(keys[id as usize]));
+            }
+            for &k in &keys[..before] {
+                reserved.find_or_push(hash(k), |_| false, |id| hash(keys[id as usize]));
+            }
+            reserved.reserve(more, |id| hash(keys[id as usize]));
+            let slots = reserved.slots.len();
+            assert!(slots <= pushed.slots.len(), "{before} + {more}");
+            for &k in &keys[before..] {
+                reserved.find_or_push(hash(k), |_| false, |_| panic!("a reserved table grew"));
+            }
+            assert_eq!(reserved.slots, pushed.slots, "{before} + {more}");
+            assert!(slots == pushed.slots.len() || more == 0);
+            assert!(!reserved.shrink_to_fit(|_| unreachable!("a full table")));
+        }
+        // A reservation nothing filled is given back.
+        let keys: Vec<u64> = (0..5).collect();
+        let mut t = IdTable::new();
+        for &k in &keys {
+            t.find_or_push(hash(k), |_| false, |id| hash(keys[id as usize]));
+        }
+        t.reserve(1000, |id| hash(keys[id as usize]));
+        assert_eq!(t.slots.len(), 2048);
+        assert!(t.shrink_to_fit(|id| hash(keys[id as usize])));
+        assert_eq!(t.slots.len(), 16);
+        for (id, &k) in keys.iter().enumerate() {
+            assert_eq!(t.find(hash(k), |found| found == id as u32), Some(id as u32));
+        }
     }
 
     #[test]

@@ -172,6 +172,45 @@ impl InternerGuard<'_> {
     pub fn intern(&mut self, name: &str) -> SymbolId {
         self.0.intern(name, hash_name(name))
     }
+
+    /// [`Interner::len`] under the lock this guard holds.
+    pub fn len(&self) -> usize {
+        self.0.ends.len()
+    }
+
+    /// True if nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Make room for `additional` more names as long, on average, as the
+    /// names so far. The hash table grows at most once, to the size
+    /// interning them one by one would end at. The arena and the end
+    /// offsets take an eighth more, so that a few names over the count do
+    /// not double them, but never more than doubling would reach.
+    pub fn reserve(&mut self, additional: usize) {
+        let InternerState { bytes, ends, ids } = &mut *self.0;
+        let names = Names { bytes, ends };
+        ids.reserve(additional, |id| hash_name(names.resolve(SymbolId(id))));
+        let room =
+            |len: usize, more: usize| (more + more / 8).min((len + more).next_power_of_two() - len);
+        let mean = bytes.len().div_ceil(ends.len().max(1));
+        ends.reserve_exact(room(ends.len(), additional));
+        bytes.reserve_exact(room(bytes.len(), additional * mean));
+    }
+
+    /// Give back what a [`InternerGuard::reserve`] took and the names did
+    /// not fill: when the hash table is larger than interning one by one
+    /// would have made it, it shrinks to that size, and the arena and the
+    /// end offsets to fit.
+    pub fn trim(&mut self) {
+        let InternerState { bytes, ends, ids } = &mut *self.0;
+        let names = Names { bytes, ends };
+        if ids.shrink_to_fit(|id| hash_name(names.resolve(SymbolId(id)))) {
+            ends.shrink_to_fit();
+            bytes.shrink_to_fit();
+        }
+    }
 }
 
 /// An [`Interner`]'s names, borrowed while its lock is held
@@ -235,6 +274,29 @@ mod tests {
         assert_eq!(held.len(), 5);
         for (name, id) in names.iter().zip(got) {
             assert_eq!(held.resolve(id), *name);
+        }
+    }
+
+    #[test]
+    fn a_reserved_interner_interns_like_one_that_was_not() {
+        let (grown, reserved) = (Interner::new(), Interner::new());
+        let names: Vec<String> = (0..3000).map(|n| format!("n{}", n % 2500)).collect();
+        let want: Vec<_> = names.iter().map(|n| grown.intern(n)).collect();
+        let mut guard = reserved.lock();
+        let got: Vec<_> = names[..10].iter().map(|n| guard.intern(n)).collect();
+        guard.reserve(2490);
+        let got: Vec<_> = got
+            .into_iter()
+            .chain(names[10..].iter().map(|n| guard.intern(n)))
+            .collect();
+        assert_eq!(guard.len(), 2500);
+        guard.reserve(1_000_000);
+        guard.trim();
+        drop(guard);
+        assert_eq!(got, want);
+        for (name, id) in names.iter().zip(got) {
+            assert_eq!(reserved.resolve(id), *name);
+            assert_eq!(reserved.get(name), Some(id));
         }
     }
 

@@ -69,12 +69,16 @@ impl ExistentialAnalysis {
 ///
 /// Only ordinary positive body literals participate; negated literals,
 /// builtins, and ID-literals block existentiality of the variables they
-/// mention (a variable occurring there "appears somewhere else").
+/// mention (a variable occurring there "appears somewhere else"). A
+/// predicate read negated or through an ID-literal keeps every column: the
+/// rewrite cannot project such an occurrence.
 pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
     let columns = ColumnGraph::new(program);
     // Candidate predicate-level set: every position of every predicate
-    // except the output's.
+    // except the output's and those of a predicate read negated or through
+    // an ID-literal.
     let mut arities: FxHashMap<SymbolId, usize> = FxHashMap::default();
+    let mut kept: FxHashSet<SymbolId> = FxHashSet::default();
     for clause in &program.clauses {
         for h in &clause.head {
             arities.insert(h.atom.pred.base(), h.atom.base_arity());
@@ -82,12 +86,15 @@ pub fn analyze(program: &Program, output: SymbolId) -> ExistentialAnalysis {
         for l in &clause.body {
             if let Some(a) = l.atom() {
                 arities.insert(a.pred.base(), a.base_arity());
+                if matches!(l, Literal::Neg(_)) || a.pred.is_id_version() {
+                    kept.insert(a.pred.base());
+                }
             }
         }
     }
     let mut pred_level: FxHashSet<(SymbolId, usize)> = arities
         .iter()
-        .filter(|&(&p, _)| p != output)
+        .filter(|&(p, _)| *p != output && !kept.contains(p))
         .flat_map(|(&p, &n)| (0..n).map(move |j| (p, j)))
         .collect();
 

@@ -99,8 +99,11 @@ pub fn push_projections(program: &Program, output: SymbolId) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalence::{q_equivalent_on, random_databases};
     use idlog_common::Interner;
+    use idlog_core::EnumBudget;
     use idlog_parser::parse_program;
+    use std::sync::Arc;
 
     fn rewrite(src: &str, output: &str) -> (String, Interner) {
         let i = Interner::new();
@@ -155,5 +158,46 @@ mod tests {
             printed,
             "q(X) :- mid(X).\nmid(X) :- low(X).\nlow(X) :- base(X, Y).\n"
         );
+    }
+
+    #[test]
+    fn a_predicate_read_under_negation_keeps_its_columns() {
+        // h is read only under negation: the rewrite cannot project that
+        // occurrence, so h keeps its arity, and the rewrite ends. m's
+        // second column is still dropped.
+        let src = "h(D) :- e(D, X).
+             m(D, Z) :- e(D, Z).
+             q(D) :- m(D, Z), not h(D).";
+        let i = Arc::new(Interner::new());
+        let p = parse_program(src, &i).unwrap();
+        let rewritten = push_projections(&p, i.intern("q"));
+        assert_eq!(
+            rewritten.display(&i).to_string(),
+            "h(D) :- e(D, X).\nm(D) :- e(D, Z).\nq(D) :- m(D), not h(D).\n"
+        );
+        let dbs = random_databases(&i, &[("e", 2)], &["a", "b", "c"], 16, 5);
+        let report =
+            q_equivalent_on(&p, &rewritten, &i, &dbs, "q", &EnumBudget::default()).unwrap();
+        assert!(report.equivalent, "{report:?}");
+    }
+
+    #[test]
+    fn a_predicate_read_through_an_id_literal_keeps_its_columns() {
+        // n is read only through n[1]: the rewrite does not project an
+        // ID-literal, so n keeps its arity, and the rewrite ends.
+        let src = "n(D, X) :- e(D, X).
+             m(D, Z) :- e(D, Z).
+             q(D) :- m(D, Z), n[1](D, X, 0).";
+        let i = Arc::new(Interner::new());
+        let p = parse_program(src, &i).unwrap();
+        let rewritten = push_projections(&p, i.intern("q"));
+        assert_eq!(
+            rewritten.display(&i).to_string(),
+            "n(D, X) :- e(D, X).\nm(D) :- e(D, Z).\nq(D) :- m(D), n[1](D, X, 0).\n"
+        );
+        let dbs = random_databases(&i, &[("e", 2)], &["a", "b", "c"], 16, 5);
+        let report =
+            q_equivalent_on(&p, &rewritten, &i, &dbs, "q", &EnumBudget::default()).unwrap();
+        assert!(report.equivalent, "{report:?}");
     }
 }

@@ -81,9 +81,21 @@ mod reference {
         FxHashSet<(SymbolId, usize)>,
         FxHashMap<(usize, usize), Vec<usize>>,
     ) {
+        // A predicate read negated or through an ID-literal keeps every
+        // column.
+        let kept: FxHashSet<SymbolId> = program
+            .clauses
+            .iter()
+            .flat_map(|clause| &clause.body)
+            .filter_map(|l| match l {
+                Literal::Neg(a) => Some(a.pred.base()),
+                Literal::Pos(a) if a.pred.is_id_version() => Some(a.pred.base()),
+                _ => None,
+            })
+            .collect();
         let mut pred_level: FxHashSet<(SymbolId, usize)> = arities(program)
             .iter()
-            .filter(|&(&p, _)| p != output)
+            .filter(|&(p, _)| *p != output && !kept.contains(p))
             .flat_map(|(&p, &n)| (0..n).map(move |j| (p, j)))
             .collect();
         loop {

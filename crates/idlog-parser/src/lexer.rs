@@ -8,6 +8,11 @@
 //! everywhere. The test module keeps the character-at-a-time lexer this
 //! one replaced, and a property holds the two to the same tokens,
 //! positions and errors.
+//!
+//! [`Lexer::plain_fact`] reads a whole `name(atom|nat, …).` clause without
+//! building a token: a table classes each byte, and on any byte outside
+//! that shape the lexer stays where it was, for the token loop to read the
+//! clause. A property holds it to the tokens of the same clause.
 
 use idlog_common::Nat;
 
@@ -42,6 +47,11 @@ impl<'a> Lexer<'a> {
             pos: Pos { line: 1, col: 1 },
             done: false,
         }
+    }
+
+    /// The byte offset of the next unread character.
+    pub fn offset(&self) -> usize {
+        self.at
     }
 
     /// The byte at the read position.
@@ -225,6 +235,162 @@ impl<'a> Lexer<'a> {
         } else {
             alone
         }
+    }
+}
+
+/// One argument of a clause [`Lexer::plain_fact`] read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FactArg<'a> {
+    /// A bare atom: a lowercase ASCII letter, then ASCII letters, digits
+    /// and `_`.
+    Atom(&'a str),
+    /// An integer literal.
+    Nat(Nat),
+}
+
+/// Byte classes for [`Lexer::plain_fact`]: [`WORD`] continues an ASCII
+/// identifier, [`SPACE`] is layout other than a newline. Every other byte
+/// (`%`, a quote, anything non-ASCII) is neither.
+const WORD: u8 = 1;
+const SPACE: u8 = 2;
+
+static CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        if c.is_ascii_alphanumeric() || c == b'_' {
+            class[b] = WORD;
+        }
+        // The ASCII characters `char::is_whitespace` accepts, but `\n`.
+        if matches!(c, b'\t' | b'\x0B' | b'\x0C' | b'\r' | b' ') {
+            class[b] = SPACE;
+        }
+        b += 1;
+    }
+    class
+};
+
+/// A read position moved byte by byte over ASCII: the offset, and how many
+/// newlines it passed, the last of them ending at `line_start`.
+struct ByteScan<'a> {
+    src: &'a str,
+    at: usize,
+    newlines: u32,
+    line_start: usize,
+}
+
+impl<'a> ByteScan<'a> {
+    #[inline]
+    fn byte(&self) -> u8 {
+        // A NUL past the end is in no class and no expected punctuation.
+        self.src.as_bytes().get(self.at).copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn eat(&mut self, b: u8) -> bool {
+        let here = self.byte() == b;
+        self.at += usize::from(here);
+        here
+    }
+
+    /// Skip ASCII whitespace; `%` and non-ASCII layout stop it.
+    #[inline]
+    fn layout(&mut self) {
+        loop {
+            match self.byte() {
+                b'\n' => {
+                    self.at += 1;
+                    self.newlines += 1;
+                    self.line_start = self.at;
+                }
+                b if CLASS[b as usize] == SPACE => self.at += 1,
+                _ => return,
+            }
+        }
+    }
+
+    /// A bare atom (not the keyword `not` or `choice`) whose next byte is
+    /// ASCII: a non-ASCII letter would go on with the word.
+    #[inline]
+    fn atom(&mut self) -> Option<&'a str> {
+        let from = self.at;
+        if !self.byte().is_ascii_lowercase() {
+            return None;
+        }
+        let bytes = self.src.as_bytes();
+        self.at += 1;
+        while CLASS[usize::from(bytes.get(self.at).copied().unwrap_or(0))] == WORD {
+            self.at += 1;
+        }
+        let word = &self.src[from..self.at];
+        (self.byte().is_ascii() && word != "not" && word != "choice").then_some(word)
+    }
+
+    #[inline]
+    fn arg(&mut self) -> Option<FactArg<'a>> {
+        if !self.byte().is_ascii_digit() {
+            return self.atom().map(FactArg::Atom);
+        }
+        let mut n: i64 = 0;
+        while let digit @ b'0'..=b'9' = self.byte() {
+            self.at += 1;
+            n = n.checked_mul(10)?.checked_add(i64::from(digit - b'0'))?;
+        }
+        Nat::new(n).map(FactArg::Nat)
+    }
+}
+
+impl<'a> Lexer<'a> {
+    /// Read one `name.` or `name(arg, …).` clause whose name and every
+    /// argument are bare atoms or integers, a byte at a time and building
+    /// no token: `args` gets the arguments and the name is returned, with
+    /// the lexer just past the `.`, as the token loop would leave it. On
+    /// anything else — a comment, a quote, a non-ASCII byte, a variable, a
+    /// keyword, an overflowing integer, another token, the end of the
+    /// input — it returns `None` and the lexer has not moved, so the
+    /// caller reads the clause token by token from the same offset and
+    /// position.
+    pub fn plain_fact(&mut self, args: &mut Vec<FactArg<'a>>) -> Option<&'a str> {
+        args.clear();
+        let mut scan = ByteScan {
+            src: self.src,
+            at: self.at,
+            newlines: 0,
+            line_start: 0,
+        };
+        scan.layout();
+        let name = scan.atom()?;
+        scan.layout();
+        if scan.eat(b'(') {
+            scan.layout();
+            if !scan.eat(b')') {
+                loop {
+                    args.push(scan.arg()?);
+                    scan.layout();
+                    if scan.eat(b')') {
+                        break;
+                    }
+                    if !scan.eat(b',') {
+                        return None;
+                    }
+                    scan.layout();
+                }
+            }
+            scan.layout();
+        }
+        if !scan.eat(b'.') {
+            return None;
+        }
+        // Every byte passed is ASCII: a column a byte.
+        if scan.newlines == 0 {
+            self.pos.col += (scan.at - self.at) as u32;
+        } else {
+            self.pos.line += scan.newlines;
+            self.pos.col = (scan.at - scan.line_start) as u32 + 1;
+        }
+        self.at = scan.at;
+        Some(name)
     }
 }
 
@@ -628,6 +794,64 @@ mod tests {
             let src = pieces.concat() + &tail;
             let pulled: Vec<_> = Lexer::new(&src).collect();
             prop_assert_eq!(&pulled, &reference::stream(&src), "{:?}", src);
+        }
+    }
+
+    /// A clause of the plain fact shape, with layout of its own between
+    /// the tokens.
+    fn arb_fact_clause() -> impl Strategy<Value = String> {
+        let arg = prop_oneof!["[a-z][a-zA-Z0-9_]{0,3}", "[0-9]{1,3}"];
+        let gap = || one_of(&["", "", " ", "\n", "\r\n", "\t"]);
+        (
+            "[a-z][a-z0-9_]{0,4}",
+            proptest::collection::vec((arg, gap()), 0..4),
+            gap(),
+        )
+            .prop_map(|(name, args, gap)| {
+                let args: Vec<String> = args.into_iter().map(|(a, g)| a + &g).collect();
+                format!("{name}{gap}({gap}{}){gap}.", args.join(","))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Wherever `plain_fact` reads a clause, the token loop reads the
+        /// same name and arguments from there and ends at the same offset
+        /// and position; where it refuses one, it has not moved.
+        #[test]
+        fn plain_fact_reads_what_the_tokens_read(
+            pieces in proptest::collection::vec(
+                prop_oneof![4 => arb_fact_clause(), 1 => arb_piece()],
+                0..30,
+            ),
+        ) {
+            let src = pieces.concat();
+            let mut lexer = Lexer::new(&src);
+            let mut args = Vec::new();
+            loop {
+                let before = lexer.clone();
+                let Some(name) = lexer.plain_fact(&mut args) else {
+                    prop_assert_eq!((lexer.at, lexer.pos), (before.at, before.pos));
+                    match lexer.next_token() {
+                        Ok(Spanned { token: Token::Eof, .. }) | Err(_) => break,
+                        Ok(_) => continue,
+                    }
+                };
+                let mut tokens = before.clone();
+                let mut read = Vec::new();
+                loop {
+                    match tokens.next_token().unwrap().token {
+                        Token::Dot => break,
+                        Token::Ident(s) => read.push(FactArg::Atom(s)),
+                        Token::Int(n) => read.push(FactArg::Nat(n)),
+                        Token::LParen | Token::RParen | Token::Comma => {}
+                        t => prop_assert!(false, "{:?} in {:?}", t, &src[before.at..lexer.at]),
+                    }
+                }
+                prop_assert_eq!(read.first(), Some(&FactArg::Atom(name)));
+                prop_assert_eq!(&read[1..], &args[..]);
+                prop_assert_eq!((tokens.at, tokens.pos), (lexer.at, lexer.pos), "{:?}", src);
+            }
         }
     }
 

@@ -34,7 +34,7 @@ pub use group::{group_by, Grouping};
 pub use idrel::{
     canonical_id_relation, make_id_relation, random_id_relation, IdAssignment, IdRelationBuild,
 };
-pub use relation::{CanonicalView, Relation};
+pub use relation::{AppendRun, CanonicalView, Relation};
 pub use rows::{RowBuf, RowIter, Rows};
 pub use storage::{
     estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend,

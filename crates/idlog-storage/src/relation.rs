@@ -194,6 +194,14 @@ impl Relation {
         Ok(dispatch_mut!(self, b => b.insert(t)))
     }
 
+    /// Start a run of sort-checked inserts ([`AppendRun`]), the way a bulk
+    /// loader inserts: the rows go to the end of the store as they come,
+    /// and the membership table takes them in when the run ends.
+    pub fn append_run(&mut self) -> AppendRun<'_> {
+        let start = dispatch_mut!(self, b => b.len());
+        AppendRun { rel: self, start }
+    }
+
     /// Insert without a sort check. The caller must guarantee the tuple
     /// matches the relation type; the engine uses this on tuples it has
     /// already sort-checked at program validation time.
@@ -394,6 +402,42 @@ impl Relation {
         match self.backend {
             BackendImpl::Hash(b) => b.into_rows(),
             BackendImpl::Columnar(b) => b.into_tuples().iter().collect(),
+        }
+    }
+}
+
+/// A run of inserts into one relation ([`Relation::append_run`]). Each
+/// row is checked against the relation's type as it comes. On the hash
+/// backend it is appended to the store with no membership check, and when
+/// the run drops, the membership table grows once and takes the run's rows
+/// in order: a row stored before, or earlier in the run, is dropped then,
+/// so the result is what inserting the rows one by one gives, scan order
+/// included. The columnar backend inserts each row as it comes.
+pub struct AppendRun<'r> {
+    rel: &'r mut Relation,
+    /// The store's length when the run began.
+    start: usize,
+}
+
+impl AppendRun<'_> {
+    /// Check `row` against the relation's arity and sorts, then add it to
+    /// the run.
+    pub fn push(&mut self, row: &[Value]) -> CommonResult<()> {
+        self.rel.check_row(row)?;
+        match &mut self.rel.backend {
+            BackendImpl::Hash(b) => b.append_row(row),
+            BackendImpl::Columnar(b) => {
+                b.insert(Tuple::from(row));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for AppendRun<'_> {
+    fn drop(&mut self) {
+        if let BackendImpl::Hash(b) = &mut self.rel.backend {
+            b.settle_run(self.start);
         }
     }
 }
@@ -874,6 +918,48 @@ mod tests {
         assert!(!r.insert(t.clone()).unwrap());
         assert!(r.contains(&t));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn an_append_run_stores_what_inserting_one_by_one_stores() {
+        let i = Interner::new();
+        let row = |n: i64| [sym(&i, &format!("k{}", n % 3)), int(n % 5)];
+        let before: Vec<_> = (0..4).map(row).collect();
+        let run: Vec<_> = (2..40).map(row).collect();
+        for kind in [BackendKind::Hash, BackendKind::Columnar] {
+            let rtype = || RelType::new(vec![Sort::U, Sort::I]);
+            let (mut one_by_one, mut appended) = (
+                Relation::new_in(rtype(), kind),
+                Relation::new_in(rtype(), kind),
+            );
+            for r in &before {
+                one_by_one.insert(r.iter().copied().collect()).unwrap();
+                appended.insert(r.iter().copied().collect()).unwrap();
+            }
+            // An index built before the run is kept up to date by it.
+            one_by_one.ensure_index(&[1]);
+            appended.ensure_index(&[1]);
+            for r in &run {
+                one_by_one.insert(r.iter().copied().collect()).unwrap();
+            }
+            {
+                let mut rows = appended.append_run();
+                for r in &run {
+                    rows.push(r).unwrap();
+                }
+                // A row of the wrong sort is refused, and the run goes on.
+                assert!(rows.push(&[int(1), int(1)]).is_err());
+                assert!(rows.push(&[sym(&i, "k0")]).is_err());
+            }
+            assert!(appended.iter().eq(one_by_one.iter()), "{kind:?}");
+            for n in 0..50 {
+                let t: Tuple = row(n).into_iter().collect();
+                assert_eq!(appended.contains(&t), one_by_one.contains(&t));
+                let key: Tuple = vec![int(n % 5)].into();
+                let (got, want) = (appended.probe(&[1], &key), one_by_one.probe(&[1], &key));
+                assert!(got.iter().eq(want.iter()), "{kind:?} {n}");
+            }
+        }
     }
 
     #[test]

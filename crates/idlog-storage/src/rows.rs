@@ -202,6 +202,18 @@ impl RowBuf {
         self.len = 0;
     }
 
+    /// Copy row `from` over row `to`.
+    pub(crate) fn copy_row(&mut self, from: usize, to: usize) {
+        let a = self.arity;
+        self.values.copy_within(from * a..(from + 1) * a, to * a);
+    }
+
+    /// Keep the first `len` rows.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.values.truncate(len * self.arity);
+        self.len = self.len.min(len);
+    }
+
     /// Remove row `i` by moving the last row into its place.
     pub fn swap_remove(&mut self, i: usize) {
         assert!(i < self.len, "row {i} of {}", self.len);

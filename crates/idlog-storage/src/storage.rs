@@ -555,6 +555,53 @@ impl HashBackend {
         new
     }
 
+    /// Append `row` without a membership check: a run of these ends with
+    /// [`HashBackend::settle_run`].
+    pub(crate) fn append_row(&mut self, row: &[Value]) {
+        self.rows.push(row);
+    }
+
+    /// Take the rows appended from offset `start` on into the membership
+    /// table and every index, in order, dropping each row stored before or
+    /// earlier in the run: the first occurrence stays where it was
+    /// appended, so scan order is append order. The table grows once, to
+    /// its size for every row, and shrinks back if duplicates left it
+    /// larger than inserting the rows one by one would have.
+    pub(crate) fn settle_run(&mut self, start: usize) {
+        let end = self.rows.len();
+        let HashBackend {
+            rows,
+            seen,
+            indexes,
+        } = self;
+        debug_assert!(end < u32::MAX as usize, "store offset overflow");
+        debug_assert_eq!(seen.len(), start, "a run starts at the end of the store");
+        let stored = rows.rows();
+        seen.reserve(end - start, |off| fx_hash(stored.get(off as usize)));
+        let mut kept = start;
+        for at in start..end {
+            let stored = rows.rows();
+            let row = stored.get(at);
+            let (off, new) = seen.find_or_push(
+                fx_hash(row),
+                |off| stored.get(off as usize) == row,
+                |off| fx_hash(stored.get(off as usize)),
+            );
+            if new {
+                debug_assert_eq!(off as usize, kept, "offsets are dense");
+                rows.copy_row(at, kept);
+                let row = rows.get(kept);
+                indexes.for_each_mut(|positions, map| {
+                    map.entry(project(row, positions)).or_default().push(off);
+                });
+                kept += 1;
+            }
+        }
+        rows.truncate(kept);
+        let stored = rows.rows();
+        seen.shrink_to_fit(|off| fx_hash(stored.get(off as usize)));
+    }
+
     /// Remove the row at `off` by moving the last row into its place,
     /// patching the membership table and, per index, the two offset lists
     /// involved — kept ascending, so a probe still lists a key's rows in
